@@ -175,6 +175,8 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[FlowAssignment]]:
             declared = (num(tokens[2], no), num(tokens[3], no))
             header_line = no
         elif tag == "f":
+            if len(tokens) < 2:
+                raise ParseError(no, "clause label line must be 'f <id> <lit> ... 0'")
             fid = num(tokens[1], no)
             formulas.append(FormulaVertex(fid, _clause_tokens(tokens[2:], no)))
         elif tag == "i":
@@ -205,8 +207,12 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[FlowAssignment]]:
                 raise ParseError(no, str(exc)) from None
             inferences.append(InferenceVertex(iid, rule, ins, outs))
         elif tag == "h":
+            if len(tokens) != 2:
+                raise ParseError(no, "hypothesis mark must be 'h <fid>'")
             hyp_ids.add(num(tokens[1], no))
         elif tag == "g":
+            if len(tokens) != 2:
+                raise ParseError(no, "goal mark must be 'g <fid>'")
             if goal_id is not None:
                 raise ParseError(no, "duplicate goal mark")
             goal_id = num(tokens[1], no)

@@ -186,8 +186,9 @@ def php_refutation(g: BipartiteGraph) -> tuple[ProofGraph, FlowAssignment]:
             continue
         ys = [var[(u, v)] for u in nbrs]
         _materialize(b, _hole_records(ys))
+    hypotheses = set(cnf.clauses)
     for clause, fid in b.clause_index():
-        if clause in set(cnf.clauses):
+        if clause in hypotheses:
             b.mark_hypothesis(fid)
     goal = b.vertex(Clause(()))
     b.set_goal(goal)

@@ -8,10 +8,14 @@ every non-hypothesis balance nonnegative.  A feasible point, pruned to its
 positive-flow support, is a checked circular proof.
 
 ``daglike_width_saturate`` is the classical comparison point: the least fixed
-point of width-bounded resolution and weakening over the hypotheses.  A
-formula has a dag-like width-``w`` refutation exactly when the saturation
-contains the empty clause, which makes the pair of procedures a practical
-probe for instances where circular width beats dag-like width.
+point of width-bounded resolution and weakening over the hypotheses.  It
+saturates under resolution alone, discarding subsumed clauses, and then
+rebuilds the closure as every weakening of width at most ``w`` of what
+remains; weakening can always be postponed past resolution without raising
+width, so the result is the same set.  A formula has a dag-like width-``w`` refutation
+exactly when the saturation contains the empty clause, which makes the pair
+of procedures a practical probe for instances where circular width beats
+dag-like width.
 """
 
 from __future__ import annotations
@@ -189,49 +193,77 @@ def _pruned(formulas, kept, flow_values, goal_vertex: int, hyp_clauses):
 def daglike_width_saturate(hypotheses: CnfFormula, width: int) -> set[Clause]:
     """Least fixed point of width-bounded resolution and weakening.
 
-    Tautological resolvents and weakenings are never useful for deriving
-    further clauses of the closure and are skipped.  The result contains the
-    empty clause exactly when a dag-like resolution refutation of width at
-    most ``width`` exists.
+    Tautological resolvents and weakenings never belong to the closure.  The
+    result contains the empty clause exactly when a dag-like resolution
+    refutation of width at most ``width`` exists.
+
+    Weakening is eliminated from the fixed-point computation: a resolvent of
+    weakenings ``C' >= C`` and ``D' >= D`` either contains ``C`` or ``D`` or
+    contains ``res(C, D)``, so the closure is the upward closure, within
+    width ``width``, of a resolution-only core.  That core is saturated with
+    forward subsumption (a resolvent with a kept nonempty subset is
+    dropped) and lazy backward subsumption (a queued clause is dropped when
+    popped if a proper nonempty subset is kept by then), shortest clauses
+    first.  The closure is then rebuilt by adding one literal at a time to
+    the nonempty core clauses.  If resolution derives the empty clause at
+    width 2 or more, every non-tautological clause of width at most
+    ``width`` follows (each is a weakening of a unit ``x`` or ``~x``, or a
+    resolvent of a weakening of each), and that set is returned at once.
+    An empty hypothesis stays inert: it neither subsumes nor is weakened.
     """
     needed = max((c.width for c in hypotheses.clauses), default=0)
     if width < needed:
         raise WidthError(f"width {width} below hypothesis width {needed}")
     n = hypotheses.num_variables
 
-    seen: set[frozenset[int]] = set()
-    by_literal: dict[int, list[frozenset[int]]] = {}
-    queue: list[frozenset[int]] = []
+    kept: set[frozenset[int]] = set()
+    queues: list[list[frozenset[int]]] = [[] for _ in range(width + 1)]
+    active: dict[int, list[frozenset[int]]] = {}
 
-    def push(c: frozenset[int]) -> None:
-        if c in seen:
-            return
-        seen.add(c)
-        queue.append(c)
-        for lit in c:
-            by_literal.setdefault(lit, []).append(c)
+    def has_kept_subset(c: frozenset[int], max_size: int) -> bool:
+        for k in range(1, max_size + 1):
+            for sub in itertools.combinations(c, k):
+                if frozenset(sub) in kept:
+                    return True
+        return False
+
+    def keep(c: frozenset[int]) -> None:
+        kept.add(c)
+        if c:
+            queues[len(c)].append(c)
 
     for c in hypotheses.clauses:
         if not c.is_tautological:
-            push(c.signed())
+            keep(c.signed())
 
-    while queue:
-        c = queue.pop()
-        if not c:
+    while any(queues):
+        c = next(q for q in queues if q).pop()
+        if has_kept_subset(c, len(c) - 1):
             continue
         for lit in c:
-            for d in list(by_literal.get(-lit, ())):
-                resolvent = (c - {lit}) | (d - {-lit})
-                if len(resolvent) > width:
+            rest = c - {lit}
+            for d in active.get(-lit, ()):
+                resolvent = rest | (d - {-lit})
+                if len(resolvent) > width or any(-l in resolvent for l in resolvent):
                     continue
-                if any(-l in resolvent for l in resolvent):
-                    continue
-                push(resolvent)
-        if len(c) < width:
-            for v in range(1, n + 1):
-                for lit in (v, -v):
-                    if lit in c or -lit in c:
-                        continue
-                    push(c | {lit})
+                if not resolvent and width >= 2:
+                    return set(_proper_clauses(n, width))
+                if not has_kept_subset(resolvent, len(resolvent)):
+                    keep(resolvent)
+        for lit in c:
+            active.setdefault(lit, []).append(c)
 
-    return {Clause.from_signed(c) for c in seen}
+    closure = set(kept)
+    frontier = [c for c in kept if 0 < len(c) < width]
+    while frontier:
+        c = frontier.pop()
+        for v in range(1, n + 1):
+            if v in c or -v in c:
+                continue
+            for lit in (v, -v):
+                weakened = c | {lit}
+                if weakened not in closure:
+                    closure.add(weakened)
+                    if len(weakened) < width:
+                        frontier.append(weakened)
+    return {Clause.from_signed(c) for c in closure}

@@ -53,6 +53,20 @@ def test_check_parse_error(tmp_path):
     assert run(["check", bad, cnf]) == 2
 
 
+@pytest.mark.parametrize("text, line", [
+    ("p cres 1 0\nf\nh 0\ng 0\n", 2),
+    ("p cres 1 0\nf 0 1 0\nh\ng 0\n", 3),
+    ("p cres 1 0\nf 0 1 0\nh 0\ng\n", 4),
+], ids=["f", "h", "g"])
+def test_check_truncated_line(tmp_path, capsys, text, line):
+    bad = tmp_path / "bad.cres"
+    bad.write_text(text)
+    cnf = tmp_path / "h.cnf"
+    cnf.write_text("p cnf 1 1\n1 0\n")
+    assert run(["check", bad, cnf]) == 2
+    assert f"error: line {line}:" in capsys.readouterr().err
+
+
 def test_gen_php_usage_errors(tmp_path):
     assert run(["gen-php", "--complete", 0]) == 2
     graph_file = tmp_path / "g.txt"

@@ -1,8 +1,15 @@
+import random
+
 import pytest
 
 from circres.core import Clause, CnfFormula, implies_oracle
 from circres.flowcheck import verify_flow
-from circres.generators import complete_bipartite, gen_php, near_cubic_bipartite
+from circres.generators import (
+    complete_bipartite,
+    gen_php,
+    near_cubic_bipartite,
+    php_refutation,
+)
 from circres.proofgraph import validate_rules
 from circres.search import (
     SearchBudgetError,
@@ -166,3 +173,99 @@ def test_daglike_goal_implies_circular_success_for_refutations():
         w = max(3, max(c.width for c in cnf.clauses))
         if Clause(()) in daglike_width_saturate(cnf, w):
             assert circular_search(cnf, Clause(()), w) is not None
+
+
+def _weakening_closure(hypotheses: CnfFormula, width: int) -> set[Clause]:
+    """Reference: the least fixed point of width-bounded resolution and
+    weakening, computed directly by applying both rules until nothing new
+    appears.  Tautologies are skipped and the empty clause is not weakened."""
+    n = hypotheses.num_variables
+    seen: set[frozenset[int]] = set()
+    by_literal: dict[int, list[frozenset[int]]] = {}
+    queue: list[frozenset[int]] = []
+
+    def push(c: frozenset[int]) -> None:
+        if c in seen:
+            return
+        seen.add(c)
+        queue.append(c)
+        for lit in c:
+            by_literal.setdefault(lit, []).append(c)
+
+    for c in hypotheses.clauses:
+        if not c.is_tautological:
+            push(c.signed())
+
+    while queue:
+        c = queue.pop()
+        if not c:
+            continue
+        for lit in c:
+            for d in list(by_literal.get(-lit, ())):
+                resolvent = (c - {lit}) | (d - {-lit})
+                if len(resolvent) > width:
+                    continue
+                if any(-l in resolvent for l in resolvent):
+                    continue
+                push(resolvent)
+        if len(c) < width:
+            for v in range(1, n + 1):
+                for lit in (v, -v):
+                    if lit in c or -lit in c:
+                        continue
+                    push(c | {lit})
+
+    return {Clause.from_signed(c) for c in seen}
+
+
+def _random_cnf(rng: random.Random, n: int, width: int, count: int) -> CnfFormula:
+    # Literals are drawn with repetition, so some clauses come out
+    # tautological or shorter than drawn; one formula in ten also has the
+    # empty clause as a hypothesis.
+    clauses = [Clause(())] if rng.random() < 0.1 else []
+    for _ in range(count):
+        k = rng.randint(min(1, width), width)
+        clauses.append(Clause.from_signed(
+            rng.choice((1, -1)) * rng.randint(1, n) for _ in range(k)
+        ))
+    return CnfFormula.of(n, clauses)
+
+
+def test_saturate_matches_weakening_closure_on_random_cnfs():
+    rng = random.Random(2024)
+    cases = [
+        CnfFormula.of(3, []),
+        CnfFormula.of(2, [Clause(()), clause(1, 2), clause(-1)]),
+        CnfFormula.of(3, [clause(1, -1), clause(2, 3), clause(-2, -3)]),
+        unit_contradiction(),
+    ]
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        cases.append(_random_cnf(rng, n, rng.randint(0, 4), rng.randint(0, 10)))
+    for cnf in cases:
+        needed = max((c.width for c in cnf.clauses), default=0)
+        for width in range(needed, 5):
+            assert daglike_width_saturate(cnf, width) == _weakening_closure(cnf, width), (
+                [str(c) for c in cnf.clauses], width)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_saturate_matches_weakening_closure_on_near_cubic(seed):
+    cnf = gen_php(near_cubic_bipartite(4, seed))
+    # Clause ``seed`` is the pigeon clause of pigeon ``seed + 1``.
+    dropped = CnfFormula.of(
+        cnf.num_variables, [c for i, c in enumerate(cnf.clauses) if i != seed]
+    )
+    for f in (cnf, dropped):
+        assert daglike_width_saturate(f, 3) == _weakening_closure(f, 3)
+
+
+@pytest.mark.parametrize("n, seed", [(15, 1), (16, 1), (20, 0)])
+def test_width_three_separation(n, seed):
+    # Dag-like width 3 does not refute these near-cubic pigeonhole
+    # instances, while the pieced circular refutation has width 3.
+    g = near_cubic_bipartite(n, seed)
+    assert Clause(()) not in daglike_width_saturate(gen_php(g), 3)
+    graph, flow = php_refutation(g)
+    assert graph.width <= 3
+    assert verify_flow(graph, flow, graph.goal_id)
