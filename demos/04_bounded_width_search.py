@@ -1,9 +1,11 @@
 """Bounded-width proof search by exact linear feasibility.
 
-Lay down one vertex per clause of width at most w, wire every cut and split
-that fits, and ask for flows giving the goal positive balance while keeping
-every non-hypothesis clause nonnegative.  A feasible point, restricted to
-its positive-flow support, is a checked circular proof; infeasibility is
+Width-w circular resolution is degree-w Sherali-Adams, so the search solves
+one small exact LP: a balance per clause of width at most w, one row per
+monomial of degree at most w tying the balances into a polynomial identity,
+the goal's balance at least 1 and every other non-hypothesis balance
+nonnegative.  A feasible point is turned back into cuts and splits on the
+width-w clause lattice and rechecked as a circular proof; infeasibility is
 definitive for that width.
 """
 
@@ -52,5 +54,5 @@ print(
     f"  width-3 saturation closure has {len(closure)} clauses; "
     f"empty clause derived: {Clause(()) in closure}"
 )
-print("  (at this scale narrow dag-like refutations still exist; the")
-print("   asymptotic separation needs expansion these sizes cannot provide)")
+print("  (at this scale narrow dag-like refutations still exist; the width-3")
+print("   separation shows on larger instances, e.g. near-cubic n=15, seed 1)")

@@ -10,7 +10,8 @@ Subcommands wire the library into a batch pipeline over the text formats of
 * ``gen-random`` emit a seeded random checked proof (fuzzing aid).
 
 Exit codes are stable: 0 success, 1 sound negative answer (not witnessed /
-not found), 2 input or usage error, 3 resource guard tripped.
+not found), 2 input or usage error, 3 resource guard tripped, 4 internal
+error (an exception the program does not expect, reported in one line).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_GUARD = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(ValueError):
@@ -88,6 +90,9 @@ def cmd_check(args) -> int:
         flow = file_flow
         print("WITNESSED (supplied flows verified)")
     else:
+        if file_flow is not None:
+            print("supplied flows rejected: they do not witness the proof; "
+                  "solving the flow program instead")
         report = find_witness(graph)
         if report.witnessed:
             flow = report.flow
@@ -347,6 +352,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -77,6 +77,13 @@ def _lines(text: str):
         yield no, line.split()
 
 
+def _int(token: str, no: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(no, f"expected integer, got {token!r}") from None
+
+
 def _rational(token: str, no: int) -> Fraction:
     try:
         if "/" in token:
@@ -117,8 +124,10 @@ def parse_dimacs(text: str) -> CnfFormula:
                 raise ParseError(no, "duplicate header")
             if len(tokens) != 4 or tokens[1] != "cnf":
                 raise ParseError(no, "header must be 'p cnf <vars> <clauses>'")
-            num_vars, expected = int(tokens[2]), int(tokens[3])
+            num_vars, expected = _int(tokens[2], no), _int(tokens[3], no)
             header_line = no
+            if num_vars < 0 or expected < 0:
+                raise ParseError(no, "header counts must be nonnegative")
             continue
         if num_vars is None:
             raise ParseError(no, "clause before header")
@@ -161,34 +170,28 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[FlowAssignment]]:
     declared = None
     header_line = 0
 
-    def num(tok: str, no: int) -> int:
-        try:
-            return int(tok)
-        except ValueError:
-            raise ParseError(no, f"expected integer, got {tok!r}") from None
-
     for no, tokens in _lines(text):
         tag = tokens[0]
         if tag == "p":
             if len(tokens) != 4 or tokens[1] != "cres":
                 raise ParseError(no, "header must be 'p cres <#f> <#i>'")
-            declared = (num(tokens[2], no), num(tokens[3], no))
+            declared = (_int(tokens[2], no), _int(tokens[3], no))
             header_line = no
         elif tag == "f":
             if len(tokens) < 2:
                 raise ParseError(no, "clause label line must be 'f <id> <lit> ... 0'")
-            fid = num(tokens[1], no)
+            fid = _int(tokens[1], no)
             formulas.append(FormulaVertex(fid, _clause_tokens(tokens[2:], no)))
         elif tag == "i":
             if len(tokens) < 4:
                 raise ParseError(no, "truncated inference line")
-            iid = num(tokens[1], no)
+            iid = _int(tokens[1], no)
             name = tokens[2]
             if name not in _NAME_KINDS:
                 raise ParseError(no, f"unknown rule {name!r}")
             kind = _NAME_KINDS[name]
-            var = num(tokens[3], no)
-            refs = [num(t, no) for t in tokens[4:]]
+            var = _int(tokens[3], no)
+            refs = [_int(t, no) for t in tokens[4:]]
             if kind == AXIOM:
                 if len(refs) != 1:
                     raise ParseError(no, "ax takes one consequent id")
@@ -209,20 +212,20 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[FlowAssignment]]:
         elif tag == "h":
             if len(tokens) != 2:
                 raise ParseError(no, "hypothesis mark must be 'h <fid>'")
-            hyp_ids.add(num(tokens[1], no))
+            hyp_ids.add(_int(tokens[1], no))
         elif tag == "g":
             if len(tokens) != 2:
                 raise ParseError(no, "goal mark must be 'g <fid>'")
             if goal_id is not None:
                 raise ParseError(no, "duplicate goal mark")
-            goal_id = num(tokens[1], no)
+            goal_id = _int(tokens[1], no)
         elif tag == "w":
             if len(tokens) != 3:
                 raise ParseError(no, "flow line must be 'w <iid> <flow>'")
             f = _rational(tokens[2], no)
             if f <= 0:
                 raise ParseError(no, f"flow must be positive, got {f}")
-            flows[num(tokens[1], no)] = f
+            flows[_int(tokens[1], no)] = f
         else:
             raise ParseError(no, f"unknown line tag {tag!r}")
 
@@ -314,8 +317,10 @@ def parse_sap(text: str) -> SAProof:
         if tag == "p":
             if len(tokens) != 4 or tokens[1] != "sap":
                 raise ParseError(no, "header must be 'p sap <#vars> <#hyps>'")
-            num_vars, expected_hyps = int(tokens[2]), int(tokens[3])
+            num_vars, expected_hyps = _int(tokens[2], no), _int(tokens[3], no)
             header_line = no
+            if num_vars < 0 or expected_hyps < 0:
+                raise ParseError(no, "header counts must be nonnegative")
         elif tag == "h":
             hyps.append(_clause_tokens(tokens[1:], no))
         elif tag == "g":
@@ -338,7 +343,7 @@ def parse_sap(text: str) -> SAProof:
             if ref_tokens[0] == "H":
                 if len(ref_tokens) != 2:
                     raise ParseError(no, "hypothesis reference is 'H <index>'")
-                ref = RefPoly(HYPOTHESIS, int(ref_tokens[1]))
+                kind, index = HYPOTHESIS, _int(ref_tokens[1], no)
             elif ref_tokens[0] == "B":
                 if len(ref_tokens) < 2 or ref_tokens[1] not in _NAME_BASICS:
                     raise ParseError(no, f"unknown basic reference {ref_tokens[1:]!r}")
@@ -346,13 +351,17 @@ def parse_sap(text: str) -> SAProof:
                 if kind == ONE:
                     if len(ref_tokens) != 2:
                         raise ParseError(no, "'B one' takes no index")
-                    ref = RefPoly(ONE)
+                    index = 0
                 else:
                     if len(ref_tokens) != 3:
                         raise ParseError(no, f"'B {ref_tokens[1]}' needs an index")
-                    ref = RefPoly(kind, int(ref_tokens[2]))
+                    index = _int(ref_tokens[2], no)
             else:
                 raise ParseError(no, f"unknown reference tag {ref_tokens[0]!r}")
+            try:
+                ref = RefPoly(kind, index)
+            except ValueError as exc:
+                raise ParseError(no, str(exc)) from None
             terms.append(SATerm(coef, mono, ref))
         else:
             raise ParseError(no, f"unknown line tag {tag!r}")

@@ -1,11 +1,19 @@
 """Bounded-width proof search and a dag-like width-saturation oracle.
 
-``circular_search`` lays down one formula vertex per clause of width at most
-``w`` (proper clauses plus the elementary tautologies), one axiom vertex per
-variable, and every cut and split whose participating clauses all fit, then
-asks the exact LP for flows giving the goal positive balance while keeping
-every non-hypothesis balance nonnegative.  A feasible point, pruned to its
-positive-flow support, is a checked circular proof.
+``circular_search`` solves the degree-``w`` Sherali-Adams program of the
+hypotheses rather than a flow program over the width-``w`` clause lattice.
+Write ``F_D`` for the multilinear polynomial that is 1 exactly where clause
+``D`` is false.  A cut or split on ``x`` between ``d`` and ``d | x``,
+``d | ~x`` respects ``F_d = F_{d|x} + F_{d|~x}``, so the clause balances of
+any flow satisfy ``sum_D b_D F_D = 0``; conversely every such balance
+vector comes from a flow on the lattice.  An all-negative clause ``N_m`` has
+``F`` equal to the single monomial ``x^m``, so its balance is fixed by the
+others.  The program therefore has one variable per non-tautological
+clause of width at most ``w`` with a positive literal, one row per monomial
+of degree at most ``w`` (the balance of ``N_m``), and the sign conditions of
+a proof: the goal's balance is at least 1 and every other non-hypothesis
+balance is nonnegative.  A feasible point is turned back into cuts and
+splits, clause by clause, and rechecked exactly as a circular proof.
 
 ``daglike_width_saturate`` is the classical comparison point: the least fixed
 point of width-bounded resolution and weakening over the hypotheses.  It
@@ -21,20 +29,14 @@ dag-like width.
 from __future__ import annotations
 
 import itertools
+import math
+from fractions import Fraction
 from typing import Optional
 
 from . import lp
-from .core import Clause, CnfFormula, Literal
+from .core import Clause, CnfFormula
 from .flowcheck import FlowAssignment, verify_flow
-from .proofgraph import (
-    AXIOM,
-    CUT,
-    SPLIT,
-    FormulaVertex,
-    InferenceVertex,
-    ProofGraph,
-    Rule,
-)
+from .proofgraph import ProofGraph, ProofGraphBuilder
 
 DEFAULT_ROW_BUDGET = 2_000_000
 
@@ -44,22 +46,24 @@ class WidthError(ValueError):
 
 
 class SearchBudgetError(RuntimeError):
-    """The lattice LP would exceed the configured budget."""
+    """The search LP would exceed the configured budget."""
 
     def __init__(self, rows: int, cols: int, budget: int) -> None:
         self.rows = rows
         self.cols = cols
         self.budget = budget
         super().__init__(
-            f"search LP needs {rows} balance rows and {cols} flow variables, "
+            f"search LP needs {rows} rows and {cols} clause-balance variables, "
             f"exceeding the budget of {budget}"
         )
 
 
 def lattice_size(num_vars: int, width: int) -> tuple[int, int]:
-    """Formula and inference vertex counts of the search lattice."""
-    import math
-
+    """Formula and inference vertex counts of the width-``width`` clause
+    lattice that search proofs live in: every clause of width at most
+    ``width`` and every elementary tautology; an axiom per variable, every
+    cut and split whose clauses fit, and a split from each unit clause onto
+    itself and its tautology."""
     formulas = n_infs = 0
     for k in range(min(width, num_vars) + 1):
         formulas += math.comb(num_vars, k) * 2 ** k
@@ -71,12 +75,18 @@ def lattice_size(num_vars: int, width: int) -> tuple[int, int]:
     return formulas, n_infs
 
 
-def _proper_clauses(num_vars: int, width: int):
-    """All non-tautological clauses of width at most ``width``, canonically ordered."""
+def _signed_clauses(num_vars: int, width: int):
+    """All non-tautological clauses of width at most ``width`` as frozensets
+    of signed variables, canonically ordered."""
     for k in range(width + 1):
         for vs in itertools.combinations(range(1, num_vars + 1), k):
             for signs in itertools.product((1, -1), repeat=k):
-                yield Clause.from_signed(v * s for v, s in zip(vs, signs))
+                yield frozenset(v * s for v, s in zip(vs, signs))
+
+
+def _proper_clauses(num_vars: int, width: int):
+    """All non-tautological clauses of width at most ``width``, canonically ordered."""
+    return map(Clause.from_signed, _signed_clauses(num_vars, width))
 
 
 def circular_search(
@@ -87,13 +97,16 @@ def circular_search(
 ) -> Optional[tuple[ProofGraph, FlowAssignment]]:
     """Search for a width-bounded circular proof of ``goal`` by linear feasibility.
 
-    Returns the witnessed proof restricted to inference vertices of positive
-    flow, or ``None`` when no flow exists (by soundness, in particular, when
-    the goal does not follow).  Raises :class:`SearchBudgetError` if the
-    lattice would be too large and :class:`WidthError` if ``width`` cannot
-    even accommodate the inputs.
+    Solves the degree-``width`` Sherali-Adams program over clause balances
+    (see the module docstring) with one exact LP call.  Returns a proof made
+    of the cuts and splits that realize the balances found, with their flows,
+    or ``None`` when no width-``width`` circular proof exists (by soundness,
+    in particular, when the goal does not follow).  Raises
+    :class:`SearchBudgetError` if the program's rows plus variables would
+    exceed ``row_budget`` and :class:`WidthError` if ``width`` cannot even
+    accommodate the inputs.
     """
-    n = hypotheses.num_variables
+    n = max(hypotheses.num_variables, max(goal.variables(), default=0))
     needed = max(
         [c.width for c in hypotheses.clauses] + [goal.width]
     ) if (hypotheses.clauses or goal.literals) else 0
@@ -102,91 +115,87 @@ def circular_search(
     if goal.is_tautological:
         raise WidthError("goal clause must not be tautological")
 
-    clauses = list(_proper_clauses(n, width))
-    taut = [Clause.from_ints(v, -v) for v in range(1, n + 1)]
-    vid: dict[Clause, int] = {}
-    formulas: list[FormulaVertex] = []
-    for c in clauses + taut:
-        vid[c] = len(formulas)
-        formulas.append(FormulaVertex(vid[c], c))
+    target = goal.signed()
+    hyps = {c.signed() for c in hypotheses.clauses if not c.is_tautological}
+    clauses = sum(math.comb(n, k) * 2 ** k for k in range(width + 1))
+    rows = clauses - len(hyps - {target})
+    cols = clauses - sum(math.comb(n, k) for k in range(width + 1))
+    if rows + cols > row_budget:
+        raise SearchBudgetError(rows, cols, row_budget)
 
-    inferences: list[InferenceVertex] = []
+    # The balance of each clause as a linear form in the variables: b_D
+    # itself when D has a positive literal, and minus the coefficient of x^m
+    # in sum_D b_D F_D for N_m, using F_D = sum over subsets S of D's
+    # positive variables of (-1)^|S| x^(N | S), N the negated variables.
+    variables: list[frozenset[int]] = []
+    balance: dict[frozenset[int], dict[int, int]] = {}
+    for d in _signed_clauses(n, width):
+        if max(d, default=0) > 0:
+            balance[d] = {len(variables): 1}
+            variables.append(d)
+        else:
+            balance[d] = {}
+    for j, d in enumerate(variables):
+        pos = [l for l in d if l > 0]
+        neg = d.difference(pos)
+        for k in range(len(pos) + 1):
+            for s in itertools.combinations(pos, k):
+                balance[neg.union(-x for x in s)][j] = 1 if k % 2 else -1
 
-    def add(kind: str, principal: int, ins: tuple[int, ...], outs: tuple[int, ...]) -> None:
-        inferences.append(
-            InferenceVertex(len(inferences), Rule(kind, principal), ins, outs)
-        )
-
-    for v in range(1, n + 1):
-        add(AXIOM, v, (), (vid[Clause.from_ints(v, -v)],))
-    for c in clauses:
-        if c.width > width - 1:
-            continue
-        free = [v for v in range(1, n + 1) if v not in c.variables()]
-        for x in free:
-            pos = c.with_literal(Literal(x, True))
-            neg = c.with_literal(Literal(x, False))
-            add(CUT, x, (vid[pos], vid[neg]), (vid[c],))
-            add(SPLIT, x, (vid[c],), (vid[pos], vid[neg]))
-    # Splits from unit clauses onto their elementary tautologies keep the
-    # lattice closed under the collapsing rule shape.
-    for v in range(1, n + 1):
-        for sign in (1, -1):
-            unit = Clause.from_ints(sign * v)
-            add(SPLIT, v, (vid[unit],), (vid[unit], vid[Clause.from_ints(v, -v)]))
-
-    hyp_clauses = set(hypotheses.clauses)
-    rows = sum(1 for c in vid if c not in hyp_clauses or c == goal)
-    if rows + len(inferences) > row_budget:
-        raise SearchBudgetError(rows, len(inferences), row_budget)
-
-    goal_vertex = vid[goal]
-    program = lp.LinearProgram(len(inferences))
-    rowmap: dict[int, dict[int, int]] = {f.id: {} for f in formulas}
-    for w in inferences:
-        for u in w.out_neighbors:
-            rowmap[u][w.id] = rowmap[u].get(w.id, 0) + 1
-        for u in w.in_neighbors:
-            rowmap[u][w.id] = rowmap[u].get(w.id, 0) - 1
-    program.add_geq(rowmap[goal_vertex], 1)
-    for f in formulas:
-        if f.id == goal_vertex or f.clause in hyp_clauses:
-            continue
-        program.add_geq(rowmap[f.id], 0)
-    for w in inferences:
-        program.add_geq({w.id: 1}, 0)
-
+    program = lp.LinearProgram(len(variables))
+    for d, form in balance.items():
+        if d == target:
+            program.add_geq(form, 1)
+        elif d not in hyps:
+            program.add_geq(form, 0)
     point = lp.feasible(program)
     if point is None:
         return None
-    kept = [w for w in inferences if point[w.id] > 0]
-    flow_values = {w.id: point[w.id] for w in kept}
-    return _pruned(formulas, kept, flow_values, goal_vertex, hyp_clauses)
+
+    # Realize the balances: for D = d | x, x its largest positive variable,
+    # a cut on (d, x) of value -t (a split of value t when t > 0) settles the
+    # residual t of D and moves t onto d and -t onto d | ~x, both with one
+    # positive literal fewer.  Monomials are independent, so nothing may be
+    # left on the all-negative clauses.
+    residual = {
+        d: sum((c * point[j] for j, c in form.items()), Fraction(0))
+        for d, form in balance.items()
+    }
+    values: dict[tuple[frozenset[int], int], Fraction] = {}
+    for d in sorted(variables, key=lambda d: -sum(l > 0 for l in d)):
+        t = residual.pop(d)
+        if not t:
+            continue
+        x = max(d)
+        side = d - {x}
+        values[side, x] = -t
+        residual[side] += t
+        residual[side | {-x}] -= t
+    if any(residual.values()):
+        raise AssertionError("clause balances leave a residual on an all-negative clause")
+    return _pruned(values, goal, set(hypotheses.clauses))
 
 
-def _pruned(formulas, kept, flow_values, goal_vertex: int, hyp_clauses):
-    touched = {goal_vertex}
-    for w in kept:
-        touched.update(w.in_neighbors)
-        touched.update(w.out_neighbors)
-    remap = {old: new for new, old in enumerate(sorted(touched))}
-    new_formulas = tuple(
-        FormulaVertex(remap[f.id], f.clause) for f in formulas if f.id in touched
-    )
-    new_infs = tuple(
-        InferenceVertex(
-            k,
-            w.rule,
-            tuple(remap[u] for u in w.in_neighbors),
-            tuple(remap[u] for u in w.out_neighbors),
-        )
-        for k, w in enumerate(kept)
-    )
-    hyp_ids = frozenset(f.id for f in new_formulas if f.clause in hyp_clauses)
-    graph = ProofGraph(new_formulas, new_infs, hyp_ids, remap[goal_vertex])
-    flow = FlowAssignment({k: flow_values[w.id] for k, w in enumerate(kept)})
+def _pruned(values, goal: Clause, hyp_clauses) -> tuple[ProofGraph, FlowAssignment]:
+    """The proof with a cut (positive value) or split (negative value) on
+    each ``(side, x)`` of ``values``, checked by :func:`verify_flow`."""
+    builder = ProofGraphBuilder()
+    builder.set_goal(builder.vertex(goal))
+    for (side, x), value in values.items():
+        d = Clause.from_signed(side)
+        if value > 0:
+            pos = builder.vertex(Clause.from_signed(side | {x}))
+            neg = builder.vertex(Clause.from_signed(side | {-x}))
+            builder.cut(pos, neg, d, x, value)
+        else:
+            builder.split(builder.vertex(d), x, flow=-value)
+    for clause, fid in builder.clause_index():
+        if clause in hyp_clauses:
+            builder.mark_hypothesis(fid)
+    graph, flows = builder.build()
+    flow = FlowAssignment(flows)
     if not verify_flow(graph, flow, graph.goal_id):
-        raise AssertionError("pruned search solution fails its own flow check")
+        raise AssertionError("search solution fails its own flow check")
     return graph, flow
 
 

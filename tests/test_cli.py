@@ -1,5 +1,6 @@
 import pytest
 
+from circres import cli
 from circres.cli import main
 from circres.core import Clause
 from circres.formats import parse_cres, parse_dimacs, parse_sap, serialize_cres, serialize_dimacs
@@ -43,6 +44,19 @@ def test_check_recomputes_missing_flows(tmp_path, php_files):
     stripped = tmp_path / "noflows.cres"
     stripped.write_text(serialize_cres(graph, None))
     assert run(["check", stripped, cnf]) == 0
+
+
+def test_check_reports_rejected_flows(tmp_path, php_files, capsys):
+    cnf, proof = php_files
+    lines = proof.read_text().splitlines()
+    k = next(i for i, line in enumerate(lines) if line.startswith("w "))
+    lines[k] = " ".join(lines[k].split()[:2] + ["1000"])
+    tampered = tmp_path / "tampered.cres"
+    tampered.write_text("\n".join(lines) + "\n")
+    assert run(["check", tampered, cnf]) == 0
+    out = capsys.readouterr().out
+    assert "supplied flows rejected" in out
+    assert "WITNESSED" in out and "supplied flows verified" not in out
 
 
 def test_check_parse_error(tmp_path):
@@ -127,6 +141,13 @@ def test_search_negative_result(tmp_path):
     assert run(["search", cnf, "--width", 2]) == 1
 
 
+def test_search_width_zero(tmp_path, capsys):
+    cnf = tmp_path / "empty.cnf"
+    cnf.write_text("p cnf 1 1\n0\n")
+    assert run(["search", cnf, "--width", 0]) == 1
+    assert "no width-0 circular proof exists" in capsys.readouterr().out
+
+
 def test_search_width_usage_error(tmp_path):
     cnf = tmp_path / "wide.cnf"
     cnf.write_text("p cnf 3 1\n1 2 3 0\n")
@@ -137,6 +158,18 @@ def test_search_guard(tmp_path):
     cnf = tmp_path / "unit.cnf"
     cnf.write_text("p cnf 1 2\n1 0\n-1 0\n")
     assert run(["search", cnf, "--width", 1, "--guard-rows", 1]) == 3
+
+
+def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise AssertionError("search solution fails its own flow check")
+
+    monkeypatch.setattr(cli.search_mod, "circular_search", broken)
+    cnf = tmp_path / "unit.cnf"
+    cnf.write_text("p cnf 1 2\n1 0\n-1 0\n")
+    assert run(["search", cnf, "--width", 1]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: AssertionError: search solution fails its own flow check\n"
 
 
 def test_search_goal_clause(tmp_path):

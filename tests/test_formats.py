@@ -129,3 +129,17 @@ def test_sap_monomial_exponents():
     assert term.coefficient == Fraction(1, 2)
     assert dict(term.monomial.factors) == {1: 2, -2: 1}
     assert parse_sap(serialize_sap(proof)) == proof
+
+
+@pytest.mark.parametrize("parse, text, line", [
+    (parse_dimacs, "c header below\np cnf x 1\n1 0\n", 2),
+    (parse_sap, "p sap x 0\ng 0\n", 1),
+    (parse_sap, "p sap 1 0\ng 0\nt 1 ; B 1mxx 0\n", 3),
+    (parse_dimacs, "p cnf -1 0\n", 1),
+    (parse_sap, "p sap -2 0\ng 0\n", 1),
+], ids=["dimacs-header", "sap-header", "sap-basic-index", "dimacs-negative", "sap-negative"])
+def test_bad_number_names_its_line(parse, text, line):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line_no == line
+    assert str(err.value).startswith(f"line {line}: ")

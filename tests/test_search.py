@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from circres.core import Clause, CnfFormula, implies_oracle
+from circres import lp
+from circres.core import Clause, CnfFormula, Literal, implies_oracle
 from circres.flowcheck import verify_flow
 from circres.generators import (
     complete_bipartite,
@@ -10,7 +11,7 @@ from circres.generators import (
     near_cubic_bipartite,
     php_refutation,
 )
-from circres.proofgraph import validate_rules
+from circres.proofgraph import AXIOM, CUT, SPLIT, validate_rules
 from circres.search import (
     SearchBudgetError,
     WidthError,
@@ -51,6 +52,21 @@ def test_goal_derivation_non_refutation():
     graph, flow = res
     assert verify_flow(graph, flow, graph.goal_id)
     assert graph.goal_clause() == clause(2)
+
+
+def test_width_zero_finds_nothing():
+    # Width 0 admits no rule at all, so not even a hypothesis goal gets a
+    # positive balance.
+    assert circular_search(CnfFormula.of(1, [Clause(())]), Clause(()), 0) is None
+    assert circular_search(CnfFormula.of(2, []), Clause(()), 0) is None
+
+
+def test_goal_may_name_variables_beyond_the_hypotheses():
+    res = circular_search(CnfFormula.of(1, [clause(1)]), clause(1, 2), 2)
+    assert res is not None
+    graph, flow = res
+    assert graph.goal_clause() == clause(1, 2)
+    assert verify_flow(graph, flow, graph.goal_id)
 
 
 def test_unimplied_goal_not_found():
@@ -131,6 +147,106 @@ def test_search_agrees_with_oracle_on_refutability():
             assert unsat
         if not unsat:
             assert not found
+
+
+def _lattice_search(hypotheses: CnfFormula, goal: Clause, width: int) -> bool:
+    """Reference: whether the flow program over the width-``width`` clause
+    lattice is feasible.  The lattice has a vertex per clause of width at
+    most ``width`` and per elementary tautology, an axiom per variable,
+    every cut and split whose clauses fit, and a split from each unit clause
+    onto itself and its tautology; the program asks for nonnegative flows
+    giving the goal balance at least 1 and every other non-hypothesis clause
+    a nonnegative balance."""
+    from circres.search import _proper_clauses
+
+    n = hypotheses.num_variables
+    clauses = list(_proper_clauses(n, width))
+    taut = [Clause.from_ints(v, -v) for v in range(1, n + 1)]
+    vid = {c: k for k, c in enumerate(clauses + taut)}
+    rules: list[tuple[str, tuple[int, ...], tuple[int, ...]]] = []
+    for v in range(1, n + 1):
+        rules.append((AXIOM, (), (vid[Clause.from_ints(v, -v)],)))
+    for c in clauses:
+        if c.width > width - 1:
+            continue
+        for x in range(1, n + 1):
+            if x in c.variables():
+                continue
+            pos = vid[c.with_literal(Literal(x, True))]
+            neg = vid[c.with_literal(Literal(x, False))]
+            rules.append((CUT, (pos, neg), (vid[c],)))
+            rules.append((SPLIT, (vid[c],), (pos, neg)))
+    for v in range(1, n + 1):
+        for sign in (1, -1):
+            unit = vid[Clause.from_ints(sign * v)]
+            rules.append((SPLIT, (unit,), (unit, vid[Clause.from_ints(v, -v)])))
+
+    rowmap: dict[int, dict[int, int]] = {k: {} for k in vid.values()}
+    for j, (_, ins, outs) in enumerate(rules):
+        for u in outs:
+            rowmap[u][j] = rowmap[u].get(j, 0) + 1
+        for u in ins:
+            rowmap[u][j] = rowmap[u].get(j, 0) - 1
+    hyp_clauses = set(hypotheses.clauses)
+    program = lp.LinearProgram(len(rules))
+    program.add_geq(rowmap[vid[goal]], 1)
+    for c, k in vid.items():
+        if c != goal and c not in hyp_clauses:
+            program.add_geq(rowmap[k], 0)
+    for j in range(len(rules)):
+        program.add_geq({j: 1}, 0)
+    return lp.feasible(program) is not None
+
+
+def _assert_search_matches_lattice(cnf: CnfFormula, goal: Clause, width: int) -> None:
+    found = circular_search(cnf, goal, width)
+    assert (found is not None) == _lattice_search(cnf, goal, width), (
+        [str(c) for c in cnf.clauses], str(goal), width)
+    if found is not None:
+        graph, flow = found
+        assert validate_rules(graph) == []
+        assert verify_flow(graph, flow, graph.goal_id)
+        assert graph.width <= width
+        assert graph.goal_clause() == goal
+        assert graph.hypothesis_clauses() <= set(cnf.clauses)
+
+
+def test_search_matches_lattice_flow_program_on_random_cnfs():
+    rng = random.Random(7)
+    cases = [
+        (CnfFormula.of(2, []), Clause(()), 1),
+        (CnfFormula.of(2, []), clause(1, -2), 2),
+        (unit_contradiction(), clause(1), 1),
+        (CnfFormula.of(2, [clause(1, -1), clause(2)]), clause(2, 1), 2),
+        (CnfFormula.of(2, [Clause(()), clause(1)]), Clause(()), 2),
+    ]
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        width = rng.randint(1, 3)
+        cnf = _random_cnf(rng, n, width, rng.randint(0, 8))
+        hyps = [c for c in cnf.clauses if not c.is_tautological]
+        pick = rng.random()
+        if pick < 0.2 and hyps:
+            goal = rng.choice(hyps)
+        elif pick < 0.5:
+            goal = Clause(())
+        else:
+            vs = rng.sample(range(1, n + 1), rng.randint(1, min(n, width)))
+            goal = Clause.from_signed(rng.choice((1, -1)) * v for v in vs)
+        cases.append((cnf, goal, width))
+    for cnf, goal, width in cases:
+        _assert_search_matches_lattice(cnf, goal, width)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_search_matches_lattice_flow_program_on_near_cubic(seed):
+    cnf = gen_php(near_cubic_bipartite(3, seed))
+    # Clause ``seed`` is the pigeon clause of pigeon ``seed + 1``.
+    dropped = CnfFormula.of(
+        cnf.num_variables, [c for i, c in enumerate(cnf.clauses) if i != seed]
+    )
+    for f in (cnf, dropped):
+        _assert_search_matches_lattice(f, Clause(()), 3)
 
 
 # ---------------------------------------------------------------------------
