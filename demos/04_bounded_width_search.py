@@ -20,7 +20,7 @@ from circres import (
     verify_flow,
 )
 from circres.generators import near_cubic_bipartite
-from circres.search import lattice_size
+from circres.search import program_size
 
 print("Unit contradiction at width 1:")
 cnf = CnfFormula.of(1, [Clause.from_ints(1), Clause.from_ints(-1)])
@@ -37,8 +37,8 @@ print()
 print("Sparse pigeonhole contradiction, width 3:")
 g = near_cubic_bipartite(4, seed=0)
 php = gen_php(g)
-rows, cols = lattice_size(php.num_variables, 3)
-print(f"  lattice: {rows} clause vertices, {cols} rule vertices")
+rows, cols = program_size(php, Clause(()), 3)
+print(f"  search LP: {rows} rows, {cols} clause-balance variables")
 t0 = time.time()
 result = circular_search(php, Clause(()), width=3)
 graph, flow = result

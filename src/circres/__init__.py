@@ -6,10 +6,8 @@ from .core import (
     Assignment,
     Clause,
     CnfFormula,
-    Literal,
     evaluate,
     implies_oracle,
-    normalize_clause,
 )
 from .flowcheck import (
     CheckReport,

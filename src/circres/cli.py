@@ -11,13 +11,16 @@ Subcommands wire the library into a batch pipeline over the text formats of
 
 Exit codes are stable: 0 success, 1 sound negative answer (not witnessed /
 not found), 2 input or usage error, 3 resource guard tripped, 4 internal
-error (an exception the program does not expect, reported in one line).
+error (an exception the program does not expect, reported in one line),
+141 (128 + SIGPIPE) standard output closed early by its reader, as in
+``circres check ... | head -1``; nothing is printed for it.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 import time
 from pathlib import Path
@@ -32,6 +35,7 @@ EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_GUARD = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141
 
 
 class UsageError(ValueError):
@@ -232,8 +236,8 @@ def cmd_translate(args) -> int:
 def cmd_search(args) -> int:
     cnf = formats.parse_dimacs(_read(args.cnf))
     goal = _parse_goal(args.goal)
-    n_formulas, n_inferences = search_mod.lattice_size(cnf.num_variables, args.width)
-    print(f"lattice: {n_formulas} clause vertices, {n_inferences} inference vertices")
+    rows, cols = search_mod.program_size(cnf, goal, args.width)
+    print(f"search LP: {rows} rows, {cols} clause-balance variables")
     start = time.monotonic()
     try:
         result = search_mod.circular_search(cnf, goal, args.width, args.guard_rows)
@@ -341,7 +345,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader went away; send what is still buffered nowhere, so
+        # the flush at interpreter shutdown does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (UsageError, formats.ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -1,7 +1,9 @@
-"""Clauses, literals, CNF formulas, assignments, and brute-force semantic oracles.
+"""Clauses, CNF formulas, assignments, and brute-force semantic oracles.
 
-Variables are dense positive integers.  A literal is a signed variable; a
-clause is a canonically ordered, duplicate-free disjunction of literals.
+Variables are dense positive integers.  A literal is a nonzero signed
+integer, ``v`` for ``x_v`` and ``-v`` for ``~x_v``; a clause is a sorted,
+duplicate-free tuple of literals, ordered by variable with the positive
+phase first (:func:`literal_key`, the one canonical order of the package).
 Tautological clauses (containing some ``x`` together with ``~x``) are legal
 first-class values and carry a queryable flag, since elementary tautologies
 ``x | ~x`` arise as rule consequents.  The empty clause is a valid clause of
@@ -21,7 +23,7 @@ ORACLE_GUARD = 24
 
 
 class MalformedLiteralError(ValueError):
-    """A literal referenced variable index 0 or a negative index."""
+    """A literal was 0 or not an integer."""
 
 
 class IncompleteAssignmentError(KeyError):
@@ -32,49 +34,30 @@ class TooLargeError(ValueError):
     """An exhaustive oracle was asked to enumerate too many variables."""
 
 
-@dataclass(frozen=True, order=True)
-class Literal:
-    """A variable occurrence, positive or negated.  ``variable >= 1``."""
+def literal_key(lit: int) -> int:
+    """Canonical literal order: by variable, positive phase first.
 
-    variable: int
-    positive: bool = True
-
-    def __post_init__(self) -> None:
-        if self.variable < 1:
-            raise MalformedLiteralError(f"variable index must be >= 1, got {self.variable}")
-
-    @property
-    def complement(self) -> "Literal":
-        return Literal(self.variable, not self.positive)
-
-    @staticmethod
-    def from_int(n: int) -> "Literal":
-        if n == 0:
-            raise MalformedLiteralError("literal 0 is reserved as a terminator")
-        return Literal(abs(n), n > 0)
-
-    def to_int(self) -> int:
-        return self.variable if self.positive else -self.variable
-
-    def __str__(self) -> str:
-        return f"x{self.variable}" if self.positive else f"~x{self.variable}"
+    Clauses sort their literals by it, and polynomial monomials their twin
+    variables (token ``+i`` for ``X_i`` before ``-i`` for ``Xb_i``).
+    """
+    return 2 * lit if lit > 0 else 1 - 2 * lit
 
 
-# Canonical order inside a clause: by variable, positive phase first.
-def _lit_key(lit: Literal) -> tuple[int, int]:
-    return (lit.variable, 0 if lit.positive else 1)
+def _literal_str(lit: int) -> str:
+    return f"x{lit}" if lit > 0 else f"~x{-lit}"
 
 
 @dataclass(frozen=True)
 class Clause:
-    """A disjunction of literals, deduplicated and canonically sorted.
+    """A disjunction of literals: a tuple of signed variables, deduplicated
+    and sorted by :func:`literal_key`.
 
-    Construct through :func:`normalize_clause` (or :meth:`from_ints`), which
+    Construct through :meth:`from_signed` (or :meth:`from_ints`), which
     enforces the canonical form.  Complementary pairs are retained, so a
     clause may be tautological.
     """
 
-    literals: tuple[Literal, ...]
+    literals: tuple[int, ...]
 
     @property
     def width(self) -> int:
@@ -86,51 +69,42 @@ class Clause:
 
     @property
     def is_tautological(self) -> bool:
-        seen: set[int] = set()
-        for lit in self.literals:
-            if lit.variable in seen:
-                return True
-            seen.add(lit.variable)
-        return False
+        return len(self.variables()) < len(self.literals)
 
     def variables(self) -> frozenset[int]:
-        return frozenset(lit.variable for lit in self.literals)
+        return frozenset(abs(lit) for lit in self.literals)
 
     def signed(self) -> frozenset[int]:
         """The clause as a frozenset of signed integers."""
-        return frozenset(lit.to_int() for lit in self.literals)
+        return frozenset(self.literals)
 
-    def with_literal(self, lit: Literal) -> "Clause":
-        return normalize_clause((*self.literals, lit))
+    def with_literal(self, lit: int) -> "Clause":
+        return Clause.from_signed((*self.literals, lit))
 
     @staticmethod
     def from_ints(*ints: int) -> "Clause":
-        return normalize_clause([Literal.from_int(n) for n in ints])
+        return Clause.from_signed(ints)
 
     @staticmethod
     def from_signed(ints: Iterable[int]) -> "Clause":
-        return normalize_clause([Literal.from_int(n) for n in ints])
+        """The canonical clause of the signed variables ``ints``.
+
+        Duplicates collapse; complementary pairs are kept, so the result may
+        be tautological.  An empty iterable yields the empty clause.
+        """
+        lits = set(ints)
+        for lit in lits:
+            if type(lit) is not int or not lit:
+                raise MalformedLiteralError(f"not a literal: {lit!r}")
+        return Clause(tuple(sorted(lits, key=literal_key)))
 
     def __str__(self) -> str:
         if not self.literals:
             return "_|_"
-        return " | ".join(str(lit) for lit in self.literals)
+        return " | ".join(map(_literal_str, self.literals))
 
 
 EMPTY_CLAUSE = Clause(())
-
-
-def normalize_clause(literals: Iterable[Literal]) -> Clause:
-    """Sort and deduplicate ``literals`` into a canonical clause.
-
-    Duplicate literals collapse; complementary pairs are kept, so the result
-    may be tautological.  An empty iterable yields the empty clause.
-    """
-    lits = list(literals)
-    for lit in lits:
-        if not isinstance(lit, Literal):
-            raise MalformedLiteralError(f"not a literal: {lit!r}")
-    return Clause(tuple(sorted(set(lits), key=_lit_key)))
 
 
 @dataclass(frozen=True)
@@ -143,9 +117,10 @@ class CnfFormula:
     def __post_init__(self) -> None:
         for clause in self.clauses:
             for lit in clause.literals:
-                if lit.variable > self.num_variables:
+                if abs(lit) > self.num_variables:
                     raise MalformedLiteralError(
-                        f"literal {lit} exceeds declared variable count {self.num_variables}"
+                        f"literal {_literal_str(lit)} exceeds declared variable count "
+                        f"{self.num_variables}"
                     )
 
     @staticmethod
@@ -170,9 +145,8 @@ class Assignment:
                 f"assignment does not cover variable {variable}"
             ) from None
 
-    def satisfies(self, lit: Literal) -> bool:
-        val = self.value(lit.variable)
-        return bool(val) == lit.positive
+    def satisfies(self, lit: int) -> bool:
+        return bool(self.value(abs(lit))) == (lit > 0)
 
     @staticmethod
     def from_bits(bits: Iterable[int]) -> "Assignment":

@@ -149,7 +149,7 @@ def serialize_dimacs(cnf: CnfFormula, comments: list[str] | None = None) -> str:
     out = [f"c {line}" for line in (comments or [])]
     out.append(f"p cnf {cnf.num_variables} {len(cnf.clauses)}")
     for clause in cnf.clauses:
-        lits = " ".join(str(lit.to_int()) for lit in clause.literals)
+        lits = " ".join(str(lit) for lit in clause.literals)
         out.append((lits + " 0").strip())
     return "\n".join(out) + "\n"
 
@@ -263,7 +263,7 @@ def serialize_cres(
     out = [f"c {line}" for line in (comments or [])]
     out.append(f"p cres {len(graph.formula_vertices)} {len(graph.inference_vertices)}")
     for v in sorted(graph.formula_vertices, key=lambda v: v.id):
-        tokens = ["f", str(v.id)] + [str(lit.to_int()) for lit in v.clause.literals] + ["0"]
+        tokens = ["f", str(v.id)] + [str(lit) for lit in v.clause.literals] + ["0"]
         out.append(" ".join(tokens))
     for w in sorted(graph.inference_vertices, key=lambda w: w.id):
         refs = " ".join(str(u) for u in (*w.in_neighbors, *w.out_neighbors))
@@ -390,8 +390,8 @@ def serialize_sap(proof: SAProof, comments: list[str] | None = None) -> str:
     out = [f"c {line}" for line in (comments or [])]
     out.append(f"p sap {proof.num_variables} {len(proof.hypotheses)}")
     for h in proof.hypotheses:
-        out.append(" ".join(["h"] + [str(lit.to_int()) for lit in h.literals] + ["0"]))
-    out.append(" ".join(["g"] + [str(lit.to_int()) for lit in proof.goal.literals] + ["0"]))
+        out.append(" ".join(["h"] + [str(lit) for lit in h.literals] + ["0"]))
+    out.append(" ".join(["g"] + [str(lit) for lit in proof.goal.literals] + ["0"]))
     for t in proof.terms:
         if t.ref.kind == HYPOTHESIS:
             ref = f"H {t.ref.index}"

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import Clause, CnfFormula, Literal, normalize_clause
+from .core import Clause, CnfFormula
 from .flowcheck import FlowAssignment
 from .proofgraph import (
     CUT,
@@ -106,7 +106,7 @@ def _pigeon_records(xs: Sequence[int]) -> list[_Record]:
     for k in range(ell, 0, -1):
         cur = Clause.from_ints(-xs[k - 1])
         for j in range(k - 1):
-            nxt = cur.with_literal(Literal(xs[j], True))
+            nxt = cur.with_literal(xs[j])
             recs.append((SPLIT, xs[j], [cur], [nxt]))
             cur = nxt
         side = Clause.from_signed(xs[:k - 1])
@@ -132,24 +132,23 @@ def _hole_records(ys: Sequence[int]) -> list[_Record]:
     hyp_uses: list[Clause] = []
     for idx in range(1, len(ys)):
         y = ys[idx]
-        ylit = Literal(y, True)
         recs = [
             (
                 kind,
                 principal,
-                [c.with_literal(ylit) for c in ins],
-                [c.with_literal(ylit) for c in outs],
+                [c.with_literal(y) for c in ins],
+                [c.with_literal(y) for c in outs],
             )
             for (kind, principal, ins, outs) in recs
         ]
         repairs: list[_Record] = [
-            (SPLIT, y, [h], [h.with_literal(ylit)]) for h in hyp_uses
+            (SPLIT, y, [h], [h.with_literal(y)]) for h in hyp_uses
         ]
         cuts: list[_Record] = []
         for j in range(idx):
             side = Clause.from_ints(-ys[j])
-            pos_ante = side.with_literal(Literal(y, True))
-            exclusion = side.with_literal(Literal(y, False))
+            pos_ante = side.with_literal(y)
+            exclusion = side.with_literal(-y)
             cuts.append((CUT, y, [pos_ante, exclusion], [side]))
             hyp_uses.append(exclusion)
         resplit: _Record = (
@@ -351,13 +350,13 @@ def random_circular_proof(
         if c.is_empty:
             continue
         lit = rng.choice(c.literals)
-        side = normalize_clause([l for l in c.literals if l != lit])
-        partner = side.with_literal(lit.complement)
+        side = Clause.from_signed(l for l in c.literals if l != lit)
+        partner = side.with_literal(-lit)
         pid = b.lookup(partner)
         if pid is None or pid not in pool:
             continue
-        pos_id, neg_id = (fid, pid) if lit.positive else (pid, fid)
-        out = b.cut(pos_id, neg_id, side, lit.variable)
+        pos_id, neg_id = (fid, pid) if lit > 0 else (pid, fid)
+        out = b.cut(pos_id, neg_id, side, abs(lit))
         if out not in pool:
             pool.append(out)
         derived.append(out)
@@ -374,9 +373,8 @@ def random_circular_proof(
         # (the kept consequent normalizes back to the same clause).
         fid = pool[0]
         c = clause_of(fid)
-        lit = c.literals[0]
         fresh = b.vertex(c, fresh=True)
-        b.inference(SPLIT, lit.variable, (fid,), (fresh,))
+        b.inference(SPLIT, abs(c.literals[0]), (fid,), (fresh,))
         goal_candidates = [fresh]
     goal_id = goal_candidates[-1]
     b.set_goal(goal_id)
@@ -393,8 +391,8 @@ def random_circular_proof(
             c = clause_of(fid)
             x = next(v for v in range(1, num_vars + 1) if v not in c.variables())
             p = Fraction(rng.randint(1, 3))
-            pos = b.vertex(c.with_literal(Literal(x, True)))
-            neg = b.vertex(c.with_literal(Literal(x, False)))
+            pos = b.vertex(c.with_literal(x))
+            neg = b.vertex(c.with_literal(-x))
             b.inference(SPLIT, x, (fid,), (pos, neg), flow=p)
             b.inference(CUT, x, (pos, neg), (fid,), flow=p)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import Clause, Literal
+from .core import Clause
 
 AXIOM = "axiom"
 CUT = "cut"
@@ -179,9 +179,7 @@ class ProofGraph:
 
 
 def _expected_pair(side: Clause, principal: int) -> tuple[Clause, Clause]:
-    pos = side.with_literal(Literal(principal, True))
-    neg = side.with_literal(Literal(principal, False))
-    return pos, neg
+    return side.with_literal(principal), side.with_literal(-principal)
 
 
 def rule_violations(graph: ProofGraph, w: InferenceVertex) -> list[RuleViolation]:
@@ -381,9 +379,9 @@ class ProofGraphBuilder:
         side = self._formulas[source_id].clause
         outs: list[int] = []
         if keep_positive:
-            outs.append(self.vertex(side.with_literal(Literal(principal, True))))
+            outs.append(self.vertex(side.with_literal(principal)))
         if keep_negative:
-            outs.append(self.vertex(side.with_literal(Literal(principal, False))))
+            outs.append(self.vertex(side.with_literal(-principal)))
         if len(outs) == 2 and outs[0] == outs[1]:
             outs = outs[:1]
         self.inference(SPLIT, principal, (source_id,), tuple(outs), flow)

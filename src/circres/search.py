@@ -76,17 +76,37 @@ def lattice_size(num_vars: int, width: int) -> tuple[int, int]:
 
 
 def _signed_clauses(num_vars: int, width: int):
-    """All non-tautological clauses of width at most ``width`` as frozensets
-    of signed variables, canonically ordered."""
+    """All non-tautological clauses of width at most ``width`` as sorted
+    tuples of signed variables, canonically ordered."""
     for k in range(width + 1):
         for vs in itertools.combinations(range(1, num_vars + 1), k):
             for signs in itertools.product((1, -1), repeat=k):
-                yield frozenset(v * s for v, s in zip(vs, signs))
+                yield tuple(v * s for v, s in zip(vs, signs))
 
 
 def _proper_clauses(num_vars: int, width: int):
     """All non-tautological clauses of width at most ``width``, canonically ordered."""
-    return map(Clause.from_signed, _signed_clauses(num_vars, width))
+    return map(Clause, _signed_clauses(num_vars, width))
+
+
+def _num_variables(hypotheses: CnfFormula, goal: Clause) -> int:
+    return max(hypotheses.num_variables, max(goal.variables(), default=0))
+
+
+def _hypothesis_sets(hypotheses: CnfFormula) -> set[frozenset[int]]:
+    return {c.signed() for c in hypotheses.clauses if not c.is_tautological}
+
+
+def program_size(hypotheses: CnfFormula, goal: Clause, width: int) -> tuple[int, int]:
+    """Rows and clause-balance variables of the LP that :func:`circular_search`
+    solves: a row per clause of width at most ``width`` whose balance is
+    constrained (every one but the hypotheses other than the goal), a
+    variable per such clause with a positive literal.  Their sum is what the
+    search budget bounds."""
+    n = _num_variables(hypotheses, goal)
+    free = {h for h in _hypothesis_sets(hypotheses) if len(h) <= width} - {goal.signed()}
+    clauses = sum(math.comb(n, k) * 2 ** k for k in range(width + 1))
+    return clauses - len(free), clauses - sum(math.comb(n, k) for k in range(width + 1))
 
 
 def circular_search(
@@ -106,7 +126,7 @@ def circular_search(
     exceed ``row_budget`` and :class:`WidthError` if ``width`` cannot even
     accommodate the inputs.
     """
-    n = max(hypotheses.num_variables, max(goal.variables(), default=0))
+    n = _num_variables(hypotheses, goal)
     needed = max(
         [c.width for c in hypotheses.clauses] + [goal.width]
     ) if (hypotheses.clauses or goal.literals) else 0
@@ -115,13 +135,11 @@ def circular_search(
     if goal.is_tautological:
         raise WidthError("goal clause must not be tautological")
 
-    target = goal.signed()
-    hyps = {c.signed() for c in hypotheses.clauses if not c.is_tautological}
-    clauses = sum(math.comb(n, k) * 2 ** k for k in range(width + 1))
-    rows = clauses - len(hyps - {target})
-    cols = clauses - sum(math.comb(n, k) for k in range(width + 1))
+    rows, cols = program_size(hypotheses, goal, width)
     if rows + cols > row_budget:
         raise SearchBudgetError(rows, cols, row_budget)
+    target = goal.signed()
+    hyps = _hypothesis_sets(hypotheses)
 
     # The balance of each clause as a linear form in the variables: b_D
     # itself when D has a positive literal, and minus the coefficient of x^m
@@ -129,7 +147,7 @@ def circular_search(
     # positive variables of (-1)^|S| x^(N | S), N the negated variables.
     variables: list[frozenset[int]] = []
     balance: dict[frozenset[int], dict[int, int]] = {}
-    for d in _signed_clauses(n, width):
+    for d in map(frozenset, _signed_clauses(n, width)):
         if max(d, default=0) > 0:
             balance[d] = {len(variables): 1}
             variables.append(d)
@@ -184,8 +202,8 @@ def _pruned(values, goal: Clause, hyp_clauses) -> tuple[ProofGraph, FlowAssignme
     for (side, x), value in values.items():
         d = Clause.from_signed(side)
         if value > 0:
-            pos = builder.vertex(Clause.from_signed(side | {x}))
-            neg = builder.vertex(Clause.from_signed(side | {-x}))
+            pos = builder.vertex(d.with_literal(x))
+            neg = builder.vertex(d.with_literal(-x))
             builder.cut(pos, neg, d, x, value)
         else:
             builder.split(builder.vertex(d), x, flow=-value)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .core import Clause, Literal, normalize_clause
+from .core import Clause, literal_key
 from .flowcheck import FlowAssignment, NotWitnessError, verify_flow
 from .proofgraph import (
     AXIOM,
@@ -78,7 +78,7 @@ class Monomial:
                 raise ValueError("exponents must be nonnegative")
             if e:
                 acc[tok] = acc.get(tok, 0) + e
-        return Monomial(tuple(sorted(acc.items(), key=_token_key)))
+        return _monomial(acc)
 
     @property
     def degree(self) -> int:
@@ -92,7 +92,7 @@ class Monomial:
         acc = dict(self.factors)
         for tok, e in other.factors:
             acc[tok] = acc.get(tok, 0) + e
-        return Monomial(tuple(sorted(acc.items(), key=_token_key)))
+        return _monomial(acc)
 
     def tokens(self) -> frozenset[int]:
         return frozenset(tok for tok, _ in self.factors)
@@ -111,9 +111,9 @@ class Monomial:
         return "*".join(parts)
 
 
-def _token_key(item: tuple[int, int]) -> tuple[int, int]:
-    tok = item[0]
-    return (abs(tok), 0 if tok > 0 else 1)
+def _monomial(powers: dict[int, int]) -> Monomial:
+    """The monomial of ``powers``, its tokens in the canonical literal order."""
+    return Monomial(tuple((tok, powers[tok]) for tok in sorted(powers, key=literal_key)))
 
 
 MONOMIAL_ONE = Monomial()
@@ -132,14 +132,14 @@ class Polynomial:
 
     @staticmethod
     def of(items: Iterable[tuple[Monomial, Fraction | int]]) -> "Polynomial":
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, Fraction | int] = {}
         for mono, coef in items:
-            c = acc.get(mono, Fraction(0)) + Fraction(coef)
-            if c:
-                acc[mono] = c
-            elif mono in acc:
-                del acc[mono]
-        return Polynomial(tuple(sorted(acc.items(), key=lambda t: (t[0].degree, t[0].factors))))
+            c = acc.get(mono)
+            acc[mono] = coef if c is None else c + coef
+        return Polynomial(tuple(sorted(
+            ((mono, Fraction(c)) for mono, c in acc.items() if c),
+            key=lambda t: (t[0].degree, t[0].factors),
+        )))
 
     @staticmethod
     def constant(c: Fraction | int) -> "Polynomial":
@@ -185,23 +185,6 @@ class Polynomial:
         return " + ".join(f"{k}*{m}" for m, k in self.terms)
 
 
-class _PolyAcc:
-    """Mutable accumulator used while expanding proof terms."""
-
-    def __init__(self) -> None:
-        self.acc: dict[Monomial, Fraction] = {}
-
-    def add(self, mono: Monomial, coef: Fraction) -> None:
-        c = self.acc.get(mono, Fraction(0)) + coef
-        if c:
-            self.acc[mono] = c
-        elif mono in self.acc:
-            del self.acc[mono]
-
-    def to_polynomial(self) -> Polynomial:
-        return Polynomial.of(self.acc.items())
-
-
 # ---------------------------------------------------------------------------
 # clause encodings
 
@@ -212,17 +195,14 @@ def falsified_monomial(c: Clause) -> Monomial:
     ``~x_i`` contributes ``X_i``.  Defined for tautological clauses as well,
     where the product contains both twins of a variable.
     """
-    return Monomial.of([(-lit.to_int(), 1) for lit in c.literals])
+    return Monomial.of([(-lit, 1) for lit in c.literals])
 
 
 def clause_of_monomial(m: Monomial) -> Clause:
     """Inverse of :func:`falsified_monomial` on multilinear monomials."""
-    lits = []
-    for tok, e in m.factors:
-        if e != 1:
-            raise ValueError(f"monomial {m} is not multilinear")
-        lits.append(Literal.from_int(-tok))
-    return normalize_clause(lits)
+    if any(e != 1 for _, e in m.factors):
+        raise ValueError(f"monomial {m} is not multilinear")
+    return Clause.from_signed(-tok for tok, _ in m.factors)
 
 
 def _encode_any(c: Clause) -> Polynomial:
@@ -343,11 +323,9 @@ def _expanded_terms(proof: SAProof):
 
 
 def proof_sum(proof: SAProof) -> Polynomial:
-    acc = _PolyAcc()
-    for _, expanded in _expanded_terms(proof):
-        for mono, coef in expanded.terms:
-            acc.add(mono, coef)
-    return acc.to_polynomial()
+    return Polynomial.of(
+        term for _, expanded in _expanded_terms(proof) for term in expanded.terms
+    )
 
 
 def check_sa(proof: SAProof, raw_target: Optional[Polynomial] = None) -> bool:
@@ -422,8 +400,8 @@ def clause_gadget(kind: int, side_clause: Clause, principal: int) -> list[SATerm
 
 def gadget_target(kind: int, side_clause: Clause, principal: int) -> Polynomial:
     """The inequality left-hand side each gadget family expands to."""
-    pos = side_clause.with_literal(Literal(principal, True))
-    neg = side_clause.with_literal(Literal(principal, False))
+    pos = side_clause.with_literal(principal)
+    neg = side_clause.with_literal(-principal)
     if kind == 1:
         return _encode_any(Clause.from_ints(principal, -principal))
     if kind == 2:
@@ -468,9 +446,7 @@ def _rule_terms(graph: ProofGraph, w, coef: Fraction) -> list[SATerm]:
         if len(outs) == 1:
             # Suppressed consequent: add back its encoding, a plain monomial.
             kept = outs[0]
-            missing_tok = -next(
-                lit.to_int() for lit in kept.literals if lit.variable == x
-            )
+            missing_tok = -next(lit for lit in kept.literals if abs(lit) == x)
             terms.append(SATerm(coef, m.mul(Monomial.of({-missing_tok: 1})), RefPoly(ONE)))
         return terms
     # Collapsed split on a variable of the side clause.
@@ -478,7 +454,7 @@ def _rule_terms(graph: ProofGraph, w, coef: Fraction) -> list[SATerm]:
         return []  # rule polynomial is identically zero
     if len(outs) == 1:
         # Kept only the tautological side: side must be the unit clause of x.
-        lit_tok = next(lit.to_int() for lit in side.literals if lit.variable == x)
+        lit_tok = next(lit for lit in side.literals if abs(lit) == x)
         rest = m.without({-lit_tok})
         return [
             SATerm(coef, rest.mul(Monomial.of({-lit_tok: 1})),
@@ -506,7 +482,7 @@ def circular_to_sa(graph: ProofGraph, flow: FlowAssignment) -> SAProof:
     goal = graph.goal_clause()
     if goal.is_tautological:
         raise TautologicalClauseError(f"tautological goal {goal}")
-    hyp_clauses = sorted(graph.hypothesis_clauses(), key=lambda c: tuple(sorted(c.signed())))
+    hyp_clauses = sorted(graph.hypothesis_clauses(), key=lambda c: sorted(c.literals))
     for h in hyp_clauses:
         if h.is_tautological:
             raise TautologicalClauseError(f"tautological hypothesis {h}")
@@ -546,7 +522,7 @@ def _max_variable(graph: ProofGraph) -> int:
     top = 0
     for v in graph.formula_vertices:
         for lit in v.clause.literals:
-            top = max(top, lit.variable)
+            top = max(top, abs(lit))
     for w in graph.inference_vertices:
         top = max(top, w.rule.principal)
     return top
@@ -628,9 +604,7 @@ def sa_to_circular(proof: SAProof) -> tuple[ProofGraph, FlowAssignment]:
         cur = start
         for lit in extension.literals:
             (out,) = b.split(
-                cur, lit.variable,
-                keep_positive=lit.positive, keep_negative=not lit.positive,
-                flow=flow,
+                cur, abs(lit), keep_positive=lit > 0, keep_negative=lit < 0, flow=flow,
             )
             cur = out
         return cur
@@ -659,8 +633,8 @@ def sa_to_circular(proof: SAProof) -> tuple[ProofGraph, FlowAssignment]:
             b.split(src, i, flow=a)
         elif kind == X_XBAR_MINUS_ONE:
             # Cut shape: consumes both extensions, produces the side clause.
-            pos = b.vertex(c_j.with_literal(Literal(i, True)))
-            neg = b.vertex(c_j.with_literal(Literal(i, False)))
+            pos = b.vertex(c_j.with_literal(i))
+            neg = b.vertex(c_j.with_literal(-i))
             b.cut(pos, neg, c_j, i, flow=a)
         elif kind == ONE:
             b.vertex(c_j)  # sink slack only; no rule
@@ -707,15 +681,14 @@ def _pad_identity(b: ProofGraphBuilder, proof: SAProof, hyp_vertex: int,
             break
     fresh_goal = b.vertex(goal, fresh=True)
     if spare is not None:
-        pos = b.vertex(goal.with_literal(Literal(spare, True)))
-        neg = b.vertex(goal.with_literal(Literal(spare, False)))
+        pos = b.vertex(goal.with_literal(spare))
+        neg = b.vertex(goal.with_literal(-spare))
         b.inference(SPLIT, spare, (hyp_vertex,), (pos, neg), flow=amount)
         b.inference(CUT, spare, (pos, neg), (fresh_goal,), flow=amount)
     else:
         # No unused variable: introduce a literal already present, which
         # collapses the kept consequent back onto the goal clause.
-        lit = goal.literals[0]
-        b.inference(SPLIT, lit.variable, (hyp_vertex,), (fresh_goal,), flow=amount)
+        b.inference(SPLIT, abs(goal.literals[0]), (hyp_vertex,), (fresh_goal,), flow=amount)
     b.set_goal(fresh_goal)
     graph, flows = b.build()
     return graph, flows, fresh_goal

@@ -168,7 +168,7 @@ def test_criterion_05_tracer_totality(random_proofs):
         integral = integralize(graph, flow, graph.goal_id)
         values = {v: rng.randint(0, 1) for v in range(1, RANDOM_VARS + 1)}
         for lit in goal.literals:
-            values[lit.variable] = 0 if lit.positive else 1
+            values[abs(lit)] = 0 if lit > 0 else 1
         alpha = Assignment(values)
         assert not evaluate(goal, alpha)
         vid, steps = _trace_with_stats(graph, integral, graph.goal_id, alpha)

@@ -131,7 +131,7 @@ def test_search_finds_unit_contradiction(tmp_path, capsys):
     out_path = tmp_path / "unit.cres"
     assert run(["search", cnf, "--width", 1, "-o", out_path]) == 0
     text = capsys.readouterr().out
-    assert "lattice" in text and "wrote" in text
+    assert "search LP: 1 rows, 1 clause-balance variables" in text and "wrote" in text
     assert run(["check", out_path, cnf]) == 0
 
 
@@ -160,6 +160,17 @@ def test_search_guard(tmp_path):
     assert run(["search", cnf, "--width", 1, "--guard-rows", 1]) == 3
 
 
+def test_search_prints_the_size_the_guard_bounds(tmp_path, capsys):
+    cnf = tmp_path / "php.cnf"
+    cnf.write_text(serialize_dimacs(gen_php(complete_bipartite(3, 2))))
+    assert run(["search", cnf, "--width", 2]) == 1
+    first = capsys.readouterr().out.splitlines()[0]
+    rows, cols = (int(t) for t in first.split() if t.isdigit())
+    assert first == f"search LP: {rows} rows, {cols} clause-balance variables"
+    assert run(["search", cnf, "--width", 2, "--guard-rows", rows + cols]) == 1
+    assert run(["search", cnf, "--width", 2, "--guard-rows", rows + cols - 1]) == 3
+
+
 def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise AssertionError("search solution fails its own flow check")
@@ -170,6 +181,25 @@ def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     assert run(["search", cnf, "--width", 1]) == 4
     err = capsys.readouterr().err
     assert err == "internal error: AssertionError: search solution fails its own flow check\n"
+
+
+def test_closed_stdout_exits_quietly(tmp_path, php_files, monkeypatch, capsys):
+    import io
+    import os
+    import sys
+
+    cnf, proof = php_files
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    closed = io.open(write_end, "w", buffering=1)  # every line hits the pipe
+    monkeypatch.setattr(sys, "stdout", closed)
+    try:
+        assert run(["check", proof, cnf]) == cli.EXIT_BROKEN_PIPE == 141
+        print("after the reader left", file=closed)
+        closed.flush()  # stdout now discards instead of raising
+    finally:
+        closed.close()
+    assert capsys.readouterr().err == ""
 
 
 def test_search_goal_clause(tmp_path):
@@ -189,7 +219,7 @@ def test_gen_random_emits_checkable_proof(tmp_path):
     # hypotheses live in the file marks; check against them via a CNF
     hyps = sorted(graph.hypothesis_clauses(), key=lambda c: tuple(sorted(c.signed())))
     lines = [f"p cnf 4 {len(hyps)}"] + [
-        " ".join([*(str(l.to_int()) for l in h.literals), "0"]) for h in hyps
+        " ".join([*map(str, h.literals), "0"]) for h in hyps
     ]
     cnf = tmp_path / "r.cnf"
     cnf.write_text("\n".join(lines) + "\n")
@@ -202,3 +232,37 @@ def test_dot_output(tmp_path, php_files):
     assert run(["check", proof, cnf, "--dot", dot]) == 0
     text = dot.read_text()
     assert text.startswith("digraph proof {") and text.rstrip().endswith("}")
+
+
+# Digests of the files the CLI emits for fixed inputs, recorded before clauses
+# became signed-int tuples; a representation change must not move one byte.
+EMITTED_SHA256 = {
+    "php_4_3.cnf":
+        "1b16e884e0d5ff61c5042f76027ea92391efc1ba6493adfa9db6a46532d75cd7",
+    "php_4_3.cres":
+        "8757aa3c2dfdb53028dfe00d5abdc3e09b92bea4c569dec9f40e98d0cee9acf4",
+    "php_4_3.sap":
+        "ba9dfb89c1bfdf98a0cebafe0d9efab654a869ab3b40195927ebbda74455391b",
+    "php_4_3_back.cres":
+        "619e180483c4fc36edf1f59ea6d0a4b9b455ee3cfc75db2ddcc7c0ef676aea22",
+    "nc3.cnf":
+        "89223e81b0d4060b1fd6b530d5f8af91aa818dd7925aa89d36dae36b69727d54",
+    "nc3.cres":
+        "dfb4e7f9888c4c15227fef610202d6ab831000699b18885503d67d0d6ab4649f",
+}
+
+
+def test_emitted_files_are_byte_stable(tmp_path, monkeypatch):
+    import hashlib
+
+    from circres.generators import near_cubic_bipartite
+
+    monkeypatch.chdir(tmp_path)
+    assert run(["gen-php", "--complete", 3]) == 0
+    assert run(["translate", "c2s", "php_4_3.cres"]) == 0
+    assert run(["translate", "s2c", "php_4_3.sap", "-o", "php_4_3_back.cres"]) == 0
+    (tmp_path / "nc3.cnf").write_text(serialize_dimacs(gen_php(near_cubic_bipartite(3, 0))))
+    assert run(["search", "nc3.cnf", "--width", 3]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in EMITTED_SHA256}
+    assert digests == EMITTED_SHA256

@@ -7,13 +7,12 @@ from circres.core import (
     Clause,
     CnfFormula,
     IncompleteAssignmentError,
-    Literal,
     MalformedLiteralError,
     TooLargeError,
     all_assignments,
     evaluate,
     implies_oracle,
-    normalize_clause,
+    literal_key,
 )
 
 
@@ -23,38 +22,59 @@ def clause(*ints):
 
 def test_literal_rejects_bad_variable():
     with pytest.raises(MalformedLiteralError):
-        Literal(0)
+        Clause.from_ints(0)
     with pytest.raises(MalformedLiteralError):
-        Literal(-3)
+        Clause.from_signed([2, 0, -1])
     with pytest.raises(MalformedLiteralError):
-        Literal.from_int(0)
+        clause(1).with_literal(0)
+    for bad in ("1", 1.0, True, None):
+        with pytest.raises(MalformedLiteralError):
+            Clause.from_signed([bad])
 
 
 def test_normalize_deduplicates():
-    c = normalize_clause([Literal(1), Literal(1), Literal(2)])
+    c = Clause.from_signed([1, 1, 2])
     assert c == clause(1, 2)
     assert c.width == 2
+    assert c.literals == (1, 2)
 
 
 def test_normalize_keeps_complementary_pair():
-    c = normalize_clause([Literal(1), Literal(1, False)])
+    c = Clause.from_signed([1, -1])
     assert c.width == 2
     assert c.is_tautological
+    assert c.literals == (1, -1)
 
 
 def test_empty_clause():
-    c = normalize_clause([])
+    c = Clause.from_signed([])
     assert c.is_empty and c.width == 0 and not c.is_tautological
+    assert c == Clause(())
+
+
+def _random_literals(rng, n, count):
+    return [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(count)]
 
 
 def test_normalize_idempotent():
     rng = random.Random(5)
     for _ in range(200):
-        lits = [
-            Literal(rng.randint(1, 6), rng.random() < 0.5) for _ in range(rng.randint(0, 8))
-        ]
-        once = normalize_clause(lits)
-        assert normalize_clause(once.literals) == once
+        lits = _random_literals(rng, 6, rng.randint(0, 8))
+        once = Clause.from_signed(lits)
+        assert Clause.from_signed(once.literals) == once
+        assert Clause.from_ints(*reversed(lits)) == once
+        assert once.signed() == frozenset(lits)
+
+
+def test_canonical_order_is_by_variable_positive_first():
+    assert clause(-3, 2, 3, -1).literals == (-1, 2, 3, -3)
+    assert str(clause(-3, 2, 3, -1)) == "~x1 | x2 | x3 | ~x3"
+    assert sorted([-2, 2, -1, 1], key=literal_key) == [1, -1, 2, -2]
+    rng = random.Random(7)
+    for _ in range(200):
+        lits = clause(*_random_literals(rng, 6, rng.randint(0, 8))).literals
+        keys = [(abs(l), l < 0) for l in lits]
+        assert keys == sorted(keys) and len(set(lits)) == len(lits)
 
 
 def test_evaluate_examples():
@@ -68,8 +88,8 @@ def test_evaluate_matches_disjunction_semantics():
     rng = random.Random(11)
     for _ in range(100):
         n = rng.randint(1, 6)
-        lits = [Literal(rng.randint(1, n), rng.random() < 0.5) for _ in range(rng.randint(0, 6))]
-        c = normalize_clause(lits)
+        lits = _random_literals(rng, n, rng.randint(0, 6))
+        c = Clause.from_signed(lits)
         for alpha in all_assignments(n):
             want = any(alpha.satisfies(l) for l in lits)
             assert evaluate(c, alpha) == want
@@ -104,7 +124,7 @@ def test_implies_oracle_guard():
 def _implies_second_opinion(hyp: CnfFormula, goal: Clause) -> bool:
     """Independent route: hypotheses plus the negated goal are unsatisfiable."""
     n = max(hyp.num_variables, max(goal.variables(), default=0))
-    negated = [normalize_clause([l.complement]) for l in goal.literals]
+    negated = [Clause.from_ints(-l) for l in goal.literals]
     for alpha in all_assignments(n):
         if all(evaluate(c, alpha) for c in hyp.clauses) and all(
             evaluate(u, alpha) for u in negated

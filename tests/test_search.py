@@ -3,7 +3,7 @@ import random
 import pytest
 
 from circres import lp
-from circres.core import Clause, CnfFormula, Literal, implies_oracle
+from circres.core import Clause, CnfFormula, implies_oracle
 from circres.flowcheck import verify_flow
 from circres.generators import (
     complete_bipartite,
@@ -172,8 +172,8 @@ def _lattice_search(hypotheses: CnfFormula, goal: Clause, width: int) -> bool:
         for x in range(1, n + 1):
             if x in c.variables():
                 continue
-            pos = vid[c.with_literal(Literal(x, True))]
-            neg = vid[c.with_literal(Literal(x, False))]
+            pos = vid[c.with_literal(x)]
+            neg = vid[c.with_literal(-x)]
             rules.append((CUT, (pos, neg), (vid[c],)))
             rules.append((SPLIT, (vid[c],), (pos, neg)))
     for v in range(1, n + 1):
