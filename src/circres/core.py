@@ -104,9 +104,6 @@ class Clause:
         return " | ".join(map(_literal_str, self.literals))
 
 
-EMPTY_CLAUSE = Clause(())
-
-
 @dataclass(frozen=True)
 class CnfFormula:
     """A conjunction of clauses over variables ``1..num_variables``."""
@@ -126,9 +123,6 @@ class CnfFormula:
     @staticmethod
     def of(num_variables: int, clauses: Iterable[Clause]) -> "CnfFormula":
         return CnfFormula(num_variables, tuple(clauses))
-
-    def clause_set(self) -> frozenset[Clause]:
-        return frozenset(self.clauses)
 
 
 @dataclass(frozen=True)

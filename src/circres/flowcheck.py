@@ -69,13 +69,6 @@ class FlowAssignment:
     def total(self) -> Fraction:
         return sum(self.flows.values(), Fraction(0))
 
-    def bit_size(self) -> int:
-        """Diagnostic size of the weights themselves."""
-        return sum(
-            f.numerator.bit_length() + f.denominator.bit_length()
-            for f in self.flows.values()
-        )
-
     @staticmethod
     def uniform(graph: ProofGraph, value: Fraction | int = 1) -> "FlowAssignment":
         return FlowAssignment({w.id: Fraction(value) for w in graph.inference_vertices})
@@ -89,12 +82,11 @@ class CheckReport:
     violations: list[str] = field(default_factory=list)
 
 
-def _witness_program(graph: ProofGraph, goal_vertex: int,
-                     positive_lower_bound: int = 1) -> tuple[lp.LinearProgram, list[int]]:
+def _witness_program(graph: ProofGraph, goal_vertex: int) -> tuple[lp.LinearProgram, list[int]]:
     """Feasibility program for flows witnessing a proof at ``goal_vertex``.
 
     Rows: goal balance >= 1; balance >= 0 for every non-hypothesis,
-    non-goal formula vertex; each flow variable >= ``positive_lower_bound``.
+    non-goal formula vertex; each flow variable >= 1.
     Returns the program and the inference-vertex ids in variable order.
     """
     order = sorted(w.id for w in graph.inference_vertices)
@@ -118,7 +110,7 @@ def _witness_program(graph: ProofGraph, goal_vertex: int,
             continue
         program.add_geq(rowmap[v.id], 0)
     for iid in order:
-        program.add_geq({var_of[iid]: 1}, positive_lower_bound)
+        program.add_geq({var_of[iid]: 1}, 1)
     return program, order
 
 

@@ -44,15 +44,21 @@ class BipartiteGraph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        for u, v in self.edges:
+        # Sorted adjacency, built once; not a field, so == and hash ignore it.
+        left: dict[int, list[int]] = {}
+        right: dict[int, list[int]] = {}
+        for u, v in sorted(self.edges):
             if not (1 <= u <= self.left_size and 1 <= v <= self.right_size):
                 raise ValueError(f"edge ({u},{v}) out of range")
+            left.setdefault(u, []).append(v)
+            right.setdefault(v, []).append(u)
+        object.__setattr__(self, "_adjacency", (left, right))
 
     def left_neighbors(self, u: int) -> list[int]:
-        return sorted(v for (a, v) in self.edges if a == u)
+        return list(self._adjacency[0].get(u, ()))
 
     def right_neighbors(self, v: int) -> list[int]:
-        return sorted(u for (u, b) in self.edges if b == v)
+        return list(self._adjacency[1].get(v, ()))
 
     def max_degree(self) -> int:
         degs = [len(self.left_neighbors(u)) for u in range(1, self.left_size + 1)]

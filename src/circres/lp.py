@@ -33,8 +33,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-Rational = Fraction
-
 
 def as_rational(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)

@@ -16,6 +16,12 @@ monomial, and ``P_j`` a hypothesis encoding or a basic polynomial, such that
 holds as an exact formal identity.  Degree is the maximum degree among the
 expanded products, monomial size the sum of their term counts.
 
+Only :func:`check_sa` expands the products, once, computing each distinct
+``poly(P_j)`` once.  Degree and monomial size are read without expanding:
+multiplying by ``q_j`` is injective on monomials and adds ``deg q_j`` to each
+degree, and ``a_j > 0``, so the product has exactly ``|poly(P_j)|`` terms and
+degree ``deg q_j + deg poly(P_j)``.
+
 ``circular_to_sa`` rewrites a flow-checked circular proof into such an
 identity term by term (degree equals proof width); ``sa_to_circular`` goes
 back by normalizing the identity and reading each normalized term as a rule
@@ -24,6 +30,7 @@ application (width equals proof degree).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -147,10 +154,6 @@ class Polynomial:
         return Polynomial(((MONOMIAL_ONE, c),)) if c else Polynomial()
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
     def degree(self) -> int:
         return max((m.degree for m, _ in self.terms), default=0)
 
@@ -166,9 +169,6 @@ class Polynomial:
         if not c:
             return Polynomial()
         return Polynomial(tuple((m, k * c) for m, k in self.terms))
-
-    def mul_monomial(self, mono: Monomial) -> "Polynomial":
-        return Polynomial(tuple((m.mul(mono), k) for m, k in self.terms))
 
     def evaluate(self, point: dict[int, Fraction | int]) -> Fraction:
         total = Fraction(0)
@@ -314,18 +314,31 @@ class SAProof:
         return SAProof(num_variables, tuple(hypotheses), goal, tuple(norm_terms))
 
 
-def _expanded_terms(proof: SAProof):
+def _reference_polynomials(proof: SAProof) -> dict[RefPoly, Polynomial]:
+    """``poly(P)`` for each distinct reference ``P`` of the proof (a proof
+    names few), computed once; rejects a coefficient ``<= 0``."""
+    refs: dict[RefPoly, Polynomial] = {}
     for t in proof.terms:
         if t.coefficient <= 0:
             raise MalformedProofError(f"term coefficient {t.coefficient} is not positive")
-        base = ref_polynomial(t.ref, proof.hypotheses)
-        yield t, base.mul_monomial(t.monomial).scale(t.coefficient)
+        if t.ref not in refs:
+            refs[t.ref] = ref_polynomial(t.ref, proof.hypotheses)
+    return refs
 
 
 def proof_sum(proof: SAProof) -> Polynomial:
-    return Polynomial.of(
-        term for _, expanded in _expanded_terms(proof) for term in expanded.terms
-    )
+    """``sum a_j * q_j * poly(P_j)`` in one pass, as integer numerators over
+    the common denominator of the ``a_j`` (reference polynomials have integer
+    coefficients); only the surviving sums become fractions."""
+    refs = _reference_polynomials(proof)
+    den = math.lcm(*(t.coefficient.denominator for t in proof.terms))
+    acc: dict[Monomial, int] = {}
+    for t in proof.terms:
+        a = t.coefficient.numerator * (den // t.coefficient.denominator)
+        for m, k in refs[t.ref].terms:
+            key = m.mul(t.monomial)
+            acc[key] = acc.get(key, 0) + a * k.numerator
+    return Polynomial.of((m, Fraction(c, den)) for m, c in acc.items() if c)
 
 
 def check_sa(proof: SAProof, raw_target: Optional[Polynomial] = None) -> bool:
@@ -333,8 +346,8 @@ def check_sa(proof: SAProof, raw_target: Optional[Polynomial] = None) -> bool:
 
     The target is the goal clause's encoding, or ``raw_target`` when given
     (used to exercise gadgets whose natural targets involve tautological
-    clauses).  No twin substitution and no multilinearization happen here;
-    the comparison is between formal polynomials.
+    clauses).  The proof is expanded once, by :func:`proof_sum`, with no twin
+    substitution and no multilinearization: formal polynomials are compared.
     """
     if raw_target is None:
         if proof.goal is None:
@@ -349,16 +362,17 @@ def check_sa(proof: SAProof, raw_target: Optional[Polynomial] = None) -> bool:
 
 
 def sa_degree(proof: SAProof) -> int:
-    """Max degree among the expanded products ``a_j * q_j * poly(P_j)``."""
-    out = 0
-    for _, expanded in _expanded_terms(proof):
-        out = max(out, expanded.degree)
-    return out
+    """Max degree among the expanded products ``a_j * q_j * poly(P_j)``, read
+    as ``deg q_j + deg poly(P_j)`` without expanding (see the module docstring)."""
+    ref_degree = {ref: p.degree for ref, p in _reference_polynomials(proof).items()}
+    return max((t.monomial.degree + ref_degree[t.ref] for t in proof.terms), default=0)
 
 
 def sa_monomial_size(proof: SAProof) -> int:
-    """Sum of the term counts of the expanded products."""
-    return sum(expanded.monomial_size for _, expanded in _expanded_terms(proof))
+    """Sum of the term counts of the expanded products, read as ``|poly(P_j)|``
+    without expanding (see the module docstring)."""
+    refs = _reference_polynomials(proof)
+    return sum(refs[t.ref].monomial_size for t in proof.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -587,11 +601,9 @@ def sa_to_circular(proof: SAProof) -> tuple[ProofGraph, FlowAssignment]:
     axiom plus such a chain, ``1-x-xb`` terms a split, ``x+xb-1`` terms a
     cut; constant-reference terms only feed balances.  Vertices are
     identified by clause.  The width of the result equals the proof degree.
+    The proof is checked first, by :func:`check_sa`, which also rejects a
+    missing or tautological goal.
     """
-    if proof.goal is None:
-        raise MalformedProofError("translation needs a goal clause")
-    if proof.goal.is_tautological:
-        raise TautologicalClauseError(f"tautological goal {proof.goal}")
     if not check_sa(proof):
         raise InconsistencyError("polynomial proof does not check")
     norm = normalize_sa(proof)
@@ -646,18 +658,14 @@ def sa_to_circular(proof: SAProof) -> tuple[ProofGraph, FlowAssignment]:
             b.mark_hypothesis(fid)
     b.set_goal(goal_vertex)
     graph, flows = b.build()
-
-    if not graph.inference_vertices or not verify_flow(
-        graph, FlowAssignment(flows), goal_vertex
-    ):
-        if proof.goal in hyp_set:
-            graph, flows, goal_vertex = _pad_identity(
-                b, proof, goal_vertex, max(identity_budget, Fraction(1))
-            )
-        else:
-            raise InconsistencyError(
-                "normalized terms do not yield a witnessing flow for the goal"
-            )
+    flow = FlowAssignment(flows)
+    if graph.inference_vertices and verify_flow(graph, flow, goal_vertex):
+        return graph, flow
+    if proof.goal not in hyp_set:
+        raise InconsistencyError("normalized terms do not yield a witnessing flow for the goal")
+    graph, flows, goal_vertex = _pad_identity(
+        b, proof, goal_vertex, max(identity_budget, Fraction(1))
+    )
     flow = FlowAssignment(flows)
     if not verify_flow(graph, flow, goal_vertex):
         raise InconsistencyError("translated graph fails its own flow check")

@@ -113,10 +113,21 @@ def test_translate_round_trip(tmp_path, php_files, capsys):
     assert run(["check", back, cnf]) == 0
 
 
-def test_translate_rejects_bad_input(tmp_path):
+def test_translate_rejects_bad_input(tmp_path, capsys):
     bad = tmp_path / "bad.sap"
     bad.write_text("p sap 1 1\nh 1 0\ng -1 0\nt 1 ; H 1\n")
     assert run(["translate", "s2c", bad]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: polynomial proof does not check\n"
+    assert captured.out == ""
+    assert not bad.with_suffix(".cres").exists()
+    # The identity enc(x2) == enc(x2) checks, but hypothesis 1 is tautological.
+    taut = tmp_path / "taut.sap"
+    taut.write_text("p sap 2 2\nh 1 -1 0\nh 2 0\ng 2 0\nt 1 ; H 2\n")
+    assert run(["translate", "s2c", taut]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: tautological hypothesis x1 | ~x1\n"
+    assert captured.out == ""
 
 
 def test_translate_rejects_unwitnessed(tmp_path):

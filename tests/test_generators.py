@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -116,6 +117,22 @@ def test_near_cubic_bipartite_shape():
         assert g.max_degree() <= 3
         assert len(g.edges) == 3 * n
         assert all(g.left_neighbors(u) for u in range(1, n + 2))
+
+
+def test_adjacency_matches_edge_scan():
+    graphs = (complete_bipartite(4, 3), near_cubic_bipartite(7, 2), BipartiteGraph(3, 4, frozenset()))
+    for g in graphs:
+        for u in range(1, g.left_size + 1):
+            assert list(g.left_neighbors(u)) == sorted(v for a, v in g.edges if a == u)
+        for v in range(1, g.right_size + 1):
+            assert list(g.right_neighbors(v)) == sorted(u for u, b in g.edges if b == v)
+    # The adjacency maps are not fields: equality, hashing and the field list
+    # see only the sizes and the edge set.
+    g = near_cubic_bipartite(5, 1)
+    twin = BipartiteGraph(g.left_size, g.right_size, frozenset(sorted(g.edges, reverse=True)))
+    assert g == twin and hash(g) == hash(twin)
+    assert [f.name for f in dataclasses.fields(g)] == ["left_size", "right_size", "edges"]
+    assert g != BipartiteGraph(g.left_size, g.right_size, g.edges - {min(g.edges)})
 
 
 def test_unsound_cycle_shape():

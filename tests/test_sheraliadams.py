@@ -15,6 +15,7 @@ from circres.sheraliadams import (
     ONE_MINUS_X_XBAR,
     X_XBAR_MINUS_ONE,
     XSQ_MINUS_X,
+    X_MINUS_XSQ,
     InconsistencyError,
     MalformedProofError,
     Monomial,
@@ -33,6 +34,7 @@ from circres.sheraliadams import (
     multilinearize,
     normalize_sa,
     proof_sum,
+    ref_polynomial,
     sa_degree,
     sa_monomial_size,
     sa_to_circular,
@@ -337,8 +339,6 @@ def test_multilinearize():
 
 def _eval_term_sum(proof, point):
     total = Fraction(0)
-    from circres.sheraliadams import ref_polynomial
-
     for t in proof.terms:
         base = ref_polynomial(t.ref, proof.hypotheses)
         term_val = Fraction(t.coefficient)
@@ -458,3 +458,87 @@ def test_length_linear_in_monomial_size():
         proof = circular_to_sa(graph, flow)
         g2, _ = sa_to_circular(proof)
         assert g2.length <= 6 * sa_monomial_size(proof) + 6, seed
+
+
+# ---------------------------------------------------------------------------
+# the one-pass expansion kernel against the definition
+
+def _expanded_products(proof):
+    """The definition, one product at a time: ``a_j * q_j * poly(P_j)``."""
+    for t in proof.terms:
+        if t.coefficient <= 0:
+            raise MalformedProofError(f"term coefficient {t.coefficient} is not positive")
+        base = ref_polynomial(t.ref, proof.hypotheses)
+        yield Polynomial(tuple((m.mul(t.monomial), k * t.coefficient) for m, k in base.terms))
+
+
+def _defined_sum(proof):
+    return Polynomial.of(term for e in _expanded_products(proof) for term in e.terms)
+
+
+def _defined_degree(proof):
+    return max((e.degree for e in _expanded_products(proof)), default=0)
+
+
+def _defined_size(proof):
+    return sum(e.monomial_size for e in _expanded_products(proof))
+
+
+def _repeated_reference_proof():
+    # One reference polynomial under several monomials (some overlapping, so
+    # products cancel and merge), fractional coefficients with coprime
+    # denominators, and a hypothesis whose tokens the monomial repeats.
+    x_sum = RefPoly(ONE_MINUS_X_XBAR, 2)
+    return SAProof.of(3, [clause(1, -3), clause(2)], clause(1), [
+        (Fraction(1, 2), mono({1: 1}), x_sum),
+        (Fraction(2, 3), mono({-3: 1, 1: 2}), x_sum),
+        (5, MONOMIAL_ONE, x_sum),
+        (Fraction(1, 2), mono({1: 1}), x_sum),
+        (Fraction(3, 7), mono({2: 1}), RefPoly(XSQ_MINUS_X, 2)),
+        (Fraction(3, 7), MONOMIAL_ONE, RefPoly(X_MINUS_XSQ, 2)),
+        (1, mono({-1: 1, 3: 2}), hyp(1)),
+        (Fraction(1, 4), mono({-2: 1}), hyp(2)),
+        (Fraction(7, 4), MONOMIAL_ONE, RefPoly(ONE)),
+    ])
+
+
+def _kernel_cases():
+    cases = []
+    for seed in range(40):
+        graph, flow = random_circular_proof(seed, 6, 9)
+        if not graph.goal_clause().is_tautological:
+            cases.append((f"random {seed}", circular_to_sa(graph, flow)))
+    for n in range(3, 7):
+        graph, flow = php_refutation(complete_bipartite(n + 1, n))
+        cases.append((f"php {n}", circular_to_sa(graph, flow)))
+    # Rescaling puts the coefficients over several coprime denominators, for
+    # the common-denominator accumulation (most translated ones are integers).
+    cases += [(f"{name}, normalized", normalize_sa(proof)) for name, proof in cases] + [
+        (f"{name}, rescaled", _rescaled(proof)) for name, proof in cases
+    ]
+    cases.append(("repeated reference", _repeated_reference_proof()))
+    return cases
+
+
+def _rescaled(proof):
+    terms = [(t.coefficient * Fraction(j % 4 + 1, j % 5 + 1), t.monomial, t.ref)
+             for j, t in enumerate(proof.terms)]
+    return SAProof.of(proof.num_variables, proof.hypotheses, proof.goal, terms)
+
+
+def test_kernel_matches_definition():
+    for name, proof in _kernel_cases():
+        assert proof_sum(proof) == _defined_sum(proof), name
+        assert sa_degree(proof) == _defined_degree(proof), name
+        assert sa_monomial_size(proof) == _defined_size(proof), name
+    repeated = _repeated_reference_proof()
+    assert proof_sum(repeated).terms and not check_sa(repeated)
+
+
+@pytest.mark.parametrize("bad", [0, -1])
+def test_kernel_rejects_nonpositive_coefficient(bad):
+    good = (1, MONOMIAL_ONE, hyp(1))
+    proof = SAProof.of(1, [clause(1)], clause(1), [good, (bad, mono({1: 1}), hyp(1))])
+    for measure in (proof_sum, sa_degree, sa_monomial_size):
+        with pytest.raises(MalformedProofError):
+            measure(proof)
