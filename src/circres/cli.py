@@ -27,8 +27,8 @@ from pathlib import Path
 
 from . import formats, generators, search as search_mod, sheraliadams as sa
 from .core import Clause
-from .flowcheck import find_witness, verify_flow
-from .proofgraph import balances, export_dot, validate_rules
+from .flowcheck import ValidationError, find_witness
+from .proofgraph import export_dot
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -83,31 +83,19 @@ def cmd_check(args) -> int:
             raise UsageError(f"no formula vertex carries the goal clause {goal_clause}")
         graph = dataclasses.replace(graph, goal_id=min(candidates))
 
-    problems = validate_rules(graph)
-    if problems:
-        for p in problems:
-            print(f"error: {p}", file=sys.stderr)
-        return EXIT_INPUT
-
-    flow = None
-    if file_flow is not None and verify_flow(graph, file_flow, graph.goal_id):
-        flow = file_flow
+    report = find_witness(graph, file_flow)
+    flow = report.flow
+    if file_flow is not None and flow is file_flow:
         print("WITNESSED (supplied flows verified)")
     else:
         if file_flow is not None:
             print("supplied flows rejected: they do not witness the proof; "
                   "solving the flow program instead")
-        report = find_witness(graph)
-        if report.witnessed:
-            flow = report.flow
-            print("WITNESSED")
-        else:
-            print("NOT-WITNESSED")
-            for v in report.violations:
-                print(f"  {v}")
+        print("WITNESSED" if report.witnessed else "NOT-WITNESSED")
+        for v in report.violations:
+            print(f"  {v}")
     if flow is not None:
-        bal = balances(graph, flow)
-        print(f"goal balance {bal[graph.goal_id]}")
+        print(f"goal balance {report.balances[graph.goal_id]}")
         for w in sorted(graph.inference_vertices, key=lambda w: w.id):
             print(f"w {w.id} {flow[w.id]}")
     if args.dot:
@@ -138,10 +126,7 @@ def _parse_bipartite_file(path: str) -> generators.BipartiteGraph:
             edges.append((a, b))
     if sizes is None:
         raise UsageError(f"{path}: empty graph file")
-    try:
-        return generators.BipartiteGraph(sizes[0], sizes[1], frozenset(edges))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return generators.BipartiteGraph(sizes[0], sizes[1], frozenset(edges))
 
 
 def cmd_gen_php(args) -> int:
@@ -183,19 +168,12 @@ def cmd_gen_php(args) -> int:
 
 def cmd_translate(args) -> int:
     if args.direction == "c2s":
-        graph, flow = formats.parse_cres(_read(args.input))
-        problems = validate_rules(graph)
-        if problems:
-            for p in problems:
-                print(f"error: {p}", file=sys.stderr)
+        graph, file_flow = formats.parse_cres(_read(args.input))
+        report = find_witness(graph, file_flow)
+        if not report.witnessed:
+            print("error: input proof is not witnessed", file=sys.stderr)
             return EXIT_INPUT
-        if flow is None or not verify_flow(graph, flow, graph.goal_id):
-            report = find_witness(graph)
-            if not report.witnessed:
-                print("error: input proof is not witnessed", file=sys.stderr)
-                return EXIT_INPUT
-            flow = report.flow
-        proof = sa.circular_to_sa(graph, flow)
+        proof = sa.circular_to_sa(graph, report.flow)
         if not sa.check_sa(proof):
             raise AssertionError("translated polynomial proof fails its checker")
         out = args.out or str(Path(args.input).with_suffix(".sap"))
@@ -238,8 +216,6 @@ def cmd_search(args) -> int:
     start = time.monotonic()
     try:
         result = search_mod.circular_search(cnf, goal, args.width, args.guard_rows)
-    except search_mod.WidthError as exc:
-        raise UsageError(str(exc)) from None
     except search_mod.SearchBudgetError as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
@@ -350,14 +326,11 @@ def main(argv=None) -> int:
         # the flush at interpreter shutdown does not fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (UsageError, formats.ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ValidationError as exc:
+        for v in exc.violations:
+            print(f"error: {v}", file=sys.stderr)
         return EXIT_INPUT
-    except (sa.TautologicalClauseError, sa.MalformedProofError,
-            sa.InconsistencyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError, ParseError and the library's input errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:

@@ -25,13 +25,18 @@ from .core import Assignment, evaluate
 from .proofgraph import (
     IncompleteFlowError,
     ProofGraph,
+    RuleViolation,
     balances,
     validate_rules,
 )
 
 
 class ValidationError(ValueError):
-    """The graph fails its local rule templates."""
+    """The graph fails its local rule templates; ``violations`` lists them."""
+
+    def __init__(self, violations: list[RuleViolation]) -> None:
+        super().__init__("; ".join(str(v) for v in violations))
+        self.violations = violations
 
 
 class NotWitnessError(ValueError):
@@ -114,15 +119,21 @@ def _witness_program(graph: ProofGraph, goal_vertex: int) -> tuple[lp.LinearProg
     return program, order
 
 
-def find_witness(graph: ProofGraph) -> CheckReport:
-    """Search for a witnessing flow by exact linear feasibility.
+def find_witness(graph: ProofGraph, flow: Optional[FlowAssignment] = None) -> CheckReport:
+    """Certify a proof graph: validate its rules once, then find a witness.
 
-    The goal clause may label several vertices; each is tried in id order and
-    the first success is reported.  Refuses graphs with rule violations.
+    Raises :class:`ValidationError` on rule violations.  A supplied ``flow``
+    that :func:`verify_flow` accepts at ``graph.goal_id`` is reported as the
+    witness itself (``report.flow is flow``), with no solver call.  Otherwise,
+    as when no flow is supplied, the flow program is solved by exact linear
+    feasibility: the goal clause may label several vertices, each is tried in
+    id order and the first success is reported.
     """
     problems = validate_rules(graph)
     if problems:
-        raise ValidationError("; ".join(str(p) for p in problems))
+        raise ValidationError(problems)
+    if flow is not None and verify_flow(graph, flow, graph.goal_id):
+        return CheckReport(True, flow, balances(graph, flow))
     goal_clause = graph.goal_clause()
     candidates = sorted(
         v.id for v in graph.formula_vertices if v.clause == goal_clause

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Container, Optional, Sequence
 
 from .core import Clause
 
@@ -348,10 +348,9 @@ class ProofGraphBuilder:
         ins: Sequence[int],
         outs: Sequence[int],
         flow: Fraction | int = 1,
-        merge: bool = True,
     ) -> int:
         shape = (kind, principal, tuple(sorted(ins)), tuple(sorted(outs)))
-        if merge and shape in self._by_shape:
+        if shape in self._by_shape:
             iid = self._by_shape[shape]
             self._flows[iid] += Fraction(flow)
             return iid
@@ -396,6 +395,13 @@ class ProofGraphBuilder:
     def mark_hypothesis(self, fid: int) -> None:
         self._hypotheses.add(fid)
 
+    def mark_hypotheses(self, clauses: Container[Clause]) -> None:
+        """Mark the vertex :meth:`vertex` returns for each clause in
+        ``clauses``; copies made with ``fresh=True`` stay unmarked."""
+        for clause, fid in self._by_clause.items():
+            if clause in clauses:
+                self._hypotheses.add(fid)
+
     def set_goal(self, fid: int) -> None:
         self._goal = fid
 
@@ -408,9 +414,6 @@ class ProofGraphBuilder:
     @property
     def num_inferences(self) -> int:
         return len(self._inferences)
-
-    def clause_index(self) -> list[tuple[Clause, int]]:
-        return list(self._by_clause.items())
 
     def build(self) -> tuple[ProofGraph, dict[int, Fraction]]:
         if self._goal is None:

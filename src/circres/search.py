@@ -207,9 +207,7 @@ def _pruned(values, goal: Clause, hyp_clauses) -> tuple[ProofGraph, FlowAssignme
             builder.cut(pos, neg, d, x, value)
         else:
             builder.split(builder.vertex(d), x, flow=-value)
-    for clause, fid in builder.clause_index():
-        if clause in hyp_clauses:
-            builder.mark_hypothesis(fid)
+    builder.mark_hypotheses(hyp_clauses)
     graph, flows = builder.build()
     flow = FlowAssignment(flows)
     if not verify_flow(graph, flow, graph.goal_id):

@@ -378,6 +378,15 @@ def sa_monomial_size(proof: SAProof) -> int:
 # ---------------------------------------------------------------------------
 # the four basic gadget families
 
+def _axiom_terms(x: int, coef: Fraction) -> list[SATerm]:
+    """``coef * ((1-x-xb) * x + (x^2 - x))``, which expands to ``-x*xb``,
+    the encoding of the elementary tautology ``x | ~x``."""
+    return [
+        SATerm(coef, Monomial.of({x: 1}), RefPoly(ONE_MINUS_X_XBAR, x)),
+        SATerm(coef, MONOMIAL_ONE, RefPoly(XSQ_MINUS_X, x)),
+    ]
+
+
 def clause_gadget(kind: int, side_clause: Clause, principal: int) -> list[SATerm]:
     """Term lists proving the four basic clause inequalities from nothing.
 
@@ -399,10 +408,7 @@ def clause_gadget(kind: int, side_clause: Clause, principal: int) -> list[SATerm
     m = falsified_monomial(side_clause)
     one = Fraction(1)
     if kind == 1:
-        return [
-            SATerm(one, Monomial.of({principal: 1}), RefPoly(ONE_MINUS_X_XBAR, principal)),
-            SATerm(one, MONOMIAL_ONE, RefPoly(XSQ_MINUS_X, principal)),
-        ]
+        return _axiom_terms(principal, one)
     if kind == 2:
         return [SATerm(one, m, RefPoly(X_XBAR_MINUS_ONE, principal))]
     if kind == 3:
@@ -439,10 +445,7 @@ def _rule_terms(graph: ProofGraph, w, coef: Fraction) -> list[SATerm]:
     ins = [graph.formula(u).clause for u in w.in_neighbors]
     outs = [graph.formula(u).clause for u in w.out_neighbors]
     if w.rule.kind == AXIOM:
-        return [
-            SATerm(coef, Monomial.of({x: 1}), RefPoly(ONE_MINUS_X_XBAR, x)),
-            SATerm(coef, MONOMIAL_ONE, RefPoly(XSQ_MINUS_X, x)),
-        ]
+        return _axiom_terms(x, coef)
     if w.rule.kind == CUT:
         side = outs[0]
         if x not in side.variables():
@@ -477,10 +480,7 @@ def _rule_terms(graph: ProofGraph, w, coef: Fraction) -> list[SATerm]:
         ]
     # Both consequents present: one collapsed to side, other the elementary
     # tautology (side must be a unit clause on x).
-    return [
-        SATerm(coef, Monomial.of({x: 1}), RefPoly(ONE_MINUS_X_XBAR, x)),
-        SATerm(coef, MONOMIAL_ONE, RefPoly(XSQ_MINUS_X, x)),
-    ]
+    return _axiom_terms(x, coef)
 
 
 def circular_to_sa(graph: ProofGraph, flow: FlowAssignment) -> SAProof:
@@ -653,9 +653,7 @@ def sa_to_circular(proof: SAProof) -> tuple[ProofGraph, FlowAssignment]:
         else:  # pragma: no cover
             raise MalformedProofError(f"unexpected normalized kind {kind}")
 
-    for clause, fid in b.clause_index():
-        if clause in hyp_set:
-            b.mark_hypothesis(fid)
+    b.mark_hypotheses(hyp_set)
     b.set_goal(goal_vertex)
     graph, flows = b.build()
     flow = FlowAssignment(flows)

@@ -59,6 +59,58 @@ def test_check_reports_rejected_flows(tmp_path, php_files, capsys):
     assert "WITNESSED" in out and "supplied flows verified" not in out
 
 
+# A cut whose antecedents do not match its consequent, and an axiom whose
+# consequent is not x | ~x.
+TWO_VIOLATIONS = "p cres 3 2\nf 0 1 0\nf 1 -1 0\nf 2 0\ni 0 cut 2 0 1 2\ni 1 ax 1 0\ng 2\n"
+TWO_VIOLATION_LINES = (
+    "error: inference 0: cut antecedents must be {x2} and {~x2} sharing side "
+    "clause _|_, got x1 and ~x1\n"
+    "error: inference 1: axiom consequent must be x1 | ~x1, got x1\n"
+)
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "two.cres", "empty.cnf"],
+    ["translate", "c2s", "two.cres"],
+], ids=["check", "c2s"])
+def test_rule_violations_print_one_line_each(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "two.cres").write_text(TWO_VIOLATIONS)
+    (tmp_path / "empty.cnf").write_text("p cnf 1 0\n")
+    assert run(command) == 2
+    captured = capsys.readouterr()
+    assert captured.err == TWO_VIOLATION_LINES
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.cnf", "two.cres"]
+
+
+@pytest.mark.parametrize("flows", ["supplied", "absent"])
+@pytest.mark.parametrize("command", ["check", "c2s"])
+def test_proof_rules_are_validated_once(tmp_path, php_files, monkeypatch, command, flows):
+    import sys
+
+    from circres import proofgraph
+
+    original = proofgraph.validate_rules
+    calls = []
+
+    def counting(graph):
+        calls.append(graph)
+        return original(graph)
+
+    # Every module binding of the name, so that a second caller is counted too.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("circres") and getattr(module, "validate_rules", None) is original:
+            monkeypatch.setattr(module, "validate_rules", counting)
+    cnf, proof = php_files
+    if flows == "absent":
+        proof = tmp_path / "noflows.cres"
+        proof.write_text(serialize_cres(parse_cres(php_files[1].read_text())[0], None))
+    argv = ["check", proof, cnf] if command == "check" else ["translate", "c2s", proof]
+    assert run(argv) == 0
+    assert len(calls) == 1
+
+
 def test_check_parse_error(tmp_path):
     bad = tmp_path / "bad.cres"
     bad.write_text("p cres 1 1\nf 0 1 0\ni 0 zap 1 0\ng 0\n")
@@ -81,11 +133,17 @@ def test_check_truncated_line(tmp_path, capsys, text, line):
     assert f"error: line {line}:" in capsys.readouterr().err
 
 
-def test_gen_php_usage_errors(tmp_path):
+def test_gen_php_usage_errors(tmp_path, capsys):
     assert run(["gen-php", "--complete", 0]) == 2
     graph_file = tmp_path / "g.txt"
     graph_file.write_text("2 2\n1 1\n1 2\n2 1\n2 2\n")
     assert run(["gen-php", "--graph", graph_file]) == 2  # needs more pigeons
+    capsys.readouterr()
+    graph_file.write_text("3 2\n1 1\n1 5\n2 1\n3 2\n")
+    assert run(["gen-php", "--graph", graph_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: edge (1,5) out of range\n"
+    assert captured.out == ""
 
 
 def test_gen_php_graph_file(tmp_path):
@@ -159,10 +217,11 @@ def test_search_width_zero(tmp_path, capsys):
     assert "no width-0 circular proof exists" in capsys.readouterr().out
 
 
-def test_search_width_usage_error(tmp_path):
+def test_search_width_usage_error(tmp_path, capsys):
     cnf = tmp_path / "wide.cnf"
     cnf.write_text("p cnf 3 1\n1 2 3 0\n")
     assert run(["search", cnf, "--width", 2]) == 2
+    assert capsys.readouterr().err == "error: width 2 below input width 3\n"
 
 
 def test_search_guard(tmp_path):
@@ -235,6 +294,33 @@ def test_gen_random_emits_checkable_proof(tmp_path):
     cnf = tmp_path / "r.cnf"
     cnf.write_text("\n".join(lines) + "\n")
     assert run(["check", out_path, cnf]) == 0
+
+
+@pytest.mark.parametrize("flags", [
+    ["--seed", "31", "--vars", "3", "--budget", "8"],
+    ["--max-width", "0"],
+    ["--vars", "1", "--max-width", "2", "--budget", "30"],
+], ids=["seed31", "width0", "one-var"])
+def test_gen_random_unreachable_budget_exits(tmp_path, flags):
+    # In a subprocess with a timeout, so that a generator loop that never ends
+    # fails this test instead of hanging the suite.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "circres.cli", "gen-random", *flags],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: budget ")
+    assert proc.stderr.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_dot_output(tmp_path, php_files):

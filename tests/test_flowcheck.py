@@ -95,8 +95,33 @@ def test_find_witness_refuses_invalid_rules():
         frozenset({0}),
         1,
     )
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as info:
         find_witness(bad)
+    assert [str(v) for v in info.value.violations] == [
+        "inference 0: split consequent x2 is neither x1 | x3 nor x1 | ~x3"
+    ]
+    assert str(info.value) == str(info.value.violations[0])
+
+
+def test_find_witness_takes_supplied_flows(monkeypatch):
+    graph, flow = php_refutation(complete_bipartite(3, 2))
+    monkeypatch.setattr("circres.lp.feasible", None)  # the solver must not run
+    report = find_witness(graph, flow)
+    assert report.witnessed and report.flow is flow
+    assert report.balances == balances(graph, flow)
+
+
+def test_find_witness_solves_past_rejected_flows():
+    graph, flow = php_refutation(complete_bipartite(3, 2))
+    tampered = FlowAssignment({**flow.flows, 0: Fraction(1000)})
+    assert not verify_flow(graph, tampered, graph.goal_id)
+    report = find_witness(graph, tampered)
+    assert report.witnessed and report.flow is not tampered
+    assert report.flow == find_witness(graph).flow
+
+    cycle = unsound_cycle_example()
+    report = find_witness(cycle, FlowAssignment.uniform(cycle))
+    assert not report.witnessed and report.flow is None
 
 
 def test_verify_flow_examples():

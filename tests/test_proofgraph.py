@@ -217,3 +217,14 @@ def test_dot_unsound_cycle_counts():
 def test_dot_with_flows_reparses():
     graph, flows = single_cut()
     _check_dot_shape(export_dot(graph, flows))
+
+
+def test_mark_hypotheses_skips_fresh_copies():
+    b = ProofGraphBuilder()
+    x = b.vertex(clause(1))
+    b.vertex(clause(1), fresh=True)
+    goal = b.vertex(clause(2))
+    b.mark_hypotheses({clause(1), clause(3)})
+    b.set_goal(goal)
+    graph, _ = b.build()
+    assert graph.hypothesis_ids == frozenset({x})
