@@ -99,13 +99,13 @@ def _witness_program(graph: ProofGraph, goal_vertex: int) -> tuple[lp.LinearProg
     program = lp.LinearProgram(len(order))
     hyp_clauses = graph.hypothesis_clauses()
 
-    rowmap: dict[int, dict[int, Fraction]] = {v.id: {} for v in graph.formula_vertices}
+    rowmap: dict[int, dict[int, int]] = {v.id: {} for v in graph.formula_vertices}
     for w in graph.inference_vertices:
         k = var_of[w.id]
         for u in w.out_neighbors:
-            rowmap[u][k] = rowmap[u].get(k, Fraction(0)) + 1
+            rowmap[u][k] = rowmap[u].get(k, 0) + 1
         for u in w.in_neighbors:
-            rowmap[u][k] = rowmap[u].get(k, Fraction(0)) - 1
+            rowmap[u][k] = rowmap[u].get(k, 0) - 1
 
     program.add_geq(rowmap[goal_vertex], 1)
     for v in graph.formula_vertices:

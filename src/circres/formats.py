@@ -167,6 +167,7 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[FlowAssignment]]:
     hyp_ids: set[int] = set()
     goal_id: Optional[int] = None
     flows: dict[int, Fraction] = {}
+    flow_line: dict[int, int] = {}
     declared = None
     header_line = 0
 
@@ -222,10 +223,14 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[FlowAssignment]]:
         elif tag == "w":
             if len(tokens) != 3:
                 raise ParseError(no, "flow line must be 'w <iid> <flow>'")
+            iid = _int(tokens[1], no)
+            if iid in flows:
+                raise ParseError(no, f"duplicate flow line for inference vertex {iid}")
             f = _rational(tokens[2], no)
             if f <= 0:
                 raise ParseError(no, f"flow must be positive, got {f}")
-            flows[_int(tokens[1], no)] = f
+            flows[iid] = f
+            flow_line[iid] = no
         else:
             raise ParseError(no, f"unknown line tag {tag!r}")
 
@@ -244,6 +249,10 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[FlowAssignment]]:
     except ValueError as exc:
         raise ParseError(header_line, str(exc)) from None
     if flows:
+        inference_ids = {w.id for w in graph.inference_vertices}
+        for iid, no in flow_line.items():
+            if iid not in inference_ids:
+                raise ParseError(no, f"flow line names no inference vertex {iid}")
         missing = [w.id for w in graph.inference_vertices if w.id not in flows]
         if missing:
             raise ParseError(header_line, f"flow lines missing inference ids {missing}")

@@ -18,9 +18,13 @@ witnesses dramatically faster than objective-driven phase-1 pivoting.
 
 Implementation notes, none of which change the results:
 
-* Singleton rows ``a * x_j >= r`` with ``a > 0`` are treated as lower bounds
-  and eliminated by substituting ``x_j = lb + x'_j`` with ``x'_j >= 0``;
-  remaining free variables are split into differences of nonnegatives.
+* Rows are integers from :meth:`LinearProgram.add_geq` on: it multiplies a
+  rational row once by the lcm of its denominators, so ``lp.rows`` and any
+  certificate refer to the scaled rows.
+* A singleton row ``a * x_j >= r`` with ``a > 0`` dividing ``r`` is a lower
+  bound and is eliminated by substituting ``x_j = r/a + x'_j`` with
+  ``x'_j >= 0``; any other singleton row stays an ordinary tableau row.
+  Remaining free variables are split into differences of nonnegatives.
 * All arithmetic is integer-preserving: tableau and basic values are
   integers over one common positive denominator, every pivot divides
   exactly, and rationals only appear when results are read off.
@@ -34,16 +38,12 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 
-def as_rational(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 @dataclass(frozen=True)
 class Constraint:
-    """Sparse row ``sum(coeffs[j] * x_j) >= rhs``."""
+    """Sparse integer row ``sum(coeffs[j] * x_j) >= rhs``."""
 
-    coeffs: tuple[tuple[int, Fraction], ...]
-    rhs: Fraction
+    coeffs: tuple[tuple[int, int], ...]
+    rhs: int
 
     def dot(self, x: Sequence[Fraction]) -> Fraction:
         return sum((c * x[j] for j, c in self.coeffs), Fraction(0))
@@ -57,13 +57,16 @@ class LinearProgram:
     rows: list[Constraint] = field(default_factory=list)
 
     def add_geq(self, coeffs: Mapping[int, Fraction | int], rhs: Fraction | int = 0) -> None:
-        items = tuple(
-            sorted((j, as_rational(c)) for j, c in coeffs.items() if c != 0)
-        )
+        """Append ``sum(coeffs[j] * x_j) >= rhs``, scaled to integers by the
+        lcm of its denominators (an integer row is stored as given)."""
+        items = sorted((j, c) for j, c in coeffs.items() if c != 0)
         for j, _ in items:
             if not 0 <= j < self.num_vars:
                 raise IndexError(f"variable index {j} out of range 0..{self.num_vars - 1}")
-        self.rows.append(Constraint(items, as_rational(rhs)))
+        scale = math.lcm(rhs.denominator, *(c.denominator for _, c in items))
+        self.rows.append(Constraint(
+            tuple((j, int(c * scale)) for j, c in items), int(rhs * scale)
+        ))
 
 
 class _Tableau:
@@ -79,24 +82,9 @@ class _Tableau:
     def __init__(self, lp: LinearProgram) -> None:
         self.lp = lp
         self.lb, self.lb_row = _bounds(lp)
-
-        self.row_scale: list[int] = []
-        self.tab_rows: list[int] = []      # global row id per tableau row
-        int_rows: list[tuple[tuple[tuple[int, int], ...], int]] = []
         skip = set(self.lb_row.values())
-        for g, row in enumerate(lp.rows):
-            denoms = [row.rhs.denominator] + [c.denominator for _, c in row.coeffs]
-            scale = math.lcm(*denoms)
-            shifted = row.rhs - sum(
-                (c * self.lb[j] for j, c in row.coeffs if j in self.lb), Fraction(0)
-            )
-            scale = math.lcm(scale, shifted.denominator)
-            self.row_scale.append(scale)
-            int_rows.append(
-                (tuple((j, int(c * scale)) for j, c in row.coeffs), int(shifted * scale))
-            )
-            if g not in skip:
-                self.tab_rows.append(g)
+        # Global row id per tableau row.
+        self.tab_rows = [g for g in range(len(lp.rows)) if g not in skip]
 
         # Structural columns: one per lower-bounded variable, a +/- pair per
         # free variable; then one surplus column per tableau row.
@@ -121,12 +109,13 @@ class _Tableau:
         self.cols: dict[int, dict[int, int]] = {}
         self.rowsupp: list[set[int]] = [set() for _ in range(m)]
         for i, g in enumerate(self.tab_rows):
-            coeffs, rhs = int_rows[g]
-            self.xb.append(-rhs)
+            row = lp.rows[g]
+            shift = sum(a * self.lb[j] for j, a in row.coeffs if j in self.lb)
+            self.xb.append(shift - row.rhs)
             surplus = self.n_struct + i
             self.basis.append(surplus)
             self.basic_row[surplus] = i
-            for j, a in coeffs:
+            for j, a in row.coeffs:
                 for col in self.var_cols[j]:
                     part = self.col_var[col][1]
                     entry = -a * part
@@ -245,7 +234,7 @@ class _Tableau:
     # -- results ---------------------------------------------------------------
 
     def point(self) -> list[Fraction]:
-        x = [self.lb.get(j, Fraction(0)) for j in range(self.lp.num_vars)]
+        x = [Fraction(self.lb.get(j, 0)) for j in range(self.lp.num_vars)]
         for i, col in enumerate(self.basis):
             if col < self.n_struct and self.xb[i]:
                 j, part = self.col_var[col]
@@ -270,7 +259,7 @@ class _Tableau:
             if entry < 0:
                 raise AssertionError("negative multiplier on a stuck row")
             if entry:
-                v = Fraction(entry, self.den) * self.row_scale[g]
+                v = Fraction(entry, self.den)
                 lam[g] = v
                 full[g] = v
         residual: dict[int, Fraction] = {}
@@ -295,14 +284,15 @@ class _Tableau:
         return full
 
 
-def _bounds(lp: LinearProgram) -> tuple[dict[int, Fraction], dict[int, int]]:
-    lb: dict[int, Fraction] = {}
+def _bounds(lp: LinearProgram) -> tuple[dict[int, int], dict[int, int]]:
+    """Integral lower bounds from singleton rows, and the row giving each."""
+    lb: dict[int, int] = {}
     lb_row: dict[int, int] = {}
     for g, row in enumerate(lp.rows):
         if len(row.coeffs) == 1:
             j, a = row.coeffs[0]
-            if a > 0:
-                bound = row.rhs / a
+            if a > 0 and row.rhs % a == 0:
+                bound = row.rhs // a
                 if j not in lb or bound > lb[j]:
                     lb[j] = bound
                     lb_row[j] = g

@@ -600,7 +600,9 @@ def sa_to_circular(proof: SAProof) -> tuple[ProofGraph, FlowAssignment]:
     terms become chains of literal-introducing splits, ``-x*xb`` terms an
     axiom plus such a chain, ``1-x-xb`` terms a split, ``x+xb-1`` terms a
     cut; constant-reference terms only feed balances.  Vertices are
-    identified by clause.  The width of the result equals the proof degree.
+    identified by clause.  The width of the result equals the proof degree,
+    except when the goal is the empty clause and a hypothesis: its detour
+    through ``x1`` has width 1.
     The proof is checked first, by :func:`check_sa`, which also rejects a
     missing or tautological goal.
     """
@@ -675,26 +677,20 @@ def _pad_identity(b: ProofGraphBuilder, proof: SAProof, hyp_vertex: int,
     """Route flow from a hypothesis copy of the goal to a distinct goal vertex.
 
     Used when the goal is itself a hypothesis and the term list produced no
-    inference vertices for it: a split/cut detour (or a collapsing split when
-    every variable occurs in the goal) gives the goal positive balance while
-    keeping every other balance intact.
+    inference vertices for it.  A nonempty goal gets a collapsing split that
+    introduces its own first literal, so the width stays the goal's width;
+    the empty goal gets a split/cut detour through ``x1``.  Either gives the
+    goal positive balance while keeping every other balance intact.
     """
     goal = proof.goal
-    spare = None
-    for v in range(1, proof.num_variables + 1):
-        if v not in goal.variables():
-            spare = v
-            break
     fresh_goal = b.vertex(goal, fresh=True)
-    if spare is not None:
-        pos = b.vertex(goal.with_literal(spare))
-        neg = b.vertex(goal.with_literal(-spare))
-        b.inference(SPLIT, spare, (hyp_vertex,), (pos, neg), flow=amount)
-        b.inference(CUT, spare, (pos, neg), (fresh_goal,), flow=amount)
-    else:
-        # No unused variable: introduce a literal already present, which
-        # collapses the kept consequent back onto the goal clause.
+    if goal.literals:
         b.inference(SPLIT, abs(goal.literals[0]), (hyp_vertex,), (fresh_goal,), flow=amount)
+    else:
+        pos = b.vertex(goal.with_literal(1))
+        neg = b.vertex(goal.with_literal(-1))
+        b.inference(SPLIT, 1, (hyp_vertex,), (pos, neg), flow=amount)
+        b.inference(CUT, 1, (pos, neg), (fresh_goal,), flow=amount)
     b.set_goal(fresh_goal)
     graph, flows = b.build()
     return graph, flows, fresh_goal

@@ -188,6 +188,16 @@ def test_translate_rejects_bad_input(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_translate_empty_goal_that_is_a_hypothesis(tmp_path, capsys):
+    sap = tmp_path / "empty.sap"
+    sap.write_text("p sap 0 1\nh 0\ng 0\nt 1 ; H 1\n")
+    assert run(["translate", "s2c", sap]) == 0
+    assert capsys.readouterr().err == ""
+    graph, flow = parse_cres(sap.with_suffix(".cres").read_text())
+    assert graph.goal_clause() == Clause(())
+    assert flow is not None
+
+
 def test_translate_rejects_unwitnessed(tmp_path):
     proof = tmp_path / "cycle.cres"
     proof.write_text(serialize_cres(unsound_cycle_example()))

@@ -83,6 +83,19 @@ def test_cres_zero_denominator_flow():
     assert "denominator" in str(err.value)
 
 
+@pytest.mark.parametrize("extra, message", [
+    ("w 99 1", "flow line names no inference vertex 99"),
+    ("w 0 5", "duplicate flow line for inference vertex 0"),
+])
+def test_cres_bad_flow_line_names_its_line(extra, message):
+    graph, flow = random_circular_proof(1, 3, 3)
+    text = serialize_cres(graph, flow) + extra + "\n"
+    with pytest.raises(ParseError) as err:
+        parse_cres(text)
+    assert err.value.line_no == len(text.splitlines())
+    assert message in str(err.value)
+
+
 def test_cres_header_mismatch():
     graph, _ = random_circular_proof(1, 3, 3)
     text = serialize_cres(graph)

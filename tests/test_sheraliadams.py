@@ -442,6 +442,7 @@ def test_identity_style_proof_pads_to_positive_goal_balance():
     assert verify_flow(graph, flow, graph.goal_id)
     bal = balances(graph, flow)
     assert bal[graph.goal_id] >= 1
+    assert graph.width == sa_degree(proof)
 
 
 def test_sa_to_circular_rejects_non_checking_proof():
