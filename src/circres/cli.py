@@ -197,9 +197,12 @@ def cmd_translate(args) -> int:
         ),
     )
     degree = sa.sa_degree(proof)
+    # A degree-0 proof has the empty goal as a hypothesis, and its padding
+    # split through x1 has width 1 (see sa_to_circular).
+    claim = f"degree {degree}" if degree else "degree 0 + 1 (padding split)"
     print(
-        f"wrote {out}: width {graph.width} == degree {degree}: "
-        f"{graph.width == degree}; length {graph.length}, "
+        f"wrote {out}: width {graph.width} == {claim}: "
+        f"{graph.width == max(degree, 1)}; length {graph.length}, "
         f"monomial size {sa.sa_monomial_size(proof)}"
     )
     return EXIT_OK

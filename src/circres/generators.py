@@ -16,6 +16,7 @@ gives the empty clause balance ``|U| - |V| > 0``.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -89,12 +90,8 @@ def gen_php(g: BipartiteGraph) -> CnfFormula:
             raise IsolatedVertexError(f"pigeon {u} has no incident edge")
         clauses.append(Clause.from_signed(var[(u, v)] for v in nbrs))
     for v in range(1, g.right_size + 1):
-        nbrs = g.right_neighbors(v)
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                clauses.append(
-                    Clause.from_signed([-var[(nbrs[i], v)], -var[(nbrs[j], v)]])
-                )
+        ys = [var[(u, v)] for u in g.right_neighbors(v)]
+        clauses.extend(Clause.from_ints(-y, -z) for y, z in itertools.combinations(ys, 2))
     return CnfFormula.of(len(var), clauses)
 
 
@@ -174,24 +171,30 @@ def _materialize(b: ProofGraphBuilder, recs: Iterable[_Record]) -> None:
 def php_refutation(g: BipartiteGraph) -> tuple[ProofGraph, FlowAssignment]:
     """Pieced refutation of the pigeonhole contradiction, all flows 1.
 
-    Requires more pigeons than holes.  Width is bounded by the maximum degree
-    of ``g`` and the empty clause ends with balance ``|U| - |V|``.
+    Requires more pigeons than holes and raises :class:`IsolatedVertexError`
+    for a pigeon with no edge, as :func:`gen_php` does.  The clauses of
+    ``gen_php(g)`` are marked as hypotheses, without building the formula.
+    Width is bounded by the maximum degree of ``g`` and the empty clause
+    ends with balance ``|U| - |V|``.
     """
     if g.left_size <= g.right_size:
         raise ValueError("refutation needs more pigeons than holes")
-    cnf = gen_php(g)  # also validates pigeon degrees
     var = edge_variables(g)
     b = ProofGraphBuilder()
+    hypotheses: set[Clause] = set()
     for u in range(1, g.left_size + 1):
         xs = [var[(u, v)] for v in g.left_neighbors(u)]
+        if not xs:
+            raise IsolatedVertexError(f"pigeon {u} has no incident edge")
+        hypotheses.add(Clause.from_signed(xs))
         _materialize(b, _pigeon_records(xs))
     for v in range(1, g.right_size + 1):
-        nbrs = g.right_neighbors(v)
-        if len(nbrs) == 0:
+        ys = [var[(u, v)] for u in g.right_neighbors(v)]
+        if not ys:
             continue
-        ys = [var[(u, v)] for u in nbrs]
+        hypotheses.update(Clause.from_ints(-y, -z) for y, z in itertools.combinations(ys, 2))
         _materialize(b, _hole_records(ys))
-    b.mark_hypotheses(set(cnf.clauses))
+    b.mark_hypotheses(hypotheses)
     goal = b.vertex(Clause(()))
     b.set_goal(goal)
     graph, flows = b.build()

@@ -24,6 +24,17 @@ width, so the result is the same set.  A formula has a dag-like width-``w`` refu
 exactly when the saturation contains the empty clause, which makes the pair
 of procedures a practical probe for instances where circular width beats
 dag-like width.
+
+The saturation holds each clause as one ``int``: literal ``l`` sets bit
+``literal_key(l)``, so bit ``2v`` stands for ``x_v`` and bit ``2v + 1`` for
+``~x_v``.  The complement of a literal bit is its neighbour, one place up
+or down; the resolvent of ``c`` and ``d`` on bit ``b`` of ``c`` is
+``(c ^ b) | (d ^ comp(b))``; a mask ``r`` is tautological when
+``r & (r >> 1)`` has a positive-literal bit set; its width is
+``r.bit_count()``; subsumption looks up submasks in a set of ints; and a
+weakening ORs in one bit.  Reading the bits from low to high gives the
+literals in canonical order, so the closure becomes :class:`Clause` values
+without sorting.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import lp
-from .core import Clause, CnfFormula
+from .core import Clause, CnfFormula, literal_key
 from .flowcheck import FlowAssignment, verify_flow
 from .proofgraph import ProofGraph, ProofGraphBuilder
 
@@ -235,60 +246,83 @@ def daglike_width_saturate(hypotheses: CnfFormula, width: int) -> set[Clause]:
     ``width`` follows (each is a weakening of a unit ``x`` or ``~x``, or a
     resolvent of a weakening of each), and that set is returned at once.
     An empty hypothesis stays inert: it neither subsumes nor is weakened.
+
+    Clauses are bit masks throughout (see the module docstring) until the
+    closure is returned.
     """
     needed = max((c.width for c in hypotheses.clauses), default=0)
     if width < needed:
         raise WidthError(f"width {width} below hypothesis width {needed}")
     n = hypotheses.num_variables
+    positive = sum(1 << literal_key(v) for v in range(1, n + 1))
 
-    kept: set[frozenset[int]] = set()
-    queues: list[list[frozenset[int]]] = [[] for _ in range(width + 1)]
-    active: dict[int, list[frozenset[int]]] = {}
+    kept: set[int] = set()
+    queues: list[list[int]] = [[] for _ in range(width + 1)]
+    active: dict[int, list[int]] = {}
 
-    def has_kept_subset(c: frozenset[int], max_size: int) -> bool:
-        for k in range(1, max_size + 1):
-            for sub in itertools.combinations(c, k):
-                if frozenset(sub) in kept:
-                    return True
+    def has_kept_subset(c: int, proper: bool) -> bool:
+        # Every nonempty submask of c, c itself first unless proper.
+        sub = (c - 1) & c if proper else c
+        while sub:
+            if sub in kept:
+                return True
+            sub = (sub - 1) & c
         return False
 
-    def keep(c: frozenset[int]) -> None:
+    def keep(c: int) -> None:
         kept.add(c)
         if c:
-            queues[len(c)].append(c)
+            queues[c.bit_count()].append(c)
 
     for c in hypotheses.clauses:
         if not c.is_tautological:
-            keep(c.signed())
+            keep(sum(1 << literal_key(l) for l in c.literals))
 
     while any(queues):
         c = next(q for q in queues if q).pop()
-        if has_kept_subset(c, len(c) - 1):
+        if has_kept_subset(c, True):
             continue
-        for lit in c:
-            rest = c - {lit}
-            for d in active.get(-lit, ()):
-                resolvent = rest | (d - {-lit})
-                if len(resolvent) > width or any(-l in resolvent for l in resolvent):
+        rest = c
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            comp = bit << 1 if bit & positive else bit >> 1
+            side = c ^ bit
+            for d in active.get(comp, ()):
+                resolvent = side | (d ^ comp)
+                if resolvent.bit_count() > width or resolvent & (resolvent >> 1) & positive:
                     continue
                 if not resolvent and width >= 2:
                     return set(_proper_clauses(n, width))
-                if not has_kept_subset(resolvent, len(resolvent)):
+                if not has_kept_subset(resolvent, False):
                     keep(resolvent)
-        for lit in c:
-            active.setdefault(lit, []).append(c)
+            # Safe before c's later bits are resolved: c holds no complement
+            # of its own bits, so it never meets itself in active.
+            active.setdefault(bit, []).append(c)
 
     closure = set(kept)
-    frontier = [c for c in kept if 0 < len(c) < width]
+    frontier = [c for c in kept if 0 < c.bit_count() < width]
+    phases = [(3 << literal_key(v), 1 << literal_key(v), 1 << literal_key(-v))
+              for v in range(1, n + 1)]
     while frontier:
         c = frontier.pop()
-        for v in range(1, n + 1):
-            if v in c or -v in c:
+        for both, pos, neg in phases:
+            if c & both:
                 continue
-            for lit in (v, -v):
-                weakened = c | {lit}
+            for weakened in (c | pos, c | neg):
                 if weakened not in closure:
                     closure.add(weakened)
-                    if len(weakened) < width:
+                    if weakened.bit_count() < width:
                         frontier.append(weakened)
-    return {Clause.from_signed(c) for c in closure}
+
+    # literal[b] is the literal whose literal_key is b.
+    literal = [-(b >> 1) if b & 1 else b >> 1 for b in range(2 * n + 2)]
+    out: set[Clause] = set()
+    for c in closure:
+        lits = []
+        while c:
+            bit = c & -c
+            lits.append(literal[bit.bit_length() - 1])
+            c ^= bit
+        out.add(Clause(tuple(lits)))
+    return out

@@ -111,6 +111,22 @@ def test_proof_rules_are_validated_once(tmp_path, php_files, monkeypatch, comman
     assert len(calls) == 1
 
 
+def test_gen_php_builds_the_formula_once(tmp_path, monkeypatch):
+    from circres import generators
+
+    original = generators.gen_php
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(generators, "gen_php", counting)
+    monkeypatch.chdir(tmp_path)
+    assert run(["gen-php", "--complete", 3]) == 0
+    assert len(calls) == 1
+
+
 def test_check_parse_error(tmp_path):
     bad = tmp_path / "bad.cres"
     bad.write_text("p cres 1 1\nf 0 1 0\ni 0 zap 1 0\ng 0\n")
@@ -192,7 +208,10 @@ def test_translate_empty_goal_that_is_a_hypothesis(tmp_path, capsys):
     sap = tmp_path / "empty.sap"
     sap.write_text("p sap 0 1\nh 0\ng 0\nt 1 ; H 1\n")
     assert run(["translate", "s2c", sap]) == 0
-    assert capsys.readouterr().err == ""
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == (f"wrote {sap.with_suffix('.cres')}: width 1 == degree 0 + 1 "
+                   "(padding split): True; length 6, monomial size 1\n")
     graph, flow = parse_cres(sap.with_suffix(".cres").read_text())
     assert graph.goal_clause() == Clause(())
     assert flow is not None

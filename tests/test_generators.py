@@ -46,6 +46,8 @@ def test_gen_php_isolated_pigeon():
     g = BipartiteGraph(2, 1, frozenset({(1, 1)}))
     with pytest.raises(IsolatedVertexError):
         gen_php(g)
+    with pytest.raises(IsolatedVertexError, match="pigeon 2"):
+        php_refutation(g)
 
 
 def test_gen_php_satisfiable_with_matching():
@@ -81,6 +83,15 @@ def test_php_refutation_balance_and_sources():
             if bal[v.id] < 0:
                 assert v.clause in php_clauses
         assert graph.width <= g.max_degree()
+
+
+def test_php_refutation_marks_the_formula_as_hypotheses():
+    graphs = [complete_bipartite(n + 1, n) for n in (1, 2, 3, 4)]
+    graphs += [near_cubic_bipartite(n, seed) for n, seed in [(3, 0), (5, 2), (6, 1)]]
+    graphs.append(BipartiteGraph(3, 2, frozenset({(1, 1), (2, 1), (3, 1)})))
+    for g in graphs:
+        graph, _ = php_refutation(g)
+        assert set(graph.hypothesis_clauses()) == set(gen_php(g).clauses)
 
 
 def test_php_refutation_sparse_graph():

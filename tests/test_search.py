@@ -365,6 +365,30 @@ def test_saturate_matches_weakening_closure_on_random_cnfs():
                 [str(c) for c in cnf.clauses], width)
 
 
+def test_saturate_matches_weakening_closure_past_64_bits():
+    # The saturation keeps x_v at bit 2v of a clause mask and ~x_v at bit
+    # 2v + 1, so variables from 32 up sit past the first 64 bits.  Clauses
+    # mix variables on both sides of that line; widths stay at 2 or less to
+    # keep the reference cheap.
+    rng = random.Random(64)
+    cases = [
+        CnfFormula.of(40, [clause(40), clause(-40, 33), clause(-33)]),
+        # Each resolvent is a tautology on a variable at the 64-bit line.
+        CnfFormula.of(40, [clause(32, 33), clause(-32, -33)]),
+    ]
+    for _ in range(20):
+        n = rng.randint(33, 40)
+        cases.append(CnfFormula.of(n, [
+            Clause.from_signed(rng.choice((1, -1)) * rng.randint(24, n)
+                               for _ in range(rng.randint(1, 2)))
+            for _ in range(rng.randint(1, 8))
+        ]))
+    for cnf in cases:
+        for width in range(max(c.width for c in cnf.clauses), 3):
+            assert daglike_width_saturate(cnf, width) == _weakening_closure(cnf, width), (
+                [str(c) for c in cnf.clauses], width)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_saturate_matches_weakening_closure_on_near_cubic(seed):
     cnf = gen_php(near_cubic_bipartite(4, seed))
@@ -385,3 +409,17 @@ def test_width_three_separation(n, seed):
     graph, flow = php_refutation(g)
     assert graph.width <= 3
     assert verify_flow(graph, flow, graph.goal_id)
+
+
+def test_width_three_closure_at_15_1():
+    # Closure sizes of the (15, 1) instance, alone and with pigeon clause 0
+    # or 5 dropped, and the whole closure against the reference.
+    cnf = gen_php(near_cubic_bipartite(15, 1))
+    closures = {
+        dropped: daglike_width_saturate(CnfFormula.of(
+            cnf.num_variables, [c for i, c in enumerate(cnf.clauses) if i != dropped]
+        ), 3)
+        for dropped in (None, 0, 5)
+    }
+    assert {d: len(c) for d, c in closures.items()} == {None: 6981, 0: 6873, 5: 6927}
+    assert closures[None] == _weakening_closure(cnf, 3)
