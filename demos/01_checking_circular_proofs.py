@@ -10,7 +10,6 @@ graph and runs the exact-arithmetic certifier on them.
 
 from circres import (
     Clause,
-    FlowAssignment,
     ProofGraphBuilder,
     balances,
     export_dot,
@@ -21,7 +20,7 @@ from circres import (
 
 
 def show(graph, flow=None):
-    bal = balances(graph, flow.flows) if flow else None
+    bal = balances(graph, flow) if flow else None
     for v in graph.formula_vertices:
         marks = []
         if v.id in graph.hypothesis_ids:
@@ -44,10 +43,9 @@ b.mark_hypothesis(left)
 b.mark_hypothesis(right)
 goal = b.cut(left, right, Clause.from_ints(2), principal=1)
 b.set_goal(goal)
-graph, flows = b.build()
-flow = FlowAssignment(flows)
+graph, flow = b.build()
 show(graph, flow)
-print(f"verify_flow: {verify_flow(graph, flow, graph.goal_id)}")
+print(f"verify_flow: {verify_flow(graph, flow)}")
 print()
 
 print("The unsound cycle: empty clause from no hypotheses.")
@@ -56,8 +54,6 @@ cycle = unsound_cycle_example()
 show(cycle)
 report = find_witness(cycle)
 print(f"find_witness -> witnessed = {report.witnessed}")
-for message in report.violations:
-    print(f"  {message}")
 print()
 print("DOT rendering of the unsound cycle (paste into graphviz):")
 print(export_dot(cycle))

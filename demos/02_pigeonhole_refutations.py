@@ -25,7 +25,7 @@ for n in range(2, 11):
     g = complete_bipartite(n + 1, n)
     cnf = gen_php(g)
     graph, flow = php_refutation(g)
-    assert verify_flow(graph, flow, graph.goal_id)
+    assert verify_flow(graph, flow)
     bal = balances(graph, flow)[graph.goal_id]
     print(f"{n:>6} {len(cnf.clauses):>8} {graph.length:>7} {graph.width:>6} {str(bal):>13}")
 
@@ -34,7 +34,7 @@ print("Sparse instances keep the width at the graph degree:")
 for n in (4, 6, 8):
     g = near_cubic_bipartite(n, seed=1)
     graph, flow = php_refutation(g)
-    assert verify_flow(graph, flow, graph.goal_id)
+    assert verify_flow(graph, flow)
     print(
         f"  {n + 1} pigeons, {n} holes, max degree {g.max_degree()}: "
         f"length {graph.length}, width {graph.width}"

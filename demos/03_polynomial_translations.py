@@ -27,7 +27,7 @@ for n in (2, 3, 4, 5):
     assert check_sa(proof)
     degree = sa_degree(proof)
     back, back_flow = sa_to_circular(proof)
-    assert verify_flow(back, back_flow, back.goal_id)
+    assert verify_flow(back, back_flow)
     print(
         f"{n:>6} {graph.width:>6} {degree:>7} {sa_monomial_size(proof):>7} "
         f"{3 * graph.length:>7} {back.width:>11}"
@@ -43,7 +43,7 @@ for seed in range(40):
     proof = circular_to_sa(graph, flow)
     assert check_sa(proof)
     back, back_flow = sa_to_circular(proof)
-    assert verify_flow(back, back_flow, back.goal_id)
+    assert verify_flow(back, back_flow)
     assert sa_degree(proof) == graph.width == back.width
     matches += 1
 print(f"  width == degree held exactly on all {matches} translatable samples")

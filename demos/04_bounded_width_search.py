@@ -26,7 +26,7 @@ print("Unit contradiction at width 1:")
 cnf = CnfFormula.of(1, [Clause.from_ints(1), Clause.from_ints(-1)])
 graph, flow = circular_search(cnf, Clause(()), width=1)
 print(f"  found length-{graph.length} refutation, verified: "
-      f"{verify_flow(graph, flow, graph.goal_id)}")
+      f"{verify_flow(graph, flow)}")
 
 print()
 print("A satisfiable formula is never refuted, at any width:")
@@ -44,7 +44,7 @@ result = circular_search(php, Clause(()), width=3)
 graph, flow = result
 print(
     f"  found width-{graph.width} refutation of length {graph.length} "
-    f"in {time.time() - t0:.1f}s, verified: {verify_flow(graph, flow, graph.goal_id)}"
+    f"in {time.time() - t0:.1f}s, verified: {verify_flow(graph, flow)}"
 )
 
 print()

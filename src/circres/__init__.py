@@ -35,7 +35,6 @@ from .proofgraph import (
     ProofGraph,
     ProofGraphBuilder,
     Rule,
-    balance,
     balances,
     export_dot,
     sources_and_sinks,

@@ -84,17 +84,17 @@ def cmd_check(args) -> int:
         graph = dataclasses.replace(graph, goal_id=min(candidates))
 
     report = find_witness(graph, file_flow)
-    flow = report.flow
+    graph, flow = report.graph, report.flow
     if file_flow is not None and flow is file_flow:
         print("WITNESSED (supplied flows verified)")
     else:
         if file_flow is not None:
             print("supplied flows rejected: they do not witness the proof; "
                   "solving the flow program instead")
-        print("WITNESSED" if report.witnessed else "NOT-WITNESSED")
-        for v in report.violations:
-            print(f"  {v}")
-    if flow is not None:
+        print("WITNESSED" if flow is not None else "NOT-WITNESSED")
+    if flow is None:
+        print(f"  no flow assignment witnesses goal clause {graph.goal_clause()}")
+    else:
         print(f"goal balance {report.balances[graph.goal_id]}")
         for w in sorted(graph.inference_vertices, key=lambda w: w.id):
             print(f"w {w.id} {flow[w.id]}")
@@ -173,6 +173,7 @@ def cmd_translate(args) -> int:
         if not report.witnessed:
             print("error: input proof is not witnessed", file=sys.stderr)
             return EXIT_INPUT
+        graph = report.graph
         proof = sa.circular_to_sa(graph, report.flow)
         if not sa.check_sa(proof):
             raise AssertionError("translated polynomial proof fails its checker")

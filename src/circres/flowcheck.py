@@ -15,14 +15,16 @@ artifacts that make soundness auditable:
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import lp
 from .core import Assignment, evaluate
 from .proofgraph import (
+    FlowAssignment,
     IncompleteFlowError,
     ProofGraph,
     RuleViolation,
@@ -48,47 +50,22 @@ class PreconditionError(ValueError):
 
 
 @dataclass(frozen=True)
-class FlowAssignment:
-    """Positive rational flow per inference vertex id."""
-
-    flows: dict[int, Fraction]
-
-    def __getitem__(self, iid: int) -> Fraction:
-        try:
-            return self.flows[iid]
-        except KeyError:
-            raise IncompleteFlowError(f"no flow for inference vertex {iid}") from None
-
-    def __contains__(self, iid: int) -> bool:
-        return iid in self.flows
-
-    def is_total(self, graph: ProofGraph) -> bool:
-        return all(w.id in self.flows for w in graph.inference_vertices)
-
-    def is_positive(self) -> bool:
-        return all(f > 0 for f in self.flows.values())
-
-    def is_integral(self) -> bool:
-        return all(f.denominator == 1 for f in self.flows.values())
-
-    def total(self) -> Fraction:
-        return sum(self.flows.values(), Fraction(0))
-
-    @staticmethod
-    def uniform(graph: ProofGraph, value: Fraction | int = 1) -> "FlowAssignment":
-        return FlowAssignment({w.id: Fraction(value) for w in graph.inference_vertices})
-
-
-@dataclass(frozen=True)
 class CheckReport:
-    witnessed: bool
+    """What :func:`find_witness` certified: ``graph`` with ``goal_id`` at the
+    witnessed vertex, its witness ``flow`` (``None`` when there is none) and
+    the balances under that flow."""
+
+    graph: ProofGraph
     flow: Optional[FlowAssignment]
-    balances: dict[int, Fraction] = field(default_factory=dict)
-    violations: list[str] = field(default_factory=list)
+    balances: dict[int, Fraction]
+
+    @property
+    def witnessed(self) -> bool:
+        return self.flow is not None
 
 
-def _witness_program(graph: ProofGraph, goal_vertex: int) -> tuple[lp.LinearProgram, list[int]]:
-    """Feasibility program for flows witnessing a proof at ``goal_vertex``.
+def _witness_program(graph: ProofGraph) -> tuple[lp.LinearProgram, list[int]]:
+    """Feasibility program for flows witnessing a proof at ``graph.goal_id``.
 
     Rows: goal balance >= 1; balance >= 0 for every non-hypothesis,
     non-goal formula vertex; each flow variable >= 1.
@@ -107,9 +84,9 @@ def _witness_program(graph: ProofGraph, goal_vertex: int) -> tuple[lp.LinearProg
         for u in w.in_neighbors:
             rowmap[u][k] = rowmap[u].get(k, 0) - 1
 
-    program.add_geq(rowmap[goal_vertex], 1)
+    program.add_geq(rowmap[graph.goal_id], 1)
     for v in graph.formula_vertices:
-        if v.id == goal_vertex:
+        if v.id == graph.goal_id:
             continue
         if v.clause in hyp_clauses:
             continue
@@ -119,39 +96,46 @@ def _witness_program(graph: ProofGraph, goal_vertex: int) -> tuple[lp.LinearProg
     return program, order
 
 
+def _goal_candidates(graph: ProofGraph) -> Iterator[ProofGraph]:
+    """``graph`` itself, then ``graph`` with its goal moved to each other
+    vertex that carries the goal clause, in id order."""
+    yield graph
+    goal_clause = graph.goal_clause()
+    for v in sorted(graph.formula_vertices, key=lambda v: v.id):
+        if v.clause == goal_clause and v.id != graph.goal_id:
+            yield dataclasses.replace(graph, goal_id=v.id)
+
+
 def find_witness(graph: ProofGraph, flow: Optional[FlowAssignment] = None) -> CheckReport:
     """Certify a proof graph: validate its rules once, then find a witness.
 
-    Raises :class:`ValidationError` on rule violations.  A supplied ``flow``
-    that :func:`verify_flow` accepts at ``graph.goal_id`` is reported as the
-    witness itself (``report.flow is flow``), with no solver call.  Otherwise,
-    as when no flow is supplied, the flow program is solved by exact linear
-    feasibility: the goal clause may label several vertices, each is tried in
-    id order and the first success is reported.
+    Raises :class:`ValidationError` on rule violations.  The goal clause may
+    label several vertices; the marked goal is tried first, then the others
+    in id order, and ``report.graph`` has its goal at the first one
+    witnessed.  A supplied ``flow`` that :func:`verify_flow` accepts at some
+    candidate is reported as the witness itself (``report.flow is flow``),
+    with no solver call.  Otherwise, as when no flow is supplied, each
+    candidate's flow program is solved by exact linear feasibility.
     """
     problems = validate_rules(graph)
     if problems:
         raise ValidationError(problems)
-    if flow is not None and verify_flow(graph, flow, graph.goal_id):
-        return CheckReport(True, flow, balances(graph, flow))
-    goal_clause = graph.goal_clause()
-    candidates = sorted(
-        v.id for v in graph.formula_vertices if v.clause == goal_clause
-    )
-    for a in candidates:
-        program, order = _witness_program(graph, a)
+    if flow is not None:
+        for candidate in _goal_candidates(graph):
+            if verify_flow(candidate, flow):
+                return CheckReport(candidate, flow, balances(candidate, flow))
+    for candidate in _goal_candidates(graph):
+        program, order = _witness_program(candidate)
         point = lp.feasible(program)
         if point is not None:
-            flow = FlowAssignment({iid: point[k] for k, iid in enumerate(order)})
-            return CheckReport(True, flow, balances(graph, flow))
-    return CheckReport(
-        False, None, {}, [f"no flow assignment witnesses goal clause {goal_clause}"]
-    )
+            found = FlowAssignment({iid: point[k] for k, iid in enumerate(order)})
+            return CheckReport(candidate, found, balances(candidate, found))
+    return CheckReport(graph, None, {})
 
 
-def verify_flow(graph: ProofGraph, flow: FlowAssignment, goal_id: int) -> bool:
+def verify_flow(graph: ProofGraph, flow: FlowAssignment) -> bool:
     """Arithmetic re-check, no solver: positive total flow, hypothesis-only
-    sources, strictly positive goal balance."""
+    sources, strictly positive balance at ``graph.goal_id``."""
     if not flow.is_total(graph):
         raise IncompleteFlowError("flow assignment does not cover all inference vertices")
     if not flow.is_positive():
@@ -161,21 +145,16 @@ def verify_flow(graph: ProofGraph, flow: FlowAssignment, goal_id: int) -> bool:
     for v in graph.formula_vertices:
         if bal[v.id] < 0 and v.clause not in hyp_clauses:
             return False
-    return bal[goal_id] > 0
+    return bal[graph.goal_id] > 0
 
 
-def integralize(graph: ProofGraph, flow: FlowAssignment,
-                goal_id: Optional[int] = None) -> FlowAssignment:
+def integralize(graph: ProofGraph, flow: FlowAssignment) -> FlowAssignment:
     """Scale a witnessing flow to positive integers.
 
     Uniform positive scaling by the common denominator preserves the sign of
     every balance, hence the source and sink sets.
     """
-    if not flow.is_total(graph):
-        raise IncompleteFlowError("flow assignment does not cover all inference vertices")
-    if not flow.is_positive():
-        raise NotWitnessError("flows must be strictly positive")
-    if goal_id is not None and not verify_flow(graph, flow, goal_id):
+    if not verify_flow(graph, flow):
         raise NotWitnessError("flow assignment does not witness the proof")
     scale = math.lcm(*(f.denominator for f in flow.flows.values())) if flow.flows else 1
     return FlowAssignment({iid: f * scale for iid, f in flow.flows.items()})
@@ -206,7 +185,7 @@ def _trace_with_stats(graph: ProofGraph, integral_flow: FlowAssignment,
         raise PreconditionError("assignment satisfies the sink clause")
 
     flows = dict(integral_flow.flows)
-    bal = balances(graph, flows)
+    bal = balances(graph, integral_flow)
     if bal[sink_id] <= 0:
         raise PreconditionError("sink vertex must have strictly positive balance")
 
@@ -261,15 +240,16 @@ class DualCertificate:
     rule_multipliers: dict[int, Fraction]
 
 
-def dual_certificate(graph: ProofGraph, flow: FlowAssignment, goal_id: int) -> DualCertificate:
+def dual_certificate(graph: ProofGraph, flow: FlowAssignment) -> DualCertificate:
     """Multipliers ``balance(u)/balance(goal)`` and ``flow(w)/balance(goal)``.
 
     Sources take weight ``-balance/balance(goal)`` so every multiplier is
     nonnegative; :func:`verify_dual_certificate` checks the combination.
     """
-    if not verify_flow(graph, flow, goal_id):
+    if not verify_flow(graph, flow):
         raise NotWitnessError("flow assignment does not witness the proof")
     bal = balances(graph, flow)
+    goal_id = graph.goal_id
     bs = bal[goal_id]
     sources = frozenset(u for u, b in bal.items() if b < 0)
     b_mult = {

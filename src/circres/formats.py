@@ -39,11 +39,11 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import Clause, CnfFormula
-from .flowcheck import FlowAssignment
 from .proofgraph import (
     AXIOM,
     CUT,
     SPLIT,
+    FlowAssignment,
     FormulaVertex,
     InferenceVertex,
     ProofGraph,
@@ -174,6 +174,8 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[FlowAssignment]]:
     for no, tokens in _lines(text):
         tag = tokens[0]
         if tag == "p":
+            if declared is not None:
+                raise ParseError(no, "duplicate header")
             if len(tokens) != 4 or tokens[1] != "cres":
                 raise ParseError(no, "header must be 'p cres <#f> <#i>'")
             declared = (_int(tokens[2], no), _int(tokens[3], no))
@@ -321,9 +323,12 @@ def parse_sap(text: str) -> SAProof:
     hyps: list[Clause] = []
     goal: Optional[Clause] = None
     terms: list[SATerm] = []
+    hyp_refs: list[tuple[int, int]] = []  # (line, index) of each 'H i'
     for no, tokens in _lines(text):
         tag = tokens[0]
         if tag == "p":
+            if num_vars is not None:
+                raise ParseError(no, "duplicate header")
             if len(tokens) != 4 or tokens[1] != "sap":
                 raise ParseError(no, "header must be 'p sap <#vars> <#hyps>'")
             num_vars, expected_hyps = _int(tokens[2], no), _int(tokens[3], no)
@@ -353,6 +358,7 @@ def parse_sap(text: str) -> SAProof:
                 if len(ref_tokens) != 2:
                     raise ParseError(no, "hypothesis reference is 'H <index>'")
                 kind, index = HYPOTHESIS, _int(ref_tokens[1], no)
+                hyp_refs.append((no, index))
             elif ref_tokens[0] == "B":
                 if len(ref_tokens) < 2 or ref_tokens[1] not in _NAME_BASICS:
                     raise ParseError(no, f"unknown basic reference {ref_tokens[1:]!r}")
@@ -383,6 +389,9 @@ def parse_sap(text: str) -> SAProof:
             header_line,
             f"header declares {expected_hyps} hypotheses but file has {len(hyps)}",
         )
+    for no, index in hyp_refs:
+        if index > len(hyps):
+            raise ParseError(no, f"hypothesis index {index} out of range 1..{len(hyps)}")
     return SAProof(num_vars, tuple(hyps), goal, tuple(terms))
 
 

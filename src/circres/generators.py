@@ -23,10 +23,10 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import Clause, CnfFormula
-from .flowcheck import FlowAssignment
 from .proofgraph import (
     CUT,
     SPLIT,
+    FlowAssignment,
     ProofGraph,
     ProofGraphBuilder,
 )
@@ -197,8 +197,7 @@ def php_refutation(g: BipartiteGraph) -> tuple[ProofGraph, FlowAssignment]:
     b.mark_hypotheses(hypotheses)
     goal = b.vertex(Clause(()))
     b.set_goal(goal)
-    graph, flows = b.build()
-    return graph, FlowAssignment(flows)
+    return b.build()
 
 
 def near_cubic_bipartite(n: int, seed: int) -> BipartiteGraph:
@@ -255,11 +254,11 @@ def unsound_cycle_example() -> ProofGraph:
 # ---------------------------------------------------------------------------
 # random witnessed proofs
 
-def _demand_flows(graph: ProofGraph, goal_id: int) -> dict[int, Fraction]:
+def _demand_flows(graph: ProofGraph) -> FlowAssignment:
     """Flows for a dag-built graph: walk inferences newest-first, covering the
     accumulated demand of each consequent (at least 1 everywhere)."""
     deficit = {v.id: Fraction(0) for v in graph.formula_vertices}
-    deficit[goal_id] = Fraction(1)
+    deficit[graph.goal_id] = Fraction(1)
     flows: dict[int, Fraction] = {}
     for w in sorted(graph.inference_vertices, key=lambda w: -w.id):
         need = max([deficit[u] for u in w.out_neighbors] + [Fraction(1)])
@@ -268,7 +267,7 @@ def _demand_flows(graph: ProofGraph, goal_id: int) -> dict[int, Fraction]:
             deficit[u] -= need
         for u in w.in_neighbors:
             deficit[u] += need
-    return flows
+    return FlowAssignment(flows)
 
 
 # Far above the longest stall of a run that finishes: under 170 draws in a row
@@ -303,7 +302,7 @@ def random_circular_proof(
         out = b.axiom(rng.randint(1, num_vars))
         b.set_goal(out)
         graph, _ = b.build()
-        return graph, FlowAssignment(_demand_flows(graph, graph.goal_id))
+        return graph, _demand_flows(graph)
 
     # Hypotheses: a few short proper clauses.
     hyp_width = max(1, min(max_width - 1, 2))
@@ -398,8 +397,7 @@ def random_circular_proof(
         fresh = b.vertex(c, fresh=True)
         b.inference(SPLIT, abs(c.literals[0]), (fid,), (fresh,))
         goal_candidates = [fresh]
-    goal_id = goal_candidates[-1]
-    b.set_goal(goal_id)
+    b.set_goal(goal_candidates[-1])
 
     if want_pump:
         pumpable = [
@@ -421,5 +419,4 @@ def random_circular_proof(
     graph, _ = b.build()
     # Demand propagation assigns the pump pair equal flows on its own, so the
     # cycle stays balance-neutral.
-    flows = _demand_flows(graph, goal_id)
-    return graph, FlowAssignment(flows)
+    return graph, _demand_flows(graph)

@@ -1,5 +1,5 @@
 """Circular pre-proof graphs: rules axiom / symmetric cut / split, plus local
-rule validation, balances, and DOT export.
+rule validation, flow assignments and their balances, and DOT export.
 
 A proof graph is a directed bipartite graph between formula vertices (each
 holding a clause) and inference vertices (each holding a rule).  Cycles are
@@ -131,10 +131,6 @@ class ProofGraph:
         """Inference vertices with an edge into formula vertex ``fid``."""
         return self._producer_map.get(fid, ())
 
-    def consumers(self, fid: int) -> tuple[int, ...]:
-        """Inference vertices consuming formula vertex ``fid``."""
-        return self._consumer_map.get(fid, ())
-
     @property
     def _producer_map(self) -> dict[int, tuple[int, ...]]:
         m = getattr(self, "_pmap", None)
@@ -145,18 +141,6 @@ class ProofGraph:
                     acc.setdefault(u, []).append(w.id)
             m = {u: tuple(ws) for u, ws in acc.items()}
             object.__setattr__(self, "_pmap", m)
-        return m
-
-    @property
-    def _consumer_map(self) -> dict[int, tuple[int, ...]]:
-        m = getattr(self, "_cmap", None)
-        if m is None:
-            acc: dict[int, list[int]] = {}
-            for w in self.inference_vertices:
-                for u in w.in_neighbors:
-                    acc.setdefault(u, []).append(w.id)
-            m = {u: tuple(ws) for u, ws in acc.items()}
-            object.__setattr__(self, "_cmap", m)
         return m
 
     def hypothesis_clauses(self) -> frozenset[Clause]:
@@ -241,32 +225,43 @@ def validate_rules(graph: ProofGraph) -> list[RuleViolation]:
     return out
 
 
-def _flow_value(flows, iid: int) -> Fraction:
-    mapping = getattr(flows, "flows", flows)
-    try:
-        return Fraction(mapping[iid])
-    except KeyError:
-        raise IncompleteFlowError(f"no flow assigned to inference vertex {iid}") from None
+@dataclass(frozen=True)
+class FlowAssignment:
+    """Positive rational flow per inference vertex id."""
+
+    flows: dict[int, Fraction]
+
+    def __getitem__(self, iid: int) -> Fraction:
+        try:
+            return self.flows[iid]
+        except KeyError:
+            raise IncompleteFlowError(f"no flow for inference vertex {iid}") from None
+
+    def __contains__(self, iid: int) -> bool:
+        return iid in self.flows
+
+    def is_total(self, graph: ProofGraph) -> bool:
+        return all(w.id in self.flows for w in graph.inference_vertices)
+
+    def is_positive(self) -> bool:
+        return all(f > 0 for f in self.flows.values())
+
+    def is_integral(self) -> bool:
+        return all(f.denominator == 1 for f in self.flows.values())
+
+    def total(self) -> Fraction:
+        return sum(self.flows.values(), Fraction(0))
+
+    @staticmethod
+    def uniform(graph: ProofGraph, value: Fraction | int = 1) -> "FlowAssignment":
+        return FlowAssignment({w.id: Fraction(value) for w in graph.inference_vertices})
 
 
-def balance(graph: ProofGraph, flows, vertex_id: int) -> Fraction:
-    """Inflow minus outflow of formula vertex ``vertex_id`` under ``flows``.
-
-    ``flows`` may be a plain mapping from inference id to number or a
-    :class:`circres.flowcheck.FlowAssignment`.
-    """
-    if vertex_id not in graph._formula_map:
-        raise StructureError(f"no formula vertex with id {vertex_id}")
-    inflow = sum((_flow_value(flows, w) for w in graph.producers(vertex_id)), Fraction(0))
-    outflow = sum((_flow_value(flows, w) for w in graph.consumers(vertex_id)), Fraction(0))
-    return inflow - outflow
-
-
-def balances(graph: ProofGraph, flows) -> dict[int, Fraction]:
-    """Balance of every formula vertex, computed in one sweep."""
+def balances(graph: ProofGraph, flow: FlowAssignment) -> dict[int, Fraction]:
+    """Inflow minus outflow of every formula vertex, computed in one sweep."""
     acc = {v.id: Fraction(0) for v in graph.formula_vertices}
     for w in graph.inference_vertices:
-        f = _flow_value(flows, w.id)
+        f = flow[w.id]
         for u in w.out_neighbors:
             acc[u] += f
         for u in w.in_neighbors:
@@ -274,9 +269,10 @@ def balances(graph: ProofGraph, flows) -> dict[int, Fraction]:
     return acc
 
 
-def sources_and_sinks(graph: ProofGraph, flows) -> tuple[frozenset[int], frozenset[int]]:
+def sources_and_sinks(graph: ProofGraph,
+                      flow: FlowAssignment) -> tuple[frozenset[int], frozenset[int]]:
     """Partition formula vertices by balance sign; zero-balance vertices in neither."""
-    bal = balances(graph, flows)
+    bal = balances(graph, flow)
     sources = frozenset(u for u, b in bal.items() if b < 0)
     sinks = frozenset(u for u, b in bal.items() if b > 0)
     return sources, sinks
@@ -286,10 +282,10 @@ def _dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def export_dot(graph: ProofGraph, flows=None) -> str:
+def export_dot(graph: ProofGraph, flow: Optional[FlowAssignment] = None) -> str:
     """Render the graph as a DOT digraph.
 
-    Formula vertices are boxes, inference vertices circles; when ``flows`` is
+    Formula vertices are boxes, inference vertices circles; when ``flow`` is
     given each inference vertex is labelled with its flow.
     """
     lines = ["digraph proof {"]
@@ -303,8 +299,8 @@ def export_dot(graph: ProofGraph, flows=None) -> str:
         lines.append(f"  f{v.id} [shape=box, label={_dot_quote(label)}];")
     for w in graph.inference_vertices:
         label = f"{w.rule.kind} x{w.rule.principal}"
-        if flows is not None:
-            label += f"\\nflow={_flow_value(flows, w.id)}"
+        if flow is not None:
+            label += f"\\nflow={flow[w.id]}"
         lines.append(f"  i{w.id} [shape=circle, label={_dot_quote(label)}];")
     for w in graph.inference_vertices:
         for u in w.in_neighbors:
@@ -415,7 +411,7 @@ class ProofGraphBuilder:
     def num_inferences(self) -> int:
         return len(self._inferences)
 
-    def build(self) -> tuple[ProofGraph, dict[int, Fraction]]:
+    def build(self) -> tuple[ProofGraph, FlowAssignment]:
         if self._goal is None:
             raise ValueError("goal vertex was never set")
         graph = ProofGraph(
@@ -424,4 +420,4 @@ class ProofGraphBuilder:
             frozenset(self._hypotheses),
             self._goal,
         )
-        return graph, dict(self._flows)
+        return graph, FlowAssignment(dict(self._flows))

@@ -46,8 +46,8 @@ from typing import Optional
 
 from . import lp
 from .core import Clause, CnfFormula, literal_key
-from .flowcheck import FlowAssignment, verify_flow
-from .proofgraph import ProofGraph, ProofGraphBuilder
+from .flowcheck import verify_flow
+from .proofgraph import FlowAssignment, ProofGraph, ProofGraphBuilder
 
 DEFAULT_ROW_BUDGET = 2_000_000
 
@@ -219,9 +219,8 @@ def _pruned(values, goal: Clause, hyp_clauses) -> tuple[ProofGraph, FlowAssignme
         else:
             builder.split(builder.vertex(d), x, flow=-value)
     builder.mark_hypotheses(hyp_clauses)
-    graph, flows = builder.build()
-    flow = FlowAssignment(flows)
-    if not verify_flow(graph, flow, graph.goal_id):
+    graph, flow = builder.build()
+    if not verify_flow(graph, flow):
         raise AssertionError("search solution fails its own flow check")
     return graph, flow
 

@@ -36,11 +36,12 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .core import Clause, literal_key
-from .flowcheck import FlowAssignment, NotWitnessError, verify_flow
+from .flowcheck import NotWitnessError, verify_flow
 from .proofgraph import (
     AXIOM,
     CUT,
     SPLIT,
+    FlowAssignment,
     ProofGraph,
     ProofGraphBuilder,
     balances,
@@ -500,7 +501,7 @@ def circular_to_sa(graph: ProofGraph, flow: FlowAssignment) -> SAProof:
     for h in hyp_clauses:
         if h.is_tautological:
             raise TautologicalClauseError(f"tautological hypothesis {h}")
-    if not verify_flow(graph, flow, goal_id):
+    if not verify_flow(graph, flow):
         raise NotWitnessError("flow assignment does not witness the proof")
     hyp_index = {h: i + 1 for i, h in enumerate(hyp_clauses)}
     elementary = {
@@ -657,23 +658,19 @@ def sa_to_circular(proof: SAProof) -> tuple[ProofGraph, FlowAssignment]:
 
     b.mark_hypotheses(hyp_set)
     b.set_goal(goal_vertex)
-    graph, flows = b.build()
-    flow = FlowAssignment(flows)
-    if graph.inference_vertices and verify_flow(graph, flow, goal_vertex):
+    graph, flow = b.build()
+    if graph.inference_vertices and verify_flow(graph, flow):
         return graph, flow
     if proof.goal not in hyp_set:
         raise InconsistencyError("normalized terms do not yield a witnessing flow for the goal")
-    graph, flows, goal_vertex = _pad_identity(
-        b, proof, goal_vertex, max(identity_budget, Fraction(1))
-    )
-    flow = FlowAssignment(flows)
-    if not verify_flow(graph, flow, goal_vertex):
+    graph, flow = _pad_identity(b, proof, max(identity_budget, Fraction(1)))
+    if not verify_flow(graph, flow):
         raise InconsistencyError("translated graph fails its own flow check")
     return graph, flow
 
 
-def _pad_identity(b: ProofGraphBuilder, proof: SAProof, hyp_vertex: int,
-                  amount: Fraction) -> tuple[ProofGraph, dict, int]:
+def _pad_identity(b: ProofGraphBuilder, proof: SAProof,
+                  amount: Fraction) -> tuple[ProofGraph, FlowAssignment]:
     """Route flow from a hypothesis copy of the goal to a distinct goal vertex.
 
     Used when the goal is itself a hypothesis and the term list produced no
@@ -683,6 +680,7 @@ def _pad_identity(b: ProofGraphBuilder, proof: SAProof, hyp_vertex: int,
     goal positive balance while keeping every other balance intact.
     """
     goal = proof.goal
+    hyp_vertex = b.lookup(goal)
     fresh_goal = b.vertex(goal, fresh=True)
     if goal.literals:
         b.inference(SPLIT, abs(goal.literals[0]), (hyp_vertex,), (fresh_goal,), flow=amount)
@@ -692,5 +690,4 @@ def _pad_identity(b: ProofGraphBuilder, proof: SAProof, hyp_vertex: int,
         b.inference(SPLIT, 1, (hyp_vertex,), (pos, neg), flow=amount)
         b.inference(CUT, 1, (pos, neg), (fresh_goal,), flow=amount)
     b.set_goal(fresh_goal)
-    graph, flows = b.build()
-    return graph, flows, fresh_goal
+    return b.build()

@@ -131,7 +131,7 @@ def test_criterion_03_width_degree_exactness(php_proofs, random_proofs):
         assert degree == graph.width, (degree, graph.width)
         assert sa_monomial_size(proof) <= 3 * graph.length
         g2, f2 = sa_to_circular(proof)
-        assert verify_flow(g2, f2, g2.goal_id)
+        assert verify_flow(g2, f2)
         assert g2.width == degree, (g2.width, degree)
     print(
         f"criterion 3: PASS - degree == width exactly on {len(cases)} proofs "
@@ -142,7 +142,7 @@ def test_criterion_03_width_degree_exactness(php_proofs, random_proofs):
 def test_criterion_04_soundness_fuzz(random_proofs):
     start = time.monotonic()
     for seed, (graph, flow) in enumerate(random_proofs):
-        assert verify_flow(graph, flow, graph.goal_id), seed
+        assert verify_flow(graph, flow), seed
         hyp = CnfFormula.of(
             RANDOM_VARS,
             sorted(graph.hypothesis_clauses(), key=lambda c: tuple(sorted(c.signed()))),
@@ -165,7 +165,7 @@ def test_criterion_05_tracer_totality(random_proofs):
         goal = graph.goal_clause()
         if goal.is_tautological:
             continue
-        integral = integralize(graph, flow, graph.goal_id)
+        integral = integralize(graph, flow)
         values = {v: rng.randint(0, 1) for v in range(1, RANDOM_VARS + 1)}
         for lit in goal.literals:
             values[abs(lit)] = 0 if lit > 0 else 1
@@ -187,13 +187,13 @@ def test_criterion_05_tracer_totality(random_proofs):
 def test_criterion_06_dual_certificates(php_proofs, random_proofs):
     count = 0
     for _, graph, flow in php_proofs.values():
-        cert = dual_certificate(graph, flow, graph.goal_id)
+        cert = dual_certificate(graph, flow)
         coeff, const = certificate_combination(graph, cert)
         assert all(c == 0 for c in coeff.values()) and const == Fraction(-1)
         assert verify_dual_certificate(graph, cert)
         count += 1
     for graph, flow in random_proofs:
-        cert = dual_certificate(graph, flow, graph.goal_id)
+        cert = dual_certificate(graph, flow)
         coeff, const = certificate_combination(graph, cert)
         assert all(c == 0 for c in coeff.values()) and const == Fraction(-1)
         count += 1
@@ -223,7 +223,7 @@ def test_criterion_07_width_separation():
     for n in (4, 5):
         g = near_cubic_bipartite(n, 0)
         res = circular_search(gen_php(g), Clause(()), 3)
-        circular_ok[n] = res is not None and verify_flow(res[0], res[1], res[0].goal_id)
+        circular_ok[n] = res is not None and verify_flow(res[0], res[1])
     elapsed = time.monotonic() - start
     assert all(circular_ok.values()), circular_ok
     assert elapsed < 600.0, f"took {elapsed:.1f}s"
@@ -271,13 +271,13 @@ def test_criterion_08_gadget_families():
 def test_criterion_09_integral_flows(php_proofs, random_proofs):
     checked = 0
     for _, graph, flow in php_proofs.values():
-        integral = integralize(graph, flow, graph.goal_id)
+        integral = integralize(graph, flow)
         bound = math.factorial(graph.length)
         assert all(f.denominator == 1 and 0 < f <= bound for f in integral.flows.values())
         assert sources_and_sinks(graph, flow) == sources_and_sinks(graph, integral)
         checked += 1
     for graph, flow in random_proofs[:200]:
-        integral = integralize(graph, flow, graph.goal_id)
+        integral = integralize(graph, flow)
         bound = math.factorial(graph.length)
         assert all(f.denominator == 1 and 0 < f <= bound for f in integral.flows.values())
         assert sources_and_sinks(graph, flow) == sources_and_sinks(graph, integral)

@@ -5,6 +5,7 @@ from circres.cli import main
 from circres.core import Clause
 from circres.formats import parse_cres, parse_dimacs, parse_sap, serialize_cres, serialize_dimacs
 from circres.generators import complete_bipartite, gen_php, unsound_cycle_example
+from circres.proofgraph import FormulaVertex, ProofGraph
 
 
 def run(argv):
@@ -215,6 +216,49 @@ def test_translate_empty_goal_that_is_a_hypothesis(tmp_path, capsys):
     graph, flow = parse_cres(sap.with_suffix(".cres").read_text())
     assert graph.goal_clause() == Clause(())
     assert flow is not None
+
+
+@pytest.mark.parametrize("flows", [True, False], ids=["flows", "no-flows"])
+def test_check_and_c2s_certify_the_witnessed_goal_copy(tmp_path, php_files, capsys, flows):
+    # The goal mark points at a second, isolated empty-clause vertex; both
+    # commands certify the first one, and check marks it in its DOT output.
+    cnf, proof = php_files
+    graph, flow = parse_cres(proof.read_text())
+    spare = len(graph.formula_vertices)
+    dup = tmp_path / "dup.cres"
+    dup.write_text(serialize_cres(
+        ProofGraph((*graph.formula_vertices, FormulaVertex(spare, Clause(()))),
+                   graph.inference_vertices, graph.hypothesis_ids, spare),
+        flow if flows else None,
+    ))
+    dot = tmp_path / "dup.dot"
+    assert run(["check", dup, cnf, "--dot", dot]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == [
+        "WITNESSED (supplied flows verified)" if flows else "WITNESSED", "goal balance 1",
+    ]
+    text = dot.read_text()
+    assert f'f{graph.goal_id} [shape=box, label="_|_  [goal]"];' in text
+    assert f'f{spare} [shape=box, label="_|_"];' in text
+    assert run(["translate", "c2s", dup, "-o", tmp_path / "dup.sap"]) == 0
+
+
+def test_check_goal_option_certifies_the_padded_goal(tmp_path, capsys):
+    # s2c pads this identity proof with a fresh goal vertex, after the
+    # hypothesis vertex that carries the same clause.
+    sap, cres, cnf = tmp_path / "id.sap", tmp_path / "id.cres", tmp_path / "id.cnf"
+    sap.write_text("p sap 1 1\nh 1 0\ng 1 0\nt 1 ; H 1\n")
+    cnf.write_text("p cnf 1 1\n1 0\n")
+    assert run(["translate", "s2c", sap, "-o", cres]) == 0
+    capsys.readouterr()
+    dot = tmp_path / "id.dot"
+    assert run(["check", cres, cnf, "--goal", "1 0", "--dot", dot]) == 0
+    assert capsys.readouterr().out == (
+        "WITNESSED (supplied flows verified)\ngoal balance 1\nw 0 1\n"
+    )
+    text = dot.read_text()
+    assert 'f0 [shape=box, label="x1  [hyp]"];' in text
+    assert 'f1 [shape=box, label="x1  [hyp,goal]"];' in text
 
 
 def test_translate_rejects_unwitnessed(tmp_path):

@@ -51,8 +51,7 @@ def single_cut():
     b.mark_hypothesis(nx)
     e = b.cut(x, nx, Clause(()), 1)
     b.set_goal(e)
-    graph, flows = b.build()
-    return graph, FlowAssignment(flows)
+    return b.build()
 
 
 def weakening_proof():
@@ -64,8 +63,7 @@ def weakening_proof():
     b.mark_hypothesis(c)
     out = b.cut(a, c, clause(2), 1)
     b.set_goal(out)
-    graph, flows = b.build()
-    return graph, FlowAssignment(flows)
+    return b.build()
 
 
 def test_unsound_cycle_not_witnessed():
@@ -77,7 +75,7 @@ def test_acyclic_cut_witnessed():
     graph, _ = single_cut()
     report = find_witness(graph)
     assert report.witnessed
-    assert verify_flow(graph, report.flow, graph.goal_id)
+    assert verify_flow(graph, report.flow)
     assert report.balances[graph.goal_id] >= 1
 
 
@@ -85,7 +83,7 @@ def test_php_construction_witnessed_by_program():
     graph, _ = php_refutation(complete_bipartite(3, 2))
     report = find_witness(graph)
     assert report.witnessed
-    assert verify_flow(graph, report.flow, graph.goal_id)
+    assert verify_flow(graph, report.flow)
 
 
 def test_find_witness_refuses_invalid_rules():
@@ -107,32 +105,46 @@ def test_find_witness_takes_supplied_flows(monkeypatch):
     graph, flow = php_refutation(complete_bipartite(3, 2))
     monkeypatch.setattr("circres.lp.feasible", None)  # the solver must not run
     report = find_witness(graph, flow)
-    assert report.witnessed and report.flow is flow
+    assert report.witnessed and report.flow is flow and report.graph is graph
     assert report.balances == balances(graph, flow)
+
+
+def test_find_witness_moves_the_goal_to_the_witnessed_copy():
+    # The goal mark points at a second, isolated empty-clause vertex.
+    graph, flow = php_refutation(complete_bipartite(3, 2))
+    spare = len(graph.formula_vertices)
+    dup = ProofGraph((*graph.formula_vertices, FormulaVertex(spare, Clause(()))),
+                     graph.inference_vertices, graph.hypothesis_ids, spare)
+    assert not verify_flow(dup, flow)
+    for supplied in (flow, None):
+        report = find_witness(dup, supplied)
+        assert report.graph.goal_id == graph.goal_id
+        assert verify_flow(report.graph, report.flow)
+        assert report.balances[report.graph.goal_id] == 1
 
 
 def test_find_witness_solves_past_rejected_flows():
     graph, flow = php_refutation(complete_bipartite(3, 2))
     tampered = FlowAssignment({**flow.flows, 0: Fraction(1000)})
-    assert not verify_flow(graph, tampered, graph.goal_id)
+    assert not verify_flow(graph, tampered)
     report = find_witness(graph, tampered)
     assert report.witnessed and report.flow is not tampered
     assert report.flow == find_witness(graph).flow
 
     cycle = unsound_cycle_example()
     report = find_witness(cycle, FlowAssignment.uniform(cycle))
-    assert not report.witnessed and report.flow is None
+    assert not report.witnessed and report.flow is None and report.graph is cycle
 
 
 def test_verify_flow_examples():
     graph, flow = php_refutation(complete_bipartite(4, 3))
-    assert verify_flow(graph, flow, graph.goal_id)
+    assert verify_flow(graph, flow)
     zeroed = dict(flow.flows)
     zeroed[0] = Fraction(0)
-    assert not verify_flow(graph, FlowAssignment(zeroed), graph.goal_id)
+    assert not verify_flow(graph, FlowAssignment(zeroed))
 
     unsound = unsound_cycle_example()
-    assert not verify_flow(unsound, FlowAssignment.uniform(unsound), unsound.goal_id)
+    assert not verify_flow(unsound, FlowAssignment.uniform(unsound))
 
 
 def test_find_witness_agrees_with_verify():
@@ -140,13 +152,13 @@ def test_find_witness_agrees_with_verify():
         graph, _ = random_circular_proof(seed, 6, 9)
         report = find_witness(graph)
         assert report.witnessed
-        assert verify_flow(graph, report.flow, graph.goal_id)
+        assert verify_flow(graph, report.flow)
 
 
 def test_soundness_fuzz_against_oracle():
     for seed in range(150):
         graph, flow = random_circular_proof(seed, 6, 9)
-        assert verify_flow(graph, flow, graph.goal_id)
+        assert verify_flow(graph, flow)
         nvars = max((v for c in
                      [f.clause for f in graph.formula_vertices]
                      for v in c.variables()), default=1)
@@ -186,17 +198,14 @@ def test_contrapositive_unimplied_goal_never_witnessed():
 
 
 def test_integralize_clears_denominators():
-    graph, flow = weakening_proof()
-    halves = FlowAssignment({0: Fraction(1, 2)})
     b = ProofGraphBuilder()
     src = b.vertex(clause(1))
     b.mark_hypothesis(src)
     (mid,) = b.split(src, 2, keep_negative=False, flow=Fraction(1, 2))
     (top,) = b.split(mid, 3, keep_negative=False, flow=Fraction(1, 3))
     b.set_goal(top)
-    graph, flows = b.build()
-    fa = FlowAssignment(flows)
-    out = integralize(graph, fa, graph.goal_id)
+    graph, flow = b.build()
+    out = integralize(graph, flow)
     assert out.flows == {0: Fraction(3), 1: Fraction(2)}
 
 
@@ -210,22 +219,22 @@ def test_integralize_preserves_source_sink_sets():
                 for iid, f in flow.flows.items()
             }
         )
-        if not verify_flow(graph, noisy, graph.goal_id):
+        if not verify_flow(graph, noisy):
             noisy = flow
-        out = integralize(graph, noisy, None)
+        out = integralize(graph, noisy)
         assert out.is_integral() and out.is_positive()
         assert sources_and_sinks(graph, noisy) == sources_and_sinks(graph, out)
 
 
 def test_integralize_unchanged_when_integral():
     graph, flow = single_cut()
-    assert integralize(graph, flow, graph.goal_id).flows == flow.flows
+    assert integralize(graph, flow).flows == flow.flows
 
 
 def test_integralize_rejects_nonpositive():
     graph, flow = single_cut()
     with pytest.raises(NotWitnessError):
-        integralize(graph, FlowAssignment({0: Fraction(0)}), graph.goal_id)
+        integralize(graph, FlowAssignment({0: Fraction(0)}))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +288,7 @@ def test_trace_totality_random_proofs():
     for seed in range(120):
         graph, flow = random_circular_proof(seed, 6, 9)
         goal = graph.goal_clause()
-        flow = integralize(graph, flow, graph.goal_id)
+        flow = integralize(graph, flow)
         falsifier = None
         for alpha in all_assignments(6):
             if not evaluate(goal, alpha):
@@ -300,7 +309,7 @@ def test_trace_totality_random_proofs():
 
 def test_dual_certificate_single_cut():
     graph, flow = single_cut()
-    cert = dual_certificate(graph, flow, graph.goal_id)
+    cert = dual_certificate(graph, flow)
     assert all(v == 1 for v in cert.formula_multipliers.values())
     assert all(v == 1 for v in cert.rule_multipliers.values())
     coeff, const = certificate_combination(graph, cert)
@@ -310,16 +319,16 @@ def test_dual_certificate_single_cut():
 
 def test_dual_certificate_php_and_random():
     graph, flow = php_refutation(complete_bipartite(4, 3))
-    assert verify_dual_certificate(graph, dual_certificate(graph, flow, graph.goal_id))
+    assert verify_dual_certificate(graph, dual_certificate(graph, flow))
     for seed in range(60):
         graph, flow = random_circular_proof(seed, 6, 9)
-        cert = dual_certificate(graph, flow, graph.goal_id)
+        cert = dual_certificate(graph, flow)
         assert verify_dual_certificate(graph, cert)
 
 
 def test_tampered_certificate_rejected():
     graph, flow = single_cut()
-    cert = dual_certificate(graph, flow, graph.goal_id)
+    cert = dual_certificate(graph, flow)
     tampered = dict(cert.rule_multipliers)
     key = next(iter(tampered))
     tampered[key] += Fraction(1, 7)
@@ -332,4 +341,4 @@ def test_tampered_certificate_rejected():
 def test_dual_certificate_requires_witness():
     graph = unsound_cycle_example()
     with pytest.raises(NotWitnessError):
-        dual_certificate(graph, FlowAssignment.uniform(graph), graph.goal_id)
+        dual_certificate(graph, FlowAssignment.uniform(graph))

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from circres.core import Clause, CnfFormula
-from circres.flowcheck import FlowAssignment
+from circres.proofgraph import FlowAssignment
 from circres.formats import (
     ParseError,
     parse_cres,
@@ -113,6 +113,27 @@ def test_cres_malformed_rule_line():
 def test_cres_missing_goal():
     with pytest.raises(ParseError):
         parse_cres("p cres 1 0\nf 0 1 0\n")
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_cres, "p cres 1 0\nf 0 0\np cres 1 0\ng 0\n"),
+    (parse_sap, "p sap 1 0\ng 0\np sap 1 0\n"),
+], ids=["cres", "sap"])
+def test_repeated_header_names_its_line(parse, text):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line_no == 3
+    assert "duplicate header" in str(err.value)
+
+
+def test_sap_hypothesis_reference_names_its_line():
+    text = "p sap 1 1\nh 1 0\ng 1 0\nt 1 ; H 7\n"
+    with pytest.raises(ParseError) as err:
+        parse_sap(text)
+    assert err.value.line_no == 4
+    assert "hypothesis index 7 out of range" in str(err.value)
+    # An 'h' line may follow the term that references it.
+    assert parse_sap("p sap 1 1\ng 1 0\nt 1 ; H 1\nh 1 0\n").hypotheses == (clause(1),)
 
 
 def test_sap_round_trip():

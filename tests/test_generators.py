@@ -65,7 +65,7 @@ def test_php_refutation_small():
     g = complete_bipartite(2, 1)
     graph, flow = php_refutation(g)
     assert validate_rules(graph) == []
-    assert verify_flow(graph, flow, graph.goal_id)
+    assert verify_flow(graph, flow)
     assert balances(graph, flow)[graph.goal_id] == 1
 
 
@@ -75,7 +75,7 @@ def test_php_refutation_balance_and_sources():
         cnf = gen_php(g)
         graph, flow = php_refutation(g)
         assert validate_rules(graph) == []
-        assert verify_flow(graph, flow, graph.goal_id)
+        assert verify_flow(graph, flow)
         bal = balances(graph, flow)
         assert bal[graph.goal_id] == 1  # pigeons minus holes
         php_clauses = set(cnf.clauses)
@@ -97,7 +97,7 @@ def test_php_refutation_marks_the_formula_as_hypotheses():
 def test_php_refutation_sparse_graph():
     g = near_cubic_bipartite(6, 1)
     graph, flow = php_refutation(g)
-    assert verify_flow(graph, flow, graph.goal_id)
+    assert verify_flow(graph, flow)
     assert graph.width <= 3
 
 
@@ -165,14 +165,14 @@ def test_random_proof_budget_one():
     graph, flow = random_circular_proof(0, 3, 1)
     assert len(graph.inference_vertices) == 1
     assert graph.goal_clause().is_tautological
-    assert verify_flow(graph, flow, graph.goal_id)
+    assert verify_flow(graph, flow)
 
 
 def test_random_proofs_always_check():
     for seed in range(200):
         graph, flow = random_circular_proof(seed, 6, 10)
         assert validate_rules(graph) == [], seed
-        assert verify_flow(graph, flow, graph.goal_id), seed
+        assert verify_flow(graph, flow), seed
 
 
 def test_random_proofs_sound_against_oracle():

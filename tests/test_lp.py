@@ -201,6 +201,6 @@ def test_witness_flows_within_factorial_bound():
         graph, _ = random_circular_proof(seed, 5, 7)
         report = find_witness(graph)
         assert report.witnessed
-        integral = integralize(graph, report.flow, graph.goal_id)
+        integral = integralize(graph, report.flow)
         bound = math.factorial(graph.length)
         assert all(0 < f <= bound for f in integral.flows.values())

@@ -9,6 +9,7 @@ from circres.proofgraph import (
     AXIOM,
     CUT,
     SPLIT,
+    FlowAssignment,
     FormulaVertex,
     IncompleteFlowError,
     InferenceVertex,
@@ -16,7 +17,6 @@ from circres.proofgraph import (
     ProofGraphBuilder,
     Rule,
     StructureError,
-    balance,
     balances,
     export_dot,
     sources_and_sinks,
@@ -120,13 +120,13 @@ def test_balance_examples():
     b = ProofGraphBuilder()
     out = b.axiom(1)
     b.set_goal(out)
-    graph, flows = b.build()
-    assert balance(graph, flows, out) == 1
+    graph, flow = b.build()
+    assert balances(graph, flow)[out] == 1
 
-    graph, flows = single_cut()
-    bal = balances(graph, flows)
+    graph, flow = single_cut()
+    bal = balances(graph, flow)
     assert bal[graph.goal_id] == 1
-    sources, sinks = sources_and_sinks(graph, flows)
+    sources, sinks = sources_and_sinks(graph, flow)
     assert sinks == {graph.goal_id}
     assert {graph.formula(u).clause for u in sources} == {clause(1), clause(-1)}
 
@@ -137,9 +137,9 @@ def test_unsound_cycle_balances_always_negative():
     x_id = next(v.id for v in graph.formula_vertices if v.clause == clause(1))
     for trial in range(20):
         rng = random.Random(trial)
-        flows = {w.id: Fraction(rng.randint(1, 9), rng.randint(1, 9))
-                 for w in graph.inference_vertices}
-        assert balance(graph, flows, x_id) < 0
+        flow = FlowAssignment({w.id: Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                               for w in graph.inference_vertices})
+        assert balances(graph, flow)[x_id] < 0
 
 
 def test_pass_through_balance_zero():
@@ -149,15 +149,15 @@ def test_pass_through_balance_zero():
     (mid,) = b.split(src, 2, keep_negative=False, flow=3)
     (top,) = b.split(mid, 3, keep_negative=False, flow=3)
     b.set_goal(top)
-    graph, flows = b.build()
-    assert balance(graph, flows, mid) == 0
+    graph, flow = b.build()
+    assert balances(graph, flow)[mid] == 0
 
 
 def test_missing_flow_entry():
-    graph, flows = single_cut()
-    flows.popitem()
+    graph, flow = single_cut()
+    flow.flows.popitem()
     with pytest.raises(IncompleteFlowError):
-        balances(graph, flows)
+        balances(graph, flow)
 
 
 def test_double_counting_identity():
@@ -175,7 +175,7 @@ def test_double_counting_identity():
 
 def test_no_inference_vertices_no_sources_or_sinks():
     graph = ProofGraph((FormulaVertex(0, clause(1)),), (), frozenset(), 0)
-    assert sources_and_sinks(graph, {}) == (frozenset(), frozenset())
+    assert sources_and_sinks(graph, FlowAssignment({})) == (frozenset(), frozenset())
 
 
 DOT_EDGE = r"^\s+[fi]\d+ -> [fi]\d+;$"
@@ -215,8 +215,8 @@ def test_dot_unsound_cycle_counts():
 
 
 def test_dot_with_flows_reparses():
-    graph, flows = single_cut()
-    _check_dot_shape(export_dot(graph, flows))
+    graph, flow = single_cut()
+    _check_dot_shape(export_dot(graph, flow))
 
 
 def test_mark_hypotheses_skips_fresh_copies():

@@ -34,7 +34,7 @@ def test_unit_contradiction_width_one():
     assert res is not None
     graph, flow = res
     assert validate_rules(graph) == []
-    assert verify_flow(graph, flow, graph.goal_id)
+    assert verify_flow(graph, flow)
     assert graph.width <= 1
 
 
@@ -50,7 +50,7 @@ def test_goal_derivation_non_refutation():
     res = circular_search(cnf, clause(2), 2)
     assert res is not None
     graph, flow = res
-    assert verify_flow(graph, flow, graph.goal_id)
+    assert verify_flow(graph, flow)
     assert graph.goal_clause() == clause(2)
 
 
@@ -66,7 +66,7 @@ def test_goal_may_name_variables_beyond_the_hypotheses():
     assert res is not None
     graph, flow = res
     assert graph.goal_clause() == clause(1, 2)
-    assert verify_flow(graph, flow, graph.goal_id)
+    assert verify_flow(graph, flow)
 
 
 def test_unimplied_goal_not_found():
@@ -110,7 +110,7 @@ def test_php_search_finds_width_three_sparse():
     res = circular_search(cnf, Clause(()), 3)
     assert res is not None
     graph, flow = res
-    assert verify_flow(graph, flow, graph.goal_id)
+    assert verify_flow(graph, flow)
     assert validate_rules(graph) == []
     assert graph.width <= 3
 
@@ -205,7 +205,7 @@ def _assert_search_matches_lattice(cnf: CnfFormula, goal: Clause, width: int) ->
     if found is not None:
         graph, flow = found
         assert validate_rules(graph) == []
-        assert verify_flow(graph, flow, graph.goal_id)
+        assert verify_flow(graph, flow)
         assert graph.width <= width
         assert graph.goal_clause() == goal
         assert graph.hypothesis_clauses() <= set(cnf.clauses)
@@ -408,7 +408,7 @@ def test_width_three_separation(n, seed):
     assert Clause(()) not in daglike_width_saturate(gen_php(g), 3)
     graph, flow = php_refutation(g)
     assert graph.width <= 3
-    assert verify_flow(graph, flow, graph.goal_id)
+    assert verify_flow(graph, flow)
 
 
 def test_width_three_closure_at_15_1():

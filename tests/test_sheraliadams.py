@@ -231,8 +231,7 @@ def _single_cut():
     b.mark_hypothesis(nx)
     e = b.cut(x, nx, Clause(()), 1)
     b.set_goal(e)
-    graph, flows = b.build()
-    return graph, FlowAssignment(flows)
+    return b.build()
 
 
 def test_translate_single_cut():
@@ -278,13 +277,12 @@ def test_translate_suppressed_split_negative_branch():
     goal = b.vertex(clause(2), fresh=True)
     b.inference("cut", 1, (pos_v, neg_out), (goal,))
     b.set_goal(goal)
-    graph, flows = b.build()
-    flow = FlowAssignment(flows)
-    assert verify_flow(graph, flow, graph.goal_id)
+    graph, flow = b.build()
+    assert verify_flow(graph, flow)
     proof = circular_to_sa(graph, flow)
     assert check_sa(proof)
     g2, f2 = sa_to_circular(proof)
-    assert verify_flow(g2, f2, g2.goal_id)
+    assert verify_flow(g2, f2)
 
 
 def test_translate_collapsed_cut_through_tautology():
@@ -298,12 +296,11 @@ def test_translate_collapsed_cut_through_tautology():
     fresh = b.vertex(clause(-1), fresh=True)
     b.inference("cut", 1, (taut, unit), (fresh,))
     b.set_goal(fresh)
-    graph, flows = b.build()
+    graph, flow = b.build()
     from circres.proofgraph import validate_rules
 
     assert validate_rules(graph) == []
-    flow = FlowAssignment(flows)
-    assert verify_flow(graph, flow, graph.goal_id)
+    assert verify_flow(graph, flow)
     proof = circular_to_sa(graph, flow)
     assert check_sa(proof)
     assert sa_degree(proof) == graph.width == 2
@@ -313,9 +310,9 @@ def test_translate_rejects_tautological_goal():
     b = ProofGraphBuilder()
     out = b.axiom(1)
     b.set_goal(out)
-    graph, flows = b.build()
+    graph, flow = b.build()
     with pytest.raises(TautologicalClauseError):
-        circular_to_sa(graph, FlowAssignment(flows))
+        circular_to_sa(graph, flow)
 
 
 def test_translate_requires_witness():
@@ -406,7 +403,7 @@ def test_round_trip_single_cut():
     graph, flow = _single_cut()
     proof = circular_to_sa(graph, flow)
     g2, f2 = sa_to_circular(proof)
-    assert verify_flow(g2, f2, g2.goal_id)
+    assert verify_flow(g2, f2)
     assert g2.width == sa_degree(proof)
 
 
@@ -416,7 +413,7 @@ def test_round_trip_php_width_equals_degree():
         proof = circular_to_sa(graph, flow)
         d = sa_degree(proof)
         g2, f2 = sa_to_circular(proof)
-        assert verify_flow(g2, f2, g2.goal_id)
+        assert verify_flow(g2, f2)
         assert g2.width == d == graph.width
 
 
@@ -427,7 +424,7 @@ def test_round_trip_random_proofs():
             continue
         proof = circular_to_sa(graph, flow)
         g2, f2 = sa_to_circular(proof)
-        assert verify_flow(g2, f2, g2.goal_id), seed
+        assert verify_flow(g2, f2), seed
         assert g2.width == sa_degree(proof), seed
         hyps = CnfFormula.of(
             6, sorted(g2.hypothesis_clauses(), key=lambda c: tuple(sorted(c.signed())))
@@ -439,7 +436,7 @@ def test_identity_style_proof_pads_to_positive_goal_balance():
     proof = SAProof.of(2, [clause(1)], clause(1), [(1, MONOMIAL_ONE, hyp(1))])
     assert check_sa(proof)
     graph, flow = sa_to_circular(proof)
-    assert verify_flow(graph, flow, graph.goal_id)
+    assert verify_flow(graph, flow)
     bal = balances(graph, flow)
     assert bal[graph.goal_id] >= 1
     assert graph.width == sa_degree(proof)
