@@ -324,6 +324,7 @@ def parse_sap(text: str) -> SAProof:
     goal: Optional[Clause] = None
     terms: list[SATerm] = []
     hyp_refs: list[tuple[int, int]] = []  # (line, index) of each 'H i'
+    var_refs: list[tuple[int, int]] = []  # (line, largest variable) per line
     for no, tokens in _lines(text):
         tag = tokens[0]
         if tag == "p":
@@ -337,10 +338,12 @@ def parse_sap(text: str) -> SAProof:
                 raise ParseError(no, "header counts must be nonnegative")
         elif tag == "h":
             hyps.append(_clause_tokens(tokens[1:], no))
+            var_refs.append((no, max(hyps[-1].variables(), default=0)))
         elif tag == "g":
             if goal is not None:
                 raise ParseError(no, "duplicate goal line")
             goal = _clause_tokens(tokens[1:], no)
+            var_refs.append((no, max(goal.variables(), default=0)))
         elif tag == "t":
             if ";" not in tokens:
                 raise ParseError(no, "term line needs a ';' before its reference")
@@ -378,6 +381,10 @@ def parse_sap(text: str) -> SAProof:
             except ValueError as exc:
                 raise ParseError(no, str(exc)) from None
             terms.append(SATerm(coef, mono, ref))
+            # A basic reference's index is a variable; 'B one' has index 0.
+            variables = [abs(t) for t in mono.tokens()]
+            variables.append(0 if kind == HYPOTHESIS else index)
+            var_refs.append((no, max(variables)))
         else:
             raise ParseError(no, f"unknown line tag {tag!r}")
     if num_vars is None:
@@ -392,6 +399,9 @@ def parse_sap(text: str) -> SAProof:
     for no, index in hyp_refs:
         if index > len(hyps):
             raise ParseError(no, f"hypothesis index {index} out of range 1..{len(hyps)}")
+    for no, var in var_refs:
+        if var > num_vars:
+            raise ParseError(no, f"variable x{var} exceeds declared variable count {num_vars}")
     return SAProof(num_vars, tuple(hyps), goal, tuple(terms))
 
 

@@ -25,9 +25,16 @@ Implementation notes, none of which change the results:
   bound and is eliminated by substituting ``x_j = r/a + x'_j`` with
   ``x'_j >= 0``; any other singleton row stays an ordinary tableau row.
   Remaining free variables are split into differences of nonnegatives.
+* The tableau is stored row-major: each row is a ``{column: int}`` dict of
+  its nonbasic entries.  A pivot reads its entering column off the leaving
+  row, pops the pivot column from the rows that hold it, and updates just
+  those rows against the pivot row.
 * All arithmetic is integer-preserving: tableau and basic values are
-  integers over one common positive denominator, every pivot divides
-  exactly, and rationals only appear when results are read off.
+  integers over one common positive denominator ``den``, and every pivot
+  divides exactly.  The exact rechecks stay in integers too: a point passes
+  when ``sum(c * X_j) >= rhs * den`` for every row, ``X`` its numerators,
+  and a certificate's cancellation and positive right-hand side are summed
+  over ``den`` as well.  Rationals only appear in the returned values.
 """
 
 from __future__ import annotations
@@ -70,12 +77,13 @@ class LinearProgram:
 
 
 class _Tableau:
-    """Sparse integer criss-cross tableau.
+    """Sparse integer criss-cross tableau, stored row by row.
 
     Every tableau row is stored negated (``-a . x + s = -b``), so each
     surplus variable starts basic with coefficient +1 and value ``-b``;
     the rows violated at the origin are exactly those with positive shifted
-    right-hand side.  Nonbasic columns are ``{row: scaled value}`` maps and
+    right-hand side.  ``rows[i]`` maps each nonbasic column to its scaled
+    entry in row ``i`` (the basic variable's entry there is ``den``), and
     ``den`` is the positive common denominator of the working state.
     """
 
@@ -89,40 +97,31 @@ class _Tableau:
         # Structural columns: one per lower-bounded variable, a +/- pair per
         # free variable; then one surplus column per tableau row.
         self.col_var: list[tuple[int, int]] = []
-        self.var_cols: dict[int, tuple[int, ...]] = {}
+        first: list[int] = []
         for j in range(lp.num_vars):
-            if j in self.lb:
-                self.var_cols[j] = (len(self.col_var),)
-                self.col_var.append((j, +1))
-            else:
-                self.var_cols[j] = (len(self.col_var), len(self.col_var) + 1)
-                self.col_var.append((j, +1))
+            first.append(len(self.col_var))
+            self.col_var.append((j, +1))
+            if j not in self.lb:
                 self.col_var.append((j, -1))
         self.n_struct = len(self.col_var)
-        m = len(self.tab_rows)
-        self.m = m
 
         self.den = 1
         self.xb: list[int] = []
         self.basis: list[int] = []
-        self.basic_row: dict[int, int] = {}
-        self.cols: dict[int, dict[int, int]] = {}
-        self.rowsupp: list[set[int]] = [set() for _ in range(m)]
+        self.rows: list[dict[int, int]] = []
         for i, g in enumerate(self.tab_rows):
             row = lp.rows[g]
             shift = sum(a * self.lb[j] for j, a in row.coeffs if j in self.lb)
             self.xb.append(shift - row.rhs)
-            surplus = self.n_struct + i
-            self.basis.append(surplus)
-            self.basic_row[surplus] = i
+            self.basis.append(self.n_struct + i)
+            entries: dict[int, int] = {}
             for j, a in row.coeffs:
-                for col in self.var_cols[j]:
-                    part = self.col_var[col][1]
-                    entry = -a * part
-                    if entry:
-                        self.cols.setdefault(col, {})[i] = entry
-                        self.rowsupp[i].add(col)
-        self.negative = {i for i in range(m) if self.xb[i] < 0}
+                if a:
+                    entries[first[j]] = -a
+                    if j not in self.lb:
+                        entries[first[j] + 1] = a
+            self.rows.append(entries)
+        self.negative = {i for i, v in enumerate(self.xb) if v < 0}
 
     # -- pivoting -------------------------------------------------------------
 
@@ -134,95 +133,72 @@ class _Tableau:
         the walk finite.
         """
         basis = self.basis
-        cols = self.cols
         while self.negative:
             r = min(self.negative, key=basis.__getitem__)
-            entering = -1
-            for j in self.rowsupp[r]:
-                if cols[j][r] < 0 and (entering < 0 or j < entering):
-                    entering = j
-            if entering < 0:
+            eligible = [j for j, a in self.rows[r].items() if a < 0]
+            if not eligible:
                 return r
-            self._pivot(r, entering)
+            self._pivot(r, min(eligible))
         return None
 
     def _pivot(self, r: int, c: int) -> None:
         den = self.den
+        rows, xb = self.rows, self.xb
+        rowr = rows[r]
+        piv = rowr.pop(c)
         sigma = 1
-        if self.cols[c][r] < 0:
+        if piv < 0:
             # Re-sign row r so the pivot element is positive.  This silently
             # negates the unit column of the variable currently basic there,
-            # which is about to leave; its stored column flips sign to match.
+            # which is about to leave; its new entries carry sigma to match.
             sigma = -1
-            for j in self.rowsupp[r]:
-                self.cols[j][r] = -self.cols[j][r]
-            self.xb[r] = -self.xb[r]
+            piv = -piv
+            for j in rowr:
+                rowr[j] = -rowr[j]
+            xb[r] = -xb[r]
+        xbr = xb[r]
 
-        colc = self.cols.pop(c)
-        for i in colc:
-            self.rowsupp[i].discard(c)
-        piv = colc[r]
-        xbr = self.xb[r]
-
-        touched = list(self.rowsupp[r])
-        updates = [(i, v) for i, v in colc.items() if i != r]
+        updates = [(i, v) for i, row in enumerate(rows) if (v := row.pop(c, 0))]
         if piv == den:
-            rowsupp = self.rowsupp
             unit = den == 1
-            for j in touched:
-                colj = self.cols[j]
-                trj = colj[r]
-                get = colj.get
-                for i, v in updates:
-                    new = get(i, 0) - (trj * v if unit else (trj * v) // den)
+            items = list(rowr.items())
+            for i, v in updates:
+                row = rows[i]
+                get = row.get
+                for j, trj in items:
+                    # trj * v is nonzero, so a zero result was a stored entry.
+                    new = get(j, 0) - (trj * v if unit else (trj * v) // den)
                     if new:
-                        colj[i] = new
-                        rowsupp[i].add(j)
-                    elif i in colj:
-                        del colj[i]
-                        rowsupp[i].discard(j)
-            if xbr:
-                xb = self.xb
-                for i, v in updates:
+                        row[j] = new
+                    else:
+                        del row[j]
+                if xbr:
                     xb[i] -= v * xbr if unit else (v * xbr) // den
                     self._note(i)
         else:
-            for j in touched:
-                colj = self.cols[j]
-                trj = colj[r]
-                for i in set(colj) | set(colc):
-                    if i == r:
-                        continue
-                    new = (piv * colj.get(i, 0) - trj * colc.get(i, 0)) // den
-                    if new:
-                        colj[i] = new
-                        self.rowsupp[i].add(j)
-                    elif i in colj:
-                        del colj[i]
-                        self.rowsupp[i].discard(j)
-            for j, colj in self.cols.items():
-                if r not in colj:
-                    for i in list(colj):
-                        colj[i] = (piv * colj[i]) // den
-            for i in range(self.m):
+            col = dict(updates)
+            for i, row in enumerate(rows):
                 if i == r:
                     continue
-                v = colc.get(i, 0)
-                self.xb[i] = (piv * self.xb[i] - v * xbr) // den
+                v = col.get(i)
+                if v is None:
+                    rows[i] = {j: (piv * a) // den for j, a in row.items()}
+                    xb[i] = (piv * xb[i]) // den
+                else:
+                    scaled = {j: piv * a for j, a in row.items()}
+                    for j, trj in rowr.items():
+                        scaled[j] = scaled.get(j, 0) - trj * v
+                    rows[i] = {j: a // den for j, a in scaled.items() if a}
+                    xb[i] = (piv * xb[i] - v * xbr) // den
                 self._note(i)
             self.den = piv
 
         # The leaving variable's column materializes from the direction.
         old = self.basis[r]
-        stored = {i: -sigma * v for i, v in colc.items() if i != r and v}
-        stored[r] = sigma * den
-        self.cols[old] = stored
-        for i in stored:
-            self.rowsupp[i].add(old)
-
-        del self.basic_row[old]
+        for i, v in updates:
+            rows[i][old] = -sigma * v
+        rowr[old] = sigma * den
         self.basis[r] = c
-        self.basic_row[c] = r
         self._note(r)
 
     def _note(self, i: int) -> None:
@@ -233,39 +209,39 @@ class _Tableau:
 
     # -- results ---------------------------------------------------------------
 
-    def point(self) -> list[Fraction]:
-        x = [Fraction(self.lb.get(j, 0)) for j in range(self.lp.num_vars)]
+    def point(self) -> list[int]:
+        """The basic point's numerators over ``den``."""
+        x = [self.lb.get(j, 0) * self.den for j in range(self.lp.num_vars)]
         for i, col in enumerate(self.basis):
             if col < self.n_struct and self.xb[i]:
                 j, part = self.col_var[col]
-                x[j] += Fraction(part * self.xb[i], self.den)
+                x[j] += part * self.xb[i]
         return x
 
     def certificate(self, r: int) -> list[Fraction]:
         """Farkas multipliers from a violated row with no eligible column.
 
-        Row ``r`` of the current combination matrix is read off the columns
-        of the initial surplus variables; their entries at ``r`` are
-        nonnegative exactly because the row is stuck.
+        Row ``r`` of the current combination matrix is row ``r``'s entries
+        in the columns of the initial surplus variables (``den`` for the one
+        basic there); they are nonnegative exactly because the row is stuck.
+        Multipliers are integers over ``den`` until they are returned.
         """
-        full = [Fraction(0)] * len(self.lp.rows)
-        lam: dict[int, Fraction] = {}
-        for k, g in enumerate(self.tab_rows):
-            surplus = self.n_struct + k
-            if surplus in self.basic_row:
-                entry = self.den if self.basic_row[surplus] == r else 0
-            else:
-                entry = self.cols[surplus].get(r, 0)
-            if entry < 0:
-                raise AssertionError("negative multiplier on a stuck row")
-            if entry:
-                v = Fraction(entry, self.den)
-                lam[g] = v
-                full[g] = v
-        residual: dict[int, Fraction] = {}
-        for g, v in lam.items():
-            for j, c in self.lp.rows[g].coeffs:
-                residual[j] = residual.get(j, Fraction(0)) + v * c
+        lp = self.lp
+        lam = [0] * len(lp.rows)
+        entries = dict(self.rows[r])
+        entries[self.basis[r]] = self.den
+        for col, entry in entries.items():
+            if col >= self.n_struct:
+                if entry < 0:
+                    raise AssertionError("negative multiplier on a stuck row")
+                lam[self.tab_rows[col - self.n_struct]] = entry
+        residual: dict[int, int] = {}
+        for g, v in enumerate(lam):
+            if v:
+                for j, c in lp.rows[g].coeffs:
+                    residual[j] = residual.get(j, 0) + v * c
+        value = sum(v * row.rhs for v, row in zip(lam, lp.rows))
+        full = [Fraction(v, self.den) for v in lam]
         for j, rem in residual.items():
             if rem == 0:
                 continue
@@ -273,12 +249,11 @@ class _Tableau:
                 raise AssertionError("free variable does not cancel in certificate")
             if rem > 0:
                 raise AssertionError("shifted variable has positive residual")
+            # The bound row a * x_j >= b pays off the residual; a divides b.
             g = self.lb_row[j]
-            a = dict(self.lp.rows[g].coeffs)[j]
-            full[g] += -rem / a
-        value = sum(
-            (full[g] * row.rhs for g, row in enumerate(self.lp.rows)), Fraction(0)
-        )
+            ((_, a),) = lp.rows[g].coeffs
+            full[g] = Fraction(-rem, a * self.den)
+            value -= rem * (lp.rows[g].rhs // a)
         if value <= 0:
             raise AssertionError("certificate does not witness infeasibility")
         return full
@@ -304,11 +279,11 @@ def _solve(lp: LinearProgram):
     stuck = tab.run()
     if stuck is not None:
         return None, tab.certificate(stuck)
-    x = tab.point()
+    x, den = tab.point(), tab.den
     for row in lp.rows:
-        if row.dot(x) < row.rhs:
+        if sum(c * x[j] for j, c in row.coeffs) < row.rhs * den:
             raise AssertionError("candidate point fails exact recheck")
-    return x, None
+    return [Fraction(v, den) for v in x], None
 
 
 def feasible(lp: LinearProgram) -> Optional[list[Fraction]]:

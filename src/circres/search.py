@@ -185,10 +185,12 @@ def circular_search(
     # a cut on (d, x) of value -t (a split of value t when t > 0) settles the
     # residual t of D and moves t onto d and -t onto d | ~x, both with one
     # positive literal fewer.  Monomials are independent, so nothing may be
-    # left on the all-negative clauses.
+    # left on the all-negative clauses.  Residuals are integers over the
+    # point's common denominator.
+    den = math.lcm(*(v.denominator for v in point))
+    num = [v.numerator * (den // v.denominator) for v in point]
     residual = {
-        d: sum((c * point[j] for j, c in form.items()), Fraction(0))
-        for d, form in balance.items()
+        d: sum([c * num[j] for j, c in form.items()]) for d, form in balance.items()
     }
     values: dict[tuple[frozenset[int], int], Fraction] = {}
     for d in sorted(variables, key=lambda d: -sum(l > 0 for l in d)):
@@ -197,7 +199,7 @@ def circular_search(
             continue
         x = max(d)
         side = d - {x}
-        values[side, x] = -t
+        values[side, x] = Fraction(-t, den)
         residual[side] += t
         residual[side | {-x}] -= t
     if any(residual.values()):

@@ -205,6 +205,16 @@ def test_translate_rejects_bad_input(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_translate_rejects_variable_beyond_header(tmp_path, capsys):
+    sap = tmp_path / "wide.sap"
+    sap.write_text("p sap 1 1\nh 5 0\ng 5 0\nt 1 ; H 1\n")
+    assert run(["translate", "s2c", sap]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: line 2: variable x5 exceeds declared variable count 1\n"
+    assert captured.out == ""
+    assert not sap.with_suffix(".cres").exists()
+
+
 def test_translate_empty_goal_that_is_a_hypothesis(tmp_path, capsys):
     sap = tmp_path / "empty.sap"
     sap.write_text("p sap 0 1\nh 0\ng 0\nt 1 ; H 1\n")

@@ -136,6 +136,19 @@ def test_sap_hypothesis_reference_names_its_line():
     assert parse_sap("p sap 1 1\ng 1 0\nt 1 ; H 1\nh 1 0\n").hypotheses == (clause(1),)
 
 
+@pytest.mark.parametrize("text, line_no, var", [
+    ("p sap 1 1\nh 5 0\ng 5 0\nt 1 ; H 1\n", 2, 5),
+    ("p sap 1 1\nh 1 0\ng -3 0\nt 1 ; H 1\n", 3, 3),
+    ("p sap 1 1\nh 1 0\ng 1 0\nt 1 ; H 1\nt 1 -2 ; B one\n", 5, 2),
+    ("p sap 1 1\nh 1 0\ng 1 0\nt 1 ; H 1\nt 1 1 ; B xxsq 4\n", 5, 4),
+], ids=["hypothesis", "goal", "monomial", "basic-reference"])
+def test_sap_variable_beyond_header_names_its_line(text, line_no, var):
+    with pytest.raises(ParseError) as err:
+        parse_sap(text)
+    assert err.value.line_no == line_no
+    assert f"variable x{var} exceeds declared variable count 1" in str(err.value)
+
+
 def test_sap_round_trip():
     graph, flow = php_refutation(complete_bipartite(3, 2))
     proof = circular_to_sa(graph, flow)

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import itertools
 import math
 import random
@@ -5,9 +7,18 @@ from fractions import Fraction
 
 import pytest
 
+from circres import lp as lp_module
+from circres.core import Clause, CnfFormula
 from circres.flowcheck import find_witness, integralize
-from circres.generators import random_circular_proof
+from circres.generators import (
+    complete_bipartite,
+    gen_php,
+    near_cubic_bipartite,
+    php_refutation,
+    random_circular_proof,
+)
 from circres.lp import LinearProgram, farkas_certificate, feasible
+from circres.search import circular_search
 
 
 def geq(lp, coeffs, rhs=0):
@@ -194,6 +205,35 @@ def test_strong_alternative_against_vertex_oracle(draw, seed):
             assert sum(cert[g] * lp.rows[g].rhs for g in range(len(lp.rows))) > 0
 
 
+def test_larger_random_programs_answer_checkably():
+    # Beyond the vertex oracle's reach: each answer is checked on its own.
+    rng = random.Random(29)
+    for trial in range(300):
+        n, m = rng.randint(1, 8), rng.randint(1, 12)
+        lp = LinearProgram(n)
+        for _ in range(m):
+            if rng.random() < 0.15:
+                coeffs = {rng.randrange(n): Fraction(rng.randint(1, 3), rng.randint(1, 3))}
+            else:
+                coeffs = {j: Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+                          for j in range(n) if rng.random() < 0.6}
+            geq(lp, coeffs, Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+        x = feasible(lp)
+        cert = farkas_certificate(lp)
+        assert (x is None) != (cert is None), trial
+        if x is not None:
+            assert all(type(v) is Fraction for v in x)
+            assert all(row.dot(x) >= row.rhs for row in lp.rows), trial
+        else:
+            assert len(cert) == len(lp.rows) and all(v >= 0 for v in cert), trial
+            combined = [Fraction(0)] * n
+            for v, row in zip(cert, lp.rows):
+                for j, c in row.coeffs:
+                    combined[j] += v * c
+            assert not any(combined), trial
+            assert sum(v * row.rhs for v, row in zip(cert, lp.rows)) > 0, trial
+
+
 def test_witness_flows_within_factorial_bound():
     # Basic solutions of the flow programs clear to integers bounded by the
     # factorial of the proof length.
@@ -204,3 +244,75 @@ def test_witness_flows_within_factorial_bound():
         integral = integralize(graph, report.flow)
         bound = math.factorial(graph.length)
         assert all(0 < f <= bound for f in integral.flows.values())
+
+
+# ---------------------------------------------------------------------------
+# pinned answers on the programs that flowcheck and search build
+
+def _programs_solved(monkeypatch, run):
+    """The programs passed to ``lp.feasible`` while ``run()`` executes."""
+    seen = []
+    solve = lp_module.feasible
+
+    def recording(program):
+        seen.append(program)
+        return solve(program)
+
+    monkeypatch.setattr(lp_module, "feasible", recording)
+    run()
+    monkeypatch.undo()
+    return seen
+
+
+def _search_case(seed, dropped):
+    cnf = gen_php(near_cubic_bipartite(3, seed))
+    if dropped:
+        # Clause ``seed`` is the pigeon clause of pigeon ``seed + 1``.
+        cnf = CnfFormula.of(
+            cnf.num_variables, [c for i, c in enumerate(cnf.clauses) if i != seed]
+        )
+    return lambda: circular_search(cnf, Clause(()), 3)
+
+
+def _witness_case(dropped):
+    g = complete_bipartite(7, 6)
+    cnf = gen_php(g)
+    hyp_clauses = set(cnf.clauses[1:] if dropped else cnf.clauses)
+    graph, _ = php_refutation(g)
+    graph = dataclasses.replace(graph, hypothesis_ids=frozenset(
+        v.id for v in graph.formula_vertices if v.clause in hyp_clauses
+    ))
+    return lambda: find_witness(graph)
+
+
+_PINNED = {
+    **{
+        f"search-n3-seed{seed}{'-dropped' if dropped else ''}": (_search_case, (seed, dropped))
+        for seed in range(3) for dropped in (False, True)
+    },
+    "witness-php7x6": (_witness_case, (False,)),
+    "witness-php7x6-dropped": (_witness_case, (True,)),
+}
+
+# sha256 of the (point, certificate) pairs.  The answers follow from the
+# least-index pivot rule alone, so a faster tableau must reproduce them.
+_DIGESTS = {
+    "search-n3-seed0": "4145cfa1617ac81264ce35bc226c2171cd0d33c26e7065428fd18261030250f7",
+    "search-n3-seed0-dropped": "a3563173e14f554b9417c4531b023564367ae292c2d234fc95878c358f957b30",
+    "search-n3-seed1": "dc24a1afa9e6a117d57ad35fbd8e61c4fd8f3d1f2b8b8f5863ed83cce530309d",
+    "search-n3-seed1-dropped": "3bd9458402adfe8bf219f1579b51a057ab6922c7a07e7ac9e303f66dcf3a9ed1",
+    "search-n3-seed2": "93563d0142d4c141aeab50dca9ed0576e81dc190d9686756d3b78b203dcdaded",
+    "search-n3-seed2-dropped": "242becff5b1b6a3859cdd93fc115d744924c2f5362802a78f159382bd21173bd",
+    "witness-php7x6": "34bebbf60e49c2435693a996bf2fbce990cd7f519c4fe6ccf140c064eaa902db",
+    "witness-php7x6-dropped": "533203e8a0ad6232fce042307982c5bce075c87baa124197a4cf3a5d72c8111d",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED))
+def test_answers_are_stable(monkeypatch, case):
+    make, args = _PINNED[case]
+    programs = _programs_solved(monkeypatch, make(*args))
+    assert programs
+    answers = [(feasible(p), farkas_certificate(p)) for p in programs]
+    digest = hashlib.sha256(repr(answers).encode()).hexdigest()
+    assert digest == _DIGESTS[case]
