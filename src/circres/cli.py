@@ -213,6 +213,8 @@ def cmd_translate(args) -> int:
 # search
 
 def cmd_search(args) -> int:
+    if args.guard_rows < 0:
+        raise UsageError(f"--guard-rows must be nonnegative, got {args.guard_rows}")
     cnf = formats.parse_dimacs(_read(args.cnf))
     goal = _parse_goal(args.goal)
     rows, cols = search_mod.program_size(cnf, goal, args.width)

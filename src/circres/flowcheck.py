@@ -28,6 +28,7 @@ from .proofgraph import (
     IncompleteFlowError,
     ProofGraph,
     RuleViolation,
+    balance_numerators,
     balances,
     validate_rules,
 )
@@ -140,7 +141,7 @@ def verify_flow(graph: ProofGraph, flow: FlowAssignment) -> bool:
         raise IncompleteFlowError("flow assignment does not cover all inference vertices")
     if not flow.is_positive():
         return False
-    bal = balances(graph, flow)
+    bal, _ = balance_numerators(graph, flow)
     hyp_clauses = graph.hypothesis_clauses()
     for v in graph.formula_vertices:
         if bal[v.id] < 0 and v.clause not in hyp_clauses:

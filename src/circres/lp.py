@@ -18,9 +18,9 @@ witnesses dramatically faster than objective-driven phase-1 pivoting.
 
 Implementation notes, none of which change the results:
 
-* Rows are integers from :meth:`LinearProgram.add_geq` on: it multiplies a
-  rational row once by the lcm of its denominators, so ``lp.rows`` and any
-  certificate refer to the scaled rows.
+* Rows are integers from :meth:`LinearProgram.add_geq` on: it stores an
+  integer row as given and multiplies a rational row once by the lcm of its
+  denominators, so ``lp.rows`` and any certificate refer to the scaled rows.
 * A singleton row ``a * x_j >= r`` with ``a > 0`` dividing ``r`` is a lower
   bound and is eliminated by substituting ``x_j = r/a + x'_j`` with
   ``x'_j >= 0``; any other singleton row stays an ordinary tableau row.
@@ -66,14 +66,15 @@ class LinearProgram:
     def add_geq(self, coeffs: Mapping[int, Fraction | int], rhs: Fraction | int = 0) -> None:
         """Append ``sum(coeffs[j] * x_j) >= rhs``, scaled to integers by the
         lcm of its denominators (an integer row is stored as given)."""
-        items = sorted((j, c) for j, c in coeffs.items() if c != 0)
-        for j, _ in items:
-            if not 0 <= j < self.num_vars:
-                raise IndexError(f"variable index {j} out of range 0..{self.num_vars - 1}")
-        scale = math.lcm(rhs.denominator, *(c.denominator for _, c in items))
-        self.rows.append(Constraint(
-            tuple((j, int(c * scale)) for j, c in items), int(rhs * scale)
-        ))
+        items = sorted([(j, c) for j, c in coeffs.items() if c])
+        if items and not (0 <= items[0][0] and items[-1][0] < self.num_vars):
+            j = next(j for j, _ in items if not 0 <= j < self.num_vars)
+            raise IndexError(f"variable index {j} out of range 0..{self.num_vars - 1}")
+        if type(rhs) is not int or not all([type(c) is int for _, c in items]):
+            scale = math.lcm(rhs.denominator, *(c.denominator for _, c in items))
+            items = [(j, int(c * scale)) for j, c in items]
+            rhs = int(rhs * scale)
+        self.rows.append(Constraint(tuple(items), rhs))
 
 
 class _Tableau:

@@ -20,6 +20,7 @@ matching happens after normalization, so idempotent collapses like
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Container, Optional, Sequence
@@ -162,8 +163,11 @@ class ProofGraph:
         return max((v.clause.width for v in self.formula_vertices), default=0)
 
 
-def _expected_pair(side: Clause, principal: int) -> tuple[Clause, Clause]:
-    return side.with_literal(principal), side.with_literal(-principal)
+def _expected_sets(side: Clause, principal: int) -> tuple[frozenset[int], frozenset[int]]:
+    """The literal sets of ``side | x`` and ``side | ~x``: canonical clauses
+    are equal exactly when their literal sets are."""
+    lits = side.signed()
+    return lits | {principal}, lits | {-principal}
 
 
 def rule_violations(graph: ProofGraph, w: InferenceVertex) -> list[RuleViolation]:
@@ -187,8 +191,9 @@ def rule_violations(graph: ProofGraph, w: InferenceVertex) -> list[RuleViolation
             out.append(RuleViolation(w.id, "cut must have exactly two antecedents"))
         else:
             side = outs[0]
-            pos, neg = _expected_pair(side, x)
-            if {ins[0], ins[1]} != {pos, neg}:
+            expected = _expected_sets(side, x)
+            if {ins[0].signed(), ins[1].signed()} != set(expected):
+                pos, neg = map(Clause.from_signed, expected)
                 out.append(
                     RuleViolation(
                         w.id,
@@ -203,11 +208,12 @@ def rule_violations(graph: ProofGraph, w: InferenceVertex) -> list[RuleViolation
             out.append(RuleViolation(w.id, "split must have one or two consequents"))
         else:
             side = ins[0]
-            pos, neg = _expected_pair(side, x)
+            expected = _expected_sets(side, x)
             if len(outs) == 2 and outs[0] == outs[1]:
                 out.append(RuleViolation(w.id, "split consequents must be distinct"))
             for c in outs:
-                if c not in (pos, neg):
+                if c.signed() not in expected:
+                    pos, neg = map(Clause.from_signed, expected)
                     out.append(
                         RuleViolation(
                             w.id,
@@ -257,22 +263,31 @@ class FlowAssignment:
         return FlowAssignment({w.id: Fraction(value) for w in graph.inference_vertices})
 
 
-def balances(graph: ProofGraph, flow: FlowAssignment) -> dict[int, Fraction]:
-    """Inflow minus outflow of every formula vertex, computed in one sweep."""
-    acc = {v.id: Fraction(0) for v in graph.formula_vertices}
-    for w in graph.inference_vertices:
-        f = flow[w.id]
+def balance_numerators(graph: ProofGraph, flow: FlowAssignment) -> tuple[dict[int, int], int]:
+    """Inflow minus outflow of every formula vertex, summed in one sweep as
+    integer numerators over ``den > 0``, the lcm of the flows' denominators."""
+    flows = [(w, flow[w.id]) for w in graph.inference_vertices]
+    den = math.lcm(*(f.denominator for _, f in flows))
+    acc = {v.id: 0 for v in graph.formula_vertices}
+    for w, f in flows:
+        a = f.numerator * (den // f.denominator)
         for u in w.out_neighbors:
-            acc[u] += f
+            acc[u] += a
         for u in w.in_neighbors:
-            acc[u] -= f
-    return acc
+            acc[u] -= a
+    return acc, den
+
+
+def balances(graph: ProofGraph, flow: FlowAssignment) -> dict[int, Fraction]:
+    """Inflow minus outflow of every formula vertex (see :func:`balance_numerators`)."""
+    acc, den = balance_numerators(graph, flow)
+    return {u: Fraction(a, den) for u, a in acc.items()}
 
 
 def sources_and_sinks(graph: ProofGraph,
                       flow: FlowAssignment) -> tuple[frozenset[int], frozenset[int]]:
     """Partition formula vertices by balance sign; zero-balance vertices in neither."""
-    bal = balances(graph, flow)
+    bal, _ = balance_numerators(graph, flow)
     sources = frozenset(u for u, b in bal.items() if b < 0)
     sinks = frozenset(u for u, b in bal.items() if b > 0)
     return sources, sinks

@@ -113,7 +113,13 @@ def program_size(hypotheses: CnfFormula, goal: Clause, width: int) -> tuple[int,
     solves: a row per clause of width at most ``width`` whose balance is
     constrained (every one but the hypotheses other than the goal), a
     variable per such clause with a positive literal.  Their sum is what the
-    search budget bounds."""
+    search budget bounds.  Raises :class:`WidthError` if there is no such LP:
+    ``width`` is below the inputs' width or the goal is tautological."""
+    needed = max(c.width for c in (*hypotheses.clauses, goal))
+    if width < needed:
+        raise WidthError(f"width {width} below input width {needed}")
+    if goal.is_tautological:
+        raise WidthError("goal clause must not be tautological")
     n = _num_variables(hypotheses, goal)
     free = {h for h in _hypothesis_sets(hypotheses) if len(h) <= width} - {goal.signed()}
     clauses = sum(math.comb(n, k) * 2 ** k for k in range(width + 1))
@@ -137,18 +143,10 @@ def circular_search(
     exceed ``row_budget`` and :class:`WidthError` if ``width`` cannot even
     accommodate the inputs.
     """
-    n = _num_variables(hypotheses, goal)
-    needed = max(
-        [c.width for c in hypotheses.clauses] + [goal.width]
-    ) if (hypotheses.clauses or goal.literals) else 0
-    if width < needed:
-        raise WidthError(f"width {width} below input width {needed}")
-    if goal.is_tautological:
-        raise WidthError("goal clause must not be tautological")
-
     rows, cols = program_size(hypotheses, goal, width)
     if rows + cols > row_budget:
         raise SearchBudgetError(rows, cols, row_budget)
+    n = _num_variables(hypotheses, goal)
     target = goal.signed()
     hyps = _hypothesis_sets(hypotheses)
 

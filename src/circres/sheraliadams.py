@@ -16,11 +16,13 @@ monomial, and ``P_j`` a hypothesis encoding or a basic polynomial, such that
 holds as an exact formal identity.  Degree is the maximum degree among the
 expanded products, monomial size the sum of their term counts.
 
-Only :func:`check_sa` expands the products, once, computing each distinct
-``poly(P_j)`` once.  Degree and monomial size are read without expanding:
-multiplying by ``q_j`` is injective on monomials and adds ``deg q_j`` to each
-degree, and ``a_j > 0``, so the product has exactly ``|poly(P_j)|`` terms and
-degree ``deg q_j + deg poly(P_j)``.
+Each distinct ``poly(P_j)`` is computed once per proof, in a table kept on
+the proof and shared by :func:`check_sa`, :func:`sa_degree` and
+:func:`sa_monomial_size`.  Only :func:`check_sa` expands the products, once;
+degree and monomial size are read without expanding: multiplying by ``q_j``
+is injective on monomials and adds ``deg q_j`` to each degree, and
+``a_j > 0``, so the product has exactly ``|poly(P_j)|`` terms and degree
+``deg q_j + deg poly(P_j)``.
 
 ``circular_to_sa`` rewrites a flow-checked circular proof into such an
 identity term by term (degree equals proof width); ``sa_to_circular`` goes
@@ -303,6 +305,23 @@ class SAProof:
     goal: Optional[Clause]
     terms: tuple[SATerm, ...]
 
+    @property
+    def _reference_polynomials(self) -> dict[RefPoly, Polynomial]:
+        """``poly(P)`` for each distinct reference ``P`` of the proof (a proof
+        names few), built once per proof.  A coefficient ``<= 0`` is rejected
+        on every call: a failed build is not kept."""
+        refs = getattr(self, "_refs", None)
+        if refs is None:
+            refs = {}
+            for t in self.terms:
+                if t.coefficient <= 0:
+                    raise MalformedProofError(
+                        f"term coefficient {t.coefficient} is not positive")
+                if t.ref not in refs:
+                    refs[t.ref] = ref_polynomial(t.ref, self.hypotheses)
+            object.__setattr__(self, "_refs", refs)
+        return refs
+
     @staticmethod
     def of(num_variables: int, hypotheses: Iterable[Clause], goal: Optional[Clause],
            terms: Iterable[SATerm | tuple]) -> "SAProof":
@@ -315,23 +334,11 @@ class SAProof:
         return SAProof(num_variables, tuple(hypotheses), goal, tuple(norm_terms))
 
 
-def _reference_polynomials(proof: SAProof) -> dict[RefPoly, Polynomial]:
-    """``poly(P)`` for each distinct reference ``P`` of the proof (a proof
-    names few), computed once; rejects a coefficient ``<= 0``."""
-    refs: dict[RefPoly, Polynomial] = {}
-    for t in proof.terms:
-        if t.coefficient <= 0:
-            raise MalformedProofError(f"term coefficient {t.coefficient} is not positive")
-        if t.ref not in refs:
-            refs[t.ref] = ref_polynomial(t.ref, proof.hypotheses)
-    return refs
-
-
 def proof_sum(proof: SAProof) -> Polynomial:
     """``sum a_j * q_j * poly(P_j)`` in one pass, as integer numerators over
     the common denominator of the ``a_j`` (reference polynomials have integer
     coefficients); only the surviving sums become fractions."""
-    refs = _reference_polynomials(proof)
+    refs = proof._reference_polynomials
     den = math.lcm(*(t.coefficient.denominator for t in proof.terms))
     acc: dict[Monomial, int] = {}
     for t in proof.terms:
@@ -365,14 +372,14 @@ def check_sa(proof: SAProof, raw_target: Optional[Polynomial] = None) -> bool:
 def sa_degree(proof: SAProof) -> int:
     """Max degree among the expanded products ``a_j * q_j * poly(P_j)``, read
     as ``deg q_j + deg poly(P_j)`` without expanding (see the module docstring)."""
-    ref_degree = {ref: p.degree for ref, p in _reference_polynomials(proof).items()}
+    ref_degree = {ref: p.degree for ref, p in proof._reference_polynomials.items()}
     return max((t.monomial.degree + ref_degree[t.ref] for t in proof.terms), default=0)
 
 
 def sa_monomial_size(proof: SAProof) -> int:
     """Sum of the term counts of the expanded products, read as ``|poly(P_j)|``
     without expanding (see the module docstring)."""
-    refs = _reference_polynomials(proof)
+    refs = proof._reference_polynomials
     return sum(refs[t.ref].monomial_size for t in proof.terms)
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from circres import cli
+from circres import cli, sheraliadams as sa
 from circres.cli import main
 from circres.core import Clause
 from circres.formats import parse_cres, parse_dimacs, parse_sap, serialize_cres, serialize_dimacs
@@ -271,6 +271,30 @@ def test_check_goal_option_certifies_the_padded_goal(tmp_path, capsys):
     assert 'f1 [shape=box, label="x1  [hyp,goal]"];' in text
 
 
+@pytest.mark.parametrize("direction", ["c2s", "s2c"])
+def test_reference_polynomials_built_once(tmp_path, monkeypatch, direction):
+    # check_sa, sa_degree and sa_monomial_size all read one table per proof.
+    cnf, proof, sap = tmp_path / "php.cnf", tmp_path / "php.cres", tmp_path / "php.sap"
+    assert run(["gen-php", "--complete", 4, "--cnf-out", cnf, "--proof-out", proof]) == 0
+    if direction == "s2c":
+        assert run(["translate", "c2s", proof, "-o", sap]) == 0
+    calls = []
+    build = sa.ref_polynomial
+
+    def counting(ref, hypotheses):
+        calls.append(ref)
+        return build(ref, hypotheses)
+
+    monkeypatch.setattr(sa, "ref_polynomial", counting)
+    if direction == "c2s":
+        assert run(["translate", "c2s", proof, "-o", sap]) == 0
+    else:
+        assert run(["translate", "s2c", sap, "-o", tmp_path / "back.cres"]) == 0
+    refs = {t.ref for t in parse_sap(sap.read_text()).terms}
+    assert len(calls) == len(refs)
+    assert set(calls) == refs
+
+
 def test_translate_rejects_unwitnessed(tmp_path):
     proof = tmp_path / "cycle.cres"
     proof.write_text(serialize_cres(unsound_cycle_example()))
@@ -311,6 +335,26 @@ def test_search_guard(tmp_path):
     cnf = tmp_path / "unit.cnf"
     cnf.write_text("p cnf 1 2\n1 0\n-1 0\n")
     assert run(["search", cnf, "--width", 1, "--guard-rows", 1]) == 3
+
+
+def test_search_width_below_input_prints_nothing(tmp_path, capsys):
+    cnf = tmp_path / "php.cnf"
+    assert run(["gen-php", "--complete", 3, "--cnf-out", cnf,
+                "--proof-out", tmp_path / "php.cres"]) == 0
+    capsys.readouterr()
+    assert run(["search", cnf, "--width", 0]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: width 0 below input width 3\n"
+
+
+def test_search_negative_guard_is_a_usage_error(tmp_path, capsys):
+    cnf = tmp_path / "unit.cnf"
+    cnf.write_text("p cnf 1 2\n1 0\n-1 0\n")
+    assert run(["search", cnf, "--width", 1, "--guard-rows", -1]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --guard-rows must be nonnegative, got -1\n"
 
 
 def test_search_prints_the_size_the_guard_bounds(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -36,6 +37,7 @@ from circres.proofgraph import (
     SPLIT,
     balances,
     sources_and_sinks,
+    validate_rules,
 )
 
 
@@ -99,6 +101,48 @@ def test_find_witness_refuses_invalid_rules():
         "inference 0: split consequent x2 is neither x1 | x3 nor x1 | ~x3"
     ]
     assert str(info.value) == str(info.value.violations[0])
+
+
+def _mutated(seed):
+    """A random proof with some inference vertices rewired: a principal
+    redrawn, or an antecedent or consequent id replaced, added or dropped."""
+    graph, _ = random_circular_proof(seed, 5, 10)
+    rng = random.Random(seed)
+    fids = [v.id for v in graph.formula_vertices]
+    rewired = []
+    for w in graph.inference_vertices:
+        x, ins, outs = w.rule.principal, list(w.in_neighbors), list(w.out_neighbors)
+        r = rng.random()
+        if r < 0.2:
+            x = rng.randint(1, 5)
+        elif r < 0.35 and ins:
+            ins[rng.randrange(len(ins))] = rng.choice(fids)
+        elif r < 0.5:
+            outs[rng.randrange(len(outs))] = rng.choice(fids)
+        elif r < 0.6:
+            ins.append(rng.choice(fids))
+        elif r < 0.7:
+            outs.append(rng.choice(fids))
+        elif r < 0.75:
+            outs.pop()
+        rewired.append(InferenceVertex(w.id, Rule(w.rule.kind, x), tuple(ins), tuple(outs)))
+    return ProofGraph(graph.formula_vertices, tuple(rewired), graph.hypothesis_ids,
+                      graph.goal_id)
+
+
+# sha256 of the joined messages of test_rule_messages_are_stable, recorded
+# when the expected clauses were still built for every rule check.
+RULE_MESSAGES_SHA256 = "10b42589899d0d5efbc39a3d62070c18e38983ff4f2e49c0a8b0eaa3d949127f"
+
+
+def test_rule_messages_are_stable():
+    messages = [str(v) for seed in range(50) for v in validate_rules(_mutated(seed))]
+    assert len(messages) == 403
+    for shape in ("cut antecedents must be", "split consequent", "axiom consequent must be",
+                  "must have exactly", "split consequents must be distinct"):
+        assert any(shape in m for m in messages), shape
+    digest = hashlib.sha256("\n".join(messages).encode()).hexdigest()
+    assert digest == RULE_MESSAGES_SHA256
 
 
 def test_find_witness_takes_supplied_flows(monkeypatch):

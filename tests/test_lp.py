@@ -63,6 +63,38 @@ def test_add_geq_scales_a_rational_row_to_integers():
         assert type(row.rhs) is int and all(type(c) is int for _, c in row.coeffs)
 
 
+def test_add_geq_stores_an_integer_row_as_given():
+    lp = LinearProgram(3)
+    geq(lp, {2: 4, 0: -6, 1: 0}, 2)
+    geq(lp, {}, -1)
+    assert [(r.coeffs, r.rhs) for r in lp.rows] == [(((0, -6), (2, 4)), 2), ((), -1)]
+
+
+def test_add_geq_scales_integral_fractions_to_int():
+    lp = LinearProgram(2)
+    geq(lp, {0: Fraction(3), 1: Fraction(-2)}, Fraction(1, 2))
+    geq(lp, {1: Fraction(3)}, Fraction(5))
+    assert [(r.coeffs, r.rhs) for r in lp.rows] == [(((0, 6), (1, -4)), 1), (((1, 3),), 5)]
+    for row in lp.rows:
+        assert type(row.rhs) is int and all(type(c) is int for _, c in row.coeffs)
+
+
+@pytest.mark.parametrize("coeffs, bad", [
+    ({-1: 1, 0: 1}, -1),
+    ({0: 1, 5: 2, 4: 1}, 4),
+    ({0: Fraction(1, 2), 3: Fraction(1, 3)}, 3),
+    ({-2: Fraction(1, 2), -1: 1}, -2),
+], ids=["int-low", "int-high", "rational-high", "rational-low"])
+def test_add_geq_rejects_an_index_out_of_range(coeffs, bad):
+    lp = LinearProgram(3)
+    with pytest.raises(IndexError) as info:
+        lp.add_geq(coeffs, 0)
+    assert str(info.value) == f"variable index {bad} out of range 0..2"
+    assert lp.rows == []
+    lp.add_geq({7: 0, 2: 1}, 1)  # a zero entry names no variable
+    assert lp.rows[0].coeffs == ((2, 1),)
+
+
 def _satisfies(rows, x) -> bool:
     return all(
         sum((c * x[j] for j, c in coeffs.items()), Fraction(0)) >= rhs

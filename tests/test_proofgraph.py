@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circres.core import Clause
+from circres.flowcheck import verify_flow
 from circres.generators import random_circular_proof, unsound_cycle_example
 from circres.proofgraph import (
     AXIOM,
@@ -176,6 +179,42 @@ def test_double_counting_identity():
 def test_no_inference_vertices_no_sources_or_sinks():
     graph = ProofGraph((FormulaVertex(0, clause(1)),), (), frozenset(), 0)
     assert sources_and_sinks(graph, FlowAssignment({})) == (frozenset(), frozenset())
+
+
+def _fraction_balances(graph, flows):
+    acc = {v.id: Fraction(0) for v in graph.formula_vertices}
+    for w in graph.inference_vertices:
+        for u in w.out_neighbors:
+            acc[u] += flows[w.id]
+        for u in w.in_neighbors:
+            acc[u] -= flows[w.id]
+    return acc
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10_000), budget=st.integers(1, 12), bare=st.booleans(),
+       data=st.data())
+def test_integer_balances_agree_with_fraction_sums(seed, budget, bare, data):
+    # Rational flows with assorted denominators on random proofs, and on the
+    # same formula vertices with no inference vertices at all.
+    graph, _ = random_circular_proof(seed, 5, budget)
+    if bare:
+        graph = ProofGraph(graph.formula_vertices, (), graph.hypothesis_ids, graph.goal_id)
+    flows = {
+        w.id: Fraction(data.draw(st.integers(1, 40)), data.draw(st.integers(1, 12)))
+        for w in graph.inference_vertices
+    }
+    flow = FlowAssignment(flows)
+    expected = _fraction_balances(graph, flows)
+    assert balances(graph, flow) == expected
+    sources, sinks = sources_and_sinks(graph, flow)
+    assert sources == {u for u, b in expected.items() if b < 0}
+    assert sinks == {u for u, b in expected.items() if b > 0}
+    hyps = graph.hypothesis_clauses()
+    witnessed = expected[graph.goal_id] > 0 and all(
+        expected[v.id] >= 0 or v.clause in hyps for v in graph.formula_vertices
+    )
+    assert verify_flow(graph, flow) == witnessed
 
 
 DOT_EDGE = r"^\s+[fi]\d+ -> [fi]\d+;$"
