@@ -305,10 +305,18 @@ def certificate_combination(graph: ProofGraph,
 def verify_dual_certificate(graph: ProofGraph, cert: DualCertificate) -> bool:
     """True iff the combination collapses exactly to ``0 >= 1``.
 
-    All multipliers must be nonnegative, every indeterminate must cancel, and
-    the constant must be exactly ``-1`` (the combined inequality reads
-    ``-1 >= 0``, equivalently ``0 >= 1``).
+    The certificate must be for ``graph.goal_id``, and its sources must be
+    formula vertices labelled by hypothesis clauses (the rule of
+    :func:`verify_flow`).  All multipliers must be nonnegative, every
+    indeterminate must cancel, and the constant must be exactly ``-1`` (the
+    combined inequality reads ``-1 >= 0``, equivalently ``0 >= 1``).
     """
+    if cert.goal_id != graph.goal_id:
+        return False
+    hyp_clauses = graph.hypothesis_clauses()
+    sources = [v for v in graph.formula_vertices if v.id in cert.source_ids]
+    if len(sources) != len(cert.source_ids) or any(v.clause not in hyp_clauses for v in sources):
+        return False
     if any(b < 0 for b in cert.formula_multipliers.values()):
         return False
     if any(c < 0 for c in cert.rule_multipliers.values()):

@@ -28,7 +28,10 @@ Polynomial proofs (``.sap``)::
 
 where ``<mono>`` is zero or more ``±i^e`` tokens (positive for a variable,
 negative for its twin, ``^e`` optional) and ``<ref>`` is ``H i`` for a
-hypothesis or ``B xxsq|xsqx|1mxx|xxm1|one [i]`` for a basic polynomial.
+hypothesis or ``B <kind> i`` for a basic polynomial (``B one`` takes no
+index).  The kinds are the keys of :data:`circres.sheraliadams.BASIC`, which
+holds each basic polynomial, except ``minus_x_xbar``: it occurs only in
+normalized proofs and has no file form.
 
 Serialization is canonical: parse(serialize(x)) reproduces x exactly.
 """
@@ -49,18 +52,7 @@ from .proofgraph import (
     ProofGraph,
     Rule,
 )
-from .sheraliadams import (
-    HYPOTHESIS,
-    ONE,
-    ONE_MINUS_X_XBAR,
-    Monomial,
-    RefPoly,
-    SAProof,
-    SATerm,
-    X_MINUS_XSQ,
-    X_XBAR_MINUS_ONE,
-    XSQ_MINUS_X,
-)
+from .sheraliadams import BASIC, HYPOTHESIS, MINUS_X_XBAR, ONE, Monomial, RefPoly, SAProof, SATerm
 
 
 class ParseError(ValueError):
@@ -166,6 +158,7 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[FlowAssignment]]:
     inferences: list[InferenceVertex] = []
     hyp_ids: set[int] = set()
     goal_id: Optional[int] = None
+    goal_line = 0
     flows: dict[int, Fraction] = {}
     flow_line: dict[int, int] = {}
     declared = None
@@ -221,7 +214,7 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[FlowAssignment]]:
                 raise ParseError(no, "goal mark must be 'g <fid>'")
             if goal_id is not None:
                 raise ParseError(no, "duplicate goal mark")
-            goal_id = _int(tokens[1], no)
+            goal_id, goal_line = _int(tokens[1], no), no
         elif tag == "w":
             if len(tokens) != 3:
                 raise ParseError(no, "flow line must be 'w <iid> <flow>'")
@@ -246,6 +239,8 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[FlowAssignment]]:
         )
     if goal_id is None:
         raise ParseError(header_line, "missing goal mark")
+    if all(v.id != goal_id for v in formulas):
+        raise ParseError(goal_line, f"goal mark names no formula vertex {goal_id}")
     try:
         graph = ProofGraph(tuple(formulas), tuple(inferences), frozenset(hyp_ids), goal_id)
     except ValueError as exc:
@@ -290,16 +285,6 @@ def serialize_cres(
 
 # ---------------------------------------------------------------------------
 # polynomial proofs
-
-_BASIC_NAMES = {
-    X_MINUS_XSQ: "xxsq",
-    XSQ_MINUS_X: "xsqx",
-    ONE_MINUS_X_XBAR: "1mxx",
-    X_XBAR_MINUS_ONE: "xxm1",
-    ONE: "one",
-}
-_NAME_BASICS = {v: k for k, v in _BASIC_NAMES.items()}
-
 
 def _parse_monomial(tokens: list[str], no: int) -> Monomial:
     powers: list[tuple[int, int]] = []
@@ -363,9 +348,9 @@ def parse_sap(text: str) -> SAProof:
                 kind, index = HYPOTHESIS, _int(ref_tokens[1], no)
                 hyp_refs.append((no, index))
             elif ref_tokens[0] == "B":
-                if len(ref_tokens) < 2 or ref_tokens[1] not in _NAME_BASICS:
+                kind = ref_tokens[1] if len(ref_tokens) > 1 else None
+                if kind not in BASIC or kind == MINUS_X_XBAR:
                     raise ParseError(no, f"unknown basic reference {ref_tokens[1:]!r}")
-                kind = _NAME_BASICS[ref_tokens[1]]
                 if kind == ONE:
                     if len(ref_tokens) != 2:
                         raise ParseError(no, "'B one' takes no index")
@@ -425,10 +410,10 @@ def serialize_sap(proof: SAProof, comments: list[str] | None = None) -> str:
             ref = f"H {t.ref.index}"
         elif t.ref.kind == ONE:
             ref = "B one"
-        elif t.ref.kind in _BASIC_NAMES:
-            ref = f"B {_BASIC_NAMES[t.ref.kind]} {t.ref.index}"
-        else:
+        elif t.ref.kind == MINUS_X_XBAR:
             raise ValueError(f"reference kind {t.ref.kind} has no file form")
+        else:
+            ref = f"B {t.ref.kind} {t.ref.index}"
         mono = _mono_tokens(t.monomial)
         middle = f" {mono}" if mono else ""
         out.append(f"t {_fmt_fraction(t.coefficient)}{middle} ; {ref}")

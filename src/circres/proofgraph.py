@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Container, Optional, Sequence
 
 from .core import Clause
@@ -112,37 +113,25 @@ class ProofGraph:
     def inference(self, iid: int) -> InferenceVertex:
         return self._inference_map[iid]
 
-    @property
+    @cached_property
     def _formula_map(self) -> dict[int, FormulaVertex]:
-        m = getattr(self, "_fmap", None)
-        if m is None:
-            m = {v.id: v for v in self.formula_vertices}
-            object.__setattr__(self, "_fmap", m)
-        return m
+        return {v.id: v for v in self.formula_vertices}
 
-    @property
+    @cached_property
     def _inference_map(self) -> dict[int, InferenceVertex]:
-        m = getattr(self, "_imap", None)
-        if m is None:
-            m = {w.id: w for w in self.inference_vertices}
-            object.__setattr__(self, "_imap", m)
-        return m
+        return {w.id: w for w in self.inference_vertices}
 
     def producers(self, fid: int) -> tuple[int, ...]:
         """Inference vertices with an edge into formula vertex ``fid``."""
         return self._producer_map.get(fid, ())
 
-    @property
+    @cached_property
     def _producer_map(self) -> dict[int, tuple[int, ...]]:
-        m = getattr(self, "_pmap", None)
-        if m is None:
-            acc: dict[int, list[int]] = {}
-            for w in self.inference_vertices:
-                for u in w.out_neighbors:
-                    acc.setdefault(u, []).append(w.id)
-            m = {u: tuple(ws) for u, ws in acc.items()}
-            object.__setattr__(self, "_pmap", m)
-        return m
+        acc: dict[int, list[int]] = {}
+        for w in self.inference_vertices:
+            for u in w.out_neighbors:
+                acc.setdefault(u, []).append(w.id)
+        return {u: tuple(ws) for u, ws in acc.items()}
 
     def hypothesis_clauses(self) -> frozenset[Clause]:
         return frozenset(self.formula(h).clause for h in self.hypothesis_ids)

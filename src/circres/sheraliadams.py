@@ -13,7 +13,10 @@ monomial, and ``P_j`` a hypothesis encoding or a basic polynomial, such that
 
     sum a_j * q_j * poly(P_j)  ==  enc(A)
 
-holds as an exact formal identity.  Degree is the maximum degree among the
+holds as an exact formal identity.  The basic polynomials ``x - x^2``,
+``x^2 - x``, ``1 - x - xb``, ``x + xb - 1``, ``1`` and (in normalized proofs
+only) ``-x*xb`` are the rows of one table, :data:`BASIC`, whose keys are
+also their ``.sap`` names.  Degree is the maximum degree among the
 expanded products, monomial size the sum of their term counts.
 
 Each distinct ``poly(P_j)`` is computed once per proof, in a table kept on
@@ -35,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .core import Clause, literal_key
@@ -82,12 +86,13 @@ class Monomial:
         items = powers.items() if isinstance(powers, dict) else powers
         acc: dict[int, int] = {}
         for tok, e in items:
-            if tok == 0:
-                raise ValueError("token 0 is not a twin variable")
             if e < 0:
                 raise ValueError("exponents must be nonnegative")
-            if e:
-                acc[tok] = acc.get(tok, 0) + e
+            if not e:
+                continue  # a zero power is no factor: ``one``'s row has token 0
+            if tok == 0:
+                raise ValueError("token 0 is not a twin variable")
+            acc[tok] = acc.get(tok, 0) + e
         return _monomial(acc)
 
     @property
@@ -164,15 +169,6 @@ class Polynomial:
     def monomial_size(self) -> int:
         return len(self.terms)
 
-    def add(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial.of([*self.terms, *other.terms])
-
-    def scale(self, c: Fraction | int) -> "Polynomial":
-        c = Fraction(c)
-        if not c:
-            return Polynomial()
-        return Polynomial(tuple((m, k * c) for m, k in self.terms))
-
     def evaluate(self, point: dict[int, Fraction | int]) -> Fraction:
         total = Fraction(0)
         for m, k in self.terms:
@@ -208,10 +204,6 @@ def clause_of_monomial(m: Monomial) -> Clause:
     return Clause.from_signed(-tok for tok, _ in m.factors)
 
 
-def _encode_any(c: Clause) -> Polynomial:
-    return Polynomial(((falsified_monomial(c), Fraction(-1)),))
-
-
 def encode_clause(c: Clause) -> Polynomial:
     """Product encoding ``enc(c)``: minus the falsified-point monomial.
 
@@ -221,27 +213,30 @@ def encode_clause(c: Clause) -> Polynomial:
     """
     if c.is_tautological:
         raise TautologicalClauseError(f"cannot encode tautological clause {c}")
-    return _encode_any(c)
+    return Polynomial(((falsified_monomial(c), Fraction(-1)),))
 
 
 # ---------------------------------------------------------------------------
 # reference polynomials and proofs
 
 HYPOTHESIS = "hyp"
-X_MINUS_XSQ = "x_minus_xsq"
-XSQ_MINUS_X = "xsq_minus_x"
-ONE_MINUS_X_XBAR = "one_minus_x_xbar"
-X_XBAR_MINUS_ONE = "x_xbar_minus_one"
+X_MINUS_XSQ = "xxsq"
+XSQ_MINUS_X = "xsqx"
+ONE_MINUS_X_XBAR = "1mxx"
+X_XBAR_MINUS_ONE = "xxm1"
 ONE = "one"
-MINUS_X_XBAR = "minus_x_xbar"  # appears only in normalized proofs
+MINUS_X_XBAR = "minus_x_xbar"  # appears only in normalized proofs; no file form
 
-_INDEXED_KINDS = {
-    HYPOTHESIS,
-    X_MINUS_XSQ,
-    XSQ_MINUS_X,
-    ONE_MINUS_X_XBAR,
-    X_XBAR_MINUS_ONE,
-    MINUS_X_XBAR,
+#: The basic reference polynomials, each over ``X_i`` and ``Xb_i`` as
+#: ``(coefficient, exponent of X_i, exponent of Xb_i)`` rows.  A kind is also
+#: its ``.sap`` name after ``B``.  ``one`` has index 0.
+BASIC: dict[str, tuple[tuple[int, int, int], ...]] = {
+    X_MINUS_XSQ: ((1, 1, 0), (-1, 2, 0)),
+    XSQ_MINUS_X: ((1, 2, 0), (-1, 1, 0)),
+    ONE_MINUS_X_XBAR: ((1, 0, 0), (-1, 1, 0), (-1, 0, 1)),
+    X_XBAR_MINUS_ONE: ((1, 1, 0), (1, 0, 1), (-1, 0, 0)),
+    ONE: ((1, 0, 0),),
+    MINUS_X_XBAR: ((-1, 1, 1),),
 }
 
 
@@ -253,13 +248,13 @@ class RefPoly:
     index: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind in _INDEXED_KINDS:
-            if self.index < 1:
-                raise ValueError(f"{self.kind} needs a positive index")
-        elif self.kind == ONE:
-            pass
-        else:
+        if self.kind != HYPOTHESIS and self.kind not in BASIC:
             raise ValueError(f"unknown reference polynomial kind {self.kind!r}")
+        if self.kind == ONE:
+            if self.index != 0:
+                raise ValueError(f"one takes no index, got {self.index}")
+        elif self.index < 1:
+            raise ValueError(f"{self.kind} needs a positive index")
 
 
 def hyp(i: int) -> RefPoly:
@@ -268,25 +263,11 @@ def hyp(i: int) -> RefPoly:
 
 def ref_polynomial(ref: RefPoly, hypotheses: Sequence[Clause]) -> Polynomial:
     i = ref.index
-    one = MONOMIAL_ONE
     if ref.kind == HYPOTHESIS:
         if not 1 <= i <= len(hypotheses):
             raise MalformedProofError(f"hypothesis index {i} out of range")
         return encode_clause(hypotheses[i - 1])
-    if ref.kind == ONE:
-        return Polynomial.of([(one, 1)])
-    x = Monomial.of({i: 1})
-    xb = Monomial.of({-i: 1})
-    xsq = Monomial.of({i: 2})
-    if ref.kind == X_MINUS_XSQ:
-        return Polynomial.of([(x, 1), (xsq, -1)])
-    if ref.kind == XSQ_MINUS_X:
-        return Polynomial.of([(xsq, 1), (x, -1)])
-    if ref.kind == ONE_MINUS_X_XBAR:
-        return Polynomial.of([(one, 1), (x, -1), (xb, -1)])
-    if ref.kind == X_XBAR_MINUS_ONE:
-        return Polynomial.of([(x, 1), (xb, 1), (one, -1)])
-    return Polynomial.of([(x.mul(xb), -1)])
+    return Polynomial.of((Monomial.of(((i, e), (-i, eb))), k) for k, e, eb in BASIC[ref.kind])
 
 
 @dataclass(frozen=True)
@@ -305,21 +286,17 @@ class SAProof:
     goal: Optional[Clause]
     terms: tuple[SATerm, ...]
 
-    @property
+    @cached_property
     def _reference_polynomials(self) -> dict[RefPoly, Polynomial]:
         """``poly(P)`` for each distinct reference ``P`` of the proof (a proof
         names few), built once per proof.  A coefficient ``<= 0`` is rejected
         on every call: a failed build is not kept."""
-        refs = getattr(self, "_refs", None)
-        if refs is None:
-            refs = {}
-            for t in self.terms:
-                if t.coefficient <= 0:
-                    raise MalformedProofError(
-                        f"term coefficient {t.coefficient} is not positive")
-                if t.ref not in refs:
-                    refs[t.ref] = ref_polynomial(t.ref, self.hypotheses)
-            object.__setattr__(self, "_refs", refs)
+        refs: dict[RefPoly, Polynomial] = {}
+        for t in self.terms:
+            if t.coefficient <= 0:
+                raise MalformedProofError(f"term coefficient {t.coefficient} is not positive")
+            if t.ref not in refs:
+                refs[t.ref] = ref_polynomial(t.ref, self.hypotheses)
         return refs
 
     @staticmethod
@@ -427,20 +404,20 @@ def clause_gadget(kind: int, side_clause: Clause, principal: int) -> list[SATerm
 
 
 def gadget_target(kind: int, side_clause: Clause, principal: int) -> Polynomial:
-    """The inequality left-hand side each gadget family expands to."""
+    """The inequality left-hand side each gadget family expands to, written
+    with ``enc(C) = -F(C)`` for ``F`` the falsified-point monomial (which
+    tautological clauses have too)."""
     pos = side_clause.with_literal(principal)
     neg = side_clause.with_literal(-principal)
-    if kind == 1:
-        return _encode_any(Clause.from_ints(principal, -principal))
-    if kind == 2:
-        return _encode_any(neg).scale(-1).add(_encode_any(pos).scale(-1)).add(
-            _encode_any(side_clause)
-        )
-    if kind == 3:
-        return _encode_any(side_clause).scale(-1).add(_encode_any(neg)).add(_encode_any(pos))
-    if kind == 4:
-        return _encode_any(side_clause).scale(-1)
-    raise ValueError(f"gadget kind must be 1..4, got {kind}")
+    signed = {
+        1: [(Clause.from_ints(principal, -principal), -1)],
+        2: [(neg, 1), (pos, 1), (side_clause, -1)],
+        3: [(side_clause, 1), (neg, -1), (pos, -1)],
+        4: [(side_clause, 1)],
+    }
+    if kind not in signed:
+        raise ValueError(f"gadget kind must be 1..4, got {kind}")
+    return Polynomial.of((falsified_monomial(c), k) for c, k in signed[kind])
 
 
 # ---------------------------------------------------------------------------
@@ -511,10 +488,8 @@ def circular_to_sa(graph: ProofGraph, flow: FlowAssignment) -> SAProof:
     if not verify_flow(graph, flow):
         raise NotWitnessError("flow assignment does not witness the proof")
     hyp_index = {h: i + 1 for i, h in enumerate(hyp_clauses)}
-    elementary = {
-        Clause.from_ints(v, -v)
-        for v in range(1, _max_variable(graph) + 1)
-    }
+    num_vars = _max_variable(graph)
+    elementary = {Clause.from_ints(v, -v) for v in range(1, num_vars + 1)}
     for v in graph.formula_vertices:
         if v.clause.is_tautological and v.clause not in elementary:
             raise TautologicalClauseError(
@@ -536,7 +511,6 @@ def circular_to_sa(graph: ProofGraph, flow: FlowAssignment) -> SAProof:
             terms.append(SATerm(-b / bs, MONOMIAL_ONE, hyp(hyp_index[v.clause])))
         else:
             terms.append(SATerm(b / bs, falsified_monomial(v.clause), RefPoly(ONE)))
-    num_vars = _max_variable(graph)
     return SAProof(num_vars, tuple(hyp_clauses), goal, tuple(terms))
 
 

@@ -150,6 +150,17 @@ def test_check_truncated_line(tmp_path, capsys, text, line):
     assert f"error: line {line}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "c2s"])
+def test_goal_mark_naming_no_vertex(tmp_path, capsys, command):
+    bad = tmp_path / "e.cres"
+    bad.write_text("p cres 0 0\ng 0\n")
+    cnf = tmp_path / "e.cnf"
+    cnf.write_text("p cnf 0 0\n")
+    argv = ["check", bad, cnf] if command == "check" else ["translate", "c2s", bad]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: ")
+
+
 def test_gen_php_usage_errors(tmp_path, capsys):
     assert run(["gen-php", "--complete", 0]) == 2
     graph_file = tmp_path / "g.txt"

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -8,6 +9,7 @@ import pytest
 from circres.core import Assignment, Clause, CnfFormula, all_assignments, evaluate, implies_oracle
 from circres.flowcheck import (
     CheckReport,
+    DualCertificate,
     FlowAssignment,
     NotWitnessError,
     PreconditionError,
@@ -380,6 +382,28 @@ def test_tampered_certificate_rejected():
 
     bad = DualCertificate(cert.goal_id, cert.source_ids, cert.formula_multipliers, tampered)
     assert not verify_dual_certificate(graph, bad)
+
+
+def test_forged_certificate_rejected():
+    # The unsound cycle has no hypotheses, yet calling x1 and ~x1 sources
+    # makes the combination collapse to 0 >= 1.
+    graph = unsound_cycle_example()
+    ids = {v.clause: v.id for v in graph.formula_vertices}
+    x, nx, goal = ids[clause(1)], ids[clause(-1)], graph.goal_id
+    final_cut = graph.producers(goal)[0]
+    forged = DualCertificate(goal, frozenset({x, nx}), {goal: 1, x: 1, nx: 1}, {final_cut: 1})
+    coeff, const = certificate_combination(graph, forged)
+    assert all(c == 0 for c in coeff.values()) and const == -1
+    assert not verify_dual_certificate(graph, forged)
+    unknown = dataclasses.replace(forged, source_ids=frozenset({x, nx, 99}))
+    assert not verify_dual_certificate(graph, unknown)
+
+
+def test_certificate_for_another_goal_rejected():
+    graph, flow = single_cut()
+    cert = dual_certificate(graph, flow)
+    moved = dataclasses.replace(graph, goal_id=next(iter(graph.hypothesis_ids)))
+    assert not verify_dual_certificate(moved, cert)
 
 
 def test_dual_certificate_requires_witness():

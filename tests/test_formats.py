@@ -20,7 +20,19 @@ from circres.generators import (
     random_circular_proof,
     unsound_cycle_example,
 )
-from circres.sheraliadams import circular_to_sa
+from circres.sheraliadams import (
+    MINUS_X_XBAR,
+    MONOMIAL_ONE,
+    ONE,
+    ONE_MINUS_X_XBAR,
+    X_MINUS_XSQ,
+    X_XBAR_MINUS_ONE,
+    XSQ_MINUS_X,
+    RefPoly,
+    SAProof,
+    SATerm,
+    circular_to_sa,
+)
 
 
 def clause(*ints):
@@ -156,6 +168,34 @@ def test_sap_round_trip():
     proof2 = parse_sap(text)
     assert proof2 == proof
     assert serialize_sap(proof2, comments=["translated"]) == text
+
+
+@pytest.mark.parametrize("ref, expected", [
+    ("B xxsq 2", RefPoly(X_MINUS_XSQ, 2)),
+    ("B xsqx 2", RefPoly(XSQ_MINUS_X, 2)),
+    ("B 1mxx 2", RefPoly(ONE_MINUS_X_XBAR, 2)),
+    ("B xxm1 2", RefPoly(X_XBAR_MINUS_ONE, 2)),
+    ("B one", RefPoly(ONE)),
+])
+def test_sap_basic_references_round_trip(ref, expected):
+    text = f"p sap 2 0\ng 0\nt 1 ; {ref}\n"
+    proof = parse_sap(text)
+    assert proof.terms[0].ref == expected
+    assert serialize_sap(proof) == text
+
+
+def test_sap_minus_x_xbar_has_no_file_form():
+    with pytest.raises(ParseError) as err:
+        parse_sap("p sap 2 0\ng 0\nt 1 ; B minus_x_xbar 1\n")
+    assert str(err.value).startswith("line 3: unknown basic reference ")
+    term = SATerm(Fraction(1), MONOMIAL_ONE, RefPoly(MINUS_X_XBAR, 1))
+    with pytest.raises(ValueError, match="reference kind minus_x_xbar has no file form"):
+        serialize_sap(SAProof(2, (), Clause(()), (term,)))
+
+
+def test_sap_basic_index_error_names_the_file_token():
+    with pytest.raises(ParseError, match=r"^line 3: 1mxx needs a positive index$"):
+        parse_sap("p sap 1 0\ng 0\nt 1 ; B 1mxx 0\n")
 
 
 def test_sap_header_and_term_errors():

@@ -9,7 +9,9 @@ from circres.flowcheck import FlowAssignment, verify_flow
 from circres.generators import complete_bipartite, php_refutation, random_circular_proof
 from circres.proofgraph import ProofGraphBuilder, balances
 from circres.sheraliadams import (
+    BASIC,
     HYPOTHESIS,
+    MINUS_X_XBAR,
     MONOMIAL_ONE,
     ONE,
     ONE_MINUS_X_XBAR,
@@ -168,6 +170,44 @@ def test_raw_target_mode_for_tautological_targets():
     proof = SAProof.of(1, [], None, terms)
     target = Polynomial.of([(mono({1: 1, -1: 1}), Fraction(-1))])
     assert check_sa(proof, raw_target=target)
+
+
+# ---------------------------------------------------------------------------
+# the basic reference polynomials
+
+# Each basic kind on variable 2 (``one`` has no index), written out by hand.
+_X2, _XB2 = mono({2: 1}), mono({-2: 1})
+HAND_WRITTEN_BASIC = {
+    X_MINUS_XSQ: Polynomial.of([(_X2, 1), (mono({2: 2}), -1)]),
+    XSQ_MINUS_X: Polynomial.of([(mono({2: 2}), 1), (_X2, -1)]),
+    ONE_MINUS_X_XBAR: Polynomial.of([(MONOMIAL_ONE, 1), (_X2, -1), (_XB2, -1)]),
+    X_XBAR_MINUS_ONE: Polynomial.of([(_X2, 1), (_XB2, 1), (MONOMIAL_ONE, -1)]),
+    ONE: Polynomial.of([(MONOMIAL_ONE, 1)]),
+    MINUS_X_XBAR: Polynomial.of([(mono({2: 1, -2: 1}), -1)]),
+}
+
+
+def test_basic_table_gives_the_reference_polynomials():
+    assert set(BASIC) == set(HAND_WRITTEN_BASIC)
+    for kind, poly in HAND_WRITTEN_BASIC.items():
+        ref = RefPoly(kind, 0 if kind == ONE else 2)
+        assert ref_polynomial(ref, ()) == poly, kind
+
+
+def test_refpoly_validates_kind_and_index():
+    with pytest.raises(ValueError, match="unknown reference polynomial kind"):
+        RefPoly("xsq", 1)
+    for kind in (HYPOTHESIS, *BASIC.keys() - {ONE}):
+        with pytest.raises(ValueError, match=f"{kind} needs a positive index"):
+            RefPoly(kind, 0)
+
+
+def test_one_takes_no_index():
+    # 'B one' carries no index in a .sap file, so an indexed 'one' could not
+    # round-trip.
+    assert RefPoly(ONE) == RefPoly(ONE, 0)
+    with pytest.raises(ValueError, match="one takes no index"):
+        RefPoly(ONE, 3)
 
 
 # ---------------------------------------------------------------------------
