@@ -138,10 +138,8 @@ def cmd_gen_php(args) -> int:
     else:
         g = _parse_bipartite_file(args.graph)
         stem = Path(args.graph).stem
-    if g.left_size <= g.right_size:
-        raise UsageError("pigeonhole refutations need more pigeons than holes")
-    cnf = generators.gen_php(g)
     graph, flow = generators.php_refutation(g)
+    cnf = generators.gen_php(g)
 
     var = generators.edge_variables(g)
     comments = [f"pigeonhole contradiction, {g.left_size} pigeons {g.right_size} holes"]

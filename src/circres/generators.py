@@ -20,7 +20,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import Clause, CnfFormula
 from .proofgraph import (
@@ -97,75 +97,63 @@ def gen_php(g: BipartiteGraph) -> CnfFormula:
 
 # ---------------------------------------------------------------------------
 # pigeonhole refutation pieces
+#
+# The order of the builder calls fixes every vertex and inference id, and so
+# every byte of an emitted refutation.
 
-_Record = tuple[str, int, list[Clause], list[Clause]]
+def _vertex(b: ProofGraphBuilder, *lits: int) -> int:
+    return b.vertex(Clause.from_signed(lits))
 
 
-def _pigeon_records(xs: Sequence[int]) -> list[_Record]:
+def _add_pigeon_piece(b: ProofGraphBuilder, xs: Sequence[int]) -> None:
     """Derive the empty clause from the pigeon clause over edge variables
-    ``xs``, demanding one unit of each ``~x``."""
-    recs: list[_Record] = []
-    ell = len(xs)
-    for k in range(ell, 0, -1):
-        cur = Clause.from_ints(-xs[k - 1])
-        for j in range(k - 1):
-            nxt = cur.with_literal(xs[j])
-            recs.append((SPLIT, xs[j], [cur], [nxt]))
+    ``xs``, demanding one unit of each ``~x``.
+
+    For ``x = xs[k]``, last first: split ``~x`` up to ``~x | xs[:k]`` one
+    literal at a time, then cut it with ``xs[:k+1]`` down to ``xs[:k]``.
+    """
+    for k in range(len(xs) - 1, -1, -1):
+        x = xs[k]
+        cur = _vertex(b, -x)
+        for j in range(k):
+            nxt = _vertex(b, -x, *xs[:j + 1])
+            b.inference(SPLIT, xs[j], (cur,), (nxt,))
             cur = nxt
-        side = Clause.from_signed(xs[:k - 1])
-        full = Clause.from_signed(xs[:k])
-        recs.append((CUT, xs[k - 1], [cur, full], [side]))
-    return recs
+        b.inference(CUT, x, (cur, _vertex(b, *xs[:k + 1])), (_vertex(b, *xs[:k]),))
 
 
-def _hole_records(ys: Sequence[int]) -> list[_Record]:
+def _add_hole_piece(b: ProofGraphBuilder, ys: Sequence[int]) -> None:
     """Produce one unit of each ``~y`` from one unit of the empty clause,
     consuming the pairwise exclusion clauses of the hole.
 
-    Built level by level: each level prefixes the previous piece with the next
-    edge literal (with weakening repairs so that exclusion clauses are always
-    consumed in their original form), resolves the prefixed surpluses against
-    the exclusion clauses, and re-splits the empty clause.
+    Level ``k`` handles ``y = ys[k]``, and every clause it touches carries
+    the later edge literals ``rest = ys[k+1:]``.  In order, it emits
+
+    1. a repair split on ``y`` of ``~ys[j] | ~ys[i] | rest`` to
+       ``~ys[j] | ~ys[i] | y | rest``, keeping only that consequent, for each
+       earlier exclusion pair ``j < i < k`` (by ``i``, then ``j``);
+    2. a cut on ``y`` of ``~ys[j] | y | rest`` and ``~ys[j] | ~y | rest`` to
+       ``~ys[j] | rest``, for each ``j < k``;
+    3. a split on ``y`` of ``rest`` to ``y | rest`` and ``~y | rest``.
+
+    At the last level ``rest`` is empty, so its split consumes the empty
+    clause and its cuts consume exclusion clauses as they are.  The repairs
+    of the later levels weaken every other exclusion clause, one literal at
+    a time, to the antecedent its cut consumes.
     """
-    empty = Clause(())
-    y0 = ys[0]
-    recs: list[_Record] = [
-        (SPLIT, y0, [empty], [Clause.from_ints(y0), Clause.from_ints(-y0)])
-    ]
-    hyp_uses: list[Clause] = []
-    for idx in range(1, len(ys)):
-        y = ys[idx]
-        recs = [
-            (
-                kind,
-                principal,
-                [c.with_literal(y) for c in ins],
-                [c.with_literal(y) for c in outs],
+    for k, y in enumerate(ys):
+        rest = ys[k + 1:]
+        for i in range(k):
+            for j in range(i):
+                pair = (-ys[j], -ys[i])
+                b.inference(SPLIT, y, (_vertex(b, *pair, *rest),), (_vertex(b, *pair, y, *rest),))
+        for j in range(k):
+            b.inference(
+                CUT, y,
+                (_vertex(b, -ys[j], y, *rest), _vertex(b, -ys[j], -y, *rest)),
+                (_vertex(b, -ys[j], *rest),),
             )
-            for (kind, principal, ins, outs) in recs
-        ]
-        repairs: list[_Record] = [
-            (SPLIT, y, [h], [h.with_literal(y)]) for h in hyp_uses
-        ]
-        cuts: list[_Record] = []
-        for j in range(idx):
-            side = Clause.from_ints(-ys[j])
-            pos_ante = side.with_literal(y)
-            exclusion = side.with_literal(-y)
-            cuts.append((CUT, y, [pos_ante, exclusion], [side]))
-            hyp_uses.append(exclusion)
-        resplit: _Record = (
-            SPLIT, y, [empty], [Clause.from_ints(y), Clause.from_ints(-y)]
-        )
-        recs = recs + repairs + cuts + [resplit]
-    return recs
-
-
-def _materialize(b: ProofGraphBuilder, recs: Iterable[_Record]) -> None:
-    for kind, principal, ins, outs in recs:
-        in_ids = [b.vertex(c) for c in ins]
-        out_ids = [b.vertex(c) for c in outs]
-        b.inference(kind, principal, in_ids, out_ids, flow=1)
+        b.inference(SPLIT, y, (_vertex(b, *rest),), (_vertex(b, y, *rest), _vertex(b, -y, *rest)))
 
 
 def php_refutation(g: BipartiteGraph) -> tuple[ProofGraph, FlowAssignment]:
@@ -178,7 +166,7 @@ def php_refutation(g: BipartiteGraph) -> tuple[ProofGraph, FlowAssignment]:
     ends with balance ``|U| - |V|``.
     """
     if g.left_size <= g.right_size:
-        raise ValueError("refutation needs more pigeons than holes")
+        raise ValueError("pigeonhole refutations need more pigeons than holes")
     var = edge_variables(g)
     b = ProofGraphBuilder()
     hypotheses: set[Clause] = set()
@@ -187,13 +175,13 @@ def php_refutation(g: BipartiteGraph) -> tuple[ProofGraph, FlowAssignment]:
         if not xs:
             raise IsolatedVertexError(f"pigeon {u} has no incident edge")
         hypotheses.add(Clause.from_signed(xs))
-        _materialize(b, _pigeon_records(xs))
+        _add_pigeon_piece(b, xs)
     for v in range(1, g.right_size + 1):
         ys = [var[(u, v)] for u in g.right_neighbors(v)]
         if not ys:
             continue
         hypotheses.update(Clause.from_ints(-y, -z) for y, z in itertools.combinations(ys, 2))
-        _materialize(b, _hole_records(ys))
+        _add_hole_piece(b, ys)
     b.mark_hypotheses(hypotheses)
     goal = b.vertex(Clause(()))
     b.set_goal(goal)

@@ -102,7 +102,7 @@ class ProofGraph:
         for h in self.hypothesis_ids:
             if h not in fid_set:
                 raise StructureError(f"hypothesis mark references unknown formula id {h}")
-        if self.formula_vertices and self.goal_id not in fid_set:
+        if self.goal_id not in fid_set:
             raise StructureError(f"goal id {self.goal_id} is not a formula vertex")
 
     # -- lookups ------------------------------------------------------------

@@ -363,15 +363,6 @@ def sa_monomial_size(proof: SAProof) -> int:
 # ---------------------------------------------------------------------------
 # the four basic gadget families
 
-def _axiom_terms(x: int, coef: Fraction) -> list[SATerm]:
-    """``coef * ((1-x-xb) * x + (x^2 - x))``, which expands to ``-x*xb``,
-    the encoding of the elementary tautology ``x | ~x``."""
-    return [
-        SATerm(coef, Monomial.of({x: 1}), RefPoly(ONE_MINUS_X_XBAR, x)),
-        SATerm(coef, MONOMIAL_ONE, RefPoly(XSQ_MINUS_X, x)),
-    ]
-
-
 def clause_gadget(kind: int, side_clause: Clause, principal: int) -> list[SATerm]:
     """Term lists proving the four basic clause inequalities from nothing.
 
@@ -393,7 +384,10 @@ def clause_gadget(kind: int, side_clause: Clause, principal: int) -> list[SATerm
     m = falsified_monomial(side_clause)
     one = Fraction(1)
     if kind == 1:
-        return _axiom_terms(principal, one)
+        return [
+            SATerm(one, Monomial.of({principal: 1}), RefPoly(ONE_MINUS_X_XBAR, principal)),
+            SATerm(one, MONOMIAL_ONE, RefPoly(XSQ_MINUS_X, principal)),
+        ]
     if kind == 2:
         return [SATerm(one, m, RefPoly(X_XBAR_MINUS_ONE, principal))]
     if kind == 3:
@@ -425,16 +419,24 @@ def gadget_target(kind: int, side_clause: Clause, principal: int) -> Polynomial:
 
 def _rule_terms(graph: ProofGraph, w, coef: Fraction) -> list[SATerm]:
     """Proof terms expanding to the rule polynomial of inference vertex ``w``:
-    consequent encodings minus antecedent encodings, weighted by ``coef``."""
+    consequent encodings minus antecedent encodings, weighted by ``coef``.
+    Only a collapsed rule, whose principal occurs in its side clause, is not
+    built from :func:`clause_gadget` families.
+    """
     x = w.rule.principal
     ins = [graph.formula(u).clause for u in w.in_neighbors]
     outs = [graph.formula(u).clause for u in w.out_neighbors]
+
+    def gadget(kind: int, side_clause: Clause) -> list[SATerm]:
+        return [SATerm(coef * t.coefficient, t.monomial, t.ref)
+                for t in clause_gadget(kind, side_clause, x)]
+
     if w.rule.kind == AXIOM:
-        return _axiom_terms(x, coef)
+        return gadget(1, Clause(()))
     if w.rule.kind == CUT:
         side = outs[0]
         if x not in side.variables():
-            return [SATerm(coef, falsified_monomial(side), RefPoly(X_XBAR_MINUS_ONE, x))]
+            return gadget(2, side)
         # Collapsed cut: one antecedent equals the consequent, the other is
         # the elementary tautology; the rule polynomial is +x*xb times the
         # side remainder.
@@ -442,14 +444,12 @@ def _rule_terms(graph: ProofGraph, w, coef: Fraction) -> list[SATerm]:
         return [SATerm(coef, falsified_monomial(other), RefPoly(ONE))]
     # Split.
     side = ins[0]
-    m = falsified_monomial(side)
     if x not in side.variables():
-        terms = [SATerm(coef, m, RefPoly(ONE_MINUS_X_XBAR, x))]
+        terms = gadget(3, side)
         if len(outs) == 1:
-            # Suppressed consequent: add back its encoding, a plain monomial.
-            kept = outs[0]
-            missing_tok = -next(lit for lit in kept.literals if abs(lit) == x)
-            terms.append(SATerm(coef, m.mul(Monomial.of({-missing_tok: 1})), RefPoly(ONE)))
+            # Suppressed consequent: add back its encoding.
+            kept = next(lit for lit in outs[0].literals if abs(lit) == x)
+            terms += gadget(4, side.with_literal(-kept))
         return terms
     # Collapsed split on a variable of the side clause.
     if len(outs) == 1 and outs[0] == side:
@@ -457,7 +457,7 @@ def _rule_terms(graph: ProofGraph, w, coef: Fraction) -> list[SATerm]:
     if len(outs) == 1:
         # Kept only the tautological side: side must be the unit clause of x.
         lit_tok = next(lit for lit in side.literals if abs(lit) == x)
-        rest = m.without({-lit_tok})
+        rest = falsified_monomial(side).without({-lit_tok})
         return [
             SATerm(coef, rest.mul(Monomial.of({-lit_tok: 1})),
                    RefPoly(ONE_MINUS_X_XBAR, x)),
@@ -465,7 +465,7 @@ def _rule_terms(graph: ProofGraph, w, coef: Fraction) -> list[SATerm]:
         ]
     # Both consequents present: one collapsed to side, other the elementary
     # tautology (side must be a unit clause on x).
-    return _axiom_terms(x, coef)
+    return gadget(1, Clause(()))
 
 
 def circular_to_sa(graph: ProofGraph, flow: FlowAssignment) -> SAProof:

@@ -163,10 +163,13 @@ def test_goal_mark_naming_no_vertex(tmp_path, capsys, command):
 
 def test_gen_php_usage_errors(tmp_path, capsys):
     assert run(["gen-php", "--complete", 0]) == 2
+    assert capsys.readouterr().err == "error: --complete needs a positive hole count\n"
     graph_file = tmp_path / "g.txt"
     graph_file.write_text("2 2\n1 1\n1 2\n2 1\n2 2\n")
-    assert run(["gen-php", "--graph", graph_file]) == 2  # needs more pigeons
-    capsys.readouterr()
+    assert run(["gen-php", "--graph", graph_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: pigeonhole refutations need more pigeons than holes\n"
+    assert captured.out == ""
     graph_file.write_text("3 2\n1 1\n1 5\n2 1\n3 2\n")
     assert run(["gen-php", "--graph", graph_file]) == 2
     captured = capsys.readouterr()
@@ -484,6 +487,12 @@ EMITTED_SHA256 = {
         "89223e81b0d4060b1fd6b530d5f8af91aa818dd7925aa89d36dae36b69727d54",
     "nc3.cres":
         "dfb4e7f9888c4c15227fef610202d6ab831000699b18885503d67d0d6ab4649f",
+    # gen-php --graph on near_cubic_bipartite(5, 1), which has three
+    # degree-2 pigeons; recorded before the refutation pieces were rewritten.
+    "nc5.cnf":
+        "8b71ca9131b19b466e7aa9fb52e95afe48f88e383b7e27ef28afba15b05ee13d",
+    "nc5.cres":
+        "d4c48d0613d7f9b611fedd4b9b1c927409d41a091b4b0a799c94bcd27b90140c",
 }
 
 
@@ -498,6 +507,10 @@ def test_emitted_files_are_byte_stable(tmp_path, monkeypatch):
     assert run(["translate", "s2c", "php_4_3.sap", "-o", "php_4_3_back.cres"]) == 0
     (tmp_path / "nc3.cnf").write_text(serialize_dimacs(gen_php(near_cubic_bipartite(3, 0))))
     assert run(["search", "nc3.cnf", "--width", 3]) == 0
+    g = near_cubic_bipartite(5, 1)
+    (tmp_path / "nc5.txt").write_text(
+        f"{g.left_size} {g.right_size}\n" + "".join(f"{u} {v}\n" for u, v in sorted(g.edges)))
+    assert run(["gen-php", "--graph", "nc5.txt"]) == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in EMITTED_SHA256}
     assert digests == EMITTED_SHA256

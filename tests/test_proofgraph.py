@@ -241,10 +241,10 @@ def _check_dot_shape(text: str) -> tuple[int, int, int]:
     return boxes, circles, edges
 
 
-def test_dot_empty_graph():
-    graph = ProofGraph((), (), frozenset(), 0)
-    text = export_dot(graph)
-    assert text.startswith("digraph proof {") and text.rstrip().endswith("}")
+def test_empty_graph_is_rejected():
+    # A graph without vertices has no goal vertex either.
+    with pytest.raises(StructureError, match="goal id 0 is not a formula vertex"):
+        ProofGraph((), (), frozenset(), 0)
 
 
 def test_dot_unsound_cycle_counts():
