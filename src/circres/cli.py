@@ -151,7 +151,7 @@ def cmd_gen_php(args) -> int:
         proof_path,
         formats.serialize_cres(
             graph, flow if args.emit_flows else None,
-            [f"refutation of {cnf_path}, width {graph.width}, length {graph.length}"],
+            [f"refutation of {Path(cnf_path).name}, width {graph.width}, length {graph.length}"],
         ),
     )
     if args.dot:
@@ -176,7 +176,7 @@ def cmd_translate(args) -> int:
         if not sa.check_sa(proof):
             raise AssertionError("translated polynomial proof fails its checker")
         out = args.out or str(Path(args.input).with_suffix(".sap"))
-        _write(out, formats.serialize_sap(proof, [f"translated from {args.input}"]))
+        _write(out, formats.serialize_sap(proof, [f"translated from {Path(args.input).name}"]))
         degree = sa.sa_degree(proof)
         msize = sa.sa_monomial_size(proof)
         print(
@@ -192,7 +192,7 @@ def cmd_translate(args) -> int:
     _write(
         out,
         formats.serialize_cres(
-            graph, flow if args.emit_flows else None, [f"translated from {args.input}"]
+            graph, flow if args.emit_flows else None, [f"translated from {Path(args.input).name}"]
         ),
     )
     degree = sa.sa_degree(proof)
@@ -234,7 +234,7 @@ def cmd_search(args) -> int:
         out,
         formats.serialize_cres(
             graph, flow if args.emit_flows else None,
-            [f"width-{args.width} proof found for {args.cnf}"],
+            [f"width-{args.width} proof found for {Path(args.cnf).name}"],
         ),
     )
     if args.dot:

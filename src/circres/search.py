@@ -25,16 +25,18 @@ exactly when the saturation contains the empty clause, which makes the pair
 of procedures a practical probe for instances where circular width beats
 dag-like width.
 
-The saturation holds each clause as one ``int``: literal ``l`` sets bit
-``literal_key(l)``, so bit ``2v`` stands for ``x_v`` and bit ``2v + 1`` for
-``~x_v``.  The complement of a literal bit is its neighbour, one place up
-or down; the resolvent of ``c`` and ``d`` on bit ``b`` of ``c`` is
-``(c ^ b) | (d ^ comp(b))``; a mask ``r`` is tautological when
-``r & (r >> 1)`` has a positive-literal bit set; its width is
-``r.bit_count()``; subsumption looks up submasks in a set of ints; and a
-weakening ORs in one bit.  Reading the bits from low to high gives the
-literals in canonical order, so the closure becomes :class:`Clause` values
-without sorting.
+Both procedures hold a clause as an ``int`` mask (``_mask`` and
+``_decoder`` convert): literal ``l`` sets bit ``literal_key(l)``, so bit
+``2v`` is ``x_v``, bit ``2v + 1`` is ``~x_v``, and the bits read from low to
+high are the literals in canonical order.  In the search, ``F_D`` is the sum
+of ``(-1)^|S| x^(N | S)`` over the submasks ``S`` of the positive part ``P``
+(the even bits) of ``D``, ``N`` its negative part, so the variable ``b_D``
+enters the row of ``N | (S << 1)`` with sign ``-(-1)^|S|``.  In the
+saturation, a literal bit's complement is its neighbour; the resolvent of
+``c`` and ``d`` on bit ``b`` of ``c`` is ``(c ^ b) | (d ^ comp(b))``; ``r``
+is tautological when ``r & (r >> 1)`` has a positive-literal bit set; its
+width is ``r.bit_count()``; subsumption looks up submasks in a set of ints;
+and a weakening ORs in one bit.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from typing import Optional
 from . import lp
 from .core import Clause, CnfFormula, literal_key
 from .flowcheck import verify_flow
-from .proofgraph import FlowAssignment, ProofGraph, ProofGraphBuilder
+from .proofgraph import CUT, SPLIT, FlowAssignment, ProofGraph, ProofGraphBuilder
 
 DEFAULT_ROW_BUDGET = 2_000_000
 
@@ -86,26 +88,46 @@ def lattice_size(num_vars: int, width: int) -> tuple[int, int]:
     return formulas, n_infs
 
 
-def _signed_clauses(num_vars: int, width: int):
-    """All non-tautological clauses of width at most ``width`` as sorted
-    tuples of signed variables, canonically ordered."""
+def _mask(literals) -> int:
+    """The bit mask of distinct literals (see the module docstring)."""
+    return sum([1 << literal_key(l) for l in literals])
+
+
+def _decoder(num_vars: int):
+    """The inverse of ``_mask`` on clauses over variables ``1..num_vars``."""
+    literal = [-(b >> 1) if b & 1 else b >> 1 for b in range(2 * num_vars + 2)]
+
+    def clause(mask: int) -> Clause:
+        lits = []
+        while mask:
+            low = mask & -mask
+            lits.append(literal[low.bit_length() - 1])
+            mask ^= low
+        return Clause(tuple(lits))
+
+    return clause
+
+
+def _clause_masks(num_vars: int, width: int) -> list[int]:
+    """All non-tautological clauses of width at most ``width`` as masks, canonically ordered."""
+    masks = []
     for k in range(width + 1):
         for vs in itertools.combinations(range(1, num_vars + 1), k):
-            for signs in itertools.product((1, -1), repeat=k):
-                yield tuple(v * s for v, s in zip(vs, signs))
+            masks += map(sum, itertools.product(*[(1 << 2 * v, 2 << 2 * v) for v in vs]))
+    return masks
 
 
 def _proper_clauses(num_vars: int, width: int):
     """All non-tautological clauses of width at most ``width``, canonically ordered."""
-    return map(Clause, _signed_clauses(num_vars, width))
+    return map(_decoder(num_vars), _clause_masks(num_vars, width))
 
 
 def _num_variables(hypotheses: CnfFormula, goal: Clause) -> int:
     return max(hypotheses.num_variables, max(goal.variables(), default=0))
 
 
-def _hypothesis_sets(hypotheses: CnfFormula) -> set[frozenset[int]]:
-    return {c.signed() for c in hypotheses.clauses if not c.is_tautological}
+def _hypothesis_masks(hypotheses: CnfFormula) -> set[int]:
+    return {_mask(c.literals) for c in hypotheses.clauses if not c.is_tautological}
 
 
 def program_size(hypotheses: CnfFormula, goal: Clause, width: int) -> tuple[int, int]:
@@ -121,7 +143,8 @@ def program_size(hypotheses: CnfFormula, goal: Clause, width: int) -> tuple[int,
     if goal.is_tautological:
         raise WidthError("goal clause must not be tautological")
     n = _num_variables(hypotheses, goal)
-    free = {h for h in _hypothesis_sets(hypotheses) if len(h) <= width} - {goal.signed()}
+    free = {h for h in _hypothesis_masks(hypotheses) if h.bit_count() <= width}
+    free -= {_mask(goal.literals)}
     clauses = sum(math.comb(n, k) * 2 ** k for k in range(width + 1))
     return clauses - len(free), clauses - sum(math.comb(n, k) for k in range(width + 1))
 
@@ -147,27 +170,22 @@ def circular_search(
     if rows + cols > row_budget:
         raise SearchBudgetError(rows, cols, row_budget)
     n = _num_variables(hypotheses, goal)
-    target = goal.signed()
-    hyps = _hypothesis_sets(hypotheses)
+    positive = _mask(range(1, n + 1))
+    target = _mask(goal.literals)
+    hyps = _hypothesis_masks(hypotheses)
+    clauses = _clause_masks(n, width)
 
-    # The balance of each clause as a linear form in the variables: b_D
-    # itself when D has a positive literal, and minus the coefficient of x^m
-    # in sum_D b_D F_D for N_m, using F_D = sum over subsets S of D's
-    # positive variables of (-1)^|S| x^(N | S), N the negated variables.
-    variables: list[frozenset[int]] = []
-    balance: dict[frozenset[int], dict[int, int]] = {}
-    for d in map(frozenset, _signed_clauses(n, width)):
-        if max(d, default=0) > 0:
-            balance[d] = {len(variables): 1}
-            variables.append(d)
-        else:
-            balance[d] = {}
+    # The balance of each clause as a linear form: b_D itself when D has a
+    # positive literal, else the entries of the module docstring.
+    variables = [d for d in clauses if d & positive]
+    balance: dict[int, dict[int, int]] = {d: {} for d in clauses}
     for j, d in enumerate(variables):
-        pos = [l for l in d if l > 0]
-        neg = d.difference(pos)
-        for k in range(len(pos) + 1):
-            for s in itertools.combinations(pos, k):
-                balance[neg.union(-x for x in s)][j] = 1 if k % 2 else -1
+        balance[d][j] = 1
+        s = pos = d & positive
+        while s:
+            balance[(d ^ pos) | (s << 1)][j] = 1 if s.bit_count() & 1 else -1
+            s = (s - 1) & pos
+        balance[d ^ pos][j] = -1
 
     program = lp.LinearProgram(len(variables))
     for d, form in balance.items():
@@ -179,46 +197,41 @@ def circular_search(
     if point is None:
         return None
 
-    # Realize the balances: for D = d | x, x its largest positive variable,
-    # a cut on (d, x) of value -t (a split of value t when t > 0) settles the
-    # residual t of D and moves t onto d and -t onto d | ~x, both with one
-    # positive literal fewer.  Monomials are independent, so nothing may be
-    # left on the all-negative clauses.  Residuals are integers over the
+    # Realize the balances: for D = side | x, x its top positive bit, a cut
+    # on (side, x) of value -t (a split of value t when t > 0) settles the
+    # residual t of D and moves t onto side and -t onto side | ~x, both with
+    # one positive literal fewer.  Monomials are independent, so nothing may
+    # be left on all-negative clauses.  Residuals are integers over the
     # point's common denominator.
     den = math.lcm(*(v.denominator for v in point))
     num = [v.numerator * (den // v.denominator) for v in point]
-    residual = {
-        d: sum([c * num[j] for j, c in form.items()]) for d, form in balance.items()
-    }
-    values: dict[tuple[frozenset[int], int], Fraction] = {}
-    for d in sorted(variables, key=lambda d: -sum(l > 0 for l in d)):
+    residual = {d: sum([c * num[j] for j, c in form.items()]) for d, form in balance.items()}
+    builder = ProofGraphBuilder()
+    ids: dict[int, int] = {}
+    clause = _decoder(n)
+
+    def vertex(mask: int) -> int:
+        if mask not in ids:
+            ids[mask] = builder.vertex(clause(mask))
+        return ids[mask]
+
+    builder.set_goal(vertex(target))
+    for d in sorted(variables, key=lambda d: -(d & positive).bit_count()):
         t = residual.pop(d)
         if not t:
             continue
-        x = max(d)
-        side = d - {x}
-        values[side, x] = Fraction(-t, den)
+        top = 1 << (d & positive).bit_length() - 1
+        side, neg = d ^ top, d ^ top | (top << 1)
         residual[side] += t
-        residual[side | {-x}] -= t
+        residual[neg] -= t
+        x, value = top.bit_length() >> 1, Fraction(abs(t), den)
+        if t < 0:
+            builder.inference(CUT, x, (vertex(d), vertex(neg)), (vertex(side),), value)
+        else:
+            builder.inference(SPLIT, x, (vertex(side),), (vertex(d), vertex(neg)), value)
     if any(residual.values()):
         raise AssertionError("clause balances leave a residual on an all-negative clause")
-    return _pruned(values, goal, set(hypotheses.clauses))
-
-
-def _pruned(values, goal: Clause, hyp_clauses) -> tuple[ProofGraph, FlowAssignment]:
-    """The proof with a cut (positive value) or split (negative value) on
-    each ``(side, x)`` of ``values``, checked by :func:`verify_flow`."""
-    builder = ProofGraphBuilder()
-    builder.set_goal(builder.vertex(goal))
-    for (side, x), value in values.items():
-        d = Clause.from_signed(side)
-        if value > 0:
-            pos = builder.vertex(d.with_literal(x))
-            neg = builder.vertex(d.with_literal(-x))
-            builder.cut(pos, neg, d, x, value)
-        else:
-            builder.split(builder.vertex(d), x, flow=-value)
-    builder.mark_hypotheses(hyp_clauses)
+    builder.mark_hypotheses(set(hypotheses.clauses))
     graph, flow = builder.build()
     if not verify_flow(graph, flow):
         raise AssertionError("search solution fails its own flow check")
@@ -245,15 +258,12 @@ def daglike_width_saturate(hypotheses: CnfFormula, width: int) -> set[Clause]:
     ``width`` follows (each is a weakening of a unit ``x`` or ``~x``, or a
     resolvent of a weakening of each), and that set is returned at once.
     An empty hypothesis stays inert: it neither subsumes nor is weakened.
-
-    Clauses are bit masks throughout (see the module docstring) until the
-    closure is returned.
     """
     needed = max((c.width for c in hypotheses.clauses), default=0)
     if width < needed:
         raise WidthError(f"width {width} below hypothesis width {needed}")
     n = hypotheses.num_variables
-    positive = sum(1 << literal_key(v) for v in range(1, n + 1))
+    positive = _mask(range(1, n + 1))
 
     kept: set[int] = set()
     queues: list[list[int]] = [[] for _ in range(width + 1)]
@@ -275,7 +285,7 @@ def daglike_width_saturate(hypotheses: CnfFormula, width: int) -> set[Clause]:
 
     for c in hypotheses.clauses:
         if not c.is_tautological:
-            keep(sum(1 << literal_key(l) for l in c.literals))
+            keep(_mask(c.literals))
 
     while any(queues):
         c = next(q for q in queues if q).pop()
@@ -314,14 +324,4 @@ def daglike_width_saturate(hypotheses: CnfFormula, width: int) -> set[Clause]:
                     if weakened.bit_count() < width:
                         frontier.append(weakened)
 
-    # literal[b] is the literal whose literal_key is b.
-    literal = [-(b >> 1) if b & 1 else b >> 1 for b in range(2 * n + 2)]
-    out: set[Clause] = set()
-    for c in closure:
-        lits = []
-        while c:
-            bit = c & -c
-            lits.append(literal[bit.bit_length() - 1])
-            c ^= bit
-        out.add(Clause(tuple(lits)))
-    return out
+    return set(map(_decoder(n), closure))

@@ -493,6 +493,14 @@ EMITTED_SHA256 = {
         "8b71ca9131b19b466e7aa9fb52e95afe48f88e383b7e27ef28afba15b05ee13d",
     "nc5.cres":
         "d4c48d0613d7f9b611fedd4b9b1c927409d41a091b4b0a799c94bcd27b90140c",
+    # search --width 3 on near_cubic_bipartite(3, 1) and (3, 2), and a search
+    # for a nonempty goal; recorded before the search LP was built on masks.
+    "nc3_1.cres":
+        "ca1938ea0265c55b000e7047ed4b81999a16a0385c6aabcba5ce6912a4ca8195",
+    "nc3_2.cres":
+        "380b854bc08d910c69224fe5ce4b98c3db24aea90034f39c6942799d4be7c590",
+    "chain.cres":
+        "f707ada2472dd09965ce7d2a0e7d2481c28755c7fa466e3c12c775fde412541a",
 }
 
 
@@ -507,6 +515,12 @@ def test_emitted_files_are_byte_stable(tmp_path, monkeypatch):
     assert run(["translate", "s2c", "php_4_3.sap", "-o", "php_4_3_back.cres"]) == 0
     (tmp_path / "nc3.cnf").write_text(serialize_dimacs(gen_php(near_cubic_bipartite(3, 0))))
     assert run(["search", "nc3.cnf", "--width", 3]) == 0
+    for seed in (1, 2):
+        cnf = tmp_path / f"nc3_{seed}.cnf"
+        cnf.write_text(serialize_dimacs(gen_php(near_cubic_bipartite(3, seed))))
+        assert run(["search", cnf.name, "--width", 3]) == 0
+    (tmp_path / "chain.cnf").write_text("p cnf 4 4\n1 2 0\n-2 3 0\n-3 4 0\n-1 4 0\n")
+    assert run(["search", "chain.cnf", "--width", 3, "--goal", "4 0"]) == 0
     g = near_cubic_bipartite(5, 1)
     (tmp_path / "nc5.txt").write_text(
         f"{g.left_size} {g.right_size}\n" + "".join(f"{u} {v}\n" for u, v in sorted(g.edges)))
@@ -514,3 +528,17 @@ def test_emitted_files_are_byte_stable(tmp_path, monkeypatch):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in EMITTED_SHA256}
     assert digests == EMITTED_SHA256
+
+
+def test_emitted_files_do_not_depend_on_their_directory(tmp_path):
+    emitted = []
+    for where in (tmp_path / "a", tmp_path / "deeper" / "b"):
+        where.mkdir(parents=True)
+        cnf, proof = where / "php.cnf", where / "php.cres"
+        assert run(["gen-php", "--complete", 2, "--cnf-out", cnf, "--proof-out", proof]) == 0
+        assert run(["translate", "c2s", proof]) == 0
+        assert run(["translate", "s2c", where / "php.sap", "-o", where / "back.cres"]) == 0
+        assert run(["search", cnf, "--width", 3, "-o", where / "found.cres"]) == 0
+        emitted.append({p.name: p.read_bytes() for p in where.iterdir()})
+    assert sorted(emitted[0]) == ["back.cres", "found.cres", "php.cnf", "php.cres", "php.sap"]
+    assert emitted[0] == emitted[1]

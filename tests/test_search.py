@@ -238,6 +238,83 @@ def test_search_matches_lattice_flow_program_on_random_cnfs():
         _assert_search_matches_lattice(cnf, goal, width)
 
 
+def _definition_program(hypotheses: CnfFormula, goal: Clause, width: int):
+    """The search LP as the module docstring defines it, built over frozensets
+    of signed literals: ``(num_vars, rows)`` with a variable per proper clause
+    of width at most ``width`` that has a positive literal, and a row per
+    constrained clause balance in canonical clause order."""
+    import itertools
+
+    n = max(hypotheses.num_variables, max(goal.variables(), default=0))
+    clauses = [
+        frozenset(v * s for v, s in zip(vs, signs))
+        for k in range(width + 1)
+        for vs in itertools.combinations(range(1, n + 1), k)
+        for signs in itertools.product((1, -1), repeat=k)
+    ]
+    variables = [d for d in clauses if max(d, default=0) > 0]
+    # b_D is its own variable when D has a positive literal; for the
+    # all-negative N_m it is minus the coefficient of x^m in sum_D b_D F_D,
+    # where F_D = sum over subsets S of D's positive variables of
+    # (-1)^|S| x^(N | S).
+    balance: dict[frozenset[int], dict[int, int]] = {d: {} for d in clauses}
+    for j, d in enumerate(variables):
+        balance[d][j] = 1
+        pos = [l for l in d if l > 0]
+        neg = d.difference(pos)
+        for k in range(len(pos) + 1):
+            for s in itertools.combinations(pos, k):
+                balance[neg.union(-x for x in s)][j] = 1 if k % 2 else -1
+    hyps = {c.signed() for c in hypotheses.clauses if not c.is_tautological}
+    target = goal.signed()
+    rows = [
+        lp.Constraint(tuple(sorted(form.items())), 1 if d == target else 0)
+        for d, form in balance.items()
+        if d == target or d not in hyps
+    ]
+    return len(variables), rows
+
+
+def test_search_program_matches_definition(monkeypatch):
+    from circres.search import program_size
+
+    rng = random.Random(15)
+    cases = [
+        (CnfFormula.of(2, []), Clause(()), 1),
+        (CnfFormula.of(3, []), clause(-1, 2, -3), 3),
+        (unit_contradiction(), clause(1), 1),
+        (CnfFormula.of(2, [Clause(()), clause(1)]), Clause(()), 2),
+        (gen_php(near_cubic_bipartite(3, 0)), Clause(()), 3),
+    ]
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        width = rng.randint(1, 3)
+        cnf = _random_cnf(rng, n, width, rng.randint(0, 8))
+        hyps = [c for c in cnf.clauses if not c.is_tautological]
+        pick = rng.random()
+        if pick < 0.25 and hyps:
+            goal = rng.choice(hyps)
+        elif pick < 0.5:
+            goal = Clause(())
+        else:
+            vs = rng.sample(range(1, n + 1), rng.randint(1, min(n, width)))
+            goal = Clause.from_signed(rng.choice((1, -1)) * v for v in vs)
+        cases.append((cnf, goal, width))
+    for cnf, goal, width in cases:
+        seen = []
+        solve = lp.feasible
+        monkeypatch.setattr(lp, "feasible", lambda p: seen.append(p) or solve(p))
+        circular_search(cnf, goal, width)
+        monkeypatch.undo()
+        assert len(seen) == 1
+        program = seen[0]
+        num_vars, rows = _definition_program(cnf, goal, width)
+        label = ([str(c) for c in cnf.clauses], str(goal), width)
+        assert program.num_vars == num_vars, label
+        assert program.rows == rows, label
+        assert program_size(cnf, goal, width) == (len(program.rows), program.num_vars)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_search_matches_lattice_flow_program_on_near_cubic(seed):
     cnf = gen_php(near_cubic_bipartite(3, seed))
