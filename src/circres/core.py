@@ -43,6 +43,34 @@ def literal_key(lit: int) -> int:
     return 2 * lit if lit > 0 else 1 - 2 * lit
 
 
+def clause_mask(literals: Iterable[int]) -> int:
+    """The bit mask of distinct literals: bit ``literal_key(l)`` for each, so
+    bit ``2v`` is ``x_v``, bit ``2v + 1`` is ``~x_v``, and the bits read from
+    low to high are the literals in canonical order."""
+    return sum([1 << literal_key(l) for l in literals])
+
+
+def positive_mask(num_vars: int) -> int:
+    """The mask of ``x_1 .. x_num_vars``: every even bit from 2 to ``2 * num_vars``."""
+    return (1 << 2 * num_vars + 2) // 3 - 1
+
+
+# Literals of the bits below 512, made once for decoded clauses to share.
+_LITERALS = tuple(-(b >> 1) if b & 1 else b >> 1 for b in range(512))
+
+
+def mask_literals(mask: int) -> tuple[int, ...]:
+    """The literals of ``mask`` in canonical order, for a mask of any size:
+    ``Clause(mask_literals(m))`` is the clause of mask ``m``."""
+    lits = []
+    while mask:
+        b = mask.bit_length() - 1
+        lits.append(_LITERALS[b] if b < 512 else -(b >> 1) if b & 1 else b >> 1)
+        mask ^= 1 << b
+    lits.reverse()
+    return tuple(lits)
+
+
 def _literal_str(lit: int) -> str:
     return f"x{lit}" if lit > 0 else f"~x{-lit}"
 

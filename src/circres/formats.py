@@ -286,7 +286,10 @@ def serialize_cres(
 # ---------------------------------------------------------------------------
 # polynomial proofs
 
-def _parse_monomial(tokens: list[str], no: int) -> Monomial:
+def _parse_monomial(tokens: list[str], no: int) -> list[tuple[int, int]]:
+    """The ``(token, exponent)`` pairs of a term's monomial.  The monomial is
+    built only after its variables pass the header's range check, since its
+    mask holds two bits per variable up to the largest."""
     powers: list[tuple[int, int]] = []
     for tok in tokens:
         body, _, exp = tok.partition("^")
@@ -298,7 +301,7 @@ def _parse_monomial(tokens: list[str], no: int) -> Monomial:
         if t == 0 or e < 1:
             raise ParseError(no, f"bad monomial token {tok!r}")
         powers.append((t, e))
-    return Monomial.of(powers)
+    return powers
 
 
 def parse_sap(text: str) -> SAProof:
@@ -307,7 +310,7 @@ def parse_sap(text: str) -> SAProof:
     header_line = 0
     hyps: list[Clause] = []
     goal: Optional[Clause] = None
-    terms: list[SATerm] = []
+    terms: list[tuple[Fraction, list[tuple[int, int]], RefPoly]] = []
     hyp_refs: list[tuple[int, int]] = []  # (line, index) of each 'H i'
     var_refs: list[tuple[int, int]] = []  # (line, largest variable) per line
     for no, tokens in _lines(text):
@@ -338,7 +341,7 @@ def parse_sap(text: str) -> SAProof:
             coef = _rational(tokens[1], no)
             if coef <= 0:
                 raise ParseError(no, f"term coefficient must be positive, got {coef}")
-            mono = _parse_monomial(tokens[2:sep], no)
+            powers = _parse_monomial(tokens[2:sep], no)
             ref_tokens = tokens[sep + 1:]
             if not ref_tokens:
                 raise ParseError(no, "missing reference polynomial")
@@ -365,9 +368,9 @@ def parse_sap(text: str) -> SAProof:
                 ref = RefPoly(kind, index)
             except ValueError as exc:
                 raise ParseError(no, str(exc)) from None
-            terms.append(SATerm(coef, mono, ref))
+            terms.append((coef, powers, ref))
             # A basic reference's index is a variable; 'B one' has index 0.
-            variables = [abs(t) for t in mono.tokens()]
+            variables = [abs(t) for t, _ in powers]
             variables.append(0 if kind == HYPOTHESIS else index)
             var_refs.append((no, max(variables)))
         else:
@@ -387,7 +390,8 @@ def parse_sap(text: str) -> SAProof:
     for no, var in var_refs:
         if var > num_vars:
             raise ParseError(no, f"variable x{var} exceeds declared variable count {num_vars}")
-    return SAProof(num_vars, tuple(hyps), goal, tuple(terms))
+    return SAProof(num_vars, tuple(hyps), goal, tuple(
+        SATerm(coef, Monomial.of(powers), ref) for coef, powers, ref in terms))
 
 
 def _mono_tokens(m: Monomial) -> str:

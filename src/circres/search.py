@@ -25,18 +25,18 @@ exactly when the saturation contains the empty clause, which makes the pair
 of procedures a practical probe for instances where circular width beats
 dag-like width.
 
-Both procedures hold a clause as an ``int`` mask (``_mask`` and
-``_decoder`` convert): literal ``l`` sets bit ``literal_key(l)``, so bit
-``2v`` is ``x_v``, bit ``2v + 1`` is ``~x_v``, and the bits read from low to
-high are the literals in canonical order.  In the search, ``F_D`` is the sum
-of ``(-1)^|S| x^(N | S)`` over the submasks ``S`` of the positive part ``P``
-(the even bits) of ``D``, ``N`` its negative part, so the variable ``b_D``
-enters the row of ``N | (S << 1)`` with sign ``-(-1)^|S|``.  In the
-saturation, a literal bit's complement is its neighbour; the resolvent of
-``c`` and ``d`` on bit ``b`` of ``c`` is ``(c ^ b) | (d ^ comp(b))``; ``r``
-is tautological when ``r & (r >> 1)`` has a positive-literal bit set; its
-width is ``r.bit_count()``; subsumption looks up submasks in a set of ints;
-and a weakening ORs in one bit.
+Both procedures hold a clause as its ``core.clause_mask`` (and
+``core.mask_literals`` reads it back): literal ``l`` sets bit
+``literal_key(l)``, so bit ``2v`` is ``x_v``, bit ``2v + 1`` is ``~x_v``, and
+the bits read from low to high are the literals in canonical order.  In the
+search, ``F_D`` is the sum of ``(-1)^|S| x^(N | S)`` over the submasks ``S``
+of the positive part ``P`` (the even bits) of ``D``, ``N`` its negative
+part, so the variable ``b_D`` enters the row of ``N | (S << 1)`` with sign
+``-(-1)^|S|``.  In the saturation, a literal bit's complement is its
+neighbour; the resolvent of ``c`` and ``d`` on bit ``b`` of ``c`` is
+``(c ^ b) | (d ^ comp(b))``; ``r`` is tautological when ``r & (r >> 1)``
+has a positive-literal bit set; its width is ``r.bit_count()``; subsumption
+looks up submasks in a set of ints; and a weakening ORs in one bit.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import lp
-from .core import Clause, CnfFormula, literal_key
+from .core import Clause, CnfFormula, clause_mask, literal_key, mask_literals, positive_mask
 from .flowcheck import verify_flow
 from .proofgraph import CUT, SPLIT, FlowAssignment, ProofGraph, ProofGraphBuilder
 
@@ -88,26 +88,6 @@ def lattice_size(num_vars: int, width: int) -> tuple[int, int]:
     return formulas, n_infs
 
 
-def _mask(literals) -> int:
-    """The bit mask of distinct literals (see the module docstring)."""
-    return sum([1 << literal_key(l) for l in literals])
-
-
-def _decoder(num_vars: int):
-    """The inverse of ``_mask`` on clauses over variables ``1..num_vars``."""
-    literal = [-(b >> 1) if b & 1 else b >> 1 for b in range(2 * num_vars + 2)]
-
-    def clause(mask: int) -> Clause:
-        lits = []
-        while mask:
-            low = mask & -mask
-            lits.append(literal[low.bit_length() - 1])
-            mask ^= low
-        return Clause(tuple(lits))
-
-    return clause
-
-
 def _clause_masks(num_vars: int, width: int) -> list[int]:
     """All non-tautological clauses of width at most ``width`` as masks, canonically ordered."""
     masks = []
@@ -117,17 +97,12 @@ def _clause_masks(num_vars: int, width: int) -> list[int]:
     return masks
 
 
-def _proper_clauses(num_vars: int, width: int):
-    """All non-tautological clauses of width at most ``width``, canonically ordered."""
-    return map(_decoder(num_vars), _clause_masks(num_vars, width))
-
-
 def _num_variables(hypotheses: CnfFormula, goal: Clause) -> int:
     return max(hypotheses.num_variables, max(goal.variables(), default=0))
 
 
 def _hypothesis_masks(hypotheses: CnfFormula) -> set[int]:
-    return {_mask(c.literals) for c in hypotheses.clauses if not c.is_tautological}
+    return {clause_mask(c.literals) for c in hypotheses.clauses if not c.is_tautological}
 
 
 def program_size(hypotheses: CnfFormula, goal: Clause, width: int) -> tuple[int, int]:
@@ -144,7 +119,7 @@ def program_size(hypotheses: CnfFormula, goal: Clause, width: int) -> tuple[int,
         raise WidthError("goal clause must not be tautological")
     n = _num_variables(hypotheses, goal)
     free = {h for h in _hypothesis_masks(hypotheses) if h.bit_count() <= width}
-    free -= {_mask(goal.literals)}
+    free -= {clause_mask(goal.literals)}
     clauses = sum(math.comb(n, k) * 2 ** k for k in range(width + 1))
     return clauses - len(free), clauses - sum(math.comb(n, k) for k in range(width + 1))
 
@@ -170,8 +145,8 @@ def circular_search(
     if rows + cols > row_budget:
         raise SearchBudgetError(rows, cols, row_budget)
     n = _num_variables(hypotheses, goal)
-    positive = _mask(range(1, n + 1))
-    target = _mask(goal.literals)
+    positive = positive_mask(n)
+    target = clause_mask(goal.literals)
     hyps = _hypothesis_masks(hypotheses)
     clauses = _clause_masks(n, width)
 
@@ -208,11 +183,10 @@ def circular_search(
     residual = {d: sum([c * num[j] for j, c in form.items()]) for d, form in balance.items()}
     builder = ProofGraphBuilder()
     ids: dict[int, int] = {}
-    clause = _decoder(n)
 
     def vertex(mask: int) -> int:
         if mask not in ids:
-            ids[mask] = builder.vertex(clause(mask))
+            ids[mask] = builder.vertex(Clause(mask_literals(mask)))
         return ids[mask]
 
     builder.set_goal(vertex(target))
@@ -263,7 +237,7 @@ def daglike_width_saturate(hypotheses: CnfFormula, width: int) -> set[Clause]:
     if width < needed:
         raise WidthError(f"width {width} below hypothesis width {needed}")
     n = hypotheses.num_variables
-    positive = _mask(range(1, n + 1))
+    positive = positive_mask(n)
 
     kept: set[int] = set()
     queues: list[list[int]] = [[] for _ in range(width + 1)]
@@ -285,7 +259,7 @@ def daglike_width_saturate(hypotheses: CnfFormula, width: int) -> set[Clause]:
 
     for c in hypotheses.clauses:
         if not c.is_tautological:
-            keep(_mask(c.literals))
+            keep(clause_mask(c.literals))
 
     while any(queues):
         c = next(q for q in queues if q).pop()
@@ -302,7 +276,7 @@ def daglike_width_saturate(hypotheses: CnfFormula, width: int) -> set[Clause]:
                 if resolvent.bit_count() > width or resolvent & (resolvent >> 1) & positive:
                     continue
                 if not resolvent and width >= 2:
-                    return set(_proper_clauses(n, width))
+                    return {Clause(mask_literals(m)) for m in _clause_masks(n, width)}
                 if not has_kept_subset(resolvent, False):
                     keep(resolvent)
             # Safe before c's later bits are resolved: c holds no complement
@@ -324,4 +298,4 @@ def daglike_width_saturate(hypotheses: CnfFormula, width: int) -> set[Clause]:
                     if weakened.bit_count() < width:
                         frontier.append(weakened)
 
-    return set(map(_decoder(n), closure))
+    return {Clause(mask_literals(c)) for c in closure}

@@ -31,6 +31,13 @@ is injective on monomials and adds ``deg q_j`` to each degree, and
 identity term by term (degree equals proof width); ``sa_to_circular`` goes
 back by normalizing the identity and reading each normalized term as a rule
 application (width equals proof degree).
+
+A monomial is an ``int`` mask in the encoding of ``core.clause_mask``
+(``X_i`` is bit ``2i``, ``Xb_i`` bit ``2i + 1``) plus a record of the rare
+exponents above 1, so a clause's falsified-point monomial is its mask with
+each variable's two bits exchanged, and most products are ORs.  A mask holds
+two bits per variable up to its largest index: the producers here number
+variables from 1, but a proof over ``x_{10^8}`` handles 25 MB masks.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .core import Clause, literal_key
+from .core import Clause, clause_mask, literal_key, mask_literals, positive_mask
 from .flowcheck import NotWitnessError, verify_flow
 from .proofgraph import (
     AXIOM,
@@ -50,7 +57,7 @@ from .proofgraph import (
     FlowAssignment,
     ProofGraph,
     ProofGraphBuilder,
-    balances,
+    balance_numerators,
 )
 
 
@@ -72,14 +79,14 @@ class InconsistencyError(ValueError):
 
 @dataclass(frozen=True)
 class Monomial:
-    """Sparse power product over twin variables.
+    """Power product over twin variables, token ``+i`` for ``X_i`` and
+    ``-i`` for ``Xb_i``: ``mask`` is ``clause_mask`` of its tokens, whose bits
+    from low to high are the tokens in canonical order, and ``powers`` holds
+    ``(token, exponent)`` for each exponent of 2 or more, in the same order.
+    Mask 0 is the constant monomial 1."""
 
-    Factors are ``(token, exponent)`` pairs with token ``+i`` for ``X_i`` and
-    ``-i`` for ``Xb_i``, sorted canonically; exponents are positive.  The
-    empty product is the constant monomial 1.
-    """
-
-    factors: tuple[tuple[int, int], ...] = ()
+    mask: int = 0
+    powers: tuple[tuple[int, int], ...] = ()
 
     @staticmethod
     def of(powers: dict[int, int] | Iterable[tuple[int, int]]) -> "Monomial":
@@ -93,42 +100,49 @@ class Monomial:
             if tok == 0:
                 raise ValueError("token 0 is not a twin variable")
             acc[tok] = acc.get(tok, 0) + e
-        return _monomial(acc)
+        return Monomial(clause_mask(acc), _powers({t: e for t, e in acc.items() if e > 1}))
 
     @property
     def degree(self) -> int:
-        return sum(e for _, e in self.factors)
+        return self.mask.bit_count() + sum(e - 1 for _, e in self.powers)
+
+    @property
+    def factors(self) -> tuple[tuple[int, int], ...]:
+        """``(token, exponent)`` pairs in canonical order."""
+        exponent = dict(self.powers)
+        return tuple((tok, exponent.get(tok, 1)) for tok in mask_literals(self.mask))
 
     def mul(self, other: "Monomial") -> "Monomial":
-        if not self.factors:
-            return other
-        if not other.factors:
-            return self
-        acc = dict(self.factors)
-        for tok, e in other.factors:
-            acc[tok] = acc.get(tok, 0) + e
-        return _monomial(acc)
+        return Monomial(*_product(self.mask, self.powers, other.mask, other.powers))
 
     def tokens(self) -> frozenset[int]:
-        return frozenset(tok for tok, _ in self.factors)
+        return frozenset(mask_literals(self.mask))
 
     def without(self, drop: Iterable[int]) -> "Monomial":
-        gone = set(drop)
-        return Monomial(tuple((t, e) for t, e in self.factors if t not in gone))
+        gone = clause_mask(set(drop))
+        return Monomial(self.mask & ~gone, tuple(
+            (t, e) for t, e in self.powers if not gone >> literal_key(t) & 1))
 
     def __str__(self) -> str:
-        if not self.factors:
-            return "1"
-        parts = []
-        for tok, e in self.factors:
-            name = f"X{tok}" if tok > 0 else f"Xb{-tok}"
-            parts.append(name if e == 1 else f"{name}^{e}")
-        return "*".join(parts)
+        return "*".join((f"X{tok}" if tok > 0 else f"Xb{-tok}") + (f"^{e}" if e > 1 else "")
+                        for tok, e in self.factors) or "1"
 
 
-def _monomial(powers: dict[int, int]) -> Monomial:
-    """The monomial of ``powers``, its tokens in the canonical literal order."""
-    return Monomial(tuple((tok, powers[tok]) for tok in sorted(powers, key=literal_key)))
+def _product(mask: int, powers: tuple[tuple[int, int], ...], other_mask: int,
+             other_powers: tuple[tuple[int, int], ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The ``(mask, powers)`` of the product of two monomials given as such."""
+    if not (mask & other_mask or powers or other_powers):
+        return mask | other_mask, ()
+    # A token of both masks has exponent 2 before the powers add theirs.
+    acc = dict.fromkeys(mask_literals(mask & other_mask), 2)
+    for tok, e in (*powers, *other_powers):
+        acc[tok] = acc.get(tok, 1) + e - 1
+    return mask | other_mask, _powers(acc)
+
+
+def _powers(exponents: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    """A monomial's side record of ``exponents``, in canonical token order."""
+    return tuple(sorted(exponents.items(), key=lambda f: literal_key(f[0])))
 
 
 MONOMIAL_ONE = Monomial()
@@ -136,7 +150,13 @@ MONOMIAL_ONE = Monomial()
 
 def multilinearize(m: Monomial) -> Monomial:
     """Clamp every exponent to 1."""
-    return Monomial(tuple((tok, 1) for tok, _ in m.factors))
+    return Monomial(m.mask) if m.powers else m
+
+
+def _twin_swap(mask: int) -> int:
+    """``mask`` with each variable's two bits exchanged: clause <-> monomial."""
+    x = positive_mask(mask.bit_length() >> 1)
+    return (mask & x) << 1 | (mask >> 1) & x
 
 
 @dataclass(frozen=True)
@@ -153,7 +173,7 @@ class Polynomial:
             acc[mono] = coef if c is None else c + coef
         return Polynomial(tuple(sorted(
             ((mono, Fraction(c)) for mono, c in acc.items() if c),
-            key=lambda t: (t[0].degree, t[0].factors),
+            key=lambda t: (t[0].degree, t[0].mask, t[0].powers),
         )))
 
     @staticmethod
@@ -191,17 +211,18 @@ def falsified_monomial(c: Clause) -> Monomial:
     """The product whose value is 1 exactly on points falsifying ``c``.
 
     Positive literal ``x_i`` contributes the twin factor ``Xb_i``; negative
-    ``~x_i`` contributes ``X_i``.  Defined for tautological clauses as well,
-    where the product contains both twins of a variable.
+    ``~x_i`` contributes ``X_i``: the mask is that of the negated literals.
+    Defined for tautological clauses as well, where the product contains
+    both twins of a variable.
     """
-    return Monomial.of([(-lit, 1) for lit in c.literals])
+    return Monomial(clause_mask([-lit for lit in c.literals]))
 
 
 def clause_of_monomial(m: Monomial) -> Clause:
     """Inverse of :func:`falsified_monomial` on multilinear monomials."""
-    if any(e != 1 for _, e in m.factors):
+    if m.powers:
         raise ValueError(f"monomial {m} is not multilinear")
-    return Clause.from_signed(-tok for tok, _ in m.factors)
+    return Clause(mask_literals(_twin_swap(m.mask)))
 
 
 def encode_clause(c: Clause) -> Polynomial:
@@ -261,6 +282,9 @@ def hyp(i: int) -> RefPoly:
     return RefPoly(HYPOTHESIS, i)
 
 
+_ONE_REF = RefPoly(ONE)
+
+
 def ref_polynomial(ref: RefPoly, hypotheses: Sequence[Clause]) -> Polynomial:
     i = ref.index
     if ref.kind == HYPOTHESIS:
@@ -293,7 +317,7 @@ class SAProof:
         on every call: a failed build is not kept."""
         refs: dict[RefPoly, Polynomial] = {}
         for t in self.terms:
-            if t.coefficient <= 0:
+            if t.coefficient.numerator <= 0:
                 raise MalformedProofError(f"term coefficient {t.coefficient} is not positive")
             if t.ref not in refs:
                 refs[t.ref] = ref_polynomial(t.ref, self.hypotheses)
@@ -314,16 +338,19 @@ class SAProof:
 def proof_sum(proof: SAProof) -> Polynomial:
     """``sum a_j * q_j * poly(P_j)`` in one pass, as integer numerators over
     the common denominator of the ``a_j`` (reference polynomials have integer
-    coefficients); only the surviving sums become fractions."""
+    coefficients); only the surviving sums become fractions.  Products are
+    summed under their ``(mask, powers)`` pairs and become monomials only
+    when their sum is nonzero."""
     refs = proof._reference_polynomials
     den = math.lcm(*(t.coefficient.denominator for t in proof.terms))
-    acc: dict[Monomial, int] = {}
+    acc: dict[tuple[int, tuple[tuple[int, int], ...]], int] = {}
     for t in proof.terms:
         a = t.coefficient.numerator * (den // t.coefficient.denominator)
+        q = t.monomial
         for m, k in refs[t.ref].terms:
-            key = m.mul(t.monomial)
+            key = _product(m.mask, m.powers, q.mask, q.powers)
             acc[key] = acc.get(key, 0) + a * k.numerator
-    return Polynomial.of((m, Fraction(c, den)) for m, c in acc.items() if c)
+    return Polynomial.of((Monomial(*key), Fraction(c, den)) for key, c in acc.items() if c)
 
 
 def check_sa(proof: SAProof, raw_target: Optional[Polynomial] = None) -> bool:
@@ -363,11 +390,13 @@ def sa_monomial_size(proof: SAProof) -> int:
 # ---------------------------------------------------------------------------
 # the four basic gadget families
 
-def clause_gadget(kind: int, side_clause: Clause, principal: int) -> list[SATerm]:
-    """Term lists proving the four basic clause inequalities from nothing.
+def clause_gadget(kind: int, side: Monomial, principal: int,
+                  weight: Fraction = Fraction(1)) -> list[SATerm]:
+    """Term lists proving the four basic clause inequalities from nothing,
+    each term with coefficient ``weight``.
 
-    With ``m`` the falsified-point monomial of ``side_clause`` and ``x`` the
-    principal variable:
+    With ``m = side`` the falsified-point monomial of the side clause ``C``
+    and ``x`` the principal variable:
 
     1. ``enc(x | ~x) >= 0``            -> ``(1-x-xb) * x + (x^2 - x)``
     2. ``-enc(C|~x) - enc(C|x) + enc(C) >= 0``  -> ``(x + xb - 1) * m``
@@ -377,23 +406,22 @@ def clause_gadget(kind: int, side_clause: Clause, principal: int) -> list[SATerm
     Kinds 1-3 require the principal not to occur in the side clause; the side
     clause must not be tautological.
     """
-    if side_clause.is_tautological:
-        raise TautologicalClauseError(f"tautological side clause {side_clause}")
-    if kind in (1, 2, 3) and principal in side_clause.variables():
-        raise ValueError(f"principal x{principal} occurs in side clause {side_clause}")
-    m = falsified_monomial(side_clause)
-    one = Fraction(1)
+    if side.mask & side.mask >> 1 & positive_mask(side.mask.bit_length() >> 1):
+        raise TautologicalClauseError(f"tautological side clause {clause_of_monomial(side)}")
+    if kind in (1, 2, 3) and side.mask >> 2 * principal & 3:
+        raise ValueError(
+            f"principal x{principal} occurs in side clause {clause_of_monomial(side)}")
     if kind == 1:
         return [
-            SATerm(one, Monomial.of({principal: 1}), RefPoly(ONE_MINUS_X_XBAR, principal)),
-            SATerm(one, MONOMIAL_ONE, RefPoly(XSQ_MINUS_X, principal)),
+            SATerm(weight, Monomial(1 << 2 * principal), RefPoly(ONE_MINUS_X_XBAR, principal)),
+            SATerm(weight, MONOMIAL_ONE, RefPoly(XSQ_MINUS_X, principal)),
         ]
     if kind == 2:
-        return [SATerm(one, m, RefPoly(X_XBAR_MINUS_ONE, principal))]
+        return [SATerm(weight, side, RefPoly(X_XBAR_MINUS_ONE, principal))]
     if kind == 3:
-        return [SATerm(one, m, RefPoly(ONE_MINUS_X_XBAR, principal))]
+        return [SATerm(weight, side, RefPoly(ONE_MINUS_X_XBAR, principal))]
     if kind == 4:
-        return [SATerm(one, m, RefPoly(ONE))]
+        return [SATerm(weight, side, _ONE_REF)]
     raise ValueError(f"gadget kind must be 1..4, got {kind}")
 
 
@@ -417,55 +445,49 @@ def gadget_target(kind: int, side_clause: Clause, principal: int) -> Polynomial:
 # ---------------------------------------------------------------------------
 # circular proof -> polynomial proof
 
-def _rule_terms(graph: ProofGraph, w, coef: Fraction) -> list[SATerm]:
+def _rule_terms(w, coef: Fraction, mono: dict[int, Monomial]) -> list[SATerm]:
     """Proof terms expanding to the rule polynomial of inference vertex ``w``:
     consequent encodings minus antecedent encodings, weighted by ``coef``.
-    Only a collapsed rule, whose principal occurs in its side clause, is not
+    ``mono`` maps each formula vertex to its falsified-point monomial.  Only
+    a collapsed rule, whose principal occurs in its side clause, is not
     built from :func:`clause_gadget` families.
     """
     x = w.rule.principal
-    ins = [graph.formula(u).clause for u in w.in_neighbors]
-    outs = [graph.formula(u).clause for u in w.out_neighbors]
-
-    def gadget(kind: int, side_clause: Clause) -> list[SATerm]:
-        return [SATerm(coef * t.coefficient, t.monomial, t.ref)
-                for t in clause_gadget(kind, side_clause, x)]
-
+    twin = 3 << 2 * x
     if w.rule.kind == AXIOM:
-        return gadget(1, Clause(()))
+        return clause_gadget(1, MONOMIAL_ONE, x, coef)
     if w.rule.kind == CUT:
-        side = outs[0]
-        if x not in side.variables():
-            return gadget(2, side)
+        side = mono[w.out_neighbors[0]]
+        if not side.mask & twin:
+            return clause_gadget(2, side, x, coef)
         # Collapsed cut: one antecedent equals the consequent, the other is
         # the elementary tautology; the rule polynomial is +x*xb times the
         # side remainder.
-        other = next(c for c in ins if c != side) if any(c != side for c in ins) else side
-        return [SATerm(coef, falsified_monomial(other), RefPoly(ONE))]
+        other = next((m for m in map(mono.get, w.in_neighbors) if m != side), side)
+        return [SATerm(coef, other, _ONE_REF)]
     # Split.
-    side = ins[0]
-    if x not in side.variables():
-        terms = gadget(3, side)
+    side = mono[w.in_neighbors[0]]
+    outs = [mono[u] for u in w.out_neighbors]
+    if not side.mask & twin:
+        terms = clause_gadget(3, side, x, coef)
         if len(outs) == 1:
-            # Suppressed consequent: add back its encoding.
-            kept = next(lit for lit in outs[0].literals if abs(lit) == x)
-            terms += gadget(4, side.with_literal(-kept))
+            # Suppressed consequent: add back its encoding, whose bit of x
+            # is the one the kept consequent lacks.
+            terms += clause_gadget(4, Monomial(side.mask | twin & ~outs[0].mask), x, coef)
         return terms
     # Collapsed split on a variable of the side clause.
     if len(outs) == 1 and outs[0] == side:
         return []  # rule polynomial is identically zero
     if len(outs) == 1:
         # Kept only the tautological side: side must be the unit clause of x.
-        lit_tok = next(lit for lit in side.literals if abs(lit) == x)
-        rest = falsified_monomial(side).without({-lit_tok})
+        (tok,) = mask_literals(side.mask & twin)
         return [
-            SATerm(coef, rest.mul(Monomial.of({-lit_tok: 1})),
-                   RefPoly(ONE_MINUS_X_XBAR, x)),
-            SATerm(coef, rest.mul(Monomial.of({-lit_tok: 2})), RefPoly(ONE)),
+            SATerm(coef, side, RefPoly(ONE_MINUS_X_XBAR, x)),
+            SATerm(coef, Monomial(side.mask, ((tok, 2),)), _ONE_REF),
         ]
     # Both consequents present: one collapsed to side, other the elementary
     # tautology (side must be a unit clause on x).
-    return gadget(1, Clause(()))
+    return clause_gadget(1, MONOMIAL_ONE, x, coef)
 
 
 def circular_to_sa(graph: ProofGraph, flow: FlowAssignment) -> SAProof:
@@ -488,40 +510,35 @@ def circular_to_sa(graph: ProofGraph, flow: FlowAssignment) -> SAProof:
     if not verify_flow(graph, flow):
         raise NotWitnessError("flow assignment does not witness the proof")
     hyp_index = {h: i + 1 for i, h in enumerate(hyp_clauses)}
-    num_vars = _max_variable(graph)
-    elementary = {Clause.from_ints(v, -v) for v in range(1, num_vars + 1)}
+    mono = {v.id: falsified_monomial(v.clause) for v in graph.formula_vertices}
+    # The largest variable of a clause is read off the top bit of its mask.
+    top = max(m.mask.bit_length() for m in mono.values())
+    num_vars = max([top - 1 >> 1, 0, *(w.rule.principal for w in graph.inference_vertices)])
+    positive = positive_mask(num_vars)
     for v in graph.formula_vertices:
-        if v.clause.is_tautological and v.clause not in elementary:
+        # The elementary tautologies are the tautologies of width 2.
+        m = mono[v.id].mask
+        if m & (m >> 1) & positive and m.bit_count() != 2:
             raise TautologicalClauseError(
                 f"non-elementary tautological clause {v.clause} cannot be translated"
             )
 
-    bal = balances(graph, flow)
-    bs = bal[goal_id]
+    # Over integer balance numerators: weight ``flow * den / goal_num``.
+    bal, den = balance_numerators(graph, flow)
+    goal_num = bal[goal_id]
+    scale = Fraction(den, goal_num)
     terms: list[SATerm] = []
     for w in graph.inference_vertices:
-        terms.extend(_rule_terms(graph, w, flow[w.id] / bs))
+        terms += _rule_terms(w, flow[w.id] * scale, mono)
     for v in graph.formula_vertices:
-        if v.id == goal_id:
+        a = bal[v.id]
+        if v.id == goal_id or not a:
             continue
-        b = bal[v.id]
-        if b == 0:
-            continue
-        if b < 0:
-            terms.append(SATerm(-b / bs, MONOMIAL_ONE, hyp(hyp_index[v.clause])))
+        if a < 0:
+            terms.append(SATerm(Fraction(-a, goal_num), MONOMIAL_ONE, hyp(hyp_index[v.clause])))
         else:
-            terms.append(SATerm(b / bs, falsified_monomial(v.clause), RefPoly(ONE)))
+            terms.append(SATerm(Fraction(a, goal_num), mono[v.id], _ONE_REF))
     return SAProof(num_vars, tuple(hyp_clauses), goal, tuple(terms))
-
-
-def _max_variable(graph: ProofGraph) -> int:
-    top = 0
-    for v in graph.formula_vertices:
-        for lit in v.clause.literals:
-            top = max(top, abs(lit))
-    for w in graph.inference_vertices:
-        top = max(top, w.rule.principal)
-    return top
 
 
 # ---------------------------------------------------------------------------
@@ -537,41 +554,27 @@ def normalize_sa(proof: SAProof) -> SAProof:
     the same target (the target is multilinear, and multilinear polynomials
     agreeing on 0-1 points are equal).
     """
+    hyp_masks = [falsified_monomial(h).mask for h in proof.hypotheses]
     out: list[SATerm] = []
     for t in proof.terms:
-        if t.coefficient <= 0:
+        if t.coefficient.numerator <= 0:
             raise MalformedProofError(f"term coefficient {t.coefficient} is not positive")
-        m = multilinearize(t.monomial)
-        kind = t.ref.kind
-        i = t.ref.index
-        has_x = i in {tok for tok in m.tokens()}
-        has_xb = -i in m.tokens()
-        if kind == HYPOTHESIS:
-            hmono = falsified_monomial(proof.hypotheses[i - 1])
-            out.append(SATerm(t.coefficient, m.without(hmono.tokens()), t.ref))
-        elif kind == ONE_MINUS_X_XBAR:
-            if not has_x and not has_xb:
-                out.append(SATerm(t.coefficient, m, t.ref))
-            else:
-                out.append(
-                    SATerm(t.coefficient, m.without({i, -i}), RefPoly(MINUS_X_XBAR, i))
-                )
-        elif kind == X_XBAR_MINUS_ONE:
-            if not has_x and not has_xb:
-                out.append(SATerm(t.coefficient, m, t.ref))
-            elif has_x and has_xb:
-                out.append(SATerm(t.coefficient, m, RefPoly(ONE)))
-            else:
-                twin = Monomial.of({-i if has_x else i: 1})
-                out.append(SATerm(t.coefficient, m.mul(twin), RefPoly(ONE)))
-        elif kind == ONE:
-            out.append(SATerm(t.coefficient, m, t.ref))
-        elif kind == MINUS_X_XBAR:
-            out.append(SATerm(t.coefficient, m.without({i, -i}), t.ref))
-        elif kind in (X_MINUS_XSQ, XSQ_MINUS_X):
+        m, ref = t.monomial.mask, t.ref
+        if ref.kind == HYPOTHESIS:
+            m &= ~hyp_masks[ref.index - 1]
+        elif ref.kind == ONE_MINUS_X_XBAR:
+            twin = 3 << 2 * ref.index
+            if m & twin:
+                m, ref = m & ~twin, RefPoly(MINUS_X_XBAR, ref.index)
+        elif ref.kind == X_XBAR_MINUS_ONE:
+            twin = 3 << 2 * ref.index
+            if m & twin:
+                m, ref = m | twin, _ONE_REF
+        elif ref.kind == MINUS_X_XBAR:
+            m &= ~(3 << 2 * ref.index)
+        elif ref.kind in (X_MINUS_XSQ, XSQ_MINUS_X):
             continue  # identically zero on 0-1 points; dropped
-        else:  # pragma: no cover
-            raise MalformedProofError(f"unknown reference kind {kind}")
+        out.append(SATerm(t.coefficient, Monomial(m), ref))
     return SAProof(proof.num_variables, proof.hypotheses, proof.goal, tuple(out))
 
 
@@ -582,9 +585,9 @@ def sa_to_circular(proof: SAProof) -> tuple[ProofGraph, FlowAssignment]:
     terms become chains of literal-introducing splits, ``-x*xb`` terms an
     axiom plus such a chain, ``1-x-xb`` terms a split, ``x+xb-1`` terms a
     cut; constant-reference terms only feed balances.  Vertices are
-    identified by clause.  The width of the result equals the proof degree,
-    except when the goal is the empty clause and a hypothesis: its detour
-    through ``x1`` has width 1.
+    identified by clause mask, each decoded once.  The width of the result
+    equals the proof degree, except when the goal is the empty clause and a
+    hypothesis: its detour through ``x1`` has width 1.
     The proof is checked first, by :func:`check_sa`, which also rejects a
     missing or tautological goal.
     """
@@ -595,45 +598,48 @@ def sa_to_circular(proof: SAProof) -> tuple[ProofGraph, FlowAssignment]:
     b = ProofGraphBuilder()
     goal_vertex = b.vertex(proof.goal)
     hyp_set = set(proof.hypotheses)
+    hyp_masks = [clause_mask(h.literals) for h in proof.hypotheses]
+    ids: dict[int, int] = {}
 
-    def weaken_chain(start: int, extension: Clause, flow: Fraction) -> int:
-        cur = start
-        for lit in extension.literals:
-            (out,) = b.split(
-                cur, abs(lit), keep_positive=lit > 0, keep_negative=lit < 0, flow=flow,
-            )
-            cur = out
-        return cur
+    def vertex(mask: int) -> int:
+        if mask not in ids:
+            ids[mask] = b.vertex(Clause(mask_literals(mask)))
+        return ids[mask]
+
+    def weaken_chain(start: int, extension: int, flow: Fraction) -> None:
+        # One split per literal of ``extension``, in canonical order.
+        while extension:
+            bit = extension & -extension
+            extension ^= bit
+            b.inference(SPLIT, bit.bit_length() - 1 >> 1, (vertex(start),),
+                        (vertex(start | bit),), flow)
+            start |= bit
 
     identity_budget = Fraction(0)
     for t in norm.terms:
         a = t.coefficient
         kind = t.ref.kind
         i = t.ref.index
-        c_j = clause_of_monomial(t.monomial)
+        c = _twin_swap(t.monomial.mask)  # the term's clause
         if kind == HYPOTHESIS:
-            base_clause = proof.hypotheses[i - 1]
-            base = b.vertex(base_clause)
-            if c_j.is_empty:
-                if base_clause == proof.goal:
-                    identity_budget += a
-                continue
-            weaken_chain(base, c_j, a)
+            vertex(hyp_masks[i - 1])
+            if not c and proof.hypotheses[i - 1] == proof.goal:
+                identity_budget += a
+            weaken_chain(hyp_masks[i - 1], c, a)
         elif kind == MINUS_X_XBAR:
-            taut = b.axiom(i, flow=a)
-            if not c_j.is_empty:
-                weaken_chain(taut, c_j, a)
+            b.inference(AXIOM, i, (), (vertex(3 << 2 * i),), a)
+            weaken_chain(3 << 2 * i, c, a)
         elif kind == ONE_MINUS_X_XBAR:
             # Split shape: consumes the side clause, produces both extensions.
-            src = b.vertex(c_j)
-            b.split(src, i, flow=a)
+            src = vertex(c)
+            pos, neg = vertex(c | 1 << 2 * i), vertex(c | 2 << 2 * i)
+            b.inference(SPLIT, i, (src,), (pos, neg), a)
         elif kind == X_XBAR_MINUS_ONE:
             # Cut shape: consumes both extensions, produces the side clause.
-            pos = b.vertex(c_j.with_literal(i))
-            neg = b.vertex(c_j.with_literal(-i))
-            b.cut(pos, neg, c_j, i, flow=a)
+            pos, neg = vertex(c | 1 << 2 * i), vertex(c | 2 << 2 * i)
+            b.inference(CUT, i, (pos, neg), (vertex(c),), a)
         elif kind == ONE:
-            b.vertex(c_j)  # sink slack only; no rule
+            vertex(c)  # sink slack only; no rule
         else:  # pragma: no cover
             raise MalformedProofError(f"unexpected normalized kind {kind}")
 

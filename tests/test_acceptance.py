@@ -39,6 +39,7 @@ from circres.sheraliadams import (
     check_sa,
     circular_to_sa,
     clause_gadget,
+    falsified_monomial,
     gadget_target,
     sa_degree,
     sa_monomial_size,
@@ -248,7 +249,7 @@ def test_criterion_08_gadget_families():
             side = Clause.from_signed(v if rng.random() < 0.5 else -v for v in vs)
             principal = next(v for v in range(1, 8) if v not in side.variables())
             for kind in (1, 2, 3, 4):
-                terms = clause_gadget(kind, side, principal)
+                terms = clause_gadget(kind, falsified_monomial(side), principal)
                 proof = SAProof.of(7, [], None, terms)
                 assert check_sa(proof, raw_target=gadget_target(kind, side, principal))
                 degree = sa_degree(proof)

@@ -220,13 +220,17 @@ def test_translate_rejects_bad_input(tmp_path, capsys):
 
 
 def test_translate_rejects_variable_beyond_header(tmp_path, capsys):
-    sap = tmp_path / "wide.sap"
-    sap.write_text("p sap 1 1\nh 5 0\ng 5 0\nt 1 ; H 1\n")
-    assert run(["translate", "s2c", sap]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == "error: line 2: variable x5 exceeds declared variable count 1\n"
-    assert captured.out == ""
-    assert not sap.with_suffix(".cres").exists()
+    # The huge index is rejected before any monomial mask (250 GB) is built.
+    for text, line, var in [("p sap 1 1\nh 5 0\ng 5 0\nt 1 ; H 1\n", 2, 5),
+                            (f"p sap 1 0\ng 0\nt 1 {10 ** 12} ; B one\n", 3, 10 ** 12)]:
+        sap = tmp_path / "wide.sap"
+        sap.write_text(text)
+        assert run(["translate", "s2c", sap]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: line {line}: variable x{var} exceeds declared variable count 1\n")
+        assert captured.out == ""
+        assert not sap.with_suffix(".cres").exists()
 
 
 def test_translate_empty_goal_that_is_a_hypothesis(tmp_path, capsys):
@@ -528,6 +532,56 @@ def test_emitted_files_are_byte_stable(tmp_path, monkeypatch):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in EMITTED_SHA256}
     assert digests == EMITTED_SHA256
+
+
+# A monomial mask holds two bits per variable up to its largest index, so
+# translating proofs over one variable of index 10^6 handles 2,000,000-bit
+# masks.  The expected files were written before monomials became masks.
+BIG = 10 ** 6
+BIG_FILES = {
+    "big.sap": f"""c translated from big.cres
+p sap {BIG} 2
+h -{BIG} 0
+h {BIG} 0
+g 0
+t 1 ; B xxm1 {BIG}
+t 1 ; H 2
+t 1 ; H 1
+""",
+    "big_back.cres": f"""c translated from big.sap
+p cres 3 1
+f 0 0
+f 1 {BIG} 0
+f 2 -{BIG} 0
+i 0 cut {BIG} 1 2 0
+h 1
+h 2
+g 0
+w 0 1
+""",
+    "weak.cres": f"""c translated from weak.sap
+p cres 2 1
+f 0 1 -{BIG} 0
+f 1 1 0
+i 0 split {BIG} 1 0
+h 1
+g 0
+w 0 1
+""",
+}
+
+
+def test_translate_at_a_large_variable_index(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.cres").write_text(
+        f"p cres 3 1\nf 0 {BIG} 0\nf 1 -{BIG} 0\nf 2 0\ni 0 cut {BIG} 0 1 2\n"
+        "h 0\nh 1\ng 2\nw 0 1\n")
+    # (x1 | ~x_BIG) as the weakening X_BIG * enc(x1).
+    (tmp_path / "weak.sap").write_text(f"p sap {BIG} 1\nh 1 0\ng 1 -{BIG} 0\nt 1 {BIG} ; H 1\n")
+    assert run(["translate", "c2s", "big.cres"]) == 0
+    assert run(["translate", "s2c", "big.sap", "-o", "big_back.cres"]) == 0
+    assert run(["translate", "s2c", "weak.sap"]) == 0
+    assert {name: (tmp_path / name).read_text() for name in BIG_FILES} == BIG_FILES
 
 
 def test_emitted_files_do_not_depend_on_their_directory(tmp_path):

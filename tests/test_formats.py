@@ -153,7 +153,11 @@ def test_sap_hypothesis_reference_names_its_line():
     ("p sap 1 1\nh 1 0\ng -3 0\nt 1 ; H 1\n", 3, 3),
     ("p sap 1 1\nh 1 0\ng 1 0\nt 1 ; H 1\nt 1 -2 ; B one\n", 5, 2),
     ("p sap 1 1\nh 1 0\ng 1 0\nt 1 ; H 1\nt 1 1 ; B xxsq 4\n", 5, 4),
-], ids=["hypothesis", "goal", "monomial", "basic-reference"])
+    # A monomial's mask holds two bits per variable up to the largest, so
+    # the range check must come before any mask is built.
+    (f"p sap 1 0\ng 0\nt 1 {10 ** 12} ; B one\n", 3, 10 ** 12),
+    (f"p sap 1 0\ng 0\nt 1 -{10 ** 12}^2 ; B 1mxx 1\n", 3, 10 ** 12),
+], ids=["hypothesis", "goal", "monomial", "basic-reference", "huge-monomial", "huge-power"])
 def test_sap_variable_beyond_header_names_its_line(text, line_no, var):
     with pytest.raises(ParseError) as err:
         parse_sap(text)

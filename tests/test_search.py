@@ -91,11 +91,12 @@ def test_budget_guard():
 
 def test_lattice_size_matches_enumeration():
     import itertools
-    from circres.search import _proper_clauses
+    from circres.core import mask_literals
+    from circres.search import _clause_masks
 
     for n, w in [(3, 2), (4, 3), (5, 2)]:
         formulas, infs = lattice_size(n, w)
-        clauses = list(_proper_clauses(n, w))
+        clauses = [Clause(mask_literals(m)) for m in _clause_masks(n, w)]
         assert formulas == len(clauses) + n
         expected_infs = n + 2 * n  # axioms plus collapsing unit splits
         for c in clauses:
@@ -157,10 +158,11 @@ def _lattice_search(hypotheses: CnfFormula, goal: Clause, width: int) -> bool:
     onto itself and its tautology; the program asks for nonnegative flows
     giving the goal balance at least 1 and every other non-hypothesis clause
     a nonnegative balance."""
-    from circres.search import _proper_clauses
+    from circres.core import mask_literals
+    from circres.search import _clause_masks
 
     n = hypotheses.num_variables
-    clauses = list(_proper_clauses(n, width))
+    clauses = [Clause(mask_literals(m)) for m in _clause_masks(n, width)]
     taut = [Clause.from_ints(v, -v) for v in range(1, n + 1)]
     vid = {c: k for k, c in enumerate(clauses + taut)}
     rules: list[tuple[str, tuple[int, ...], tuple[int, ...]]] = []

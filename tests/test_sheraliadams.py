@@ -1,13 +1,17 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from circres.core import Clause, CnfFormula, implies_oracle
+from circres.core import Clause, CnfFormula, implies_oracle, literal_key
 from circres.flowcheck import FlowAssignment, verify_flow
+from circres.formats import serialize_cres, serialize_sap
 from circres.generators import complete_bipartite, php_refutation, random_circular_proof
-from circres.proofgraph import ProofGraphBuilder, balances
+from circres.proofgraph import SPLIT, ProofGraphBuilder, balances, validate_rules
 from circres.sheraliadams import (
     BASIC,
     HYPOTHESIS,
@@ -225,7 +229,7 @@ def test_gadget_families_expand_to_targets(kind, width):
     for _ in range(5):
         side = _random_clause(rng, 6, width)
         principal = next(v for v in range(1, 8) if v not in side.variables())
-        terms = clause_gadget(kind, side, principal)
+        terms = clause_gadget(kind, falsified_monomial(side), principal)
         proof = SAProof.of(7, [], None, terms)
         target = gadget_target(kind, side, principal)
         assert check_sa(proof, raw_target=target)
@@ -243,21 +247,21 @@ def test_gadget_families_expand_to_targets(kind, width):
 
 def test_gadget_examples():
     # family 4 on (x1): a single constant-reference term, the bare monomial
-    terms = clause_gadget(4, clause(1), 2)
+    terms = clause_gadget(4, falsified_monomial(clause(1)), 2)
     assert terms == [SATerm(Fraction(1), mono({-1: 1}), RefPoly(ONE))]
     # family 2 on the empty side clause
-    terms = clause_gadget(2, Clause(()), 1)
+    terms = clause_gadget(2, MONOMIAL_ONE, 1)
     assert terms == [SATerm(Fraction(1), MONOMIAL_ONE, RefPoly(X_XBAR_MINUS_ONE, 1))]
     # family 3 with side (x2)
-    terms = clause_gadget(3, clause(2), 1)
+    terms = clause_gadget(3, falsified_monomial(clause(2)), 1)
     assert terms == [SATerm(Fraction(1), mono({-2: 1}), RefPoly(ONE_MINUS_X_XBAR, 1))]
 
 
 def test_gadget_preconditions():
     with pytest.raises(ValueError):
-        clause_gadget(2, clause(1), 1)
+        clause_gadget(2, falsified_monomial(clause(1)), 1)
     with pytest.raises(TautologicalClauseError):
-        clause_gadget(4, clause(1, -1), 2)
+        clause_gadget(4, falsified_monomial(clause(1, -1)), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -501,13 +505,22 @@ def test_length_linear_in_monomial_size():
 # ---------------------------------------------------------------------------
 # the one-pass expansion kernel against the definition
 
+def _product(m, q):
+    """``m * q`` by adding the exponents read from ``.factors``."""
+    powers = dict(m.factors)
+    for tok, e in q.factors:
+        powers[tok] = powers.get(tok, 0) + e
+    return Monomial.of(powers)
+
+
 def _expanded_products(proof):
     """The definition, one product at a time: ``a_j * q_j * poly(P_j)``."""
     for t in proof.terms:
         if t.coefficient <= 0:
             raise MalformedProofError(f"term coefficient {t.coefficient} is not positive")
         base = ref_polynomial(t.ref, proof.hypotheses)
-        yield Polynomial(tuple((m.mul(t.monomial), k * t.coefficient) for m, k in base.terms))
+        yield Polynomial(tuple((_product(m, t.monomial), k * t.coefficient)
+                               for m, k in base.terms))
 
 
 def _defined_sum(proof):
@@ -580,3 +593,90 @@ def test_kernel_rejects_nonpositive_coefficient(bad):
     for measure in (proof_sum, sa_degree, sa_monomial_size):
         with pytest.raises(MalformedProofError):
             measure(proof)
+
+
+# ---------------------------------------------------------------------------
+# monomials against a model: a dict from token to exponent
+
+# Exponents of X_v and Xb_v per variable v, 0 for no factor: tokens reach
+# +-300, so masks pass 64 bits and the 512 bits whose literals core.py
+# tabulates, and both twins of a variable occur.
+_exponent_models = st.dictionaries(
+    st.integers(1, 300), st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=6,
+).map(lambda by_var: {tok: e for v, (ex, exb) in by_var.items()
+                      for tok, e in ((v, ex), (-v, exb)) if e})
+
+
+def _factors(model):
+    return tuple(sorted(model.items(), key=lambda f: literal_key(f[0])))
+
+
+@given(_exponent_models, _exponent_models, st.sets(st.integers(-300, 300)))
+def test_monomial_matches_exponent_model(p, q, drop):
+    m = Monomial.of(p)
+    assert m.factors == _factors(p)
+    assert m.degree == sum(p.values())
+    assert m.tokens() == frozenset(p)
+    assert m == Monomial.of(list(reversed(p.items())))
+    assert hash(m) == hash(Monomial.of(list(reversed(p.items()))))
+    assert multilinearize(m).factors == tuple((tok, 1) for tok, _ in _factors(p))
+    assert m.without(drop).factors == _factors({t: e for t, e in p.items() if t not in drop})
+    pq = dict(p)
+    for tok, e in q.items():
+        pq[tok] = pq.get(tok, 0) + e
+    product = m.mul(Monomial.of(q))
+    assert product.factors == _factors(pq)
+    assert product == Monomial.of(q).mul(m) == Monomial.of(pq)
+    assert product.degree == m.degree + Monomial.of(q).degree
+    # Pairs with repeated tokens add up.
+    assert Monomial.of([*p.items(), *q.items()]) == product
+
+
+# ---------------------------------------------------------------------------
+# collapsed splits: the unit (x1) split on x1
+
+def _collapsed_split(keep_unit, keep_tautology):
+    """A refutation of (x1) and (~x1) by one cut, after a split of the unit
+    (x1) on x1 that keeps a fresh copy of (x1), the tautology (x1 | ~x1), or
+    both.  A kept copy of (x1) feeds the cut; a kept tautology is a sink."""
+    b = ProofGraphBuilder()
+    unit, neg = b.vertex(clause(1)), b.vertex(clause(-1))
+    b.mark_hypothesis(unit)
+    b.mark_hypothesis(neg)
+    outs = []
+    if keep_unit:
+        outs.append(b.vertex(clause(1), fresh=True))
+    if keep_tautology:
+        outs.append(b.vertex(clause(1, -1)))
+    b.inference(SPLIT, 1, (unit,), tuple(outs))
+    b.set_goal(b.cut(outs[0] if keep_unit else unit, neg, Clause(()), 1))
+    return b.build()
+
+
+# sha256 of serialize_sap of the translation and of serialize_cres of its
+# way back, recorded before monomials became bit masks.
+COLLAPSED_SPLIT_SHA256 = {
+    "unit": ("d387ac36010142ce97115a0dcbea7dc19a831b7bbbca4f0197ce0ea0cfb985d9",
+             "ba3f1613e11451ab4b68ad224f65bf094a730dc293b8120efd9fab79bf08cbc5"),
+    "tautology": ("58089ee478c6f81834ee856ab6b37e36d5679621c15edbd287786402169625fb",
+                  "61407a578244337c486676baca763ff087f85e964da02cf9392ca1af7185bfba"),
+    "both": ("3534f86c509271d66b6abab0ac6a8cc16e6930e96721f14dc941457cb189995b",
+             "61407a578244337c486676baca763ff087f85e964da02cf9392ca1af7185bfba"),
+}
+
+
+@pytest.mark.parametrize("keep", sorted(COLLAPSED_SPLIT_SHA256))
+def test_collapsed_split_round_trip(keep):
+    graph, flow = _collapsed_split(keep != "tautology", keep != "unit")
+    assert validate_rules(graph) == []
+    proof = circular_to_sa(graph, flow)
+    assert check_sa(proof)
+    g2, f2 = sa_to_circular(proof)
+    assert verify_flow(g2, f2)
+    sap, cres = serialize_sap(proof), serialize_cres(g2, f2)
+    assert tuple(hashlib.sha256(text.encode()).hexdigest()
+                 for text in (sap, cres)) == COLLAPSED_SPLIT_SHA256[keep]
+    if keep == "tautology":
+        # The squared twin and the product of both twins of x1.
+        assert "t 1 -1^2 ; B one" in sap.splitlines()
+        assert any(t.monomial == mono({1: 1, -1: 1}) for t in proof.terms)
