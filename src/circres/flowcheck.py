@@ -69,7 +69,7 @@ def _witness_program(graph: ProofGraph) -> tuple[lp.LinearProgram, list[int]]:
     """Feasibility program for flows witnessing a proof at ``graph.goal_id``.
 
     Rows: goal balance >= 1; balance >= 0 for every non-hypothesis,
-    non-goal formula vertex; each flow variable >= 1.
+    non-goal formula vertex.  Declared bounds: each flow variable >= 1.
     Returns the program and the inference-vertex ids in variable order.
     """
     order = sorted(w.id for w in graph.inference_vertices)
@@ -92,8 +92,8 @@ def _witness_program(graph: ProofGraph) -> tuple[lp.LinearProgram, list[int]]:
         if v.clause in hyp_clauses:
             continue
         program.add_geq(rowmap[v.id], 0)
-    for iid in order:
-        program.add_geq({var_of[iid]: 1}, 1)
+    for k in range(len(order)):
+        program.add_lower(k, 1)
     return program, order
 
 

@@ -109,6 +109,7 @@ def parse_dimacs(text: str) -> CnfFormula:
     num_vars = None
     expected = None
     clauses: list[Clause] = []
+    clause_lines: list[int] = []
     header_line = 0
     for no, tokens in _lines(text):
         if tokens[0] == "p":
@@ -124,6 +125,7 @@ def parse_dimacs(text: str) -> CnfFormula:
         if num_vars is None:
             raise ParseError(no, "clause before header")
         clauses.append(_clause_tokens(tokens, no))
+        clause_lines.append(no)
     if num_vars is None:
         raise ParseError(1, "missing 'p cnf' header")
     if expected != len(clauses):
@@ -134,7 +136,11 @@ def parse_dimacs(text: str) -> CnfFormula:
     try:
         return CnfFormula.of(num_vars, clauses)
     except ValueError as exc:
-        raise ParseError(header_line, str(exc)) from None
+        # The only complaint is a literal beyond the variable count, which
+        # names the first clause that holds one.
+        no = next(no for no, c in zip(clause_lines, clauses)
+                  if any(abs(lit) > num_vars for lit in c.literals))
+        raise ParseError(no, str(exc)) from None
 
 
 def serialize_dimacs(cnf: CnfFormula, comments: list[str] | None = None) -> str:

@@ -1,10 +1,11 @@
 """Exact-rational linear feasibility with certificates.
 
-The solver handles systems of ``>=`` constraints over free rational
-variables and answers feasibility exactly, with no floating point and no
-tolerances anywhere.  Infeasible systems come with a certificate: a
-nonnegative combination of the constraints that cancels every variable and
-leaves a positive right-hand side (the inequality ``0 >= 1`` after scaling).
+The solver handles systems of ``>=`` constraints over rational variables,
+each free or bounded below by a declared integer, and answers feasibility
+exactly, with no floating point and no tolerances anywhere.  Infeasible
+systems come with a certificate: a nonnegative combination of the
+constraints and the declared bounds that cancels every variable and leaves a
+positive right-hand side (the inequality ``0 >= 1`` after scaling).
 
 Method: the least-index criss-cross pivot rule on a sparse integer tableau.
 Starting from the all-surplus basis, the row carrying the lowest-index
@@ -21,10 +22,11 @@ Implementation notes, none of which change the results:
 * Rows are integers from :meth:`LinearProgram.add_geq` on: it stores an
   integer row as given and multiplies a rational row once by the lcm of its
   denominators, so ``lp.rows`` and any certificate refer to the scaled rows.
-* A singleton row ``a * x_j >= r`` with ``a > 0`` dividing ``r`` is a lower
-  bound and is eliminated by substituting ``x_j = r/a + x'_j`` with
-  ``x'_j >= 0``; any other singleton row stays an ordinary tableau row.
-  Remaining free variables are split into differences of nonnegatives.
+* A variable with a declared lower bound ``x_j >= l`` (from
+  :meth:`LinearProgram.add_lower`) is substituted as ``x_j = l + x'_j`` with
+  ``x'_j >= 0``; every row of ``lp.rows`` is a tableau row, a one-entry row
+  included.  Undeclared variables are free and are split into differences
+  of nonnegatives.
 * The tableau is stored row-major: each row is a ``{column: int}`` dict of
   its nonbasic entries.  A pivot reads its entering column off the leaving
   row, pops the pivot column from the rows that hold it, and updates just
@@ -40,6 +42,7 @@ Implementation notes, none of which change the results:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -58,23 +61,35 @@ class Constraint:
 
 @dataclass
 class LinearProgram:
-    """A pure ``>=`` system over ``num_vars`` free rational variables."""
+    """A ``>=`` system over ``num_vars`` rational variables; ``lower`` maps
+    each variable with a declared lower bound to that integer, and every
+    other variable is free."""
 
     num_vars: int
     rows: list[Constraint] = field(default_factory=list)
+    lower: dict[int, int] = field(default_factory=dict)
 
     def add_geq(self, coeffs: Mapping[int, Fraction | int], rhs: Fraction | int = 0) -> None:
         """Append ``sum(coeffs[j] * x_j) >= rhs``, scaled to integers by the
         lcm of its denominators (an integer row is stored as given)."""
         items = sorted([(j, c) for j, c in coeffs.items() if c])
         if items and not (0 <= items[0][0] and items[-1][0] < self.num_vars):
-            j = next(j for j, _ in items if not 0 <= j < self.num_vars)
-            raise IndexError(f"variable index {j} out of range 0..{self.num_vars - 1}")
+            self._check(next(j for j, _ in items if not 0 <= j < self.num_vars))
         if type(rhs) is not int or not all([type(c) is int for _, c in items]):
             scale = math.lcm(rhs.denominator, *(c.denominator for _, c in items))
             items = [(j, int(c * scale)) for j, c in items]
             rhs = int(rhs * scale)
         self.rows.append(Constraint(tuple(items), rhs))
+
+    def add_lower(self, j: int, bound: int) -> None:
+        """Declare ``x_j >= bound`` for an integer ``bound``; declaring a bound
+        on ``x_j`` again replaces it."""
+        self._check(j)
+        self.lower[j] = operator.index(bound)
+
+    def _check(self, j: int) -> None:
+        if not 0 <= j < self.num_vars:
+            raise IndexError(f"variable index {j} out of range 0..{self.num_vars - 1}")
 
 
 class _Tableau:
@@ -90,10 +105,7 @@ class _Tableau:
 
     def __init__(self, lp: LinearProgram) -> None:
         self.lp = lp
-        self.lb, self.lb_row = _bounds(lp)
-        skip = set(self.lb_row.values())
-        # Global row id per tableau row.
-        self.tab_rows = [g for g in range(len(lp.rows)) if g not in skip]
+        self.lb = lp.lower
 
         # Structural columns: one per lower-bounded variable, a +/- pair per
         # free variable; then one surplus column per tableau row.
@@ -110,8 +122,7 @@ class _Tableau:
         self.xb: list[int] = []
         self.basis: list[int] = []
         self.rows: list[dict[int, int]] = []
-        for i, g in enumerate(self.tab_rows):
-            row = lp.rows[g]
+        for i, row in enumerate(lp.rows):
             shift = sum(a * self.lb[j] for j, a in row.coeffs if j in self.lb)
             self.xb.append(shift - row.rhs)
             self.basis.append(self.n_struct + i)
@@ -225,9 +236,12 @@ class _Tableau:
         Row ``r`` of the current combination matrix is row ``r``'s entries
         in the columns of the initial surplus variables (``den`` for the one
         basic there); they are nonnegative exactly because the row is stuck.
-        Multipliers are integers over ``den`` until they are returned.
+        The rows' combination leaves a residual of at most zero on each
+        bounded variable and of zero on each free one; the bound multipliers
+        pay the residuals off.  Multipliers are integers over ``den`` until
+        they are returned.
         """
-        lp = self.lp
+        lp, lb = self.lp, self.lb
         lam = [0] * len(lp.rows)
         entries = dict(self.rows[r])
         entries[self.basis[r]] = self.den
@@ -235,44 +249,23 @@ class _Tableau:
             if col >= self.n_struct:
                 if entry < 0:
                     raise AssertionError("negative multiplier on a stuck row")
-                lam[self.tab_rows[col - self.n_struct]] = entry
-        residual: dict[int, int] = {}
-        for g, v in enumerate(lam):
+                lam[col - self.n_struct] = entry
+        residual = [0] * lp.num_vars
+        for v, row in zip(lam, lp.rows):
             if v:
-                for j, c in lp.rows[g].coeffs:
-                    residual[j] = residual.get(j, 0) + v * c
+                for j, c in row.coeffs:
+                    residual[j] += v * c
+        if any(rem and j not in lb for j, rem in enumerate(residual)):
+            raise AssertionError("free variable does not cancel in certificate")
+        bounded = sorted(lb)
+        mu = [-residual[j] for j in bounded]
+        if any(m < 0 for m in mu):
+            raise AssertionError("shifted variable has positive residual")
         value = sum(v * row.rhs for v, row in zip(lam, lp.rows))
-        full = [Fraction(v, self.den) for v in lam]
-        for j, rem in residual.items():
-            if rem == 0:
-                continue
-            if j not in self.lb:
-                raise AssertionError("free variable does not cancel in certificate")
-            if rem > 0:
-                raise AssertionError("shifted variable has positive residual")
-            # The bound row a * x_j >= b pays off the residual; a divides b.
-            g = self.lb_row[j]
-            ((_, a),) = lp.rows[g].coeffs
-            full[g] = Fraction(-rem, a * self.den)
-            value -= rem * (lp.rows[g].rhs // a)
+        value += sum(m * lb[j] for m, j in zip(mu, bounded))
         if value <= 0:
             raise AssertionError("certificate does not witness infeasibility")
-        return full
-
-
-def _bounds(lp: LinearProgram) -> tuple[dict[int, int], dict[int, int]]:
-    """Integral lower bounds from singleton rows, and the row giving each."""
-    lb: dict[int, int] = {}
-    lb_row: dict[int, int] = {}
-    for g, row in enumerate(lp.rows):
-        if len(row.coeffs) == 1:
-            j, a = row.coeffs[0]
-            if a > 0 and row.rhs % a == 0:
-                bound = row.rhs // a
-                if j not in lb or bound > lb[j]:
-                    lb[j] = bound
-                    lb_row[j] = g
-    return lb, lb_row
+        return [Fraction(v, self.den) for v in lam + mu]
 
 
 def _solve(lp: LinearProgram):
@@ -284,6 +277,8 @@ def _solve(lp: LinearProgram):
     for row in lp.rows:
         if sum(c * x[j] for j, c in row.coeffs) < row.rhs * den:
             raise AssertionError("candidate point fails exact recheck")
+    if any(x[j] < bound * den for j, bound in lp.lower.items()):
+        raise AssertionError("candidate point fails exact recheck of a bound")
     return [Fraction(v, den) for v in x], None
 
 
@@ -294,10 +289,12 @@ def feasible(lp: LinearProgram) -> Optional[list[Fraction]]:
 
 
 def farkas_certificate(lp: LinearProgram) -> Optional[list[Fraction]]:
-    """Nonnegative multipliers combining the rows to ``0 >= positive``, or ``None``.
+    """Nonnegative multipliers combining the rows and the declared bounds to
+    ``0 >= positive``, or ``None``.
 
-    Returned list aligns with ``lp.rows``; it is ``None`` exactly when the
-    program is feasible.
+    The returned list holds one multiplier per row of ``lp.rows``, in order,
+    then one per declared bound ``x_j >= lp.lower[j]``, in increasing ``j``;
+    it is ``None`` exactly when the program is feasible.
     """
     _, cert = _solve(lp)
     return cert

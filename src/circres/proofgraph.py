@@ -405,6 +405,26 @@ class ProofGraphBuilder:
     def set_goal(self, fid: int) -> None:
         self._goal = fid
 
+    def pad_identity(self, goal: Clause, flow: Fraction | int = 1) -> None:
+        """Route ``flow`` from the vertex of ``goal`` to a fresh copy of it,
+        and make the copy the goal: the proof of a goal that is a hypothesis.
+
+        A nonempty goal gets a collapsing split that introduces its own first
+        literal, so the width stays the goal's width; the empty goal gets a
+        split/cut detour through ``x1``, of width 1.  Either gives the goal
+        balance ``flow`` while keeping every other balance intact.
+        """
+        source = self.vertex(goal)
+        fresh = self.vertex(goal, fresh=True)
+        if goal.literals:
+            self.inference(SPLIT, abs(goal.literals[0]), (source,), (fresh,), flow)
+        else:
+            pos = self.vertex(goal.with_literal(1))
+            neg = self.vertex(goal.with_literal(-1))
+            self.inference(SPLIT, 1, (source,), (pos, neg), flow)
+            self.inference(CUT, 1, (pos, neg), (fresh,), flow)
+        self.set_goal(fresh)
+
     def lookup(self, clause: Clause) -> Optional[int]:
         return self._by_clause.get(clause)
 

@@ -9,11 +9,17 @@ any flow satisfy ``sum_D b_D F_D = 0``; conversely every such balance
 vector comes from a flow on the lattice.  An all-negative clause ``N_m`` has
 ``F`` equal to the single monomial ``x^m``, so its balance is fixed by the
 others.  The program therefore has one variable per non-tautological
-clause of width at most ``w`` with a positive literal, one row per monomial
-of degree at most ``w`` (the balance of ``N_m``), and the sign conditions of
-a proof: the goal's balance is at least 1 and every other non-hypothesis
-balance is nonnegative.  A feasible point is turned back into cuts and
-splits, clause by clause, and rechecked exactly as a circular proof.
+clause of width at most ``w`` with a positive literal, and the sign
+conditions of a proof: the goal's balance is at least 1, every other
+non-hypothesis balance is nonnegative, and hypothesis balances are free.
+On a clause with a positive literal the condition is a declared lower bound
+on its own variable; on ``N_m`` it is a row, the balance of ``N_m`` read off
+the monomial ``x^m`` (degree at most ``w``).  A feasible point is turned
+back into cuts and splits, clause by clause, and rechecked exactly as a
+circular proof.  The program has one vertex per clause, so it cannot tell a
+hypothesis copy of the goal from the goal itself: when the goal is a
+hypothesis and the program is infeasible, the identity proof (a split from
+the hypothesis copy onto a fresh goal copy) is the answer.
 
 ``daglike_width_saturate`` is the classical comparison point: the least fixed
 point of width-bounded resolution and weakening over the hypotheses.  It
@@ -106,12 +112,14 @@ def _hypothesis_masks(hypotheses: CnfFormula) -> set[int]:
 
 
 def program_size(hypotheses: CnfFormula, goal: Clause, width: int) -> tuple[int, int]:
-    """Rows and clause-balance variables of the LP that :func:`circular_search`
-    solves: a row per clause of width at most ``width`` whose balance is
-    constrained (every one but the hypotheses other than the goal), a
-    variable per such clause with a positive literal.  Their sum is what the
-    search budget bounds.  Raises :class:`WidthError` if there is no such LP:
-    ``width`` is below the inputs' width or the goal is tautological."""
+    """Constraints and clause-balance variables of the LP that
+    :func:`circular_search` solves: a constraint per clause of width at most
+    ``width`` whose balance is constrained (every one but the hypotheses
+    other than the goal), which is a row for an all-negative clause and a
+    declared bound otherwise, and a variable per clause with a positive
+    literal.  Their sum is what the search budget bounds.  Raises
+    :class:`WidthError` if there is no such LP: ``width`` is below the
+    inputs' width or the goal is tautological."""
     needed = max(c.width for c in (*hypotheses.clauses, goal))
     if width < needed:
         raise WidthError(f"width {width} below input width {needed}")
@@ -162,15 +170,23 @@ def circular_search(
             s = (s - 1) & pos
         balance[d ^ pos][j] = -1
 
+    free = hyps - {target}
     program = lp.LinearProgram(len(variables))
+    for j, d in enumerate(variables):
+        if d not in free:
+            program.add_lower(j, int(d == target))
     for d, form in balance.items():
-        if d == target:
-            program.add_geq(form, 1)
-        elif d not in hyps:
-            program.add_geq(form, 0)
+        if not d & positive and d not in free:
+            program.add_geq(form, int(d == target))
     point = lp.feasible(program)
     if point is None:
-        return None
+        # Width 0 admits no rule, not even the identity proof's split.
+        if target not in hyps or not width:
+            return None
+        builder = ProofGraphBuilder()
+        builder.pad_identity(goal)
+        builder.mark_hypotheses({goal})
+        return builder.build()
 
     # Realize the balances: for D = side | x, x its top positive bit, a cut
     # on (side, x) of value -t (a split of value t when t > 0) settles the

@@ -650,31 +650,9 @@ def sa_to_circular(proof: SAProof) -> tuple[ProofGraph, FlowAssignment]:
         return graph, flow
     if proof.goal not in hyp_set:
         raise InconsistencyError("normalized terms do not yield a witnessing flow for the goal")
-    graph, flow = _pad_identity(b, proof, max(identity_budget, Fraction(1)))
+    b.pad_identity(proof.goal, max(identity_budget, Fraction(1)))
+    graph, flow = b.build()
     if not verify_flow(graph, flow):
         raise InconsistencyError("translated graph fails its own flow check")
     return graph, flow
 
-
-def _pad_identity(b: ProofGraphBuilder, proof: SAProof,
-                  amount: Fraction) -> tuple[ProofGraph, FlowAssignment]:
-    """Route flow from a hypothesis copy of the goal to a distinct goal vertex.
-
-    Used when the goal is itself a hypothesis and the term list produced no
-    inference vertices for it.  A nonempty goal gets a collapsing split that
-    introduces its own first literal, so the width stays the goal's width;
-    the empty goal gets a split/cut detour through ``x1``.  Either gives the
-    goal positive balance while keeping every other balance intact.
-    """
-    goal = proof.goal
-    hyp_vertex = b.lookup(goal)
-    fresh_goal = b.vertex(goal, fresh=True)
-    if goal.literals:
-        b.inference(SPLIT, abs(goal.literals[0]), (hyp_vertex,), (fresh_goal,), flow=amount)
-    else:
-        pos = b.vertex(goal.with_literal(1))
-        neg = b.vertex(goal.with_literal(-1))
-        b.inference(SPLIT, 1, (hyp_vertex,), (pos, neg), flow=amount)
-        b.inference(CUT, 1, (pos, neg), (fresh_goal,), flow=amount)
-    b.set_goal(fresh_goal)
-    return b.build()

@@ -426,6 +426,27 @@ def test_search_goal_clause(tmp_path):
     assert graph.goal_clause() == Clause.from_ints(2)
 
 
+@pytest.mark.parametrize("text, goal, length", [
+    ("p cnf 2 1\n1 0\n", "1 0", 3),
+    ("p cnf 1 1\n0\n", "0", 6),
+], ids=["unit", "empty"])
+def test_search_proves_a_goal_that_is_a_hypothesis(tmp_path, capsys, text, goal, length):
+    cnf = tmp_path / "h.cnf"
+    cnf.write_text(text)
+    out_path = tmp_path / "h.cres"
+    assert run(["search", cnf, "--width", 1, "--goal", goal, "-o", out_path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"wrote {out_path}: width 1, length {length}"
+    assert run(["check", out_path, cnf, "--goal", goal]) == 0
+    assert capsys.readouterr().out.startswith("WITNESSED (supplied flows verified)\n")
+    # The same construction as translate s2c of the one-term identity proof.
+    sap = tmp_path / "h.sap"
+    sap.write_text(f"p sap {text.split()[2]} 1\nh {goal}\ng {goal}\nt 1 ; H 1\n")
+    assert run(["translate", "s2c", sap]) == 0
+    body = out_path.read_text().split("\n", 1)[1]
+    assert sap.with_suffix(".cres").read_text().split("\n", 1)[1] == body
+
+
 def test_gen_random_emits_checkable_proof(tmp_path):
     out_path = tmp_path / "r.cres"
     assert run(["gen-random", "--seed", 5, "--vars", 4, "--budget", 9, "-o", out_path]) == 0

@@ -165,6 +165,16 @@ def test_sap_variable_beyond_header_names_its_line(text, line_no, var):
     assert f"variable x{var} exceeds declared variable count 1" in str(err.value)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("p cnf 1 3\n1 0\n-6 5 0\n7 0\n", "line 3: literal x5 exceeds declared variable count 1"),
+    ("c x\np cnf 1 2\n-1 0\n1 -4 0\n", "line 4: literal ~x4 exceeds declared variable count 1"),
+], ids=["first-of-two", "negative"])
+def test_dimacs_literal_beyond_header_names_its_line(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_dimacs(text)
+    assert str(err.value) == message
+
+
 def test_sap_round_trip():
     graph, flow = php_refutation(complete_bipartite(3, 2))
     proof = circular_to_sa(graph, flow)
@@ -228,7 +238,9 @@ def test_sap_monomial_exponents():
     (parse_sap, "p sap 1 0\ng 0\nt 1 ; B 1mxx 0\n", 3),
     (parse_dimacs, "p cnf -1 0\n", 1),
     (parse_sap, "p sap -2 0\ng 0\n", 1),
-], ids=["dimacs-header", "sap-header", "sap-basic-index", "dimacs-negative", "sap-negative"])
+    (parse_dimacs, "p cnf 1 2\n1 0\n5 0\n", 3),
+], ids=["dimacs-header", "sap-header", "sap-basic-index", "dimacs-negative", "sap-negative",
+        "dimacs-literal-range"])
 def test_bad_number_names_its_line(parse, text, line):
     with pytest.raises(ParseError) as err:
         parse(text)

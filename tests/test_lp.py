@@ -54,6 +54,21 @@ def test_zero_row_infeasible():
     assert farkas_certificate(lp) == [Fraction(1)]
 
 
+def test_declared_bound_joins_the_certificate_after_the_rows():
+    lp = LinearProgram(2)
+    lp.add_lower(1, 1)
+    geq(lp, {0: 1}, 1)  # a one-entry row stays a row
+    geq(lp, {1: -1}, 0)
+    assert lp.lower == {1: 1} and len(lp.rows) == 2
+    assert feasible(lp) is None
+    assert farkas_certificate(lp) == [Fraction(0), Fraction(1), Fraction(1)]
+    lp.add_lower(1, -3)  # a second declaration replaces the first
+    x = feasible(lp)
+    assert x is not None and x[0] >= 1 and -3 <= x[1] <= 0
+    with pytest.raises(TypeError):
+        lp.add_lower(0, Fraction(1, 2))
+
+
 def test_add_geq_scales_a_rational_row_to_integers():
     lp = LinearProgram(2)
     geq(lp, {0: Fraction(1, 2), 1: Fraction(2, 3)}, Fraction(1, 4))
@@ -90,7 +105,10 @@ def test_add_geq_rejects_an_index_out_of_range(coeffs, bad):
     with pytest.raises(IndexError) as info:
         lp.add_geq(coeffs, 0)
     assert str(info.value) == f"variable index {bad} out of range 0..2"
-    assert lp.rows == []
+    with pytest.raises(IndexError) as info:
+        lp.add_lower(bad, 0)
+    assert str(info.value) == f"variable index {bad} out of range 0..2"
+    assert lp.rows == [] and lp.lower == {}
     lp.add_geq({7: 0, 2: 1}, 1)  # a zero entry names no variable
     assert lp.rows[0].coeffs == ((2, 1),)
 
@@ -185,12 +203,12 @@ def _integral_draw(rng, n):
                 if c:
                     coeffs[j] = Fraction(c)
         rows.append((coeffs, Fraction(rng.randint(-3, 3))))
-    return rows
+    return rows, {}
 
 
 def _rational_draw(rng, n):
-    """Rational rows plus singleton rows such as ``2x >= 1``: the tableau
-    eliminates a singleton row as a bound only when the bound is integral."""
+    """Rational rows plus one-entry rows such as ``2x >= 1`` or ``x >= 2``,
+    which the tableau keeps as ordinary rows."""
     def q():
         return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
 
@@ -200,20 +218,41 @@ def _rational_draw(rng, n):
         rows.append(({j: c for j, c in coeffs.items() if c}, q()))
     for _ in range(rng.randint(0, 2)):
         rows.append(({rng.randrange(n): q() or Fraction(2)}, q()))
-    return rows
+    return rows, {}
+
+
+def _bounded_draw(rng, n):
+    """Integral rows and 0-2 declared lower bounds."""
+    rows, _ = _integral_draw(rng, n)
+    return rows, {j: rng.randint(-2, 2) for j in rng.sample(range(n), rng.randint(0, min(2, n)))}
+
+
+def _check_certificate(lp, cert, trial):
+    """``cert`` has one multiplier per row, then one per declared bound in
+    increasing variable order, and combines them to ``0 >= positive``."""
+    rows = [(dict(row.coeffs), row.rhs) for row in lp.rows]
+    rows += [({j: 1}, lp.lower[j]) for j in sorted(lp.lower)]
+    assert len(cert) == len(rows) and all(v >= 0 for v in cert), trial
+    for j in range(lp.num_vars):
+        assert sum(v * coeffs.get(j, 0) for v, (coeffs, _) in zip(cert, rows)) == 0, trial
+    assert sum(v * rhs for v, (_, rhs) in zip(cert, rows)) > 0, trial
 
 
 @pytest.mark.parametrize(
-    "draw, seed", [(_integral_draw, 17), (_rational_draw, 23)], ids=["integral", "rational"]
+    "draw, seed",
+    [(_integral_draw, 17), (_rational_draw, 23), (_bounded_draw, 31)],
+    ids=["integral", "rational", "bounded"],
 )
 def test_strong_alternative_against_vertex_oracle(draw, seed):
     rng = random.Random(seed)
     for trial in range(400):
         n = rng.randint(1, 3)
-        drawn = draw(rng, n)
+        drawn, bounds = draw(rng, n)
         lp = LinearProgram(n)
         for coeffs, rhs in drawn:
             geq(lp, coeffs, rhs)
+        for j, bound in bounds.items():
+            lp.add_lower(j, bound)
         # Each stored row is its drawn row times a positive integer, so a
         # certificate on the stored rows is one on the drawn rows.
         for (coeffs, rhs), row in zip(drawn, lp.rows):
@@ -222,19 +261,14 @@ def test_strong_alternative_against_vertex_oracle(draw, seed):
             assert row.rhs == rhs * scale, trial
         x = feasible(lp)
         cert = farkas_certificate(lp)
-        # exactly one of the two answers
+        # exactly one of the two answers; the oracle sees the bounds as rows
+        as_rows = drawn + [({j: Fraction(1)}, Fraction(b)) for j, b in bounds.items()]
         assert (x is None) != (cert is None), trial
-        assert _vertex_oracle(drawn, n) == (x is not None), trial
+        assert _vertex_oracle(as_rows, n) == (x is not None), trial
         if x is not None:
-            assert _satisfies(drawn, x), trial
+            assert _satisfies(as_rows, x), trial
         if cert is not None:
-            assert all(v >= 0 for v in cert)
-            for j in range(n):
-                assert sum(
-                    cert[g] * dict(lp.rows[g].coeffs).get(j, 0)
-                    for g in range(len(lp.rows))
-                ) == 0
-            assert sum(cert[g] * lp.rows[g].rhs for g in range(len(lp.rows))) > 0
+            _check_certificate(lp, cert, trial)
 
 
 def test_larger_random_programs_answer_checkably():
@@ -250,20 +284,17 @@ def test_larger_random_programs_answer_checkably():
                 coeffs = {j: Fraction(rng.randint(-4, 4), rng.randint(1, 4))
                           for j in range(n) if rng.random() < 0.6}
             geq(lp, coeffs, Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+        for j in rng.sample(range(n), rng.randint(0, min(3, n))):
+            lp.add_lower(j, rng.randint(-3, 3))
         x = feasible(lp)
         cert = farkas_certificate(lp)
         assert (x is None) != (cert is None), trial
         if x is not None:
             assert all(type(v) is Fraction for v in x)
             assert all(row.dot(x) >= row.rhs for row in lp.rows), trial
+            assert all(x[j] >= bound for j, bound in lp.lower.items()), trial
         else:
-            assert len(cert) == len(lp.rows) and all(v >= 0 for v in cert), trial
-            combined = [Fraction(0)] * n
-            for v, row in zip(cert, lp.rows):
-                for j, c in row.coeffs:
-                    combined[j] += v * c
-            assert not any(combined), trial
-            assert sum(v * row.rhs for v, row in zip(cert, lp.rows)) > 0, trial
+            _check_certificate(lp, cert, trial)
 
 
 def test_witness_flows_within_factorial_bound():
@@ -330,11 +361,11 @@ _PINNED = {
 # least-index pivot rule alone, so a faster tableau must reproduce them.
 _DIGESTS = {
     "search-n3-seed0": "4145cfa1617ac81264ce35bc226c2171cd0d33c26e7065428fd18261030250f7",
-    "search-n3-seed0-dropped": "a3563173e14f554b9417c4531b023564367ae292c2d234fc95878c358f957b30",
+    "search-n3-seed0-dropped": "041bdf02e7be2fcd48aba6ac88225269a4c36b464e09c10b015c7372382df1cd",
     "search-n3-seed1": "dc24a1afa9e6a117d57ad35fbd8e61c4fd8f3d1f2b8b8f5863ed83cce530309d",
-    "search-n3-seed1-dropped": "3bd9458402adfe8bf219f1579b51a057ab6922c7a07e7ac9e303f66dcf3a9ed1",
+    "search-n3-seed1-dropped": "0a0d8060ce9c336459b36d53bc747cc53e839c463e469ca6c504cc66d20e7290",
     "search-n3-seed2": "93563d0142d4c141aeab50dca9ed0576e81dc190d9686756d3b78b203dcdaded",
-    "search-n3-seed2-dropped": "242becff5b1b6a3859cdd93fc115d744924c2f5362802a78f159382bd21173bd",
+    "search-n3-seed2-dropped": "c786f1158dc1f0e4f2916cd3b2ab63fd3905b9ecfd2823bb31dcb94c336d8e9d",
     "witness-php7x6": "34bebbf60e49c2435693a996bf2fbce990cd7f519c4fe6ccf140c064eaa902db",
     "witness-php7x6-dropped": "533203e8a0ad6232fce042307982c5bce075c87baa124197a4cf3a5d72c8111d",
 }

@@ -61,6 +61,24 @@ def test_width_zero_finds_nothing():
     assert circular_search(CnfFormula.of(2, []), Clause(()), 0) is None
 
 
+@pytest.mark.parametrize("cnf, goal", [
+    (CnfFormula.of(2, [clause(1)]), clause(1)),
+    (CnfFormula.of(3, [clause(-3, 1), clause(2)]), clause(1, -3)),
+    (CnfFormula.of(1, [Clause(())]), Clause(())),
+    (CnfFormula.of(0, [Clause(())]), Clause(())),
+], ids=["unit", "binary", "empty", "empty-no-variables"])
+def test_goal_that_is_a_hypothesis_gets_the_identity_proof(cnf, goal):
+    # The program has one vertex per clause, so it is infeasible here; the
+    # answer is a split from the hypothesis copy onto a fresh goal copy.
+    width = max(goal.width, 1)
+    graph, flow = circular_search(cnf, goal, width)
+    assert validate_rules(graph) == [] and verify_flow(graph, flow)
+    assert graph.goal_clause() == goal and graph.width == width
+    assert graph.goal_id not in graph.hypothesis_ids
+    assert graph.hypothesis_clauses() == {goal}
+    assert _lattice_search(cnf, goal, width)
+
+
 def test_goal_may_name_variables_beyond_the_hypotheses():
     res = circular_search(CnfFormula.of(1, [clause(1)]), clause(1, 2), 2)
     assert res is not None
@@ -157,7 +175,10 @@ def _lattice_search(hypotheses: CnfFormula, goal: Clause, width: int) -> bool:
     every cut and split whose clauses fit, and a split from each unit clause
     onto itself and its tautology; the program asks for nonnegative flows
     giving the goal balance at least 1 and every other non-hypothesis clause
-    a nonnegative balance."""
+    a nonnegative balance.  One vertex per clause cannot tell a hypothesis
+    copy of the goal from the goal itself, so a goal that is a hypothesis is
+    proved outright, by the split from that copy onto a fresh goal vertex,
+    at any width but 0."""
     from circres.core import mask_literals
     from circres.search import _clause_masks
 
@@ -196,8 +217,9 @@ def _lattice_search(hypotheses: CnfFormula, goal: Clause, width: int) -> bool:
         if c != goal and c not in hyp_clauses:
             program.add_geq(rowmap[k], 0)
     for j in range(len(rules)):
-        program.add_geq({j: 1}, 0)
-    return lp.feasible(program) is not None
+        program.add_lower(j, 0)
+    identity = goal in hyp_clauses and width > 0
+    return lp.feasible(program) is not None or identity
 
 
 def _assert_search_matches_lattice(cnf: CnfFormula, goal: Clause, width: int) -> None:
@@ -242,9 +264,10 @@ def test_search_matches_lattice_flow_program_on_random_cnfs():
 
 def _definition_program(hypotheses: CnfFormula, goal: Clause, width: int):
     """The search LP as the module docstring defines it, built over frozensets
-    of signed literals: ``(num_vars, rows)`` with a variable per proper clause
-    of width at most ``width`` that has a positive literal, and a row per
-    constrained clause balance in canonical clause order."""
+    of signed literals: ``(num_vars, rows, lower)`` with a variable per proper
+    clause of width at most ``width`` that has a positive literal, a declared
+    bound per such clause whose balance is constrained, and a row per
+    constrained all-negative clause balance in canonical clause order."""
     import itertools
 
     n = max(hypotheses.num_variables, max(goal.variables(), default=0))
@@ -269,12 +292,14 @@ def _definition_program(hypotheses: CnfFormula, goal: Clause, width: int):
                 balance[neg.union(-x for x in s)][j] = 1 if k % 2 else -1
     hyps = {c.signed() for c in hypotheses.clauses if not c.is_tautological}
     target = goal.signed()
+    constrained = {d: 1 if d == target else 0 for d in clauses if d == target or d not in hyps}
     rows = [
-        lp.Constraint(tuple(sorted(form.items())), 1 if d == target else 0)
-        for d, form in balance.items()
-        if d == target or d not in hyps
+        lp.Constraint(tuple(sorted(balance[d].items())), bound)
+        for d, bound in constrained.items()
+        if d not in variables
     ]
-    return len(variables), rows
+    lower = {j: constrained[d] for j, d in enumerate(variables) if d in constrained}
+    return len(variables), rows, lower
 
 
 def test_search_program_matches_definition(monkeypatch):
@@ -310,11 +335,13 @@ def test_search_program_matches_definition(monkeypatch):
         monkeypatch.undo()
         assert len(seen) == 1
         program = seen[0]
-        num_vars, rows = _definition_program(cnf, goal, width)
+        num_vars, rows, lower = _definition_program(cnf, goal, width)
         label = ([str(c) for c in cnf.clauses], str(goal), width)
         assert program.num_vars == num_vars, label
         assert program.rows == rows, label
-        assert program_size(cnf, goal, width) == (len(program.rows), program.num_vars)
+        assert program.lower == lower, label
+        assert program_size(cnf, goal, width) == (
+            len(program.rows) + len(program.lower), program.num_vars)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
