@@ -185,18 +185,18 @@ def all_assignments(num_variables: int) -> Iterator[Assignment]:
         yield Assignment.from_bits(bits)
 
 
-def implies_oracle(hypotheses: CnfFormula, goal: Clause, guard: int = ORACLE_GUARD) -> bool:
+def implies_oracle(hypotheses: CnfFormula, goal: Clause) -> bool:
     """Exhaustively test whether every model of ``hypotheses`` satisfies ``goal``.
 
     Enumerates all assignments over the formula's variables, so it refuses
-    instances above ``guard`` variables.
+    instances above :data:`ORACLE_GUARD` variables.
     """
     num_vars = max(
         hypotheses.num_variables,
         max((v for v in goal.variables()), default=0),
     )
-    if num_vars > guard:
-        raise TooLargeError(f"{num_vars} variables exceed oracle guard of {guard}")
+    if num_vars > ORACLE_GUARD:
+        raise TooLargeError(f"{num_vars} variables exceed oracle guard of {ORACLE_GUARD}")
     for alpha in all_assignments(num_vars):
         if all(evaluate(c, alpha) for c in hypotheses.clauses) and not evaluate(goal, alpha):
             return False

@@ -247,10 +247,11 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[FlowAssignment]]:
         raise ParseError(header_line, "missing goal mark")
     if all(v.id != goal_id for v in formulas):
         raise ParseError(goal_line, f"goal mark names no formula vertex {goal_id}")
+    hypotheses = frozenset(hyp_ids)
     try:
-        graph = ProofGraph(tuple(formulas), tuple(inferences), frozenset(hyp_ids), goal_id)
+        graph = ProofGraph(tuple(formulas), tuple(inferences), hypotheses, goal_id)
     except ValueError as exc:
-        raise ParseError(header_line, str(exc)) from None
+        raise ParseError(_rejected_line(text, formulas, inferences, hypotheses), str(exc)) from None
     if flows:
         inference_ids = {w.id for w in graph.inference_vertices}
         for iid, no in flow_line.items():
@@ -261,6 +262,30 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[FlowAssignment]]:
             raise ParseError(header_line, f"flow lines missing inference ids {missing}")
         return graph, FlowAssignment(flows)
     return graph, None
+
+
+def _rejected_line(text: str, formulas: list[FormulaVertex],
+                   inferences: list[InferenceVertex], hypotheses: frozenset[int]) -> int:
+    """The line of what ``ProofGraph`` rejected, sought only on this error
+    path and in the order of its checks: the second ``f`` or ``i`` line of a
+    repeated id, the ``i`` line of the first inference naming an unknown
+    formula id, or the first ``h`` line of the unknown mark that
+    ``ProofGraph`` met first in ``hypotheses``, the set it was given."""
+    lines: dict[str, list[tuple[int, int]]] = {"f": [], "i": [], "h": []}
+    for no, tokens in _lines(text):
+        if tokens[0] in lines:
+            lines[tokens[0]].append((int(tokens[1]), no))
+    for tag in "fi":
+        seen: set[int] = set()
+        for vid, no in lines[tag]:
+            if vid in seen:
+                return no
+            seen.add(vid)
+    fids = {v.id for v in formulas}
+    bad = next((w.id for w in inferences
+                if not fids.issuperset((*w.in_neighbors, *w.out_neighbors))), None)
+    tag, vid = ("i", bad) if bad is not None else ("h", next(h for h in hypotheses if h not in fids))
+    return next(no for v, no in lines[tag] if v == vid)
 
 
 def _fmt_fraction(f: Fraction) -> str:

@@ -377,15 +377,11 @@ def random_circular_proof(
         for fid in dict.fromkeys(derived)
         if not clause_of(fid).is_tautological and clause_of(fid) not in hyp_clauses
     ]
-    if not goal_candidates:
-        # Force one derivation: copy a hypothesis through a collapsing split
-        # (the kept consequent normalizes back to the same clause).
-        fid = pool[0]
-        c = clause_of(fid)
-        fresh = b.vertex(c, fresh=True)
-        b.inference(SPLIT, abs(c.literals[0]), (fid,), (fresh,))
-        goal_candidates = [fresh]
-    b.set_goal(goal_candidates[-1])
+    if goal_candidates:
+        b.set_goal(goal_candidates[-1])
+    else:
+        # Force one derivation: the identity proof of the first hypothesis.
+        b.pad_identity(clause_of(pool[0]))
 
     if want_pump:
         pumpable = [

@@ -232,9 +232,6 @@ class FlowAssignment:
         except KeyError:
             raise IncompleteFlowError(f"no flow for inference vertex {iid}") from None
 
-    def __contains__(self, iid: int) -> bool:
-        return iid in self.flows
-
     def is_total(self, graph: ProofGraph) -> bool:
         return all(w.id in self.flows for w in graph.inference_vertices)
 
@@ -248,8 +245,8 @@ class FlowAssignment:
         return sum(self.flows.values(), Fraction(0))
 
     @staticmethod
-    def uniform(graph: ProofGraph, value: Fraction | int = 1) -> "FlowAssignment":
-        return FlowAssignment({w.id: Fraction(value) for w in graph.inference_vertices})
+    def uniform(graph: ProofGraph) -> "FlowAssignment":
+        return FlowAssignment({w.id: Fraction(1) for w in graph.inference_vertices})
 
 
 def balance_numerators(graph: ProofGraph, flow: FlowAssignment) -> tuple[dict[int, int], int]:

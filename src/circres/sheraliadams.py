@@ -89,10 +89,9 @@ class Monomial:
     powers: tuple[tuple[int, int], ...] = ()
 
     @staticmethod
-    def of(powers: dict[int, int] | Iterable[tuple[int, int]]) -> "Monomial":
-        items = powers.items() if isinstance(powers, dict) else powers
+    def of(powers: Iterable[tuple[int, int]]) -> "Monomial":
         acc: dict[int, int] = {}
-        for tok, e in items:
+        for tok, e in powers:
             if e < 0:
                 raise ValueError("exponents must be nonnegative")
             if not e:
@@ -111,17 +110,6 @@ class Monomial:
         """``(token, exponent)`` pairs in canonical order."""
         exponent = dict(self.powers)
         return tuple((tok, exponent.get(tok, 1)) for tok in mask_literals(self.mask))
-
-    def mul(self, other: "Monomial") -> "Monomial":
-        return Monomial(*_product(self.mask, self.powers, other.mask, other.powers))
-
-    def tokens(self) -> frozenset[int]:
-        return frozenset(mask_literals(self.mask))
-
-    def without(self, drop: Iterable[int]) -> "Monomial":
-        gone = clause_mask(set(drop))
-        return Monomial(self.mask & ~gone, tuple(
-            (t, e) for t, e in self.powers if not gone >> literal_key(t) & 1))
 
     def __str__(self) -> str:
         return "*".join((f"X{tok}" if tok > 0 else f"Xb{-tok}") + (f"^{e}" if e > 1 else "")
@@ -148,11 +136,6 @@ def _powers(exponents: dict[int, int]) -> tuple[tuple[int, int], ...]:
 MONOMIAL_ONE = Monomial()
 
 
-def multilinearize(m: Monomial) -> Monomial:
-    """Clamp every exponent to 1."""
-    return Monomial(m.mask) if m.powers else m
-
-
 def _twin_swap(mask: int) -> int:
     """``mask`` with each variable's two bits exchanged: clause <-> monomial."""
     x = positive_mask(mask.bit_length() >> 1)
@@ -175,11 +158,6 @@ class Polynomial:
             ((mono, Fraction(c)) for mono, c in acc.items() if c),
             key=lambda t: (t[0].degree, t[0].mask, t[0].powers),
         )))
-
-    @staticmethod
-    def constant(c: Fraction | int) -> "Polynomial":
-        c = Fraction(c)
-        return Polynomial(((MONOMIAL_ONE, c),)) if c else Polynomial()
 
     @property
     def degree(self) -> int:
@@ -353,20 +331,18 @@ def proof_sum(proof: SAProof) -> Polynomial:
     return Polynomial.of((Monomial(*key), Fraction(c, den)) for key, c in acc.items() if c)
 
 
-def check_sa(proof: SAProof, raw_target: Optional[Polynomial] = None) -> bool:
-    """Exact identity check: the expanded term sum must equal the target.
+def check_sa(proof: SAProof) -> bool:
+    """Exact identity check: the expanded term sum must equal the encoding
+    of the goal clause.
 
-    The target is the goal clause's encoding, or ``raw_target`` when given
-    (used to exercise gadgets whose natural targets involve tautological
-    clauses).  The proof is expanded once, by :func:`proof_sum`, with no twin
+    The proof is expanded once, by :func:`proof_sum`, with no twin
     substitution and no multilinearization: formal polynomials are compared.
+    A gadget whose natural target involves tautological clauses is checked
+    by comparing :func:`proof_sum` with :func:`gadget_target` directly.
     """
-    if raw_target is None:
-        if proof.goal is None:
-            raise MalformedProofError("proof has no goal clause and no raw target was given")
-        target = encode_clause(proof.goal)
-    else:
-        target = raw_target
+    if proof.goal is None:
+        raise MalformedProofError("proof has no goal clause")
+    target = encode_clause(proof.goal)
     for h in proof.hypotheses:
         if h.is_tautological:
             raise TautologicalClauseError(f"tautological hypothesis {h}")

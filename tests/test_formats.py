@@ -108,6 +108,24 @@ def test_cres_bad_flow_line_names_its_line(extra, message):
     assert message in str(err.value)
 
 
+@pytest.mark.parametrize("text, line_no, message", [
+    ("p cres 1 1\nf 0 0\ni 0 ax 1 7\nh 9\ng 0\n", 3,
+     "inference 0 references unknown formula id 7"),
+    ("p cres 1 0\nf 0 0\nh 9\ng 0\n", 3,
+     "hypothesis mark references unknown formula id 9"),
+    ("p cres 1 0\nf 0 0\nc two marks\nh 0\nh 9\nh 9\ng 0\n", 5,
+     "hypothesis mark references unknown formula id 9"),
+    ("p cres 2 0\nf 0 0\nf 0 1 0\ng 0\n", 3, "duplicate formula-vertex id"),
+    ("p cres 2 2\nf 0 0\nf 1 1 -1 0\ni 0 ax 1 1\ni 0 ax 1 1\ng 0\n", 5,
+     "duplicate inference-vertex id"),
+], ids=["inference-ref", "hypothesis-mark", "repeated-hypothesis-mark", "formula-id",
+        "inference-id"])
+def test_cres_structure_error_names_its_line(text, line_no, message):
+    with pytest.raises(ParseError) as err:
+        parse_cres(text)
+    assert str(err.value) == f"line {line_no}: {message}"
+
+
 def test_cres_header_mismatch():
     graph, _ = random_circular_proof(1, 3, 3)
     text = serialize_cres(graph)
