@@ -62,7 +62,14 @@ def _read(path: str) -> str:
 
 
 def _write(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from None
+
+
+def _write_proof(path: str, graph, flow, comment: str) -> None:
+    _write(path, formats.serialize_cres(graph, flow, [comment]))
 
 
 # ---------------------------------------------------------------------------
@@ -147,13 +154,8 @@ def cmd_gen_php(args) -> int:
     cnf_path = args.cnf_out or f"{stem}.cnf"
     proof_path = args.proof_out or f"{stem}.cres"
     _write(cnf_path, formats.serialize_dimacs(cnf, comments))
-    _write(
-        proof_path,
-        formats.serialize_cres(
-            graph, flow if args.emit_flows else None,
-            [f"refutation of {Path(cnf_path).name}, width {graph.width}, length {graph.length}"],
-        ),
-    )
+    _write_proof(proof_path, graph, flow if args.emit_flows else None,
+                 f"refutation of {Path(cnf_path).name}, width {graph.width}, length {graph.length}")
     if args.dot:
         _write(args.dot, export_dot(graph, flow))
     print(f"wrote {cnf_path} ({len(cnf.clauses)} clauses) and {proof_path} "
@@ -189,12 +191,7 @@ def cmd_translate(args) -> int:
     proof = formats.parse_sap(_read(args.input))
     graph, flow = sa.sa_to_circular(proof)  # checks the identity, or raises
     out = args.out or str(Path(args.input).with_suffix(".cres"))
-    _write(
-        out,
-        formats.serialize_cres(
-            graph, flow if args.emit_flows else None, [f"translated from {Path(args.input).name}"]
-        ),
-    )
+    _write_proof(out, graph, flow, f"translated from {Path(args.input).name}")
     degree = sa.sa_degree(proof)
     # A degree-0 proof has the empty goal as a hypothesis, and its padding
     # split through x1 has width 1 (see sa_to_circular).
@@ -230,13 +227,7 @@ def cmd_search(args) -> int:
         return EXIT_NEGATIVE
     graph, flow = result
     out = args.out or str(Path(args.cnf).with_suffix(".cres"))
-    _write(
-        out,
-        formats.serialize_cres(
-            graph, flow if args.emit_flows else None,
-            [f"width-{args.width} proof found for {Path(args.cnf).name}"],
-        ),
-    )
+    _write_proof(out, graph, flow, f"width-{args.width} proof found for {Path(args.cnf).name}")
     if args.dot:
         _write(args.dot, export_dot(graph, flow))
     print(f"wrote {out}: width {graph.width}, length {graph.length}")
@@ -253,12 +244,7 @@ def cmd_gen_random(args) -> int:
         args.seed, args.vars, args.budget, args.max_width
     )
     out = args.out or f"random_{args.seed}.cres"
-    _write(
-        out,
-        formats.serialize_cres(
-            graph, flow, [f"seed {args.seed}, {args.vars} vars, budget {args.budget}"]
-        ),
-    )
+    _write_proof(out, graph, flow, f"seed {args.seed}, {args.vars} vars, budget {args.budget}")
     print(f"wrote {out}: width {graph.width}, length {graph.length}")
     return EXIT_OK
 
@@ -295,7 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="c2s: graph to polynomial proof; s2c: back")
     p.add_argument("input")
     p.add_argument("-o", "--out", help="output path (default: swap extension)")
-    p.add_argument("--emit-flows", action=argparse.BooleanOptionalAction, default=True)
     p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser("search", help="bounded-width circular proof search")
@@ -304,7 +289,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--goal", default="empty", help="goal clause (default: empty)")
     p.add_argument("--guard-rows", type=int, default=search_mod.DEFAULT_ROW_BUDGET)
     p.add_argument("-o", "--out", help="proof output path")
-    p.add_argument("--emit-flows", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--dot", help="also write a DOT rendering here")
     p.set_defaults(func=cmd_search)
 

@@ -1,7 +1,10 @@
 """Parsers and serializers for the on-disk formats.
 
 All formats are line oriented UTF-8 text, numbers are integers or exact
-``num/den`` rationals, and ``c`` lines are comments.
+``num/den`` rationals, and ``c`` lines are comments.  The ``p`` header is
+the first line that is not a comment, so every line is checked as it is
+read and an error names the line that holds it; the counts the header
+declares are compared with the file at its end.
 
 DIMACS CNF::
 
@@ -62,11 +65,33 @@ class ParseError(ValueError):
 
 
 def _lines(text: str):
+    header = False
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
-        yield no, line.split()
+        tokens = line.split()
+        if tokens[0] == "p":
+            if header:
+                raise ParseError(no, "duplicate header")
+            header = True
+        yield no, tokens
+
+
+def _header(text: str, kind: str, counts: str):
+    """The header's line, its two counts and the lines after it.  The header
+    ``p <kind> <counts>`` is the first line that is not a comment; a later
+    ``p`` line is a duplicate header, which :func:`_lines` rejects."""
+    lines = _lines(text)
+    no, tokens = next(lines, (1, None))
+    if tokens is None or tokens[0] != "p":
+        raise ParseError(no, f"missing 'p {kind}' header")
+    if len(tokens) != 4 or tokens[1] != kind:
+        raise ParseError(no, f"header must be 'p {kind} {counts}'")
+    first, second = _int(tokens[2], no), _int(tokens[3], no)
+    if first < 0 or second < 0:
+        raise ParseError(no, "header counts must be nonnegative")
+    return no, first, second, lines
 
 
 def _int(token: str, no: int) -> int:
@@ -106,28 +131,12 @@ def _clause_tokens(tokens: list[str], no: int) -> Clause:
 # DIMACS
 
 def parse_dimacs(text: str) -> CnfFormula:
-    num_vars = None
-    expected = None
+    header_line, num_vars, expected, lines = _header(text, "cnf", "<vars> <clauses>")
     clauses: list[Clause] = []
     clause_lines: list[int] = []
-    header_line = 0
-    for no, tokens in _lines(text):
-        if tokens[0] == "p":
-            if num_vars is not None:
-                raise ParseError(no, "duplicate header")
-            if len(tokens) != 4 or tokens[1] != "cnf":
-                raise ParseError(no, "header must be 'p cnf <vars> <clauses>'")
-            num_vars, expected = _int(tokens[2], no), _int(tokens[3], no)
-            header_line = no
-            if num_vars < 0 or expected < 0:
-                raise ParseError(no, "header counts must be nonnegative")
-            continue
-        if num_vars is None:
-            raise ParseError(no, "clause before header")
+    for no, tokens in lines:
         clauses.append(_clause_tokens(tokens, no))
         clause_lines.append(no)
-    if num_vars is None:
-        raise ParseError(1, "missing 'p cnf' header")
     if expected != len(clauses):
         raise ParseError(
             header_line,
@@ -167,19 +176,11 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[FlowAssignment]]:
     goal_line = 0
     flows: dict[int, Fraction] = {}
     flow_line: dict[int, int] = {}
-    declared = None
-    header_line = 0
+    header_line, num_formulas, num_inferences, lines = _header(text, "cres", "<#f> <#i>")
 
-    for no, tokens in _lines(text):
+    for no, tokens in lines:
         tag = tokens[0]
-        if tag == "p":
-            if declared is not None:
-                raise ParseError(no, "duplicate header")
-            if len(tokens) != 4 or tokens[1] != "cres":
-                raise ParseError(no, "header must be 'p cres <#f> <#i>'")
-            declared = (_int(tokens[2], no), _int(tokens[3], no))
-            header_line = no
-        elif tag == "f":
+        if tag == "f":
             if len(tokens) < 2:
                 raise ParseError(no, "clause label line must be 'f <id> <lit> ... 0'")
             fid = _int(tokens[1], no)
@@ -235,12 +236,10 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[FlowAssignment]]:
         else:
             raise ParseError(no, f"unknown line tag {tag!r}")
 
-    if declared is None:
-        raise ParseError(1, "missing 'p cres' header")
-    if declared != (len(formulas), len(inferences)):
+    if (num_formulas, num_inferences) != (len(formulas), len(inferences)):
         raise ParseError(
             header_line,
-            f"header declares {declared[0]} formula and {declared[1]} inference "
+            f"header declares {num_formulas} formula and {num_inferences} inference "
             f"vertices but file has {len(formulas)} and {len(inferences)}",
         )
     if goal_id is None:
@@ -336,33 +335,26 @@ def _parse_monomial(tokens: list[str], no: int) -> list[tuple[int, int]]:
 
 
 def parse_sap(text: str) -> SAProof:
-    num_vars = None
-    expected_hyps = None
-    header_line = 0
+    header_line, num_vars, expected_hyps, lines = _header(text, "sap", "<#vars> <#hyps>")
     hyps: list[Clause] = []
     goal: Optional[Clause] = None
-    terms: list[tuple[Fraction, list[tuple[int, int]], RefPoly]] = []
-    hyp_refs: list[tuple[int, int]] = []  # (line, index) of each 'H i'
-    var_refs: list[tuple[int, int]] = []  # (line, largest variable) per line
-    for no, tokens in _lines(text):
+    terms: list[SATerm] = []
+
+    def in_range(variables, no: int) -> None:
+        var = max(variables, default=0)
+        if var > num_vars:
+            raise ParseError(no, f"variable x{var} exceeds declared variable count {num_vars}")
+
+    for no, tokens in lines:
         tag = tokens[0]
-        if tag == "p":
-            if num_vars is not None:
-                raise ParseError(no, "duplicate header")
-            if len(tokens) != 4 or tokens[1] != "sap":
-                raise ParseError(no, "header must be 'p sap <#vars> <#hyps>'")
-            num_vars, expected_hyps = _int(tokens[2], no), _int(tokens[3], no)
-            header_line = no
-            if num_vars < 0 or expected_hyps < 0:
-                raise ParseError(no, "header counts must be nonnegative")
-        elif tag == "h":
+        if tag == "h":
             hyps.append(_clause_tokens(tokens[1:], no))
-            var_refs.append((no, max(hyps[-1].variables(), default=0)))
+            in_range(hyps[-1].variables(), no)
         elif tag == "g":
             if goal is not None:
                 raise ParseError(no, "duplicate goal line")
             goal = _clause_tokens(tokens[1:], no)
-            var_refs.append((no, max(goal.variables(), default=0)))
+            in_range(goal.variables(), no)
         elif tag == "t":
             if ";" not in tokens:
                 raise ParseError(no, "term line needs a ';' before its reference")
@@ -380,7 +372,9 @@ def parse_sap(text: str) -> SAProof:
                 if len(ref_tokens) != 2:
                     raise ParseError(no, "hypothesis reference is 'H <index>'")
                 kind, index = HYPOTHESIS, _int(ref_tokens[1], no)
-                hyp_refs.append((no, index))
+                if index > expected_hyps:
+                    raise ParseError(
+                        no, f"hypothesis index {index} out of range 1..{expected_hyps}")
             elif ref_tokens[0] == "B":
                 kind = ref_tokens[1] if len(ref_tokens) > 1 else None
                 if kind not in BASIC or kind == MINUS_X_XBAR:
@@ -399,15 +393,11 @@ def parse_sap(text: str) -> SAProof:
                 ref = RefPoly(kind, index)
             except ValueError as exc:
                 raise ParseError(no, str(exc)) from None
-            terms.append((coef, powers, ref))
             # A basic reference's index is a variable; 'B one' has index 0.
-            variables = [abs(t) for t, _ in powers]
-            variables.append(0 if kind == HYPOTHESIS else index)
-            var_refs.append((no, max(variables)))
+            in_range([abs(t) for t, _ in powers] + [0 if kind == HYPOTHESIS else index], no)
+            terms.append(SATerm(coef, Monomial.of(powers), ref))
         else:
             raise ParseError(no, f"unknown line tag {tag!r}")
-    if num_vars is None:
-        raise ParseError(1, "missing 'p sap' header")
     if goal is None:
         raise ParseError(header_line, "missing goal line")
     if expected_hyps != len(hyps):
@@ -415,14 +405,7 @@ def parse_sap(text: str) -> SAProof:
             header_line,
             f"header declares {expected_hyps} hypotheses but file has {len(hyps)}",
         )
-    for no, index in hyp_refs:
-        if index > len(hyps):
-            raise ParseError(no, f"hypothesis index {index} out of range 1..{len(hyps)}")
-    for no, var in var_refs:
-        if var > num_vars:
-            raise ParseError(no, f"variable x{var} exceeds declared variable count {num_vars}")
-    return SAProof(num_vars, tuple(hyps), goal, tuple(
-        SATerm(coef, Monomial.of(powers), ref) for coef, powers, ref in terms))
+    return SAProof(num_vars, tuple(hyps), goal, tuple(terms))
 
 
 def _mono_tokens(m: Monomial) -> str:

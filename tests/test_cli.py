@@ -497,6 +497,45 @@ def test_dot_output(tmp_path, php_files):
     assert text.startswith("digraph proof {") and text.rstrip().endswith("}")
 
 
+@pytest.mark.parametrize("flows", ["--emit-flows", "--no-emit-flows"])
+def test_gen_php_dot_output(tmp_path, flows):
+    # The DOT file shows the generator's flows whether or not the proof file
+    # carries them.
+    cnf, proof, dot = tmp_path / "php.cnf", tmp_path / "php.cres", tmp_path / "php.dot"
+    assert run(["gen-php", "--complete", 2, "--cnf-out", cnf, "--proof-out", proof,
+                flows, "--dot", dot]) == 0
+    graph, flow = parse_cres(proof.read_text())
+    assert (flow is not None) == (flows == "--emit-flows")
+    text = dot.read_text()
+    assert f'f{graph.goal_id} [shape=box, label="_|_  [goal]"];' in text
+    assert text.count("\\nflow=") == len(graph.inference_vertices)
+
+
+def test_search_dot_output(tmp_path):
+    cnf, proof, dot = tmp_path / "unit.cnf", tmp_path / "unit.cres", tmp_path / "unit.dot"
+    cnf.write_text("p cnf 1 2\n1 0\n-1 0\n")
+    assert run(["search", cnf, "--width", 1, "-o", proof, "--dot", dot]) == 0
+    graph, _ = parse_cres(proof.read_text())
+    text = dot.read_text()
+    assert text.startswith("digraph proof {")
+    assert f'f{graph.goal_id} [shape=box, label="_|_  [goal]"];' in text
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["gen-php", "--complete", 2, "--cnf-out", "missing/x.cnf"], "missing/x.cnf"),
+    (["translate", "c2s", "php.cres", "-o", "missing/o.sap"], "missing/o.sap"),
+    (["check", "php.cres", "php.cnf", "--dot", "missing/d.dot"], "missing/d.dot"),
+    (["gen-php", "--complete", 2, "--proof-out", "."], "."),
+], ids=["gen-php-cnf-out", "translate-out", "check-dot", "gen-php-proof-out-directory"])
+def test_unwritable_output_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, target):
+    monkeypatch.chdir(tmp_path)
+    assert run(["gen-php", "--complete", 2, "--cnf-out", "php.cnf", "--proof-out", "php.cres"]) == 0
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+
 # Digests of the files the CLI emits for fixed inputs, recorded before clauses
 # became signed-int tuples; a representation change must not move one byte.
 EMITTED_SHA256 = {

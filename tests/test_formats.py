@@ -148,12 +148,32 @@ def test_cres_missing_goal():
 @pytest.mark.parametrize("parse, text", [
     (parse_cres, "p cres 1 0\nf 0 0\np cres 1 0\ng 0\n"),
     (parse_sap, "p sap 1 0\ng 0\np sap 1 0\n"),
-], ids=["cres", "sap"])
+    (parse_dimacs, "p cnf 1 1\n1 0\np cnf 1 1\n"),
+], ids=["cres", "sap", "dimacs"])
 def test_repeated_header_names_its_line(parse, text):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert err.value.line_no == 3
     assert "duplicate header" in str(err.value)
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_cres, "c proof\nf 0 0\np cres 1 0\ng 0\n", "line 2: missing 'p cres' header"),
+    (parse_sap, "g 0\np sap 0 0\n", "line 1: missing 'p sap' header"),
+    (parse_dimacs, "c x\n\n1 0\np cnf 1 1\n", "line 3: missing 'p cnf' header"),
+], ids=["cres", "sap", "dimacs"])
+def test_body_line_before_header_names_its_line(parse, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("parse, kind", [
+    (parse_dimacs, "cnf"), (parse_cres, "cres"), (parse_sap, "sap"),
+])
+def test_negative_header_count_reads_alike(parse, kind):
+    with pytest.raises(ParseError, match=r"^line 2: header counts must be nonnegative$"):
+        parse(f"c note\np {kind} 0 -1\n")
 
 
 def test_sap_hypothesis_reference_names_its_line():
@@ -175,7 +195,10 @@ def test_sap_hypothesis_reference_names_its_line():
     # the range check must come before any mask is built.
     (f"p sap 1 0\ng 0\nt 1 {10 ** 12} ; B one\n", 3, 10 ** 12),
     (f"p sap 1 0\ng 0\nt 1 -{10 ** 12}^2 ; B 1mxx 1\n", 3, 10 ** 12),
-], ids=["hypothesis", "goal", "monomial", "basic-reference", "huge-monomial", "huge-power"])
+    # The header comes first, so a line's variables are checked on that line.
+    ("p sap 1 1\nh 5 0\n", 2, 5),
+], ids=["hypothesis", "goal", "monomial", "basic-reference", "huge-monomial", "huge-power",
+        "no-goal-line"])
 def test_sap_variable_beyond_header_names_its_line(text, line_no, var):
     with pytest.raises(ParseError) as err:
         parse_sap(text)
@@ -257,8 +280,9 @@ def test_sap_monomial_exponents():
     (parse_dimacs, "p cnf -1 0\n", 1),
     (parse_sap, "p sap -2 0\ng 0\n", 1),
     (parse_dimacs, "p cnf 1 2\n1 0\n5 0\n", 3),
+    (parse_cres, "p cres -1 0\n", 1),
 ], ids=["dimacs-header", "sap-header", "sap-basic-index", "dimacs-negative", "sap-negative",
-        "dimacs-literal-range"])
+        "dimacs-literal-range", "cres-negative"])
 def test_bad_number_names_its_line(parse, text, line):
     with pytest.raises(ParseError) as err:
         parse(text)

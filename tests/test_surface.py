@@ -5,12 +5,20 @@ A public module function, or a public method of a public class, in
 aside, since an export is not a use), the demos or ``perfbench``.  A name
 that only its own tests call is surface with no answer depending on it; the
 allowlist holds the few kept on purpose, each with its reason.
+
+Every option of every CLI subcommand is passed by a test, a demo or
+``perfbench``: some list literal holds the subcommand's name and one of the
+option's strings, or a ``parametrize`` decorator names the option on a test
+whose body has a list literal holding the subcommand's name.  An option that
+nothing passes is surface with no answer depending on it.
 """
 
+import argparse
 import ast
 from pathlib import Path
 
 import circres
+from circres import cli
 
 PACKAGE = Path(circres.__file__).parent
 ROOT = Path(__file__).resolve().parent.parent
@@ -97,3 +105,63 @@ def test_the_walk_sees_functions_and_methods():
     names, attributes = _references(tree)
     assert {"used", "method"} <= names and "called" in attributes
     assert "method" not in attributes
+
+
+def _cli_options() -> dict[str, list[tuple[str, ...]]]:
+    """The option strings of each option of each subcommand, ``--help`` aside."""
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: [tuple(a.option_strings) for a in sub._actions
+                   if a.option_strings and not isinstance(a, argparse._HelpAction)]
+            for name, sub in commands.choices.items()}
+
+
+def _strings(nodes) -> set[str]:
+    return {n.value for n in nodes if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+
+def _passings(tree: ast.AST) -> list[tuple[set[str], set[str]]]:
+    """``(commands, options)`` string sets that pass an option to a command:
+    each list literal with itself, and each list literal in the body of a
+    ``parametrize``-decorated test with the strings of its decorators."""
+    found = [(_strings(n.elts),) * 2 for n in ast.walk(tree) if isinstance(n, ast.List)]
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        named = set().union(*(_strings(ast.walk(d)) for d in fn.decorator_list
+                              if isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+                              and d.func.attr == "parametrize"))
+        if named:
+            found += [(_strings(n.elts), named) for stmt in fn.body for n in ast.walk(stmt)
+                      if isinstance(n, ast.List)]
+    return found
+
+
+def unpassed_options(options: dict[str, list[tuple[str, ...]]],
+                     passings: list[tuple[set[str], set[str]]]) -> list[str]:
+    return [f"{command} {'/'.join(strings)}"
+            for command, each in options.items() for strings in each
+            if not any(command in commands and named.intersection(strings)
+                       for commands, named in passings)]
+
+
+def test_every_cli_option_is_passed_somewhere():
+    passings = [p for top in ("tests", "demos", "perfbench")
+                for path in sorted((ROOT / top).rglob("*.py"))
+                for p in _passings(ast.parse(path.read_text(encoding="utf-8")))]
+    assert unpassed_options(_cli_options(), passings) == []
+
+
+def test_the_option_walk_sees_lists_and_parametrized_tests():
+    tree = ast.parse(
+        "run(['search', '--dot', d])\n"
+        "run(['check', x])\nrun(['--goal', '1 0'])\n"
+        "@pytest.mark.parametrize('flags', [['--max-width', '0']])\n"
+        "def test_width(flags):\n    run(['gen-random', *flags])\n"
+        "@pytest.mark.parametrize('command', ['translate'])\n"
+        "def test_out(command):\n    run([command, '-o', o])\n"
+    )
+    options = {"search": [("--dot",), ("-o", "--out")], "check": [("--goal",)],
+               "gen-random": [("--max-width",)], "translate": [("-o", "--out")]}
+    assert unpassed_options(options, _passings(tree)) == [
+        "search -o/--out", "check --goal", "translate -o/--out"]
