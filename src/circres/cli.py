@@ -154,8 +154,12 @@ def cmd_gen_php(args) -> int:
     cnf_path = args.cnf_out or f"{stem}.cnf"
     proof_path = args.proof_out or f"{stem}.cres"
     _write(cnf_path, formats.serialize_dimacs(cnf, comments))
-    _write_proof(proof_path, graph, flow if args.emit_flows else None,
-                 f"refutation of {Path(cnf_path).name}, width {graph.width}, length {graph.length}")
+    try:
+        _write_proof(proof_path, graph, flow if args.emit_flows else None,
+                     f"refutation of {Path(cnf_path).name}, width {graph.width}, length {graph.length}")
+    except UsageError:
+        Path(cnf_path).unlink()  # the pair is written whole or not at all
+        raise
     if args.dot:
         _write(args.dot, export_dot(graph, flow))
     print(f"wrote {cnf_path} ({len(cnf.clauses)} clauses) and {proof_path} "

@@ -10,13 +10,17 @@ first-class values and carry a queryable flag, since elementary tautologies
 width 0 and is false under every assignment.
 
 All values here are immutable after construction and all operations are pure.
+:class:`Clause`, like the other values built per clause, vertex, term or LP
+row, is a ``typing.NamedTuple``: it hashes as the tuple of its fields, so
+sets of clauses iterate in a fixed order, and it equals, iterates and orders
+like that plain tuple; no set or dict of the package mixes the two.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 # Exhaustive oracles refuse instances above this many variables.
 ORACLE_GUARD = 24
@@ -75,8 +79,7 @@ def _literal_str(lit: int) -> str:
     return f"x{lit}" if lit > 0 else f"~x{-lit}"
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(NamedTuple):
     """A disjunction of literals: a tuple of signed variables, deduplicated
     and sorted by :func:`literal_key`.
 

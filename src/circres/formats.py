@@ -44,7 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .core import Clause, CnfFormula
+from .core import Clause, CnfFormula, mask_literals
 from .proofgraph import (
     AXIOM,
     CUT,
@@ -409,10 +409,11 @@ def parse_sap(text: str) -> SAProof:
 
 
 def _mono_tokens(m: Monomial) -> str:
-    parts = []
-    for tok, e in m.factors:
-        parts.append(str(tok) if e == 1 else f"{tok}^{e}")
-    return " ".join(parts)
+    tokens = mask_literals(m.mask)
+    if not m.powers:
+        return " ".join(map(str, tokens))
+    exponent = dict(m.powers)
+    return " ".join(f"{tok}^{exponent[tok]}" if tok in exponent else str(tok) for tok in tokens)
 
 
 def serialize_sap(proof: SAProof, comments: list[str] | None = None) -> str:

@@ -37,6 +37,7 @@ Implementation notes, none of which change the results:
   when ``sum(c * X_j) >= rhs * den`` for every row, ``X`` its numerators,
   and a certificate's cancellation and positive right-hand side are summed
   over ``den`` as well.  Rationals only appear in the returned values.
+* A :class:`Constraint` is a named tuple (see :mod:`circres.core`).
 """
 
 from __future__ import annotations
@@ -45,11 +46,10 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     """Sparse integer row ``sum(coeffs[j] * x_j) >= rhs``."""
 
     coeffs: tuple[tuple[int, int], ...]

@@ -16,6 +16,9 @@ matching happens after normalization, so idempotent collapses like
 * cut: antecedents ``C | x`` and ``C | ~x``, consequent ``C``;
 * split: antecedent ``C``, consequents among ``C | x`` and ``C | ~x``
   (one of the two may be suppressed).
+
+Rules and vertices are named tuples (see :mod:`circres.core`); ``Rule``
+checks its fields in ``__new__``, and ``_make`` and ``_replace`` go through it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Container, Optional, Sequence
+from typing import Container, NamedTuple, Optional, Sequence
 
 from .core import Clause
 
@@ -41,28 +44,26 @@ class IncompleteFlowError(KeyError):
     """A flow assignment is missing an inference vertex."""
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple("Rule", [("kind", str), ("principal", int)])):
     """An inference rule tag: one of axiom / cut / split with its principal variable."""
 
-    kind: str
-    principal: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self) -> None:
-        if self.kind not in (AXIOM, CUT, SPLIT):
-            raise ValueError(f"unknown rule kind {self.kind!r}")
-        if self.principal < 1:
-            raise ValueError(f"principal variable must be >= 1, got {self.principal}")
+    def __new__(cls, kind: str, principal: int) -> "Rule":
+        if kind not in (AXIOM, CUT, SPLIT):
+            raise ValueError(f"unknown rule kind {kind!r}")
+        if principal < 1:
+            raise ValueError(f"principal variable must be >= 1, got {principal}")
+        return tuple.__new__(cls, (kind, principal))
 
 
-@dataclass(frozen=True)
-class FormulaVertex:
+class FormulaVertex(NamedTuple):
     id: int
     clause: Clause
 
 
-@dataclass(frozen=True)
-class InferenceVertex:
+class InferenceVertex(NamedTuple):
     id: int
     rule: Rule
     in_neighbors: tuple[int, ...]
@@ -349,14 +350,14 @@ class ProofGraphBuilder:
         shape = (kind, principal, tuple(sorted(ins)), tuple(sorted(outs)))
         if shape in self._by_shape:
             iid = self._by_shape[shape]
-            self._flows[iid] += Fraction(flow)
+            self._flows[iid] += flow
             return iid
         iid = len(self._inferences)
         self._inferences.append(
             InferenceVertex(iid, Rule(kind, principal), tuple(ins), tuple(outs))
         )
         self._by_shape[shape] = iid
-        self._flows[iid] = Fraction(flow)
+        self._flows[iid] = flow if type(flow) is Fraction else Fraction(flow)
         return iid
 
     def axiom(self, variable: int, flow: Fraction | int = 1) -> int:

@@ -38,6 +38,9 @@ exponents above 1, so a clause's falsified-point monomial is its mask with
 each variable's two bits exchanged, and most products are ORs.  A mask holds
 two bits per variable up to its largest index: the producers here number
 variables from 1, but a proof over ``x_{10^8}`` handles 25 MB masks.
+Monomials, references and terms are named tuples (see :mod:`circres.core`);
+``RefPoly`` checks its fields in ``__new__``, and ``_make`` and
+``_replace`` go through it.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import Clause, clause_mask, literal_key, mask_literals, positive_mask
 from .flowcheck import NotWitnessError, verify_flow
@@ -77,8 +80,7 @@ class InconsistencyError(ValueError):
 # ---------------------------------------------------------------------------
 # monomials and polynomials
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple):
     """Power product over twin variables, token ``+i`` for ``X_i`` and
     ``-i`` for ``Xb_i``: ``mask`` is ``clause_mask`` of its tokens, whose bits
     from low to high are the tokens in canonical order, and ``powers`` holds
@@ -239,21 +241,21 @@ BASIC: dict[str, tuple[tuple[int, int, int], ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class RefPoly:
+class RefPoly(NamedTuple("RefPoly", [("kind", str), ("index", int)])):
     """Reference polynomial of a proof term: a hypothesis or a basic one."""
 
-    kind: str
-    index: int = 0
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self) -> None:
-        if self.kind != HYPOTHESIS and self.kind not in BASIC:
-            raise ValueError(f"unknown reference polynomial kind {self.kind!r}")
-        if self.kind == ONE:
-            if self.index != 0:
-                raise ValueError(f"one takes no index, got {self.index}")
-        elif self.index < 1:
-            raise ValueError(f"{self.kind} needs a positive index")
+    def __new__(cls, kind: str, index: int = 0) -> "RefPoly":
+        if kind != HYPOTHESIS and kind not in BASIC:
+            raise ValueError(f"unknown reference polynomial kind {kind!r}")
+        if kind == ONE:
+            if index != 0:
+                raise ValueError(f"one takes no index, got {index}")
+        elif index < 1:
+            raise ValueError(f"{kind} needs a positive index")
+        return tuple.__new__(cls, (kind, index))
 
 
 def hyp(i: int) -> RefPoly:
@@ -272,8 +274,7 @@ def ref_polynomial(ref: RefPoly, hypotheses: Sequence[Clause]) -> Polynomial:
     return Polynomial.of((Monomial.of(((i, e), (-i, eb))), k) for k, e, eb in BASIC[ref.kind])
 
 
-@dataclass(frozen=True)
-class SATerm:
+class SATerm(NamedTuple):
     coefficient: Fraction
     monomial: Monomial
     ref: RefPoly
@@ -304,13 +305,8 @@ class SAProof:
     @staticmethod
     def of(num_variables: int, hypotheses: Iterable[Clause], goal: Optional[Clause],
            terms: Iterable[SATerm | tuple]) -> "SAProof":
-        norm_terms = []
-        for t in terms:
-            if not isinstance(t, SATerm):
-                coef, mono, ref = t
-                t = SATerm(Fraction(coef), mono, ref)
-            norm_terms.append(t)
-        return SAProof(num_variables, tuple(hypotheses), goal, tuple(norm_terms))
+        return SAProof(num_variables, tuple(hypotheses), goal,
+                       tuple(SATerm(Fraction(a), q, ref) for a, q, ref in terms))
 
 
 def proof_sum(proof: SAProof) -> Polynomial:

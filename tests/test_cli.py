@@ -536,6 +536,18 @@ def test_unwritable_output_is_a_usage_error(tmp_path, monkeypatch, capsys, argv,
     assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen-php", "--complete", 2, "--proof-out", "."],
+    ["gen-php", "--complete", 2, "--cnf-out", "."],
+    ["gen-php", "--complete", 2, "--proof-out", "missing/p.cres"],
+], ids=["proof-out-directory", "cnf-out-directory", "proof-out-missing-directory"])
+def test_gen_php_leaves_no_file_when_a_write_fails(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write ")
+    assert list(tmp_path.iterdir()) == []
+
+
 # Digests of the files the CLI emits for fixed inputs, recorded before clauses
 # became signed-int tuples; a representation change must not move one byte.
 EMITTED_SHA256 = {
