@@ -51,7 +51,6 @@ from .sheraliadams import (
     circular_to_sa,
     clause_gadget,
     encode_clause,
-    normalize_sa,
     sa_degree,
     sa_monomial_size,
     sa_to_circular,

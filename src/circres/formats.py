@@ -32,9 +32,8 @@ Polynomial proofs (``.sap``)::
 where ``<mono>`` is zero or more ``±i^e`` tokens (positive for a variable,
 negative for its twin, ``^e`` optional) and ``<ref>`` is ``H i`` for a
 hypothesis or ``B <kind> i`` for a basic polynomial (``B one`` takes no
-index).  The kinds are the keys of :data:`circres.sheraliadams.BASIC`, which
-holds each basic polynomial, except ``minus_x_xbar``: it occurs only in
-normalized proofs and has no file form.
+index).  The kinds are the keys of :data:`circres.sheraliadams.BASIC`, the
+table of the basic polynomials.
 
 Serialization is canonical: parse(serialize(x)) reproduces x exactly.
 """
@@ -55,7 +54,7 @@ from .proofgraph import (
     ProofGraph,
     Rule,
 )
-from .sheraliadams import BASIC, HYPOTHESIS, MINUS_X_XBAR, ONE, Monomial, RefPoly, SAProof, SATerm
+from .sheraliadams import BASIC, HYPOTHESIS, ONE, Monomial, RefPoly, SAProof, SATerm
 
 
 class ParseError(ValueError):
@@ -377,7 +376,7 @@ def parse_sap(text: str) -> SAProof:
                         no, f"hypothesis index {index} out of range 1..{expected_hyps}")
             elif ref_tokens[0] == "B":
                 kind = ref_tokens[1] if len(ref_tokens) > 1 else None
-                if kind not in BASIC or kind == MINUS_X_XBAR:
+                if kind not in BASIC:
                     raise ParseError(no, f"unknown basic reference {ref_tokens[1:]!r}")
                 if kind == ONE:
                     if len(ref_tokens) != 2:
@@ -417,8 +416,6 @@ def _mono_tokens(m: Monomial) -> str:
 
 
 def serialize_sap(proof: SAProof, comments: list[str] | None = None) -> str:
-    if proof.goal is None:
-        raise ValueError("cannot serialize a proof without a goal clause")
     out = [f"c {line}" for line in (comments or [])]
     out.append(f"p sap {proof.num_variables} {len(proof.hypotheses)}")
     for h in proof.hypotheses:
@@ -429,8 +426,6 @@ def serialize_sap(proof: SAProof, comments: list[str] | None = None) -> str:
             ref = f"H {t.ref.index}"
         elif t.ref.kind == ONE:
             ref = "B one"
-        elif t.ref.kind == MINUS_X_XBAR:
-            raise ValueError(f"reference kind {t.ref.kind} has no file form")
         else:
             ref = f"B {t.ref.kind} {t.ref.index}"
         mono = _mono_tokens(t.monomial)

@@ -46,7 +46,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional
 
 
 class Constraint(NamedTuple):
@@ -54,9 +54,6 @@ class Constraint(NamedTuple):
 
     coeffs: tuple[tuple[int, int], ...]
     rhs: int
-
-    def dot(self, x: Sequence[Fraction]) -> Fraction:
-        return sum((c * x[j] for j, c in self.coeffs), Fraction(0))
 
 
 @dataclass

@@ -14,10 +14,10 @@ monomial, and ``P_j`` a hypothesis encoding or a basic polynomial, such that
     sum a_j * q_j * poly(P_j)  ==  enc(A)
 
 holds as an exact formal identity.  The basic polynomials ``x - x^2``,
-``x^2 - x``, ``1 - x - xb``, ``x + xb - 1``, ``1`` and (in normalized proofs
-only) ``-x*xb`` are the rows of one table, :data:`BASIC`, whose keys are
-also their ``.sap`` names.  Degree is the maximum degree among the
-expanded products, monomial size the sum of their term counts.
+``x^2 - x``, ``1 - x - xb``, ``x + xb - 1`` and ``1`` are the rows of one
+table, :data:`BASIC`, whose keys are also their ``.sap`` names.  Degree is
+the maximum degree among the expanded products, monomial size the sum of
+their term counts.
 
 Each distinct ``poly(P_j)`` is computed once per proof, in a table kept on
 the proof and shared by :func:`check_sa`, :func:`sa_degree` and
@@ -29,8 +29,8 @@ is injective on monomials and adds ``deg q_j`` to each degree, and
 
 ``circular_to_sa`` rewrites a flow-checked circular proof into such an
 identity term by term (degree equals proof width); ``sa_to_circular`` goes
-back by normalizing the identity and reading each normalized term as a rule
-application (width equals proof degree).
+back by reading each term, on 0-1 points, as a rule application (width at
+most proof degree).
 
 A monomial is an ``int`` mask in the encoding of ``core.clause_mask``
 (``X_i`` is bit ``2i``, ``Xb_i`` bit ``2i + 1``) plus a record of the rare
@@ -49,7 +49,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import Clause, clause_mask, literal_key, mask_literals, positive_mask
 from .flowcheck import NotWitnessError, verify_flow
@@ -226,7 +226,6 @@ XSQ_MINUS_X = "xsqx"
 ONE_MINUS_X_XBAR = "1mxx"
 X_XBAR_MINUS_ONE = "xxm1"
 ONE = "one"
-MINUS_X_XBAR = "minus_x_xbar"  # appears only in normalized proofs; no file form
 
 #: The basic reference polynomials, each over ``X_i`` and ``Xb_i`` as
 #: ``(coefficient, exponent of X_i, exponent of Xb_i)`` rows.  A kind is also
@@ -237,7 +236,6 @@ BASIC: dict[str, tuple[tuple[int, int, int], ...]] = {
     ONE_MINUS_X_XBAR: ((1, 0, 0), (-1, 1, 0), (-1, 0, 1)),
     X_XBAR_MINUS_ONE: ((1, 1, 0), (1, 0, 1), (-1, 0, 0)),
     ONE: ((1, 0, 0),),
-    MINUS_X_XBAR: ((-1, 1, 1),),
 }
 
 
@@ -286,7 +284,7 @@ class SAProof:
 
     num_variables: int
     hypotheses: tuple[Clause, ...]
-    goal: Optional[Clause]
+    goal: Clause
     terms: tuple[SATerm, ...]
 
     @cached_property
@@ -303,7 +301,7 @@ class SAProof:
         return refs
 
     @staticmethod
-    def of(num_variables: int, hypotheses: Iterable[Clause], goal: Optional[Clause],
+    def of(num_variables: int, hypotheses: Iterable[Clause], goal: Clause,
            terms: Iterable[SATerm | tuple]) -> "SAProof":
         return SAProof(num_variables, tuple(hypotheses), goal,
                        tuple(SATerm(Fraction(a), q, ref) for a, q, ref in terms))
@@ -336,8 +334,6 @@ def check_sa(proof: SAProof) -> bool:
     A gadget whose natural target involves tautological clauses is checked
     by comparing :func:`proof_sum` with :func:`gadget_target` directly.
     """
-    if proof.goal is None:
-        raise MalformedProofError("proof has no goal clause")
     target = encode_clause(proof.goal)
     for h in proof.hypotheses:
         if h.is_tautological:
@@ -514,58 +510,31 @@ def circular_to_sa(graph: ProofGraph, flow: FlowAssignment) -> SAProof:
 
 
 # ---------------------------------------------------------------------------
-# normalization and polynomial proof -> circular proof
-
-def normalize_sa(proof: SAProof) -> SAProof:
-    """Rewrite terms so every product is multilinear and every reference
-    polynomial is a hypothesis or one of ``-x*xb``, ``1-x-xb``, ``x+xb-1``,
-    ``1``.
-
-    Each rewritten product agrees with the original on all 0-1 points of the
-    2n twin variables, and the rewritten sum is again an exact identity for
-    the same target (the target is multilinear, and multilinear polynomials
-    agreeing on 0-1 points are equal).
-    """
-    hyp_masks = [falsified_monomial(h).mask for h in proof.hypotheses]
-    out: list[SATerm] = []
-    for t in proof.terms:
-        if t.coefficient.numerator <= 0:
-            raise MalformedProofError(f"term coefficient {t.coefficient} is not positive")
-        m, ref = t.monomial.mask, t.ref
-        if ref.kind == HYPOTHESIS:
-            m &= ~hyp_masks[ref.index - 1]
-        elif ref.kind == ONE_MINUS_X_XBAR:
-            twin = 3 << 2 * ref.index
-            if m & twin:
-                m, ref = m & ~twin, RefPoly(MINUS_X_XBAR, ref.index)
-        elif ref.kind == X_XBAR_MINUS_ONE:
-            twin = 3 << 2 * ref.index
-            if m & twin:
-                m, ref = m | twin, _ONE_REF
-        elif ref.kind == MINUS_X_XBAR:
-            m &= ~(3 << 2 * ref.index)
-        elif ref.kind in (X_MINUS_XSQ, XSQ_MINUS_X):
-            continue  # identically zero on 0-1 points; dropped
-        out.append(SATerm(t.coefficient, Monomial(m), ref))
-    return SAProof(proof.num_variables, proof.hypotheses, proof.goal, tuple(out))
-
+# polynomial proof -> circular proof
 
 def sa_to_circular(proof: SAProof) -> tuple[ProofGraph, FlowAssignment]:
     """Read a checked polynomial proof as a circular proof of its goal.
 
-    After normalization each term becomes a rule application: hypothesis
-    terms become chains of literal-introducing splits, ``-x*xb`` terms an
-    axiom plus such a chain, ``1-x-xb`` terms a split, ``x+xb-1`` terms a
-    cut; constant-reference terms only feed balances.  Vertices are
-    identified by clause mask, each decoded once.  The width of the result
-    equals the proof degree, except when the goal is the empty clause and a
-    hypothesis: its detour through ``x1`` has width 1.
-    The proof is checked first, by :func:`check_sa`, which also rejects a
-    missing or tautological goal.
+    Each term ``a * q * P`` becomes weight ``a`` on rules or slack around
+    the clause ``C`` whose falsified-point monomial ``F(C)`` is ``q`` with
+    its exponents dropped.  On each 0-1 point of the twin variables a power
+    equals its base, so there the term equals the polynomial of what it
+    becomes, given at each branch with ``x`` the variable of a basic ``P``:
+    a rule's is its consequents' ``-F`` minus its antecedents', and slack's
+    is ``-F`` at a source, ``+F`` at a sink.  The terms' sum is then
+    multilinear and agrees with the goal's encoding on all 0-1 points, so
+    the two are equal and the graph has the goal's balances.  Vertices are
+    identified by clause mask, each decoded once.
+
+    The width of the result is at most the proof degree, and equal on the
+    round trips the tests check: exponents and terms that vanish on 0-1
+    points count toward the degree only.  The exception is an empty goal
+    that is also a hypothesis: its detour through ``x1`` has width 1.  The
+    proof is checked first, by :func:`check_sa`, which also rejects a
+    tautological goal, and :func:`verify_flow` rechecks the graph built.
     """
     if not check_sa(proof):
         raise InconsistencyError("polynomial proof does not check")
-    norm = normalize_sa(proof)
 
     b = ProofGraphBuilder()
     goal_vertex = b.vertex(proof.goal)
@@ -588,32 +557,31 @@ def sa_to_circular(proof: SAProof) -> tuple[ProofGraph, FlowAssignment]:
             start |= bit
 
     identity_budget = Fraction(0)
-    for t in norm.terms:
-        a = t.coefficient
-        kind = t.ref.kind
-        i = t.ref.index
+    for t in proof.terms:
+        a, (kind, i) = t.coefficient, t.ref
         c = _twin_swap(t.monomial.mask)  # the term's clause
-        if kind == HYPOTHESIS:
-            vertex(hyp_masks[i - 1])
-            if not c and proof.hypotheses[i - 1] == proof.goal:
+        twin = 3 << 2 * i  # for a basic kind, both literals of its variable
+        if kind == HYPOTHESIS:  # -F(H | C): slack at H, splits from H to H | C
+            h = hyp_masks[i - 1]
+            vertex(h)
+            if not c & ~h and proof.hypotheses[i - 1] == proof.goal:
                 identity_budget += a
-            weaken_chain(hyp_masks[i - 1], c, a)
-        elif kind == MINUS_X_XBAR:
-            b.inference(AXIOM, i, (), (vertex(3 << 2 * i),), a)
-            weaken_chain(3 << 2 * i, c, a)
-        elif kind == ONE_MINUS_X_XBAR:
-            # Split shape: consumes the side clause, produces both extensions.
+            weaken_chain(h, c & ~h, a)
+        elif kind == ONE_MINUS_X_XBAR and c & twin:  # -F(C | x | ~x): axiom, splits
+            b.inference(AXIOM, i, (), (vertex(twin),), a)
+            weaken_chain(twin, c & ~twin, a)
+        elif kind == ONE_MINUS_X_XBAR:  # F(C) - F(C | x) - F(C | ~x): a split
             src = vertex(c)
             pos, neg = vertex(c | 1 << 2 * i), vertex(c | 2 << 2 * i)
             b.inference(SPLIT, i, (src,), (pos, neg), a)
-        elif kind == X_XBAR_MINUS_ONE:
-            # Cut shape: consumes both extensions, produces the side clause.
+        elif kind == X_XBAR_MINUS_ONE and c & twin:  # F(C | x | ~x): sink slack
+            vertex(c | twin)
+        elif kind == X_XBAR_MINUS_ONE:  # F(C | x) + F(C | ~x) - F(C): a cut
             pos, neg = vertex(c | 1 << 2 * i), vertex(c | 2 << 2 * i)
             b.inference(CUT, i, (pos, neg), (vertex(c),), a)
-        elif kind == ONE:
-            vertex(c)  # sink slack only; no rule
-        else:  # pragma: no cover
-            raise MalformedProofError(f"unexpected normalized kind {kind}")
+        elif kind == ONE:  # F(C): sink slack
+            vertex(c)
+        # x - x^2 and x^2 - x are zero: nothing
 
     b.mark_hypotheses(hyp_set)
     b.set_goal(goal_vertex)
@@ -621,7 +589,7 @@ def sa_to_circular(proof: SAProof) -> tuple[ProofGraph, FlowAssignment]:
     if graph.inference_vertices and verify_flow(graph, flow):
         return graph, flow
     if proof.goal not in hyp_set:
-        raise InconsistencyError("normalized terms do not yield a witnessing flow for the goal")
+        raise InconsistencyError("terms do not yield a witnessing flow for the goal")
     b.pad_identity(proof.goal, max(identity_budget, Fraction(1)))
     graph, flow = b.build()
     if not verify_flow(graph, flow):

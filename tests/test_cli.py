@@ -577,7 +577,34 @@ EMITTED_SHA256 = {
         "380b854bc08d910c69224fe5ce4b98c3db24aea90034f39c6942799d4be7c590",
     "chain.cres":
         "f707ada2472dd09965ce7d2a0e7d2481c28755c7fa466e3c12c775fde412541a",
+    # translate s2c on SHAPES_SAP; recorded before sa_to_circular read each
+    # term's rule from its original kind.
+    "shapes.cres":
+        "72c4e5abd58faf32efd6b3061265ab884adeff6e66174b4393e1bbd4ed1ba529",
 }
+
+# One term of each shape translate s2c reads: hypotheses weakened or not,
+# ``1mxx`` and ``xxm1`` with and without their twin in the monomial, ``B
+# one``, and the dropped ``xxsq`` and ``xsqx``, some under exponents.  The
+# proof has degree 4 and comes back at width 3.
+SHAPES_SAP = """p sap 2 2
+h 1 0
+h -1 0
+g 0
+t 1 ; H 1
+t 1 ; H 2
+t 1 ; B xxm1 1
+t 1 2 ; H 1
+t 1 2 -1 ; B one
+t 1/2 1 2 ; B xxm1 1
+t 1/2 2 ; B xxsq 1
+t 1/2 1 2 ; B 1mxx 1
+t 1/2 2 ; B xsqx 1
+t 1 -2 ; B 1mxx 1
+t 1 -2 ; B xxm1 1
+t 3 -2^2 ; B xxsq 2
+t 3 -2^2 ; B xsqx 2
+"""
 
 
 def test_emitted_files_are_byte_stable(tmp_path, monkeypatch):
@@ -601,6 +628,8 @@ def test_emitted_files_are_byte_stable(tmp_path, monkeypatch):
     (tmp_path / "nc5.txt").write_text(
         f"{g.left_size} {g.right_size}\n" + "".join(f"{u} {v}\n" for u, v in sorted(g.edges)))
     assert run(["gen-php", "--graph", "nc5.txt"]) == 0
+    (tmp_path / "shapes.sap").write_text(SHAPES_SAP)
+    assert run(["translate", "s2c", "shapes.sap"]) == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in EMITTED_SHA256}
     assert digests == EMITTED_SHA256

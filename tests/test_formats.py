@@ -21,16 +21,12 @@ from circres.generators import (
     unsound_cycle_example,
 )
 from circres.sheraliadams import (
-    MINUS_X_XBAR,
-    MONOMIAL_ONE,
     ONE,
     ONE_MINUS_X_XBAR,
     X_MINUS_XSQ,
     X_XBAR_MINUS_ONE,
     XSQ_MINUS_X,
     RefPoly,
-    SAProof,
-    SATerm,
     circular_to_sa,
 )
 
@@ -243,9 +239,6 @@ def test_sap_minus_x_xbar_has_no_file_form():
     with pytest.raises(ParseError) as err:
         parse_sap("p sap 2 0\ng 0\nt 1 ; B minus_x_xbar 1\n")
     assert str(err.value).startswith("line 3: unknown basic reference ")
-    term = SATerm(Fraction(1), MONOMIAL_ONE, RefPoly(MINUS_X_XBAR, 1))
-    with pytest.raises(ValueError, match="reference kind minus_x_xbar has no file form"):
-        serialize_sap(SAProof(2, (), Clause(()), (term,)))
 
 
 def test_sap_basic_index_error_names_the_file_token():

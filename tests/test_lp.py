@@ -137,7 +137,7 @@ def test_exactness_of_returned_points():
         if x is None:
             continue
         for row in lp.rows:
-            assert row.dot(x) >= row.rhs  # no tolerance anywhere
+            assert sum(c * x[j] for j, c in row.coeffs) >= row.rhs  # no tolerance anywhere
         assert _satisfies(drawn, x)
 
 
@@ -291,7 +291,7 @@ def test_larger_random_programs_answer_checkably():
         assert (x is None) != (cert is None), trial
         if x is not None:
             assert all(type(v) is Fraction for v in x)
-            assert all(row.dot(x) >= row.rhs for row in lp.rows), trial
+            assert all(sum(c * x[j] for j, c in row.coeffs) >= row.rhs for row in lp.rows), trial
             assert all(x[j] >= bound for j, bound in lp.lower.items()), trial
         else:
             _check_certificate(lp, cert, trial)

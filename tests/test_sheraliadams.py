@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from circres.core import Clause, CnfFormula, implies_oracle, literal_key
 from circres.flowcheck import FlowAssignment, verify_flow
-from circres.formats import serialize_cres, serialize_sap
+from circres.formats import parse_sap, serialize_cres, serialize_sap
 from circres.generators import complete_bipartite, php_refutation, random_circular_proof
 from circres.proofgraph import SPLIT, ProofGraphBuilder, balances, validate_rules
 from circres.sheraliadams import (
     BASIC,
     HYPOTHESIS,
-    MINUS_X_XBAR,
     MONOMIAL_ONE,
     ONE,
     ONE_MINUS_X_XBAR,
@@ -37,7 +36,6 @@ from circres.sheraliadams import (
     falsified_monomial,
     gadget_target,
     hyp,
-    normalize_sa,
     proof_sum,
     ref_polynomial,
     sa_degree,
@@ -45,6 +43,7 @@ from circres.sheraliadams import (
     sa_to_circular,
 )
 from circres.sheraliadams import _product as kernel_product
+from test_cli import SHAPES_SAP
 
 
 def clause(*ints):
@@ -71,12 +70,6 @@ def test_encode_mixed_clause():
 def test_encode_rejects_tautology():
     with pytest.raises(TautologicalClauseError):
         encode_clause(clause(1, -1))
-
-
-def _twin_points(n):
-    for bits in itertools.product((0, 1), repeat=n):
-        yield {tok: (bits[abs(tok) - 1] if tok > 0 else 1 - bits[abs(tok) - 1])
-               for v in range(1, n + 1) for tok in (v, -v)}
 
 
 def test_encoding_sign_tracks_satisfaction():
@@ -171,7 +164,7 @@ def test_proof_sum_expands_to_a_tautological_target():
         SATerm(Fraction(1), mono({1: 1}), RefPoly(ONE_MINUS_X_XBAR, 1)),
         SATerm(Fraction(1), MONOMIAL_ONE, RefPoly(XSQ_MINUS_X, 1)),
     ]
-    proof = SAProof.of(1, [], None, terms)
+    proof = SAProof.of(1, [], clause(), terms)
     target = Polynomial.of([(mono({1: 1, -1: 1}), Fraction(-1))])
     assert proof_sum(proof) == target
 
@@ -187,7 +180,6 @@ HAND_WRITTEN_BASIC = {
     ONE_MINUS_X_XBAR: Polynomial.of([(MONOMIAL_ONE, 1), (_X2, -1), (_XB2, -1)]),
     X_XBAR_MINUS_ONE: Polynomial.of([(_X2, 1), (_XB2, 1), (MONOMIAL_ONE, -1)]),
     ONE: Polynomial.of([(MONOMIAL_ONE, 1)]),
-    MINUS_X_XBAR: Polynomial.of([(mono({2: 1, -2: 1}), -1)]),
 }
 
 
@@ -230,7 +222,7 @@ def test_gadget_families_expand_to_targets(kind, width):
         side = _random_clause(rng, 6, width)
         principal = next(v for v in range(1, 8) if v not in side.variables())
         terms = clause_gadget(kind, falsified_monomial(side), principal)
-        proof = SAProof.of(7, [], None, terms)
+        proof = SAProof.of(7, [], clause(), terms)
         target = gadget_target(kind, side, principal)
         assert proof_sum(proof) == target
         deg = sa_degree(proof)
@@ -369,71 +361,6 @@ def test_translate_requires_witness():
 
 
 # ---------------------------------------------------------------------------
-# normalization
-
-def _eval_term_sum(proof, point):
-    total = Fraction(0)
-    for t in proof.terms:
-        base = ref_polynomial(t.ref, proof.hypotheses)
-        term_val = Fraction(t.coefficient)
-        mono_val = Fraction(1)
-        for tok, e in t.monomial.factors:
-            mono_val *= Fraction(point[tok]) ** e
-        total += term_val * mono_val * base.evaluate(point)
-    return total
-
-
-def test_normalize_cases():
-    # A square factor against the matching twin-sum reference collapses to a
-    # product reference.
-    t = SATerm(Fraction(2), mono({1: 1}), RefPoly(ONE_MINUS_X_XBAR, 1))
-    out = normalize_sa(SAProof.of(1, [], None, [t])).terms
-    assert out == (SATerm(Fraction(2), MONOMIAL_ONE, RefPoly("minus_x_xbar", 1)),)
-
-    t = SATerm(Fraction(1), mono({1: 1, -1: 1}), RefPoly(X_XBAR_MINUS_ONE, 1))
-    out = normalize_sa(SAProof.of(1, [], None, [t])).terms
-    assert out == (SATerm(Fraction(1), mono({1: 1, -1: 1}), RefPoly(ONE)),)
-
-    t = SATerm(Fraction(1), mono({1: 2}), RefPoly(XSQ_MINUS_X, 1))
-    assert normalize_sa(SAProof.of(1, [], None, [t])).terms == ()
-
-
-def test_normalize_preserves_twin_point_values():
-    rng = random.Random(31)
-    kinds = [
-        RefPoly(ONE_MINUS_X_XBAR, 1), RefPoly(X_XBAR_MINUS_ONE, 1),
-        RefPoly(XSQ_MINUS_X, 1), RefPoly(ONE), hyp(1),
-    ]
-    for trial in range(60):
-        n = 3
-        terms = []
-        for _ in range(rng.randint(1, 5)):
-            powers = {}
-            for v in range(1, n + 1):
-                for tok in (v, -v):
-                    if rng.random() < 0.3:
-                        powers[tok] = rng.randint(1, 3)
-            ref = kinds[rng.randrange(len(kinds))]
-            terms.append(SATerm(Fraction(rng.randint(1, 4)), mono(powers), ref))
-        proof = SAProof.of(n, [clause(2, 3)], None, terms)
-        norm = normalize_sa(proof)
-        for point in _twin_points(n):
-            assert _eval_term_sum(proof, point) == _eval_term_sum(norm, point), trial
-        for t in norm.terms:
-            assert not t.monomial.powers
-
-
-def test_normalized_output_is_exact_identity():
-    for seed in range(20):
-        graph, flow = random_circular_proof(seed, 5, 8)
-        if graph.goal_clause().is_tautological:
-            continue
-        proof = circular_to_sa(graph, flow)
-        norm = normalize_sa(proof)
-        assert proof_sum(norm) == encode_clause(proof.goal), seed
-
-
-# ---------------------------------------------------------------------------
 # polynomial identity -> circular proof
 
 def test_round_trip_single_cut():
@@ -477,6 +404,18 @@ def test_identity_style_proof_pads_to_positive_goal_balance():
     bal = balances(graph, flow)
     assert bal[graph.goal_id] >= 1
     assert graph.width == sa_degree(proof)
+    # The padding carries the weight of the goal hypothesis's unweakened
+    # terms, one whose monomial lies inside the hypothesis included:
+    # X1 * enc(~x1) is enc(~x1) on 0-1 points.
+    x1 = mono({1: 1})
+    proof = SAProof.of(1, [clause(-1)], clause(-1), [
+        (1, x1, hyp(1)), (1, MONOMIAL_ONE, hyp(1)),
+        (1, MONOMIAL_ONE, RefPoly(XSQ_MINUS_X, 1)), (1, x1, RefPoly(ONE)),
+    ])
+    assert check_sa(proof)
+    graph, flow = sa_to_circular(proof)
+    assert verify_flow(graph, flow)
+    assert balances(graph, flow)[graph.goal_id] == 2
 
 
 def test_sa_to_circular_rejects_non_checking_proof():
@@ -557,10 +496,10 @@ def _kernel_cases():
         cases.append((f"php {n}", circular_to_sa(graph, flow)))
     # Rescaling puts the coefficients over several coprime denominators, for
     # the common-denominator accumulation (most translated ones are integers).
-    cases += [(f"{name}, normalized", normalize_sa(proof)) for name, proof in cases] + [
-        (f"{name}, rescaled", _rescaled(proof)) for name, proof in cases
-    ]
+    cases += [(f"{name}, rescaled", _rescaled(proof)) for name, proof in cases]
     cases.append(("repeated reference", _repeated_reference_proof()))
+    # Twin products, exponents and terms that vanish on 0-1 points.
+    cases.append(("term shapes", parse_sap(SHAPES_SAP)))
     return cases
 
 
