@@ -23,7 +23,7 @@ def show(graph, flow=None):
     bal = balances(graph, flow) if flow else None
     for v in graph.formula_vertices:
         marks = []
-        if v.id in graph.hypothesis_ids:
+        if v.clause in graph.hypotheses:
             marks.append("hypothesis")
         if v.id == graph.goal_id:
             marks.append("goal")

@@ -3,8 +3,10 @@
 A flow-checked circular proof is, term for term, a polynomial identity: each
 rule application contributes its rule polynomial weighted by flow over goal
 balance, each net-consumed or net-produced clause contributes its encoding.
-The translation is exact in both directions and the natural measures map to
-each other exactly: width <-> degree, monomial size <= 3 x length.
+Both directions keep the identity exact.  Circular to polynomial gives
+degree equal to the width and monomial size <= 3 x length; polynomial to
+circular gives width at most the degree (1 for degree 0), and on the round
+trips below it comes back at the width it started from.
 """
 
 from circres import (

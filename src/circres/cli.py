@@ -78,11 +78,7 @@ def _write_proof(path: str, graph, flow, comment: str) -> None:
 def cmd_check(args) -> int:
     graph, file_flow = formats.parse_cres(_read(args.proof))
     cnf = formats.parse_dimacs(_read(args.cnf))
-    hyp_clauses = set(cnf.clauses)
-    hyp_ids = frozenset(
-        v.id for v in graph.formula_vertices if v.clause in hyp_clauses
-    )
-    graph = dataclasses.replace(graph, hypothesis_ids=hyp_ids)
+    graph = dataclasses.replace(graph, hypotheses=frozenset(cnf.clauses))
     if args.goal is not None:
         goal_clause = _parse_goal(args.goal)
         candidates = [v.id for v in graph.formula_vertices if v.clause == goal_clause]
@@ -197,12 +193,12 @@ def cmd_translate(args) -> int:
     out = args.out or str(Path(args.input).with_suffix(".cres"))
     _write_proof(out, graph, flow, f"translated from {Path(args.input).name}")
     degree = sa.sa_degree(proof)
-    # A degree-0 proof has the empty goal as a hypothesis, and its padding
-    # split through x1 has width 1 (see sa_to_circular).
+    # The width is at most the degree, or 1 for degree 0: the empty goal is
+    # then a hypothesis, padded by a split through x1 (see sa_to_circular).
     claim = f"degree {degree}" if degree else "degree 0 + 1 (padding split)"
     print(
-        f"wrote {out}: width {graph.width} == {claim}: "
-        f"{graph.width == max(degree, 1)}; length {graph.length}, "
+        f"wrote {out}: width {graph.width} <= {claim}: "
+        f"{graph.width <= max(degree, 1)}; length {graph.length}, "
         f"monomial size {sa.sa_monomial_size(proof)}"
     )
     return EXIT_OK

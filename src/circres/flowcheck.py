@@ -75,7 +75,6 @@ def _witness_program(graph: ProofGraph) -> tuple[lp.LinearProgram, list[int]]:
     order = sorted(w.id for w in graph.inference_vertices)
     var_of = {iid: k for k, iid in enumerate(order)}
     program = lp.LinearProgram(len(order))
-    hyp_clauses = graph.hypothesis_clauses()
 
     rowmap: dict[int, dict[int, int]] = {v.id: {} for v in graph.formula_vertices}
     for w in graph.inference_vertices:
@@ -87,11 +86,8 @@ def _witness_program(graph: ProofGraph) -> tuple[lp.LinearProgram, list[int]]:
 
     program.add_geq(rowmap[graph.goal_id], 1)
     for v in graph.formula_vertices:
-        if v.id == graph.goal_id:
-            continue
-        if v.clause in hyp_clauses:
-            continue
-        program.add_geq(rowmap[v.id], 0)
+        if v.id != graph.goal_id and v.clause not in graph.hypotheses:
+            program.add_geq(rowmap[v.id], 0)
     for k in range(len(order)):
         program.add_lower(k, 1)
     return program, order
@@ -142,9 +138,8 @@ def verify_flow(graph: ProofGraph, flow: FlowAssignment) -> bool:
     if not flow.is_positive():
         return False
     bal, _ = balance_numerators(graph, flow)
-    hyp_clauses = graph.hypothesis_clauses()
     for v in graph.formula_vertices:
-        if bal[v.id] < 0 and v.clause not in hyp_clauses:
+        if bal[v.id] < 0 and v.clause not in graph.hypotheses:
             return False
     return bal[graph.goal_id] > 0
 
@@ -313,9 +308,9 @@ def verify_dual_certificate(graph: ProofGraph, cert: DualCertificate) -> bool:
     """
     if cert.goal_id != graph.goal_id:
         return False
-    hyp_clauses = graph.hypothesis_clauses()
     sources = [v for v in graph.formula_vertices if v.id in cert.source_ids]
-    if len(sources) != len(cert.source_ids) or any(v.clause not in hyp_clauses for v in sources):
+    if (len(sources) != len(cert.source_ids)
+            or any(v.clause not in graph.hypotheses for v in sources)):
         return False
     if any(b < 0 for b in cert.formula_multipliers.values()):
         return False

@@ -18,7 +18,7 @@ Proof graphs (``.cres``)::
     i <id> ax <var> <out>
     i <id> cut <var> <in1> <in2> <out>
     i <id> split <var> <in> <out1> [<out2>]
-    h <fid>                          hypothesis mark
+    h <fid>                          the clause of fid is a hypothesis
     g <fid>                          goal mark
     w <iid> <flow>                   optional flow labels
 
@@ -170,7 +170,7 @@ _NAME_KINDS = {v: k for k, v in _KIND_NAMES.items()}
 def parse_cres(text: str) -> tuple[ProofGraph, Optional[FlowAssignment]]:
     formulas: list[FormulaVertex] = []
     inferences: list[InferenceVertex] = []
-    hyp_ids: set[int] = set()
+    hyp_marks: list[tuple[int, int]] = []
     goal_id: Optional[int] = None
     goal_line = 0
     flows: dict[int, Fraction] = {}
@@ -214,7 +214,7 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[FlowAssignment]]:
         elif tag == "h":
             if len(tokens) != 2:
                 raise ParseError(no, "hypothesis mark must be 'h <fid>'")
-            hyp_ids.add(_int(tokens[1], no))
+            hyp_marks.append((_int(tokens[1], no), no))
         elif tag == "g":
             if len(tokens) != 2:
                 raise ParseError(no, "goal mark must be 'g <fid>'")
@@ -243,13 +243,17 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[FlowAssignment]]:
         )
     if goal_id is None:
         raise ParseError(header_line, "missing goal mark")
-    if all(v.id != goal_id for v in formulas):
+    clause_of = {v.id: v.clause for v in formulas}
+    if goal_id not in clause_of:
         raise ParseError(goal_line, f"goal mark names no formula vertex {goal_id}")
-    hypotheses = frozenset(hyp_ids)
+    hypotheses = frozenset(clause_of[fid] for fid, _ in hyp_marks if fid in clause_of)
     try:
         graph = ProofGraph(tuple(formulas), tuple(inferences), hypotheses, goal_id)
     except ValueError as exc:
-        raise ParseError(_rejected_line(text, formulas, inferences, hypotheses), str(exc)) from None
+        raise ParseError(_rejected_line(text, formulas, inferences), str(exc)) from None
+    for fid, no in hyp_marks:
+        if fid not in clause_of:
+            raise ParseError(no, f"hypothesis mark references unknown formula id {fid}")
     if flows:
         inference_ids = {w.id for w in graph.inference_vertices}
         for iid, no in flow_line.items():
@@ -263,13 +267,12 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[FlowAssignment]]:
 
 
 def _rejected_line(text: str, formulas: list[FormulaVertex],
-                   inferences: list[InferenceVertex], hypotheses: frozenset[int]) -> int:
+                   inferences: list[InferenceVertex]) -> int:
     """The line of what ``ProofGraph`` rejected, sought only on this error
     path and in the order of its checks: the second ``f`` or ``i`` line of a
-    repeated id, the ``i`` line of the first inference naming an unknown
-    formula id, or the first ``h`` line of the unknown mark that
-    ``ProofGraph`` met first in ``hypotheses``, the set it was given."""
-    lines: dict[str, list[tuple[int, int]]] = {"f": [], "i": [], "h": []}
+    repeated id, or the ``i`` line of the first inference naming an unknown
+    formula id."""
+    lines: dict[str, list[tuple[int, int]]] = {"f": [], "i": []}
     for no, tokens in _lines(text):
         if tokens[0] in lines:
             lines[tokens[0]].append((int(tokens[1]), no))
@@ -280,10 +283,9 @@ def _rejected_line(text: str, formulas: list[FormulaVertex],
                 return no
             seen.add(vid)
     fids = {v.id for v in formulas}
-    bad = next((w.id for w in inferences
-                if not fids.issuperset((*w.in_neighbors, *w.out_neighbors))), None)
-    tag, vid = ("i", bad) if bad is not None else ("h", next(h for h in hypotheses if h not in fids))
-    return next(no for v, no in lines[tag] if v == vid)
+    bad = next(w.id for w in inferences
+               if not fids.issuperset((*w.in_neighbors, *w.out_neighbors)))
+    return next(no for v, no in lines["i"] if v == bad)
 
 
 def _fmt_fraction(f: Fraction) -> str:
@@ -297,14 +299,16 @@ def serialize_cres(
 ) -> str:
     out = [f"c {line}" for line in (comments or [])]
     out.append(f"p cres {len(graph.formula_vertices)} {len(graph.inference_vertices)}")
-    for v in sorted(graph.formula_vertices, key=lambda v: v.id):
+    formulas = sorted(graph.formula_vertices, key=lambda v: v.id)
+    for v in formulas:
         tokens = ["f", str(v.id)] + [str(lit) for lit in v.clause.literals] + ["0"]
         out.append(" ".join(tokens))
     for w in sorted(graph.inference_vertices, key=lambda w: w.id):
         refs = " ".join(str(u) for u in (*w.in_neighbors, *w.out_neighbors))
         out.append(f"i {w.id} {_KIND_NAMES[w.rule.kind]} {w.rule.principal} {refs}")
-    for h in sorted(graph.hypothesis_ids):
-        out.append(f"h {h}")
+    for v in formulas:
+        if v.clause in graph.hypotheses:
+            out.append(f"h {v.id}")
     out.append(f"g {graph.goal_id}")
     if flow is not None:
         for w in sorted(graph.inference_vertices, key=lambda w: w.id):

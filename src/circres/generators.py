@@ -45,6 +45,9 @@ class BipartiteGraph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
+        if self.left_size < 0 or self.right_size < 0:
+            raise ValueError(f"bipartite graph sizes must be nonnegative, "
+                             f"got {self.left_size} and {self.right_size}")
         # Sorted adjacency, built once; not a field, so == and hash ignore it.
         left: dict[int, list[int]] = {}
         right: dict[int, list[int]] = {}
@@ -287,6 +290,8 @@ def random_circular_proof(
     b = ProofGraphBuilder()
 
     if size_budget == 1:
+        if max_width < 2:
+            raise ValueError(f"size budget 1 is one axiom, of width 2 > max width {max_width}")
         out = b.axiom(rng.randint(1, num_vars))
         b.set_goal(out)
         graph, _ = b.build()

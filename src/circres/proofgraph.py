@@ -81,11 +81,12 @@ class RuleViolation:
 
 @dataclass(frozen=True)
 class ProofGraph:
-    """Immutable circular pre-proof graph with designated hypotheses and goal."""
+    """Immutable circular pre-proof graph with its goal and its hypotheses:
+    clauses whose vertices may be consumed more often than derived."""
 
     formula_vertices: tuple[FormulaVertex, ...]
     inference_vertices: tuple[InferenceVertex, ...]
-    hypothesis_ids: frozenset[int]
+    hypotheses: frozenset[Clause]
     goal_id: int
 
     def __post_init__(self) -> None:
@@ -100,9 +101,6 @@ class ProofGraph:
             for u in (*w.in_neighbors, *w.out_neighbors):
                 if u not in fid_set:
                     raise StructureError(f"inference {w.id} references unknown formula id {u}")
-        for h in self.hypothesis_ids:
-            if h not in fid_set:
-                raise StructureError(f"hypothesis mark references unknown formula id {h}")
         if self.goal_id not in fid_set:
             raise StructureError(f"goal id {self.goal_id} is not a formula vertex")
 
@@ -133,9 +131,6 @@ class ProofGraph:
             for u in w.out_neighbors:
                 acc.setdefault(u, []).append(w.id)
         return {u: tuple(ws) for u, ws in acc.items()}
-
-    def hypothesis_clauses(self) -> frozenset[Clause]:
-        return frozenset(self.formula(h).clause for h in self.hypothesis_ids)
 
     def goal_clause(self) -> Clause:
         return self.formula(self.goal_id).clause
@@ -287,13 +282,14 @@ def _dot_quote(text: str) -> str:
 def export_dot(graph: ProofGraph, flow: Optional[FlowAssignment] = None) -> str:
     """Render the graph as a DOT digraph.
 
-    Formula vertices are boxes, inference vertices circles; when ``flow`` is
-    given each inference vertex is labelled with its flow.
+    Formula vertices are boxes, marked ``hyp`` when their clause is a
+    hypothesis, inference vertices circles; when ``flow`` is given each
+    inference vertex is labelled with its flow.
     """
     lines = ["digraph proof {"]
     for v in graph.formula_vertices:
         marks = []
-        if v.id in graph.hypothesis_ids:
+        if v.clause in graph.hypotheses:
             marks.append("hyp")
         if v.id == graph.goal_id:
             marks.append("goal")
@@ -327,7 +323,7 @@ class ProofGraphBuilder:
         self._inferences: list[InferenceVertex] = []
         self._by_shape: dict[tuple, int] = {}
         self._flows: dict[int, Fraction] = {}
-        self._hypotheses: set[int] = set()
+        self._hypotheses: set[Clause] = set()
         self._goal: Optional[int] = None
 
     def vertex(self, clause: Clause, fresh: bool = False) -> int:
@@ -391,14 +387,11 @@ class ProofGraphBuilder:
         return out
 
     def mark_hypothesis(self, fid: int) -> None:
-        self._hypotheses.add(fid)
+        self._hypotheses.add(self._formulas[fid].clause)
 
     def mark_hypotheses(self, clauses: Container[Clause]) -> None:
-        """Mark the vertex :meth:`vertex` returns for each clause in
-        ``clauses``; copies made with ``fresh=True`` stay unmarked."""
-        for clause, fid in self._by_clause.items():
-            if clause in clauses:
-                self._hypotheses.add(fid)
+        """Make a hypothesis of each clause in ``clauses`` that a vertex carries."""
+        self._hypotheses.update(c for c in self._by_clause if c in clauses)
 
     def set_goal(self, fid: int) -> None:
         self._goal = fid

@@ -471,7 +471,7 @@ def circular_to_sa(graph: ProofGraph, flow: FlowAssignment) -> SAProof:
     goal = graph.goal_clause()
     if goal.is_tautological:
         raise TautologicalClauseError(f"tautological goal {goal}")
-    hyp_clauses = sorted(graph.hypothesis_clauses(), key=lambda c: sorted(c.literals))
+    hyp_clauses = sorted(graph.hypotheses, key=lambda c: sorted(c.literals))
     for h in hyp_clauses:
         if h.is_tautological:
             raise TautologicalClauseError(f"tautological hypothesis {h}")

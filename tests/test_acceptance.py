@@ -147,7 +147,7 @@ def test_criterion_04_soundness_fuzz(random_proofs):
         assert verify_flow(graph, flow), seed
         hyp = CnfFormula.of(
             RANDOM_VARS,
-            sorted(graph.hypothesis_clauses(), key=lambda c: tuple(sorted(c.signed()))),
+            sorted(graph.hypotheses, key=lambda c: tuple(sorted(c.signed()))),
         )
         assert implies_oracle(hyp, graph.goal_clause()), f"counterexample at seed {seed}"
     elapsed = time.monotonic() - start
@@ -175,7 +175,7 @@ def test_criterion_05_tracer_totality(random_proofs):
         assert not evaluate(goal, alpha)
         vid, steps = _trace_with_stats(graph, integral, graph.goal_id, alpha)
         found = graph.formula(vid).clause
-        assert found in graph.hypothesis_clauses()
+        assert found in graph.hypotheses
         assert not evaluate(found, alpha)
         assert steps <= integral.total()
         done += 1

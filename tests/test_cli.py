@@ -177,6 +177,79 @@ def test_gen_php_usage_errors(tmp_path, capsys):
     assert captured.out == ""
 
 
+UNIT_CNF = "p cnf 1 1\n1 0\n"
+
+
+def _cres(line):
+    return f"p cres 2 1\nf 0 0\nf 1 1 -1 0\n{line}\ng 0\n"
+
+
+def _sap(line):
+    return f"p sap 1 1\nh 1 0\ng 1 0\n{line}\n"
+
+
+# (argv, input file name and text, the whole error message).
+INPUT_ERRORS = {
+    "search-tautological-goal": (["search", "u.cnf", "--width", "2", "--goal", "1 -1 0"], None,
+                                 "goal clause must not be tautological"),
+    "search-goal-without-0": (["search", "u.cnf", "--width", "2", "--goal", "1"], None,
+                              "goal spec must end with 0 or be 'empty'"),
+    "search-goal-not-integer": (["search", "u.cnf", "--width", "2", "--goal", "x 0"], None,
+                                "bad goal spec: invalid literal for int() with base 10: 'x'"),
+    "check-unreadable": (["check", "absent.cres", "u.cnf"], None, "cannot read absent.cres: "),
+    "check-goal-on-no-vertex": (["check", "p.cres", "u.cnf", "--goal", "1 2 0"],
+                                ("p.cres", "p cres 1 0\nf 0 0\ng 0\n"),
+                                "no formula vertex carries the goal clause x1 | x2"),
+    "cres-ax-arity": (["check", "p.cres", "u.cnf"], ("p.cres", _cres("i 0 ax 1")),
+                      "line 4: ax takes one consequent id"),
+    "cres-cut-arity": (["check", "p.cres", "u.cnf"], ("p.cres", _cres("i 0 cut 1 0 0")),
+                       "line 4: cut takes two antecedent ids and one consequent id"),
+    "cres-zero-flow": (["check", "p.cres", "u.cnf"],
+                       ("p.cres", _cres("i 0 ax 1 1") + "w 0 0\n"),
+                       "line 6: flow must be positive, got 0"),
+    "sap-zero-exponent": (["translate", "s2c", "p.sap"], ("p.sap", _sap("t 1 1^0 ; B one")),
+                          "line 4: bad monomial token '1^0'"),
+    "sap-no-coefficient": (["translate", "s2c", "p.sap"], ("p.sap", _sap("t ; B one")),
+                           "line 4: term line must be 't <coef> <mono> ; <ref>'"),
+    "sap-H-without-index": (["translate", "s2c", "p.sap"], ("p.sap", _sap("t 1 ; H")),
+                            "line 4: hypothesis reference is 'H <index>'"),
+    "sap-one-with-index": (["translate", "s2c", "p.sap"], ("p.sap", _sap("t 1 ; B one 1")),
+                           "line 4: 'B one' takes no index"),
+    "graph-three-numbers": (["gen-php", "--graph", "g.txt"], ("g.txt", "3 2\n1 2 3\n"),
+                            "g.txt:2: expected two integers per line"),
+    "graph-not-integer": (["gen-php", "--graph", "g.txt"], ("g.txt", "3 x\n"),
+                          "g.txt:1: expected two integers per line"),
+    "graph-empty": (["gen-php", "--graph", "g.txt"], ("g.txt", "# nothing\n"),
+                    "g.txt: empty graph file"),
+    "graph-negative-sizes": (["gen-php", "--graph", "g.txt"], ("g.txt", "-1 -2\n"),
+                             "bipartite graph sizes must be nonnegative, got -1 and -2"),
+    "graph-negative-holes": (["gen-php", "--graph", "g.txt"], ("g.txt", "0 -1\n"),
+                             "bipartite graph sizes must be nonnegative, got 0 and -1"),
+    "random-budget-0": (["gen-random", "--budget", "0"], None, "--budget must be at least 1"),
+    "random-vars-0": (["gen-random", "--vars", "0"], None, "need at least one variable"),
+    "random-axiom-above-width-0": (["gen-random", "--budget", "1", "--max-width", "0"], None,
+                                   "size budget 1 is one axiom, of width 2 > max width 0"),
+    "random-axiom-above-width-1": (["gen-random", "--budget", "1", "--max-width", "1"], None,
+                                   "size budget 1 is one axiom, of width 2 > max width 1"),
+}
+
+
+@pytest.mark.parametrize("argv, infile, message", INPUT_ERRORS.values(), ids=INPUT_ERRORS)
+def test_input_error_exits_2_with_one_line_and_no_file(tmp_path, monkeypatch, capsys,
+                                                       argv, infile, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "u.cnf").write_text(UNIT_CNF)
+    if infile is not None:
+        (tmp_path / infile[0]).write_text(infile[1])
+    before = sorted(tmp_path.iterdir())
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # A read error's message ends with the system's text, after the prefix given.
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_gen_php_graph_file(tmp_path):
     graph_file = tmp_path / "g.txt"
     graph_file.write_text("# tiny\n3 2\n1 1\n1 2\n2 1\n2 2\n3 1\n3 2\n")
@@ -198,7 +271,7 @@ def test_translate_round_trip(tmp_path, php_files, capsys):
     back = tmp_path / "back.cres"
     assert run(["translate", "s2c", sap, "-o", back]) == 0
     out = capsys.readouterr().out
-    assert "width 3 == degree 3: True" in out
+    assert "width 3 <= degree 3: True" in out
     assert run(["check", back, cnf]) == 0
 
 
@@ -239,7 +312,7 @@ def test_translate_empty_goal_that_is_a_hypothesis(tmp_path, capsys):
     assert run(["translate", "s2c", sap]) == 0
     out, err = capsys.readouterr()
     assert err == ""
-    assert out == (f"wrote {sap.with_suffix('.cres')}: width 1 == degree 0 + 1 "
+    assert out == (f"wrote {sap.with_suffix('.cres')}: width 1 <= degree 0 + 1 "
                    "(padding split): True; length 6, monomial size 1\n")
     graph, flow = parse_cres(sap.with_suffix(".cres").read_text())
     assert graph.goal_clause() == Clause(())
@@ -256,7 +329,7 @@ def test_check_and_c2s_certify_the_witnessed_goal_copy(tmp_path, php_files, caps
     dup = tmp_path / "dup.cres"
     dup.write_text(serialize_cres(
         ProofGraph((*graph.formula_vertices, FormulaVertex(spare, Clause(()))),
-                   graph.inference_vertices, graph.hypothesis_ids, spare),
+                   graph.inference_vertices, graph.hypotheses, spare),
         flow if flows else None,
     ))
     dot = tmp_path / "dup.dot"
@@ -453,7 +526,7 @@ def test_gen_random_emits_checkable_proof(tmp_path):
     graph, flow = parse_cres(out_path.read_text())
     assert flow is not None
     # hypotheses live in the file marks; check against them via a CNF
-    hyps = sorted(graph.hypothesis_clauses(), key=lambda c: tuple(sorted(c.signed())))
+    hyps = sorted(graph.hypotheses, key=lambda c: tuple(sorted(c.signed())))
     lines = [f"p cnf 4 {len(hyps)}"] + [
         " ".join([*map(str, h.literals), "0"]) for h in hyps
     ]
@@ -605,6 +678,13 @@ t 1 -2 ; B xxm1 1
 t 3 -2^2 ; B xxsq 2
 t 3 -2^2 ; B xsqx 2
 """
+
+
+def test_s2c_states_the_width_bound_it_meets(tmp_path, capsys):
+    sap = tmp_path / "shapes.sap"
+    sap.write_text(SHAPES_SAP)
+    assert run(["translate", "s2c", sap]) == 0
+    assert "width 3 <= degree 4: True" in capsys.readouterr().out
 
 
 def test_emitted_files_are_byte_stable(tmp_path, monkeypatch):

@@ -128,7 +128,7 @@ def _mutated(seed):
         elif r < 0.75:
             outs.pop()
         rewired.append(InferenceVertex(w.id, Rule(w.rule.kind, x), tuple(ins), tuple(outs)))
-    return ProofGraph(graph.formula_vertices, tuple(rewired), graph.hypothesis_ids,
+    return ProofGraph(graph.formula_vertices, tuple(rewired), graph.hypotheses,
                       graph.goal_id)
 
 
@@ -160,7 +160,7 @@ def test_find_witness_moves_the_goal_to_the_witnessed_copy():
     graph, flow = php_refutation(complete_bipartite(3, 2))
     spare = len(graph.formula_vertices)
     dup = ProofGraph((*graph.formula_vertices, FormulaVertex(spare, Clause(()))),
-                     graph.inference_vertices, graph.hypothesis_ids, spare)
+                     graph.inference_vertices, graph.hypotheses, spare)
     assert not verify_flow(dup, flow)
     for supplied in (flow, None):
         report = find_witness(dup, supplied)
@@ -210,7 +210,7 @@ def test_soundness_fuzz_against_oracle():
                      for v in c.variables()), default=1)
         hyp = CnfFormula.of(
             nvars,
-            sorted(graph.hypothesis_clauses(), key=lambda c: tuple(sorted(c.signed()))),
+            sorted(graph.hypotheses, key=lambda c: tuple(sorted(c.signed()))),
         )
         assert implies_oracle(hyp, graph.goal_clause())
 
@@ -224,7 +224,7 @@ def test_contrapositive_unimplied_goal_never_witnessed():
         nvars = 5
         hyp = CnfFormula.of(
             nvars,
-            sorted(graph.hypothesis_clauses(), key=lambda c: tuple(sorted(c.signed()))),
+            sorted(graph.hypotheses, key=lambda c: tuple(sorted(c.signed()))),
         )
         # Perturb the goal to a random clause; test only unimplied ones.
         k = rng.randint(0, 2)
@@ -237,7 +237,7 @@ def test_contrapositive_unimplied_goal_never_witnessed():
         if tid is None:
             continue
         retargeted = ProofGraph(
-            graph.formula_vertices, graph.inference_vertices, graph.hypothesis_ids, tid
+            graph.formula_vertices, graph.inference_vertices, graph.hypotheses, tid
         )
         assert not find_witness(retargeted).witnessed
     assert found > 20
@@ -324,7 +324,7 @@ def test_trace_php_returns_falsified_hypothesis():
         alpha = Assignment({v: rng.randint(0, 1) for v in range(1, nvars + 1)})
         vid, steps = _trace_with_stats(graph, flow, graph.goal_id, alpha)
         found = graph.formula(vid).clause
-        assert found in graph.hypothesis_clauses()
+        assert found in graph.hypotheses
         assert not evaluate(found, alpha)
         assert steps <= flow.total()
 
@@ -343,7 +343,7 @@ def test_trace_totality_random_proofs():
         if falsifier is None:
             continue
         vid, steps = _trace_with_stats(graph, flow, graph.goal_id, falsifier)
-        assert graph.formula(vid).clause in graph.hypothesis_clauses()
+        assert graph.formula(vid).clause in graph.hypotheses
         assert not evaluate(graph.formula(vid).clause, falsifier)
         assert steps <= flow.total()
         checked += 1
@@ -402,7 +402,8 @@ def test_forged_certificate_rejected():
 def test_certificate_for_another_goal_rejected():
     graph, flow = single_cut()
     cert = dual_certificate(graph, flow)
-    moved = dataclasses.replace(graph, goal_id=next(iter(graph.hypothesis_ids)))
+    moved = dataclasses.replace(graph, goal_id=next(
+        v.id for v in graph.formula_vertices if v.clause in graph.hypotheses))
     assert not verify_dual_certificate(moved, cert)
 
 

@@ -137,7 +137,7 @@ def test_cres_malformed_rule_line():
 
 
 def test_cres_missing_goal():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"^line 1: missing goal mark$"):
         parse_cres("p cres 1 0\nf 0 1 0\n")
 
 
@@ -247,14 +247,57 @@ def test_sap_basic_index_error_names_the_file_token():
 
 
 def test_sap_header_and_term_errors():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"^line 3: unknown reference tag 'Q'$"):
         parse_sap("p sap 1 0\ng 0\nt 1 ; Q 1\n")
-    with pytest.raises(ParseError):
-        parse_sap("p sap 1 0\ng 0\nt 0 ; B one\n")  # nonpositive coefficient
-    with pytest.raises(ParseError):
-        parse_sap("p sap 1 1\ng 0\n")  # hypothesis count mismatch
-    with pytest.raises(ParseError):
-        parse_sap("p sap 1 0\nt 1 ; B one\n")  # no goal
+    with pytest.raises(ParseError, match=r"^line 3: term coefficient must be positive, got 0$"):
+        parse_sap("p sap 1 0\ng 0\nt 0 ; B one\n")
+    with pytest.raises(ParseError,
+                       match=r"^line 1: header declares 1 hypotheses but file has 0$"):
+        parse_sap("p sap 1 1\ng 0\n")
+    with pytest.raises(ParseError, match=r"^line 1: missing goal line$"):
+        parse_sap("p sap 1 0\nt 1 ; B one\n")
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_dimacs, "p cnf 1\n", "line 1: header must be 'p cnf <vars> <clauses>'"),
+    (parse_dimacs, "p cnf x 1\n", "line 1: expected integer, got 'x'"),
+    (parse_dimacs, "p cnf 1 1\n1\n", "line 2: clause line must end with 0"),
+    (parse_dimacs, "p cnf 1 1\n0 1 0\n", "line 2: literal 0 may only terminate the clause"),
+    (parse_dimacs, "p cnf 1 1\nx 0\n", "line 2: clause literals must be integers"),
+    (parse_dimacs, "p cnf 1 2\n1 0\n", "line 1: header declares 2 clauses but file has 1"),
+    (parse_cres, "p cres 2 0\nf 0 0\ng 0\n",
+     "line 1: header declares 2 formula and 0 inference vertices but file has 1 and 0"),
+    (parse_cres, "p cres 1 0\nf\ng 0\n",
+     "line 2: clause label line must be 'f <id> <lit> ... 0'"),
+    (parse_cres, "p cres 1 1\nf 0 0\ni 0 ax\ng 0\n", "line 3: truncated inference line"),
+    (parse_cres, "p cres 1 1\nf 0 0\ni 0 split 1 0\ng 0\n",
+     "line 3: split takes one antecedent id and one or two consequent ids"),
+    (parse_cres, "p cres 1 0\nf 0 0\nh 0 0\ng 0\n", "line 3: hypothesis mark must be 'h <fid>'"),
+    (parse_cres, "p cres 1 0\nf 0 0\ng\n", "line 3: goal mark must be 'g <fid>'"),
+    (parse_cres, "p cres 1 0\nf 0 0\ng 0\ng 0\n", "line 4: duplicate goal mark"),
+    (parse_cres, "p cres 1 0\nf 0 0\ng 5\n", "line 3: goal mark names no formula vertex 5"),
+    (parse_cres, "p cres 1 0\nf 0 0\nx 1\ng 0\n", "line 3: unknown line tag 'x'"),
+    (parse_cres, "p cres 1 0\nf 0 0\ng 0\nw 0\n", "line 4: flow line must be 'w <iid> <flow>'"),
+    (parse_cres, "p cres 1 0\nf 0 0\ng 0\nw 0 a\n", "line 4: bad rational 'a'"),
+    (parse_cres, "p cres 1 0\nf 0 0\ng 0\nw 0 1/0\n", "line 4: zero denominator in '1/0'"),
+    (parse_cres, "p cres 2 2\nf 0 0\nf 1 1 -1 0\ni 0 ax 1 1\ni 1 split 1 0 1\ng 0\nw 0 1\n",
+     "line 1: flow lines missing inference ids [1]"),
+    (parse_sap, "p sap 1 0\ng 1 0\ng 1 0\n", "line 3: duplicate goal line"),
+    (parse_sap, "p sap 1 0\ng 0\nx\n", "line 3: unknown line tag 'x'"),
+    (parse_sap, "p sap 1 0\ng 0\nt 1 1 B one\n",
+     "line 3: term line needs a ';' before its reference"),
+    (parse_sap, "p sap 1 0\ng 0\nt 1 1 ;\n", "line 3: missing reference polynomial"),
+    (parse_sap, "p sap 1 0\ng 0\nt 1 ; B xxsq\n", "line 3: 'B xxsq' needs an index"),
+], ids=["dimacs-header-form", "dimacs-count", "dimacs-no-0", "dimacs-inner-0",
+        "dimacs-literal", "dimacs-clause-count", "cres-vertex-count", "cres-f-alone", "cres-truncated",
+        "cres-split-arity", "cres-h-arity", "cres-g-arity", "cres-second-goal",
+        "cres-goal-unknown", "cres-tag", "cres-w-arity", "cres-w-rational",
+        "cres-w-zero-denominator", "cres-w-missing", "sap-second-goal", "sap-tag",
+        "sap-no-separator", "sap-no-reference", "sap-basic-without-index"])
+def test_parse_error_names_its_line_and_text(parse, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
 
 
 def test_sap_monomial_exponents():

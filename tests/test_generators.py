@@ -91,7 +91,7 @@ def test_php_refutation_marks_the_formula_as_hypotheses():
     graphs.append(BipartiteGraph(3, 2, frozenset({(1, 1), (2, 1), (3, 1)})))
     for g in graphs:
         graph, _ = php_refutation(g)
-        assert set(graph.hypothesis_clauses()) == set(gen_php(g).clauses)
+        assert graph.hypotheses == set(gen_php(g).clauses)
 
 
 def test_php_refutation_sparse_graph():
@@ -152,7 +152,7 @@ def test_unsound_cycle_shape():
     assert len(graph.formula_vertices) == 4
     assert len(graph.inference_vertices) == 4
     assert graph.goal_clause().is_empty
-    assert not graph.hypothesis_ids
+    assert not graph.hypotheses
 
 
 def test_random_proof_deterministic():
@@ -179,7 +179,7 @@ def test_random_proofs_sound_against_oracle():
     for seed in range(150):
         graph, flow = random_circular_proof(seed, 5, 9)
         hyp = CnfFormula.of(
-            5, sorted(graph.hypothesis_clauses(), key=lambda c: tuple(sorted(c.signed())))
+            5, sorted(graph.hypotheses, key=lambda c: tuple(sorted(c.signed())))
         )
         assert implies_oracle(hyp, graph.goal_clause()), seed
 

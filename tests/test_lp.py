@@ -340,11 +340,9 @@ def _search_case(seed, dropped):
 def _witness_case(dropped):
     g = complete_bipartite(7, 6)
     cnf = gen_php(g)
-    hyp_clauses = set(cnf.clauses[1:] if dropped else cnf.clauses)
     graph, _ = php_refutation(g)
-    graph = dataclasses.replace(graph, hypothesis_ids=frozenset(
-        v.id for v in graph.formula_vertices if v.clause in hyp_clauses
-    ))
+    graph = dataclasses.replace(
+        graph, hypotheses=frozenset(cnf.clauses[1:] if dropped else cnf.clauses))
     return lambda: find_witness(graph)
 
 

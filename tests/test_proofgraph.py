@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from circres.core import Clause
 from circres.flowcheck import verify_flow
+from circres.formats import serialize_cres
 from circres.generators import random_circular_proof, unsound_cycle_example
 from circres.proofgraph import (
     AXIOM,
@@ -112,7 +113,7 @@ def test_validation_order_invariant():
         shuffled = ProofGraph(
             tuple(reversed(graph.formula_vertices)),
             tuple(reversed(graph.inference_vertices)),
-            graph.hypothesis_ids,
+            graph.hypotheses,
             graph.goal_id,
         )
         assert validate_rules(graph) == []
@@ -199,7 +200,7 @@ def test_integer_balances_agree_with_fraction_sums(seed, budget, bare, data):
     # same formula vertices with no inference vertices at all.
     graph, _ = random_circular_proof(seed, 5, budget)
     if bare:
-        graph = ProofGraph(graph.formula_vertices, (), graph.hypothesis_ids, graph.goal_id)
+        graph = ProofGraph(graph.formula_vertices, (), graph.hypotheses, graph.goal_id)
     flows = {
         w.id: Fraction(data.draw(st.integers(1, 40)), data.draw(st.integers(1, 12)))
         for w in graph.inference_vertices
@@ -210,7 +211,7 @@ def test_integer_balances_agree_with_fraction_sums(seed, budget, bare, data):
     sources, sinks = sources_and_sinks(graph, flow)
     assert sources == {u for u, b in expected.items() if b < 0}
     assert sinks == {u for u, b in expected.items() if b > 0}
-    hyps = graph.hypothesis_clauses()
+    hyps = graph.hypotheses
     witnessed = expected[graph.goal_id] > 0 and all(
         expected[v.id] >= 0 or v.clause in hyps for v in graph.formula_vertices
     )
@@ -258,12 +259,14 @@ def test_dot_with_flows_reparses():
     _check_dot_shape(export_dot(graph, flow))
 
 
-def test_mark_hypotheses_skips_fresh_copies():
+def test_fresh_copy_of_a_hypothesis_is_a_hypothesis():
     b = ProofGraphBuilder()
     x = b.vertex(clause(1))
-    b.vertex(clause(1), fresh=True)
+    copy = b.vertex(clause(1), fresh=True)
     goal = b.vertex(clause(2))
     b.mark_hypotheses({clause(1), clause(3)})
     b.set_goal(goal)
     graph, _ = b.build()
-    assert graph.hypothesis_ids == frozenset({x})
+    assert graph.hypotheses == {clause(1)}
+    marks = [line for line in serialize_cres(graph).splitlines() if line.startswith("h ")]
+    assert marks == [f"h {x}", f"h {copy}"]

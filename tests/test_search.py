@@ -74,8 +74,7 @@ def test_goal_that_is_a_hypothesis_gets_the_identity_proof(cnf, goal):
     graph, flow = circular_search(cnf, goal, width)
     assert validate_rules(graph) == [] and verify_flow(graph, flow)
     assert graph.goal_clause() == goal and graph.width == width
-    assert graph.goal_id not in graph.hypothesis_ids
-    assert graph.hypothesis_clauses() == {goal}
+    assert graph.hypotheses == {goal}
     assert _lattice_search(cnf, goal, width)
 
 
@@ -232,7 +231,7 @@ def _assert_search_matches_lattice(cnf: CnfFormula, goal: Clause, width: int) ->
         assert verify_flow(graph, flow)
         assert graph.width <= width
         assert graph.goal_clause() == goal
-        assert graph.hypothesis_clauses() <= set(cnf.clauses)
+        assert graph.hypotheses <= set(cnf.clauses)
 
 
 def test_search_matches_lattice_flow_program_on_random_cnfs():

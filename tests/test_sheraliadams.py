@@ -391,7 +391,7 @@ def test_round_trip_random_proofs():
         assert verify_flow(g2, f2), seed
         assert g2.width == sa_degree(proof), seed
         hyps = CnfFormula.of(
-            6, sorted(g2.hypothesis_clauses(), key=lambda c: tuple(sorted(c.signed())))
+            6, sorted(g2.hypotheses, key=lambda c: tuple(sorted(c.signed())))
         )
         assert implies_oracle(hyps, g2.goal_clause()), seed
 
