@@ -3,7 +3,6 @@ pigeonhole refutation generators, polynomial-proof translations, and
 bounded-width proof search."""
 
 from .core import (
-    Assignment,
     Clause,
     CnfFormula,
     evaluate,
@@ -12,7 +11,6 @@ from .core import (
 from .flowcheck import (
     CheckReport,
     DualCertificate,
-    FlowAssignment,
     dual_certificate,
     find_witness,
     integralize,

@@ -1,4 +1,4 @@
-"""Clauses, CNF formulas, assignments, and brute-force semantic oracles.
+"""Clauses, CNF formulas, their evaluation, and brute-force semantic oracles.
 
 Variables are dense positive integers.  A literal is a nonzero signed
 integer, ``v`` for ``x_v`` and ``-v`` for ``~x_v``; a clause is a sorted,
@@ -7,7 +7,8 @@ phase first (:func:`literal_key`, the one canonical order of the package).
 Tautological clauses (containing some ``x`` together with ``~x``) are legal
 first-class values and carry a queryable flag, since elementary tautologies
 ``x | ~x`` arise as rule consequents.  The empty clause is a valid clause of
-width 0 and is false under every assignment.
+width 0 and is false under every assignment.  A truth assignment is a plain
+mapping from each variable to 0 or 1.
 
 All values here are immutable after construction and all operations are pure.
 :class:`Clause`, like the other values built per clause, vertex, term or LP
@@ -19,7 +20,7 @@ like that plain tuple; no set or dict of the package mixes the two.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 # Exhaustive oracles refuse instances above this many variables.
@@ -156,36 +157,25 @@ class CnfFormula:
         return CnfFormula(num_variables, tuple(clauses))
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """A total truth assignment, mapping variables to 0 or 1."""
-
-    values: Mapping[int, int] = field(default_factory=dict)
-
-    def value(self, variable: int) -> int:
+def evaluate(clause: Clause, alpha: Mapping[int, int]) -> bool:
+    """True iff some literal of ``clause`` is satisfied under ``alpha``, a
+    map from each variable to 0 or 1; the empty clause is false."""
+    for lit in clause.literals:
         try:
-            return self.values[variable]
+            value = alpha[abs(lit)]
         except KeyError:
             raise IncompleteAssignmentError(
-                f"assignment does not cover variable {variable}"
+                f"assignment does not cover variable {abs(lit)}"
             ) from None
-
-    def satisfies(self, lit: int) -> bool:
-        return bool(self.value(abs(lit))) == (lit > 0)
-
-    @staticmethod
-    def from_bits(bits: Iterable[int]) -> "Assignment":
-        return Assignment({i + 1: int(b) for i, b in enumerate(bits)})
+        if bool(value) == (lit > 0):
+            return True
+    return False
 
 
-def evaluate(clause: Clause, alpha: Assignment) -> bool:
-    """True iff some literal of ``clause`` is satisfied; the empty clause is false."""
-    return any(alpha.satisfies(lit) for lit in clause.literals)
-
-
-def all_assignments(num_variables: int) -> Iterator[Assignment]:
+def all_assignments(num_variables: int) -> Iterator[dict[int, int]]:
+    """Every map from ``1..num_variables`` to 0 or 1, in lexicographic order."""
     for bits in itertools.product((0, 1), repeat=num_variables):
-        yield Assignment.from_bits(bits)
+        yield dict(enumerate(bits, 1))
 
 
 def implies_oracle(hypotheses: CnfFormula, goal: Clause) -> bool:

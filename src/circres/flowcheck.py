@@ -19,12 +19,11 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, Mapping, Optional
 
 from . import lp
-from .core import Assignment, evaluate
+from .core import evaluate
 from .proofgraph import (
-    FlowAssignment,
     IncompleteFlowError,
     ProofGraph,
     RuleViolation,
@@ -57,7 +56,7 @@ class CheckReport:
     the balances under that flow."""
 
     graph: ProofGraph
-    flow: Optional[FlowAssignment]
+    flow: Optional[dict[int, Fraction]]
     balances: dict[int, Fraction]
 
     @property
@@ -103,7 +102,7 @@ def _goal_candidates(graph: ProofGraph) -> Iterator[ProofGraph]:
             yield dataclasses.replace(graph, goal_id=v.id)
 
 
-def find_witness(graph: ProofGraph, flow: Optional[FlowAssignment] = None) -> CheckReport:
+def find_witness(graph: ProofGraph, flow: Optional[dict[int, Fraction]] = None) -> CheckReport:
     """Certify a proof graph: validate its rules once, then find a witness.
 
     Raises :class:`ValidationError` on rule violations.  The goal clause may
@@ -125,17 +124,17 @@ def find_witness(graph: ProofGraph, flow: Optional[FlowAssignment] = None) -> Ch
         program, order = _witness_program(candidate)
         point = lp.feasible(program)
         if point is not None:
-            found = FlowAssignment({iid: point[k] for k, iid in enumerate(order)})
+            found = {iid: point[k] for k, iid in enumerate(order)}
             return CheckReport(candidate, found, balances(candidate, found))
     return CheckReport(graph, None, {})
 
 
-def verify_flow(graph: ProofGraph, flow: FlowAssignment) -> bool:
+def verify_flow(graph: ProofGraph, flow: dict[int, Fraction]) -> bool:
     """Arithmetic re-check, no solver: positive total flow, hypothesis-only
     sources, strictly positive balance at ``graph.goal_id``."""
-    if not flow.is_total(graph):
+    if any(w.id not in flow for w in graph.inference_vertices):
         raise IncompleteFlowError("flow assignment does not cover all inference vertices")
-    if not flow.is_positive():
+    if not all(f > 0 for f in flow.values()):
         return False
     bal, _ = balance_numerators(graph, flow)
     for v in graph.formula_vertices:
@@ -144,7 +143,7 @@ def verify_flow(graph: ProofGraph, flow: FlowAssignment) -> bool:
     return bal[graph.goal_id] > 0
 
 
-def integralize(graph: ProofGraph, flow: FlowAssignment) -> FlowAssignment:
+def integralize(graph: ProofGraph, flow: dict[int, Fraction]) -> dict[int, Fraction]:
     """Scale a witnessing flow to positive integers.
 
     Uniform positive scaling by the common denominator preserves the sign of
@@ -152,35 +151,30 @@ def integralize(graph: ProofGraph, flow: FlowAssignment) -> FlowAssignment:
     """
     if not verify_flow(graph, flow):
         raise NotWitnessError("flow assignment does not witness the proof")
-    scale = math.lcm(*(f.denominator for f in flow.flows.values())) if flow.flows else 1
-    return FlowAssignment({iid: f * scale for iid, f in flow.flows.items()})
+    scale = math.lcm(*(f.denominator for f in flow.values()))
+    return {iid: f * scale for iid, f in flow.items()}
 
 
-def trace_falsified_source(graph: ProofGraph, integral_flow: FlowAssignment,
-                           sink_id: int, alpha: Assignment) -> int:
-    """Walk from a falsified sink to a falsified source.
+def trace_falsified_source(graph: ProofGraph, integral_flow: dict[int, Fraction],
+                           sink_id: int, alpha: Mapping[int, int]) -> tuple[int, int]:
+    """Walk from a sink that ``alpha`` falsifies to a falsified source.
 
     Works on a private copy of the integral flow: at each step it picks an
     in-neighbour ``r`` of the current falsified sink, moves to a falsified
     antecedent of ``r``, and removes ``min(balance(sink), flow(r))`` units of
     flow through ``r``.  The total flow strictly decreases each step, so the
-    walk terminates; it stops at the first vertex of negative balance, which
-    is returned.
+    walk terminates; it stops at the first vertex of negative balance.
+    Returns that vertex's id and the number of reductions made, which is at
+    most the total flow.
     """
-    vid, _ = _trace_with_stats(graph, integral_flow, sink_id, alpha)
-    return vid
-
-
-def _trace_with_stats(graph: ProofGraph, integral_flow: FlowAssignment,
-                      sink_id: int, alpha: Assignment) -> tuple[int, int]:
-    if not integral_flow.is_total(graph):
+    if any(w.id not in integral_flow for w in graph.inference_vertices):
         raise IncompleteFlowError("flow assignment does not cover all inference vertices")
-    if not integral_flow.is_integral() or not integral_flow.is_positive():
+    if not all(f > 0 and f.denominator == 1 for f in integral_flow.values()):
         raise PreconditionError("tracer requires positive integral flows")
     if evaluate(graph.formula(sink_id).clause, alpha):
         raise PreconditionError("assignment satisfies the sink clause")
 
-    flows = dict(integral_flow.flows)
+    flows = dict(integral_flow)
     bal = balances(graph, integral_flow)
     if bal[sink_id] <= 0:
         raise PreconditionError("sink vertex must have strictly positive balance")
@@ -191,7 +185,7 @@ def _trace_with_stats(graph: ProofGraph, integral_flow: FlowAssignment,
         # Invariant: alpha falsifies clause(s) and bal[s] > 0.
         r = None
         for cand in sorted(graph.producers(s)):
-            if flows.get(cand, Fraction(0)) > 0:
+            if flows[cand] > 0:
                 r = cand
                 break
         if r is None:
@@ -236,7 +230,7 @@ class DualCertificate:
     rule_multipliers: dict[int, Fraction]
 
 
-def dual_certificate(graph: ProofGraph, flow: FlowAssignment) -> DualCertificate:
+def dual_certificate(graph: ProofGraph, flow: dict[int, Fraction]) -> DualCertificate:
     """Multipliers ``balance(u)/balance(goal)`` and ``flow(w)/balance(goal)``.
 
     Sources take weight ``-balance/balance(goal)`` so every multiplier is

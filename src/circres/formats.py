@@ -48,7 +48,6 @@ from .proofgraph import (
     AXIOM,
     CUT,
     SPLIT,
-    FlowAssignment,
     FormulaVertex,
     InferenceVertex,
     ProofGraph,
@@ -167,7 +166,7 @@ _KIND_NAMES = {AXIOM: "ax", CUT: "cut", SPLIT: "split"}
 _NAME_KINDS = {v: k for k, v in _KIND_NAMES.items()}
 
 
-def parse_cres(text: str) -> tuple[ProofGraph, Optional[FlowAssignment]]:
+def parse_cres(text: str) -> tuple[ProofGraph, Optional[dict[int, Fraction]]]:
     formulas: list[FormulaVertex] = []
     inferences: list[InferenceVertex] = []
     hyp_marks: list[tuple[int, int]] = []
@@ -262,7 +261,7 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[FlowAssignment]]:
         missing = [w.id for w in graph.inference_vertices if w.id not in flows]
         if missing:
             raise ParseError(header_line, f"flow lines missing inference ids {missing}")
-        return graph, FlowAssignment(flows)
+        return graph, flows
     return graph, None
 
 
@@ -288,13 +287,9 @@ def _rejected_line(text: str, formulas: list[FormulaVertex],
     return next(no for v, no in lines["i"] if v == bad)
 
 
-def _fmt_fraction(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def serialize_cres(
     graph: ProofGraph,
-    flow: Optional[FlowAssignment] = None,
+    flow: Optional[dict[int, Fraction]] = None,
     comments: list[str] | None = None,
 ) -> str:
     out = [f"c {line}" for line in (comments or [])]
@@ -312,7 +307,7 @@ def serialize_cres(
     out.append(f"g {graph.goal_id}")
     if flow is not None:
         for w in sorted(graph.inference_vertices, key=lambda w: w.id):
-            out.append(f"w {w.id} {_fmt_fraction(flow[w.id])}")
+            out.append(f"w {w.id} {flow[w.id]}")
     return "\n".join(out) + "\n"
 
 
@@ -434,5 +429,5 @@ def serialize_sap(proof: SAProof, comments: list[str] | None = None) -> str:
             ref = f"B {t.ref.kind} {t.ref.index}"
         mono = _mono_tokens(t.monomial)
         middle = f" {mono}" if mono else ""
-        out.append(f"t {_fmt_fraction(t.coefficient)}{middle} ; {ref}")
+        out.append(f"t {t.coefficient}{middle} ; {ref}")
     return "\n".join(out) + "\n"

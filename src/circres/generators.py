@@ -26,7 +26,6 @@ from .core import Clause, CnfFormula
 from .proofgraph import (
     CUT,
     SPLIT,
-    FlowAssignment,
     ProofGraph,
     ProofGraphBuilder,
 )
@@ -159,7 +158,7 @@ def _add_hole_piece(b: ProofGraphBuilder, ys: Sequence[int]) -> None:
         b.inference(SPLIT, y, (_vertex(b, *rest),), (_vertex(b, y, *rest), _vertex(b, -y, *rest)))
 
 
-def php_refutation(g: BipartiteGraph) -> tuple[ProofGraph, FlowAssignment]:
+def php_refutation(g: BipartiteGraph) -> tuple[ProofGraph, dict[int, Fraction]]:
     """Pieced refutation of the pigeonhole contradiction, all flows 1.
 
     Requires more pigeons than holes and raises :class:`IsolatedVertexError`
@@ -245,7 +244,7 @@ def unsound_cycle_example() -> ProofGraph:
 # ---------------------------------------------------------------------------
 # random witnessed proofs
 
-def _demand_flows(graph: ProofGraph) -> FlowAssignment:
+def _demand_flows(graph: ProofGraph) -> dict[int, Fraction]:
     """Flows for a dag-built graph: walk inferences newest-first, covering the
     accumulated demand of each consequent (at least 1 everywhere)."""
     deficit = {v.id: Fraction(0) for v in graph.formula_vertices}
@@ -258,7 +257,7 @@ def _demand_flows(graph: ProofGraph) -> FlowAssignment:
             deficit[u] -= need
         for u in w.in_neighbors:
             deficit[u] += need
-    return FlowAssignment(flows)
+    return flows
 
 
 # Far above the longest stall of a run that finishes: under 170 draws in a row
@@ -271,7 +270,7 @@ def random_circular_proof(
     num_vars: int,
     size_budget: int,
     max_width: int = 4,
-) -> tuple[ProofGraph, FlowAssignment]:
+) -> tuple[ProofGraph, dict[int, Fraction]]:
     """Deterministic random witnessed proof with ``size_budget`` inferences.
 
     Built dag-like (every consequent vertex is created by its rule), flows

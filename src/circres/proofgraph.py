@@ -1,5 +1,6 @@
 """Circular pre-proof graphs: rules axiom / symmetric cut / split, plus local
-rule validation, flow assignments and their balances, and DOT export.
+rule validation, the balances of a flow, and DOT export.  A flow is a plain
+``dict`` from each inference-vertex id to a positive ``Fraction``.
 
 A proof graph is a directed bipartite graph between formula vertices (each
 holding a clause) and inference vertices (each holding a rule).  Cycles are
@@ -216,39 +217,14 @@ def validate_rules(graph: ProofGraph) -> list[RuleViolation]:
     return out
 
 
-@dataclass(frozen=True)
-class FlowAssignment:
-    """Positive rational flow per inference vertex id."""
-
-    flows: dict[int, Fraction]
-
-    def __getitem__(self, iid: int) -> Fraction:
-        try:
-            return self.flows[iid]
-        except KeyError:
-            raise IncompleteFlowError(f"no flow for inference vertex {iid}") from None
-
-    def is_total(self, graph: ProofGraph) -> bool:
-        return all(w.id in self.flows for w in graph.inference_vertices)
-
-    def is_positive(self) -> bool:
-        return all(f > 0 for f in self.flows.values())
-
-    def is_integral(self) -> bool:
-        return all(f.denominator == 1 for f in self.flows.values())
-
-    def total(self) -> Fraction:
-        return sum(self.flows.values(), Fraction(0))
-
-    @staticmethod
-    def uniform(graph: ProofGraph) -> "FlowAssignment":
-        return FlowAssignment({w.id: Fraction(1) for w in graph.inference_vertices})
-
-
-def balance_numerators(graph: ProofGraph, flow: FlowAssignment) -> tuple[dict[int, int], int]:
+def balance_numerators(graph: ProofGraph,
+                       flow: dict[int, Fraction]) -> tuple[dict[int, int], int]:
     """Inflow minus outflow of every formula vertex, summed in one sweep as
     integer numerators over ``den > 0``, the lcm of the flows' denominators."""
-    flows = [(w, flow[w.id]) for w in graph.inference_vertices]
+    try:
+        flows = [(w, flow[w.id]) for w in graph.inference_vertices]
+    except KeyError as missing:
+        raise IncompleteFlowError(f"no flow for inference vertex {missing.args[0]}") from None
     den = math.lcm(*(f.denominator for _, f in flows))
     acc = {v.id: 0 for v in graph.formula_vertices}
     for w, f in flows:
@@ -260,14 +236,14 @@ def balance_numerators(graph: ProofGraph, flow: FlowAssignment) -> tuple[dict[in
     return acc, den
 
 
-def balances(graph: ProofGraph, flow: FlowAssignment) -> dict[int, Fraction]:
+def balances(graph: ProofGraph, flow: dict[int, Fraction]) -> dict[int, Fraction]:
     """Inflow minus outflow of every formula vertex (see :func:`balance_numerators`)."""
     acc, den = balance_numerators(graph, flow)
     return {u: Fraction(a, den) for u, a in acc.items()}
 
 
 def sources_and_sinks(graph: ProofGraph,
-                      flow: FlowAssignment) -> tuple[frozenset[int], frozenset[int]]:
+                      flow: dict[int, Fraction]) -> tuple[frozenset[int], frozenset[int]]:
     """Partition formula vertices by balance sign; zero-balance vertices in neither."""
     bal, _ = balance_numerators(graph, flow)
     sources = frozenset(u for u, b in bal.items() if b < 0)
@@ -279,7 +255,7 @@ def _dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def export_dot(graph: ProofGraph, flow: Optional[FlowAssignment] = None) -> str:
+def export_dot(graph: ProofGraph, flow: Optional[dict[int, Fraction]] = None) -> str:
     """Render the graph as a DOT digraph.
 
     Formula vertices are boxes, marked ``hyp`` when their clause is a
@@ -426,7 +402,8 @@ class ProofGraphBuilder:
     def num_inferences(self) -> int:
         return len(self._inferences)
 
-    def build(self) -> tuple[ProofGraph, FlowAssignment]:
+    def build(self) -> tuple[ProofGraph, dict[int, Fraction]]:
+        """The graph and a copy of its flows, so building twice is safe."""
         if self._goal is None:
             raise ValueError("goal vertex was never set")
         graph = ProofGraph(
@@ -435,4 +412,4 @@ class ProofGraphBuilder:
             frozenset(self._hypotheses),
             self._goal,
         )
-        return graph, FlowAssignment(dict(self._flows))
+        return graph, dict(self._flows)

@@ -55,7 +55,7 @@ from typing import Optional
 from . import lp
 from .core import Clause, CnfFormula, clause_mask, literal_key, mask_literals, positive_mask
 from .flowcheck import verify_flow
-from .proofgraph import CUT, SPLIT, FlowAssignment, ProofGraph, ProofGraphBuilder
+from .proofgraph import CUT, SPLIT, ProofGraph, ProofGraphBuilder
 
 DEFAULT_ROW_BUDGET = 2_000_000
 
@@ -137,7 +137,7 @@ def circular_search(
     goal: Clause,
     width: int,
     row_budget: int = DEFAULT_ROW_BUDGET,
-) -> Optional[tuple[ProofGraph, FlowAssignment]]:
+) -> Optional[tuple[ProofGraph, dict[int, Fraction]]]:
     """Search for a width-bounded circular proof of ``goal`` by linear feasibility.
 
     Solves the degree-``width`` Sherali-Adams program over clause balances

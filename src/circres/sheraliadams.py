@@ -57,7 +57,6 @@ from .proofgraph import (
     AXIOM,
     CUT,
     SPLIT,
-    FlowAssignment,
     ProofGraph,
     ProofGraphBuilder,
     balance_numerators,
@@ -458,7 +457,7 @@ def _rule_terms(w, coef: Fraction, mono: dict[int, Monomial]) -> list[SATerm]:
     return clause_gadget(1, MONOMIAL_ONE, x, coef)
 
 
-def circular_to_sa(graph: ProofGraph, flow: FlowAssignment) -> SAProof:
+def circular_to_sa(graph: ProofGraph, flow: dict[int, Fraction]) -> SAProof:
     """Rewrite a flow-checked circular proof as a polynomial identity.
 
     Every inference vertex contributes its rule polynomial weighted by
@@ -512,7 +511,7 @@ def circular_to_sa(graph: ProofGraph, flow: FlowAssignment) -> SAProof:
 # ---------------------------------------------------------------------------
 # polynomial proof -> circular proof
 
-def sa_to_circular(proof: SAProof) -> tuple[ProofGraph, FlowAssignment]:
+def sa_to_circular(proof: SAProof) -> tuple[ProofGraph, dict[int, Fraction]]:
     """Read a checked polynomial proof as a circular proof of its goal.
 
     Each term ``a * q * P`` becomes weight ``a`` on rules or slack around

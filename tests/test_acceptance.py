@@ -13,13 +13,12 @@ from fractions import Fraction
 import pytest
 
 from circres.cli import main as cli_main
-from circres.core import Assignment, Clause, CnfFormula, evaluate, implies_oracle
+from circres.core import Clause, CnfFormula, evaluate, implies_oracle
 from circres.flowcheck import (
-    FlowAssignment,
-    _trace_with_stats,
     certificate_combination,
     dual_certificate,
     integralize,
+    trace_falsified_source,
     verify_dual_certificate,
     verify_flow,
 )
@@ -171,13 +170,12 @@ def test_criterion_05_tracer_totality(random_proofs):
         values = {v: rng.randint(0, 1) for v in range(1, RANDOM_VARS + 1)}
         for lit in goal.literals:
             values[abs(lit)] = 0 if lit > 0 else 1
-        alpha = Assignment(values)
-        assert not evaluate(goal, alpha)
-        vid, steps = _trace_with_stats(graph, integral, graph.goal_id, alpha)
+        assert not evaluate(goal, values)
+        vid, steps = trace_falsified_source(graph, integral, graph.goal_id, values)
         found = graph.formula(vid).clause
         assert found in graph.hypotheses
-        assert not evaluate(found, alpha)
-        assert steps <= integral.total()
+        assert not evaluate(found, values)
+        assert steps <= sum(integral.values())
         done += 1
     assert done == TRACE_PAIRS
     print(
@@ -275,13 +273,13 @@ def test_criterion_09_integral_flows(php_proofs, random_proofs):
     for _, graph, flow in php_proofs.values():
         integral = integralize(graph, flow)
         bound = math.factorial(graph.length)
-        assert all(f.denominator == 1 and 0 < f <= bound for f in integral.flows.values())
+        assert all(f.denominator == 1 and 0 < f <= bound for f in integral.values())
         assert sources_and_sinks(graph, flow) == sources_and_sinks(graph, integral)
         checked += 1
     for graph, flow in random_proofs[:200]:
         integral = integralize(graph, flow)
         bound = math.factorial(graph.length)
-        assert all(f.denominator == 1 and 0 < f <= bound for f in integral.flows.values())
+        assert all(f.denominator == 1 and 0 < f <= bound for f in integral.values())
         assert sources_and_sinks(graph, flow) == sources_and_sinks(graph, integral)
         checked += 1
     print(

@@ -1,9 +1,11 @@
-"""Every input error that the parsers and the CLI raise is run by a test.
+"""Every error that the parsers, the CLI and the checking core raise is run
+by a test.
 
-The literal text of each ``raise ParseError(...)`` in ``formats.py`` and of
-each ``raise UsageError(...)`` in ``cli.py`` appears in some test file; an
-f-string stands for its longest constant part.  A message that no test names
-is an input path that no test runs.
+The literal text of each ``raise ParseError(...)`` in ``formats.py``, of
+each ``raise UsageError(...)`` in ``cli.py``, and of every raise but an
+``AssertionError`` in ``core.py``, ``proofgraph.py`` and ``flowcheck.py``
+appears in some test file; an f-string stands for its longest constant part.
+A message that no test names is an error path that no test runs.
 """
 
 import ast
@@ -14,8 +16,10 @@ import circres
 PACKAGE = Path(circres.__file__).parent
 TESTS = Path(__file__).resolve().parent
 
-# The raised exception of each module and the position of its message argument.
-RAISES = {"formats.py": ("ParseError", 1), "cli.py": ("UsageError", 0)}
+# The raised exception of each module, ``None`` for any but ``AssertionError``,
+# and the position of its message argument.
+RAISES = {"formats.py": ("ParseError", 1), "cli.py": ("UsageError", 0),
+          "core.py": (None, 0), "proofgraph.py": (None, 0), "flowcheck.py": (None, 0)}
 
 
 def _text(node: ast.expr) -> str | None:
@@ -27,13 +31,16 @@ def _text(node: ast.expr) -> str | None:
     return None
 
 
-def raised_messages(tree: ast.AST, exception: str, position: int) -> list[str]:
-    """The literal text of each ``raise exception(...)`` message argument."""
+def raised_messages(tree: ast.AST, exception: str | None, position: int) -> list[str]:
+    """The literal text of each ``raise exception(...)`` message argument;
+    with ``exception=None``, of each raise but an ``AssertionError``."""
     found = []
     for node in ast.walk(tree):
         call = node.exc if isinstance(node, ast.Raise) else None
         if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
-                and call.func.id == exception and len(call.args) > position):
+                and (call.func.id == exception if exception
+                     else call.func.id != "AssertionError")
+                and len(call.args) > position):
             text = _text(call.args[position])
             if text:
                 found.append(text)
@@ -59,3 +66,5 @@ def test_the_walk_reads_literals_and_f_strings():
         "raise E('too few arguments')\n"
     )
     assert raised_messages(tree, "E", 1) == ["plain text", " longest part "]
+    assert raised_messages(tree, None, 0) == ["too few arguments"]
+    assert raised_messages(ast.parse("raise AssertionError('unreachable')\n"), None, 0) == []

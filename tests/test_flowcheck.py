@@ -6,15 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from circres.core import Assignment, Clause, CnfFormula, all_assignments, evaluate, implies_oracle
+from circres.core import Clause, CnfFormula, all_assignments, evaluate, implies_oracle
 from circres.flowcheck import (
     CheckReport,
     DualCertificate,
-    FlowAssignment,
     NotWitnessError,
     PreconditionError,
     ValidationError,
-    _trace_with_stats,
     certificate_combination,
     dual_certificate,
     find_witness,
@@ -32,6 +30,7 @@ from circres.generators import (
 )
 from circres.proofgraph import (
     FormulaVertex,
+    IncompleteFlowError,
     InferenceVertex,
     ProofGraphBuilder,
     ProofGraph,
@@ -45,6 +44,10 @@ from circres.proofgraph import (
 
 def clause(*ints):
     return Clause.from_ints(*ints)
+
+
+def uniform(graph):
+    return {w.id: Fraction(1) for w in graph.inference_vertices}
 
 
 def single_cut():
@@ -171,26 +174,27 @@ def test_find_witness_moves_the_goal_to_the_witnessed_copy():
 
 def test_find_witness_solves_past_rejected_flows():
     graph, flow = php_refutation(complete_bipartite(3, 2))
-    tampered = FlowAssignment({**flow.flows, 0: Fraction(1000)})
+    tampered = {**flow, 0: Fraction(1000)}
     assert not verify_flow(graph, tampered)
     report = find_witness(graph, tampered)
     assert report.witnessed and report.flow is not tampered
     assert report.flow == find_witness(graph).flow
 
     cycle = unsound_cycle_example()
-    report = find_witness(cycle, FlowAssignment.uniform(cycle))
+    report = find_witness(cycle, uniform(cycle))
     assert not report.witnessed and report.flow is None and report.graph is cycle
 
 
 def test_verify_flow_examples():
     graph, flow = php_refutation(complete_bipartite(4, 3))
     assert verify_flow(graph, flow)
-    zeroed = dict(flow.flows)
-    zeroed[0] = Fraction(0)
-    assert not verify_flow(graph, FlowAssignment(zeroed))
+    assert not verify_flow(graph, {**flow, 0: Fraction(0)})
 
     unsound = unsound_cycle_example()
-    assert not verify_flow(unsound, FlowAssignment.uniform(unsound))
+    assert not verify_flow(unsound, uniform(unsound))
+    with pytest.raises(IncompleteFlowError,
+                       match="flow assignment does not cover all inference vertices"):
+        verify_flow(graph, {})
 
 
 def test_find_witness_agrees_with_verify():
@@ -252,35 +256,31 @@ def test_integralize_clears_denominators():
     b.set_goal(top)
     graph, flow = b.build()
     out = integralize(graph, flow)
-    assert out.flows == {0: Fraction(3), 1: Fraction(2)}
+    assert out == {0: Fraction(3), 1: Fraction(2)}
 
 
 def test_integralize_preserves_source_sink_sets():
     rng = random.Random(7)
     for seed in range(60):
         graph, flow = random_circular_proof(seed, 6, 8)
-        noisy = FlowAssignment(
-            {
-                iid: f * Fraction(rng.randint(1, 5), rng.randint(1, 5))
-                for iid, f in flow.flows.items()
-            }
-        )
+        noisy = {iid: f * Fraction(rng.randint(1, 5), rng.randint(1, 5))
+                 for iid, f in flow.items()}
         if not verify_flow(graph, noisy):
             noisy = flow
         out = integralize(graph, noisy)
-        assert out.is_integral() and out.is_positive()
+        assert all(f.denominator == 1 and f > 0 for f in out.values())
         assert sources_and_sinks(graph, noisy) == sources_and_sinks(graph, out)
 
 
 def test_integralize_unchanged_when_integral():
     graph, flow = single_cut()
-    assert integralize(graph, flow).flows == flow.flows
+    assert integralize(graph, flow) == flow
 
 
 def test_integralize_rejects_nonpositive():
     graph, flow = single_cut()
-    with pytest.raises(NotWitnessError):
-        integralize(graph, FlowAssignment({0: Fraction(0)}))
+    with pytest.raises(NotWitnessError, match="flow assignment does not witness the proof"):
+        integralize(graph, {0: Fraction(0)})
 
 
 # ---------------------------------------------------------------------------
@@ -288,31 +288,41 @@ def test_integralize_rejects_nonpositive():
 
 def test_trace_single_cut():
     graph, flow = single_cut()
-    alpha = Assignment({1: 1})
-    source = trace_falsified_source(graph, flow, graph.goal_id, alpha)
+    source, _ = trace_falsified_source(graph, flow, graph.goal_id, {1: 1})
     assert graph.formula(source).clause == clause(-1)
 
 
 def test_trace_weakening_proof():
     graph, flow = weakening_proof()
-    alpha = Assignment({1: 0, 2: 0})
-    source = trace_falsified_source(graph, flow, graph.goal_id, alpha)
+    source, _ = trace_falsified_source(graph, flow, graph.goal_id, {1: 0, 2: 0})
     assert graph.formula(source).clause == clause(2, 1)
 
 
 def test_trace_requires_falsified_sink():
     graph, flow = weakening_proof()
     # goal clause (x2) satisfied by the assignment: precondition violated
-    with pytest.raises(PreconditionError):
-        trace_falsified_source(graph, flow, graph.goal_id, Assignment({1: 0, 2: 1}))
+    with pytest.raises(PreconditionError, match="assignment satisfies the sink clause"):
+        trace_falsified_source(graph, flow, graph.goal_id, {1: 0, 2: 1})
 
 
 def test_trace_requires_integral_flow():
     graph, _ = single_cut()
-    with pytest.raises(PreconditionError):
-        trace_falsified_source(
-            graph, FlowAssignment({0: Fraction(1, 2)}), graph.goal_id, Assignment({1: 1})
-        )
+    with pytest.raises(PreconditionError, match="tracer requires positive integral flows"):
+        trace_falsified_source(graph, {0: Fraction(1, 2)}, graph.goal_id, {1: 1})
+    with pytest.raises(IncompleteFlowError,
+                       match="flow assignment does not cover all inference vertices"):
+        trace_falsified_source(graph, {}, graph.goal_id, {1: 1})
+
+
+def test_trace_requires_a_sink():
+    # A pigeon clause is a hypothesis the refutation consumes: its balance
+    # is negative, though the all-zero assignment falsifies it.
+    graph, flow = php_refutation(complete_bipartite(3, 2))
+    pigeon = next(v.id for v in graph.formula_vertices
+                  if v.clause in graph.hypotheses and v.clause.literals[0] > 0)
+    with pytest.raises(PreconditionError,
+                       match="sink vertex must have strictly positive balance"):
+        trace_falsified_source(graph, flow, pigeon, {v: 0 for v in range(1, 7)})
 
 
 def test_trace_php_returns_falsified_hypothesis():
@@ -321,12 +331,12 @@ def test_trace_php_returns_falsified_hypothesis():
     rng = random.Random(1)
     nvars = 6
     for _ in range(20):
-        alpha = Assignment({v: rng.randint(0, 1) for v in range(1, nvars + 1)})
-        vid, steps = _trace_with_stats(graph, flow, graph.goal_id, alpha)
+        alpha = {v: rng.randint(0, 1) for v in range(1, nvars + 1)}
+        vid, steps = trace_falsified_source(graph, flow, graph.goal_id, alpha)
         found = graph.formula(vid).clause
         assert found in graph.hypotheses
         assert not evaluate(found, alpha)
-        assert steps <= flow.total()
+        assert steps <= sum(flow.values())
 
 
 def test_trace_totality_random_proofs():
@@ -342,10 +352,10 @@ def test_trace_totality_random_proofs():
                 break
         if falsifier is None:
             continue
-        vid, steps = _trace_with_stats(graph, flow, graph.goal_id, falsifier)
+        vid, steps = trace_falsified_source(graph, flow, graph.goal_id, falsifier)
         assert graph.formula(vid).clause in graph.hypotheses
         assert not evaluate(graph.formula(vid).clause, falsifier)
-        assert steps <= flow.total()
+        assert steps <= sum(flow.values())
         checked += 1
     assert checked > 60
 
@@ -384,6 +394,19 @@ def test_tampered_certificate_rejected():
     assert not verify_dual_certificate(graph, bad)
 
 
+def test_negative_multiplier_rejected():
+    graph, flow = php_refutation(complete_bipartite(3, 2))
+    cert = dual_certificate(graph, flow)
+    assert verify_dual_certificate(graph, cert)
+    u = next(iter(cert.formula_multipliers))
+    w = next(iter(cert.rule_multipliers))
+    for negated in (
+        dataclasses.replace(cert, formula_multipliers={**cert.formula_multipliers, u: -1}),
+        dataclasses.replace(cert, rule_multipliers={**cert.rule_multipliers, w: -1}),
+    ):
+        assert not verify_dual_certificate(graph, negated)
+
+
 def test_forged_certificate_rejected():
     # The unsound cycle has no hypotheses, yet calling x1 and ~x1 sources
     # makes the combination collapse to 0 >= 1.
@@ -410,4 +433,4 @@ def test_certificate_for_another_goal_rejected():
 def test_dual_certificate_requires_witness():
     graph = unsound_cycle_example()
     with pytest.raises(NotWitnessError):
-        dual_certificate(graph, FlowAssignment.uniform(graph))
+        dual_certificate(graph, uniform(graph))

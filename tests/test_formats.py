@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from circres.core import Clause, CnfFormula
-from circres.proofgraph import FlowAssignment
 from circres.formats import (
     ParseError,
     parse_cres,
@@ -76,7 +75,7 @@ def test_cres_round_trip_without_flows():
 
 def test_cres_fraction_flows():
     graph, flow = random_circular_proof(3, 4, 6)
-    doubled = FlowAssignment({k: v / 3 for k, v in flow.flows.items()})
+    doubled = {k: v / 3 for k, v in flow.items()}
     text = serialize_cres(graph, doubled)
     _, flow2 = parse_cres(text)
     assert flow2 == doubled

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from circres.core import Clause, CnfFormula, all_assignments, evaluate, implies_oracle
-from circres.flowcheck import FlowAssignment, verify_flow
+from circres.flowcheck import verify_flow
 from circres.generators import (
     BipartiteGraph,
     IsolatedVertexError,
@@ -128,6 +128,8 @@ def test_near_cubic_bipartite_shape():
         assert g.max_degree() <= 3
         assert len(g.edges) == 3 * n
         assert all(g.left_neighbors(u) for u in range(1, n + 2))
+    with pytest.raises(ValueError, match="need at least 3 holes for a degree-3 instance"):
+        near_cubic_bipartite(2, 0)
 
 
 def test_adjacency_matches_edge_scan():
@@ -166,6 +168,16 @@ def test_random_proof_budget_one():
     assert len(graph.inference_vertices) == 1
     assert graph.goal_clause().is_tautological
     assert verify_flow(graph, flow)
+
+
+def test_random_proof_rejects_unreachable_budgets():
+    with pytest.raises(ValueError, match="size budget must be at least 1"):
+        random_circular_proof(0, 3, 0)
+    # One variable allows only the axiom x1 | ~x1 and the hypotheses, so the
+    # draws stall long before 50 inferences.
+    with pytest.raises(ValueError, match=r"^budget 50 is out of reach \(vars 1, max width 4\): "
+                                         r"10000 draws in a row added no inference$"):
+        random_circular_proof(0, 1, 50)
 
 
 def test_random_proofs_always_check():

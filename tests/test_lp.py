@@ -306,7 +306,7 @@ def test_witness_flows_within_factorial_bound():
         assert report.witnessed
         integral = integralize(graph, report.flow)
         bound = math.factorial(graph.length)
-        assert all(0 < f <= bound for f in integral.flows.values())
+        assert all(0 < f <= bound for f in integral.values())
 
 
 # ---------------------------------------------------------------------------

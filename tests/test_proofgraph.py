@@ -13,7 +13,6 @@ from circres.proofgraph import (
     AXIOM,
     CUT,
     SPLIT,
-    FlowAssignment,
     FormulaVertex,
     IncompleteFlowError,
     InferenceVertex,
@@ -80,6 +79,22 @@ def test_collapsing_split_is_valid():
     assert validate_rules(graph) == []
 
 
+def test_builder_split_of_a_tautology_on_its_variable_keeps_one_consequent():
+    # Both x1 | ~x1 | x1 and x1 | ~x1 | ~x1 are the antecedent itself.
+    b = ProofGraphBuilder()
+    taut = b.axiom(1)
+    assert b.split(taut, 1) == (taut,)
+    b.set_goal(taut)
+    graph, _ = b.build()
+    assert graph.inference(1).out_neighbors == (taut,)
+    assert validate_rules(graph) == []
+
+
+def test_builder_requires_a_goal():
+    with pytest.raises(ValueError, match="goal vertex was never set"):
+        ProofGraphBuilder().build()
+
+
 def test_axiom_template():
     graph = ProofGraph(
         (FormulaVertex(0, clause(2, -2)),),
@@ -141,8 +156,8 @@ def test_unsound_cycle_balances_always_negative():
     x_id = next(v.id for v in graph.formula_vertices if v.clause == clause(1))
     for trial in range(20):
         rng = random.Random(trial)
-        flow = FlowAssignment({w.id: Fraction(rng.randint(1, 9), rng.randint(1, 9))
-                               for w in graph.inference_vertices})
+        flow = {w.id: Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                for w in graph.inference_vertices}
         assert balances(graph, flow)[x_id] < 0
 
 
@@ -159,8 +174,8 @@ def test_pass_through_balance_zero():
 
 def test_missing_flow_entry():
     graph, flow = single_cut()
-    flow.flows.popitem()
-    with pytest.raises(IncompleteFlowError):
+    flow.popitem()
+    with pytest.raises(IncompleteFlowError, match="no flow for inference vertex 0"):
         balances(graph, flow)
 
 
@@ -179,7 +194,7 @@ def test_double_counting_identity():
 
 def test_no_inference_vertices_no_sources_or_sinks():
     graph = ProofGraph((FormulaVertex(0, clause(1)),), (), frozenset(), 0)
-    assert sources_and_sinks(graph, FlowAssignment({})) == (frozenset(), frozenset())
+    assert sources_and_sinks(graph, {}) == (frozenset(), frozenset())
 
 
 def _fraction_balances(graph, flows):
@@ -205,17 +220,16 @@ def test_integer_balances_agree_with_fraction_sums(seed, budget, bare, data):
         w.id: Fraction(data.draw(st.integers(1, 40)), data.draw(st.integers(1, 12)))
         for w in graph.inference_vertices
     }
-    flow = FlowAssignment(flows)
     expected = _fraction_balances(graph, flows)
-    assert balances(graph, flow) == expected
-    sources, sinks = sources_and_sinks(graph, flow)
+    assert balances(graph, flows) == expected
+    sources, sinks = sources_and_sinks(graph, flows)
     assert sources == {u for u, b in expected.items() if b < 0}
     assert sinks == {u for u, b in expected.items() if b > 0}
     hyps = graph.hypotheses
     witnessed = expected[graph.goal_id] > 0 and all(
         expected[v.id] >= 0 or v.clause in hyps for v in graph.formula_vertices
     )
-    assert verify_flow(graph, flow) == witnessed
+    assert verify_flow(graph, flows) == witnessed
 
 
 DOT_EDGE = r"^\s+[fi]\d+ -> [fi]\d+;$"

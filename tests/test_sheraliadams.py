@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from circres.core import Clause, CnfFormula, implies_oracle, literal_key
-from circres.flowcheck import FlowAssignment, verify_flow
+from circres.flowcheck import verify_flow
 from circres.formats import parse_sap, serialize_cres, serialize_sap
 from circres.generators import complete_bipartite, php_refutation, random_circular_proof
 from circres.proofgraph import SPLIT, ProofGraphBuilder, balances, validate_rules
@@ -80,12 +80,12 @@ def test_encoding_sign_tracks_satisfaction():
         vs = rng.sample(range(1, n + 1), k)
         c = Clause.from_signed(v if rng.random() < 0.5 else -v for v in vs)
         p = encode_clause(c)
-        from circres.core import Assignment, evaluate
+        from circres.core import evaluate
 
         for bits in itertools.product((0, 1), repeat=n):
             point = {tok: (bits[abs(tok) - 1] if tok > 0 else 1 - bits[abs(tok) - 1])
                      for v in range(1, n + 1) for tok in (v, -v)}
-            sat = evaluate(c, Assignment({i + 1: b for i, b in enumerate(bits)}))
+            sat = evaluate(c, dict(enumerate(bits, 1)))
             assert (p.evaluate(point) >= 0) == sat
 
 
@@ -259,15 +259,18 @@ def test_gadget_preconditions():
 # ---------------------------------------------------------------------------
 # circular -> polynomial identity
 
-def _single_cut():
+def _single_cut_builder():
     b = ProofGraphBuilder()
     x = b.vertex(clause(1))
     nx = b.vertex(clause(-1))
     b.mark_hypothesis(x)
     b.mark_hypothesis(nx)
-    e = b.cut(x, nx, Clause(()), 1)
-    b.set_goal(e)
-    return b.build()
+    b.set_goal(b.cut(x, nx, Clause(()), 1))
+    return b
+
+
+def _single_cut():
+    return _single_cut_builder().build()
 
 
 def test_translate_single_cut():
@@ -351,13 +354,34 @@ def test_translate_rejects_tautological_goal():
         circular_to_sa(graph, flow)
 
 
+def test_translate_rejects_tautological_hypothesis():
+    b = _single_cut_builder()
+    b.mark_hypothesis(b.vertex(clause(3, -3)))
+    graph, flow = b.build()
+    assert verify_flow(graph, flow)
+    with pytest.raises(TautologicalClauseError, match="^tautological hypothesis x3 \\| ~x3$"):
+        circular_to_sa(graph, flow)
+
+
+def test_translate_rejects_non_elementary_tautology():
+    # The axiom x3 | ~x3 split on x4 leaves the sink x3 | ~x3 | x4.
+    b = _single_cut_builder()
+    (sink,) = b.split(b.axiom(3), 4, keep_negative=False)
+    graph, flow = b.build()
+    assert verify_flow(graph, flow) and balances(graph, flow)[sink] == 1
+    with pytest.raises(TautologicalClauseError,
+                       match="^non-elementary tautological clause x3 \\| ~x3 \\| x4 "
+                             "cannot be translated$"):
+        circular_to_sa(graph, flow)
+
+
 def test_translate_requires_witness():
     from circres.flowcheck import NotWitnessError
     from circres.generators import unsound_cycle_example
 
     graph = unsound_cycle_example()
     with pytest.raises(NotWitnessError):
-        circular_to_sa(graph, FlowAssignment.uniform(graph))
+        circular_to_sa(graph, {w.id: Fraction(1) for w in graph.inference_vertices})
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +585,13 @@ def test_monomial_matches_exponent_model(p, q):
     assert product.degree == m.degree + n.degree
     # Pairs with repeated tokens add up.
     assert Monomial.of([*p.items(), *q.items()]) == product
+
+
+def test_monomial_rejects_bad_powers():
+    with pytest.raises(ValueError, match="exponents must be nonnegative"):
+        Monomial.of([(1, -1)])
+    with pytest.raises(ValueError, match="token 0 is not a twin variable"):
+        Monomial.of([(0, 1)])
 
 
 # ---------------------------------------------------------------------------

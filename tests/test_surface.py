@@ -33,8 +33,6 @@ ALLOWED = {
     "evaluate": "reference code: Polynomial.evaluate at a point",
     "implies_oracle": "reference code: exhaustive implication oracle",
     "sources_and_sinks": "test helper on flows; deleting it moves code into tests",
-    "total": "test helper on flows: FlowAssignment.total",
-    "uniform": "test helper on flows: FlowAssignment.uniform",
 }
 
 
