@@ -41,7 +41,6 @@ from .proofgraph import (
 from .search import circular_search, daglike_width_saturate
 from .sheraliadams import (
     Monomial,
-    Polynomial,
     RefPoly,
     SAProof,
     SATerm,

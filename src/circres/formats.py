@@ -22,7 +22,7 @@ Proof graphs (``.cres``)::
     g <fid>                          goal mark
     w <iid> <flow>                   optional flow labels
 
-Polynomial proofs (``.sap``)::
+Sherali-Adams proofs (``.sap``)::
 
     p sap <#vars> <#hyps>
     h <lit> ... 0
@@ -320,10 +320,10 @@ def _parse_monomial(tokens: list[str], no: int) -> list[tuple[int, int]]:
     mask holds two bits per variable up to the largest."""
     powers: list[tuple[int, int]] = []
     for tok in tokens:
-        body, _, exp = tok.partition("^")
+        body, caret, exp = tok.partition("^")
         try:
             t = int(body)
-            e = int(exp) if exp else 1
+            e = int(exp) if caret else 1
         except ValueError:
             raise ParseError(no, f"bad monomial token {tok!r}") from None
         if t == 0 or e < 1:

@@ -1,8 +1,10 @@
 """Twin-variable polynomial proofs and the two clause-proof translations.
 
-Polynomials live over ``2n`` formally independent variables: ``X_i`` and its
-twin ``Xb_i`` (intended as the negation of ``X_i`` on 0-1 points, but never
-substituted).  A clause maps to the product encoding
+A polynomial is a plain ``{Monomial: Fraction}`` dict, like a flow, that
+holds no zero coefficient, so two polynomials are equal exactly when their
+dicts are.  They live over ``2n`` formally independent variables: ``X_i``
+and its twin ``Xb_i`` (intended as the negation of ``X_i`` on 0-1 points,
+but never substituted).  A clause maps to the product encoding
 
     enc(C) = - prod(Xb_j for positive literals) * prod(X_j for negative ones)
 
@@ -143,46 +145,6 @@ def _twin_swap(mask: int) -> int:
     return (mask & x) << 1 | (mask >> 1) & x
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Canonical sparse polynomial: monomial -> nonzero rational coefficient."""
-
-    terms: tuple[tuple[Monomial, Fraction], ...] = ()
-
-    @staticmethod
-    def of(items: Iterable[tuple[Monomial, Fraction | int]]) -> "Polynomial":
-        acc: dict[Monomial, Fraction | int] = {}
-        for mono, coef in items:
-            c = acc.get(mono)
-            acc[mono] = coef if c is None else c + coef
-        return Polynomial(tuple(sorted(
-            ((mono, Fraction(c)) for mono, c in acc.items() if c),
-            key=lambda t: (t[0].degree, t[0].mask, t[0].powers),
-        )))
-
-    @property
-    def degree(self) -> int:
-        return max((m.degree for m, _ in self.terms), default=0)
-
-    @property
-    def monomial_size(self) -> int:
-        return len(self.terms)
-
-    def evaluate(self, point: dict[int, Fraction | int]) -> Fraction:
-        total = Fraction(0)
-        for m, k in self.terms:
-            value = Fraction(k)
-            for tok, e in m.factors:
-                value *= Fraction(point[tok]) ** e
-            total += value
-        return total
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{k}*{m}" for m, k in self.terms)
-
-
 # ---------------------------------------------------------------------------
 # clause encodings
 
@@ -197,14 +159,7 @@ def falsified_monomial(c: Clause) -> Monomial:
     return Monomial(clause_mask([-lit for lit in c.literals]))
 
 
-def clause_of_monomial(m: Monomial) -> Clause:
-    """Inverse of :func:`falsified_monomial` on multilinear monomials."""
-    if m.powers:
-        raise ValueError(f"monomial {m} is not multilinear")
-    return Clause(mask_literals(_twin_swap(m.mask)))
-
-
-def encode_clause(c: Clause) -> Polynomial:
+def encode_clause(c: Clause) -> dict[Monomial, Fraction]:
     """Product encoding ``enc(c)``: minus the falsified-point monomial.
 
     Rejects tautological clauses, whose encoding would conflate a variable
@@ -213,7 +168,7 @@ def encode_clause(c: Clause) -> Polynomial:
     """
     if c.is_tautological:
         raise TautologicalClauseError(f"cannot encode tautological clause {c}")
-    return Polynomial(((falsified_monomial(c), Fraction(-1)),))
+    return {falsified_monomial(c): Fraction(-1)}
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +217,13 @@ def hyp(i: int) -> RefPoly:
 _ONE_REF = RefPoly(ONE)
 
 
-def ref_polynomial(ref: RefPoly, hypotheses: Sequence[Clause]) -> Polynomial:
+def ref_polynomial(ref: RefPoly, hypotheses: Sequence[Clause]) -> dict[Monomial, Fraction]:
     i = ref.index
     if ref.kind == HYPOTHESIS:
         if not 1 <= i <= len(hypotheses):
             raise MalformedProofError(f"hypothesis index {i} out of range")
         return encode_clause(hypotheses[i - 1])
-    return Polynomial.of((Monomial.of(((i, e), (-i, eb))), k) for k, e, eb in BASIC[ref.kind])
+    return {Monomial.of(((i, e), (-i, eb))): Fraction(k) for k, e, eb in BASIC[ref.kind]}
 
 
 class SATerm(NamedTuple):
@@ -287,11 +242,11 @@ class SAProof:
     terms: tuple[SATerm, ...]
 
     @cached_property
-    def _reference_polynomials(self) -> dict[RefPoly, Polynomial]:
+    def _reference_polynomials(self) -> dict[RefPoly, dict[Monomial, Fraction]]:
         """``poly(P)`` for each distinct reference ``P`` of the proof (a proof
         names few), built once per proof.  A coefficient ``<= 0`` is rejected
         on every call: a failed build is not kept."""
-        refs: dict[RefPoly, Polynomial] = {}
+        refs: dict[RefPoly, dict[Monomial, Fraction]] = {}
         for t in self.terms:
             if t.coefficient.numerator <= 0:
                 raise MalformedProofError(f"term coefficient {t.coefficient} is not positive")
@@ -299,14 +254,8 @@ class SAProof:
                 refs[t.ref] = ref_polynomial(t.ref, self.hypotheses)
         return refs
 
-    @staticmethod
-    def of(num_variables: int, hypotheses: Iterable[Clause], goal: Clause,
-           terms: Iterable[SATerm | tuple]) -> "SAProof":
-        return SAProof(num_variables, tuple(hypotheses), goal,
-                       tuple(SATerm(Fraction(a), q, ref) for a, q, ref in terms))
 
-
-def proof_sum(proof: SAProof) -> Polynomial:
+def proof_sum(proof: SAProof) -> dict[Monomial, Fraction]:
     """``sum a_j * q_j * poly(P_j)`` in one pass, as integer numerators over
     the common denominator of the ``a_j`` (reference polynomials have integer
     coefficients); only the surviving sums become fractions.  Products are
@@ -318,10 +267,10 @@ def proof_sum(proof: SAProof) -> Polynomial:
     for t in proof.terms:
         a = t.coefficient.numerator * (den // t.coefficient.denominator)
         q = t.monomial
-        for m, k in refs[t.ref].terms:
+        for m, k in refs[t.ref].items():
             key = _product(m.mask, m.powers, q.mask, q.powers)
             acc[key] = acc.get(key, 0) + a * k.numerator
-    return Polynomial.of((Monomial(*key), Fraction(c, den)) for key, c in acc.items() if c)
+    return {Monomial(*key): Fraction(c, den) for key, c in acc.items() if c}
 
 
 def check_sa(proof: SAProof) -> bool:
@@ -343,7 +292,8 @@ def check_sa(proof: SAProof) -> bool:
 def sa_degree(proof: SAProof) -> int:
     """Max degree among the expanded products ``a_j * q_j * poly(P_j)``, read
     as ``deg q_j + deg poly(P_j)`` without expanding (see the module docstring)."""
-    ref_degree = {ref: p.degree for ref, p in proof._reference_polynomials.items()}
+    ref_degree = {ref: max(m.degree for m in p)
+                  for ref, p in proof._reference_polynomials.items()}
     return max((t.monomial.degree + ref_degree[t.ref] for t in proof.terms), default=0)
 
 
@@ -351,7 +301,7 @@ def sa_monomial_size(proof: SAProof) -> int:
     """Sum of the term counts of the expanded products, read as ``|poly(P_j)|``
     without expanding (see the module docstring)."""
     refs = proof._reference_polynomials
-    return sum(refs[t.ref].monomial_size for t in proof.terms)
+    return sum(len(refs[t.ref]) for t in proof.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +324,11 @@ def clause_gadget(kind: int, side: Monomial, principal: int,
     clause must not be tautological.
     """
     if side.mask & side.mask >> 1 & positive_mask(side.mask.bit_length() >> 1):
-        raise TautologicalClauseError(f"tautological side clause {clause_of_monomial(side)}")
+        raise TautologicalClauseError(
+            f"tautological side clause {Clause(mask_literals(_twin_swap(side.mask)))}")
     if kind in (1, 2, 3) and side.mask >> 2 * principal & 3:
-        raise ValueError(
-            f"principal x{principal} occurs in side clause {clause_of_monomial(side)}")
+        raise ValueError(f"principal x{principal} occurs in side clause "
+                         f"{Clause(mask_literals(_twin_swap(side.mask)))}")
     if kind == 1:
         return [
             SATerm(weight, Monomial(1 << 2 * principal), RefPoly(ONE_MINUS_X_XBAR, principal)),
@@ -392,7 +343,7 @@ def clause_gadget(kind: int, side: Monomial, principal: int,
     raise ValueError(f"gadget kind must be 1..4, got {kind}")
 
 
-def gadget_target(kind: int, side_clause: Clause, principal: int) -> Polynomial:
+def gadget_target(kind: int, side_clause: Clause, principal: int) -> dict[Monomial, Fraction]:
     """The inequality left-hand side each gadget family expands to, written
     with ``enc(C) = -F(C)`` for ``F`` the falsified-point monomial (which
     tautological clauses have too)."""
@@ -406,7 +357,11 @@ def gadget_target(kind: int, side_clause: Clause, principal: int) -> Polynomial:
     }
     if kind not in signed:
         raise ValueError(f"gadget kind must be 1..4, got {kind}")
-    return Polynomial.of((falsified_monomial(c), k) for c, k in signed[kind])
+    target: dict[Monomial, Fraction] = {}
+    for c, k in signed[kind]:
+        m = falsified_monomial(c)
+        target[m] = target.get(m, 0) + k
+    return {m: Fraction(k) for m, k in target.items() if k}
 
 
 # ---------------------------------------------------------------------------

@@ -249,7 +249,7 @@ def test_criterion_08_gadget_families():
             principal = next(v for v in range(1, 8) if v not in side.variables())
             for kind in (1, 2, 3, 4):
                 terms = clause_gadget(kind, falsified_monomial(side), principal)
-                proof = SAProof.of(7, [], Clause(()), terms)
+                proof = SAProof(7, (), Clause(()), tuple(terms))
                 assert proof_sum(proof) == gadget_target(kind, side, principal)
                 degree = sa_degree(proof)
                 # The cut- and split-shaped families meet width+1 exactly;

@@ -209,6 +209,8 @@ INPUT_ERRORS = {
                        "line 6: flow must be positive, got 0"),
     "sap-zero-exponent": (["translate", "s2c", "p.sap"], ("p.sap", _sap("t 1 1^0 ; B one")),
                           "line 4: bad monomial token '1^0'"),
+    "sap-empty-exponent": (["translate", "s2c", "p.sap"], ("p.sap", _sap("t 1 1^ ; B one")),
+                           "line 4: bad monomial token '1^'"),
     "sap-no-coefficient": (["translate", "s2c", "p.sap"], ("p.sap", _sap("t ; B one")),
                            "line 4: term line must be 't <coef> <mono> ; <ref>'"),
     "sap-H-without-index": (["translate", "s2c", "p.sap"], ("p.sap", _sap("t 1 ; H")),

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
+import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -24,7 +26,6 @@ from circres.sheraliadams import (
     InconsistencyError,
     MalformedProofError,
     Monomial,
-    Polynomial,
     RefPoly,
     SAProof,
     SATerm,
@@ -54,17 +55,22 @@ def mono(powers):
     return Monomial.of(powers.items())
 
 
+def sa_proof(num_variables, hypotheses, goal, terms):
+    """An ``SAProof`` of ``(coefficient, monomial, reference)`` triples."""
+    return SAProof(num_variables, tuple(hypotheses), goal,
+                   tuple(SATerm(Fraction(a), q, ref) for a, q, ref in terms))
+
+
 # ---------------------------------------------------------------------------
 # encoding
 
 def test_encode_empty_clause_is_minus_one():
-    assert encode_clause(Clause(())) == Polynomial.of([(MONOMIAL_ONE, -1)])
+    assert encode_clause(Clause(())) == {MONOMIAL_ONE: Fraction(-1)}
 
 
 def test_encode_mixed_clause():
     # x1 | ~x2 encodes to minus (twin of x1) times x2
-    p = encode_clause(clause(1, -2))
-    assert p.terms == ((mono({-1: 1, 2: 1}), Fraction(-1)),)
+    assert encode_clause(clause(1, -2)) == {mono({-1: 1, 2: 1}): Fraction(-1)}
 
 
 def test_encode_rejects_tautology():
@@ -79,27 +85,28 @@ def test_encoding_sign_tracks_satisfaction():
         k = rng.randint(0, min(4, n))
         vs = rng.sample(range(1, n + 1), k)
         c = Clause.from_signed(v if rng.random() < 0.5 else -v for v in vs)
-        p = encode_clause(c)
+        ((m, coef),) = encode_clause(c).items()
         from circres.core import evaluate
 
         for bits in itertools.product((0, 1), repeat=n):
             point = {tok: (bits[abs(tok) - 1] if tok > 0 else 1 - bits[abs(tok) - 1])
                      for v in range(1, n + 1) for tok in (v, -v)}
             sat = evaluate(c, dict(enumerate(bits, 1)))
-            assert (p.evaluate(point) >= 0) == sat
+            value = coef * math.prod(point[tok] ** e for tok, e in m.factors)
+            assert (value >= 0) == sat
 
 
 # ---------------------------------------------------------------------------
 # checking
 
 def test_identity_proof_checks():
-    proof = SAProof.of(1, [clause(1)], clause(1), [(1, MONOMIAL_ONE, hyp(1))])
+    proof = sa_proof(1, [clause(1)], clause(1), [(1, MONOMIAL_ONE, hyp(1))])
     assert check_sa(proof)
 
 
 def test_single_cut_refutation_identity():
     # (x + xb - 1) + enc(x1) + enc(~x1) == -1
-    proof = SAProof.of(
+    proof = sa_proof(
         1,
         [clause(1), clause(-1)],
         Clause(()),
@@ -114,7 +121,7 @@ def test_single_cut_refutation_identity():
 
 
 def test_check_rejects_perturbed_coefficient():
-    proof = SAProof.of(
+    proof = sa_proof(
         1,
         [clause(1), clause(-1)],
         Clause(()),
@@ -128,13 +135,13 @@ def test_check_rejects_perturbed_coefficient():
 
 
 def test_check_rejects_nonpositive_coefficient():
-    proof = SAProof.of(1, [clause(1)], clause(1), [(-1, MONOMIAL_ONE, hyp(1))])
+    proof = sa_proof(1, [clause(1)], clause(1), [(-1, MONOMIAL_ONE, hyp(1))])
     with pytest.raises(MalformedProofError):
         check_sa(proof)
 
 
 def test_check_invariant_under_reorder_and_split():
-    base = SAProof.of(
+    base = sa_proof(
         1,
         [clause(1), clause(-1)],
         Clause(()),
@@ -144,8 +151,8 @@ def test_check_invariant_under_reorder_and_split():
             (1, MONOMIAL_ONE, hyp(2)),
         ],
     )
-    reordered = SAProof.of(1, base.hypotheses, base.goal, tuple(reversed(base.terms)))
-    split_coef = SAProof.of(
+    reordered = sa_proof(1, base.hypotheses, base.goal, tuple(reversed(base.terms)))
+    split_coef = sa_proof(
         1,
         base.hypotheses,
         base.goal,
@@ -164,9 +171,8 @@ def test_proof_sum_expands_to_a_tautological_target():
         SATerm(Fraction(1), mono({1: 1}), RefPoly(ONE_MINUS_X_XBAR, 1)),
         SATerm(Fraction(1), MONOMIAL_ONE, RefPoly(XSQ_MINUS_X, 1)),
     ]
-    proof = SAProof.of(1, [], clause(), terms)
-    target = Polynomial.of([(mono({1: 1, -1: 1}), Fraction(-1))])
-    assert proof_sum(proof) == target
+    proof = SAProof(1, (), clause(), tuple(terms))
+    assert proof_sum(proof) == {mono({1: 1, -1: 1}): Fraction(-1)}
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +181,11 @@ def test_proof_sum_expands_to_a_tautological_target():
 # Each basic kind on variable 2 (``one`` has no index), written out by hand.
 _X2, _XB2 = mono({2: 1}), mono({-2: 1})
 HAND_WRITTEN_BASIC = {
-    X_MINUS_XSQ: Polynomial.of([(_X2, 1), (mono({2: 2}), -1)]),
-    XSQ_MINUS_X: Polynomial.of([(mono({2: 2}), 1), (_X2, -1)]),
-    ONE_MINUS_X_XBAR: Polynomial.of([(MONOMIAL_ONE, 1), (_X2, -1), (_XB2, -1)]),
-    X_XBAR_MINUS_ONE: Polynomial.of([(_X2, 1), (_XB2, 1), (MONOMIAL_ONE, -1)]),
-    ONE: Polynomial.of([(MONOMIAL_ONE, 1)]),
+    X_MINUS_XSQ: {_X2: 1, mono({2: 2}): -1},
+    XSQ_MINUS_X: {mono({2: 2}): 1, _X2: -1},
+    ONE_MINUS_X_XBAR: {MONOMIAL_ONE: 1, _X2: -1, _XB2: -1},
+    X_XBAR_MINUS_ONE: {_X2: 1, _XB2: 1, MONOMIAL_ONE: -1},
+    ONE: {MONOMIAL_ONE: 1},
 }
 
 
@@ -222,7 +228,7 @@ def test_gadget_families_expand_to_targets(kind, width):
         side = _random_clause(rng, 6, width)
         principal = next(v for v in range(1, 8) if v not in side.variables())
         terms = clause_gadget(kind, falsified_monomial(side), principal)
-        proof = SAProof.of(7, [], clause(), terms)
+        proof = SAProof(7, (), clause(), tuple(terms))
         target = gadget_target(kind, side, principal)
         assert proof_sum(proof) == target
         deg = sa_degree(proof)
@@ -250,10 +256,27 @@ def test_gadget_examples():
 
 
 def test_gadget_preconditions():
-    with pytest.raises(ValueError):
-        clause_gadget(2, falsified_monomial(clause(1)), 1)
-    with pytest.raises(TautologicalClauseError):
-        clause_gadget(4, falsified_monomial(clause(1, -1)), 2)
+    # The side clause in each message is read off the side's mask, so an
+    # exponent on the side changes no message.  X1 is the monomial of ~x1.
+    for side, c in ((falsified_monomial(clause(1)), "x1"), (mono({1: 2}), "~x1")):
+        with pytest.raises(ValueError, match=f"^principal x1 occurs in side clause {c}$"):
+            clause_gadget(2, side, 1)
+    for side in (falsified_monomial(clause(1, -1)), mono({1: 2, -1: 1})):
+        with pytest.raises(TautologicalClauseError,
+                           match=f"^{re.escape('tautological side clause x1 | ~x1')}$"):
+            clause_gadget(4, side, 2)
+
+
+def test_gadget_target_cancels_a_consequent_that_collapses_onto_the_side():
+    # With the principal in the side clause, one consequent of kinds 2 and 3
+    # is the side itself: its monomial cancels, and only the tautology's is
+    # left, with no zero coefficient beside it.
+    for side in (clause(1), clause(-1)):
+        assert gadget_target(2, side, 1) == {mono({1: 1, -1: 1}): Fraction(1)}
+        assert gadget_target(3, side, 1) == {mono({1: 1, -1: 1}): Fraction(-1)}
+    wider = mono({1: 1, -1: 1, -2: 1})  # F(x1 | ~x1 | x2)
+    assert gadget_target(2, clause(1, 2), 1) == {wider: Fraction(1)}
+    assert gadget_target(3, clause(1, 2), 1) == {wider: Fraction(-1)}
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +444,7 @@ def test_round_trip_random_proofs():
 
 
 def test_identity_style_proof_pads_to_positive_goal_balance():
-    proof = SAProof.of(2, [clause(1)], clause(1), [(1, MONOMIAL_ONE, hyp(1))])
+    proof = sa_proof(2, [clause(1)], clause(1), [(1, MONOMIAL_ONE, hyp(1))])
     assert check_sa(proof)
     graph, flow = sa_to_circular(proof)
     assert verify_flow(graph, flow)
@@ -432,7 +455,7 @@ def test_identity_style_proof_pads_to_positive_goal_balance():
     # terms, one whose monomial lies inside the hypothesis included:
     # X1 * enc(~x1) is enc(~x1) on 0-1 points.
     x1 = mono({1: 1})
-    proof = SAProof.of(1, [clause(-1)], clause(-1), [
+    proof = sa_proof(1, [clause(-1)], clause(-1), [
         (1, x1, hyp(1)), (1, MONOMIAL_ONE, hyp(1)),
         (1, MONOMIAL_ONE, RefPoly(XSQ_MINUS_X, 1)), (1, x1, RefPoly(ONE)),
     ])
@@ -443,7 +466,7 @@ def test_identity_style_proof_pads_to_positive_goal_balance():
 
 
 def test_sa_to_circular_rejects_non_checking_proof():
-    proof = SAProof.of(1, [clause(1)], clause(-1), [(1, MONOMIAL_ONE, hyp(1))])
+    proof = sa_proof(1, [clause(1)], clause(-1), [(1, MONOMIAL_ONE, hyp(1))])
     with pytest.raises(InconsistencyError):
         sa_to_circular(proof)
 
@@ -475,20 +498,23 @@ def _expanded_products(proof):
         if t.coefficient <= 0:
             raise MalformedProofError(f"term coefficient {t.coefficient} is not positive")
         base = ref_polynomial(t.ref, proof.hypotheses)
-        yield Polynomial(tuple((_product(m, t.monomial), k * t.coefficient)
-                               for m, k in base.terms))
+        yield {_product(m, t.monomial): k * t.coefficient for m, k in base.items()}
 
 
 def _defined_sum(proof):
-    return Polynomial.of(term for e in _expanded_products(proof) for term in e.terms)
+    total = {}
+    for e in _expanded_products(proof):
+        for m, k in e.items():
+            total[m] = total.get(m, 0) + k
+    return {m: k for m, k in total.items() if k}
 
 
 def _defined_degree(proof):
-    return max((e.degree for e in _expanded_products(proof)), default=0)
+    return max((m.degree for e in _expanded_products(proof) for m in e), default=0)
 
 
 def _defined_size(proof):
-    return sum(e.monomial_size for e in _expanded_products(proof))
+    return sum(len(e) for e in _expanded_products(proof))
 
 
 def _repeated_reference_proof():
@@ -496,7 +522,7 @@ def _repeated_reference_proof():
     # products cancel and merge), fractional coefficients with coprime
     # denominators, and a hypothesis whose tokens the monomial repeats.
     x_sum = RefPoly(ONE_MINUS_X_XBAR, 2)
-    return SAProof.of(3, [clause(1, -3), clause(2)], clause(1), [
+    return sa_proof(3, [clause(1, -3), clause(2)], clause(1), [
         (Fraction(1, 2), mono({1: 1}), x_sum),
         (Fraction(2, 3), mono({-3: 1, 1: 2}), x_sum),
         (5, MONOMIAL_ONE, x_sum),
@@ -530,7 +556,7 @@ def _kernel_cases():
 def _rescaled(proof):
     terms = [(t.coefficient * Fraction(j % 4 + 1, j % 5 + 1), t.monomial, t.ref)
              for j, t in enumerate(proof.terms)]
-    return SAProof.of(proof.num_variables, proof.hypotheses, proof.goal, terms)
+    return sa_proof(proof.num_variables, proof.hypotheses, proof.goal, terms)
 
 
 def test_kernel_matches_definition():
@@ -539,13 +565,13 @@ def test_kernel_matches_definition():
         assert sa_degree(proof) == _defined_degree(proof), name
         assert sa_monomial_size(proof) == _defined_size(proof), name
     repeated = _repeated_reference_proof()
-    assert proof_sum(repeated).terms and not check_sa(repeated)
+    assert proof_sum(repeated) and not check_sa(repeated)
 
 
 @pytest.mark.parametrize("bad", [0, -1])
 def test_kernel_rejects_nonpositive_coefficient(bad):
     good = (1, MONOMIAL_ONE, hyp(1))
-    proof = SAProof.of(1, [clause(1)], clause(1), [good, (bad, mono({1: 1}), hyp(1))])
+    proof = sa_proof(1, [clause(1)], clause(1), [good, (bad, mono({1: 1}), hyp(1))])
     for measure in (proof_sum, sa_degree, sa_monomial_size):
         with pytest.raises(MalformedProofError):
             measure(proof)

@@ -2,9 +2,12 @@
 
 A public module function, or a public method of a public class, in
 ``circres`` is referenced by name somewhere in the package (``__init__.py``
-aside, since an export is not a use), the demos or ``perfbench``.  A name
-that only its own tests call is surface with no answer depending on it; the
-allowlist holds the few kept on purpose, each with its reason.
+aside, since an export is not a use), the demos or ``perfbench``.  A public
+static or class method counts as used only through its own class, as
+``Class.name`` or ``x.Class.name``, since several classes share names such
+as ``of``.  A name that only its own tests call is surface with no answer
+depending on it; the allowlist holds the few kept on purpose, each with its
+reason.
 
 Every option of every CLI subcommand is passed by a test, a demo or
 ``perfbench``: some list literal holds the subcommand's name and one of the
@@ -30,7 +33,6 @@ ALLOWED = {
     "verify_dual_certificate": "soundness artifact: checks a dual certificate",
     "farkas_certificate": "the negative answer's certificate, which the search will carry",
     "gadget_target": "reference code: the target each gadget family expands to",
-    "evaluate": "reference code: Polynomial.evaluate at a point",
     "implies_oracle": "reference code: exhaustive implication oracle",
     "sources_and_sinks": "test helper on flows; deleting it moves code into tests",
 }
@@ -44,22 +46,32 @@ def _sources() -> list[Path]:
     ]
 
 
-def _public_definitions(tree: ast.Module) -> tuple[set[str], set[str]]:
-    """The public module functions and the public methods of public classes."""
+def _public_definitions(tree: ast.Module) -> tuple[set[str], set[str], set[str]]:
+    """The public module functions, the public methods of public classes,
+    and their public static and class methods as ``Class.name``."""
     functions = {n.name for n in tree.body
                  if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")}
-    methods = {n.name for cls in tree.body
-               if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
-               for n in cls.body
-               if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")}
-    return functions, methods
+    methods, qualified = set(), set()
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+            continue
+        for n in cls.body:
+            if not isinstance(n, ast.FunctionDef) or n.name.startswith("_"):
+                continue
+            if any(isinstance(d, ast.Name) and d.id in ("staticmethod", "classmethod")
+                   for d in n.decorator_list):
+                qualified.add(f"{cls.name}.{n.name}")
+            else:
+                methods.add(n.name)
+    return functions, methods, qualified
 
 
 def _references(tree: ast.AST) -> tuple[set[str], set[str]]:
     """Bare and imported names, and attribute names: a method is reached
     only through an attribute, so a local variable named like it is none.
-    An attribute of ``args``, the CLI's argparse namespace, reads an option
-    and calls no method."""
+    An attribute read off a name or an attribute is also recorded with its
+    owner, as ``owner.name``.  An attribute of ``args``, the CLI's argparse
+    namespace, reads an option and calls no method."""
     names, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -69,21 +81,26 @@ def _references(tree: ast.AST) -> tuple[set[str], set[str]]:
         elif isinstance(node, ast.Attribute) and not (
                 isinstance(node.value, ast.Name) and node.value.id == "args"):
             attributes.add(node.attr)
+            owner = getattr(node.value, "id", getattr(node.value, "attr", None))
+            if owner:
+                attributes.add(f"{owner}.{node.attr}")
     return names, attributes
 
 
 def unreferenced_public_names() -> list[str]:
-    functions, methods, names, attributes = set(), set(), set(), set()
+    functions, methods, qualified, names, attributes = set(), set(), set(), set(), set()
     for path in _sources():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         used_names, used_attributes = _references(tree)
         names |= used_names
         attributes |= used_attributes
         if path.parent == PACKAGE:
-            defined_functions, defined_methods = _public_definitions(tree)
+            defined_functions, defined_methods, defined_qualified = _public_definitions(tree)
             functions |= defined_functions
             methods |= defined_methods
-    return sorted((functions - names - attributes) | (methods - attributes))
+            qualified |= defined_qualified
+    return sorted((functions - names - attributes) | (methods - attributes)
+                  | (qualified - attributes))
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
@@ -99,13 +116,18 @@ def test_the_walk_sees_functions_and_methods():
         "def used(): pass\ndef unused(): pass\ndef _private(): pass\n"
         "class C:\n    def method(self): pass\n    def called(self): pass\n"
         "    def __eq__(self, o): pass\n"
+        "    @staticmethod\n    def of(): pass\n"
+        "    @classmethod\n    def make(cls): pass\n"
         "class _Hidden:\n    def hidden(self): pass\n"
         "used()\nmethod = C().called()\nif args.method: pass\n"
+        "D.of()\nm.C.make()\n"
     )
-    assert _public_definitions(tree) == ({"used", "unused"}, {"method", "called"})
+    assert _public_definitions(tree) == (
+        {"used", "unused"}, {"method", "called"}, {"C.of", "C.make"})
     names, attributes = _references(tree)
-    assert {"used", "method"} <= names and "called" in attributes
+    assert {"used", "method"} <= names and {"called", "C.make"} <= attributes
     assert "method" not in attributes  # neither the variable nor the option reaches it
+    assert "of" in attributes and "C.of" not in attributes  # D.of is another class's
 
 
 def _cli_options() -> dict[str, list[tuple[str, ...]]]:
