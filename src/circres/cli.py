@@ -99,8 +99,8 @@ def cmd_check(args) -> int:
         print(f"  no flow assignment witnesses goal clause {graph.goal_clause()}")
     else:
         print(f"goal balance {report.balances[graph.goal_id]}")
-        for w in sorted(graph.inference_vertices, key=lambda w: w.id):
-            print(f"w {w.id} {flow[w.id]}")
+        inferences = sorted(graph.inference_vertices, key=lambda w: w.id)
+        print("".join(f"w {w.id} {flow[w.id]}\n" for w in inferences), end="")
     if args.dot:
         _write(args.dot, export_dot(graph, flow))
     return EXIT_OK if flow is not None else EXIT_NEGATIVE

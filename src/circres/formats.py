@@ -1,10 +1,14 @@
 """Parsers and serializers for the on-disk formats.
 
 All formats are line oriented UTF-8 text, numbers are integers or exact
-``num/den`` rationals, and ``c`` lines are comments.  The ``p`` header is
-the first line that is not a comment, so every line is checked as it is
-read and an error names the line that holds it; the counts the header
-declares are compared with the file at its end.
+``num/den`` rationals, and ``c`` lines are comments.  An integer is ASCII
+digits after an optional sign: no ``_`` digit groups or non-ASCII digits,
+which ``int`` would read.  The ``p`` header is the first line that is not a
+comment, so every line is checked as it is read and an error names the line
+that holds it; the counts the header declares are compared with the file at
+its end.  The readers check canonical order, normalize only a clause or
+monomial out of it, and check and build each distinct rule, reference,
+rational and monomial token of a file once.
 
 DIMACS CNF::
 
@@ -63,12 +67,17 @@ class ParseError(ValueError):
 
 
 def _lines(text: str):
+    # int() misreads '_' digit groups and non-ASCII digits: seek them if the text has any.
+    odd = "_" in text or not text.isascii()
     header = False
     for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "c":
             continue
-        tokens = line.split()
+        if odd and ("_" in raw or not raw.isascii()):
+            for p in raw.replace("/", " ").replace("^", " ").split():
+                if ("_" in p or not p.isascii()) and p.lstrip("+-").replace("_", "").isdecimal():
+                    raise ParseError(no, f"number {p!r} is not ASCII digits")
         if tokens[0] == "p":
             if header:
                 raise ParseError(no, "duplicate header")
@@ -100,12 +109,9 @@ def _int(token: str, no: int) -> int:
 
 
 def _rational(token: str, no: int) -> Fraction:
+    num, slash, den = token.partition("/")
     try:
-        if "/" in token:
-            num, den = token.split("/", 1)
-            n, d = int(num), int(den)
-        else:
-            n, d = int(token), 1
+        n, d = int(num), int(den) if slash else 1
     except ValueError:
         raise ParseError(no, f"bad rational {token!r}") from None
     if d == 0:
@@ -117,12 +123,13 @@ def _clause_tokens(tokens: list[str], no: int) -> Clause:
     if not tokens or tokens[-1] != "0":
         raise ParseError(no, "clause line must end with 0")
     try:
-        lits = [int(t) for t in tokens[:-1]]
+        lits = list(map(int, tokens[:-1]))
     except ValueError:
         raise ParseError(no, "clause literals must be integers") from None
-    if any(l == 0 for l in lits):
+    if 0 in lits:
         raise ParseError(no, "literal 0 may only terminate the clause")
-    return Clause.from_signed(lits)
+    keys = [l + l if l > 0 else 1 - l - l for l in lits]  # literal_key, inlined
+    return Clause(tuple(lits)) if sorted(set(keys)) == keys else Clause.from_signed(lits)
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +137,7 @@ def _clause_tokens(tokens: list[str], no: int) -> Clause:
 
 def parse_dimacs(text: str) -> CnfFormula:
     header_line, num_vars, expected, lines = _header(text, "cnf", "<vars> <clauses>")
-    clauses: list[Clause] = []
-    clause_lines: list[int] = []
-    for no, tokens in lines:
-        clauses.append(_clause_tokens(tokens, no))
-        clause_lines.append(no)
+    clauses = [_clause_tokens(tokens, no) for no, tokens in lines]
     if expected != len(clauses):
         raise ParseError(
             header_line,
@@ -144,8 +147,8 @@ def parse_dimacs(text: str) -> CnfFormula:
         return CnfFormula.of(num_vars, clauses)
     except ValueError as exc:
         # The only complaint is a literal beyond the variable count, which
-        # names the first clause that holds one.
-        no = next(no for no, c in zip(clause_lines, clauses)
+        # names the first clause that holds one: the lines are read again.
+        no = next(no for (no, _), c in zip(list(_lines(text))[1:], clauses)
                   if any(abs(lit) > num_vars for lit in c.literals))
         raise ParseError(no, str(exc)) from None
 
@@ -174,6 +177,8 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[dict[int, Fraction]]]:
     goal_line = 0
     flows: dict[int, Fraction] = {}
     flow_line: dict[int, int] = {}
+    rules: dict[tuple[str, str], Rule] = {}
+    values: dict[str, Fraction] = {}
     header_line, num_formulas, num_inferences, lines = _header(text, "cres", "<#f> <#i>")
 
     for no, tokens in lines:
@@ -187,17 +192,21 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[dict[int, Fraction]]]:
             if len(tokens) < 4:
                 raise ParseError(no, "truncated inference line")
             iid = _int(tokens[1], no)
-            name = tokens[2]
-            if name not in _NAME_KINDS:
-                raise ParseError(no, f"unknown rule {name!r}")
-            kind = _NAME_KINDS[name]
-            var = _int(tokens[3], no)
+            rule = rules.get((tokens[2], tokens[3]))
+            if rule is None:
+                if tokens[2] not in _NAME_KINDS:
+                    raise ParseError(no, f"unknown rule {tokens[2]!r}")
+                var = _int(tokens[3], no)
+                try:
+                    rule = rules[tokens[2], tokens[3]] = Rule(_NAME_KINDS[tokens[2]], var)
+                except ValueError as exc:
+                    raise ParseError(no, str(exc)) from None
             refs = [_int(t, no) for t in tokens[4:]]
-            if kind == AXIOM:
+            if rule.kind == AXIOM:
                 if len(refs) != 1:
                     raise ParseError(no, "ax takes one consequent id")
                 ins, outs = (), (refs[0],)
-            elif kind == CUT:
+            elif rule.kind == CUT:
                 if len(refs) != 3:
                     raise ParseError(no, "cut takes two antecedent ids and one consequent id")
                 ins, outs = (refs[0], refs[1]), (refs[2],)
@@ -205,10 +214,6 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[dict[int, Fraction]]]:
                 if len(refs) not in (2, 3):
                     raise ParseError(no, "split takes one antecedent id and one or two consequent ids")
                 ins, outs = (refs[0],), tuple(refs[1:])
-            try:
-                rule = Rule(kind, var)
-            except ValueError as exc:
-                raise ParseError(no, str(exc)) from None
             inferences.append(InferenceVertex(iid, rule, ins, outs))
         elif tag == "h":
             if len(tokens) != 2:
@@ -226,9 +231,11 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[dict[int, Fraction]]]:
             iid = _int(tokens[1], no)
             if iid in flows:
                 raise ParseError(no, f"duplicate flow line for inference vertex {iid}")
-            f = _rational(tokens[2], no)
-            if f <= 0:
-                raise ParseError(no, f"flow must be positive, got {f}")
+            f = values.get(tokens[2])
+            if f is None:
+                f = values[tokens[2]] = _rational(tokens[2], no)
+                if f <= 0:
+                    raise ParseError(no, f"flow must be positive, got {f}")
             flows[iid] = f
             flow_line[iid] = no
         else:
@@ -261,8 +268,7 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[dict[int, Fraction]]]:
         missing = [w.id for w in graph.inference_vertices if w.id not in flows]
         if missing:
             raise ParseError(header_line, f"flow lines missing inference ids {missing}")
-        return graph, flows
-    return graph, None
+    return graph, flows or None
 
 
 def _rejected_line(text: str, formulas: list[FormulaVertex],
@@ -314,32 +320,16 @@ def serialize_cres(
 # ---------------------------------------------------------------------------
 # polynomial proofs
 
-def _parse_monomial(tokens: list[str], no: int) -> list[tuple[int, int]]:
-    """The ``(token, exponent)`` pairs of a term's monomial.  The monomial is
-    built only after its variables pass the header's range check, since its
-    mask holds two bits per variable up to the largest."""
-    powers: list[tuple[int, int]] = []
-    for tok in tokens:
-        body, caret, exp = tok.partition("^")
-        try:
-            t = int(body)
-            e = int(exp) if caret else 1
-        except ValueError:
-            raise ParseError(no, f"bad monomial token {tok!r}") from None
-        if t == 0 or e < 1:
-            raise ParseError(no, f"bad monomial token {tok!r}")
-        powers.append((t, e))
-    return powers
-
-
 def parse_sap(text: str) -> SAProof:
     header_line, num_vars, expected_hyps, lines = _header(text, "sap", "<#vars> <#hyps>")
     hyps: list[Clause] = []
     goal: Optional[Clause] = None
     terms: list[SATerm] = []
+    coefs: dict[str, Fraction] = {}
+    refs: dict[tuple[str, ...], RefPoly] = {}
+    bits: dict[str, tuple[int, int]] = {}
 
-    def in_range(variables, no: int) -> None:
-        var = max(variables, default=0)
+    def in_range(var: int, no: int) -> None:
         if var > num_vars:
             raise ParseError(no, f"variable x{var} exceeds declared variable count {num_vars}")
 
@@ -347,53 +337,73 @@ def parse_sap(text: str) -> SAProof:
         tag = tokens[0]
         if tag == "h":
             hyps.append(_clause_tokens(tokens[1:], no))
-            in_range(hyps[-1].variables(), no)
+            in_range(max(hyps[-1].variables(), default=0), no)
         elif tag == "g":
             if goal is not None:
                 raise ParseError(no, "duplicate goal line")
             goal = _clause_tokens(tokens[1:], no)
-            in_range(goal.variables(), no)
+            in_range(max(goal.variables(), default=0), no)
         elif tag == "t":
             if ";" not in tokens:
                 raise ParseError(no, "term line needs a ';' before its reference")
             sep = tokens.index(";")
             if sep < 2:
                 raise ParseError(no, "term line must be 't <coef> <mono> ; <ref>'")
-            coef = _rational(tokens[1], no)
-            if coef <= 0:
-                raise ParseError(no, f"term coefficient must be positive, got {coef}")
-            powers = _parse_monomial(tokens[2:sep], no)
-            ref_tokens = tokens[sep + 1:]
-            if not ref_tokens:
-                raise ParseError(no, "missing reference polynomial")
-            if ref_tokens[0] == "H":
-                if len(ref_tokens) != 2:
-                    raise ParseError(no, "hypothesis reference is 'H <index>'")
-                kind, index = HYPOTHESIS, _int(ref_tokens[1], no)
-                if index > expected_hyps:
-                    raise ParseError(
-                        no, f"hypothesis index {index} out of range 1..{expected_hyps}")
-            elif ref_tokens[0] == "B":
-                kind = ref_tokens[1] if len(ref_tokens) > 1 else None
-                if kind not in BASIC:
-                    raise ParseError(no, f"unknown basic reference {ref_tokens[1:]!r}")
-                if kind == ONE:
+            coef = coefs.get(tokens[1])
+            if coef is None:
+                coef = coefs[tokens[1]] = _rational(tokens[1], no)
+                if coef <= 0:
+                    raise ParseError(no, f"term coefficient must be positive, got {coef}")
+            mask = degree = 0
+            for tok in tokens[2:sep]:
+                if tok not in bits:
+                    body, caret, exp = tok.partition("^")
+                    try:
+                        t, e = int(body), int(exp) if caret else 1
+                    except ValueError:
+                        raise ParseError(no, f"bad monomial token {tok!r}") from None
+                    if t == 0 or e < 1:
+                        raise ParseError(no, f"bad monomial token {tok!r}")
+                    in_range(abs(t), no)  # first: a mask is as wide as its largest variable
+                    bits[tok] = 1 << (t + t if t > 0 else 1 - t - t), e
+                bit, e = bits[tok]
+                mask |= bit
+                degree += e
+            ref_tokens = tuple(tokens[sep + 1:])
+            ref = refs.get(ref_tokens)
+            if ref is None:
+                if not ref_tokens:
+                    raise ParseError(no, "missing reference polynomial")
+                if ref_tokens[0] == "H":
                     if len(ref_tokens) != 2:
-                        raise ParseError(no, "'B one' takes no index")
-                    index = 0
+                        raise ParseError(no, "hypothesis reference is 'H <index>'")
+                    kind, index = HYPOTHESIS, _int(ref_tokens[1], no)
+                    if index > expected_hyps:
+                        raise ParseError(
+                            no, f"hypothesis index {index} out of range 1..{expected_hyps}")
+                elif ref_tokens[0] == "B":
+                    kind = ref_tokens[1] if len(ref_tokens) > 1 else None
+                    if kind not in BASIC:
+                        raise ParseError(no, f"unknown basic reference {ref_tokens[1:]!r}")
+                    if kind == ONE:
+                        if len(ref_tokens) != 2:
+                            raise ParseError(no, "'B one' takes no index")
+                        index = 0
+                    else:
+                        if len(ref_tokens) != 3:
+                            raise ParseError(no, f"'B {ref_tokens[1]}' needs an index")
+                        index = _int(ref_tokens[2], no)
+                        in_range(index, no)  # a basic reference's index is a variable
                 else:
-                    if len(ref_tokens) != 3:
-                        raise ParseError(no, f"'B {ref_tokens[1]}' needs an index")
-                    index = _int(ref_tokens[2], no)
-            else:
-                raise ParseError(no, f"unknown reference tag {ref_tokens[0]!r}")
-            try:
-                ref = RefPoly(kind, index)
-            except ValueError as exc:
-                raise ParseError(no, str(exc)) from None
-            # A basic reference's index is a variable; 'B one' has index 0.
-            in_range([abs(t) for t, _ in powers] + [0 if kind == HYPOTHESIS else index], no)
-            terms.append(SATerm(coef, Monomial.of(powers), ref))
+                    raise ParseError(no, f"unknown reference tag {ref_tokens[0]!r}")
+                try:
+                    ref = refs[ref_tokens] = RefPoly(kind, index)
+                except ValueError as exc:
+                    raise ParseError(no, str(exc)) from None
+            # Only a repeated token or an exponent leaves fewer bits than the degree.
+            mono = Monomial(mask) if mask.bit_count() == degree else Monomial.of(
+                (int(b), int(e or 1)) for b, _, e in (t.partition("^") for t in tokens[2:sep]))
+            terms.append(SATerm(coef, mono, ref))
         else:
             raise ParseError(no, f"unknown line tag {tag!r}")
     if goal is None:

@@ -207,6 +207,12 @@ INPUT_ERRORS = {
     "cres-zero-flow": (["check", "p.cres", "u.cnf"],
                        ("p.cres", _cres("i 0 ax 1 1") + "w 0 0\n"),
                        "line 6: flow must be positive, got 0"),
+    "cnf-underscore": (["search", "n.cnf", "--width", "2"],
+                       ("n.cnf", "p cnf 1 1\n1_0 0\n"), "line 2: number '1_0' is not ASCII digits"),
+    "cres-underscore": (["check", "p.cres", "u.cnf"], ("p.cres", _cres("i 0 ax 1_0 1")),
+                        "line 4: number '1_0' is not ASCII digits"),
+    "sap-underscore": (["translate", "s2c", "p.sap"], ("p.sap", _sap("t 1 1_0 ; B one")),
+                       "line 4: number '1_0' is not ASCII digits"),
     "sap-zero-exponent": (["translate", "s2c", "p.sap"], ("p.sap", _sap("t 1 1^0 ; B one")),
                           "line 4: bad monomial token '1^0'"),
     "sap-empty-exponent": (["translate", "s2c", "p.sap"], ("p.sap", _sap("t 1 1^ ; B one")),

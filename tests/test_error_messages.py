@@ -11,7 +11,10 @@ A message that no test names is an error path that no test runs.
 import ast
 from pathlib import Path
 
+import pytest
+
 import circres
+from circres.formats import ParseError, parse_cres, parse_dimacs, parse_sap
 
 PACKAGE = Path(circres.__file__).parent
 TESTS = Path(__file__).resolve().parent
@@ -68,3 +71,28 @@ def test_the_walk_reads_literals_and_f_strings():
     assert raised_messages(tree, "E", 1) == ["plain text", " longest part "]
     assert raised_messages(tree, None, 0) == ["too few arguments"]
     assert raised_messages(ast.parse("raise AssertionError('unreachable')\n"), None, 0) == []
+
+
+# int() also reads '_' digit groups and non-ASCII digits; the formats do not.
+@pytest.mark.parametrize("parse, text, line, number", [
+    (parse_dimacs, "p cnf 1_0 1\n1 0\n", 1, "1_0"),
+    (parse_dimacs, "p cnf 10 1\n1_0 0\n", 2, "1_0"),
+    (parse_cres, "c php_4_3.cnf\np cres 1 0\nf 0 \u0661 0\ng 0\n", 3, "\u0661"),
+    (parse_cres, "p cres 1 1\nf 0 1 -1 0\ni 0 ax 1 0\ng 0\nw 0 1/2_0\n", 5, "2_0"),
+    (parse_sap, "p sap 10 0\ng 0\nt 1 1_0 ; B one\n", 3, "1_0"),
+    (parse_sap, "p sap 10 0\ng 0\nt 1 -1_0^2 ; B one\n", 3, "-1_0"),
+    (parse_sap, "p sap 10 0\ng 0\nt 1 1^\uff12 ; B one\n", 3, "\uff12"),
+    (parse_sap, "p sap 10 0\ng 0\nt 1 ; B xxsq 1_0\n", 3, "1_0"),
+], ids=["cnf-header", "cnf-literal", "cres-arabic-indic-digit", "cres-flow", "sap-monomial",
+        "sap-base", "sap-fullwidth-exponent", "sap-index"])
+def test_numbers_are_ascii_digits(parse, text, line, number):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == f"line {line}: number {number!r} is not ASCII digits"
+
+
+def test_comments_may_hold_underscores_and_non_ascii():
+    assert parse_dimacs("c php_4_3 \u00e9\np cnf 1 1\n1 0\n").num_variables == 1
+    # A word with '_' is no number: the reader names what is wrong with it.
+    with pytest.raises(ParseError, match="unknown basic reference"):
+        parse_sap("p sap 1 0\ng 0\nt 1 ; B minus_x_xbar 1\n")

@@ -3,8 +3,13 @@
 Every emitted ``.cnf``, ``.cres`` and ``.sap`` text parses back to what was
 serialized, and every mutation of one (a line deleted or duplicated, a token
 replaced, the text truncated) either parses or raises ``ParseError``: the
-parsers never fail with any other exception.
+parsers never fail with any other exception.  The readers take a line in
+canonical order as it stands and normalize only the others, so any literal
+list reads as ``Clause.from_signed`` gives it and any monomial as
+``Monomial.of`` does.
 """
+
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,8 +24,9 @@ from circres.formats import (
     serialize_dimacs,
     serialize_sap,
 )
+from circres.core import Clause, literal_key
 from circres.generators import complete_bipartite, gen_php, php_refutation, random_circular_proof
-from circres.sheraliadams import circular_to_sa
+from circres.sheraliadams import Monomial, circular_to_sa
 
 
 def _php(n):
@@ -128,3 +134,57 @@ def test_mutated_cres_parses_or_raises_parse_error(text):
 @given(mutated("sap"))
 def test_mutated_sap_parses_or_raises_parse_error(text):
     _parses_or_rejects(parse_sap, text)
+
+
+# ---------------------------------------------------------------------------
+# fast paths: canonical lines as they stand, the others normalized
+
+VARS = 6
+LITERALS = st.integers(-VARS, VARS).filter(bool)
+# Shuffled lists with duplicates and complementary pairs, empty ones, and
+# lists already in canonical order (the readers' fast path).
+LITERAL_LISTS = st.lists(LITERALS, max_size=10) | st.lists(LITERALS, max_size=10).map(
+    lambda lits: sorted(set(lits), key=literal_key))
+
+READERS = {
+    "cnf": lambda line: parse_dimacs(f"p cnf {VARS} 1\n{line}\n").clauses[0],
+    "cres": lambda line: parse_cres(f"p cres 1 0\nf 0 {line}\ng 0\n")[0]
+    .formula_vertices[0].clause,
+    "sap": lambda line: parse_sap(f"p sap {VARS} 0\ng {line}\n").goal,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+@_BOUNDED
+@given(lits=LITERAL_LISTS)
+def test_literal_lists_read_as_from_signed_gives_them(kind, lits):
+    clause = READERS[kind](" ".join(map(str, [*lits, 0])))
+    assert clause == Clause.from_signed(lits)
+    assert all(type(lit) is int for lit in clause.literals)
+
+
+@_BOUNDED
+@given(st.lists(st.tuples(LITERALS, st.integers(1, 3), st.booleans()), max_size=8))
+def test_monomial_tokens_read_as_monomial_of_gives_them(factors):
+    tokens = [f"{t}^{e}" if caret or e > 1 else str(t) for t, e, caret in factors]
+    text = f"p sap {VARS} 0\ng 0\nt 1 {' '.join(tokens)} ; B one\n"
+    assert parse_sap(text).terms[0].monomial == Monomial.of((t, e) for t, e, _ in factors)
+
+
+@_BOUNDED
+@given(st.lists(LITERALS, max_size=4), st.lists(LITERALS, max_size=4),
+       st.sampled_from([1, -1]), st.sampled_from(["", "^1", "^2"]))
+def test_a_variable_beyond_the_header_is_rejected_before_its_bit_is_set(
+        before, after, sign, exponent):
+    # The mask of x100000000 would take 25 MB; the term is rejected in far less.
+    huge = f"{sign * 10 ** 8}{exponent}"
+    mono = " ".join([*map(str, before), huge, *map(str, after)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            parse_sap(f"p sap {VARS} 0\ng 0\nt 1 {mono} ; B one\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == f"line 3: variable x{10 ** 8} exceeds declared variable count {VARS}"
+    assert peak < 1_000_000
