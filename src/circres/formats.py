@@ -6,9 +6,9 @@ digits after an optional sign: no ``_`` digit groups or non-ASCII digits,
 which ``int`` would read.  The ``p`` header is the first line that is not a
 comment, so every line is checked as it is read and an error names the line
 that holds it; the counts the header declares are compared with the file at
-its end.  The readers check canonical order, normalize only a clause or
-monomial out of it, and check and build each distinct rule, reference,
-rational and monomial token of a file once.
+its end.  A ``.sap`` monomial is built straight from its tokens and
+normalized only when a token repeats or has an exponent; each distinct rule,
+reference, coefficient and monomial token of a file is checked and built once.
 
 DIMACS CNF::
 
@@ -47,7 +47,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .core import Clause, CnfFormula, mask_literals
+from .core import Clause, CnfFormula, literal_key, mask_literals
 from .proofgraph import (
     AXIOM,
     CUT,
@@ -67,14 +67,12 @@ class ParseError(ValueError):
 
 
 def _lines(text: str):
-    # int() misreads '_' digit groups and non-ASCII digits: seek them if the text has any.
-    odd = "_" in text or not text.isascii()
     header = False
     for no, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if not tokens or tokens[0][0] == "c":
             continue
-        if odd and ("_" in raw or not raw.isascii()):
+        if "_" in raw or not raw.isascii():  # int() reads '_' digit groups and non-ASCII digits
             for p in raw.replace("/", " ").replace("^", " ").split():
                 if ("_" in p or not p.isascii()) and p.lstrip("+-").replace("_", "").isdecimal():
                     raise ParseError(no, f"number {p!r} is not ASCII digits")
@@ -128,8 +126,7 @@ def _clause_tokens(tokens: list[str], no: int) -> Clause:
         raise ParseError(no, "clause literals must be integers") from None
     if 0 in lits:
         raise ParseError(no, "literal 0 may only terminate the clause")
-    keys = [l + l if l > 0 else 1 - l - l for l in lits]  # literal_key, inlined
-    return Clause(tuple(lits)) if sorted(set(keys)) == keys else Clause.from_signed(lits)
+    return Clause.from_signed(lits)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +134,11 @@ def _clause_tokens(tokens: list[str], no: int) -> Clause:
 
 def parse_dimacs(text: str) -> CnfFormula:
     header_line, num_vars, expected, lines = _header(text, "cnf", "<vars> <clauses>")
-    clauses = [_clause_tokens(tokens, no) for no, tokens in lines]
+    clauses: list[Clause] = []
+    clause_lines: list[int] = []
+    for no, tokens in lines:
+        clauses.append(_clause_tokens(tokens, no))
+        clause_lines.append(no)
     if expected != len(clauses):
         raise ParseError(
             header_line,
@@ -147,8 +148,8 @@ def parse_dimacs(text: str) -> CnfFormula:
         return CnfFormula.of(num_vars, clauses)
     except ValueError as exc:
         # The only complaint is a literal beyond the variable count, which
-        # names the first clause that holds one: the lines are read again.
-        no = next(no for (no, _), c in zip(list(_lines(text))[1:], clauses)
+        # names the first clause that holds one.
+        no = next(no for no, c in zip(clause_lines, clauses)
                   if any(abs(lit) > num_vars for lit in c.literals))
         raise ParseError(no, str(exc)) from None
 
@@ -178,7 +179,6 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[dict[int, Fraction]]]:
     flows: dict[int, Fraction] = {}
     flow_line: dict[int, int] = {}
     rules: dict[tuple[str, str], Rule] = {}
-    values: dict[str, Fraction] = {}
     header_line, num_formulas, num_inferences, lines = _header(text, "cres", "<#f> <#i>")
 
     for no, tokens in lines:
@@ -231,11 +231,9 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[dict[int, Fraction]]]:
             iid = _int(tokens[1], no)
             if iid in flows:
                 raise ParseError(no, f"duplicate flow line for inference vertex {iid}")
-            f = values.get(tokens[2])
-            if f is None:
-                f = values[tokens[2]] = _rational(tokens[2], no)
-                if f <= 0:
-                    raise ParseError(no, f"flow must be positive, got {f}")
+            f = _rational(tokens[2], no)
+            if f <= 0:
+                raise ParseError(no, f"flow must be positive, got {f}")
             flows[iid] = f
             flow_line[iid] = no
         else:
@@ -327,7 +325,7 @@ def parse_sap(text: str) -> SAProof:
     terms: list[SATerm] = []
     coefs: dict[str, Fraction] = {}
     refs: dict[tuple[str, ...], RefPoly] = {}
-    bits: dict[str, tuple[int, int]] = {}
+    bits: dict[str, tuple[int, int, int]] = {}
 
     def in_range(var: int, no: int) -> None:
         if var > num_vars:
@@ -365,8 +363,8 @@ def parse_sap(text: str) -> SAProof:
                     if t == 0 or e < 1:
                         raise ParseError(no, f"bad monomial token {tok!r}")
                     in_range(abs(t), no)  # first: a mask is as wide as its largest variable
-                    bits[tok] = 1 << (t + t if t > 0 else 1 - t - t), e
-                bit, e = bits[tok]
+                    bits[tok] = 1 << literal_key(t), t, e
+                bit, _, e = bits[tok]
                 mask |= bit
                 degree += e
             ref_tokens = tuple(tokens[sep + 1:])
@@ -402,7 +400,7 @@ def parse_sap(text: str) -> SAProof:
                     raise ParseError(no, str(exc)) from None
             # Only a repeated token or an exponent leaves fewer bits than the degree.
             mono = Monomial(mask) if mask.bit_count() == degree else Monomial.of(
-                (int(b), int(e or 1)) for b, _, e in (t.partition("^") for t in tokens[2:sep]))
+                bits[tok][1:] for tok in tokens[2:sep])
             terms.append(SATerm(coef, mono, ref))
         else:
             raise ParseError(no, f"unknown line tag {tag!r}")

@@ -3,10 +3,10 @@
 Every emitted ``.cnf``, ``.cres`` and ``.sap`` text parses back to what was
 serialized, and every mutation of one (a line deleted or duplicated, a token
 replaced, the text truncated) either parses or raises ``ParseError``: the
-parsers never fail with any other exception.  The readers take a line in
-canonical order as it stands and normalize only the others, so any literal
-list reads as ``Clause.from_signed`` gives it and any monomial as
-``Monomial.of`` does.
+parsers never fail with any other exception.  Any literal list reads as
+``Clause.from_signed`` gives it, and any monomial as ``Monomial.of`` does,
+although ``parse_sap`` builds a monomial's mask straight from its tokens and
+calls ``Monomial.of`` only for a repeated token or an exponent.
 """
 
 import tracemalloc
@@ -137,12 +137,12 @@ def test_mutated_sap_parses_or_raises_parse_error(text):
 
 
 # ---------------------------------------------------------------------------
-# fast paths: canonical lines as they stand, the others normalized
+# literal lists and monomials read as the normalizing constructors give them
 
 VARS = 6
 LITERALS = st.integers(-VARS, VARS).filter(bool)
 # Shuffled lists with duplicates and complementary pairs, empty ones, and
-# lists already in canonical order (the readers' fast path).
+# lists already in canonical order.
 LITERAL_LISTS = st.lists(LITERALS, max_size=10) | st.lists(LITERALS, max_size=10).map(
     lambda lits: sorted(set(lits), key=literal_key))
 
