@@ -24,23 +24,23 @@ from circres.search import program_size
 
 print("Unit contradiction at width 1:")
 cnf = CnfFormula.of(1, [Clause.from_ints(1), Clause.from_ints(-1)])
-graph, flow = circular_search(cnf, Clause(()), width=1)
+graph, flow = circular_search(cnf, Clause(), width=1)
 print(f"  found length-{graph.length} refutation, verified: "
       f"{verify_flow(graph, flow)}")
 
 print()
 print("A satisfiable formula is never refuted, at any width:")
 sat = CnfFormula.of(2, [Clause.from_ints(1, 2)])
-print(f"  width 2 -> {circular_search(sat, Clause(()), 2)}")
+print(f"  width 2 -> {circular_search(sat, Clause(), 2)}")
 
 print()
 print("Sparse pigeonhole contradiction, width 3:")
 g = near_cubic_bipartite(4, seed=0)
 php = gen_php(g)
-rows, cols = program_size(php, Clause(()), 3)
+rows, cols = program_size(php, Clause(), 3)
 print(f"  search LP: {rows} rows, {cols} clause-balance variables")
 t0 = time.time()
-result = circular_search(php, Clause(()), width=3)
+result = circular_search(php, Clause(), width=3)
 graph, flow = result
 print(
     f"  found width-{graph.width} refutation of length {graph.length} "
@@ -52,7 +52,7 @@ print("Dag-like comparison oracle on the same instance:")
 closure = daglike_width_saturate(php, 3)
 print(
     f"  width-3 saturation closure has {len(closure)} clauses; "
-    f"empty clause derived: {Clause(()) in closure}"
+    f"empty clause derived: {Clause() in closure}"
 )
 print("  (at this scale narrow dag-like refutations still exist; the width-3")
 print("   separation shows on larger instances, e.g. near-cubic n=15, seed 1)")

@@ -44,7 +44,7 @@ class UsageError(ValueError):
 
 def _parse_goal(spec: str) -> Clause:
     if spec.strip() in ("", "empty"):
-        return Clause(())
+        return Clause()
     tokens = spec.split()
     if tokens[-1] != "0":
         raise UsageError("goal spec must end with 0 or be 'empty'")

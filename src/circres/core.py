@@ -1,14 +1,14 @@
 """Clauses, CNF formulas, their evaluation, and brute-force semantic oracles.
 
-Variables are dense positive integers.  A literal is a nonzero signed
-integer, ``v`` for ``x_v`` and ``-v`` for ``~x_v``; a clause is a sorted,
-duplicate-free tuple of literals, ordered by variable with the positive
-phase first (:func:`literal_key`, the one canonical order of the package).
-Tautological clauses (containing some ``x`` together with ``~x``) are legal
-first-class values and carry a queryable flag, since elementary tautologies
-``x | ~x`` arise as rule consequents.  The empty clause is a valid clause of
-width 0 and is false under every assignment.  A truth assignment is a plain
-mapping from each variable to 0 or 1.
+Variables are positive integers up to :data:`MAX_VARIABLE`.  A literal is a
+nonzero signed integer, ``v`` for ``x_v`` and ``-v`` for ``~x_v``; a clause
+is the mask with bit ``literal_key(l)`` set for each literal ``l``, whose
+bits read from low to high are its literals in canonical order.  Only
+printing, writing and the oracles decode it.  Tautological clauses
+(containing some ``x`` together with ``~x``) are legal first-class values,
+since elementary tautologies ``x | ~x`` arise as rule consequents.  The
+empty clause ``Clause()`` has width 0 and is false under every assignment.
+A truth assignment is a plain mapping from each variable to 0 or 1.
 
 All values here are immutable after construction and all operations are pure.
 :class:`Clause`, like the other values built per clause, vertex, term or LP
@@ -26,9 +26,12 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 # Exhaustive oracles refuse instances above this many variables.
 ORACLE_GUARD = 24
 
+#: The largest variable of a clause, whose mask then takes 25 MB.
+MAX_VARIABLE = 10 ** 8
+
 
 class MalformedLiteralError(ValueError):
-    """A literal was 0 or not an integer."""
+    """A literal was 0, not an integer, or beyond :data:`MAX_VARIABLE`."""
 
 
 class IncompleteAssignmentError(KeyError):
@@ -40,19 +43,10 @@ class TooLargeError(ValueError):
 
 
 def literal_key(lit: int) -> int:
-    """Canonical literal order: by variable, positive phase first.
-
-    Clauses sort their literals by it, and polynomial monomials their twin
-    variables (token ``+i`` for ``X_i`` before ``-i`` for ``Xb_i``).
-    """
+    """Canonical literal order, by variable and positive phase first: the
+    bit of ``lit`` in a clause mask (bit ``2v`` is ``x_v``, ``2v + 1`` is
+    ``~x_v``), and of twin-variable token ``lit`` in a monomial's."""
     return 2 * lit if lit > 0 else 1 - 2 * lit
-
-
-def clause_mask(literals: Iterable[int]) -> int:
-    """The bit mask of distinct literals: bit ``literal_key(l)`` for each, so
-    bit ``2v`` is ``x_v``, bit ``2v + 1`` is ``~x_v``, and the bits read from
-    low to high are the literals in canonical order."""
-    return sum([1 << literal_key(l) for l in literals])
 
 
 def positive_mask(num_vars: int) -> int:
@@ -60,17 +54,12 @@ def positive_mask(num_vars: int) -> int:
     return (1 << 2 * num_vars + 2) // 3 - 1
 
 
-# Literals of the bits below 512, made once for decoded clauses to share.
-_LITERALS = tuple(-(b >> 1) if b & 1 else b >> 1 for b in range(512))
-
-
 def mask_literals(mask: int) -> tuple[int, ...]:
-    """The literals of ``mask`` in canonical order, for a mask of any size:
-    ``Clause(mask_literals(m))`` is the clause of mask ``m``."""
+    """The literals of ``mask`` in canonical order, for a mask of any size."""
     lits = []
     while mask:
         b = mask.bit_length() - 1
-        lits.append(_LITERALS[b] if b < 512 else -(b >> 1) if b & 1 else b >> 1)
+        lits.append(-(b >> 1) if b & 1 else b >> 1)
         mask ^= 1 << b
     lits.reverse()
     return tuple(lits)
@@ -81,27 +70,27 @@ def _literal_str(lit: int) -> str:
 
 
 class Clause(NamedTuple):
-    """A disjunction of literals: a tuple of signed variables, deduplicated
-    and sorted by :func:`literal_key`.
+    """A disjunction of literals as their mask (see the module docstring).
 
-    Construct through :meth:`from_signed` (or :meth:`from_ints`), which
-    enforces the canonical form.  Complementary pairs are retained, so a
-    clause may be tautological.
+    :meth:`from_signed` (or :meth:`from_ints`) builds one from signed
+    integers, checking each.  Complementary pairs are retained, so a clause
+    may be tautological.
     """
 
-    literals: tuple[int, ...]
+    mask: int = 0
 
     @property
     def width(self) -> int:
-        return len(self.literals)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.literals
+        return self.mask.bit_count()
 
     @property
     def is_tautological(self) -> bool:
-        return len(self.variables()) < len(self.literals)
+        both = self.mask & self.mask >> 1  # bit 2v: x_v and ~x_v
+        return bool(both and both & positive_mask(both.bit_length() >> 1))
+
+    @property
+    def literals(self) -> tuple[int, ...]:
+        return mask_literals(self.mask)
 
     def variables(self) -> frozenset[int]:
         return frozenset(abs(lit) for lit in self.literals)
@@ -111,7 +100,7 @@ class Clause(NamedTuple):
         return frozenset(self.literals)
 
     def with_literal(self, lit: int) -> "Clause":
-        return Clause.from_signed((*self.literals, lit))
+        return Clause(self.mask | Clause.from_signed((lit,)).mask)
 
     @staticmethod
     def from_ints(*ints: int) -> "Clause":
@@ -119,19 +108,21 @@ class Clause(NamedTuple):
 
     @staticmethod
     def from_signed(ints: Iterable[int]) -> "Clause":
-        """The canonical clause of the signed variables ``ints``.
-
-        Duplicates collapse; complementary pairs are kept, so the result may
-        be tautological.  An empty iterable yields the empty clause.
-        """
-        lits = set(ints)
-        for lit in lits:
-            if type(lit) is not int or not lit:
-                raise MalformedLiteralError(f"not a literal: {lit!r}")
-        return Clause(tuple(sorted(lits, key=literal_key)))
+        """The clause of the signed variables ``ints``: duplicates collapse,
+        complementary pairs are kept.  Raises :class:`MalformedLiteralError`
+        on 0, a non-int (bools included) or a variable above
+        :data:`MAX_VARIABLE`."""
+        mask = 0
+        for lit in ints:
+            if type(lit) is not int or not 0 < abs(lit) <= MAX_VARIABLE:
+                raise MalformedLiteralError(
+                    f"variable x{abs(lit)} exceeds the largest variable index {MAX_VARIABLE}"
+                    if type(lit) is int and lit else f"not a literal: {lit!r}")
+            mask |= 1 << (2 * lit if lit > 0 else 1 - 2 * lit)
+        return Clause(mask)
 
     def __str__(self) -> str:
-        if not self.literals:
+        if not self.mask:
             return "_|_"
         return " | ".join(map(_literal_str, self.literals))
 
@@ -144,31 +135,34 @@ class CnfFormula:
     clauses: tuple[Clause, ...]
 
     def __post_init__(self) -> None:
+        limit = 2 * self.num_variables + 2  # the first bit beyond x_num_variables
         for clause in self.clauses:
-            for lit in clause.literals:
-                if abs(lit) > self.num_variables:
-                    raise MalformedLiteralError(
-                        f"literal {_literal_str(lit)} exceeds declared variable count "
-                        f"{self.num_variables}"
-                    )
+            if clause.mask >> limit:
+                lit = mask_literals(clause.mask >> limit << limit)[0]
+                raise MalformedLiteralError(
+                    f"literal {_literal_str(lit)} exceeds declared variable count "
+                    f"{self.num_variables}"
+                )
 
     @staticmethod
     def of(num_variables: int, clauses: Iterable[Clause]) -> "CnfFormula":
         return CnfFormula(num_variables, tuple(clauses))
 
 
+def _true_mask(alpha: Mapping[int, int]) -> int:
+    """The mask of the literals that ``alpha`` makes true."""
+    return sum([1 << 2 * v + (not value) for v, value in alpha.items()])
+
+
 def evaluate(clause: Clause, alpha: Mapping[int, int]) -> bool:
     """True iff some literal of ``clause`` is satisfied under ``alpha``, a
-    map from each variable to 0 or 1; the empty clause is false."""
-    for lit in clause.literals:
-        try:
-            value = alpha[abs(lit)]
-        except KeyError:
-            raise IncompleteAssignmentError(
-                f"assignment does not cover variable {abs(lit)}"
-            ) from None
-        if bool(value) == (lit > 0):
-            return True
+    map from each variable to 0 or 1, which must cover the clause unless it
+    satisfies it; the empty clause is false."""
+    if clause.mask & _true_mask(alpha):
+        return True
+    missing = clause.variables() - alpha.keys()
+    if missing:
+        raise IncompleteAssignmentError(f"assignment does not cover variable {min(missing)}")
     return False
 
 
@@ -184,13 +178,11 @@ def implies_oracle(hypotheses: CnfFormula, goal: Clause) -> bool:
     Enumerates all assignments over the formula's variables, so it refuses
     instances above :data:`ORACLE_GUARD` variables.
     """
-    num_vars = max(
-        hypotheses.num_variables,
-        max((v for v in goal.variables()), default=0),
-    )
+    num_vars = max(hypotheses.num_variables, max(goal.variables(), default=0))
     if num_vars > ORACLE_GUARD:
         raise TooLargeError(f"{num_vars} variables exceed oracle guard of {ORACLE_GUARD}")
     for alpha in all_assignments(num_vars):
-        if all(evaluate(c, alpha) for c in hypotheses.clauses) and not evaluate(goal, alpha):
+        true = _true_mask(alpha)
+        if all(c.mask & true for c in hypotheses.clauses) and not goal.mask & true:
             return False
     return True

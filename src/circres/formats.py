@@ -8,7 +8,9 @@ comment, so every line is checked as it is read and an error names the line
 that holds it; the counts the header declares are compared with the file at
 its end.  A ``.sap`` monomial is built straight from its tokens and
 normalized only when a token repeats or has an exponent; each distinct rule,
-reference, coefficient and monomial token of a file is checked and built once.
+reference, coefficient, literal and monomial token of a file is checked and
+built once, a variable before its bit exists.  No variable exceeds
+``core.MAX_VARIABLE``, nor a header's variable count.
 
 DIMACS CNF::
 
@@ -47,7 +49,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .core import Clause, CnfFormula, literal_key, mask_literals
+from .core import (MAX_VARIABLE, Clause, CnfFormula, MalformedLiteralError, literal_key,
+                   mask_literals)
 from .proofgraph import (
     AXIOM,
     CUT,
@@ -96,6 +99,9 @@ def _header(text: str, kind: str, counts: str):
     first, second = _int(tokens[2], no), _int(tokens[3], no)
     if first < 0 or second < 0:
         raise ParseError(no, "header counts must be nonnegative")
+    if kind != "cres" and first > MAX_VARIABLE:
+        raise ParseError(no, f"variable count {first} exceeds the largest variable index "
+                             f"{MAX_VARIABLE}")
     return no, first, second, lines
 
 
@@ -117,16 +123,53 @@ def _rational(token: str, no: int) -> Fraction:
     return Fraction(n, d)
 
 
-def _clause_tokens(tokens: list[str], no: int) -> Clause:
-    if not tokens or tokens[-1] != "0":
-        raise ParseError(no, "clause line must end with 0")
+def _literal(token: str, no: int) -> int:
     try:
-        lits = list(map(int, tokens[:-1]))
+        lit = int(token)
     except ValueError:
         raise ParseError(no, "clause literals must be integers") from None
-    if 0 in lits:
+    if not lit:
         raise ParseError(no, "literal 0 may only terminate the clause")
-    return Clause.from_signed(lits)
+    return lit
+
+
+def _beyond_max(lits: list[int], no: int) -> None:
+    try:
+        Clause.from_signed(lits)
+    except MalformedLiteralError as exc:
+        raise ParseError(no, str(exc)) from None
+
+
+def _clause_tokens(tokens: list[str], no: int, bits: dict[str, int],
+                   num_vars: int = MAX_VARIABLE, beyond=_beyond_max) -> Clause:
+    """The clause of a ``<lit> ... 0`` line, the OR of its tokens' bits in
+    the file's table ``bits``.  A literal beyond ``num_vars`` is reported by
+    ``beyond``, given all the line's literals."""
+    if not tokens or tokens[-1] != "0":
+        raise ParseError(no, "clause line must end with 0")
+    mask = 0
+    for tok in tokens[:-1]:
+        if tok not in bits:
+            lit = _literal(tok, no)
+            if abs(lit) > num_vars:
+                beyond([_literal(t, no) for t in tokens[:-1]], no)
+            bits[tok] = 1 << literal_key(lit)
+        mask |= bits[tok]
+    return Clause(mask)
+
+
+def _literal_tokens(mask: int, table: dict[int, str]) -> list[str]:
+    """The literals of a clause mask as tokens, in canonical order; each
+    distinct bit is decoded once, into the writer's ``table``."""
+    out = []
+    while mask:
+        b = mask.bit_length() - 1  # the last literal left
+        if b not in table:
+            table[b] = str(mask_literals(1 << b)[0])
+        out.append(table[b])
+        mask ^= 1 << b
+    out.reverse()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -134,32 +177,29 @@ def _clause_tokens(tokens: list[str], no: int) -> Clause:
 
 def parse_dimacs(text: str) -> CnfFormula:
     header_line, num_vars, expected, lines = _header(text, "cnf", "<vars> <clauses>")
-    clauses: list[Clause] = []
-    clause_lines: list[int] = []
-    for no, tokens in lines:
-        clauses.append(_clause_tokens(tokens, no))
-        clause_lines.append(no)
+    bits: dict[str, int] = {}
+
+    def beyond(lits: list[int], no: int) -> None:
+        # Name the line's first literal beyond the count, in canonical order.
+        lit = min((l for l in lits if abs(l) > num_vars), key=literal_key)
+        name = f"x{lit}" if lit > 0 else f"~x{-lit}"
+        raise ParseError(no, f"literal {name} exceeds declared variable count {num_vars}")
+
+    clauses = [_clause_tokens(tokens, no, bits, num_vars, beyond) for no, tokens in lines]
     if expected != len(clauses):
         raise ParseError(
             header_line,
             f"header declares {expected} clauses but file has {len(clauses)}",
         )
-    try:
-        return CnfFormula.of(num_vars, clauses)
-    except ValueError as exc:
-        # The only complaint is a literal beyond the variable count, which
-        # names the first clause that holds one.
-        no = next(no for no, c in zip(clause_lines, clauses)
-                  if any(abs(lit) > num_vars for lit in c.literals))
-        raise ParseError(no, str(exc)) from None
+    return CnfFormula.of(num_vars, clauses)
 
 
 def serialize_dimacs(cnf: CnfFormula, comments: list[str] | None = None) -> str:
     out = [f"c {line}" for line in (comments or [])]
     out.append(f"p cnf {cnf.num_variables} {len(cnf.clauses)}")
+    table: dict[int, str] = {}
     for clause in cnf.clauses:
-        lits = " ".join(str(lit) for lit in clause.literals)
-        out.append((lits + " 0").strip())
+        out.append(" ".join([*_literal_tokens(clause.mask, table), "0"]))
     return "\n".join(out) + "\n"
 
 
@@ -179,6 +219,7 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[dict[int, Fraction]]]:
     flows: dict[int, Fraction] = {}
     flow_line: dict[int, int] = {}
     rules: dict[tuple[str, str], Rule] = {}
+    bits: dict[str, int] = {}
     header_line, num_formulas, num_inferences, lines = _header(text, "cres", "<#f> <#i>")
 
     for no, tokens in lines:
@@ -187,7 +228,7 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[dict[int, Fraction]]]:
             if len(tokens) < 2:
                 raise ParseError(no, "clause label line must be 'f <id> <lit> ... 0'")
             fid = _int(tokens[1], no)
-            formulas.append(FormulaVertex(fid, _clause_tokens(tokens[2:], no)))
+            formulas.append(FormulaVertex(fid, _clause_tokens(tokens[2:], no, bits)))
         elif tag == "i":
             if len(tokens) < 4:
                 raise ParseError(no, "truncated inference line")
@@ -299,9 +340,9 @@ def serialize_cres(
     out = [f"c {line}" for line in (comments or [])]
     out.append(f"p cres {len(graph.formula_vertices)} {len(graph.inference_vertices)}")
     formulas = sorted(graph.formula_vertices, key=lambda v: v.id)
+    table: dict[int, str] = {}
     for v in formulas:
-        tokens = ["f", str(v.id)] + [str(lit) for lit in v.clause.literals] + ["0"]
-        out.append(" ".join(tokens))
+        out.append(" ".join(["f", str(v.id), *_literal_tokens(v.clause.mask, table), "0"]))
     for w in sorted(graph.inference_vertices, key=lambda w: w.id):
         refs = " ".join(str(u) for u in (*w.in_neighbors, *w.out_neighbors))
         out.append(f"i {w.id} {_KIND_NAMES[w.rule.kind]} {w.rule.principal} {refs}")
@@ -326,21 +367,23 @@ def parse_sap(text: str) -> SAProof:
     coefs: dict[str, Fraction] = {}
     refs: dict[tuple[str, ...], RefPoly] = {}
     bits: dict[str, tuple[int, int, int]] = {}
+    literal_bits: dict[str, int] = {}
 
     def in_range(var: int, no: int) -> None:
         if var > num_vars:
             raise ParseError(no, f"variable x{var} exceeds declared variable count {num_vars}")
 
+    def beyond(lits: list[int], no: int) -> None:
+        in_range(max(map(abs, lits)), no)
+
     for no, tokens in lines:
         tag = tokens[0]
         if tag == "h":
-            hyps.append(_clause_tokens(tokens[1:], no))
-            in_range(max(hyps[-1].variables(), default=0), no)
+            hyps.append(_clause_tokens(tokens[1:], no, literal_bits, num_vars, beyond))
         elif tag == "g":
             if goal is not None:
                 raise ParseError(no, "duplicate goal line")
-            goal = _clause_tokens(tokens[1:], no)
-            in_range(max(goal.variables(), default=0), no)
+            goal = _clause_tokens(tokens[1:], no, literal_bits, num_vars, beyond)
         elif tag == "t":
             if ";" not in tokens:
                 raise ParseError(no, "term line needs a ';' before its reference")
@@ -414,20 +457,21 @@ def parse_sap(text: str) -> SAProof:
     return SAProof(num_vars, tuple(hyps), goal, tuple(terms))
 
 
-def _mono_tokens(m: Monomial) -> str:
-    tokens = mask_literals(m.mask)
+def _mono_tokens(m: Monomial, table: dict[int, str]) -> str:
     if not m.powers:
-        return " ".join(map(str, tokens))
+        return " ".join(_literal_tokens(m.mask, table))
     exponent = dict(m.powers)
-    return " ".join(f"{tok}^{exponent[tok]}" if tok in exponent else str(tok) for tok in tokens)
+    return " ".join(f"{tok}^{exponent[tok]}" if tok in exponent else str(tok)
+                    for tok in mask_literals(m.mask))
 
 
 def serialize_sap(proof: SAProof, comments: list[str] | None = None) -> str:
     out = [f"c {line}" for line in (comments or [])]
     out.append(f"p sap {proof.num_variables} {len(proof.hypotheses)}")
+    table: dict[int, str] = {}
     for h in proof.hypotheses:
-        out.append(" ".join(["h"] + [str(lit) for lit in h.literals] + ["0"]))
-    out.append(" ".join(["g"] + [str(lit) for lit in proof.goal.literals] + ["0"]))
+        out.append(" ".join(["h", *_literal_tokens(h.mask, table), "0"]))
+    out.append(" ".join(["g", *_literal_tokens(proof.goal.mask, table), "0"]))
     for t in proof.terms:
         if t.ref.kind == HYPOTHESIS:
             ref = f"H {t.ref.index}"
@@ -435,7 +479,7 @@ def serialize_sap(proof: SAProof, comments: list[str] | None = None) -> str:
             ref = "B one"
         else:
             ref = f"B {t.ref.kind} {t.ref.index}"
-        mono = _mono_tokens(t.monomial)
+        mono = _mono_tokens(t.monomial, table)
         middle = f" {mono}" if mono else ""
         out.append(f"t {t.coefficient}{middle} ; {ref}")
     return "\n".join(out) + "\n"

@@ -185,7 +185,7 @@ def php_refutation(g: BipartiteGraph) -> tuple[ProofGraph, dict[int, Fraction]]:
         hypotheses.update(Clause.from_ints(-y, -z) for y, z in itertools.combinations(ys, 2))
         _add_hole_piece(b, ys)
     b.mark_hypotheses(hypotheses)
-    goal = b.vertex(Clause(()))
+    goal = b.vertex(Clause())
     b.set_goal(goal)
     return b.build()
 
@@ -234,7 +234,7 @@ def unsound_cycle_example() -> ProofGraph:
     nx = b.vertex(Clause.from_ints(-1))
     b.inference(CUT, 1, (x, taut), (x,))
     b.inference(CUT, 1, (taut, nx), (nx,))
-    empty = b.vertex(Clause(()))
+    empty = b.vertex(Clause())
     b.inference(CUT, 1, (x, nx), (empty,))
     b.set_goal(empty)
     graph, _ = b.build()
@@ -341,7 +341,7 @@ def random_circular_proof(
             # clauses, which the polynomial translation cannot encode.
             if c.width >= max_width or c.is_tautological:
                 continue
-            candidates = [v for v in range(1, num_vars + 1) if v not in c.variables()]
+            candidates = [v for v in range(1, num_vars + 1) if not c.mask >> 2 * v & 3]
             if not candidates:
                 continue
             x = rng.choice(candidates)
@@ -360,16 +360,19 @@ def random_circular_proof(
         # Cut: look for a resolvable pair already in the pool.
         fid = rng.choice(pool)
         c = clause_of(fid)
-        if c.is_empty:
+        if not c.mask:
             continue
-        lit = rng.choice(c.literals)
-        side = Clause.from_signed(l for l in c.literals if l != lit)
-        partner = side.with_literal(-lit)
-        pid = b.lookup(partner)
+        rest = c.mask
+        for _ in range(rng.choice(range(c.width))):  # drop the k lowest literals
+            rest &= rest - 1
+        bit = rest & -rest  # the k-th literal in canonical order
+        x, negative = divmod(bit.bit_length() - 1, 2)
+        side = Clause(c.mask ^ bit)
+        pid = b.lookup(Clause(side.mask | (bit >> 1 if negative else bit << 1)))
         if pid is None or pid not in pool:
             continue
-        pos_id, neg_id = (fid, pid) if lit > 0 else (pid, fid)
-        out = b.cut(pos_id, neg_id, side, abs(lit))
+        pos_id, neg_id = (pid, fid) if negative else (fid, pid)
+        out = b.cut(pos_id, neg_id, side, x)
         if out not in pool:
             pool.append(out)
         derived.append(out)
@@ -391,13 +394,12 @@ def random_circular_proof(
         pumpable = [
             fid for fid in pool
             if not clause_of(fid).is_tautological
-            and clause_of(fid).width < max_width
-            and len(clause_of(fid).variables()) < num_vars
+            and clause_of(fid).width < min(max_width, num_vars)
         ]
         if pumpable:
             fid = rng.choice(pumpable)
             c = clause_of(fid)
-            x = next(v for v in range(1, num_vars + 1) if v not in c.variables())
+            x = next(v for v in range(1, num_vars + 1) if not c.mask >> 2 * v & 3)
             p = Fraction(rng.randint(1, 3))
             pos = b.vertex(c.with_literal(x))
             neg = b.vertex(c.with_literal(-x))

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Container, NamedTuple, Optional, Sequence
 
-from .core import Clause
+from .core import MAX_VARIABLE, Clause
 
 AXIOM = "axiom"
 CUT = "cut"
@@ -56,6 +56,8 @@ class Rule(NamedTuple("Rule", [("kind", str), ("principal", int)])):
             raise ValueError(f"unknown rule kind {kind!r}")
         if principal < 1:
             raise ValueError(f"principal variable must be >= 1, got {principal}")
+        if principal > MAX_VARIABLE:
+            raise ValueError(f"principal variable must be <= {MAX_VARIABLE}, got {principal}")
         return tuple.__new__(cls, (kind, principal))
 
 
@@ -143,24 +145,19 @@ class ProofGraph:
         """Number of vertices of the graph, formula and inference alike."""
         return len(self.formula_vertices) + len(self.inference_vertices)
 
-    @property
+    @cached_property
     def width(self) -> int:
         """Largest number of literals in any clause label."""
         return max((v.clause.width for v in self.formula_vertices), default=0)
 
 
-def _expected_sets(side: Clause, principal: int) -> tuple[frozenset[int], frozenset[int]]:
-    """The literal sets of ``side | x`` and ``side | ~x``: canonical clauses
-    are equal exactly when their literal sets are."""
-    lits = side.signed()
-    return lits | {principal}, lits | {-principal}
-
-
 def rule_violations(graph: ProofGraph, w: InferenceVertex) -> list[RuleViolation]:
-    """Check a single inference vertex against its rule template."""
+    """Check a single inference vertex against its rule template, on clause
+    masks: ``side | p`` is ``side | x`` and ``side | n`` is ``side | ~x``."""
     out: list[RuleViolation] = []
     kind = w.rule.kind
     x = w.rule.principal
+    p, n = 1 << 2 * x, 2 << 2 * x
     ins = [graph.formula(u).clause for u in w.in_neighbors]
     outs = [graph.formula(u).clause for u in w.out_neighbors]
     if kind == AXIOM:
@@ -168,7 +165,7 @@ def rule_violations(graph: ProofGraph, w: InferenceVertex) -> list[RuleViolation
             out.append(RuleViolation(w.id, "axiom must have no antecedents"))
         if len(outs) != 1:
             out.append(RuleViolation(w.id, "axiom must have exactly one consequent"))
-        elif outs[0] != Clause.from_ints(x, -x):
+        elif outs[0].mask != p | n:
             out.append(RuleViolation(w.id, f"axiom consequent must be x{x} | ~x{x}, got {outs[0]}"))
     elif kind == CUT:
         if len(outs) != 1:
@@ -177,14 +174,13 @@ def rule_violations(graph: ProofGraph, w: InferenceVertex) -> list[RuleViolation
             out.append(RuleViolation(w.id, "cut must have exactly two antecedents"))
         else:
             side = outs[0]
-            expected = _expected_sets(side, x)
-            if {ins[0].signed(), ins[1].signed()} != set(expected):
-                pos, neg = map(Clause.from_signed, expected)
+            if {ins[0].mask, ins[1].mask} != {side.mask | p, side.mask | n}:
                 out.append(
                     RuleViolation(
                         w.id,
-                        f"cut antecedents must be {{{pos}}} and {{{neg}}} "
-                        f"sharing side clause {side}, got {ins[0]} and {ins[1]}",
+                        f"cut antecedents must be {{{Clause(side.mask | p)}}} and "
+                        f"{{{Clause(side.mask | n)}}} sharing side clause {side}, "
+                        f"got {ins[0]} and {ins[1]}",
                     )
                 )
     elif kind == SPLIT:
@@ -193,17 +189,16 @@ def rule_violations(graph: ProofGraph, w: InferenceVertex) -> list[RuleViolation
         elif not 1 <= len(outs) <= 2:
             out.append(RuleViolation(w.id, "split must have one or two consequents"))
         else:
-            side = ins[0]
-            expected = _expected_sets(side, x)
+            side = ins[0].mask
             if len(outs) == 2 and outs[0] == outs[1]:
                 out.append(RuleViolation(w.id, "split consequents must be distinct"))
             for c in outs:
-                if c.signed() not in expected:
-                    pos, neg = map(Clause.from_signed, expected)
+                if c.mask != side | p and c.mask != side | n:
                     out.append(
                         RuleViolation(
                             w.id,
-                            f"split consequent {c} is neither {pos} nor {neg}",
+                            f"split consequent {c} is neither {Clause(side | p)} "
+                            f"nor {Clause(side | n)}",
                         )
                     )
     return out
@@ -383,8 +378,9 @@ class ProofGraphBuilder:
         """
         source = self.vertex(goal)
         fresh = self.vertex(goal, fresh=True)
-        if goal.literals:
-            self.inference(SPLIT, abs(goal.literals[0]), (source,), (fresh,), flow)
+        if goal.mask:
+            first = (goal.mask & -goal.mask).bit_length() - 1 >> 1  # its first variable
+            self.inference(SPLIT, first, (source,), (fresh,), flow)
         else:
             pos = self.vertex(goal.with_literal(1))
             neg = self.vertex(goal.with_literal(-1))

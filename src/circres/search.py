@@ -31,8 +31,7 @@ exactly when the saturation contains the empty clause, which makes the pair
 of procedures a practical probe for instances where circular width beats
 dag-like width.
 
-Both procedures hold a clause as its ``core.clause_mask`` (and
-``core.mask_literals`` reads it back): literal ``l`` sets bit
+Both procedures work on the ``core.Clause`` mask: literal ``l`` sets bit
 ``literal_key(l)``, so bit ``2v`` is ``x_v``, bit ``2v + 1`` is ``~x_v``, and
 the bits read from low to high are the literals in canonical order.  In the
 search, ``F_D`` is the sum of ``(-1)^|S| x^(N | S)`` over the submasks ``S``
@@ -53,7 +52,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import lp
-from .core import Clause, CnfFormula, clause_mask, literal_key, mask_literals, positive_mask
+from .core import Clause, CnfFormula, literal_key, positive_mask
 from .flowcheck import verify_flow
 from .proofgraph import CUT, SPLIT, ProofGraph, ProofGraphBuilder
 
@@ -104,11 +103,12 @@ def _clause_masks(num_vars: int, width: int) -> list[int]:
 
 
 def _num_variables(hypotheses: CnfFormula, goal: Clause) -> int:
-    return max(hypotheses.num_variables, max(goal.variables(), default=0))
+    # The goal's largest variable is read off the top bit of its mask.
+    return max(hypotheses.num_variables, goal.mask.bit_length() - 1 >> 1)
 
 
 def _hypothesis_masks(hypotheses: CnfFormula) -> set[int]:
-    return {clause_mask(c.literals) for c in hypotheses.clauses if not c.is_tautological}
+    return {c.mask for c in hypotheses.clauses if not c.is_tautological}
 
 
 def program_size(hypotheses: CnfFormula, goal: Clause, width: int) -> tuple[int, int]:
@@ -127,7 +127,7 @@ def program_size(hypotheses: CnfFormula, goal: Clause, width: int) -> tuple[int,
         raise WidthError("goal clause must not be tautological")
     n = _num_variables(hypotheses, goal)
     free = {h for h in _hypothesis_masks(hypotheses) if h.bit_count() <= width}
-    free -= {clause_mask(goal.literals)}
+    free -= {goal.mask}
     clauses = sum(math.comb(n, k) * 2 ** k for k in range(width + 1))
     return clauses - len(free), clauses - sum(math.comb(n, k) for k in range(width + 1))
 
@@ -154,7 +154,7 @@ def circular_search(
         raise SearchBudgetError(rows, cols, row_budget)
     n = _num_variables(hypotheses, goal)
     positive = positive_mask(n)
-    target = clause_mask(goal.literals)
+    target = goal.mask
     hyps = _hypothesis_masks(hypotheses)
     clauses = _clause_masks(n, width)
 
@@ -198,12 +198,9 @@ def circular_search(
     num = [v.numerator * (den // v.denominator) for v in point]
     residual = {d: sum([c * num[j] for j, c in form.items()]) for d, form in balance.items()}
     builder = ProofGraphBuilder()
-    ids: dict[int, int] = {}
 
     def vertex(mask: int) -> int:
-        if mask not in ids:
-            ids[mask] = builder.vertex(Clause(mask_literals(mask)))
-        return ids[mask]
+        return builder.vertex(Clause(mask))
 
     builder.set_goal(vertex(target))
     for d in sorted(variables, key=lambda d: -(d & positive).bit_count()):
@@ -275,7 +272,7 @@ def daglike_width_saturate(hypotheses: CnfFormula, width: int) -> set[Clause]:
 
     for c in hypotheses.clauses:
         if not c.is_tautological:
-            keep(clause_mask(c.literals))
+            keep(c.mask)
 
     while any(queues):
         c = next(q for q in queues if q).pop()
@@ -292,7 +289,7 @@ def daglike_width_saturate(hypotheses: CnfFormula, width: int) -> set[Clause]:
                 if resolvent.bit_count() > width or resolvent & (resolvent >> 1) & positive:
                     continue
                 if not resolvent and width >= 2:
-                    return {Clause(mask_literals(m)) for m in _clause_masks(n, width)}
+                    return set(map(Clause, _clause_masks(n, width)))
                 if not has_kept_subset(resolvent, False):
                     keep(resolvent)
             # Safe before c's later bits are resolved: c holds no complement
@@ -314,4 +311,4 @@ def daglike_width_saturate(hypotheses: CnfFormula, width: int) -> set[Clause]:
                     if weakened.bit_count() < width:
                         frontier.append(weakened)
 
-    return {Clause(mask_literals(c)) for c in closure}
+    return set(map(Clause, closure))

@@ -34,12 +34,13 @@ identity term by term (degree equals proof width); ``sa_to_circular`` goes
 back by reading each term, on 0-1 points, as a rule application (width at
 most proof degree).
 
-A monomial is an ``int`` mask in the encoding of ``core.clause_mask``
-(``X_i`` is bit ``2i``, ``Xb_i`` bit ``2i + 1``) plus a record of the rare
-exponents above 1, so a clause's falsified-point monomial is its mask with
-each variable's two bits exchanged, and most products are ORs.  A mask holds
-two bits per variable up to its largest index: the producers here number
-variables from 1, but a proof over ``x_{10^8}`` handles 25 MB masks.
+A monomial is an ``int`` mask in the encoding of ``core.Clause`` (``X_i``
+is bit ``2i``, ``Xb_i`` bit ``2i + 1``) plus a record of the rare exponents
+above 1, so a clause's falsified-point monomial is its mask with each
+variable's two bits exchanged, and most products are ORs.  A mask holds two
+bits per variable up to its largest index: the producers here number
+variables from 1, but a proof over ``x_{10^8}`` (``core.MAX_VARIABLE``)
+handles 25 MB masks.
 Monomials, references and terms are named tuples (see :mod:`circres.core`);
 ``RefPoly`` checks its fields in ``__new__``, and ``_make`` and
 ``_replace`` go through it.
@@ -53,7 +54,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import Clause, clause_mask, literal_key, mask_literals, positive_mask
+from .core import Clause, literal_key, mask_literals, positive_mask
 from .flowcheck import NotWitnessError, verify_flow
 from .proofgraph import (
     AXIOM,
@@ -83,8 +84,8 @@ class InconsistencyError(ValueError):
 
 class Monomial(NamedTuple):
     """Power product over twin variables, token ``+i`` for ``X_i`` and
-    ``-i`` for ``Xb_i``: ``mask`` is ``clause_mask`` of its tokens, whose bits
-    from low to high are the tokens in canonical order, and ``powers`` holds
+    ``-i`` for ``Xb_i``: ``mask`` is the ``Clause`` mask of its tokens, whose
+    bits from low to high are the tokens in canonical order, and ``powers`` holds
     ``(token, exponent)`` for each exponent of 2 or more, in the same order.
     Mask 0 is the constant monomial 1."""
 
@@ -102,7 +103,8 @@ class Monomial(NamedTuple):
             if tok == 0:
                 raise ValueError("token 0 is not a twin variable")
             acc[tok] = acc.get(tok, 0) + e
-        return Monomial(clause_mask(acc), _powers({t: e for t, e in acc.items() if e > 1}))
+        return Monomial(Clause.from_signed(acc).mask,
+                        _powers({t: e for t, e in acc.items() if e > 1}))
 
     @property
     def degree(self) -> int:
@@ -156,7 +158,7 @@ def falsified_monomial(c: Clause) -> Monomial:
     Defined for tautological clauses as well, where the product contains
     both twins of a variable.
     """
-    return Monomial(clause_mask([-lit for lit in c.literals]))
+    return Monomial(_twin_swap(c.mask))
 
 
 def encode_clause(c: Clause) -> dict[Monomial, Fraction]:
@@ -325,10 +327,10 @@ def clause_gadget(kind: int, side: Monomial, principal: int,
     """
     if side.mask & side.mask >> 1 & positive_mask(side.mask.bit_length() >> 1):
         raise TautologicalClauseError(
-            f"tautological side clause {Clause(mask_literals(_twin_swap(side.mask)))}")
+            f"tautological side clause {Clause(_twin_swap(side.mask))}")
     if kind in (1, 2, 3) and side.mask >> 2 * principal & 3:
         raise ValueError(f"principal x{principal} occurs in side clause "
-                         f"{Clause(mask_literals(_twin_swap(side.mask)))}")
+                         f"{Clause(_twin_swap(side.mask))}")
     if kind == 1:
         return [
             SATerm(weight, Monomial(1 << 2 * principal), RefPoly(ONE_MINUS_X_XBAR, principal)),
@@ -402,7 +404,7 @@ def _rule_terms(w, coef: Fraction, mono: dict[int, Monomial]) -> list[SATerm]:
         return []  # rule polynomial is identically zero
     if len(outs) == 1:
         # Kept only the tautological side: side must be the unit clause of x.
-        (tok,) = mask_literals(side.mask & twin)
+        tok = x if side.mask >> 2 * x & 1 else -x
         return [
             SATerm(coef, side, RefPoly(ONE_MINUS_X_XBAR, x)),
             SATerm(coef, Monomial(side.mask, ((tok, 2),)), _ONE_REF),
@@ -425,7 +427,9 @@ def circular_to_sa(graph: ProofGraph, flow: dict[int, Fraction]) -> SAProof:
     goal = graph.goal_clause()
     if goal.is_tautological:
         raise TautologicalClauseError(f"tautological goal {goal}")
-    hyp_clauses = sorted(graph.hypotheses, key=lambda c: sorted(c.literals))
+    # Hypotheses in the order of their sorted signed literals, which fixes
+    # the ``h`` lines and ``H i`` indices of a written proof.
+    hyp_clauses = sorted(graph.hypotheses, key=lambda c: sorted(c.signed()))
     for h in hyp_clauses:
         if h.is_tautological:
             raise TautologicalClauseError(f"tautological hypothesis {h}")
@@ -477,8 +481,7 @@ def sa_to_circular(proof: SAProof) -> tuple[ProofGraph, dict[int, Fraction]]:
     a rule's is its consequents' ``-F`` minus its antecedents', and slack's
     is ``-F`` at a source, ``+F`` at a sink.  The terms' sum is then
     multilinear and agrees with the goal's encoding on all 0-1 points, so
-    the two are equal and the graph has the goal's balances.  Vertices are
-    identified by clause mask, each decoded once.
+    the two are equal and the graph has the goal's balances.
 
     The width of the result is at most the proof degree, and equal on the
     round trips the tests check: exponents and terms that vanish on 0-1
@@ -493,12 +496,12 @@ def sa_to_circular(proof: SAProof) -> tuple[ProofGraph, dict[int, Fraction]]:
     b = ProofGraphBuilder()
     goal_vertex = b.vertex(proof.goal)
     hyp_set = set(proof.hypotheses)
-    hyp_masks = [clause_mask(h.literals) for h in proof.hypotheses]
+    hyp_masks = [h.mask for h in proof.hypotheses]
     ids: dict[int, int] = {}
 
     def vertex(mask: int) -> int:
         if mask not in ids:
-            ids[mask] = b.vertex(Clause(mask_literals(mask)))
+            ids[mask] = b.vertex(Clause(mask))
         return ids[mask]
 
     def weaken_chain(start: int, extension: int, flow: Fraction) -> None:

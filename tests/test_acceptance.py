@@ -217,12 +217,12 @@ def test_criterion_07_width_separation():
         g = near_cubic_bipartite(n, 0)
         cnf = gen_php(g)
         closure = daglike_width_saturate(cnf, 3)
-        saturation_failed[n] = Clause(()) not in closure
+        saturation_failed[n] = Clause() not in closure
     # Circular side, demonstrated within the probe's runtime budget.
     circular_ok = {}
     for n in (4, 5):
         g = near_cubic_bipartite(n, 0)
-        res = circular_search(gen_php(g), Clause(()), 3)
+        res = circular_search(gen_php(g), Clause(), 3)
         circular_ok[n] = res is not None and verify_flow(res[0], res[1])
     elapsed = time.monotonic() - start
     assert all(circular_ok.values()), circular_ok
@@ -249,7 +249,7 @@ def test_criterion_08_gadget_families():
             principal = next(v for v in range(1, 8) if v not in side.variables())
             for kind in (1, 2, 3, 4):
                 terms = clause_gadget(kind, falsified_monomial(side), principal)
-                proof = SAProof(7, (), Clause(()), tuple(terms))
+                proof = SAProof(7, (), Clause(), tuple(terms))
                 assert proof_sum(proof) == gadget_target(kind, side, principal)
                 degree = sa_degree(proof)
                 # The cut- and split-shaped families meet width+1 exactly;

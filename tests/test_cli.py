@@ -2,7 +2,7 @@ import pytest
 
 from circres import cli, sheraliadams as sa
 from circres.cli import main
-from circres.core import Clause
+from circres.core import MAX_VARIABLE, Clause
 from circres.formats import parse_cres, parse_dimacs, parse_sap, serialize_cres, serialize_dimacs
 from circres.generators import complete_bipartite, gen_php, unsound_cycle_example
 from circres.proofgraph import FormulaVertex, ProofGraph
@@ -178,6 +178,7 @@ def test_gen_php_usage_errors(tmp_path, capsys):
 
 
 UNIT_CNF = "p cnf 1 1\n1 0\n"
+HUGE = 10 ** 12
 
 
 def _cres(line):
@@ -223,6 +224,26 @@ INPUT_ERRORS = {
                             "line 4: hypothesis reference is 'H <index>'"),
     "sap-one-with-index": (["translate", "s2c", "p.sap"], ("p.sap", _sap("t 1 ; B one 1")),
                            "line 4: 'B one' takes no index"),
+    # A clause mask holds two bits per variable up to its largest: an index
+    # beyond core.MAX_VARIABLE is refused before its bit (250 GB here) exists.
+    "search-huge-goal": (["search", "u.cnf", "--width", "3", "--goal", f"{HUGE} 0"], None,
+                         f"bad goal spec: variable x{HUGE} exceeds the largest variable "
+                         f"index {MAX_VARIABLE}"),
+    "check-huge-goal": (["check", "p.cres", "u.cnf", "--goal", f"-{HUGE} 0"],
+                        ("p.cres", _cres("i 0 ax 1 1")),
+                        f"bad goal spec: variable x{HUGE} exceeds the largest variable index"),
+    "cres-huge-literal": (["check", "p.cres", "u.cnf"],
+                          ("p.cres", f"p cres 1 0\nf 0 1 {HUGE} 0\ng 0\n"),
+                          f"line 2: variable x{HUGE} exceeds the largest variable index "
+                          f"{MAX_VARIABLE}"),
+    "cres-huge-principal": (["check", "p.cres", "u.cnf"], ("p.cres", _cres(f"i 0 ax {HUGE} 1")),
+                            f"line 4: principal variable must be <= {MAX_VARIABLE}, got {HUGE}"),
+    "cnf-huge-count": (["search", "n.cnf", "--width", "2"], ("n.cnf", f"p cnf {HUGE} 1\n1 0\n"),
+                       f"line 1: variable count {HUGE} exceeds the largest variable index "
+                       f"{MAX_VARIABLE}"),
+    "sap-huge-count": (["translate", "s2c", "p.sap"],
+                       ("p.sap", f"c wide\np sap {HUGE} 0\ng 0\nt 1 ; B xxsq {HUGE}\n"),
+                       f"line 2: variable count {HUGE} exceeds the largest variable index"),
     "graph-three-numbers": (["gen-php", "--graph", "g.txt"], ("g.txt", "3 2\n1 2 3\n"),
                             "g.txt:2: expected two integers per line"),
     "graph-not-integer": (["gen-php", "--graph", "g.txt"], ("g.txt", "3 x\n"),
@@ -274,7 +295,7 @@ def test_translate_round_trip(tmp_path, php_files, capsys):
     out = capsys.readouterr().out
     assert "degree 3 == width 3: True" in out
     parsed = parse_sap(sap.read_text())
-    assert parsed.goal == Clause(())
+    assert parsed.goal == Clause()
 
     back = tmp_path / "back.cres"
     assert run(["translate", "s2c", sap, "-o", back]) == 0
@@ -323,7 +344,7 @@ def test_translate_empty_goal_that_is_a_hypothesis(tmp_path, capsys):
     assert out == (f"wrote {sap.with_suffix('.cres')}: width 1 <= degree 0 + 1 "
                    "(padding split): True; length 6, monomial size 1\n")
     graph, flow = parse_cres(sap.with_suffix(".cres").read_text())
-    assert graph.goal_clause() == Clause(())
+    assert graph.goal_clause() == Clause()
     assert flow is not None
 
 
@@ -336,7 +357,7 @@ def test_check_and_c2s_certify_the_witnessed_goal_copy(tmp_path, php_files, caps
     spare = len(graph.formula_vertices)
     dup = tmp_path / "dup.cres"
     dup.write_text(serialize_cres(
-        ProofGraph((*graph.formula_vertices, FormulaVertex(spare, Clause(()))),
+        ProofGraph((*graph.formula_vertices, FormulaVertex(spare, Clause())),
                    graph.inference_vertices, graph.hypotheses, spare),
         flow if flows else None,
     ))

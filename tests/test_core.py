@@ -1,8 +1,12 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circres.core import (
+    MAX_VARIABLE,
     Clause,
     CnfFormula,
     IncompleteAssignmentError,
@@ -47,8 +51,8 @@ def test_normalize_keeps_complementary_pair():
 
 def test_empty_clause():
     c = Clause.from_signed([])
-    assert c.is_empty and c.width == 0 and not c.is_tautological
-    assert c == Clause(())
+    assert c == Clause() and c.width == 0 and not c.is_tautological
+    assert c == Clause()
 
 
 def _random_literals(rng, n, count):
@@ -79,7 +83,7 @@ def test_canonical_order_is_by_variable_positive_first():
 def test_evaluate_examples():
     alpha = {1: 0, 2: 0}
     assert evaluate(clause(1, -2), alpha)
-    assert not evaluate(Clause(()), alpha)
+    assert not evaluate(Clause(), alpha)
     assert evaluate(clause(1, -1), alpha)
 
 
@@ -112,12 +116,12 @@ def test_implies_oracle_small_pigeonhole():
     # Two pigeons, one hole: every assignment of the two edge variables
     # falsifies some clause, so the empty clause follows.
     hyp = CnfFormula.of(2, [clause(1), clause(2), clause(-1, -2)])
-    assert implies_oracle(hyp, Clause(()))
+    assert implies_oracle(hyp, Clause())
 
 
 def test_implies_oracle_guard():
     with pytest.raises(TooLargeError, match="30 variables exceed oracle guard of 24"):
-        implies_oracle(CnfFormula.of(30, []), Clause(()))
+        implies_oracle(CnfFormula.of(30, []), Clause())
 
 
 def _implies_second_opinion(hyp: CnfFormula, goal: Clause) -> bool:
@@ -151,3 +155,90 @@ def test_implies_oracle_against_negated_goal_enumeration():
 def test_cnf_rejects_out_of_range_literal():
     with pytest.raises(MalformedLiteralError):
         CnfFormula.of(1, [clause(2)])
+
+
+def test_cnf_names_the_first_literal_beyond_its_count():
+    with pytest.raises(MalformedLiteralError,
+                       match="^literal ~x2 exceeds declared variable count 1$"):
+        CnfFormula.of(1, [clause(1), clause(3, -2)])
+
+
+def test_a_variable_beyond_max_variable_is_no_literal():
+    assert clause(MAX_VARIABLE, -MAX_VARIABLE).width == 2
+    for lit in (MAX_VARIABLE + 1, -10 ** 12):
+        with pytest.raises(MalformedLiteralError) as err:
+            Clause.from_ints(1, lit)
+        assert str(err.value) == (
+            f"variable x{abs(lit)} exceeds the largest variable index {MAX_VARIABLE}")
+        with pytest.raises(MalformedLiteralError):
+            clause(1).with_literal(lit)
+
+
+# ---------------------------------------------------------------------------
+# the clause codec against a model clause: a tuple of literals
+
+VARS = 5
+LITERALS = st.integers(-VARS, VARS).filter(bool)
+# Duplicates and empty lists come from the plain lists; the mapped ones
+# also hold complementary pairs.
+LITERAL_LISTS = st.lists(LITERALS, max_size=8) | st.lists(LITERALS, max_size=4).map(
+    lambda lits: lits + [-lit for lit in lits[::2]])
+# A map from some of the variables to 0 or 1.
+ASSIGNMENTS = st.dictionaries(st.integers(1, VARS), st.integers(0, 1))
+
+
+def _model(lits) -> tuple[int, ...]:
+    """A clause as its distinct literals, by variable, positive first."""
+    return tuple(sorted(set(lits), key=lambda lit: (abs(lit), lit < 0)))
+
+
+def _model_evaluate(model, alpha):
+    if any(abs(lit) in alpha and bool(alpha[abs(lit)]) == (lit > 0) for lit in model):
+        return True
+    missing = [abs(lit) for lit in model if abs(lit) not in alpha]
+    return f"assignment does not cover variable {min(missing)}" if missing else False
+
+
+_CODEC = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@_CODEC
+@given(lits=LITERAL_LISTS, extra=LITERALS)
+def test_clause_codec_agrees_with_the_model(lits, extra):
+    c, model = Clause.from_signed(lits), _model(lits)
+    assert c.literals == model
+    assert [literal_key(lit) for lit in c.literals] == sorted(map(literal_key, model))
+    assert c.width == len(model)
+    assert c.is_tautological == any(-lit in model for lit in model)
+    assert c.variables() == {abs(lit) for lit in model}
+    assert c.signed() == frozenset(model)
+    assert c.with_literal(extra).literals == _model([*model, extra])
+    assert str(c) == (" | ".join(f"x{l}" if l > 0 else f"~x{-l}" for l in model) or "_|_")
+    assert Clause.from_signed(c.literals) == c
+    assert Clause.from_ints(*reversed(lits)) == c
+
+
+@_CODEC
+@given(lits=LITERAL_LISTS, alpha=ASSIGNMENTS)
+def test_evaluate_agrees_with_the_model(lits, alpha):
+    want = _model_evaluate(_model(lits), alpha)
+    if isinstance(want, str):
+        with pytest.raises(IncompleteAssignmentError, match=want):
+            evaluate(Clause.from_signed(lits), alpha)
+    else:
+        assert evaluate(Clause.from_signed(lits), alpha) == want
+
+
+@_CODEC
+@given(hyps=st.lists(LITERAL_LISTS, max_size=4), goal=LITERAL_LISTS,
+       num_vars=st.integers(0, VARS))
+def test_implies_oracle_agrees_with_the_model(hyps, goal, num_vars):
+    hyps = [h for h in hyps if all(abs(lit) <= num_vars for lit in h)]
+    n = max([num_vars, *map(abs, goal)])
+    models = [_model(h) for h in hyps]
+    want = all(
+        any(bits[abs(lit) - 1] == (lit > 0) for lit in goal)
+        for bits in itertools.product((False, True), repeat=n)
+        if all(any(bits[abs(lit) - 1] == (lit > 0) for lit in m) for m in models))
+    cnf = CnfFormula.of(num_vars, map(Clause.from_signed, hyps))
+    assert implies_oracle(cnf, Clause.from_signed(goal)) == want

@@ -56,7 +56,7 @@ def single_cut():
     nx = b.vertex(clause(-1))
     b.mark_hypothesis(x)
     b.mark_hypothesis(nx)
-    e = b.cut(x, nx, Clause(()), 1)
+    e = b.cut(x, nx, Clause(), 1)
     b.set_goal(e)
     return b.build()
 
@@ -162,7 +162,7 @@ def test_find_witness_moves_the_goal_to_the_witnessed_copy():
     # The goal mark points at a second, isolated empty-clause vertex.
     graph, flow = php_refutation(complete_bipartite(3, 2))
     spare = len(graph.formula_vertices)
-    dup = ProofGraph((*graph.formula_vertices, FormulaVertex(spare, Clause(()))),
+    dup = ProofGraph((*graph.formula_vertices, FormulaVertex(spare, Clause())),
                      graph.inference_vertices, graph.hypotheses, spare)
     assert not verify_flow(dup, flow)
     for supplied in (flow, None):

@@ -52,7 +52,7 @@ def test_dimacs_missing_header():
 
 
 def test_dimacs_empty_clause_round_trip():
-    cnf = CnfFormula.of(2, [Clause(()), clause(1, -2)])
+    cnf = CnfFormula.of(2, [Clause(), clause(1, -2)])
     assert parse_dimacs(serialize_dimacs(cnf)) == cnf
 
 

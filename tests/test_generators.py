@@ -153,7 +153,7 @@ def test_unsound_cycle_shape():
     assert validate_rules(graph) == []
     assert len(graph.formula_vertices) == 4
     assert len(graph.inference_vertices) == 4
-    assert graph.goal_clause().is_empty
+    assert graph.goal_clause() == Clause()
     assert not graph.hypotheses
 
 

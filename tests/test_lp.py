@@ -334,7 +334,7 @@ def _search_case(seed, dropped):
         cnf = CnfFormula.of(
             cnf.num_variables, [c for i, c in enumerate(cnf.clauses) if i != seed]
         )
-    return lambda: circular_search(cnf, Clause(()), 3)
+    return lambda: circular_search(cnf, Clause(), 3)
 
 
 def _witness_case(dropped):

@@ -37,7 +37,7 @@ def single_cut():
     nx = b.vertex(clause(-1))
     b.mark_hypothesis(x)
     b.mark_hypothesis(nx)
-    e = b.cut(x, nx, Clause(()), 1)
+    e = b.cut(x, nx, Clause(), 1)
     b.set_goal(e)
     return b.build()
 

@@ -30,7 +30,7 @@ def unit_contradiction():
 
 
 def test_unit_contradiction_width_one():
-    res = circular_search(unit_contradiction(), Clause(()), 1)
+    res = circular_search(unit_contradiction(), Clause(), 1)
     assert res is not None
     graph, flow = res
     assert validate_rules(graph) == []
@@ -40,8 +40,8 @@ def test_unit_contradiction_width_one():
 
 def test_satisfiable_formula_never_refuted():
     cnf = CnfFormula.of(2, [clause(1, 2)])
-    assert circular_search(cnf, Clause(()), 2) is None
-    assert circular_search(cnf, Clause(()), 2 + 1) is None
+    assert circular_search(cnf, Clause(), 2) is None
+    assert circular_search(cnf, Clause(), 2 + 1) is None
 
 
 def test_goal_derivation_non_refutation():
@@ -57,15 +57,15 @@ def test_goal_derivation_non_refutation():
 def test_width_zero_finds_nothing():
     # Width 0 admits no rule at all, so not even a hypothesis goal gets a
     # positive balance.
-    assert circular_search(CnfFormula.of(1, [Clause(())]), Clause(()), 0) is None
-    assert circular_search(CnfFormula.of(2, []), Clause(()), 0) is None
+    assert circular_search(CnfFormula.of(1, [Clause()]), Clause(), 0) is None
+    assert circular_search(CnfFormula.of(2, []), Clause(), 0) is None
 
 
 @pytest.mark.parametrize("cnf, goal", [
     (CnfFormula.of(2, [clause(1)]), clause(1)),
     (CnfFormula.of(3, [clause(-3, 1), clause(2)]), clause(1, -3)),
-    (CnfFormula.of(1, [Clause(())]), Clause(())),
-    (CnfFormula.of(0, [Clause(())]), Clause(())),
+    (CnfFormula.of(1, [Clause()]), Clause()),
+    (CnfFormula.of(0, [Clause()]), Clause()),
 ], ids=["unit", "binary", "empty", "empty-no-variables"])
 def test_goal_that_is_a_hypothesis_gets_the_identity_proof(cnf, goal):
     # The program has one vertex per clause, so it is infeasible here; the
@@ -94,7 +94,7 @@ def test_unimplied_goal_not_found():
 def test_width_error_below_inputs():
     cnf = CnfFormula.of(3, [clause(1, 2, 3)])
     with pytest.raises(WidthError):
-        circular_search(cnf, Clause(()), 2)
+        circular_search(cnf, Clause(), 2)
     with pytest.raises(WidthError):
         daglike_width_saturate(cnf, 2)
 
@@ -102,18 +102,17 @@ def test_width_error_below_inputs():
 def test_budget_guard():
     cnf = gen_php(complete_bipartite(3, 2))
     with pytest.raises(SearchBudgetError) as err:
-        circular_search(cnf, Clause(()), 3, row_budget=10)
+        circular_search(cnf, Clause(), 3, row_budget=10)
     assert err.value.rows > 0 and err.value.cols > 0
 
 
 def test_lattice_size_matches_enumeration():
     import itertools
-    from circres.core import mask_literals
     from circres.search import _clause_masks
 
     for n, w in [(3, 2), (4, 3), (5, 2)]:
         formulas, infs = lattice_size(n, w)
-        clauses = [Clause(mask_literals(m)) for m in _clause_masks(n, w)]
+        clauses = [Clause(m) for m in _clause_masks(n, w)]
         assert formulas == len(clauses) + n
         expected_infs = n + 2 * n  # axioms plus collapsing unit splits
         for c in clauses:
@@ -125,7 +124,7 @@ def test_lattice_size_matches_enumeration():
 def test_php_search_finds_width_three_sparse():
     g = near_cubic_bipartite(4, 0)
     cnf = gen_php(g)
-    res = circular_search(cnf, Clause(()), 3)
+    res = circular_search(cnf, Clause(), 3)
     assert res is not None
     graph, flow = res
     assert verify_flow(graph, flow)
@@ -135,7 +134,7 @@ def test_php_search_finds_width_three_sparse():
 
 def test_php_complete_width_three():
     cnf = gen_php(complete_bipartite(3, 2))
-    res = circular_search(cnf, Clause(()), 3)
+    res = circular_search(cnf, Clause(), 3)
     assert res is not None
     assert res[0].width <= 3
 
@@ -143,7 +142,7 @@ def test_php_complete_width_three():
 def test_monotone_in_width():
     cnf = unit_contradiction()
     for w in (1, 2, 3):
-        assert circular_search(cnf, Clause(()), w) is not None
+        assert circular_search(cnf, Clause(), w) is not None
 
 
 def test_search_agrees_with_oracle_on_refutability():
@@ -159,8 +158,8 @@ def test_search_agrees_with_oracle_on_refutability():
             vs = rng.sample(range(1, n + 1), k)
             clauses.append(Clause.from_signed(v if rng.random() < 0.5 else -v for v in vs))
         cnf = CnfFormula.of(n, clauses)
-        unsat = implies_oracle(cnf, Clause(()))
-        found = circular_search(cnf, Clause(()), 3) is not None
+        unsat = implies_oracle(cnf, Clause())
+        found = circular_search(cnf, Clause(), 3) is not None
         if found:
             assert unsat
         if not unsat:
@@ -178,11 +177,10 @@ def _lattice_search(hypotheses: CnfFormula, goal: Clause, width: int) -> bool:
     copy of the goal from the goal itself, so a goal that is a hypothesis is
     proved outright, by the split from that copy onto a fresh goal vertex,
     at any width but 0."""
-    from circres.core import mask_literals
     from circres.search import _clause_masks
 
     n = hypotheses.num_variables
-    clauses = [Clause(mask_literals(m)) for m in _clause_masks(n, width)]
+    clauses = [Clause(m) for m in _clause_masks(n, width)]
     taut = [Clause.from_ints(v, -v) for v in range(1, n + 1)]
     vid = {c: k for k, c in enumerate(clauses + taut)}
     rules: list[tuple[str, tuple[int, ...], tuple[int, ...]]] = []
@@ -237,11 +235,11 @@ def _assert_search_matches_lattice(cnf: CnfFormula, goal: Clause, width: int) ->
 def test_search_matches_lattice_flow_program_on_random_cnfs():
     rng = random.Random(7)
     cases = [
-        (CnfFormula.of(2, []), Clause(()), 1),
+        (CnfFormula.of(2, []), Clause(), 1),
         (CnfFormula.of(2, []), clause(1, -2), 2),
         (unit_contradiction(), clause(1), 1),
         (CnfFormula.of(2, [clause(1, -1), clause(2)]), clause(2, 1), 2),
-        (CnfFormula.of(2, [Clause(()), clause(1)]), Clause(()), 2),
+        (CnfFormula.of(2, [Clause(), clause(1)]), Clause(), 2),
     ]
     for _ in range(300):
         n = rng.randint(1, 4)
@@ -252,7 +250,7 @@ def test_search_matches_lattice_flow_program_on_random_cnfs():
         if pick < 0.2 and hyps:
             goal = rng.choice(hyps)
         elif pick < 0.5:
-            goal = Clause(())
+            goal = Clause()
         else:
             vs = rng.sample(range(1, n + 1), rng.randint(1, min(n, width)))
             goal = Clause.from_signed(rng.choice((1, -1)) * v for v in vs)
@@ -306,11 +304,11 @@ def test_search_program_matches_definition(monkeypatch):
 
     rng = random.Random(15)
     cases = [
-        (CnfFormula.of(2, []), Clause(()), 1),
+        (CnfFormula.of(2, []), Clause(), 1),
         (CnfFormula.of(3, []), clause(-1, 2, -3), 3),
         (unit_contradiction(), clause(1), 1),
-        (CnfFormula.of(2, [Clause(()), clause(1)]), Clause(()), 2),
-        (gen_php(near_cubic_bipartite(3, 0)), Clause(()), 3),
+        (CnfFormula.of(2, [Clause(), clause(1)]), Clause(), 2),
+        (gen_php(near_cubic_bipartite(3, 0)), Clause(), 3),
     ]
     for _ in range(100):
         n = rng.randint(1, 5)
@@ -321,7 +319,7 @@ def test_search_program_matches_definition(monkeypatch):
         if pick < 0.25 and hyps:
             goal = rng.choice(hyps)
         elif pick < 0.5:
-            goal = Clause(())
+            goal = Clause()
         else:
             vs = rng.sample(range(1, n + 1), rng.randint(1, min(n, width)))
             goal = Clause.from_signed(rng.choice((1, -1)) * v for v in vs)
@@ -351,7 +349,7 @@ def test_search_matches_lattice_flow_program_on_near_cubic(seed):
         cnf.num_variables, [c for i, c in enumerate(cnf.clauses) if i != seed]
     )
     for f in (cnf, dropped):
-        _assert_search_matches_lattice(f, Clause(()), 3)
+        _assert_search_matches_lattice(f, Clause(), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +357,13 @@ def test_search_matches_lattice_flow_program_on_near_cubic(seed):
 
 def test_saturate_unit_contradiction():
     out = daglike_width_saturate(unit_contradiction(), 1)
-    assert Clause(()) in out
+    assert Clause() in out
 
 
 def test_saturate_satisfiable_never_empty():
     cnf = CnfFormula.of(2, [clause(1, 2), clause(-1, 2)])
     out = daglike_width_saturate(cnf, 2)
-    assert Clause(()) not in out
+    assert Clause() not in out
     assert clause(2) in out  # the resolvent appears
 
 
@@ -392,8 +390,8 @@ def test_daglike_goal_implies_circular_success_for_refutations():
     ]
     for cnf in cases:
         w = max(3, max(c.width for c in cnf.clauses))
-        if Clause(()) in daglike_width_saturate(cnf, w):
-            assert circular_search(cnf, Clause(()), w) is not None
+        if Clause() in daglike_width_saturate(cnf, w):
+            assert circular_search(cnf, Clause(), w) is not None
 
 
 def _weakening_closure(hypotheses: CnfFormula, width: int) -> set[Clause]:
@@ -443,7 +441,7 @@ def _random_cnf(rng: random.Random, n: int, width: int, count: int) -> CnfFormul
     # Literals are drawn with repetition, so some clauses come out
     # tautological or shorter than drawn; one formula in ten also has the
     # empty clause as a hypothesis.
-    clauses = [Clause(())] if rng.random() < 0.1 else []
+    clauses = [Clause()] if rng.random() < 0.1 else []
     for _ in range(count):
         k = rng.randint(min(1, width), width)
         clauses.append(Clause.from_signed(
@@ -456,7 +454,7 @@ def test_saturate_matches_weakening_closure_on_random_cnfs():
     rng = random.Random(2024)
     cases = [
         CnfFormula.of(3, []),
-        CnfFormula.of(2, [Clause(()), clause(1, 2), clause(-1)]),
+        CnfFormula.of(2, [Clause(), clause(1, 2), clause(-1)]),
         CnfFormula.of(3, [clause(1, -1), clause(2, 3), clause(-2, -3)]),
         unit_contradiction(),
     ]
@@ -510,7 +508,7 @@ def test_width_three_separation(n, seed):
     # Dag-like width 3 does not refute these near-cubic pigeonhole
     # instances, while the pieced circular refutation has width 3.
     g = near_cubic_bipartite(n, seed)
-    assert Clause(()) not in daglike_width_saturate(gen_php(g), 3)
+    assert Clause() not in daglike_width_saturate(gen_php(g), 3)
     graph, flow = php_refutation(g)
     assert graph.width <= 3
     assert verify_flow(graph, flow)

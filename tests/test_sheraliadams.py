@@ -65,7 +65,7 @@ def sa_proof(num_variables, hypotheses, goal, terms):
 # encoding
 
 def test_encode_empty_clause_is_minus_one():
-    assert encode_clause(Clause(())) == {MONOMIAL_ONE: Fraction(-1)}
+    assert encode_clause(Clause()) == {MONOMIAL_ONE: Fraction(-1)}
 
 
 def test_encode_mixed_clause():
@@ -109,7 +109,7 @@ def test_single_cut_refutation_identity():
     proof = sa_proof(
         1,
         [clause(1), clause(-1)],
-        Clause(()),
+        Clause(),
         [
             (1, MONOMIAL_ONE, RefPoly(X_XBAR_MINUS_ONE, 1)),
             (1, MONOMIAL_ONE, hyp(1)),
@@ -124,7 +124,7 @@ def test_check_rejects_perturbed_coefficient():
     proof = sa_proof(
         1,
         [clause(1), clause(-1)],
-        Clause(()),
+        Clause(),
         [
             (Fraction(8, 7), MONOMIAL_ONE, RefPoly(X_XBAR_MINUS_ONE, 1)),
             (1, MONOMIAL_ONE, hyp(1)),
@@ -144,7 +144,7 @@ def test_check_invariant_under_reorder_and_split():
     base = sa_proof(
         1,
         [clause(1), clause(-1)],
-        Clause(()),
+        Clause(),
         [
             (1, MONOMIAL_ONE, RefPoly(X_XBAR_MINUS_ONE, 1)),
             (1, MONOMIAL_ONE, hyp(1)),
@@ -288,7 +288,7 @@ def _single_cut_builder():
     nx = b.vertex(clause(-1))
     b.mark_hypothesis(x)
     b.mark_hypothesis(nx)
-    b.set_goal(b.cut(x, nx, Clause(()), 1))
+    b.set_goal(b.cut(x, nx, Clause(), 1))
     return b
 
 
@@ -637,7 +637,7 @@ def _collapsed_split(keep_unit, keep_tautology):
     if keep_tautology:
         outs.append(b.vertex(clause(1, -1)))
     b.inference(SPLIT, 1, (unit,), tuple(outs))
-    b.set_goal(b.cut(outs[0] if keep_unit else unit, neg, Clause(()), 1))
+    b.set_goal(b.cut(outs[0] if keep_unit else unit, neg, Clause(), 1))
     return b.build()
 
 

@@ -17,16 +17,16 @@ from circres.lp import Constraint
 from circres.proofgraph import FormulaVertex, InferenceVertex, Rule
 from circres.sheraliadams import Monomial, RefPoly, SATerm
 
-CLAUSE = Clause((1, -2))
+CLAUSE = Clause.from_ints(1, -2)
 RULE = Rule("split", 2)
 MONOMIAL = Monomial(4 | 1 << 5, ((1, 2),))
 REF = RefPoly("hyp", 3)
 
 VALUES = [
-    (CLAUSE, "Clause(literals=(1, -2))"),
-    (Clause(()), "Clause(literals=())"),
+    (CLAUSE, "Clause(mask=36)"),
+    (Clause(), "Clause(mask=0)"),
     (RULE, "Rule(kind='split', principal=2)"),
-    (FormulaVertex(0, CLAUSE), "FormulaVertex(id=0, clause=Clause(literals=(1, -2)))"),
+    (FormulaVertex(0, CLAUSE), "FormulaVertex(id=0, clause=Clause(mask=36))"),
     (InferenceVertex(1, RULE, (0,), (2, 3)),
      "InferenceVertex(id=1, rule=Rule(kind='split', principal=2), "
      "in_neighbors=(0,), out_neighbors=(2, 3))"),
@@ -41,7 +41,7 @@ VALUES = [
 ]
 
 FIELDS = {
-    Clause: ("literals",),
+    Clause: ("mask",),
     Rule: ("kind", "principal"),
     FormulaVertex: ("id", "clause"),
     InferenceVertex: ("id", "rule", "in_neighbors", "out_neighbors"),
