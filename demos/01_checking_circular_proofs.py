@@ -21,17 +21,17 @@ from circres import (
 
 def show(graph, flow=None):
     bal = balances(graph, flow) if flow else None
-    for v in graph.formula_vertices:
+    for fid, clause in graph.formula_vertices.items():
         marks = []
-        if v.clause in graph.hypotheses:
+        if clause in graph.hypotheses:
             marks.append("hypothesis")
-        if v.id == graph.goal_id:
+        if fid == graph.goal_id:
             marks.append("goal")
-        line = f"  [{v.id}] {v.clause}"
+        line = f"  [{fid}] {clause}"
         if marks:
             line += f"  ({', '.join(marks)})"
         if bal is not None:
-            line += f"  balance {bal[v.id]}"
+            line += f"  balance {bal[fid]}"
         print(line)
 
 

@@ -28,7 +28,6 @@ from .generators import (
 )
 from .lp import LinearProgram, farkas_certificate, feasible
 from .proofgraph import (
-    FormulaVertex,
     InferenceVertex,
     ProofGraph,
     ProofGraphBuilder,

@@ -23,12 +23,13 @@ import dataclasses
 import os
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 from . import formats, generators, search as search_mod, sheraliadams as sa
 from .core import Clause
 from .flowcheck import ValidationError, find_witness
-from .proofgraph import export_dot
+from .proofgraph import balance_numerators, export_dot
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -81,7 +82,7 @@ def cmd_check(args) -> int:
     graph = dataclasses.replace(graph, hypotheses=frozenset(cnf.clauses))
     if args.goal is not None:
         goal_clause = _parse_goal(args.goal)
-        candidates = [v.id for v in graph.formula_vertices if v.clause == goal_clause]
+        candidates = [fid for fid, c in graph.formula_vertices.items() if c == goal_clause]
         if not candidates:
             raise UsageError(f"no formula vertex carries the goal clause {goal_clause}")
         graph = dataclasses.replace(graph, goal_id=min(candidates))
@@ -98,9 +99,9 @@ def cmd_check(args) -> int:
     if flow is None:
         print(f"  no flow assignment witnesses goal clause {graph.goal_clause()}")
     else:
-        print(f"goal balance {report.balances[graph.goal_id]}")
-        inferences = sorted(graph.inference_vertices, key=lambda w: w.id)
-        print("".join(f"w {w.id} {flow[w.id]}\n" for w in inferences), end="")
+        bal, den = balance_numerators(graph, flow)
+        print(f"goal balance {Fraction(bal[graph.goal_id], den)}")
+        print("".join(f"w {iid} {flow[iid]}\n" for iid in sorted(graph.inference_vertices)), end="")
     if args.dot:
         _write(args.dot, export_dot(graph, flow))
     return EXIT_OK if flow is not None else EXIT_NEGATIVE

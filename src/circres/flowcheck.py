@@ -52,12 +52,10 @@ class PreconditionError(ValueError):
 @dataclass(frozen=True)
 class CheckReport:
     """What :func:`find_witness` certified: ``graph`` with ``goal_id`` at the
-    witnessed vertex, its witness ``flow`` (``None`` when there is none) and
-    the balances under that flow."""
+    witnessed vertex, and its witness ``flow`` (``None`` when there is none)."""
 
     graph: ProofGraph
     flow: Optional[dict[int, Fraction]]
-    balances: dict[int, Fraction]
 
     @property
     def witnessed(self) -> bool:
@@ -71,22 +69,22 @@ def _witness_program(graph: ProofGraph) -> tuple[lp.LinearProgram, list[int]]:
     non-goal formula vertex.  Declared bounds: each flow variable >= 1.
     Returns the program and the inference-vertex ids in variable order.
     """
-    order = sorted(w.id for w in graph.inference_vertices)
+    order = sorted(graph.inference_vertices)
     var_of = {iid: k for k, iid in enumerate(order)}
     program = lp.LinearProgram(len(order))
 
-    rowmap: dict[int, dict[int, int]] = {v.id: {} for v in graph.formula_vertices}
-    for w in graph.inference_vertices:
-        k = var_of[w.id]
+    rowmap: dict[int, dict[int, int]] = {fid: {} for fid in graph.formula_vertices}
+    for iid, w in graph.inference_vertices.items():
+        k = var_of[iid]
         for u in w.out_neighbors:
             rowmap[u][k] = rowmap[u].get(k, 0) + 1
         for u in w.in_neighbors:
             rowmap[u][k] = rowmap[u].get(k, 0) - 1
 
     program.add_geq(rowmap[graph.goal_id], 1)
-    for v in graph.formula_vertices:
-        if v.id != graph.goal_id and v.clause not in graph.hypotheses:
-            program.add_geq(rowmap[v.id], 0)
+    for fid, clause in graph.formula_vertices.items():
+        if fid != graph.goal_id and clause not in graph.hypotheses:
+            program.add_geq(rowmap[fid], 0)
     for k in range(len(order)):
         program.add_lower(k, 1)
     return program, order
@@ -97,9 +95,9 @@ def _goal_candidates(graph: ProofGraph) -> Iterator[ProofGraph]:
     vertex that carries the goal clause, in id order."""
     yield graph
     goal_clause = graph.goal_clause()
-    for v in sorted(graph.formula_vertices, key=lambda v: v.id):
-        if v.clause == goal_clause and v.id != graph.goal_id:
-            yield dataclasses.replace(graph, goal_id=v.id)
+    for fid, clause in sorted(graph.formula_vertices.items()):
+        if clause == goal_clause and fid != graph.goal_id:
+            yield dataclasses.replace(graph, goal_id=fid)
 
 
 def find_witness(graph: ProofGraph, flow: Optional[dict[int, Fraction]] = None) -> CheckReport:
@@ -119,26 +117,25 @@ def find_witness(graph: ProofGraph, flow: Optional[dict[int, Fraction]] = None) 
     if flow is not None:
         for candidate in _goal_candidates(graph):
             if verify_flow(candidate, flow):
-                return CheckReport(candidate, flow, balances(candidate, flow))
+                return CheckReport(candidate, flow)
     for candidate in _goal_candidates(graph):
         program, order = _witness_program(candidate)
         point = lp.feasible(program)
         if point is not None:
-            found = {iid: point[k] for k, iid in enumerate(order)}
-            return CheckReport(candidate, found, balances(candidate, found))
-    return CheckReport(graph, None, {})
+            return CheckReport(candidate, {iid: point[k] for k, iid in enumerate(order)})
+    return CheckReport(graph, None)
 
 
 def verify_flow(graph: ProofGraph, flow: dict[int, Fraction]) -> bool:
     """Arithmetic re-check, no solver: positive total flow, hypothesis-only
     sources, strictly positive balance at ``graph.goal_id``."""
-    if any(w.id not in flow for w in graph.inference_vertices):
+    if any(iid not in flow for iid in graph.inference_vertices):
         raise IncompleteFlowError("flow assignment does not cover all inference vertices")
     if not all(f > 0 for f in flow.values()):
         return False
     bal, _ = balance_numerators(graph, flow)
-    for v in graph.formula_vertices:
-        if bal[v.id] < 0 and v.clause not in graph.hypotheses:
+    for fid, clause in graph.formula_vertices.items():
+        if bal[fid] < 0 and clause not in graph.hypotheses:
             return False
     return bal[graph.goal_id] > 0
 
@@ -167,33 +164,37 @@ def trace_falsified_source(graph: ProofGraph, integral_flow: dict[int, Fraction]
     Returns that vertex's id and the number of reductions made, which is at
     most the total flow.
     """
-    if any(w.id not in integral_flow for w in graph.inference_vertices):
+    if any(iid not in integral_flow for iid in graph.inference_vertices):
         raise IncompleteFlowError("flow assignment does not cover all inference vertices")
     if not all(f > 0 and f.denominator == 1 for f in integral_flow.values()):
         raise PreconditionError("tracer requires positive integral flows")
-    if evaluate(graph.formula(sink_id).clause, alpha):
+    if evaluate(graph.formula_vertices[sink_id], alpha):
         raise PreconditionError("assignment satisfies the sink clause")
 
     flows = dict(integral_flow)
     bal = balances(graph, integral_flow)
     if bal[sink_id] <= 0:
         raise PreconditionError("sink vertex must have strictly positive balance")
+    producers: dict[int, list[int]] = {}
+    for iid, w in graph.inference_vertices.items():
+        for u in w.out_neighbors:
+            producers.setdefault(u, []).append(iid)
 
     s = sink_id
     steps = 0
     while True:
         # Invariant: alpha falsifies clause(s) and bal[s] > 0.
         r = None
-        for cand in sorted(graph.producers(s)):
+        for cand in sorted(producers.get(s, ())):
             if flows[cand] > 0:
                 r = cand
                 break
         if r is None:
             raise AssertionError("positive balance without a flowing producer")
-        rule_vertex = graph.inference(r)
+        rule_vertex = graph.inference_vertices[r]
         u = None
         for cand in sorted(rule_vertex.in_neighbors):
-            if not evaluate(graph.formula(cand).clause, alpha):
+            if not evaluate(graph.formula_vertices[cand], alpha):
                 u = cand
                 break
         if u is None:
@@ -245,7 +246,7 @@ def dual_certificate(graph: ProofGraph, flow: dict[int, Fraction]) -> DualCertif
     b_mult = {
         u: (-b / bs if u in sources else b / bs) for u, b in bal.items()
     }
-    c_mult = {w.id: flow[w.id] / bs for w in graph.inference_vertices}
+    c_mult = {iid: flow[iid] / bs for iid in graph.inference_vertices}
     return DualCertificate(goal_id, sources, b_mult, c_mult)
 
 
@@ -264,22 +265,22 @@ def certificate_combination(graph: ProofGraph,
     Returns the coefficient of every indeterminate and the constant term of
     the combination.
     """
-    coeff: dict[int, Fraction] = {v.id: Fraction(0) for v in graph.formula_vertices}
+    coeff: dict[int, Fraction] = {fid: Fraction(0) for fid in graph.formula_vertices}
     const = Fraction(0)
-    for v in graph.formula_vertices:
-        b = cert.formula_multipliers.get(v.id, Fraction(0))
+    for fid in graph.formula_vertices:
+        b = cert.formula_multipliers.get(fid, Fraction(0))
         if not b:
             continue
-        if v.id == cert.goal_id:
-            coeff[v.id] -= b
-        elif v.id in cert.source_ids:
-            coeff[v.id] += b
+        if fid == cert.goal_id:
+            coeff[fid] -= b
+        elif fid in cert.source_ids:
+            coeff[fid] += b
             const -= b
         else:
-            coeff[v.id] -= b
+            coeff[fid] -= b
             const += b
-    for w in graph.inference_vertices:
-        c = cert.rule_multipliers.get(w.id, Fraction(0))
+    for iid, w in graph.inference_vertices.items():
+        c = cert.rule_multipliers.get(iid, Fraction(0))
         if not c:
             continue
         for u in w.in_neighbors:
@@ -302,9 +303,8 @@ def verify_dual_certificate(graph: ProofGraph, cert: DualCertificate) -> bool:
     """
     if cert.goal_id != graph.goal_id:
         return False
-    sources = [v for v in graph.formula_vertices if v.id in cert.source_ids]
-    if (len(sources) != len(cert.source_ids)
-            or any(v.clause not in graph.hypotheses for v in sources)):
+    # An id that names no formula vertex gets None, which is no hypothesis.
+    if any(graph.formula_vertices.get(u) not in graph.hypotheses for u in cert.source_ids):
         return False
     if any(b < 0 for b in cert.formula_multipliers.values()):
         return False

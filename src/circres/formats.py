@@ -4,13 +4,14 @@ All formats are line oriented UTF-8 text, numbers are integers or exact
 ``num/den`` rationals, and ``c`` lines are comments.  An integer is ASCII
 digits after an optional sign: no ``_`` digit groups or non-ASCII digits,
 which ``int`` would read.  The ``p`` header is the first line that is not a
-comment, so every line is checked as it is read and an error names the line
-that holds it; the counts the header declares are compared with the file at
-its end.  A ``.sap`` monomial is built straight from its tokens and
-normalized only when a token repeats or has an exponent; each distinct rule,
-reference, coefficient, literal and monomial token of a file is checked and
-built once, a variable before its bit exists.  No variable exceeds
-``core.MAX_VARIABLE``, nor a header's variable count.
+comment, so every line is checked as it is read, a repeated ``.cres`` vertex
+id included, and an error names the line that holds it; the counts the
+header declares are compared with the file at its end.  A ``.sap`` monomial
+is built straight from its tokens and normalized only when a token repeats
+or has an exponent; each distinct rule, reference, coefficient, literal and
+monomial token of a file is checked and built once, a variable before its
+bit exists.  No variable exceeds ``core.MAX_VARIABLE``, nor a header's
+variable count.
 
 DIMACS CNF::
 
@@ -51,15 +52,7 @@ from typing import Optional
 
 from .core import (MAX_VARIABLE, Clause, CnfFormula, MalformedLiteralError, literal_key,
                    mask_literals)
-from .proofgraph import (
-    AXIOM,
-    CUT,
-    SPLIT,
-    FormulaVertex,
-    InferenceVertex,
-    ProofGraph,
-    Rule,
-)
+from .proofgraph import AXIOM, CUT, SPLIT, InferenceVertex, ProofGraph, Rule
 from .sheraliadams import BASIC, HYPOTHESIS, ONE, Monomial, RefPoly, SAProof, SATerm
 
 
@@ -211,8 +204,8 @@ _NAME_KINDS = {v: k for k, v in _KIND_NAMES.items()}
 
 
 def parse_cres(text: str) -> tuple[ProofGraph, Optional[dict[int, Fraction]]]:
-    formulas: list[FormulaVertex] = []
-    inferences: list[InferenceVertex] = []
+    formulas: dict[int, Clause] = {}
+    inferences: dict[int, InferenceVertex] = {}
     hyp_marks: list[tuple[int, int]] = []
     goal_id: Optional[int] = None
     goal_line = 0
@@ -228,11 +221,15 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[dict[int, Fraction]]]:
             if len(tokens) < 2:
                 raise ParseError(no, "clause label line must be 'f <id> <lit> ... 0'")
             fid = _int(tokens[1], no)
-            formulas.append(FormulaVertex(fid, _clause_tokens(tokens[2:], no, bits)))
+            if fid in formulas:
+                raise ParseError(no, "duplicate formula-vertex id")
+            formulas[fid] = _clause_tokens(tokens[2:], no, bits)
         elif tag == "i":
             if len(tokens) < 4:
                 raise ParseError(no, "truncated inference line")
             iid = _int(tokens[1], no)
+            if iid in inferences:
+                raise ParseError(no, "duplicate inference-vertex id")
             rule = rules.get((tokens[2], tokens[3]))
             if rule is None:
                 if tokens[2] not in _NAME_KINDS:
@@ -255,7 +252,7 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[dict[int, Fraction]]]:
                 if len(refs) not in (2, 3):
                     raise ParseError(no, "split takes one antecedent id and one or two consequent ids")
                 ins, outs = (refs[0],), tuple(refs[1:])
-            inferences.append(InferenceVertex(iid, rule, ins, outs))
+            inferences[iid] = InferenceVertex(rule, ins, outs)
         elif tag == "h":
             if len(tokens) != 2:
                 raise ParseError(no, "hypothesis mark must be 'h <fid>'")
@@ -288,48 +285,34 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[dict[int, Fraction]]]:
         )
     if goal_id is None:
         raise ParseError(header_line, "missing goal mark")
-    clause_of = {v.id: v.clause for v in formulas}
-    if goal_id not in clause_of:
+    if goal_id not in formulas:
         raise ParseError(goal_line, f"goal mark names no formula vertex {goal_id}")
-    hypotheses = frozenset(clause_of[fid] for fid, _ in hyp_marks if fid in clause_of)
+    hypotheses = frozenset(formulas[fid] for fid, _ in hyp_marks if fid in formulas)
     try:
-        graph = ProofGraph(tuple(formulas), tuple(inferences), hypotheses, goal_id)
+        graph = ProofGraph(formulas, inferences, hypotheses, goal_id)
     except ValueError as exc:
         raise ParseError(_rejected_line(text, formulas, inferences), str(exc)) from None
     for fid, no in hyp_marks:
-        if fid not in clause_of:
+        if fid not in formulas:
             raise ParseError(no, f"hypothesis mark references unknown formula id {fid}")
     if flows:
-        inference_ids = {w.id for w in graph.inference_vertices}
         for iid, no in flow_line.items():
-            if iid not in inference_ids:
+            if iid not in inferences:
                 raise ParseError(no, f"flow line names no inference vertex {iid}")
-        missing = [w.id for w in graph.inference_vertices if w.id not in flows]
+        missing = [iid for iid in inferences if iid not in flows]
         if missing:
             raise ParseError(header_line, f"flow lines missing inference ids {missing}")
     return graph, flows or None
 
 
-def _rejected_line(text: str, formulas: list[FormulaVertex],
-                   inferences: list[InferenceVertex]) -> int:
-    """The line of what ``ProofGraph`` rejected, sought only on this error
-    path and in the order of its checks: the second ``f`` or ``i`` line of a
-    repeated id, or the ``i`` line of the first inference naming an unknown
-    formula id."""
-    lines: dict[str, list[tuple[int, int]]] = {"f": [], "i": []}
-    for no, tokens in _lines(text):
-        if tokens[0] in lines:
-            lines[tokens[0]].append((int(tokens[1]), no))
-    for tag in "fi":
-        seen: set[int] = set()
-        for vid, no in lines[tag]:
-            if vid in seen:
-                return no
-            seen.add(vid)
-    fids = {v.id for v in formulas}
-    bad = next(w.id for w in inferences
-               if not fids.issuperset((*w.in_neighbors, *w.out_neighbors)))
-    return next(no for v, no in lines["i"] if v == bad)
+def _rejected_line(text: str, formulas: dict[int, Clause],
+                   inferences: dict[int, InferenceVertex]) -> int:
+    """The ``i`` line of the first inference naming an unknown formula id,
+    which is what ``ProofGraph`` rejects once the goal mark is checked;
+    sought only on this error path."""
+    bad = next(iid for iid, w in inferences.items()
+               if not formulas.keys() >= {*w.in_neighbors, *w.out_neighbors})
+    return next(no for no, tokens in _lines(text) if tokens[0] == "i" and int(tokens[1]) == bad)
 
 
 def serialize_cres(
@@ -339,20 +322,20 @@ def serialize_cres(
 ) -> str:
     out = [f"c {line}" for line in (comments or [])]
     out.append(f"p cres {len(graph.formula_vertices)} {len(graph.inference_vertices)}")
-    formulas = sorted(graph.formula_vertices, key=lambda v: v.id)
+    formulas = sorted(graph.formula_vertices.items())
     table: dict[int, str] = {}
-    for v in formulas:
-        out.append(" ".join(["f", str(v.id), *_literal_tokens(v.clause.mask, table), "0"]))
-    for w in sorted(graph.inference_vertices, key=lambda w: w.id):
+    for fid, clause in formulas:
+        out.append(" ".join(["f", str(fid), *_literal_tokens(clause.mask, table), "0"]))
+    for iid, w in sorted(graph.inference_vertices.items()):
         refs = " ".join(str(u) for u in (*w.in_neighbors, *w.out_neighbors))
-        out.append(f"i {w.id} {_KIND_NAMES[w.rule.kind]} {w.rule.principal} {refs}")
-    for v in formulas:
-        if v.clause in graph.hypotheses:
-            out.append(f"h {v.id}")
+        out.append(f"i {iid} {_KIND_NAMES[w.rule.kind]} {w.rule.principal} {refs}")
+    for fid, clause in formulas:
+        if clause in graph.hypotheses:
+            out.append(f"h {fid}")
     out.append(f"g {graph.goal_id}")
     if flow is not None:
-        for w in sorted(graph.inference_vertices, key=lambda w: w.id):
-            out.append(f"w {w.id} {flow[w.id]}")
+        for iid in sorted(graph.inference_vertices):
+            out.append(f"w {iid} {flow[iid]}")
     return "\n".join(out) + "\n"
 
 

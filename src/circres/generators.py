@@ -247,12 +247,12 @@ def unsound_cycle_example() -> ProofGraph:
 def _demand_flows(graph: ProofGraph) -> dict[int, Fraction]:
     """Flows for a dag-built graph: walk inferences newest-first, covering the
     accumulated demand of each consequent (at least 1 everywhere)."""
-    deficit = {v.id: Fraction(0) for v in graph.formula_vertices}
+    deficit = dict.fromkeys(graph.formula_vertices, Fraction(0))
     deficit[graph.goal_id] = Fraction(1)
     flows: dict[int, Fraction] = {}
-    for w in sorted(graph.inference_vertices, key=lambda w: -w.id):
+    for iid, w in sorted(graph.inference_vertices.items(), reverse=True):
         need = max([deficit[u] for u in w.out_neighbors] + [Fraction(1)])
-        flows[w.id] = need
+        flows[iid] = need
         for u in w.out_neighbors:
             deficit[u] -= need
         for u in w.in_neighbors:

@@ -3,9 +3,11 @@ rule validation, the balances of a flow, and DOT export.  A flow is a plain
 ``dict`` from each inference-vertex id to a positive ``Fraction``.
 
 A proof graph is a directed bipartite graph between formula vertices (each
-holding a clause) and inference vertices (each holding a rule).  Cycles are
-permitted; the graph stores the compact representation in which backedges
-between equal formulas have already been contracted.  Whether such a graph
+holding a clause) and inference vertices (each holding a rule), kept as two
+dicts keyed by vertex id, like a flow: ``{fid: Clause}`` and
+``{iid: InferenceVertex}``, so an id cannot repeat.  Cycles are permitted;
+the graph stores the compact representation in which backedges between
+equal formulas have already been contracted.  Whether such a graph
 constitutes an actual proof is decided by the flow machinery in
 :mod:`circres.flowcheck`; nothing here penalizes circularity itself.
 
@@ -18,8 +20,9 @@ matching happens after normalization, so idempotent collapses like
 * split: antecedent ``C``, consequents among ``C | x`` and ``C | ~x``
   (one of the two may be suppressed).
 
-Rules and vertices are named tuples (see :mod:`circres.core`); ``Rule``
-checks its fields in ``__new__``, and ``_make`` and ``_replace`` go through it.
+Rules and inference vertices are named tuples (see :mod:`circres.core`);
+``Rule`` checks its fields in ``__new__``, and ``_make`` and ``_replace`` go
+through it.
 """
 
 from __future__ import annotations
@@ -61,13 +64,7 @@ class Rule(NamedTuple("Rule", [("kind", str), ("principal", int)])):
         return tuple.__new__(cls, (kind, principal))
 
 
-class FormulaVertex(NamedTuple):
-    id: int
-    clause: Clause
-
-
 class InferenceVertex(NamedTuple):
-    id: int
     rule: Rule
     in_neighbors: tuple[int, ...]
     out_neighbors: tuple[int, ...]
@@ -84,59 +81,32 @@ class RuleViolation:
 
 @dataclass(frozen=True)
 class ProofGraph:
-    """Immutable circular pre-proof graph with its goal and its hypotheses:
-    clauses whose vertices may be consumed more often than derived."""
+    """Circular pre-proof graph with its goal and its hypotheses: clauses
+    whose vertices may be consumed more often than derived.
 
-    formula_vertices: tuple[FormulaVertex, ...]
-    inference_vertices: tuple[InferenceVertex, ...]
+    ``formula_vertices`` maps each formula-vertex id to its clause and
+    ``inference_vertices`` each inference-vertex id to its vertex; their
+    order (file order when read, creation order when built) is the order of
+    every program row, term and DOT line made from them.  Nothing mutates
+    them, and a graph is not hashable.
+    """
+
+    formula_vertices: dict[int, Clause]
+    inference_vertices: dict[int, InferenceVertex]
     hypotheses: frozenset[Clause]
     goal_id: int
 
     def __post_init__(self) -> None:
-        fids = [v.id for v in self.formula_vertices]
-        iids = [w.id for w in self.inference_vertices]
-        if len(set(fids)) != len(fids):
-            raise StructureError("duplicate formula-vertex id")
-        if len(set(iids)) != len(iids):
-            raise StructureError("duplicate inference-vertex id")
-        fid_set = set(fids)
-        for w in self.inference_vertices:
+        fv = self.formula_vertices
+        for iid, w in self.inference_vertices.items():
             for u in (*w.in_neighbors, *w.out_neighbors):
-                if u not in fid_set:
-                    raise StructureError(f"inference {w.id} references unknown formula id {u}")
-        if self.goal_id not in fid_set:
+                if u not in fv:
+                    raise StructureError(f"inference {iid} references unknown formula id {u}")
+        if self.goal_id not in fv:
             raise StructureError(f"goal id {self.goal_id} is not a formula vertex")
 
-    # -- lookups ------------------------------------------------------------
-
-    def formula(self, fid: int) -> FormulaVertex:
-        return self._formula_map[fid]
-
-    def inference(self, iid: int) -> InferenceVertex:
-        return self._inference_map[iid]
-
-    @cached_property
-    def _formula_map(self) -> dict[int, FormulaVertex]:
-        return {v.id: v for v in self.formula_vertices}
-
-    @cached_property
-    def _inference_map(self) -> dict[int, InferenceVertex]:
-        return {w.id: w for w in self.inference_vertices}
-
-    def producers(self, fid: int) -> tuple[int, ...]:
-        """Inference vertices with an edge into formula vertex ``fid``."""
-        return self._producer_map.get(fid, ())
-
-    @cached_property
-    def _producer_map(self) -> dict[int, tuple[int, ...]]:
-        acc: dict[int, list[int]] = {}
-        for w in self.inference_vertices:
-            for u in w.out_neighbors:
-                acc.setdefault(u, []).append(w.id)
-        return {u: tuple(ws) for u, ws in acc.items()}
-
     def goal_clause(self) -> Clause:
-        return self.formula(self.goal_id).clause
+        return self.formula_vertices[self.goal_id]
 
     # -- measures -----------------------------------------------------------
 
@@ -148,36 +118,37 @@ class ProofGraph:
     @cached_property
     def width(self) -> int:
         """Largest number of literals in any clause label."""
-        return max((v.clause.width for v in self.formula_vertices), default=0)
+        return max((c.width for c in self.formula_vertices.values()), default=0)
 
 
-def rule_violations(graph: ProofGraph, w: InferenceVertex) -> list[RuleViolation]:
-    """Check a single inference vertex against its rule template, on clause
+def rule_violations(graph: ProofGraph, iid: int) -> list[RuleViolation]:
+    """Check inference vertex ``iid`` against its rule template, on clause
     masks: ``side | p`` is ``side | x`` and ``side | n`` is ``side | ~x``."""
     out: list[RuleViolation] = []
+    w = graph.inference_vertices[iid]
     kind = w.rule.kind
     x = w.rule.principal
     p, n = 1 << 2 * x, 2 << 2 * x
-    ins = [graph.formula(u).clause for u in w.in_neighbors]
-    outs = [graph.formula(u).clause for u in w.out_neighbors]
+    ins = [graph.formula_vertices[u] for u in w.in_neighbors]
+    outs = [graph.formula_vertices[u] for u in w.out_neighbors]
     if kind == AXIOM:
         if ins:
-            out.append(RuleViolation(w.id, "axiom must have no antecedents"))
+            out.append(RuleViolation(iid, "axiom must have no antecedents"))
         if len(outs) != 1:
-            out.append(RuleViolation(w.id, "axiom must have exactly one consequent"))
+            out.append(RuleViolation(iid, "axiom must have exactly one consequent"))
         elif outs[0].mask != p | n:
-            out.append(RuleViolation(w.id, f"axiom consequent must be x{x} | ~x{x}, got {outs[0]}"))
+            out.append(RuleViolation(iid, f"axiom consequent must be x{x} | ~x{x}, got {outs[0]}"))
     elif kind == CUT:
         if len(outs) != 1:
-            out.append(RuleViolation(w.id, "cut must have exactly one consequent"))
+            out.append(RuleViolation(iid, "cut must have exactly one consequent"))
         elif len(ins) != 2:
-            out.append(RuleViolation(w.id, "cut must have exactly two antecedents"))
+            out.append(RuleViolation(iid, "cut must have exactly two antecedents"))
         else:
             side = outs[0]
             if {ins[0].mask, ins[1].mask} != {side.mask | p, side.mask | n}:
                 out.append(
                     RuleViolation(
-                        w.id,
+                        iid,
                         f"cut antecedents must be {{{Clause(side.mask | p)}}} and "
                         f"{{{Clause(side.mask | n)}}} sharing side clause {side}, "
                         f"got {ins[0]} and {ins[1]}",
@@ -185,18 +156,18 @@ def rule_violations(graph: ProofGraph, w: InferenceVertex) -> list[RuleViolation
                 )
     elif kind == SPLIT:
         if len(ins) != 1:
-            out.append(RuleViolation(w.id, "split must have exactly one antecedent"))
+            out.append(RuleViolation(iid, "split must have exactly one antecedent"))
         elif not 1 <= len(outs) <= 2:
-            out.append(RuleViolation(w.id, "split must have one or two consequents"))
+            out.append(RuleViolation(iid, "split must have one or two consequents"))
         else:
             side = ins[0].mask
             if len(outs) == 2 and outs[0] == outs[1]:
-                out.append(RuleViolation(w.id, "split consequents must be distinct"))
+                out.append(RuleViolation(iid, "split consequents must be distinct"))
             for c in outs:
                 if c.mask != side | p and c.mask != side | n:
                     out.append(
                         RuleViolation(
-                            w.id,
+                            iid,
                             f"split consequent {c} is neither {Clause(side | p)} "
                             f"nor {Clause(side | n)}",
                         )
@@ -207,8 +178,8 @@ def rule_violations(graph: ProofGraph, w: InferenceVertex) -> list[RuleViolation
 def validate_rules(graph: ProofGraph) -> list[RuleViolation]:
     """All local rule-template violations; empty iff every vertex matches its rule."""
     out: list[RuleViolation] = []
-    for w in graph.inference_vertices:
-        out.extend(rule_violations(graph, w))
+    for iid in graph.inference_vertices:
+        out.extend(rule_violations(graph, iid))
     return out
 
 
@@ -217,11 +188,11 @@ def balance_numerators(graph: ProofGraph,
     """Inflow minus outflow of every formula vertex, summed in one sweep as
     integer numerators over ``den > 0``, the lcm of the flows' denominators."""
     try:
-        flows = [(w, flow[w.id]) for w in graph.inference_vertices]
+        flows = [(w, flow[iid]) for iid, w in graph.inference_vertices.items()]
     except KeyError as missing:
         raise IncompleteFlowError(f"no flow for inference vertex {missing.args[0]}") from None
     den = math.lcm(*(f.denominator for _, f in flows))
-    acc = {v.id: 0 for v in graph.formula_vertices}
+    acc = dict.fromkeys(graph.formula_vertices, 0)
     for w, f in flows:
         a = f.numerator * (den // f.denominator)
         for u in w.out_neighbors:
@@ -258,24 +229,24 @@ def export_dot(graph: ProofGraph, flow: Optional[dict[int, Fraction]] = None) ->
     inference vertex is labelled with its flow.
     """
     lines = ["digraph proof {"]
-    for v in graph.formula_vertices:
+    for fid, clause in graph.formula_vertices.items():
         marks = []
-        if v.clause in graph.hypotheses:
+        if clause in graph.hypotheses:
             marks.append("hyp")
-        if v.id == graph.goal_id:
+        if fid == graph.goal_id:
             marks.append("goal")
-        label = str(v.clause) + (f"  [{','.join(marks)}]" if marks else "")
-        lines.append(f"  f{v.id} [shape=box, label={_dot_quote(label)}];")
-    for w in graph.inference_vertices:
+        label = str(clause) + (f"  [{','.join(marks)}]" if marks else "")
+        lines.append(f"  f{fid} [shape=box, label={_dot_quote(label)}];")
+    for iid, w in graph.inference_vertices.items():
         label = f"{w.rule.kind} x{w.rule.principal}"
         if flow is not None:
-            label += f"\\nflow={flow[w.id]}"
-        lines.append(f"  i{w.id} [shape=circle, label={_dot_quote(label)}];")
-    for w in graph.inference_vertices:
+            label += f"\\nflow={flow[iid]}"
+        lines.append(f"  i{iid} [shape=circle, label={_dot_quote(label)}];")
+    for iid, w in graph.inference_vertices.items():
         for u in w.in_neighbors:
-            lines.append(f"  f{u} -> i{w.id};")
+            lines.append(f"  f{u} -> i{iid};")
         for u in w.out_neighbors:
-            lines.append(f"  i{w.id} -> f{u};")
+            lines.append(f"  i{iid} -> f{u};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -289,7 +260,7 @@ class ProofGraphBuilder:
     """
 
     def __init__(self) -> None:
-        self._formulas: list[FormulaVertex] = []
+        self._formulas: list[Clause] = []
         self._by_clause: dict[Clause, int] = {}
         self._inferences: list[InferenceVertex] = []
         self._by_shape: dict[tuple, int] = {}
@@ -301,7 +272,7 @@ class ProofGraphBuilder:
         if not fresh and clause in self._by_clause:
             return self._by_clause[clause]
         fid = len(self._formulas)
-        self._formulas.append(FormulaVertex(fid, clause))
+        self._formulas.append(clause)
         if clause not in self._by_clause:
             self._by_clause[clause] = fid
         return fid
@@ -320,9 +291,7 @@ class ProofGraphBuilder:
             self._flows[iid] += flow
             return iid
         iid = len(self._inferences)
-        self._inferences.append(
-            InferenceVertex(iid, Rule(kind, principal), tuple(ins), tuple(outs))
-        )
+        self._inferences.append(InferenceVertex(Rule(kind, principal), tuple(ins), tuple(outs)))
         self._by_shape[shape] = iid
         self._flows[iid] = flow if type(flow) is Fraction else Fraction(flow)
         return iid
@@ -340,7 +309,7 @@ class ProofGraphBuilder:
         keep_negative: bool = True,
         flow: Fraction | int = 1,
     ) -> tuple[int, ...]:
-        side = self._formulas[source_id].clause
+        side = self._formulas[source_id]
         outs: list[int] = []
         if keep_positive:
             outs.append(self.vertex(side.with_literal(principal)))
@@ -358,7 +327,7 @@ class ProofGraphBuilder:
         return out
 
     def mark_hypothesis(self, fid: int) -> None:
-        self._hypotheses.add(self._formulas[fid].clause)
+        self._hypotheses.add(self._formulas[fid])
 
     def mark_hypotheses(self, clauses: Container[Clause]) -> None:
         """Make a hypothesis of each clause in ``clauses`` that a vertex carries."""
@@ -392,7 +361,7 @@ class ProofGraphBuilder:
         return self._by_clause.get(clause)
 
     def clause_at(self, fid: int) -> Clause:
-        return self._formulas[fid].clause
+        return self._formulas[fid]
 
     @property
     def num_inferences(self) -> int:
@@ -403,8 +372,8 @@ class ProofGraphBuilder:
         if self._goal is None:
             raise ValueError("goal vertex was never set")
         graph = ProofGraph(
-            tuple(self._formulas),
-            tuple(self._inferences),
+            dict(enumerate(self._formulas)),
+            dict(enumerate(self._inferences)),
             frozenset(self._hypotheses),
             self._goal,
         )

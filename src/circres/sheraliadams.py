@@ -436,17 +436,18 @@ def circular_to_sa(graph: ProofGraph, flow: dict[int, Fraction]) -> SAProof:
     if not verify_flow(graph, flow):
         raise NotWitnessError("flow assignment does not witness the proof")
     hyp_index = {h: i + 1 for i, h in enumerate(hyp_clauses)}
-    mono = {v.id: falsified_monomial(v.clause) for v in graph.formula_vertices}
+    mono = {fid: falsified_monomial(c) for fid, c in graph.formula_vertices.items()}
     # The largest variable of a clause is read off the top bit of its mask.
     top = max(m.mask.bit_length() for m in mono.values())
-    num_vars = max([top - 1 >> 1, 0, *(w.rule.principal for w in graph.inference_vertices)])
+    num_vars = max([top - 1 >> 1, 0,
+                    *(w.rule.principal for w in graph.inference_vertices.values())])
     positive = positive_mask(num_vars)
-    for v in graph.formula_vertices:
+    for fid, c in graph.formula_vertices.items():
         # The elementary tautologies are the tautologies of width 2.
-        m = mono[v.id].mask
+        m = mono[fid].mask
         if m & (m >> 1) & positive and m.bit_count() != 2:
             raise TautologicalClauseError(
-                f"non-elementary tautological clause {v.clause} cannot be translated"
+                f"non-elementary tautological clause {c} cannot be translated"
             )
 
     # Over integer balance numerators: weight ``flow * den / goal_num``.
@@ -454,16 +455,16 @@ def circular_to_sa(graph: ProofGraph, flow: dict[int, Fraction]) -> SAProof:
     goal_num = bal[goal_id]
     scale = Fraction(den, goal_num)
     terms: list[SATerm] = []
-    for w in graph.inference_vertices:
-        terms += _rule_terms(w, flow[w.id] * scale, mono)
-    for v in graph.formula_vertices:
-        a = bal[v.id]
-        if v.id == goal_id or not a:
+    for iid, w in graph.inference_vertices.items():
+        terms += _rule_terms(w, flow[iid] * scale, mono)
+    for fid, c in graph.formula_vertices.items():
+        a = bal[fid]
+        if fid == goal_id or not a:
             continue
         if a < 0:
-            terms.append(SATerm(Fraction(-a, goal_num), MONOMIAL_ONE, hyp(hyp_index[v.clause])))
+            terms.append(SATerm(Fraction(-a, goal_num), MONOMIAL_ONE, hyp(hyp_index[c])))
         else:
-            terms.append(SATerm(Fraction(a, goal_num), mono[v.id], _ONE_REF))
+            terms.append(SATerm(Fraction(a, goal_num), mono[fid], _ONE_REF))
     return SAProof(num_vars, tuple(hyp_clauses), goal, tuple(terms))
 
 

@@ -172,7 +172,7 @@ def test_criterion_05_tracer_totality(random_proofs):
             values[abs(lit)] = 0 if lit > 0 else 1
         assert not evaluate(goal, values)
         vid, steps = trace_falsified_source(graph, integral, graph.goal_id, values)
-        found = graph.formula(vid).clause
+        found = graph.formula_vertices[vid]
         assert found in graph.hypotheses
         assert not evaluate(found, values)
         assert steps <= sum(integral.values())

@@ -1,11 +1,14 @@
+import random
+
 import pytest
 
 from circres import cli, sheraliadams as sa
 from circres.cli import main
-from circres.core import MAX_VARIABLE, Clause
+from circres.core import MAX_VARIABLE, Clause, CnfFormula
 from circres.formats import parse_cres, parse_dimacs, parse_sap, serialize_cres, serialize_dimacs
-from circres.generators import complete_bipartite, gen_php, unsound_cycle_example
-from circres.proofgraph import FormulaVertex, ProofGraph
+from circres.generators import (complete_bipartite, gen_php, php_refutation,
+                                random_circular_proof, unsound_cycle_example)
+from circres.proofgraph import ProofGraph
 
 
 def run(argv):
@@ -357,7 +360,7 @@ def test_check_and_c2s_certify_the_witnessed_goal_copy(tmp_path, php_files, caps
     spare = len(graph.formula_vertices)
     dup = tmp_path / "dup.cres"
     dup.write_text(serialize_cres(
-        ProofGraph((*graph.formula_vertices, FormulaVertex(spare, Clause())),
+        ProofGraph({**graph.formula_vertices, spare: Clause()},
                    graph.inference_vertices, graph.hypotheses, spare),
         flow if flows else None,
     ))
@@ -806,3 +809,63 @@ def test_emitted_files_do_not_depend_on_their_directory(tmp_path):
         emitted.append({p.name: p.read_bytes() for p in where.iterdir()})
     assert sorted(emitted[0]) == ["back.cres", "found.cres", "php.cnf", "php.cres", "php.sap"]
     assert emitted[0] == emitted[1]
+
+
+def _relabelled(text, fmap, imap):
+    """``text``, a ``.cres`` with no comment, with its formula ids renamed by
+    ``fmap`` and its inference ids by ``imap``."""
+    out = []
+    for line in text.splitlines():
+        t = line.split()
+        if t[0] in ("f", "h", "g"):
+            t[1] = str(fmap[int(t[1])])
+        elif t[0] in ("i", "w"):
+            t[1] = str(imap[int(t[1])])
+            if t[0] == "i":
+                t[4:] = [str(fmap[int(u)]) for u in t[4:]]
+        out.append(" ".join(t))
+    return "\n".join(out) + "\n"
+
+
+def _sparse(ids, rng):
+    """An order-preserving map of ``ids`` onto sparse ids."""
+    return dict(zip(sorted(ids), sorted(rng.sample(range(10**6), len(ids)))))
+
+
+@pytest.mark.parametrize("seed", [None, 0, 5, 6], ids=["php", "random0", "random5", "random6"])
+def test_sparse_shuffled_ids_read_check_and_translate(tmp_path, capsys, seed):
+    # Ids need not be 0..n-1 nor in file order: the reader keeps file order,
+    # the writer sorts by id, and check and c2s certify the same proof.
+    if seed is None:
+        g = complete_bipartite(4, 3)
+        (graph, flow), cnf = php_refutation(g), gen_php(g)
+    else:
+        graph, flow = random_circular_proof(seed, 5, 12)
+        cnf = CnfFormula.of(5, sorted(graph.hypotheses))
+    rng = random.Random(1)
+    fmap = _sparse(graph.formula_vertices, rng)
+    imap = _sparse(graph.inference_vertices, rng)
+    canonical = _relabelled(serialize_cres(graph, flow), fmap, imap)
+    header, *body = canonical.splitlines()
+    vertex_lines = [line for line in body if line[0] in "fi"]
+    rng.shuffle(vertex_lines)
+    marks = [line for line in body if line[0] in "hg"]
+    flows = [line for line in body if line[0] == "w"]
+    shuffled = "\n".join([header, *vertex_lines, *marks, *flows]) + "\n"
+    assert shuffled != canonical
+
+    read, read_flow = parse_cres(shuffled)
+    assert serialize_cres(read, read_flow) == canonical
+    ids = [int(line.split()[1]) for line in vertex_lines]
+    assert list(read.formula_vertices) == [u for u, line in zip(ids, vertex_lines)
+                                           if line[0] == "f"]
+    assert list(read.inference_vertices) == [u for u, line in zip(ids, vertex_lines)
+                                             if line[0] == "i"]
+
+    proof, cnf_path, sap = tmp_path / "shuffled.cres", tmp_path / "h.cnf", tmp_path / "s.sap"
+    proof.write_text("\n".join([header, *vertex_lines, *marks]) + "\n")
+    cnf_path.write_text(serialize_dimacs(cnf))
+    assert run(["check", proof, cnf_path]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "WITNESSED"
+    assert run(["translate", "c2s", proof, "-o", sap]) == 0
+    assert sa.check_sa(parse_sap(sap.read_text()))

@@ -29,7 +29,6 @@ from circres.generators import (
     unsound_cycle_example,
 )
 from circres.proofgraph import (
-    FormulaVertex,
     IncompleteFlowError,
     InferenceVertex,
     ProofGraphBuilder,
@@ -47,7 +46,7 @@ def clause(*ints):
 
 
 def uniform(graph):
-    return {w.id: Fraction(1) for w in graph.inference_vertices}
+    return dict.fromkeys(graph.inference_vertices, Fraction(1))
 
 
 def single_cut():
@@ -83,7 +82,7 @@ def test_acyclic_cut_witnessed():
     report = find_witness(graph)
     assert report.witnessed
     assert verify_flow(graph, report.flow)
-    assert report.balances[graph.goal_id] >= 1
+    assert balances(report.graph, report.flow)[graph.goal_id] >= 1
 
 
 def test_php_construction_witnessed_by_program():
@@ -95,8 +94,8 @@ def test_php_construction_witnessed_by_program():
 
 def test_find_witness_refuses_invalid_rules():
     bad = ProofGraph(
-        (FormulaVertex(0, clause(1)), FormulaVertex(1, clause(2))),
-        (InferenceVertex(0, Rule(SPLIT, 3), (0,), (1,)),),
+        {0: clause(1), 1: clause(2)},
+        {0: InferenceVertex(Rule(SPLIT, 3), (0,), (1,))},
         frozenset({0}),
         1,
     )
@@ -113,9 +112,9 @@ def _mutated(seed):
     redrawn, or an antecedent or consequent id replaced, added or dropped."""
     graph, _ = random_circular_proof(seed, 5, 10)
     rng = random.Random(seed)
-    fids = [v.id for v in graph.formula_vertices]
-    rewired = []
-    for w in graph.inference_vertices:
+    fids = list(graph.formula_vertices)
+    rewired = {}
+    for iid, w in graph.inference_vertices.items():
         x, ins, outs = w.rule.principal, list(w.in_neighbors), list(w.out_neighbors)
         r = rng.random()
         if r < 0.2:
@@ -130,8 +129,8 @@ def _mutated(seed):
             outs.append(rng.choice(fids))
         elif r < 0.75:
             outs.pop()
-        rewired.append(InferenceVertex(w.id, Rule(w.rule.kind, x), tuple(ins), tuple(outs)))
-    return ProofGraph(graph.formula_vertices, tuple(rewired), graph.hypotheses,
+        rewired[iid] = InferenceVertex(Rule(w.rule.kind, x), tuple(ins), tuple(outs))
+    return ProofGraph(graph.formula_vertices, rewired, graph.hypotheses,
                       graph.goal_id)
 
 
@@ -155,21 +154,20 @@ def test_find_witness_takes_supplied_flows(monkeypatch):
     monkeypatch.setattr("circres.lp.feasible", None)  # the solver must not run
     report = find_witness(graph, flow)
     assert report.witnessed and report.flow is flow and report.graph is graph
-    assert report.balances == balances(graph, flow)
 
 
 def test_find_witness_moves_the_goal_to_the_witnessed_copy():
     # The goal mark points at a second, isolated empty-clause vertex.
     graph, flow = php_refutation(complete_bipartite(3, 2))
     spare = len(graph.formula_vertices)
-    dup = ProofGraph((*graph.formula_vertices, FormulaVertex(spare, Clause())),
+    dup = ProofGraph({**graph.formula_vertices, spare: Clause()},
                      graph.inference_vertices, graph.hypotheses, spare)
     assert not verify_flow(dup, flow)
     for supplied in (flow, None):
         report = find_witness(dup, supplied)
         assert report.graph.goal_id == graph.goal_id
         assert verify_flow(report.graph, report.flow)
-        assert report.balances[report.graph.goal_id] == 1
+        assert balances(report.graph, report.flow)[report.graph.goal_id] == 1
 
 
 def test_find_witness_solves_past_rejected_flows():
@@ -210,7 +208,7 @@ def test_soundness_fuzz_against_oracle():
         graph, flow = random_circular_proof(seed, 6, 9)
         assert verify_flow(graph, flow)
         nvars = max((v for c in
-                     [f.clause for f in graph.formula_vertices]
+                     graph.formula_vertices.values()
                      for v in c.variables()), default=1)
         hyp = CnfFormula.of(
             nvars,
@@ -237,7 +235,7 @@ def test_contrapositive_unimplied_goal_never_witnessed():
         if implies_oracle(hyp, target):
             continue
         found += 1
-        tid = next((v.id for v in graph.formula_vertices if v.clause == target), None)
+        tid = next((fid for fid, c in graph.formula_vertices.items() if c == target), None)
         if tid is None:
             continue
         retargeted = ProofGraph(
@@ -289,13 +287,13 @@ def test_integralize_rejects_nonpositive():
 def test_trace_single_cut():
     graph, flow = single_cut()
     source, _ = trace_falsified_source(graph, flow, graph.goal_id, {1: 1})
-    assert graph.formula(source).clause == clause(-1)
+    assert graph.formula_vertices[source] == clause(-1)
 
 
 def test_trace_weakening_proof():
     graph, flow = weakening_proof()
     source, _ = trace_falsified_source(graph, flow, graph.goal_id, {1: 0, 2: 0})
-    assert graph.formula(source).clause == clause(2, 1)
+    assert graph.formula_vertices[source] == clause(2, 1)
 
 
 def test_trace_requires_falsified_sink():
@@ -318,8 +316,8 @@ def test_trace_requires_a_sink():
     # A pigeon clause is a hypothesis the refutation consumes: its balance
     # is negative, though the all-zero assignment falsifies it.
     graph, flow = php_refutation(complete_bipartite(3, 2))
-    pigeon = next(v.id for v in graph.formula_vertices
-                  if v.clause in graph.hypotheses and v.clause.literals[0] > 0)
+    pigeon = next(fid for fid, c in graph.formula_vertices.items()
+                  if c in graph.hypotheses and c.literals[0] > 0)
     with pytest.raises(PreconditionError,
                        match="sink vertex must have strictly positive balance"):
         trace_falsified_source(graph, flow, pigeon, {v: 0 for v in range(1, 7)})
@@ -333,7 +331,7 @@ def test_trace_php_returns_falsified_hypothesis():
     for _ in range(20):
         alpha = {v: rng.randint(0, 1) for v in range(1, nvars + 1)}
         vid, steps = trace_falsified_source(graph, flow, graph.goal_id, alpha)
-        found = graph.formula(vid).clause
+        found = graph.formula_vertices[vid]
         assert found in graph.hypotheses
         assert not evaluate(found, alpha)
         assert steps <= sum(flow.values())
@@ -353,8 +351,8 @@ def test_trace_totality_random_proofs():
         if falsifier is None:
             continue
         vid, steps = trace_falsified_source(graph, flow, graph.goal_id, falsifier)
-        assert graph.formula(vid).clause in graph.hypotheses
-        assert not evaluate(graph.formula(vid).clause, falsifier)
+        assert graph.formula_vertices[vid] in graph.hypotheses
+        assert not evaluate(graph.formula_vertices[vid], falsifier)
         assert steps <= sum(flow.values())
         checked += 1
     assert checked > 60
@@ -411,9 +409,10 @@ def test_forged_certificate_rejected():
     # The unsound cycle has no hypotheses, yet calling x1 and ~x1 sources
     # makes the combination collapse to 0 >= 1.
     graph = unsound_cycle_example()
-    ids = {v.clause: v.id for v in graph.formula_vertices}
+    ids = {c: fid for fid, c in graph.formula_vertices.items()}
     x, nx, goal = ids[clause(1)], ids[clause(-1)], graph.goal_id
-    final_cut = graph.producers(goal)[0]
+    final_cut = next(iid for iid, w in graph.inference_vertices.items()
+                     if goal in w.out_neighbors)
     forged = DualCertificate(goal, frozenset({x, nx}), {goal: 1, x: 1, nx: 1}, {final_cut: 1})
     coeff, const = certificate_combination(graph, forged)
     assert all(c == 0 for c in coeff.values()) and const == -1
@@ -426,7 +425,7 @@ def test_certificate_for_another_goal_rejected():
     graph, flow = single_cut()
     cert = dual_certificate(graph, flow)
     moved = dataclasses.replace(graph, goal_id=next(
-        v.id for v in graph.formula_vertices if v.clause in graph.hypotheses))
+        fid for fid, c in graph.formula_vertices.items() if c in graph.hypotheses))
     assert not verify_dual_certificate(moved, cert)
 
 

@@ -149,7 +149,7 @@ LITERAL_LISTS = st.lists(LITERALS, max_size=10) | st.lists(LITERALS, max_size=10
 READERS = {
     "cnf": lambda line: parse_dimacs(f"p cnf {VARS} 1\n{line}\n").clauses[0],
     "cres": lambda line: parse_cres(f"p cres 1 0\nf 0 {line}\ng 0\n")[0]
-    .formula_vertices[0].clause,
+    .formula_vertices[0],
     "sap": lambda line: parse_sap(f"p sap {VARS} 0\ng {line}\n").goal,
 }
 

@@ -113,8 +113,10 @@ def test_cres_bad_flow_line_names_its_line(extra, message):
     ("p cres 2 0\nf 0 0\nf 0 1 0\ng 0\n", 3, "duplicate formula-vertex id"),
     ("p cres 2 2\nf 0 0\nf 1 1 -1 0\ni 0 ax 1 1\ni 0 ax 1 1\ng 0\n", 5,
      "duplicate inference-vertex id"),
+    # The repeated line is reported before the header's count of the file.
+    ("p cres 1 0\nf 0 0\nf 0 0\ng 0\n", 3, "duplicate formula-vertex id"),
 ], ids=["inference-ref", "hypothesis-mark", "repeated-hypothesis-mark", "formula-id",
-        "inference-id"])
+        "inference-id", "formula-id-before-header-count"])
 def test_cres_structure_error_names_its_line(text, line_no, message):
     with pytest.raises(ParseError) as err:
         parse_cres(text)

@@ -79,9 +79,9 @@ def test_php_refutation_balance_and_sources():
         bal = balances(graph, flow)
         assert bal[graph.goal_id] == 1  # pigeons minus holes
         php_clauses = set(cnf.clauses)
-        for v in graph.formula_vertices:
-            if bal[v.id] < 0:
-                assert v.clause in php_clauses
+        for fid, c in graph.formula_vertices.items():
+            if bal[fid] < 0:
+                assert c in php_clauses
         assert graph.width <= g.max_degree()
 
 
@@ -203,11 +203,11 @@ def test_random_proofs_contain_cycles_sometimes():
         # a cycle exists iff some vertex is produced and consumed by rules in
         # a loop; detect via depth-first search over the directed graph
         adj: dict[int, set[int]] = {}
-        for w in graph.inference_vertices:
+        for iid, w in graph.inference_vertices.items():
             for u in w.in_neighbors:
-                adj.setdefault(("f", u), set()).add(("i", w.id))
+                adj.setdefault(("f", u), set()).add(("i", iid))
             for u in w.out_neighbors:
-                adj.setdefault(("i", w.id), set()).add(("f", u))
+                adj.setdefault(("i", iid), set()).add(("f", u))
         color: dict = {}
 
         def has_cycle(node) -> bool:

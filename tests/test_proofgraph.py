@@ -13,7 +13,6 @@ from circres.proofgraph import (
     AXIOM,
     CUT,
     SPLIT,
-    FormulaVertex,
     IncompleteFlowError,
     InferenceVertex,
     ProofGraph,
@@ -54,12 +53,8 @@ def test_valid_cut_template():
 
 def test_cut_with_mismatched_side_clauses():
     graph = ProofGraph(
-        (
-            FormulaVertex(0, clause(1, 2)),
-            FormulaVertex(1, clause(3, -2)),
-            FormulaVertex(2, clause(1, 3)),
-        ),
-        (InferenceVertex(0, Rule(CUT, 2), (0, 1), (2,)),),
+        {0: clause(1, 2), 1: clause(3, -2), 2: clause(1, 3)},
+        {0: InferenceVertex(Rule(CUT, 2), (0, 1), (2,))},
         frozenset(),
         2,
     )
@@ -71,8 +66,8 @@ def test_collapsing_split_is_valid():
     # Splitting (x1) on x1 keeps one consequent equal to the antecedent and
     # the other the elementary tautology.
     graph = ProofGraph(
-        (FormulaVertex(0, clause(1)), FormulaVertex(1, clause(1, -1))),
-        (InferenceVertex(0, Rule(SPLIT, 1), (0,), (0, 1)),),
+        {0: clause(1), 1: clause(1, -1)},
+        {0: InferenceVertex(Rule(SPLIT, 1), (0,), (0, 1))},
         frozenset({0}),
         1,
     )
@@ -86,7 +81,7 @@ def test_builder_split_of_a_tautology_on_its_variable_keeps_one_consequent():
     assert b.split(taut, 1) == (taut,)
     b.set_goal(taut)
     graph, _ = b.build()
-    assert graph.inference(1).out_neighbors == (taut,)
+    assert graph.inference_vertices[1].out_neighbors == (taut,)
     assert validate_rules(graph) == []
 
 
@@ -97,15 +92,15 @@ def test_builder_requires_a_goal():
 
 def test_axiom_template():
     graph = ProofGraph(
-        (FormulaVertex(0, clause(2, -2)),),
-        (InferenceVertex(0, Rule(AXIOM, 2), (), (0,)),),
+        {0: clause(2, -2)},
+        {0: InferenceVertex(Rule(AXIOM, 2), (), (0,))},
         frozenset(),
         0,
     )
     assert validate_rules(graph) == []
     bad = ProofGraph(
-        (FormulaVertex(0, clause(2)),),
-        (InferenceVertex(0, Rule(AXIOM, 2), (), (0,)),),
+        {0: clause(2)},
+        {0: InferenceVertex(Rule(AXIOM, 2), (), (0,))},
         frozenset(),
         0,
     )
@@ -115,8 +110,8 @@ def test_axiom_template():
 def test_dangling_reference_rejected():
     with pytest.raises(StructureError):
         ProofGraph(
-            (FormulaVertex(0, clause(1)),),
-            (InferenceVertex(0, Rule(SPLIT, 2), (0,), (7,)),),
+            {0: clause(1)},
+            {0: InferenceVertex(Rule(SPLIT, 2), (0,), (7,))},
             frozenset(),
             0,
         )
@@ -126,8 +121,8 @@ def test_validation_order_invariant():
     for seed in range(10):
         graph, _ = random_circular_proof(seed, 5, 9)
         shuffled = ProofGraph(
-            tuple(reversed(graph.formula_vertices)),
-            tuple(reversed(graph.inference_vertices)),
+            dict(reversed(graph.formula_vertices.items())),
+            dict(reversed(graph.inference_vertices.items())),
             graph.hypotheses,
             graph.goal_id,
         )
@@ -147,17 +142,17 @@ def test_balance_examples():
     assert bal[graph.goal_id] == 1
     sources, sinks = sources_and_sinks(graph, flow)
     assert sinks == {graph.goal_id}
-    assert {graph.formula(u).clause for u in sources} == {clause(1), clause(-1)}
+    assert {graph.formula_vertices[u] for u in sources} == {clause(1), clause(-1)}
 
 
 def test_unsound_cycle_balances_always_negative():
     graph = unsound_cycle_example()
     assert validate_rules(graph) == []
-    x_id = next(v.id for v in graph.formula_vertices if v.clause == clause(1))
+    x_id = next(fid for fid, c in graph.formula_vertices.items() if c == clause(1))
     for trial in range(20):
         rng = random.Random(trial)
-        flow = {w.id: Fraction(rng.randint(1, 9), rng.randint(1, 9))
-                for w in graph.inference_vertices}
+        flow = {iid: Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                for iid in graph.inference_vertices}
         assert balances(graph, flow)[x_id] < 0
 
 
@@ -186,24 +181,24 @@ def test_double_counting_identity():
         graph, flow = random_circular_proof(seed, 6, 10)
         total = sum(balances(graph, flow).values())
         expected = sum(
-            flow[w.id] * (len(w.out_neighbors) - len(w.in_neighbors))
-            for w in graph.inference_vertices
+            flow[iid] * (len(w.out_neighbors) - len(w.in_neighbors))
+            for iid, w in graph.inference_vertices.items()
         )
         assert total == expected
 
 
 def test_no_inference_vertices_no_sources_or_sinks():
-    graph = ProofGraph((FormulaVertex(0, clause(1)),), (), frozenset(), 0)
+    graph = ProofGraph({0: clause(1)}, {}, frozenset(), 0)
     assert sources_and_sinks(graph, {}) == (frozenset(), frozenset())
 
 
 def _fraction_balances(graph, flows):
-    acc = {v.id: Fraction(0) for v in graph.formula_vertices}
-    for w in graph.inference_vertices:
+    acc = dict.fromkeys(graph.formula_vertices, Fraction(0))
+    for iid, w in graph.inference_vertices.items():
         for u in w.out_neighbors:
-            acc[u] += flows[w.id]
+            acc[u] += flows[iid]
         for u in w.in_neighbors:
-            acc[u] -= flows[w.id]
+            acc[u] -= flows[iid]
     return acc
 
 
@@ -215,10 +210,10 @@ def test_integer_balances_agree_with_fraction_sums(seed, budget, bare, data):
     # same formula vertices with no inference vertices at all.
     graph, _ = random_circular_proof(seed, 5, budget)
     if bare:
-        graph = ProofGraph(graph.formula_vertices, (), graph.hypotheses, graph.goal_id)
+        graph = ProofGraph(graph.formula_vertices, {}, graph.hypotheses, graph.goal_id)
     flows = {
-        w.id: Fraction(data.draw(st.integers(1, 40)), data.draw(st.integers(1, 12)))
-        for w in graph.inference_vertices
+        iid: Fraction(data.draw(st.integers(1, 40)), data.draw(st.integers(1, 12)))
+        for iid in graph.inference_vertices
     }
     expected = _fraction_balances(graph, flows)
     assert balances(graph, flows) == expected
@@ -227,7 +222,7 @@ def test_integer_balances_agree_with_fraction_sums(seed, budget, bare, data):
     assert sinks == {u for u, b in expected.items() if b > 0}
     hyps = graph.hypotheses
     witnessed = expected[graph.goal_id] > 0 and all(
-        expected[v.id] >= 0 or v.clause in hyps for v in graph.formula_vertices
+        expected[fid] >= 0 or c in hyps for fid, c in graph.formula_vertices.items()
     )
     assert verify_flow(graph, flows) == witnessed
 
@@ -259,7 +254,7 @@ def _check_dot_shape(text: str) -> tuple[int, int, int]:
 def test_empty_graph_is_rejected():
     # A graph without vertices has no goal vertex either.
     with pytest.raises(StructureError, match="goal id 0 is not a formula vertex"):
-        ProofGraph((), (), frozenset(), 0)
+        ProofGraph({}, {}, frozenset(), 0)
 
 
 def test_dot_unsound_cycle_counts():

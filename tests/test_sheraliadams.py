@@ -404,7 +404,7 @@ def test_translate_requires_witness():
 
     graph = unsound_cycle_example()
     with pytest.raises(NotWitnessError):
-        circular_to_sa(graph, {w.id: Fraction(1) for w in graph.inference_vertices})
+        circular_to_sa(graph, dict.fromkeys(graph.inference_vertices, Fraction(1)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 
 from circres.core import Clause
 from circres.lp import Constraint
-from circres.proofgraph import FormulaVertex, InferenceVertex, Rule
+from circres.proofgraph import InferenceVertex, Rule
 from circres.sheraliadams import Monomial, RefPoly, SATerm
 
 CLAUSE = Clause.from_ints(1, -2)
@@ -26,9 +26,10 @@ VALUES = [
     (CLAUSE, "Clause(mask=36)"),
     (Clause(), "Clause(mask=0)"),
     (RULE, "Rule(kind='split', principal=2)"),
-    (FormulaVertex(0, CLAUSE), "FormulaVertex(id=0, clause=Clause(mask=36))"),
-    (InferenceVertex(1, RULE, (0,), (2, 3)),
-     "InferenceVertex(id=1, rule=Rule(kind='split', principal=2), "
+    (InferenceVertex(Rule("axiom", 1), (), (0,)),
+     "InferenceVertex(rule=Rule(kind='axiom', principal=1), in_neighbors=(), out_neighbors=(0,))"),
+    (InferenceVertex(RULE, (0,), (2, 3)),
+     "InferenceVertex(rule=Rule(kind='split', principal=2), "
      "in_neighbors=(0,), out_neighbors=(2, 3))"),
     (MONOMIAL, "Monomial(mask=36, powers=((1, 2),))"),
     (Monomial(), "Monomial(mask=0, powers=())"),
@@ -43,8 +44,7 @@ VALUES = [
 FIELDS = {
     Clause: ("mask",),
     Rule: ("kind", "principal"),
-    FormulaVertex: ("id", "clause"),
-    InferenceVertex: ("id", "rule", "in_neighbors", "out_neighbors"),
+    InferenceVertex: ("rule", "in_neighbors", "out_neighbors"),
     Monomial: ("mask", "powers"),
     RefPoly: ("kind", "index"),
     SATerm: ("coefficient", "monomial", "ref"),
