@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Clause, CnfFormula
+from .core import Clause, CnfFormula, literal_key
 from .proofgraph import (
     CUT,
     SPLIT,
@@ -101,10 +101,11 @@ def gen_php(g: BipartiteGraph) -> CnfFormula:
 # pigeonhole refutation pieces
 #
 # The order of the builder calls fixes every vertex and inference id, and so
-# every byte of an emitted refutation.
+# every byte of an emitted refutation.  Each piece ORs its clauses' masks
+# from the bits of its edge variables' literals.
 
-def _vertex(b: ProofGraphBuilder, *lits: int) -> int:
-    return b.vertex(Clause.from_signed(lits))
+def _vertex(b: ProofGraphBuilder, mask: int) -> int:
+    return b.vertex(Clause(mask))
 
 
 def _add_pigeon_piece(b: ProofGraphBuilder, xs: Sequence[int]) -> None:
@@ -114,14 +115,17 @@ def _add_pigeon_piece(b: ProofGraphBuilder, xs: Sequence[int]) -> None:
     For ``x = xs[k]``, last first: split ``~x`` up to ``~x | xs[:k]`` one
     literal at a time, then cut it with ``xs[:k+1]`` down to ``xs[:k]``.
     """
+    prefix = [0]  # prefix[k] is the mask of xs[:k]
+    for x in xs:
+        prefix.append(prefix[-1] | 1 << literal_key(x))
     for k in range(len(xs) - 1, -1, -1):
-        x = xs[k]
-        cur = _vertex(b, -x)
+        x, not_x = xs[k], 1 << literal_key(-xs[k])
+        cur = _vertex(b, not_x)
         for j in range(k):
-            nxt = _vertex(b, -x, *xs[:j + 1])
+            nxt = _vertex(b, not_x | prefix[j + 1])
             b.inference(SPLIT, xs[j], (cur,), (nxt,))
             cur = nxt
-        b.inference(CUT, x, (cur, _vertex(b, *xs[:k + 1])), (_vertex(b, *xs[:k]),))
+        b.inference(CUT, x, (cur, _vertex(b, prefix[k + 1])), (_vertex(b, prefix[k]),))
 
 
 def _add_hole_piece(b: ProofGraphBuilder, ys: Sequence[int]) -> None:
@@ -143,19 +147,23 @@ def _add_hole_piece(b: ProofGraphBuilder, ys: Sequence[int]) -> None:
     of the later levels weaken every other exclusion clause, one literal at
     a time, to the antecedent its cut consumes.
     """
+    neg = [1 << literal_key(-y) for y in ys]
+    suffix = [0] * (len(ys) + 1)  # suffix[k] is the mask of ys[k:]
+    for k in range(len(ys) - 1, -1, -1):
+        suffix[k] = suffix[k + 1] | 1 << literal_key(ys[k])
     for k, y in enumerate(ys):
-        rest = ys[k + 1:]
+        rest, pos = suffix[k + 1], 1 << literal_key(y)
         for i in range(k):
             for j in range(i):
-                pair = (-ys[j], -ys[i])
-                b.inference(SPLIT, y, (_vertex(b, *pair, *rest),), (_vertex(b, *pair, y, *rest),))
+                pair = neg[j] | neg[i] | rest
+                b.inference(SPLIT, y, (_vertex(b, pair),), (_vertex(b, pair | pos),))
         for j in range(k):
             b.inference(
                 CUT, y,
-                (_vertex(b, -ys[j], y, *rest), _vertex(b, -ys[j], -y, *rest)),
-                (_vertex(b, -ys[j], *rest),),
+                (_vertex(b, neg[j] | pos | rest), _vertex(b, neg[j] | neg[k] | rest)),
+                (_vertex(b, neg[j] | rest),),
             )
-        b.inference(SPLIT, y, (_vertex(b, *rest),), (_vertex(b, y, *rest), _vertex(b, -y, *rest)))
+        b.inference(SPLIT, y, (_vertex(b, rest),), (_vertex(b, pos | rest), _vertex(b, neg[k] | rest)))
 
 
 def php_refutation(g: BipartiteGraph) -> tuple[ProofGraph, dict[int, Fraction]]:

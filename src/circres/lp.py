@@ -27,17 +27,22 @@ Implementation notes, none of which change the results:
   ``x'_j >= 0``; every row of ``lp.rows`` is a tableau row, a one-entry row
   included.  Undeclared variables are free and are split into differences
   of nonnegatives.
-* The tableau is stored row-major: each row is a ``{column: int}`` dict of
-  its nonbasic entries.  A pivot reads its entering column off the leaving
-  row, pops the pivot column from the rows that hold it, and updates just
-  those rows against the pivot row.
+* The tableau keeps only its surplus block.  It starts as ``[-A | I]`` and
+  pivots are row operations, so it is ``M [-A | I]`` with ``M = den * B^-1``
+  for the basis ``B``; each row of ``M`` is a ``{row index: int}`` dict,
+  kept beside the basic values, the basis and ``den``.  A pivot recomputes
+  from ``lp.rows`` the leaving row's structural entries, to pick its column,
+  and the entering column, to find the rows to update, then applies the
+  integer row operation to ``M`` alone, so nothing fills in.  Each entry the
+  walk reads is the full tableau's integer, so the walk, ``den``, the point
+  and the certificate are the full tableau's.
 * All arithmetic is integer-preserving: tableau and basic values are
   integers over one common positive denominator ``den``, and every pivot
   divides exactly.  The exact rechecks stay in integers too: a point passes
   when ``sum(c * X_j) >= rhs * den`` for every row, ``X`` its numerators,
   and a certificate's cancellation and positive right-hand side are summed
   over ``den`` as well.  Rationals only appear in the returned values.
-* A :class:`Constraint` is a named tuple (see :mod:`circres.core`).
+* A :class:`Constraint` is a named tuple.
 """
 
 from __future__ import annotations
@@ -90,47 +95,29 @@ class LinearProgram:
 
 
 class _Tableau:
-    """Sparse integer criss-cross tableau, stored row by row.
+    """Integer criss-cross tableau that stores only its surplus block.
 
     Every tableau row is stored negated (``-a . x + s = -b``), so each
     surplus variable starts basic with coefficient +1 and value ``-b``;
     the rows violated at the origin are exactly those with positive shifted
-    right-hand side.  ``rows[i]`` maps each nonbasic column to its scaled
-    entry in row ``i`` (the basic variable's entry there is ``den``), and
-    ``den`` is the positive common denominator of the working state.
+    right-hand side.  ``rows[i]`` maps each row ``t`` of ``lp.rows`` to the
+    nonzero ``M[i][t]`` of ``M = den * B^-1``, where ``den`` is the positive
+    common denominator of the working state.
     """
 
     def __init__(self, lp: LinearProgram) -> None:
         self.lp = lp
-        self.lb = lp.lower
-
+        self.lb = lb = lp.lower
         # Structural columns: one per lower-bounded variable, a +/- pair per
         # free variable; then one surplus column per tableau row.
-        self.col_var: list[tuple[int, int]] = []
-        first: list[int] = []
-        for j in range(lp.num_vars):
-            first.append(len(self.col_var))
-            self.col_var.append((j, +1))
-            if j not in self.lb:
-                self.col_var.append((j, -1))
-        self.n_struct = len(self.col_var)
-
+        self.n_struct = 2 * lp.num_vars - len(lb)
         self.den = 1
-        self.xb: list[int] = []
-        self.basis: list[int] = []
-        self.rows: list[dict[int, int]] = []
-        for i, row in enumerate(lp.rows):
-            shift = sum(a * self.lb[j] for j, a in row.coeffs if j in self.lb)
-            self.xb.append(shift - row.rhs)
-            self.basis.append(self.n_struct + i)
-            entries: dict[int, int] = {}
-            for j, a in row.coeffs:
-                if a:
-                    entries[first[j]] = -a
-                    if j not in self.lb:
-                        entries[first[j] + 1] = a
-            self.rows.append(entries)
+        self.xb = [sum([a * lb[j] for j, a in row.coeffs if j in lb]) - row.rhs
+                   for row in lp.rows]
+        self.basis = list(range(self.n_struct, self.n_struct + len(lp.rows)))
+        self.rows = [{i: 1} for i in range(len(lp.rows))]
         self.negative = {i for i, v in enumerate(self.xb) if v < 0}
+        self.col_var: list[tuple[int, int]] = []  # with first and cols, see _first
 
     # -- pivoting -------------------------------------------------------------
 
@@ -141,72 +128,89 @@ class _Tableau:
         column index with a negative entry there.  The least-index rule makes
         the walk finite.
         """
-        basis = self.basis
+        basis, lb, coeffs = self.basis, self.lb, [row.coeffs for row in self.lp.rows]
         while self.negative:
             r = min(self.negative, key=basis.__getitem__)
-            eligible = [j for j, a in self.rows[r].items() if a < 0]
-            if not eligible:
+            # Row r's structural entries: -s[j] in x_j's + column, s[j] in its
+            # - column.  Every structural column comes before every surplus one.
+            s: dict[int, int] = {}
+            get = s.get
+            for t, m in self.rows[r].items():
+                for j, a in coeffs[t]:
+                    s[j] = get(j, 0) + m * a
+            j = min([j for j, v in s.items() if v > 0 or v and j not in lb], default=None)
+            if j is not None:
+                self._pivot(r, self._first(j) + (s[j] < 0))
+                continue
+            t = min([t for t, m in self.rows[r].items() if m < 0], default=None)
+            if t is None:
                 return r
-            self._pivot(r, min(eligible))
+            self._pivot(r, self.n_struct + t)
         return None
+
+    def _first(self, j: int) -> int:
+        """Column of ``x_j``'s + part; the maps are built at the first use."""
+        if not self.col_var:
+            lp = self.lp
+            self.col_var = [(k, part) for k in range(lp.num_vars)
+                            for part in ((1,) if k in self.lb else (1, -1))]
+            self.first = [k for k, (_, part) in enumerate(self.col_var) if part > 0]
+            self.cols: list[dict[int, int]] = [{} for _ in range(lp.num_vars)]
+            for t, row in enumerate(lp.rows):
+                for k, a in row.coeffs:
+                    self.cols[k][t] = a
+        return self.first[j]
 
     def _pivot(self, r: int, c: int) -> None:
         den = self.den
         rows, xb = self.rows, self.xb
-        rowr = rows[r]
-        piv = rowr.pop(c)
-        sigma = 1
+        # The entering column: a surplus column is a column of M, and the
+        # column of x_j's part is -part * M . A[:, j].
+        if c >= self.n_struct:
+            t = c - self.n_struct
+            col = {i: v for i, row in enumerate(rows) if (v := row.get(t))}
+        else:
+            j, part = self.col_var[c]
+            colj, col = self.cols[j], {}
+            for i, row in enumerate(rows):
+                if not colj.keys().isdisjoint(row) and (
+                        v := sum([m * colj[t] for t, m in row.items() if t in colj])):
+                    col[i] = -part * v
+        rowr, piv = rows[r], col.pop(r)
         if piv < 0:
-            # Re-sign row r so the pivot element is positive.  This silently
-            # negates the unit column of the variable currently basic there,
-            # which is about to leave; its new entries carry sigma to match.
-            sigma = -1
-            piv = -piv
-            for j in rowr:
-                rowr[j] = -rowr[j]
-            xb[r] = -xb[r]
+            # Re-sign row r so the pivot element is positive.
+            rows[r] = rowr = {t: -m for t, m in rowr.items()}
+            piv, xb[r] = -piv, -xb[r]
         xbr = xb[r]
 
-        updates = [(i, v) for i, row in enumerate(rows) if (v := row.pop(c, 0))]
         if piv == den:
             unit = den == 1
             items = list(rowr.items())
-            for i, v in updates:
+            for i, v in col.items():
                 row = rows[i]
                 get = row.get
-                for j, trj in items:
-                    # trj * v is nonzero, so a zero result was a stored entry.
-                    new = get(j, 0) - (trj * v if unit else (trj * v) // den)
+                for t, mrt in items:
+                    # mrt * v is nonzero, so a zero result was a stored entry.
+                    new = get(t, 0) - (mrt * v if unit else (mrt * v) // den)
                     if new:
-                        row[j] = new
+                        row[t] = new
                     else:
-                        del row[j]
+                        del row[t]
                 if xbr:
                     xb[i] -= v * xbr if unit else (v * xbr) // den
                     self._note(i)
         else:
-            col = dict(updates)
             for i, row in enumerate(rows):
                 if i == r:
                     continue
-                v = col.get(i)
-                if v is None:
-                    rows[i] = {j: (piv * a) // den for j, a in row.items()}
-                    xb[i] = (piv * xb[i]) // den
-                else:
-                    scaled = {j: piv * a for j, a in row.items()}
-                    for j, trj in rowr.items():
-                        scaled[j] = scaled.get(j, 0) - trj * v
-                    rows[i] = {j: a // den for j, a in scaled.items() if a}
-                    xb[i] = (piv * xb[i] - v * xbr) // den
+                scaled = {t: piv * a for t, a in row.items()}
+                if v := col.get(i, 0):
+                    for t, mrt in rowr.items():
+                        scaled[t] = scaled.get(t, 0) - mrt * v
+                rows[i] = {t: a // den for t, a in scaled.items() if a}
+                xb[i] = (piv * xb[i] - v * xbr) // den
                 self._note(i)
             self.den = piv
-
-        # The leaving variable's column materializes from the direction.
-        old = self.basis[r]
-        for i, v in updates:
-            rows[i][old] = -sigma * v
-        rowr[old] = sigma * den
         self.basis[r] = c
         self._note(r)
 
@@ -230,9 +234,8 @@ class _Tableau:
     def certificate(self, r: int) -> list[Fraction]:
         """Farkas multipliers from a violated row with no eligible column.
 
-        Row ``r`` of the current combination matrix is row ``r``'s entries
-        in the columns of the initial surplus variables (``den`` for the one
-        basic there); they are nonnegative exactly because the row is stuck.
+        Row ``r`` of ``M`` combines the rows of ``lp.rows``; its entries are
+        nonnegative exactly because the row is stuck.
         The rows' combination leaves a residual of at most zero on each
         bounded variable and of zero on each free one; the bound multipliers
         pay the residuals off.  Multipliers are integers over ``den`` until
@@ -240,13 +243,10 @@ class _Tableau:
         """
         lp, lb = self.lp, self.lb
         lam = [0] * len(lp.rows)
-        entries = dict(self.rows[r])
-        entries[self.basis[r]] = self.den
-        for col, entry in entries.items():
-            if col >= self.n_struct:
-                if entry < 0:
-                    raise AssertionError("negative multiplier on a stuck row")
-                lam[col - self.n_struct] = entry
+        for t, entry in self.rows[r].items():
+            if entry < 0:
+                raise AssertionError("negative multiplier on a stuck row")
+            lam[t] = entry
         residual = [0] * lp.num_vars
         for v, row in zip(lam, lp.rows):
             if v:

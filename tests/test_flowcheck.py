@@ -96,7 +96,7 @@ def test_find_witness_refuses_invalid_rules():
     bad = ProofGraph(
         {0: clause(1), 1: clause(2)},
         {0: InferenceVertex(Rule(SPLIT, 3), (0,), (1,))},
-        frozenset({0}),
+        frozenset({clause(1)}),
         1,
     )
     with pytest.raises(ValidationError) as info:

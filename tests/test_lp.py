@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import find, given, settings
+from hypothesis import strategies as st
 
 from circres import lp as lp_module
 from circres.core import Clause, CnfFormula
@@ -377,3 +379,125 @@ def test_answers_are_stable(monkeypatch, case):
     answers = [(feasible(p), farkas_certificate(p)) for p in programs]
     digest = hashlib.sha256(repr(answers).encode()).hexdigest()
     assert digest == _DIGESTS[case]
+
+
+def _walks(monkeypatch, programs):
+    """The ``(row, entering column)`` pair of every pivot, per program."""
+    walks = []
+    pivot = lp_module._Tableau._pivot
+
+    def recording(tab, r, c):
+        walks[-1].append((r, c))
+        return pivot(tab, r, c)
+
+    monkeypatch.setattr(lp_module._Tableau, "_pivot", recording)
+    for program in programs:
+        walks.append([])
+        feasible(program)
+    monkeypatch.undo()
+    return walks
+
+
+# sha256 of the pivot sequences.  Equal answers do not imply an equal walk,
+# so the walk itself is pinned: a tableau that stores less must still pivot
+# on the same rows and columns.
+_WALK_DIGESTS = {
+    "search-n3-seed0": "d7bb1a39906391360318b25df39366c97bc57222e01edba4e8e6d0d3f77cdf23",
+    "search-n3-seed0-dropped": "1f95259d5e5926ac61b6667b6439aeab891b804d14517540e45e609d7e63078d",
+    "search-n3-seed1": "db928a5d321a908ae4698fa341ce407f2a70de8b4648c7745b5801bffa854213",
+    "search-n3-seed1-dropped": "330e0b39fe4813058745b30be79c0d5105fcc0415913167f455fa10454e26bac",
+    "search-n3-seed2": "d14bf1e9b808f2bce335f58b4952cb24301b561044d2ae42820508833cb6cdc2",
+    "search-n3-seed2-dropped": "63315a4455e243da76245ce555007eaae42e8e55d0e791673d6f96acf825d76f",
+    # The flow programs take no pivot: each is feasible at its lower bounds
+    # or stuck at once.
+    "witness-php7x6": "cf1cbb66a638b4860a516671fb74850e6ccf787fe6c4c8d29e9c04efe880bd05",
+    "witness-php7x6-dropped": "cf1cbb66a638b4860a516671fb74850e6ccf787fe6c4c8d29e9c04efe880bd05",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED))
+def test_walks_are_stable(monkeypatch, case):
+    make, args = _PINNED[case]
+    walks = _walks(monkeypatch, _programs_solved(monkeypatch, make(*args)))
+    assert walks
+    digest = hashlib.sha256(repr(walks).encode()).hexdigest()
+    assert digest == _WALK_DIGESTS[case]
+
+
+# ---------------------------------------------------------------------------
+# the sparse tableau against a dense reference walk
+
+def _dense_walk(lp):
+    """Least-index criss-cross on the full ``Fraction`` tableau ``[-A | I]``
+    of the negated, shifted rows.  Returns the pivots, the point or the
+    certificate, and the kinds of pivot taken."""
+    lb, m = lp.lower, len(lp.rows)
+    cols = [(j, part) for j in range(lp.num_vars) for part in ((1,) if j in lb else (1, -1))]
+    n = len(cols)
+    tab = [[Fraction(-part * dict(row.coeffs).get(j, 0)) for j, part in cols]
+           + [Fraction(t == i) for t in range(m)] for i, row in enumerate(lp.rows)]
+    xb = [Fraction(sum(a * lb.get(j, 0) for j, a in row.coeffs) - row.rhs) for row in lp.rows]
+    basis, walk, kinds = list(range(n, n + m)), [], set()
+    while violated := [i for i in range(m) if xb[i] < 0]:
+        r = min(violated, key=basis.__getitem__)
+        c = min((k for k in range(n + m) if tab[r][k] < 0), default=None)
+        if c is None:
+            lam = tab[r][n:]
+            residual = [sum(v * dict(row.coeffs).get(j, 0) for v, row in zip(lam, lp.rows))
+                        for j in range(lp.num_vars)]
+            return walk, None, lam + [-residual[j] for j in sorted(lb)], kinds
+        walk.append((r, c))
+        piv = tab[r][c]
+        kinds |= {"fractional"} if abs(piv) != 1 else set()
+        kinds |= {"free-negative"} if c < n and cols[c][1] < 0 else set()
+        tab[r], xb[r] = [v / piv for v in tab[r]], xb[r] / piv
+        for i in range(m):
+            if i != r and (f := tab[i][c]):
+                tab[i] = [v - f * w for v, w in zip(tab[i], tab[r])]
+                xb[i] -= f * xb[r]
+        basis[r] = c
+    x = [Fraction(lb.get(j, 0)) for j in range(lp.num_vars)]
+    for i, k in enumerate(basis):
+        if k < n:
+            x[cols[k][0]] += cols[k][1] * xb[i]
+    return walk, x, None, kinds
+
+
+_Q = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def _programs(draw):
+    """Small programs with rational rows, zero rows and free and bounded
+    variables."""
+    n = draw(st.integers(1, 4))
+    lp = LinearProgram(n)
+    for coeffs, rhs in draw(st.lists(st.tuples(st.dictionaries(st.integers(0, n - 1), _Q), _Q),
+                                     max_size=6)):
+        lp.add_geq(coeffs, rhs)
+    for j, bound in draw(st.dictionaries(st.integers(0, n - 1), st.integers(-2, 2))).items():
+        lp.add_lower(j, bound)
+    return lp
+
+
+def _matches_dense_reference(lp):
+    walk, x, cert, kinds = _dense_walk(lp)
+    assert _walks(pytest.MonkeyPatch(), [lp]) == [walk]
+    assert feasible(lp) == x
+    assert farkas_certificate(lp) == cert
+    return kinds
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_programs())
+def test_sparse_tableau_walks_like_the_dense_one(lp):
+    _matches_dense_reference(lp)
+
+
+@pytest.mark.parametrize("kind", ["fractional", "free-negative"])
+def test_drawn_programs_reach_each_kind_of_pivot(kind):
+    # A pivot of absolute value other than 1 is one where the integer
+    # tableau's pivot differs from its den.
+    lp = find(_programs(), lambda lp: kind in _dense_walk(lp)[3],
+              settings=settings(max_examples=2000, database=None, derandomize=True))
+    assert kind in _matches_dense_reference(lp)

@@ -68,7 +68,7 @@ def test_collapsing_split_is_valid():
     graph = ProofGraph(
         {0: clause(1), 1: clause(1, -1)},
         {0: InferenceVertex(Rule(SPLIT, 1), (0,), (0, 1))},
-        frozenset({0}),
+        frozenset({clause(1)}),
         1,
     )
     assert validate_rules(graph) == []
