@@ -36,12 +36,13 @@ def show(graph, flow=None):
 
 
 print("A sound derivation of (x2) from (x2 | x1) and (x2 | ~x1):")
+# The builder takes each clause as its mask.
 b = ProofGraphBuilder()
-left = b.vertex(Clause.from_ints(2, 1))
-right = b.vertex(Clause.from_ints(2, -1))
+left = b.vertex(Clause.from_ints(2, 1).mask)
+right = b.vertex(Clause.from_ints(2, -1).mask)
 b.mark_hypothesis(left)
 b.mark_hypothesis(right)
-goal = b.cut(left, right, Clause.from_ints(2), principal=1)
+goal = b.cut(left, right, Clause.from_ints(2).mask, principal=1)
 b.set_goal(goal)
 graph, flow = b.build()
 show(graph, flow)
@@ -52,8 +53,8 @@ print("The unsound cycle: empty clause from no hypotheses.")
 print("Each rule application is locally valid; the flow condition is what fails.")
 cycle = unsound_cycle_example()
 show(cycle)
-report = find_witness(cycle)
-print(f"find_witness -> witnessed = {report.witnessed}")
+_, flow = find_witness(cycle)
+print(f"find_witness -> witnessed = {flow is not None}")
 print()
 print("DOT rendering of the unsound cycle (paste into graphviz):")
 print(export_dot(cycle))

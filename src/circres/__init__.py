@@ -9,7 +9,6 @@ from .core import (
     implies_oracle,
 )
 from .flowcheck import (
-    CheckReport,
     DualCertificate,
     dual_certificate,
     find_witness,

@@ -49,6 +49,9 @@ def _parse_goal(spec: str) -> Clause:
     tokens = spec.split()
     if tokens[-1] != "0":
         raise UsageError("goal spec must end with 0 or be 'empty'")
+    bad = formats._non_ascii_number(spec)  # the formats' rule for integers
+    if bad:
+        raise UsageError(f"bad goal spec: number {bad!r} is not ASCII digits")
     try:
         return Clause.from_signed(int(t) for t in tokens[:-1])
     except ValueError as exc:
@@ -87,8 +90,7 @@ def cmd_check(args) -> int:
             raise UsageError(f"no formula vertex carries the goal clause {goal_clause}")
         graph = dataclasses.replace(graph, goal_id=min(candidates))
 
-    report = find_witness(graph, file_flow)
-    graph, flow = report.graph, report.flow
+    graph, flow = find_witness(graph, file_flow)
     if file_flow is not None and flow is file_flow:
         print("WITNESSED (supplied flows verified)")
     else:
@@ -117,6 +119,9 @@ def _parse_bipartite_file(path: str) -> generators.BipartiteGraph:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        bad = formats._non_ascii_number(line)
+        if bad:
+            raise UsageError(f"{path}:{no}: number {bad!r} is not ASCII digits")
         parts = line.split()
         if len(parts) != 2:
             raise UsageError(f"{path}:{no}: expected two integers per line")
@@ -170,12 +175,11 @@ def cmd_gen_php(args) -> int:
 def cmd_translate(args) -> int:
     if args.direction == "c2s":
         graph, file_flow = formats.parse_cres(_read(args.input))
-        report = find_witness(graph, file_flow)
-        if not report.witnessed:
+        graph, flow = find_witness(graph, file_flow)
+        if flow is None:
             print("error: input proof is not witnessed", file=sys.stderr)
             return EXIT_INPUT
-        graph = report.graph
-        proof = sa.circular_to_sa(graph, report.flow)
+        proof = sa.circular_to_sa(graph, flow)
         if not sa.check_sa(proof):
             raise AssertionError("translated polynomial proof fails its checker")
         out = args.out or str(Path(args.input).with_suffix(".sap"))

@@ -49,19 +49,6 @@ class PreconditionError(ValueError):
     """An operation was called outside its stated precondition."""
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """What :func:`find_witness` certified: ``graph`` with ``goal_id`` at the
-    witnessed vertex, and its witness ``flow`` (``None`` when there is none)."""
-
-    graph: ProofGraph
-    flow: Optional[dict[int, Fraction]]
-
-    @property
-    def witnessed(self) -> bool:
-        return self.flow is not None
-
-
 def _witness_program(graph: ProofGraph) -> tuple[lp.LinearProgram, list[int]]:
     """Feasibility program for flows witnessing a proof at ``graph.goal_id``.
 
@@ -100,16 +87,19 @@ def _goal_candidates(graph: ProofGraph) -> Iterator[ProofGraph]:
             yield dataclasses.replace(graph, goal_id=fid)
 
 
-def find_witness(graph: ProofGraph, flow: Optional[dict[int, Fraction]] = None) -> CheckReport:
+def find_witness(graph: ProofGraph, flow: Optional[dict[int, Fraction]] = None
+                 ) -> tuple[ProofGraph, Optional[dict[int, Fraction]]]:
     """Certify a proof graph: validate its rules once, then find a witness.
+    Returns the graph with its goal at the witnessed vertex and the witness,
+    or ``graph`` and ``None`` when no flow witnesses it.
 
     Raises :class:`ValidationError` on rule violations.  The goal clause may
     label several vertices; the marked goal is tried first, then the others
-    in id order, and ``report.graph`` has its goal at the first one
-    witnessed.  A supplied ``flow`` that :func:`verify_flow` accepts at some
-    candidate is reported as the witness itself (``report.flow is flow``),
-    with no solver call.  Otherwise, as when no flow is supplied, each
-    candidate's flow program is solved by exact linear feasibility.
+    in id order, and the first one witnessed is the goal returned.  A
+    supplied ``flow`` that :func:`verify_flow` accepts at some candidate is
+    returned as the witness itself (the same dict), with no solver call.
+    Otherwise, as when no flow is supplied, each candidate's flow program is
+    solved by exact linear feasibility.
     """
     problems = validate_rules(graph)
     if problems:
@@ -117,13 +107,13 @@ def find_witness(graph: ProofGraph, flow: Optional[dict[int, Fraction]] = None) 
     if flow is not None:
         for candidate in _goal_candidates(graph):
             if verify_flow(candidate, flow):
-                return CheckReport(candidate, flow)
+                return candidate, flow
     for candidate in _goal_candidates(graph):
         program, order = _witness_program(candidate)
         point = lp.feasible(program)
         if point is not None:
-            return CheckReport(candidate, {iid: point[k] for k, iid in enumerate(order)})
-    return CheckReport(graph, None)
+            return candidate, {iid: point[k] for k, iid in enumerate(order)}
+    return graph, None
 
 
 def verify_flow(graph: ProofGraph, flow: dict[int, Fraction]) -> bool:

@@ -62,16 +62,26 @@ class ParseError(ValueError):
         super().__init__(f"line {line_no}: {message}")
 
 
+def _non_ascii_number(line: str) -> Optional[str]:
+    """The first number of ``line`` that is not ASCII digits but that ``int``
+    reads, with its ``_`` digit groups or non-ASCII digits; the CLI's own
+    readers share this rule."""
+    if "_" in line or not line.isascii():
+        for p in line.replace("/", " ").replace("^", " ").split():
+            if ("_" in p or not p.isascii()) and p.lstrip("+-").replace("_", "").isdecimal():
+                return p
+    return None
+
+
 def _lines(text: str):
     header = False
     for no, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if not tokens or tokens[0][0] == "c":
             continue
-        if "_" in raw or not raw.isascii():  # int() reads '_' digit groups and non-ASCII digits
-            for p in raw.replace("/", " ").replace("^", " ").split():
-                if ("_" in p or not p.isascii()) and p.lstrip("+-").replace("_", "").isdecimal():
-                    raise ParseError(no, f"number {p!r} is not ASCII digits")
+        bad = _non_ascii_number(raw)
+        if bad:
+            raise ParseError(no, f"number {bad!r} is not ASCII digits")
         if tokens[0] == "p":
             if header:
                 raise ParseError(no, "duplicate header")

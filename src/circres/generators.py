@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Clause, CnfFormula, literal_key
+from .core import MAX_VARIABLE, Clause, CnfFormula, literal_key
 from .proofgraph import (
     CUT,
     SPLIT,
@@ -102,15 +102,12 @@ def gen_php(g: BipartiteGraph) -> CnfFormula:
 #
 # The order of the builder calls fixes every vertex and inference id, and so
 # every byte of an emitted refutation.  Each piece ORs its clauses' masks
-# from the bits of its edge variables' literals.
+# from the bits of its edge variables' literals, and returns the masks of the
+# hypotheses it consumes.
 
-def _vertex(b: ProofGraphBuilder, mask: int) -> int:
-    return b.vertex(Clause(mask))
-
-
-def _add_pigeon_piece(b: ProofGraphBuilder, xs: Sequence[int]) -> None:
+def _add_pigeon_piece(b: ProofGraphBuilder, xs: Sequence[int]) -> int:
     """Derive the empty clause from the pigeon clause over edge variables
-    ``xs``, demanding one unit of each ``~x``.
+    ``xs``, demanding one unit of each ``~x``; return the pigeon clause.
 
     For ``x = xs[k]``, last first: split ``~x`` up to ``~x | xs[:k]`` one
     literal at a time, then cut it with ``xs[:k+1]`` down to ``xs[:k]``.
@@ -120,17 +117,18 @@ def _add_pigeon_piece(b: ProofGraphBuilder, xs: Sequence[int]) -> None:
         prefix.append(prefix[-1] | 1 << literal_key(x))
     for k in range(len(xs) - 1, -1, -1):
         x, not_x = xs[k], 1 << literal_key(-xs[k])
-        cur = _vertex(b, not_x)
+        cur = b.vertex(not_x)
         for j in range(k):
-            nxt = _vertex(b, not_x | prefix[j + 1])
+            nxt = b.vertex(not_x | prefix[j + 1])
             b.inference(SPLIT, xs[j], (cur,), (nxt,))
             cur = nxt
-        b.inference(CUT, x, (cur, _vertex(b, prefix[k + 1])), (_vertex(b, prefix[k]),))
+        b.inference(CUT, x, (cur, b.vertex(prefix[k + 1])), (b.vertex(prefix[k]),))
+    return prefix[-1]
 
 
-def _add_hole_piece(b: ProofGraphBuilder, ys: Sequence[int]) -> None:
+def _add_hole_piece(b: ProofGraphBuilder, ys: Sequence[int]) -> list[int]:
     """Produce one unit of each ``~y`` from one unit of the empty clause,
-    consuming the pairwise exclusion clauses of the hole.
+    consuming the pairwise exclusion clauses of the hole, which it returns.
 
     Level ``k`` handles ``y = ys[k]``, and every clause it touches carries
     the later edge literals ``rest = ys[k+1:]``.  In order, it emits
@@ -156,14 +154,15 @@ def _add_hole_piece(b: ProofGraphBuilder, ys: Sequence[int]) -> None:
         for i in range(k):
             for j in range(i):
                 pair = neg[j] | neg[i] | rest
-                b.inference(SPLIT, y, (_vertex(b, pair),), (_vertex(b, pair | pos),))
+                b.inference(SPLIT, y, (b.vertex(pair),), (b.vertex(pair | pos),))
         for j in range(k):
             b.inference(
                 CUT, y,
-                (_vertex(b, neg[j] | pos | rest), _vertex(b, neg[j] | neg[k] | rest)),
-                (_vertex(b, neg[j] | rest),),
+                (b.vertex(neg[j] | pos | rest), b.vertex(neg[j] | neg[k] | rest)),
+                (b.vertex(neg[j] | rest),),
             )
-        b.inference(SPLIT, y, (_vertex(b, rest),), (_vertex(b, pos | rest), _vertex(b, neg[k] | rest)))
+        b.inference(SPLIT, y, (b.vertex(rest),), (b.vertex(pos | rest), b.vertex(neg[k] | rest)))
+    return [p | q for p, q in itertools.combinations(neg, 2)]
 
 
 def php_refutation(g: BipartiteGraph) -> tuple[ProofGraph, dict[int, Fraction]]:
@@ -179,22 +178,18 @@ def php_refutation(g: BipartiteGraph) -> tuple[ProofGraph, dict[int, Fraction]]:
         raise ValueError("pigeonhole refutations need more pigeons than holes")
     var = edge_variables(g)
     b = ProofGraphBuilder()
-    hypotheses: set[Clause] = set()
+    hypotheses: set[int] = set()
     for u in range(1, g.left_size + 1):
         xs = [var[(u, v)] for v in g.left_neighbors(u)]
         if not xs:
             raise IsolatedVertexError(f"pigeon {u} has no incident edge")
-        hypotheses.add(Clause.from_signed(xs))
-        _add_pigeon_piece(b, xs)
+        hypotheses.add(_add_pigeon_piece(b, xs))
     for v in range(1, g.right_size + 1):
         ys = [var[(u, v)] for u in g.right_neighbors(v)]
-        if not ys:
-            continue
-        hypotheses.update(Clause.from_ints(-y, -z) for y, z in itertools.combinations(ys, 2))
-        _add_hole_piece(b, ys)
+        if ys:
+            hypotheses.update(_add_hole_piece(b, ys))
     b.mark_hypotheses(hypotheses)
-    goal = b.vertex(Clause())
-    b.set_goal(goal)
+    b.set_goal(b.vertex(0))
     return b.build()
 
 
@@ -238,11 +233,10 @@ def unsound_cycle_example() -> ProofGraph:
     """
     b = ProofGraphBuilder()
     taut = b.axiom(1)
-    x = b.vertex(Clause.from_ints(1))
-    nx = b.vertex(Clause.from_ints(-1))
+    x, nx = b.vertex(1 << 2), b.vertex(2 << 2)  # x1 and ~x1
     b.inference(CUT, 1, (x, taut), (x,))
     b.inference(CUT, 1, (taut, nx), (nx,))
-    empty = b.vertex(Clause())
+    empty = b.vertex(0)
     b.inference(CUT, 1, (x, nx), (empty,))
     b.set_goal(empty)
     graph, _ = b.build()
@@ -293,6 +287,8 @@ def random_circular_proof(
         raise ValueError("size budget must be at least 1")
     if num_vars < 1:
         raise ValueError("need at least one variable")
+    if num_vars > MAX_VARIABLE:  # refused before a clause mask of that size exists
+        raise ValueError(f"{num_vars} variables exceed the largest variable index {MAX_VARIABLE}")
     rng = random.Random(seed)
     b = ProofGraphBuilder()
 
@@ -308,23 +304,21 @@ def random_circular_proof(
     hyp_width = max(1, min(max_width - 1, 2))
     n_hyp = rng.randint(1, 3)
     pool: list[int] = []
-    hyp_clauses: set[Clause] = set()
+    hyp_masks: set[int] = set()
     for _ in range(n_hyp):
         k = rng.randint(1, hyp_width)
         vs = rng.sample(range(1, num_vars + 1), min(k, num_vars))
-        clause = Clause.from_signed(v if rng.random() < 0.5 else -v for v in vs)
-        fid = b.vertex(clause)
+        mask = sum(1 << literal_key(v if rng.random() < 0.5 else -v) for v in vs)
+        fid = b.vertex(mask)
         b.mark_hypothesis(fid)
-        hyp_clauses.add(clause)
+        hyp_masks.add(mask)
         if fid not in pool:
             pool.append(fid)
 
     derived: list[int] = []
     want_pump = size_budget >= 4 and rng.random() < 0.5
     budget = size_budget - (2 if want_pump else 0)
-
-    def clause_of(fid: int) -> Clause:
-        return b.clause_at(fid)
+    clause_of = b.clause_at
 
     stalled, seen = 0, -1
     while b.num_inferences < budget:
@@ -375,8 +369,8 @@ def random_circular_proof(
             rest &= rest - 1
         bit = rest & -rest  # the k-th literal in canonical order
         x, negative = divmod(bit.bit_length() - 1, 2)
-        side = Clause(c.mask ^ bit)
-        pid = b.lookup(Clause(side.mask | (bit >> 1 if negative else bit << 1)))
+        side = c.mask ^ bit
+        pid = b.lookup(side | (bit >> 1 if negative else bit << 1))
         if pid is None or pid not in pool:
             continue
         pos_id, neg_id = (pid, fid) if negative else (fid, pid)
@@ -390,13 +384,13 @@ def random_circular_proof(
     goal_candidates = [
         fid
         for fid in dict.fromkeys(derived)
-        if not clause_of(fid).is_tautological and clause_of(fid) not in hyp_clauses
+        if not clause_of(fid).is_tautological and clause_of(fid).mask not in hyp_masks
     ]
     if goal_candidates:
         b.set_goal(goal_candidates[-1])
     else:
         # Force one derivation: the identity proof of the first hypothesis.
-        b.pad_identity(clause_of(pool[0]))
+        b.pad_identity(clause_of(pool[0]).mask)
 
     if want_pump:
         pumpable = [
@@ -409,8 +403,7 @@ def random_circular_proof(
             c = clause_of(fid)
             x = next(v for v in range(1, num_vars + 1) if not c.mask >> 2 * v & 3)
             p = Fraction(rng.randint(1, 3))
-            pos = b.vertex(c.with_literal(x))
-            neg = b.vertex(c.with_literal(-x))
+            pos, neg = b.vertex(c.mask | 1 << 2 * x), b.vertex(c.mask | 2 << 2 * x)
             b.inference(SPLIT, x, (fid,), (pos, neg), flow=p)
             b.inference(CUT, x, (pos, neg), (fid,), flow=p)
 

@@ -252,29 +252,30 @@ def export_dot(graph: ProofGraph, flow: Optional[dict[int, Fraction]] = None) ->
 
 
 class ProofGraphBuilder:
-    """Incremental construction helper with optional clause deduplication.
+    """Incremental construction of a proof graph and its flows.
 
-    ``vertex(clause)`` reuses the existing vertex for an equal clause unless
-    ``fresh=True``; inference vertices with identical shape are merged and
+    Every clause it takes is a mask (see :mod:`circres.core`), and its one
+    memo maps each mask to the first vertex that carries it: ``vertex(mask)``
+    reuses that vertex unless ``fresh=True``.  A ``Clause`` is made only when
+    a vertex is stored.  Inference vertices of identical shape are merged and
     their flows summed, which keeps patched constructions compact.
     """
 
     def __init__(self) -> None:
         self._formulas: list[Clause] = []
-        self._by_clause: dict[Clause, int] = {}
+        self._by_mask: dict[int, int] = {}
         self._inferences: list[InferenceVertex] = []
         self._by_shape: dict[tuple, int] = {}
         self._flows: dict[int, Fraction] = {}
         self._hypotheses: set[Clause] = set()
         self._goal: Optional[int] = None
 
-    def vertex(self, clause: Clause, fresh: bool = False) -> int:
-        if not fresh and clause in self._by_clause:
-            return self._by_clause[clause]
+    def vertex(self, mask: int, fresh: bool = False) -> int:
+        if not fresh and mask in self._by_mask:
+            return self._by_mask[mask]
         fid = len(self._formulas)
-        self._formulas.append(clause)
-        if clause not in self._by_clause:
-            self._by_clause[clause] = fid
+        self._formulas.append(Clause(mask))
+        self._by_mask.setdefault(mask, fid)
         return fid
 
     def inference(
@@ -297,7 +298,7 @@ class ProofGraphBuilder:
         return iid
 
     def axiom(self, variable: int, flow: Fraction | int = 1) -> int:
-        out = self.vertex(Clause.from_ints(variable, -variable))
+        out = self.vertex(3 << 2 * variable)
         self.inference(AXIOM, variable, (), (out,), flow)
         return out
 
@@ -309,56 +310,57 @@ class ProofGraphBuilder:
         keep_negative: bool = True,
         flow: Fraction | int = 1,
     ) -> tuple[int, ...]:
-        side = self._formulas[source_id]
+        side, pos = self._formulas[source_id].mask, 1 << 2 * principal
         outs: list[int] = []
         if keep_positive:
-            outs.append(self.vertex(side.with_literal(principal)))
+            outs.append(self.vertex(side | pos))
         if keep_negative:
-            outs.append(self.vertex(side.with_literal(-principal)))
+            outs.append(self.vertex(side | pos << 1))
         if len(outs) == 2 and outs[0] == outs[1]:
             outs = outs[:1]
         self.inference(SPLIT, principal, (source_id,), tuple(outs), flow)
         return tuple(outs)
 
-    def cut(self, pos_id: int, neg_id: int, side: Clause, principal: int,
+    def cut(self, pos_id: int, neg_id: int, side_mask: int, principal: int,
             flow: Fraction | int = 1) -> int:
-        out = self.vertex(side)
+        out = self.vertex(side_mask)
         self.inference(CUT, principal, (pos_id, neg_id), (out,), flow)
         return out
 
     def mark_hypothesis(self, fid: int) -> None:
         self._hypotheses.add(self._formulas[fid])
 
-    def mark_hypotheses(self, clauses: Container[Clause]) -> None:
-        """Make a hypothesis of each clause in ``clauses`` that a vertex carries."""
-        self._hypotheses.update(c for c in self._by_clause if c in clauses)
+    def mark_hypotheses(self, masks: Container[int]) -> None:
+        """Make a hypothesis of each vertex clause whose mask is in ``masks``."""
+        self._hypotheses.update(self._formulas[fid] for mask, fid in self._by_mask.items()
+                                if mask in masks)
 
     def set_goal(self, fid: int) -> None:
         self._goal = fid
 
-    def pad_identity(self, goal: Clause, flow: Fraction | int = 1) -> None:
-        """Route ``flow`` from the vertex of ``goal`` to a fresh copy of it,
-        and make the copy the goal: the proof of a goal that is a hypothesis.
+    def pad_identity(self, goal_mask: int, flow: Fraction | int = 1) -> None:
+        """Route ``flow`` from the vertex of ``goal_mask`` to a fresh copy of
+        it, and make the copy the goal: the proof of a goal that is a
+        hypothesis.
 
         A nonempty goal gets a collapsing split that introduces its own first
         literal, so the width stays the goal's width; the empty goal gets a
         split/cut detour through ``x1``, of width 1.  Either gives the goal
         balance ``flow`` while keeping every other balance intact.
         """
-        source = self.vertex(goal)
-        fresh = self.vertex(goal, fresh=True)
-        if goal.mask:
-            first = (goal.mask & -goal.mask).bit_length() - 1 >> 1  # its first variable
+        source = self.vertex(goal_mask)
+        fresh = self.vertex(goal_mask, fresh=True)
+        if goal_mask:
+            first = (goal_mask & -goal_mask).bit_length() - 1 >> 1  # its first variable
             self.inference(SPLIT, first, (source,), (fresh,), flow)
         else:
-            pos = self.vertex(goal.with_literal(1))
-            neg = self.vertex(goal.with_literal(-1))
+            pos, neg = self.vertex(1 << 2), self.vertex(2 << 2)  # x1 and ~x1
             self.inference(SPLIT, 1, (source,), (pos, neg), flow)
             self.inference(CUT, 1, (pos, neg), (fresh,), flow)
         self.set_goal(fresh)
 
-    def lookup(self, clause: Clause) -> Optional[int]:
-        return self._by_clause.get(clause)
+    def lookup(self, mask: int) -> Optional[int]:
+        return self._by_mask.get(mask)
 
     def clause_at(self, fid: int) -> Clause:
         return self._formulas[fid]

@@ -183,10 +183,10 @@ def circular_search(
         # Width 0 admits no rule, not even the identity proof's split.
         if target not in hyps or not width:
             return None
-        builder = ProofGraphBuilder()
-        builder.pad_identity(goal)
-        builder.mark_hypotheses({goal})
-        return builder.build()
+        b = ProofGraphBuilder()
+        b.pad_identity(target)
+        b.mark_hypotheses({target})
+        return b.build()
 
     # Realize the balances: for D = side | x, x its top positive bit, a cut
     # on (side, x) of value -t (a split of value t when t > 0) settles the
@@ -197,12 +197,8 @@ def circular_search(
     den = math.lcm(*(v.denominator for v in point))
     num = [v.numerator * (den // v.denominator) for v in point]
     residual = {d: sum([c * num[j] for j, c in form.items()]) for d, form in balance.items()}
-    builder = ProofGraphBuilder()
-
-    def vertex(mask: int) -> int:
-        return builder.vertex(Clause(mask))
-
-    builder.set_goal(vertex(target))
+    b = ProofGraphBuilder()
+    b.set_goal(b.vertex(target))
     for d in sorted(variables, key=lambda d: -(d & positive).bit_count()):
         t = residual.pop(d)
         if not t:
@@ -213,13 +209,13 @@ def circular_search(
         residual[neg] -= t
         x, value = top.bit_length() >> 1, Fraction(abs(t), den)
         if t < 0:
-            builder.inference(CUT, x, (vertex(d), vertex(neg)), (vertex(side),), value)
+            b.inference(CUT, x, (b.vertex(d), b.vertex(neg)), (b.vertex(side),), value)
         else:
-            builder.inference(SPLIT, x, (vertex(side),), (vertex(d), vertex(neg)), value)
+            b.inference(SPLIT, x, (b.vertex(side),), (b.vertex(d), b.vertex(neg)), value)
     if any(residual.values()):
         raise AssertionError("clause balances leave a residual on an all-negative clause")
-    builder.mark_hypotheses(set(hypotheses.clauses))
-    graph, flow = builder.build()
+    b.mark_hypotheses(hyps)
+    graph, flow = b.build()
     if not verify_flow(graph, flow):
         raise AssertionError("search solution fails its own flow check")
     return graph, flow

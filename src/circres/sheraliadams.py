@@ -495,23 +495,16 @@ def sa_to_circular(proof: SAProof) -> tuple[ProofGraph, dict[int, Fraction]]:
         raise InconsistencyError("polynomial proof does not check")
 
     b = ProofGraphBuilder()
-    goal_vertex = b.vertex(proof.goal)
-    hyp_set = set(proof.hypotheses)
+    goal_vertex = b.vertex(proof.goal.mask)
     hyp_masks = [h.mask for h in proof.hypotheses]
-    ids: dict[int, int] = {}
-
-    def vertex(mask: int) -> int:
-        if mask not in ids:
-            ids[mask] = b.vertex(Clause(mask))
-        return ids[mask]
 
     def weaken_chain(start: int, extension: int, flow: Fraction) -> None:
         # One split per literal of ``extension``, in canonical order.
         while extension:
             bit = extension & -extension
             extension ^= bit
-            b.inference(SPLIT, bit.bit_length() - 1 >> 1, (vertex(start),),
-                        (vertex(start | bit),), flow)
+            b.inference(SPLIT, bit.bit_length() - 1 >> 1, (b.vertex(start),),
+                        (b.vertex(start | bit),), flow)
             start |= bit
 
     identity_budget = Fraction(0)
@@ -521,34 +514,34 @@ def sa_to_circular(proof: SAProof) -> tuple[ProofGraph, dict[int, Fraction]]:
         twin = 3 << 2 * i  # for a basic kind, both literals of its variable
         if kind == HYPOTHESIS:  # -F(H | C): slack at H, splits from H to H | C
             h = hyp_masks[i - 1]
-            vertex(h)
+            b.vertex(h)
             if not c & ~h and proof.hypotheses[i - 1] == proof.goal:
                 identity_budget += a
             weaken_chain(h, c & ~h, a)
         elif kind == ONE_MINUS_X_XBAR and c & twin:  # -F(C | x | ~x): axiom, splits
-            b.inference(AXIOM, i, (), (vertex(twin),), a)
+            b.inference(AXIOM, i, (), (b.vertex(twin),), a)
             weaken_chain(twin, c & ~twin, a)
         elif kind == ONE_MINUS_X_XBAR:  # F(C) - F(C | x) - F(C | ~x): a split
-            src = vertex(c)
-            pos, neg = vertex(c | 1 << 2 * i), vertex(c | 2 << 2 * i)
+            src = b.vertex(c)
+            pos, neg = b.vertex(c | 1 << 2 * i), b.vertex(c | 2 << 2 * i)
             b.inference(SPLIT, i, (src,), (pos, neg), a)
         elif kind == X_XBAR_MINUS_ONE and c & twin:  # F(C | x | ~x): sink slack
-            vertex(c | twin)
+            b.vertex(c | twin)
         elif kind == X_XBAR_MINUS_ONE:  # F(C | x) + F(C | ~x) - F(C): a cut
-            pos, neg = vertex(c | 1 << 2 * i), vertex(c | 2 << 2 * i)
-            b.inference(CUT, i, (pos, neg), (vertex(c),), a)
+            pos, neg = b.vertex(c | 1 << 2 * i), b.vertex(c | 2 << 2 * i)
+            b.inference(CUT, i, (pos, neg), (b.vertex(c),), a)
         elif kind == ONE:  # F(C): sink slack
-            vertex(c)
+            b.vertex(c)
         # x - x^2 and x^2 - x are zero: nothing
 
-    b.mark_hypotheses(hyp_set)
+    b.mark_hypotheses(set(hyp_masks))
     b.set_goal(goal_vertex)
     graph, flow = b.build()
     if graph.inference_vertices and verify_flow(graph, flow):
         return graph, flow
-    if proof.goal not in hyp_set:
+    if proof.goal not in proof.hypotheses:
         raise InconsistencyError("terms do not yield a witnessing flow for the goal")
-    b.pad_identity(proof.goal, max(identity_budget, Fraction(1)))
+    b.pad_identity(proof.goal.mask, max(identity_budget, Fraction(1)))
     graph, flow = b.build()
     if not verify_flow(graph, flow):
         raise InconsistencyError("translated graph fails its own flow check")

@@ -200,6 +200,10 @@ INPUT_ERRORS = {
                               "goal spec must end with 0 or be 'empty'"),
     "search-goal-not-integer": (["search", "u.cnf", "--width", "2", "--goal", "x 0"], None,
                                 "bad goal spec: invalid literal for int() with base 10: 'x'"),
+    # int() reads '_' digit groups and non-ASCII digits; the CLI, like the
+    # formats, does not.
+    "search-goal-underscore": (["search", "u.cnf", "--width", "2", "--goal", "1_0 0"], None,
+                               "bad goal spec: number '1_0' is not ASCII digits"),
     "check-unreadable": (["check", "absent.cres", "u.cnf"], None, "cannot read absent.cres: "),
     "check-goal-on-no-vertex": (["check", "p.cres", "u.cnf", "--goal", "1 2 0"],
                                 ("p.cres", "p cres 1 0\nf 0 0\ng 0\n"),
@@ -251,6 +255,8 @@ INPUT_ERRORS = {
                             "g.txt:2: expected two integers per line"),
     "graph-not-integer": (["gen-php", "--graph", "g.txt"], ("g.txt", "3 x\n"),
                           "g.txt:1: expected two integers per line"),
+    "graph-arabic-indic-digit": (["gen-php", "--graph", "g.txt"], ("g.txt", "3 2\n2 \u0661\n"),
+                                 "g.txt:2: number '\u0661' is not ASCII digits"),
     "graph-empty": (["gen-php", "--graph", "g.txt"], ("g.txt", "# nothing\n"),
                     "g.txt: empty graph file"),
     "graph-negative-sizes": (["gen-php", "--graph", "g.txt"], ("g.txt", "-1 -2\n"),
@@ -259,6 +265,8 @@ INPUT_ERRORS = {
                              "bipartite graph sizes must be nonnegative, got 0 and -1"),
     "random-budget-0": (["gen-random", "--budget", "0"], None, "--budget must be at least 1"),
     "random-vars-0": (["gen-random", "--vars", "0"], None, "need at least one variable"),
+    "random-vars-huge": (["gen-random", "--vars", str(HUGE)], None,
+                         f"{HUGE} variables exceed the largest variable index {MAX_VARIABLE}"),
     "random-axiom-above-width-0": (["gen-random", "--budget", "1", "--max-width", "0"], None,
                                    "size budget 1 is one axiom, of width 2 > max width 0"),
     "random-axiom-above-width-1": (["gen-random", "--budget", "1", "--max-width", "1"], None,
@@ -272,7 +280,7 @@ def test_input_error_exits_2_with_one_line_and_no_file(tmp_path, monkeypatch, ca
     monkeypatch.chdir(tmp_path)
     (tmp_path / "u.cnf").write_text(UNIT_CNF)
     if infile is not None:
-        (tmp_path / infile[0]).write_text(infile[1])
+        (tmp_path / infile[0]).write_text(infile[1], encoding="utf-8")
     before = sorted(tmp_path.iterdir())
     assert run(argv) == 2
     captured = capsys.readouterr()
@@ -686,6 +694,13 @@ EMITTED_SHA256 = {
     # term's rule from its original kind.
     "shapes.cres":
         "72c4e5abd58faf32efd6b3061265ab884adeff6e66174b4393e1bbd4ed1ba529",
+    # gen-random --seed 2 (axioms, splits, cuts found by lookup and a pump
+    # cycle) and --seed 0 --vars 2 --budget 2 (the identity-proof fallback);
+    # recorded before the proof builder was keyed by clause mask.
+    "random_2.cres":
+        "d0b74798c42ed5d4f94c2f893d258ab1ac4591881f062440b227f0634e2db14a",
+    "random_0.cres":
+        "0aa2967578812174e863bacca840eb240bc8d07e6e6ab739f7b3aaa08ab29b54",
 }
 
 # One term of each shape translate s2c reads: hypotheses weakened or not,
@@ -742,6 +757,8 @@ def test_emitted_files_are_byte_stable(tmp_path, monkeypatch):
     assert run(["gen-php", "--graph", "nc5.txt"]) == 0
     (tmp_path / "shapes.sap").write_text(SHAPES_SAP)
     assert run(["translate", "s2c", "shapes.sap"]) == 0
+    assert run(["gen-random", "--seed", 2]) == 0
+    assert run(["gen-random", "--seed", 0, "--vars", 2, "--budget", 2]) == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in EMITTED_SHA256}
     assert digests == EMITTED_SHA256

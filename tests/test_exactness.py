@@ -1,9 +1,12 @@
-"""The exact modules use no floating point and import only the standard library.
+"""The exact modules use no floating point, and every module imports only
+the standard library.
 
 Proofs, flows, LP certificates and polynomial values are integers or
 ``Fraction``; a float literal, a use of ``float`` or a third-party import in
 these modules would break that claim without any answer changing on the
-instances the other tests run.
+instances the other tests run.  The CLI (``time.monotonic``) and the random
+generators (``rng.random()``) use floats that no answer is computed from,
+but they too import nothing beyond the standard library.
 """
 
 import ast
@@ -15,6 +18,7 @@ import pytest
 import circres
 
 EXACT_MODULES = ("core", "proofgraph", "lp", "flowcheck", "sheraliadams", "search", "formats")
+MODULES = sorted(p.stem for p in Path(circres.__file__).parent.glob("*.py"))
 
 
 def _inexact_nodes(tree: ast.AST) -> list[str]:
@@ -40,6 +44,13 @@ def _inexact_nodes(tree: ast.AST) -> list[str]:
 def test_exact_module_has_no_float_and_stdlib_imports_only(module):
     path = Path(circres.__file__).parent / f"{module}.py"
     assert _inexact_nodes(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_module_imports_the_stdlib_only(module):
+    path = Path(circres.__file__).parent / f"{module}.py"
+    found = _inexact_nodes(ast.parse(path.read_text(encoding="utf-8")))
+    assert [f for f in found if "import of" in f] == []
 
 
 def test_the_check_sees_each_kind_of_offence():

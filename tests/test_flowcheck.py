@@ -8,7 +8,6 @@ import pytest
 
 from circres.core import Clause, CnfFormula, all_assignments, evaluate, implies_oracle
 from circres.flowcheck import (
-    CheckReport,
     DualCertificate,
     NotWitnessError,
     PreconditionError,
@@ -45,17 +44,21 @@ def clause(*ints):
     return Clause.from_ints(*ints)
 
 
+def mask(*ints):
+    return clause(*ints).mask
+
+
 def uniform(graph):
     return dict.fromkeys(graph.inference_vertices, Fraction(1))
 
 
 def single_cut():
     b = ProofGraphBuilder()
-    x = b.vertex(clause(1))
-    nx = b.vertex(clause(-1))
+    x = b.vertex(mask(1))
+    nx = b.vertex(mask(-1))
     b.mark_hypothesis(x)
     b.mark_hypothesis(nx)
-    e = b.cut(x, nx, Clause(), 1)
+    e = b.cut(x, nx, 0, 1)
     b.set_goal(e)
     return b.build()
 
@@ -63,33 +66,33 @@ def single_cut():
 def weakening_proof():
     # (x2) from {(x2 | x1), (x2 | ~x1)} by one cut.
     b = ProofGraphBuilder()
-    a = b.vertex(clause(2, 1))
-    c = b.vertex(clause(2, -1))
+    a = b.vertex(mask(2, 1))
+    c = b.vertex(mask(2, -1))
     b.mark_hypothesis(a)
     b.mark_hypothesis(c)
-    out = b.cut(a, c, clause(2), 1)
+    out = b.cut(a, c, mask(2), 1)
     b.set_goal(out)
     return b.build()
 
 
 def test_unsound_cycle_not_witnessed():
-    report = find_witness(unsound_cycle_example())
-    assert not report.witnessed and report.flow is None
+    cycle = unsound_cycle_example()
+    assert find_witness(cycle) == (cycle, None)
 
 
 def test_acyclic_cut_witnessed():
     graph, _ = single_cut()
-    report = find_witness(graph)
-    assert report.witnessed
-    assert verify_flow(graph, report.flow)
-    assert balances(report.graph, report.flow)[graph.goal_id] >= 1
+    witnessed, flow = find_witness(graph)
+    assert flow is not None
+    assert verify_flow(graph, flow)
+    assert balances(witnessed, flow)[graph.goal_id] >= 1
 
 
 def test_php_construction_witnessed_by_program():
     graph, _ = php_refutation(complete_bipartite(3, 2))
-    report = find_witness(graph)
-    assert report.witnessed
-    assert verify_flow(graph, report.flow)
+    _, flow = find_witness(graph)
+    assert flow is not None
+    assert verify_flow(graph, flow)
 
 
 def test_find_witness_refuses_invalid_rules():
@@ -152,8 +155,8 @@ def test_rule_messages_are_stable():
 def test_find_witness_takes_supplied_flows(monkeypatch):
     graph, flow = php_refutation(complete_bipartite(3, 2))
     monkeypatch.setattr("circres.lp.feasible", None)  # the solver must not run
-    report = find_witness(graph, flow)
-    assert report.witnessed and report.flow is flow and report.graph is graph
+    witnessed, found = find_witness(graph, flow)
+    assert found is flow and witnessed is graph
 
 
 def test_find_witness_moves_the_goal_to_the_witnessed_copy():
@@ -164,23 +167,23 @@ def test_find_witness_moves_the_goal_to_the_witnessed_copy():
                      graph.inference_vertices, graph.hypotheses, spare)
     assert not verify_flow(dup, flow)
     for supplied in (flow, None):
-        report = find_witness(dup, supplied)
-        assert report.graph.goal_id == graph.goal_id
-        assert verify_flow(report.graph, report.flow)
-        assert balances(report.graph, report.flow)[report.graph.goal_id] == 1
+        witnessed, found = find_witness(dup, supplied)
+        assert witnessed.goal_id == graph.goal_id
+        assert verify_flow(witnessed, found)
+        assert balances(witnessed, found)[witnessed.goal_id] == 1
 
 
 def test_find_witness_solves_past_rejected_flows():
     graph, flow = php_refutation(complete_bipartite(3, 2))
     tampered = {**flow, 0: Fraction(1000)}
     assert not verify_flow(graph, tampered)
-    report = find_witness(graph, tampered)
-    assert report.witnessed and report.flow is not tampered
-    assert report.flow == find_witness(graph).flow
+    _, found = find_witness(graph, tampered)
+    assert found is not None and found is not tampered
+    assert found == find_witness(graph)[1]
 
     cycle = unsound_cycle_example()
-    report = find_witness(cycle, uniform(cycle))
-    assert not report.witnessed and report.flow is None and report.graph is cycle
+    witnessed, found = find_witness(cycle, uniform(cycle))
+    assert found is None and witnessed is cycle
 
 
 def test_verify_flow_examples():
@@ -198,9 +201,9 @@ def test_verify_flow_examples():
 def test_find_witness_agrees_with_verify():
     for seed in range(40):
         graph, _ = random_circular_proof(seed, 6, 9)
-        report = find_witness(graph)
-        assert report.witnessed
-        assert verify_flow(graph, report.flow)
+        _, flow = find_witness(graph)
+        assert flow is not None
+        assert verify_flow(graph, flow)
 
 
 def test_soundness_fuzz_against_oracle():
@@ -241,13 +244,13 @@ def test_contrapositive_unimplied_goal_never_witnessed():
         retargeted = ProofGraph(
             graph.formula_vertices, graph.inference_vertices, graph.hypotheses, tid
         )
-        assert not find_witness(retargeted).witnessed
+        assert find_witness(retargeted)[1] is None
     assert found > 20
 
 
 def test_integralize_clears_denominators():
     b = ProofGraphBuilder()
-    src = b.vertex(clause(1))
+    src = b.vertex(mask(1))
     b.mark_hypothesis(src)
     (mid,) = b.split(src, 2, keep_negative=False, flow=Fraction(1, 2))
     (top,) = b.split(mid, 3, keep_negative=False, flow=Fraction(1, 3))

@@ -304,9 +304,9 @@ def test_witness_flows_within_factorial_bound():
     # factorial of the proof length.
     for seed in range(12):
         graph, _ = random_circular_proof(seed, 5, 7)
-        report = find_witness(graph)
-        assert report.witnessed
-        integral = integralize(graph, report.flow)
+        _, flow = find_witness(graph)
+        assert flow is not None
+        integral = integralize(graph, flow)
         bound = math.factorial(graph.length)
         assert all(0 < f <= bound for f in integral.values())
 
@@ -348,6 +348,12 @@ def _witness_case(dropped):
     return lambda: find_witness(graph)
 
 
+def _random_witness_case(seed):
+    # Unlike the pigeonhole flow programs, these take two pivots each.
+    graph, _ = random_circular_proof(seed, 5, 7)
+    return lambda: find_witness(graph)
+
+
 _PINNED = {
     **{
         f"search-n3-seed{seed}{'-dropped' if dropped else ''}": (_search_case, (seed, dropped))
@@ -355,6 +361,8 @@ _PINNED = {
     },
     "witness-php7x6": (_witness_case, (False,)),
     "witness-php7x6-dropped": (_witness_case, (True,)),
+    "witness-random-seed4": (_random_witness_case, (4,)),
+    "witness-random-seed9": (_random_witness_case, (9,)),
 }
 
 # sha256 of the (point, certificate) pairs.  The answers follow from the
@@ -368,6 +376,8 @@ _DIGESTS = {
     "search-n3-seed2-dropped": "c786f1158dc1f0e4f2916cd3b2ab63fd3905b9ecfd2823bb31dcb94c336d8e9d",
     "witness-php7x6": "34bebbf60e49c2435693a996bf2fbce990cd7f519c4fe6ccf140c064eaa902db",
     "witness-php7x6-dropped": "533203e8a0ad6232fce042307982c5bce075c87baa124197a4cf3a5d72c8111d",
+    "witness-random-seed4": "040ba9a8815c18891b9fda4ed8e08f7324ea2a0ded80190fbcb91c609beae05a",
+    "witness-random-seed9": "d58612acfed6af4fbc45549e7afcd62833385b72a74fcc333aa26704a54ae7e3",
 }
 
 
@@ -408,10 +418,13 @@ _WALK_DIGESTS = {
     "search-n3-seed1-dropped": "330e0b39fe4813058745b30be79c0d5105fcc0415913167f455fa10454e26bac",
     "search-n3-seed2": "d14bf1e9b808f2bce335f58b4952cb24301b561044d2ae42820508833cb6cdc2",
     "search-n3-seed2-dropped": "63315a4455e243da76245ce555007eaae42e8e55d0e791673d6f96acf825d76f",
-    # The flow programs take no pivot: each is feasible at its lower bounds
-    # or stuck at once.
+    # The pigeonhole flow programs take no pivot: each is feasible at its
+    # lower bounds or stuck at once.  The random proofs' programs pivot twice,
+    # on the same (row, column) pairs.
     "witness-php7x6": "cf1cbb66a638b4860a516671fb74850e6ccf787fe6c4c8d29e9c04efe880bd05",
     "witness-php7x6-dropped": "cf1cbb66a638b4860a516671fb74850e6ccf787fe6c4c8d29e9c04efe880bd05",
+    "witness-random-seed4": "3077927f753592ef38a2306d04e810adae2f707ed139540e56e70258b190dcf8",
+    "witness-random-seed9": "3077927f753592ef38a2306d04e810adae2f707ed139540e56e70258b190dcf8",
 }
 
 

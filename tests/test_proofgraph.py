@@ -30,22 +30,26 @@ def clause(*ints):
     return Clause.from_ints(*ints)
 
 
+def mask(*ints):
+    return clause(*ints).mask
+
+
 def single_cut():
     b = ProofGraphBuilder()
-    x = b.vertex(clause(1))
-    nx = b.vertex(clause(-1))
+    x = b.vertex(mask(1))
+    nx = b.vertex(mask(-1))
     b.mark_hypothesis(x)
     b.mark_hypothesis(nx)
-    e = b.cut(x, nx, Clause(), 1)
+    e = b.cut(x, nx, 0, 1)
     b.set_goal(e)
     return b.build()
 
 
 def test_valid_cut_template():
     b = ProofGraphBuilder()
-    a = b.vertex(clause(1, 2))
-    c = b.vertex(clause(1, -2))
-    out = b.cut(a, c, clause(1), 2)
+    a = b.vertex(mask(1, 2))
+    c = b.vertex(mask(1, -2))
+    out = b.cut(a, c, mask(1), 2)
     b.set_goal(out)
     graph, _ = b.build()
     assert validate_rules(graph) == []
@@ -158,7 +162,7 @@ def test_unsound_cycle_balances_always_negative():
 
 def test_pass_through_balance_zero():
     b = ProofGraphBuilder()
-    src = b.vertex(clause(1))
+    src = b.vertex(mask(1))
     b.mark_hypothesis(src)
     (mid,) = b.split(src, 2, keep_negative=False, flow=3)
     (top,) = b.split(mid, 3, keep_negative=False, flow=3)
@@ -270,10 +274,10 @@ def test_dot_with_flows_reparses():
 
 def test_fresh_copy_of_a_hypothesis_is_a_hypothesis():
     b = ProofGraphBuilder()
-    x = b.vertex(clause(1))
-    copy = b.vertex(clause(1), fresh=True)
-    goal = b.vertex(clause(2))
-    b.mark_hypotheses({clause(1), clause(3)})
+    x = b.vertex(mask(1))
+    copy = b.vertex(mask(1), fresh=True)
+    goal = b.vertex(mask(2))
+    b.mark_hypotheses({mask(1), mask(3)})
     b.set_goal(goal)
     graph, _ = b.build()
     assert graph.hypotheses == {clause(1)}

@@ -51,6 +51,10 @@ def clause(*ints):
     return Clause.from_ints(*ints)
 
 
+def mask(*ints):
+    return clause(*ints).mask
+
+
 def mono(powers):
     return Monomial.of(powers.items())
 
@@ -284,11 +288,11 @@ def test_gadget_target_cancels_a_consequent_that_collapses_onto_the_side():
 
 def _single_cut_builder():
     b = ProofGraphBuilder()
-    x = b.vertex(clause(1))
-    nx = b.vertex(clause(-1))
+    x = b.vertex(mask(1))
+    nx = b.vertex(mask(-1))
     b.mark_hypothesis(x)
     b.mark_hypothesis(nx)
-    b.set_goal(b.cut(x, nx, Clause(), 1))
+    b.set_goal(b.cut(x, nx, 0, 1))
     return b
 
 
@@ -331,12 +335,12 @@ def test_translate_suppressed_split_negative_branch():
     # back down: exercises the suppressed-consequent term with a negated
     # principal.
     b = ProofGraphBuilder()
-    hyp_v = b.vertex(clause(2))
+    hyp_v = b.vertex(mask(2))
     b.mark_hypothesis(hyp_v)
     (neg_out,) = b.split(hyp_v, 1, keep_positive=False)
-    pos_v = b.vertex(clause(2, 1))
+    pos_v = b.vertex(mask(2, 1))
     b.mark_hypothesis(pos_v)
-    goal = b.vertex(clause(2), fresh=True)
+    goal = b.vertex(mask(2), fresh=True)
     b.inference("cut", 1, (pos_v, neg_out), (goal,))
     b.set_goal(goal)
     graph, flow = b.build()
@@ -353,9 +357,9 @@ def test_translate_collapsed_cut_through_tautology():
     # clause contains the principal variable, the collapsed shape.
     b = ProofGraphBuilder()
     taut = b.axiom(1)
-    unit = b.vertex(clause(-1))
+    unit = b.vertex(mask(-1))
     b.mark_hypothesis(unit)
-    fresh = b.vertex(clause(-1), fresh=True)
+    fresh = b.vertex(mask(-1), fresh=True)
     b.inference("cut", 1, (taut, unit), (fresh,))
     b.set_goal(fresh)
     graph, flow = b.build()
@@ -379,7 +383,7 @@ def test_translate_rejects_tautological_goal():
 
 def test_translate_rejects_tautological_hypothesis():
     b = _single_cut_builder()
-    b.mark_hypothesis(b.vertex(clause(3, -3)))
+    b.mark_hypothesis(b.vertex(mask(3, -3)))
     graph, flow = b.build()
     assert verify_flow(graph, flow)
     with pytest.raises(TautologicalClauseError, match="^tautological hypothesis x3 \\| ~x3$"):
@@ -628,16 +632,16 @@ def _collapsed_split(keep_unit, keep_tautology):
     (x1) on x1 that keeps a fresh copy of (x1), the tautology (x1 | ~x1), or
     both.  A kept copy of (x1) feeds the cut; a kept tautology is a sink."""
     b = ProofGraphBuilder()
-    unit, neg = b.vertex(clause(1)), b.vertex(clause(-1))
+    unit, neg = b.vertex(mask(1)), b.vertex(mask(-1))
     b.mark_hypothesis(unit)
     b.mark_hypothesis(neg)
     outs = []
     if keep_unit:
-        outs.append(b.vertex(clause(1), fresh=True))
+        outs.append(b.vertex(mask(1), fresh=True))
     if keep_tautology:
-        outs.append(b.vertex(clause(1, -1)))
+        outs.append(b.vertex(mask(1, -1)))
     b.inference(SPLIT, 1, (unit,), tuple(outs))
-    b.set_goal(b.cut(outs[0] if keep_unit else unit, neg, Clause(), 1))
+    b.set_goal(b.cut(outs[0] if keep_unit else unit, neg, 0, 1))
     return b.build()
 
 
