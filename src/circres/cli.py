@@ -43,6 +43,24 @@ class UsageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors are usage errors: one ``error:`` line, exit 2."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _integer(token: str) -> int:
+    """An integer option, read by the formats' rule for integers."""
+    bad = formats._non_ascii_number(token)
+    if bad:
+        raise argparse.ArgumentTypeError(f"number {bad!r} is not ASCII digits")
+    try:
+        return int(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {token!r}") from None
+
+
 def _parse_goal(spec: str) -> Clause:
     if spec.strip() in ("", "empty"):
         return Clause()
@@ -257,7 +275,7 @@ def cmd_gen_random(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="circres",
         description="circular resolution proofs: check, generate, translate, search",
     )
@@ -272,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-php", help="emit a pigeonhole CNF and its refutation")
     grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--complete", type=int, metavar="N",
+    grp.add_argument("--complete", type=_integer, metavar="N",
                      help="complete bipartite instance with N+1 pigeons, N holes")
     grp.add_argument("--graph", help="bipartite graph file: 'U V' header, then 'u v' edges")
     p.add_argument("--cnf-out", help="CNF output path")
@@ -290,27 +308,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="bounded-width circular proof search")
     p.add_argument("cnf", help="hypothesis clauses (DIMACS)")
-    p.add_argument("--width", type=int, required=True)
+    p.add_argument("--width", type=_integer, required=True)
     p.add_argument("--goal", default="empty", help="goal clause (default: empty)")
-    p.add_argument("--guard-rows", type=int, default=search_mod.DEFAULT_ROW_BUDGET)
+    p.add_argument("--guard-rows", type=_integer, default=search_mod.DEFAULT_ROW_BUDGET)
     p.add_argument("-o", "--out", help="proof output path")
     p.add_argument("--dot", help="also write a DOT rendering here")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("gen-random", help="emit a seeded random checked proof")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--vars", type=int, default=6)
-    p.add_argument("--budget", type=int, default=12)
-    p.add_argument("--max-width", type=int, default=4)
+    p.add_argument("--seed", type=_integer, default=0)
+    p.add_argument("--vars", type=_integer, default=6)
+    p.add_argument("--budget", type=_integer, default=12)
+    p.add_argument("--max-width", type=_integer, default=4)
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_gen_random)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code

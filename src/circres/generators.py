@@ -20,7 +20,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .core import MAX_VARIABLE, Clause, CnfFormula, literal_key
 from .proofgraph import (
@@ -267,6 +267,24 @@ def _demand_flows(graph: ProofGraph) -> dict[int, Fraction]:
 MAX_STALLED_DRAWS = 10_000
 
 
+def _free_variable(rng: random.Random, clause: Clause, num_vars: int) -> Optional[int]:
+    """A uniform draw among the variables ``1..num_vars`` that ``clause``, not
+    tautological, lacks, or None if it has them all.  The k-th such variable
+    is found from the clause's own bits, one per variable, in increasing
+    order, by the one draw that ``rng.choice`` over the list of them would
+    make."""
+    free = num_vars - clause.width
+    if not free:
+        return None
+    x, mask = rng.randrange(free) + 1, clause.mask
+    while mask:
+        bit = mask & -mask
+        if bit.bit_length() - 1 >> 1 <= x:
+            x += 1
+        mask ^= bit
+    return x
+
+
 def random_circular_proof(
     seed: int,
     num_vars: int,
@@ -343,10 +361,9 @@ def random_circular_proof(
             # clauses, which the polynomial translation cannot encode.
             if c.width >= max_width or c.is_tautological:
                 continue
-            candidates = [v for v in range(1, num_vars + 1) if not c.mask >> 2 * v & 3]
-            if not candidates:
+            x = _free_variable(rng, c, num_vars)
+            if x is None:
                 continue
-            x = rng.choice(candidates)
             both = rng.random() < 0.6
             keep_pos = both or rng.random() < 0.5
             outs = b.split(

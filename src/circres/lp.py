@@ -36,6 +36,22 @@ Implementation notes, none of which change the results:
   integer row operation to ``M`` alone, so nothing fills in.  Each entry the
   walk reads is the full tableau's integer, so the walk, ``den``, the point
   and the certificate are the full tableau's.
+* The leaving row's structural entries ``s = M[r] . A`` are summed as big
+  integers, 64 variables to a block.  The first time row ``t`` of
+  ``lp.rows`` is read it is packed into a ``{block: int}`` map, entry ``a``
+  of ``x_j`` as ``a << bits * (j % 64)``, and kept for the walk; block ``b``
+  of ``s`` is ``sum(M[r][t] * packed[t][b])``, one step per block of each
+  row rather than one per nonzero.  Lanes start at 8 bits.  When
+  ``sum(|M[r][t]| * max|A_t|)``, a bound on every ``|s[j]|``, reaches
+  ``2^(bits-2)``, ``bits`` doubles and the packed rows are dropped, so each
+  lane holds its entry exactly.  Adding ``2^(bits-1) - 1`` and ``2^(bits-1)``
+  to every lane sets a lane's top bit when its entry is positive and when it
+  is nonnegative, so a few masks mark the eligible lanes, and the lowest set
+  bit of the first nonzero mask, blocks read in ascending order, is the
+  least eligible column.
+* The entering column visits only the rows that share a row index with it:
+  ``where[t]`` is the set of rows ``i`` with ``M[i][t] != 0``, built at the
+  first structural pivot and kept in step by both row operations.
 * All arithmetic is integer-preserving: tableau and basic values are
   integers over one common positive denominator ``den``, and every pivot
   divides exactly.  The exact rechecks stay in integers too: a point passes
@@ -102,7 +118,9 @@ class _Tableau:
     the rows violated at the origin are exactly those with positive shifted
     right-hand side.  ``rows[i]`` maps each row ``t`` of ``lp.rows`` to the
     nonzero ``M[i][t]`` of ``M = den * B^-1``, where ``den`` is the positive
-    common denominator of the working state.
+    common denominator of the working state.  ``packed`` holds the rows of
+    ``lp.rows`` read so far as ``{block: int}`` maps at lanes of ``bits``
+    bits, and ``height`` each one's largest ``|coefficient|``.
     """
 
     def __init__(self, lp: LinearProgram) -> None:
@@ -117,7 +135,10 @@ class _Tableau:
         self.basis = list(range(self.n_struct, self.n_struct + len(lp.rows)))
         self.rows = [{i: 1} for i in range(len(lp.rows))]
         self.negative = {i for i, v in enumerate(self.xb) if v < 0}
-        self.col_var: list[tuple[int, int]] = []  # with first and cols, see _first
+        self.col_var: list[tuple[int, int]] = []  # with first, cols and where, see _first
+        self.bits, self.limit = 8, 0  # limit 0: the lane masks are made at first use
+        self.packed: dict[int, dict[int, int]] = {}
+        self.height: dict[int, int] = {}
 
     # -- pivoting -------------------------------------------------------------
 
@@ -128,19 +149,13 @@ class _Tableau:
         column index with a negative entry there.  The least-index rule makes
         the walk finite.
         """
-        basis, lb, coeffs = self.basis, self.lb, [row.coeffs for row in self.lp.rows]
+        basis = self.basis
         while self.negative:
             r = min(self.negative, key=basis.__getitem__)
-            # Row r's structural entries: -s[j] in x_j's + column, s[j] in its
-            # - column.  Every structural column comes before every surplus one.
-            s: dict[int, int] = {}
-            get = s.get
-            for t, m in self.rows[r].items():
-                for j, a in coeffs[t]:
-                    s[j] = get(j, 0) + m * a
-            j = min([j for j, v in s.items() if v > 0 or v and j not in lb], default=None)
-            if j is not None:
-                self._pivot(r, self._first(j) + (s[j] < 0))
+            # Every structural column comes before every surplus one.
+            c = self._structural(r)
+            if c is not None:
+                self._pivot(r, c)
                 continue
             t = min([t for t, m in self.rows[r].items() if m < 0], default=None)
             if t is None:
@@ -148,8 +163,67 @@ class _Tableau:
             self._pivot(r, self.n_struct + t)
         return None
 
+    def _structural(self, r: int) -> Optional[int]:
+        """Least structural column with a negative entry in row ``r``, or None.
+
+        Row r's entries are -s[j] in x_j's + column and s[j] in its - column,
+        for s = M[r] . A; lane k of block b holds s[64 b + k] (see the module
+        docstring).
+        """
+        packed, height = self.packed, self.height
+        acc: dict[int, int] = {}
+        get, bound = acc.get, 0
+        for t, m in self.rows[r].items():
+            blocks = packed.get(t) or self._pack(t)
+            bound += abs(m) * height[t]
+            for b, p in blocks.items():
+                acc[b] = get(b, 0) + m * p
+        if bound >= self.limit:
+            self._widen(bound)
+            return self._structural(r)
+        tops, below, free = self.tops, self.below, self.free
+        for b in sorted(acc):
+            s = acc[b]
+            # A lane's top bit: s > 0 in s + 2^(bits-1) - 1, s >= 0 in s + 2^(bits-1).
+            positive = (s + below) & tops
+            eligible = positive | (free.get(b, 0) & ~(s + tops))
+            if eligible:
+                low = eligible & -eligible
+                j = 64 * b + low.bit_length() // self.bits - 1
+                return self._first(j) + (not positive & low)  # - column if s[j] < 0
+        return None
+
+    def _pack(self, t: int) -> dict[int, int]:
+        blocks: dict[int, int] = {}
+        bits, height = self.bits, 0
+        for j, a in self.lp.rows[t].coeffs:
+            b, k = divmod(j, 64)
+            blocks[b] = blocks.get(b, 0) + (a << bits * k)
+            height = max(height, abs(a))
+        self.packed[t], self.height[t] = blocks, height
+        return blocks
+
+    def _widen(self, bound: int) -> None:
+        """Double the lane width until ``bound < 2^(bits-2)``, and drop the
+        packed rows, which were packed at the old width."""
+        bits = self.bits
+        while bound >> bits - 2:
+            bits *= 2
+        self.bits, self.limit = bits, 1 << bits - 2
+        self.packed.clear()
+        ones = sum(1 << bits * k for k in range(64))
+        self.tops = ones << bits - 1
+        self.below = self.tops - ones
+        self.free: dict[int, int] = {}
+        for j in range(self.lp.num_vars):
+            if j not in self.lb:
+                b, k = divmod(j, 64)
+                self.free[b] = self.free.get(b, 0) | 1 << bits * k + bits - 1
+
     def _first(self, j: int) -> int:
-        """Column of ``x_j``'s + part; the maps are built at the first use."""
+        """Column of ``x_j``'s + part; the maps are built at the first use,
+        which precedes every row operation: M starts as I, so the first
+        pivot is structural."""
         if not self.col_var:
             lp = self.lp
             self.col_var = [(k, part) for k in range(lp.num_vars)
@@ -159,23 +233,26 @@ class _Tableau:
             for t, row in enumerate(lp.rows):
                 for k, a in row.coeffs:
                     self.cols[k][t] = a
+            self.where = [{t} for t in range(len(lp.rows))]  # of M = I
         return self.first[j]
 
     def _pivot(self, r: int, c: int) -> None:
         den = self.den
-        rows, xb = self.rows, self.xb
+        rows, xb, where = self.rows, self.xb, self.where
         # The entering column: a surplus column is a column of M, and the
         # column of x_j's part is -part * M . A[:, j].
         if c >= self.n_struct:
             t = c - self.n_struct
-            col = {i: v for i, row in enumerate(rows) if (v := row.get(t))}
+            col = {i: rows[i][t] for i in where[t]}
         else:
             j, part = self.col_var[c]
-            colj, col = self.cols[j], {}
-            for i, row in enumerate(rows):
-                if not colj.keys().isdisjoint(row) and (
-                        v := sum([m * colj[t] for t, m in row.items() if t in colj])):
-                    col[i] = -part * v
+            col = {}
+            get = col.get
+            for t, a in self.cols[j].items():
+                a *= -part
+                for i in where[t]:
+                    col[i] = get(i, 0) + a * rows[i][t]
+            col = {i: v for i, v in col.items() if v}
         rowr, piv = rows[r], col.pop(r)
         if piv < 0:
             # Re-sign row r so the pivot element is positive.
@@ -188,14 +265,17 @@ class _Tableau:
             items = list(rowr.items())
             for i, v in col.items():
                 row = rows[i]
-                get = row.get
                 for t, mrt in items:
-                    # mrt * v is nonzero, so a zero result was a stored entry.
-                    new = get(t, 0) - (mrt * v if unit else (mrt * v) // den)
-                    if new:
+                    d = mrt * v if unit else (mrt * v) // den
+                    # d != 0: a fill is nonzero, and a zero cancels a stored entry.
+                    if t not in row:
+                        row[t] = -d
+                        where[t].add(i)
+                    elif new := row[t] - d:
                         row[t] = new
                     else:
                         del row[t]
+                        where[t].discard(i)
                 if xbr:
                     xb[i] -= v * xbr if unit else (v * xbr) // den
                     self._note(i)
@@ -203,11 +283,21 @@ class _Tableau:
             for i, row in enumerate(rows):
                 if i == r:
                     continue
-                scaled = {t: piv * a for t, a in row.items()}
                 if v := col.get(i, 0):
+                    scaled = {t: piv * a for t, a in row.items()}
                     for t, mrt in rowr.items():
-                        scaled[t] = scaled.get(t, 0) - mrt * v
-                rows[i] = {t: a // den for t, a in scaled.items() if a}
+                        if t in scaled:
+                            scaled[t] -= mrt * v
+                        else:
+                            scaled[t] = -mrt * v
+                            where[t].add(i)
+                    rows[i] = row = {t: a // den for t, a in scaled.items() if a}
+                    if len(row) < len(scaled):
+                        for t in rowr:
+                            if t not in row:
+                                where[t].discard(i)
+                else:
+                    rows[i] = {t: piv * a // den for t, a in row.items()}
                 xb[i] = (piv * xb[i] - v * xbr) // den
                 self._note(i)
             self.den = piv

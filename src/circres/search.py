@@ -158,12 +158,11 @@ def circular_search(
     hyps = _hypothesis_masks(hypotheses)
     clauses = _clause_masks(n, width)
 
-    # The balance of each clause as a linear form: b_D itself when D has a
-    # positive literal, else the entries of the module docstring.
+    # b_D is a variable when D has a positive literal; the balance of each
+    # all-negative clause is a linear form in them (the module docstring).
     variables = [d for d in clauses if d & positive]
-    balance: dict[int, dict[int, int]] = {d: {} for d in clauses}
+    balance: dict[int, dict[int, int]] = {d: {} for d in clauses if not d & positive}
     for j, d in enumerate(variables):
-        balance[d][j] = 1
         s = pos = d & positive
         while s:
             balance[(d ^ pos) | (s << 1)][j] = 1 if s.bit_count() & 1 else -1
@@ -176,7 +175,7 @@ def circular_search(
         if d not in free:
             program.add_lower(j, int(d == target))
     for d, form in balance.items():
-        if not d & positive and d not in free:
+        if d not in free:
             program.add_geq(form, int(d == target))
     point = lp.feasible(program)
     if point is None:
@@ -193,10 +192,11 @@ def circular_search(
     # residual t of D and moves t onto side and -t onto side | ~x, both with
     # one positive literal fewer.  Monomials are independent, so nothing may
     # be left on all-negative clauses.  Residuals are integers over the
-    # point's common denominator.
+    # point's common denominator: b_D's own numerator, or the form's value.
     den = math.lcm(*(v.denominator for v in point))
     num = [v.numerator * (den // v.denominator) for v in point]
-    residual = {d: sum([c * num[j] for j, c in form.items()]) for d, form in balance.items()}
+    residual = dict(zip(variables, num))
+    residual |= {d: sum([c * num[j] for j, c in form.items()]) for d, form in balance.items()}
     b = ProofGraphBuilder()
     b.set_goal(b.vertex(target))
     for d in sorted(variables, key=lambda d: -(d & positive).bit_count()):

@@ -204,6 +204,13 @@ INPUT_ERRORS = {
     # formats, does not.
     "search-goal-underscore": (["search", "u.cnf", "--width", "2", "--goal", "1_0 0"], None,
                                "bad goal spec: number '1_0' is not ASCII digits"),
+    "search-width-arabic-indic-digit": (["search", "u.cnf", "--width", "\u0662"], None,
+                                        "argument --width: number '\u0662' is not ASCII digits"),
+    "php-complete-underscore": (["gen-php", "--complete", "1_2"], None,
+                                "argument --complete: number '1_2' is not ASCII digits"),
+    "search-width-not-integer": (["search", "u.cnf", "--width", "two"], None,
+                                 "argument --width: invalid integer 'two'"),
+    "php-no-instance": (["gen-php"], None, "one of the arguments --complete --graph is required"),
     "check-unreadable": (["check", "absent.cres", "u.cnf"], None, "cannot read absent.cres: "),
     "check-goal-on-no-vertex": (["check", "p.cres", "u.cnf", "--goal", "1 2 0"],
                                 ("p.cres", "p cres 1 0\nf 0 0\ng 0\n"),

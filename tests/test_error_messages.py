@@ -1,10 +1,11 @@
 """Every error that the parsers, the CLI and the checking core raise is run
 by a test.
 
-The literal text of each ``raise ParseError(...)`` in ``formats.py``, of
-each ``raise UsageError(...)`` in ``cli.py``, and of every raise but an
-``AssertionError`` in ``core.py``, ``proofgraph.py`` and ``flowcheck.py``
-appears in some test file; an f-string stands for its longest constant part.
+The literal text of each ``raise ParseError(...)`` in ``formats.py``, and
+of every raise but an ``AssertionError`` in ``cli.py`` (its ``UsageError``
+and its options' ``argparse.ArgumentTypeError``), ``core.py``,
+``proofgraph.py`` and ``flowcheck.py`` appears in some test file; an
+f-string stands for its longest constant part.
 A message that no test names is an error path that no test runs.
 """
 
@@ -21,7 +22,7 @@ TESTS = Path(__file__).resolve().parent
 
 # The raised exception of each module, ``None`` for any but ``AssertionError``,
 # and the position of its message argument.
-RAISES = {"formats.py": ("ParseError", 1), "cli.py": ("UsageError", 0),
+RAISES = {"formats.py": ("ParseError", 1), "cli.py": (None, 0),
           "core.py": (None, 0), "proofgraph.py": (None, 0), "flowcheck.py": (None, 0)}
 
 
@@ -40,9 +41,10 @@ def raised_messages(tree: ast.AST, exception: str | None, position: int) -> list
     found = []
     for node in ast.walk(tree):
         call = node.exc if isinstance(node, ast.Raise) else None
-        if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
-                and (call.func.id == exception if exception
-                     else call.func.id != "AssertionError")
+        func = call.func if isinstance(call, ast.Call) else None
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None)
+        if (name and (name == exception if exception else name != "AssertionError")
                 and len(call.args) > position):
             text = _text(call.args[position])
             if text:
@@ -67,9 +69,10 @@ def test_the_walk_reads_literals_and_f_strings():
         "raise E(no, str(exc)) from None\n"
         "raise F(1, 'another exception')\n"
         "raise E('too few arguments')\n"
+        "raise argparse.G('qualified name')\n"
     )
     assert raised_messages(tree, "E", 1) == ["plain text", " longest part "]
-    assert raised_messages(tree, None, 0) == ["too few arguments"]
+    assert raised_messages(tree, None, 0) == ["too few arguments", "qualified name"]
     assert raised_messages(ast.parse("raise AssertionError('unreachable')\n"), None, 0) == []
 
 

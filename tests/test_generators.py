@@ -1,11 +1,14 @@
 import dataclasses
 import math
 import random
+import time
 
 import pytest
 
+from circres import generators
 from circres.core import Clause, CnfFormula, all_assignments, evaluate, implies_oracle
 from circres.flowcheck import verify_flow
+from circres.formats import serialize_cres
 from circres.generators import (
     BipartiteGraph,
     IsolatedVertexError,
@@ -178,6 +181,36 @@ def test_random_proof_rejects_unreachable_budgets():
     with pytest.raises(ValueError, match=r"^budget 50 is out of reach \(vars 1, max width 4\): "
                                          r"10000 draws in a row added no inference$"):
         random_circular_proof(0, 1, 50)
+
+
+def test_random_proof_does_not_scale_with_the_variable_count():
+    # A split finds its variable from the clause's own bits; listing the
+    # 100,000 variables on each draw took about 2 s.
+    start = time.process_time()
+    graph, flow = random_circular_proof(0, 100000, 12)
+    assert time.process_time() - start < 0.5
+    assert verify_flow(graph, flow)
+
+
+def _listed_draw(rng, clause, num_vars):
+    """The split's draw as ``rng.choice`` over the listed free variables."""
+    candidates = [v for v in range(1, num_vars + 1) if not clause.mask >> 2 * v & 3]
+    return rng.choice(candidates) if candidates else None
+
+
+def _outcome(*args):
+    try:
+        return serialize_cres(*random_circular_proof(*args), [])
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("max_width", [2, 4])
+@pytest.mark.parametrize("num_vars, budget", [(6, 12), (2, 2), (5, 7), (5, 9), (1000, 12)])
+def test_random_proof_draws_as_the_listed_draw(monkeypatch, num_vars, budget, max_width):
+    drawn = [_outcome(seed, num_vars, budget, max_width) for seed in range(60)]
+    monkeypatch.setattr(generators, "_free_variable", _listed_draw)
+    assert [_outcome(seed, num_vars, budget, max_width) for seed in range(60)] == drawn
 
 
 def test_random_proofs_always_check():

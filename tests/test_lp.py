@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import find, given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from circres import lp as lp_module
@@ -354,6 +354,20 @@ def _random_witness_case(seed):
     return lambda: find_witness(graph)
 
 
+def _wide_case(seed):
+    """40 rows of 20 entries up to 10^6 over 150 variables, 60 of them
+    bounded: its leaving rows span all three 64-variable blocks, and its
+    lanes widen from 32 to 512 bits as ``den`` grows over its 136 pivots."""
+    rng = random.Random(seed)
+    program = LinearProgram(150)
+    for _ in range(40):
+        coeffs = {j: rng.randint(-10 ** 6, 10 ** 6) for j in rng.sample(range(150), 20)}
+        program.add_geq(coeffs, rng.randint(-10 ** 6, 10 ** 6))
+    for j in rng.sample(range(150), 60):
+        program.add_lower(j, rng.randint(-2, 2))
+    return lambda: lp_module.feasible(program)
+
+
 _PINNED = {
     **{
         f"search-n3-seed{seed}{'-dropped' if dropped else ''}": (_search_case, (seed, dropped))
@@ -363,6 +377,7 @@ _PINNED = {
     "witness-php7x6-dropped": (_witness_case, (True,)),
     "witness-random-seed4": (_random_witness_case, (4,)),
     "witness-random-seed9": (_random_witness_case, (9,)),
+    "wide-seed0": (_wide_case, (0,)),
 }
 
 # sha256 of the (point, certificate) pairs.  The answers follow from the
@@ -378,6 +393,7 @@ _DIGESTS = {
     "witness-php7x6-dropped": "533203e8a0ad6232fce042307982c5bce075c87baa124197a4cf3a5d72c8111d",
     "witness-random-seed4": "040ba9a8815c18891b9fda4ed8e08f7324ea2a0ded80190fbcb91c609beae05a",
     "witness-random-seed9": "d58612acfed6af4fbc45549e7afcd62833385b72a74fcc333aa26704a54ae7e3",
+    "wide-seed0": "3d47c59377ffb5ce3260207846ef623dfdede57d1b1f0a1d290104b0bd8f7b0e",
 }
 
 
@@ -425,6 +441,7 @@ _WALK_DIGESTS = {
     "witness-php7x6-dropped": "cf1cbb66a638b4860a516671fb74850e6ccf787fe6c4c8d29e9c04efe880bd05",
     "witness-random-seed4": "3077927f753592ef38a2306d04e810adae2f707ed139540e56e70258b190dcf8",
     "witness-random-seed9": "3077927f753592ef38a2306d04e810adae2f707ed139540e56e70258b190dcf8",
+    "wide-seed0": "3217c9dc310b81610516e18bd3cf14985402b0479f48922a40e4c1ba9192e85d",
 }
 
 
@@ -493,6 +510,25 @@ def _programs(draw):
     return lp
 
 
+@st.composite
+def _wide_programs(draw):
+    """Programs over up to 150 variables, so that rows cross the 64-variable
+    blocks of the packed leaving row, with integer coefficients up to 10^6,
+    which widen its lanes, and free and bounded variables."""
+    n = draw(st.integers(1, 150))
+    # Magnitudes of every bit length, so that some entry nears its lane's limit.
+    big = st.integers(0, 20).flatmap(lambda e: st.integers(-min(2 ** e, 10 ** 6),
+                                                           min(2 ** e, 10 ** 6)))
+    index = st.integers(0, n - 1)
+    lp = LinearProgram(n)
+    for coeffs, rhs in draw(st.lists(st.tuples(st.dictionaries(index, big, max_size=8), big),
+                                     max_size=6)):
+        lp.add_geq(coeffs, rhs)
+    for j, bound in draw(st.dictionaries(index, st.integers(-2, 2), max_size=8)).items():
+        lp.add_lower(j, bound)
+    return lp
+
+
 def _matches_dense_reference(lp):
     walk, x, cert, kinds = _dense_walk(lp)
     assert _walks(pytest.MonkeyPatch(), [lp]) == [walk]
@@ -514,3 +550,34 @@ def test_drawn_programs_reach_each_kind_of_pivot(kind):
     lp = find(_programs(), lambda lp: kind in _dense_walk(lp)[3],
               settings=settings(max_examples=2000, database=None, derandomize=True))
     assert kind in _matches_dense_reference(lp)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_wide_programs())
+def test_packed_rows_walk_like_the_dense_tableau(lp):
+    _matches_dense_reference(lp)
+
+
+def _doublings(lp):
+    """How often the lanes double after the walk's first leaving row."""
+    tab = lp_module._Tableau(lp)
+    structural, widths = tab._structural, []
+
+    def recording(r):
+        c = structural(r)
+        widths.append(tab.bits)
+        return c
+
+    tab._structural = recording
+    tab.run()
+    return (widths[-1] // widths[0]).bit_length() - 1 if widths else 0
+
+
+def test_drawn_walks_widen_the_packed_lanes_at_least_twice():
+    # Each widening drops the rows packed at the old width and read before.
+    # The first walk drawn is kept as it is: shrinking it takes seconds.
+    lp = find(_wide_programs(), lambda lp: _doublings(lp) >= 2,
+              settings=settings(max_examples=2000, database=None, derandomize=True,
+                                phases=[Phase.generate]))
+    assert _doublings(lp) >= 2
+    _matches_dense_reference(lp)
