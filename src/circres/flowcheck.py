@@ -24,7 +24,6 @@ from typing import Iterator, Mapping, Optional
 from . import lp
 from .core import evaluate
 from .proofgraph import (
-    IncompleteFlowError,
     ProofGraph,
     RuleViolation,
     balance_numerators,
@@ -119,11 +118,9 @@ def find_witness(graph: ProofGraph, flow: Optional[dict[int, Fraction]] = None
 def verify_flow(graph: ProofGraph, flow: dict[int, Fraction]) -> bool:
     """Arithmetic re-check, no solver: positive total flow, hypothesis-only
     sources, strictly positive balance at ``graph.goal_id``."""
-    if any(iid not in flow for iid in graph.inference_vertices):
-        raise IncompleteFlowError("flow assignment does not cover all inference vertices")
+    bal, _ = balance_numerators(graph, flow)
     if not all(f > 0 for f in flow.values()):
         return False
-    bal, _ = balance_numerators(graph, flow)
     for fid, clause in graph.formula_vertices.items():
         if bal[fid] < 0 and clause not in graph.hypotheses:
             return False
@@ -154,15 +151,13 @@ def trace_falsified_source(graph: ProofGraph, integral_flow: dict[int, Fraction]
     Returns that vertex's id and the number of reductions made, which is at
     most the total flow.
     """
-    if any(iid not in integral_flow for iid in graph.inference_vertices):
-        raise IncompleteFlowError("flow assignment does not cover all inference vertices")
+    bal = balances(graph, integral_flow)
     if not all(f > 0 and f.denominator == 1 for f in integral_flow.values()):
         raise PreconditionError("tracer requires positive integral flows")
     if evaluate(graph.formula_vertices[sink_id], alpha):
         raise PreconditionError("assignment satisfies the sink clause")
 
     flows = dict(integral_flow)
-    bal = balances(graph, integral_flow)
     if bal[sink_id] <= 0:
         raise PreconditionError("sink vertex must have strictly positive balance")
     producers: dict[int, list[int]] = {}
@@ -210,34 +205,26 @@ def trace_falsified_source(graph: ProofGraph, integral_flow: dict[int, Fraction]
 class DualCertificate:
     """Multipliers for the semantic inequality system of a checked proof.
 
-    ``formula_multipliers`` weight one inequality per formula vertex (role
-    dependent: goal, source, or interior) and ``rule_multipliers`` weight the
+    ``formula_multipliers`` weight one inequality per formula vertex (``-Z``
+    at the graph's goal, ``1 - Z`` elsewhere), and may be negative only on
+    a vertex labelled by a hypothesis; ``rule_multipliers`` weight the
     validity inequality of each inference vertex.
     """
 
-    goal_id: int
-    source_ids: frozenset[int]
     formula_multipliers: dict[int, Fraction]
     rule_multipliers: dict[int, Fraction]
 
 
 def dual_certificate(graph: ProofGraph, flow: dict[int, Fraction]) -> DualCertificate:
-    """Multipliers ``balance(u)/balance(goal)`` and ``flow(w)/balance(goal)``.
-
-    Sources take weight ``-balance/balance(goal)`` so every multiplier is
-    nonnegative; :func:`verify_dual_certificate` checks the combination.
-    """
+    """Multipliers ``balance(u)/balance(goal)`` and ``flow(w)/balance(goal)``,
+    negative exactly at the sources; :func:`verify_dual_certificate` checks
+    the combination."""
     if not verify_flow(graph, flow):
         raise NotWitnessError("flow assignment does not witness the proof")
     bal = balances(graph, flow)
-    goal_id = graph.goal_id
-    bs = bal[goal_id]
-    sources = frozenset(u for u, b in bal.items() if b < 0)
-    b_mult = {
-        u: (-b / bs if u in sources else b / bs) for u, b in bal.items()
-    }
-    c_mult = {iid: flow[iid] / bs for iid in graph.inference_vertices}
-    return DualCertificate(goal_id, sources, b_mult, c_mult)
+    bs = bal[graph.goal_id]
+    return DualCertificate({u: b / bs for u, b in bal.items()},
+                           {iid: flow[iid] / bs for iid in graph.inference_vertices})
 
 
 def certificate_combination(graph: ProofGraph,
@@ -247,28 +234,16 @@ def certificate_combination(graph: ProofGraph,
     Every formula vertex ``u`` carries an indeterminate for the truth value of
     its clause.  The inequalities (all in ``expr >= 0`` form):
 
-    * goal vertex: ``-Z_goal``;
-    * source vertex: ``Z_u - 1``;
+    * goal vertex ``graph.goal_id``: ``-Z_goal``;
     * any other formula vertex: ``1 - Z_u``;
     * inference vertex ``w``: ``sum(1 - Z_a, antecedents) - sum(1 - Z_b, consequents)``.
 
     Returns the coefficient of every indeterminate and the constant term of
     the combination.
     """
-    coeff: dict[int, Fraction] = {fid: Fraction(0) for fid in graph.formula_vertices}
-    const = Fraction(0)
-    for fid in graph.formula_vertices:
-        b = cert.formula_multipliers.get(fid, Fraction(0))
-        if not b:
-            continue
-        if fid == cert.goal_id:
-            coeff[fid] -= b
-        elif fid in cert.source_ids:
-            coeff[fid] += b
-            const -= b
-        else:
-            coeff[fid] -= b
-            const += b
+    mult = cert.formula_multipliers
+    coeff = {fid: -mult.get(fid, Fraction(0)) for fid in graph.formula_vertices}
+    const = -sum((v for fid, v in coeff.items() if fid != graph.goal_id), Fraction(0))
     for iid, w in graph.inference_vertices.items():
         c = cert.rule_multipliers.get(iid, Fraction(0))
         if not c:
@@ -285,18 +260,21 @@ def certificate_combination(graph: ProofGraph,
 def verify_dual_certificate(graph: ProofGraph, cert: DualCertificate) -> bool:
     """True iff the combination collapses exactly to ``0 >= 1``.
 
-    The certificate must be for ``graph.goal_id``, and its sources must be
-    formula vertices labelled by hypothesis clauses (the rule of
-    :func:`verify_flow`).  All multipliers must be nonnegative, every
-    indeterminate must cancel, and the constant must be exactly ``-1`` (the
-    combined inequality reads ``-1 >= 0``, equivalently ``0 >= 1``).
+    Every multiplier must name a vertex of ``graph``, a negative formula
+    multiplier must sit on a vertex labelled by a hypothesis clause, rule
+    multipliers must be nonnegative, every indeterminate must cancel, and
+    the constant must be exactly ``-1`` (the combined inequality reads
+    ``-1 >= 0``, equivalently ``0 >= 1``).  This is sound: an assignment
+    satisfying the hypotheses and falsifying the goal makes every weighted
+    inequality nonnegative, a negative weight only multiplying ``1 - Z = 0``
+    at a satisfied hypothesis, yet they sum to ``-1``.
     """
-    if cert.goal_id != graph.goal_id:
+    formulas = graph.formula_vertices
+    if not (cert.formula_multipliers.keys() <= formulas.keys()
+            and cert.rule_multipliers.keys() <= graph.inference_vertices.keys()):
         return False
-    # An id that names no formula vertex gets None, which is no hypothesis.
-    if any(graph.formula_vertices.get(u) not in graph.hypotheses for u in cert.source_ids):
-        return False
-    if any(b < 0 for b in cert.formula_multipliers.values()):
+    if any(b < 0 and formulas[u] not in graph.hypotheses
+           for u, b in cert.formula_multipliers.items()):
         return False
     if any(c < 0 for c in cert.rule_multipliers.values()):
         return False

@@ -355,7 +355,15 @@ class _Tableau:
         return [Fraction(v, self.den) for v in lam + mu]
 
 
-def _solve(lp: LinearProgram):
+def solve(lp: LinearProgram) -> tuple[Optional[list[Fraction]], Optional[list[Fraction]]]:
+    """``(point, None)`` or ``(None, certificate)``, from one walk.
+
+    The point satisfies every row and declared bound exactly.  The
+    certificate holds nonnegative multipliers combining the rows and the
+    declared bounds to ``0 >= positive``: one per row of ``lp.rows``, in
+    order, then one per declared bound ``x_j >= lp.lower[j]``, in
+    increasing ``j``.
+    """
     tab = _Tableau(lp)
     stuck = tab.run()
     if stuck is not None:
@@ -370,18 +378,10 @@ def _solve(lp: LinearProgram):
 
 
 def feasible(lp: LinearProgram) -> Optional[list[Fraction]]:
-    """A rational point satisfying every constraint exactly, or ``None``."""
-    x, _ = _solve(lp)
-    return x
+    """The point of :func:`solve`, or ``None`` when the program is infeasible.
 
-
-def farkas_certificate(lp: LinearProgram) -> Optional[list[Fraction]]:
-    """Nonnegative multipliers combining the rows and the declared bounds to
-    ``0 >= positive``, or ``None``.
-
-    The returned list holds one multiplier per row of ``lp.rows``, in order,
-    then one per declared bound ``x_j >= lp.lower[j]``, in increasing ``j``;
-    it is ``None`` exactly when the program is feasible.
+    Kept for perfbench, which times the LP as the calls to this function
+    and counts a ``None`` as an infeasible call; ``flowcheck`` and
+    ``search`` call it so that their solves stay in that span.
     """
-    _, cert = _solve(lp)
-    return cert
+    return solve(lp)[0]

@@ -194,7 +194,7 @@ def test_verify_flow_examples():
     unsound = unsound_cycle_example()
     assert not verify_flow(unsound, uniform(unsound))
     with pytest.raises(IncompleteFlowError,
-                       match="flow assignment does not cover all inference vertices"):
+                       match="no flow for inference vertex"):
         verify_flow(graph, {})
 
 
@@ -311,7 +311,7 @@ def test_trace_requires_integral_flow():
     with pytest.raises(PreconditionError, match="tracer requires positive integral flows"):
         trace_falsified_source(graph, {0: Fraction(1, 2)}, graph.goal_id, {1: 1})
     with pytest.raises(IncompleteFlowError,
-                       match="flow assignment does not cover all inference vertices"):
+                       match="no flow for inference vertex"):
         trace_falsified_source(graph, {}, graph.goal_id, {1: 1})
 
 
@@ -364,22 +364,30 @@ def test_trace_totality_random_proofs():
 # ---------------------------------------------------------------------------
 # dual certificates
 
+def _collapses(graph, cert):
+    coeff, const = certificate_combination(graph, cert)
+    return all(c == 0 for c in coeff.values()) and const == -1
+
+
 def test_dual_certificate_single_cut():
     graph, flow = single_cut()
     cert = dual_certificate(graph, flow)
-    assert all(v == 1 for v in cert.formula_multipliers.values())
+    # x and ~x are the hypothesis sources, and the empty clause the goal.
+    assert list(cert.formula_multipliers.values()) == [-1, -1, 1]
     assert all(v == 1 for v in cert.rule_multipliers.values())
-    coeff, const = certificate_combination(graph, cert)
-    assert all(c == 0 for c in coeff.values()) and const == -1
+    assert _collapses(graph, cert)
     assert verify_dual_certificate(graph, cert)
 
 
 def test_dual_certificate_php_and_random():
-    graph, flow = php_refutation(complete_bipartite(4, 3))
-    assert verify_dual_certificate(graph, dual_certificate(graph, flow))
-    for seed in range(60):
-        graph, flow = random_circular_proof(seed, 6, 9)
+    # The negative multipliers sit on the sources, all of them hypotheses.
+    cases = [php_refutation(complete_bipartite(4, 3))]
+    cases += [random_circular_proof(seed, 6, 9) for seed in range(60)]
+    for graph, flow in cases:
         cert = dual_certificate(graph, flow)
+        negative = {u for u, b in cert.formula_multipliers.items() if b < 0}
+        assert negative == sources_and_sinks(graph, flow)[0]
+        assert {graph.formula_vertices[u] for u in negative} <= graph.hypotheses
         assert verify_dual_certificate(graph, cert)
 
 
@@ -389,39 +397,49 @@ def test_tampered_certificate_rejected():
     tampered = dict(cert.rule_multipliers)
     key = next(iter(tampered))
     tampered[key] += Fraction(1, 7)
-    from circres.flowcheck import DualCertificate
-
-    bad = DualCertificate(cert.goal_id, cert.source_ids, cert.formula_multipliers, tampered)
+    bad = DualCertificate(cert.formula_multipliers, tampered)
     assert not verify_dual_certificate(graph, bad)
 
 
 def test_negative_multiplier_rejected():
-    graph, flow = php_refutation(complete_bipartite(3, 2))
-    cert = dual_certificate(graph, flow)
-    assert verify_dual_certificate(graph, cert)
-    u = next(iter(cert.formula_multipliers))
-    w = next(iter(cert.rule_multipliers))
-    for negated in (
-        dataclasses.replace(cert, formula_multipliers={**cert.formula_multipliers, u: -1}),
-        dataclasses.replace(cert, rule_multipliers={**cert.rule_multipliers, w: -1}),
-    ):
-        assert not verify_dual_certificate(graph, negated)
+    # A negative rule multiplier: with the cut doubled, weight moved from
+    # one copy to the other keeps the combination at 0 >= 1, so only the
+    # sign rule rejects it.  (A negative formula multiplier off the
+    # hypotheses is the forged certificate below.)
+    graph, flow = single_cut()
+    (iid, cut), = graph.inference_vertices.items()
+    doubled = dataclasses.replace(graph, inference_vertices={iid: cut, iid + 1: cut})
+    cert = dual_certificate(doubled, {iid: Fraction(1), iid + 1: Fraction(1)})
+    assert verify_dual_certificate(doubled, cert)
+    negated = dataclasses.replace(cert, rule_multipliers={iid: Fraction(3, 2),
+                                                         iid + 1: Fraction(-1, 2)})
+    assert _collapses(doubled, negated)
+    assert not verify_dual_certificate(doubled, negated)
 
 
 def test_forged_certificate_rejected():
-    # The unsound cycle has no hypotheses, yet calling x1 and ~x1 sources
-    # makes the combination collapse to 0 >= 1.
+    # The unsound cycle has no hypotheses, yet negative multipliers on x1
+    # and ~x1 make the combination collapse to 0 >= 1.
     graph = unsound_cycle_example()
     ids = {c: fid for fid, c in graph.formula_vertices.items()}
     x, nx, goal = ids[clause(1)], ids[clause(-1)], graph.goal_id
     final_cut = next(iid for iid, w in graph.inference_vertices.items()
                      if goal in w.out_neighbors)
-    forged = DualCertificate(goal, frozenset({x, nx}), {goal: 1, x: 1, nx: 1}, {final_cut: 1})
-    coeff, const = certificate_combination(graph, forged)
-    assert all(c == 0 for c in coeff.values()) and const == -1
+    forged = DualCertificate({goal: 1, x: -1, nx: -1}, {final_cut: 1})
+    assert _collapses(graph, forged)
     assert not verify_dual_certificate(graph, forged)
-    unknown = dataclasses.replace(forged, source_ids=frozenset({x, nx, 99}))
-    assert not verify_dual_certificate(graph, unknown)
+
+
+def test_certificate_with_an_unknown_id_rejected():
+    # A zero multiplier changes no sum, so only the key check rejects these.
+    graph, flow = single_cut()
+    cert = dual_certificate(graph, flow)
+    for unknown in (
+        dataclasses.replace(cert, formula_multipliers={**cert.formula_multipliers, 99: 0}),
+        dataclasses.replace(cert, rule_multipliers={**cert.rule_multipliers, 99: 0}),
+    ):
+        assert _collapses(graph, unknown)
+        assert not verify_dual_certificate(graph, unknown)
 
 
 def test_certificate_for_another_goal_rejected():

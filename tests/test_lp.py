@@ -19,8 +19,31 @@ from circres.generators import (
     php_refutation,
     random_circular_proof,
 )
-from circres.lp import LinearProgram, farkas_certificate, feasible
+from circres.lp import LinearProgram, feasible, solve
 from circres.search import circular_search
+
+
+_PIVOT_CAP = 2000  # the longest walk of these tests takes 136 pivots (wide-seed0)
+
+
+@pytest.fixture(autouse=True)
+def _pivot_cap():
+    """Fail a walk past ``_PIVOT_CAP`` pivots, which would otherwise hang a
+    test if it cycled.  It has its own ``MonkeyPatch``: ``_walks`` and
+    ``_programs_solved`` undo the test's."""
+    pivot = lp_module._Tableau._pivot
+
+    def capped(tab, r, c):
+        tab.pivots = getattr(tab, "pivots", 0) + 1
+        if tab.pivots > _PIVOT_CAP:
+            pytest.fail(f"walk passed {_PIVOT_CAP} pivots on a program of "
+                        f"{len(tab.lp.rows)} rows over {tab.lp.num_vars} variables")
+        return pivot(tab, r, c)
+
+    patch = pytest.MonkeyPatch()
+    patch.setattr(lp_module._Tableau, "_pivot", capped)
+    yield
+    patch.undo()
 
 
 def geq(lp, coeffs, rhs=0):
@@ -31,18 +54,16 @@ def test_interval_feasible():
     lp = LinearProgram(1)
     geq(lp, {0: 1}, 1)
     geq(lp, {0: -1}, -2)
-    x = feasible(lp)
+    x, cert = solve(lp)
     assert x is not None and Fraction(1) <= x[0] <= Fraction(2)
-    assert farkas_certificate(lp) is None
+    assert cert is None
 
 
 def test_contradictory_bounds():
     lp = LinearProgram(1)
     geq(lp, {0: 1}, 1)
     geq(lp, {0: -1}, 0)
-    assert feasible(lp) is None
-    cert = farkas_certificate(lp)
-    assert cert == [Fraction(1), Fraction(1)]
+    assert solve(lp) == (None, [Fraction(1), Fraction(1)])
 
 
 def test_empty_program_is_feasible():
@@ -52,8 +73,7 @@ def test_empty_program_is_feasible():
 def test_zero_row_infeasible():
     lp = LinearProgram(1)
     geq(lp, {}, 1)
-    assert feasible(lp) is None
-    assert farkas_certificate(lp) == [Fraction(1)]
+    assert solve(lp) == (None, [Fraction(1)])
 
 
 def test_declared_bound_joins_the_certificate_after_the_rows():
@@ -62,8 +82,7 @@ def test_declared_bound_joins_the_certificate_after_the_rows():
     geq(lp, {0: 1}, 1)  # a one-entry row stays a row
     geq(lp, {1: -1}, 0)
     assert lp.lower == {1: 1} and len(lp.rows) == 2
-    assert feasible(lp) is None
-    assert farkas_certificate(lp) == [Fraction(0), Fraction(1), Fraction(1)]
+    assert solve(lp) == (None, [Fraction(0), Fraction(1), Fraction(1)])
     lp.add_lower(1, -3)  # a second declaration replaces the first
     x = feasible(lp)
     assert x is not None and x[0] >= 1 and -3 <= x[1] <= 0
@@ -261,8 +280,7 @@ def test_strong_alternative_against_vertex_oracle(draw, seed):
             scale = math.lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
             assert dict(row.coeffs) == {j: c * scale for j, c in coeffs.items()}, trial
             assert row.rhs == rhs * scale, trial
-        x = feasible(lp)
-        cert = farkas_certificate(lp)
+        x, cert = solve(lp)
         # exactly one of the two answers; the oracle sees the bounds as rows
         as_rows = drawn + [({j: Fraction(1)}, Fraction(b)) for j, b in bounds.items()]
         assert (x is None) != (cert is None), trial
@@ -288,8 +306,7 @@ def test_larger_random_programs_answer_checkably():
             geq(lp, coeffs, Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
         for j in rng.sample(range(n), rng.randint(0, min(3, n))):
             lp.add_lower(j, rng.randint(-3, 3))
-        x = feasible(lp)
-        cert = farkas_certificate(lp)
+        x, cert = solve(lp)
         assert (x is None) != (cert is None), trial
         if x is not None:
             assert all(type(v) is Fraction for v in x)
@@ -402,14 +419,15 @@ def test_answers_are_stable(monkeypatch, case):
     make, args = _PINNED[case]
     programs = _programs_solved(monkeypatch, make(*args))
     assert programs
-    answers = [(feasible(p), farkas_certificate(p)) for p in programs]
+    answers = [solve(p) for p in programs]
     digest = hashlib.sha256(repr(answers).encode()).hexdigest()
     assert digest == _DIGESTS[case]
 
 
 def _walks(monkeypatch, programs):
-    """The ``(row, entering column)`` pair of every pivot, per program."""
-    walks = []
+    """The ``(row, entering column)`` pair of every pivot, per program, and
+    the answers of :func:`solve`."""
+    walks, answers = [], []
     pivot = lp_module._Tableau._pivot
 
     def recording(tab, r, c):
@@ -419,9 +437,9 @@ def _walks(monkeypatch, programs):
     monkeypatch.setattr(lp_module._Tableau, "_pivot", recording)
     for program in programs:
         walks.append([])
-        feasible(program)
+        answers.append(solve(program))
     monkeypatch.undo()
-    return walks
+    return walks, answers
 
 
 # sha256 of the pivot sequences.  Equal answers do not imply an equal walk,
@@ -448,7 +466,7 @@ _WALK_DIGESTS = {
 @pytest.mark.parametrize("case", sorted(_PINNED))
 def test_walks_are_stable(monkeypatch, case):
     make, args = _PINNED[case]
-    walks = _walks(monkeypatch, _programs_solved(monkeypatch, make(*args)))
+    walks, _ = _walks(monkeypatch, _programs_solved(monkeypatch, make(*args)))
     assert walks
     digest = hashlib.sha256(repr(walks).encode()).hexdigest()
     assert digest == _WALK_DIGESTS[case]
@@ -531,9 +549,8 @@ def _wide_programs(draw):
 
 def _matches_dense_reference(lp):
     walk, x, cert, kinds = _dense_walk(lp)
-    assert _walks(pytest.MonkeyPatch(), [lp]) == [walk]
-    assert feasible(lp) == x
-    assert farkas_certificate(lp) == cert
+    # One solve answers with the dense point or certificate, in len(walk) pivots.
+    assert _walks(pytest.MonkeyPatch(), [lp]) == ([walk], [(x, cert)])
     return kinds
 
 

@@ -144,6 +144,14 @@ def test_check_rejects_nonpositive_coefficient():
         check_sa(proof)
 
 
+def test_check_rejects_a_hypothesis_index_out_of_range():
+    # A failed build of the reference polynomials is not kept, so each call raises.
+    proof = sa_proof(1, [], Clause(), [(1, MONOMIAL_ONE, hyp(1))])
+    for call in (check_sa, sa_degree):
+        with pytest.raises(MalformedProofError, match="^hypothesis index 1 out of range$"):
+            call(proof)
+
+
 def test_check_invariant_under_reorder_and_split():
     base = sa_proof(
         1,
@@ -269,6 +277,14 @@ def test_gadget_preconditions():
         with pytest.raises(TautologicalClauseError,
                            match=f"^{re.escape('tautological side clause x1 | ~x1')}$"):
             clause_gadget(4, side, 2)
+
+
+def test_gadget_kind_outside_one_to_four_rejected():
+    for kind in (0, 5):
+        with pytest.raises(ValueError, match=f"^gadget kind must be 1..4, got {kind}$"):
+            clause_gadget(kind, MONOMIAL_ONE, 1)
+        with pytest.raises(ValueError, match=f"^gadget kind must be 1..4, got {kind}$"):
+            gadget_target(kind, Clause(), 1)
 
 
 def test_gadget_target_cancels_a_consequent_that_collapses_onto_the_side():
@@ -622,6 +638,11 @@ def test_monomial_rejects_bad_powers():
         Monomial.of([(1, -1)])
     with pytest.raises(ValueError, match="token 0 is not a twin variable"):
         Monomial.of([(0, 1)])
+
+
+def test_monomial_str_lists_its_factors_in_canonical_order():
+    assert str(mono({-3: 1, 2: 1, 1: 2})) == "X1^2*X2*Xb3"
+    assert str(MONOMIAL_ONE) == "1"
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ ALLOWED = {
     "trace_falsified_source": "soundness artifact: the falsified-source tracer",
     "dual_certificate": "soundness artifact: the dual certificate of a witness",
     "verify_dual_certificate": "soundness artifact: checks a dual certificate",
-    "farkas_certificate": "the negative answer's certificate, which the search will carry",
     "gadget_target": "reference code: the target each gadget family expands to",
     "implies_oracle": "reference code: exhaustive implication oracle",
     "sources_and_sinks": "test helper on flows; deleting it moves code into tests",
