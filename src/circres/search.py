@@ -21,6 +21,29 @@ hypothesis copy of the goal from the goal itself: when the goal is a
 hypothesis and the program is infeasible, the identity proof (a split from
 the hypothesis copy onto a fresh goal copy) is the answer.
 
+The program is built on a restriction of the instance.  Let ``y`` be a
+variable outside the goal that occurs in the hypotheses in at most one
+sign, and ``l`` that literal (either one when ``y`` is unused).  Setting
+``y`` to make ``l`` true and dropping the hypotheses that contain ``l``
+leaves a program that is feasible exactly when the full one is:
+
+* Full to restricted: substituting ``y`` into ``sum_D b_D F_D = 0`` maps
+  ``F`` of ``D | l`` to 0 and ``F`` of ``D | ~l`` to ``F_D``, so
+  ``b'_D = b_D + b_(D | ~l)`` (the second term when ``D | ~l`` has width at
+  most ``w``) solves the restricted identity over the clauses without ``y``.
+  No hypothesis contains ``~l``, so the added balance is nonnegative, and
+  the goal, which has no ``y``, keeps a balance of at least 1.
+* Restricted to full: a proof from fewer hypotheses over fewer variables
+  is a proof from all of them.
+
+Dropping repeats until every variable left is in the goal or in the
+remaining hypotheses in both signs.  Those variables, in increasing order,
+are renamed ``x_1 .. x_k`` by rank; the program is built and solved on the
+rank masks, and each clause of the realized proof is mapped back through
+the rank table.  The map keeps variable order, so it keeps canonical
+literal order, and an instance with nothing to drop over ``x_1 .. x_n``
+solves the same program as without the restriction.
+
 ``daglike_width_saturate`` is the classical comparison point: the least fixed
 point of width-bounded resolution and weakening over the hypotheses.  It
 saturates under resolution alone, discarding subsumed clauses, and then
@@ -102,32 +125,69 @@ def _clause_masks(num_vars: int, width: int) -> list[int]:
     return masks
 
 
-def _num_variables(hypotheses: CnfFormula, goal: Clause) -> int:
-    # The goal's largest variable is read off the top bit of its mask.
-    return max(hypotheses.num_variables, goal.mask.bit_length() - 1 >> 1)
-
-
 def _hypothesis_masks(hypotheses: CnfFormula) -> set[int]:
     return {c.mask for c in hypotheses.clauses if not c.is_tautological}
 
 
-def program_size(hypotheses: CnfFormula, goal: Clause, width: int) -> tuple[int, int]:
-    """Constraints and clause-balance variables of the LP that
-    :func:`circular_search` solves: a constraint per clause of width at most
-    ``width`` whose balance is constrained (every one but the hypotheses
-    other than the goal), which is a row for an all-negative clause and a
-    declared bound otherwise, and a variable per clause with a positive
-    literal.  Their sum is what the search budget bounds.  Raises
-    :class:`WidthError` if there is no such LP: ``width`` is below the
-    inputs' width or the goal is tautological."""
+def _restriction(hypotheses: CnfFormula, goal: Clause, width: int) -> tuple[list[int], set[int], int]:
+    """The instance the search LP is built on: the variables kept by the
+    restriction (see the module docstring) in increasing order, then the
+    kept hypotheses and the goal as masks over their ranks, variable
+    ``kept[i - 1]`` becoming ``x_i``.  Raises :class:`WidthError`, on
+    the unrestricted input, if ``width`` is below the inputs' width or the
+    goal is tautological."""
     needed = max(c.width for c in (*hypotheses.clauses, goal))
     if width < needed:
         raise WidthError(f"width {width} below input width {needed}")
     if goal.is_tautological:
         raise WidthError("goal clause must not be tautological")
-    n = _num_variables(hypotheses, goal)
-    free = {h for h in _hypothesis_masks(hypotheses) if h.bit_count() <= width}
-    free -= {goal.mask}
+    target = goal.mask
+    goal_vars = (target | target >> 1) & positive_mask(target.bit_length() >> 1)
+    hyps = _hypothesis_masks(hypotheses)
+    while True:
+        union = 0
+        for h in hyps:
+            union |= h
+        kept_vars = union & union >> 1 & positive_mask(union.bit_length() >> 1) | goal_vars
+        # kept_vars * 3 has both literal bits of every kept variable.
+        survivors = {h for h in hyps if not h & ~(kept_vars * 3)}
+        if len(survivors) == len(hyps):
+            break
+        hyps = survivors
+    kept = []
+    while kept_vars:
+        low = kept_vars & -kept_vars
+        kept.append(low.bit_length() >> 1)
+        kept_vars ^= low
+    rank = {v: i for i, v in enumerate(kept, 1)}
+    return kept, {_renamed(h, rank) for h in hyps}, _renamed(target, rank)
+
+
+def _renamed(mask: int, table) -> int:
+    """``mask`` with the variable ``v`` of each literal replaced by ``table[v]``."""
+    out = 0
+    while mask:
+        b = mask.bit_length() - 1
+        mask ^= 1 << b
+        out |= 1 << (2 * table[b >> 1] | b & 1)
+    return out
+
+
+def program_size(hypotheses: CnfFormula, goal: Clause, width: int) -> tuple[int, int]:
+    """Constraints and clause-balance variables of the LP that
+    :func:`circular_search` solves, on the restricted instance (see the
+    module docstring): a constraint per clause of width at most ``width``
+    whose balance is constrained (every one but the hypotheses other than
+    the goal), which is a row for an all-negative clause and a declared
+    bound otherwise, and a variable per clause with a positive literal.
+    Their sum is what the search budget bounds.  Raises :class:`WidthError`
+    if there is no such LP: ``width`` is below the inputs' width or the goal
+    is tautological."""
+    kept, hyps, target = _restriction(hypotheses, goal, width)
+    return _size(len(kept), width, hyps - {target})
+
+
+def _size(n: int, width: int, free: set[int]) -> tuple[int, int]:
     clauses = sum(math.comb(n, k) * 2 ** k for k in range(width + 1))
     return clauses - len(free), clauses - sum(math.comb(n, k) for k in range(width + 1))
 
@@ -149,13 +209,13 @@ def circular_search(
     exceed ``row_budget`` and :class:`WidthError` if ``width`` cannot even
     accommodate the inputs.
     """
-    rows, cols = program_size(hypotheses, goal, width)
+    kept, hyps, target = _restriction(hypotheses, goal, width)
+    n = len(kept)
+    free = hyps - {target}
+    rows, cols = _size(n, width, free)
     if rows + cols > row_budget:
         raise SearchBudgetError(rows, cols, row_budget)
-    n = _num_variables(hypotheses, goal)
     positive = positive_mask(n)
-    target = goal.mask
-    hyps = _hypothesis_masks(hypotheses)
     clauses = _clause_masks(n, width)
 
     # b_D is a variable when D has a positive literal; the balance of each
@@ -169,7 +229,6 @@ def circular_search(
             s = (s - 1) & pos
         balance[d ^ pos][j] = -1
 
-    free = hyps - {target}
     program = lp.LinearProgram(len(variables))
     for j, d in enumerate(variables):
         if d not in free:
@@ -183,8 +242,8 @@ def circular_search(
         if target not in hyps or not width:
             return None
         b = ProofGraphBuilder()
-        b.pad_identity(target)
-        b.mark_hypotheses({target})
+        b.pad_identity(goal.mask)
+        b.mark_hypotheses({goal.mask})
         return b.build()
 
     # Realize the balances: for D = side | x, x its top positive bit, a cut
@@ -193,28 +252,32 @@ def circular_search(
     # one positive literal fewer.  Monomials are independent, so nothing may
     # be left on all-negative clauses.  Residuals are integers over the
     # point's common denominator: b_D's own numerator, or the form's value.
+    # Each clause is mapped back from ranks to the input's variables as it
+    # joins the proof.
     den = math.lcm(*(v.denominator for v in point))
     num = [v.numerator * (den // v.denominator) for v in point]
     residual = dict(zip(variables, num))
     residual |= {d: sum([c * num[j] for j, c in form.items()]) for d, form in balance.items()}
+    up = [0, *kept]
     b = ProofGraphBuilder()
-    b.set_goal(b.vertex(target))
+    b.set_goal(b.vertex(goal.mask))
     for d in sorted(variables, key=lambda d: -(d & positive).bit_count()):
         t = residual.pop(d)
         if not t:
             continue
         top = 1 << (d & positive).bit_length() - 1
+        residual[d ^ top] += t
+        residual[d ^ top | (top << 1)] -= t
+        x, value = up[top.bit_length() >> 1], Fraction(abs(t), den)
+        d, top = _renamed(d, up), 1 << 2 * x
         side, neg = d ^ top, d ^ top | (top << 1)
-        residual[side] += t
-        residual[neg] -= t
-        x, value = top.bit_length() >> 1, Fraction(abs(t), den)
         if t < 0:
             b.inference(CUT, x, (b.vertex(d), b.vertex(neg)), (b.vertex(side),), value)
         else:
             b.inference(SPLIT, x, (b.vertex(side),), (b.vertex(d), b.vertex(neg)), value)
     if any(residual.values()):
         raise AssertionError("clause balances leave a residual on an all-negative clause")
-    b.mark_hypotheses(hyps)
+    b.mark_hypotheses(_hypothesis_masks(hypotheses))
     graph, flow = b.build()
     if not verify_flow(graph, flow):
         raise AssertionError("search solution fails its own flow check")

@@ -6,8 +6,9 @@ from circres import cli, sheraliadams as sa
 from circres.cli import main
 from circres.core import MAX_VARIABLE, Clause, CnfFormula
 from circres.formats import parse_cres, parse_dimacs, parse_sap, serialize_cres, serialize_dimacs
-from circres.generators import (complete_bipartite, gen_php, php_refutation,
-                                random_circular_proof, unsound_cycle_example)
+from circres.generators import (complete_bipartite, gen_php, near_cubic_bipartite,
+                                php_refutation, random_circular_proof,
+                                unsound_cycle_example)
 from circres.proofgraph import ProofGraph
 
 
@@ -504,6 +505,30 @@ def test_search_prints_the_size_the_guard_bounds(tmp_path, capsys):
     assert first == f"search LP: {rows} rows, {cols} clause-balance variables"
     assert run(["search", cnf, "--width", 2, "--guard-rows", rows + cols]) == 1
     assert run(["search", cnf, "--width", 2, "--guard-rows", rows + cols - 1]) == 3
+
+
+@pytest.mark.parametrize("dropped", [False, True], ids=["refutable", "pigeon-clause-dropped"])
+def test_search_drops_declared_but_unused_variables(tmp_path, capsys, dropped):
+    # near_cubic_bipartite(3, 1) as a 9-variable file and declared over 1,000
+    # variables: the full program over 1,000 would exceed the default guard,
+    # but the search restricts the instance first, so both files get the
+    # same LP, the same answer and the same proof.
+    cnf = gen_php(near_cubic_bipartite(3, 1))
+    assert cnf.num_variables == 9
+    if dropped:
+        cnf = CnfFormula.of(9, cnf.clauses[1:])
+    answers = []
+    for declared in (9, 1000):
+        folder = tmp_path / str(declared)
+        folder.mkdir()
+        path = folder / "nc3.cnf"
+        path.write_text(serialize_dimacs(CnfFormula.of(declared, cnf.clauses)))
+        code = run(["search", path, "--width", 3])
+        first = capsys.readouterr().out.splitlines()[0]
+        proof = folder / "nc3.cres"
+        answers.append((code, first, proof.read_text() if proof.exists() else None))
+    assert answers[0] == answers[1]
+    assert answers[0][0] in (0, 1) and (answers[0][2] is None) == bool(answers[0][0])
 
 
 def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):

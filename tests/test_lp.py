@@ -21,6 +21,7 @@ from circres.generators import (
 )
 from circres.lp import LinearProgram, feasible, solve
 from circres.search import circular_search
+from test_search import _definition_program
 
 
 _PIVOT_CAP = 2000  # the longest walk of these tests takes 136 pivots (wide-seed0)
@@ -346,13 +347,26 @@ def _programs_solved(monkeypatch, run):
     return seen
 
 
-def _search_case(seed, dropped):
+def _near_cubic(seed, dropped):
     cnf = gen_php(near_cubic_bipartite(3, seed))
     if dropped:
         # Clause ``seed`` is the pigeon clause of pigeon ``seed + 1``.
         cnf = CnfFormula.of(
             cnf.num_variables, [c for i, c in enumerate(cnf.clauses) if i != seed]
         )
+    return cnf
+
+
+def _search_case(seed, dropped):
+    # The width-3 search program over every variable, as defined before the
+    # search restricts its instance; on the refutable instances, which have
+    # no pure literal, it is also the program the search solves.
+    program = LinearProgram(*_definition_program(_near_cubic(seed, dropped), Clause(), 3))
+    return lambda: lp_module.feasible(program)
+
+
+def _restricted_search_case(seed):
+    cnf = _near_cubic(seed, True)
     return lambda: circular_search(cnf, Clause(), 3)
 
 
@@ -390,6 +404,7 @@ _PINNED = {
         f"search-n3-seed{seed}{'-dropped' if dropped else ''}": (_search_case, (seed, dropped))
         for seed in range(3) for dropped in (False, True)
     },
+    **{f"search-n3-seed{seed}-restricted": (_restricted_search_case, (seed,)) for seed in range(3)},
     "witness-php7x6": (_witness_case, (False,)),
     "witness-php7x6-dropped": (_witness_case, (True,)),
     "witness-random-seed4": (_random_witness_case, (4,)),
@@ -406,6 +421,13 @@ _DIGESTS = {
     "search-n3-seed1-dropped": "0a0d8060ce9c336459b36d53bc747cc53e839c463e469ca6c504cc66d20e7290",
     "search-n3-seed2": "93563d0142d4c141aeab50dca9ed0576e81dc190d9686756d3b78b203dcdaded",
     "search-n3-seed2-dropped": "c786f1158dc1f0e4f2916cd3b2ab63fd3905b9ecfd2823bb31dcb94c336d8e9d",
+    # What the search solves on the dropped variants: 315 variables and 59
+    # rows over the 7 variables left once the dropped pigeon's two, which
+    # occur only negatively, go.  Recorded when the search began restricting
+    # its instance.
+    "search-n3-seed0-restricted": "d5c34dc5837b35eb41ca6b56a68a4dee542b1f4582da88f827168a278b53e6fc",
+    "search-n3-seed1-restricted": "8ec78647e8b5b71ff98815c1438f05a03c24d263b3fac6e79ed656826e90ea0a",
+    "search-n3-seed2-restricted": "d5c34dc5837b35eb41ca6b56a68a4dee542b1f4582da88f827168a278b53e6fc",
     "witness-php7x6": "34bebbf60e49c2435693a996bf2fbce990cd7f519c4fe6ccf140c064eaa902db",
     "witness-php7x6-dropped": "533203e8a0ad6232fce042307982c5bce075c87baa124197a4cf3a5d72c8111d",
     "witness-random-seed4": "040ba9a8815c18891b9fda4ed8e08f7324ea2a0ded80190fbcb91c609beae05a",
@@ -422,6 +444,14 @@ def test_answers_are_stable(monkeypatch, case):
     answers = [solve(p) for p in programs]
     digest = hashlib.sha256(repr(answers).encode()).hexdigest()
     assert digest == _DIGESTS[case]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_restricted_search_programs_answer_with_a_checked_certificate(monkeypatch, seed):
+    (program,) = _programs_solved(monkeypatch, _restricted_search_case(seed))
+    point, cert = solve(program)
+    assert point is None
+    _check_certificate(program, cert, seed)
 
 
 def _walks(monkeypatch, programs):
@@ -452,6 +482,9 @@ _WALK_DIGESTS = {
     "search-n3-seed1-dropped": "330e0b39fe4813058745b30be79c0d5105fcc0415913167f455fa10454e26bac",
     "search-n3-seed2": "d14bf1e9b808f2bce335f58b4952cb24301b561044d2ae42820508833cb6cdc2",
     "search-n3-seed2-dropped": "63315a4455e243da76245ce555007eaae42e8e55d0e791673d6f96acf825d76f",
+    "search-n3-seed0-restricted": "e8cf0a2f24b1b800c09e6e23920dd73f68a0ec42d7e173e7f11ac465d3c48178",
+    "search-n3-seed1-restricted": "781eac25e6a243f13792c408b244915082c136edf7def45f4d4a6bb520f808c4",
+    "search-n3-seed2-restricted": "e8cf0a2f24b1b800c09e6e23920dd73f68a0ec42d7e173e7f11ac465d3c48178",
     # The pigeonhole flow programs take no pivot: each is feasible at its
     # lower bounds or stuck at once.  The random proofs' programs pivot twice,
     # on the same (row, column) pairs.

@@ -1,10 +1,13 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circres import lp
 from circres.core import Clause, CnfFormula, implies_oracle
-from circres.flowcheck import verify_flow
+from circres.flowcheck import find_witness, verify_flow
 from circres.generators import (
     complete_bipartite,
     gen_php,
@@ -299,6 +302,42 @@ def _definition_program(hypotheses: CnfFormula, goal: Clause, width: int):
     return len(variables), rows, lower
 
 
+def _restricted(hypotheses: CnfFormula, goal: Clause) -> tuple[CnfFormula, Clause]:
+    """Reference restriction over sets of signed literals: drop every
+    hypothesis with a pure literal outside the goal's variables, one whose
+    complement no remaining hypothesis has, until none is left; then number
+    the variables left, the goal's and those with both signs, ``1..k`` in
+    increasing order."""
+    hyps = {c.signed() for c in hypotheses.clauses if not c.is_tautological}
+    goal_vars = {abs(l) for l in goal.signed()}
+    while True:
+        lits = set().union(*hyps)
+        pure = {l for l in lits if -l not in lits and abs(l) not in goal_vars}
+        kept = {h for h in hyps if not h & pure}
+        if kept == hyps:
+            break
+        hyps = kept
+    lits = set().union(*hyps)
+    rank = {v: i for i, v in enumerate(sorted(goal_vars | {abs(l) for l in lits}), 1)}
+
+    def renamed(c):
+        return Clause.from_signed(rank[abs(l)] if l > 0 else -rank[-l] for l in c)
+
+    return CnfFormula.of(len(rank), map(renamed, hyps)), renamed(goal.signed())
+
+
+def _padded_cnf(rng: random.Random, n: int, width: int, count: int) -> CnfFormula:
+    # _random_cnf over n variables, declared over up to 2 more, with up to 2
+    # more clauses that each add a literal of a variable no other clause has.
+    cnf = _random_cnf(rng, n, width, count)
+    clauses = list(cnf.clauses)
+    for v in range(n + 1, n + rng.randint(0, 2) + 1):
+        base = rng.choice(clauses) if clauses else Clause()
+        if base.width < width:
+            clauses.append(base.with_literal(rng.choice((1, -1)) * v))
+    return CnfFormula.of(n + 2, clauses)
+
+
 def test_search_program_matches_definition(monkeypatch):
     from circres.search import program_size
 
@@ -309,6 +348,14 @@ def test_search_program_matches_definition(monkeypatch):
         (unit_contradiction(), clause(1), 1),
         (CnfFormula.of(2, [Clause(), clause(1)]), Clause(), 2),
         (gen_php(near_cubic_bipartite(3, 0)), Clause(), 3),
+        # Unused x3..x6; then unused x2, x4 and x6 around the kept x1, x3, x5.
+        (CnfFormula.of(6, [clause(1, 2), clause(-1, 2), clause(-2)]), Clause(), 2),
+        (CnfFormula.of(6, [clause(1, 5), clause(-1, 5), clause(-5, 3)]), clause(3), 2),
+        # x3 is pure, then x2 once (-2, 3) is dropped, then x1: nothing is left.
+        (CnfFormula.of(3, [clause(1), clause(-1, 2), clause(-2, 3)]), Clause(), 2),
+        # A pure literal in the goal's variable stays.
+        (CnfFormula.of(3, [clause(1, 3), clause(-1, 3), clause(2)]), clause(3), 2),
+        (CnfFormula.of(9, gen_php(near_cubic_bipartite(3, 0)).clauses[1:]), Clause(), 3),
     ]
     for _ in range(100):
         n = rng.randint(1, 5)
@@ -324,6 +371,14 @@ def test_search_program_matches_definition(monkeypatch):
             vs = rng.sample(range(1, n + 1), rng.randint(1, min(n, width)))
             goal = Clause.from_signed(rng.choice((1, -1)) * v for v in vs)
         cases.append((cnf, goal, width))
+    rng = random.Random(16)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        width = rng.randint(1, 3)
+        cnf = _padded_cnf(rng, n, width, rng.randint(0, 6))
+        goal = Clause() if rng.random() < 0.5 else Clause.from_signed(
+            rng.choice((1, -1)) * v for v in rng.sample(range(1, n + 3), rng.randint(1, width)))
+        cases.append((cnf, goal, width))
     for cnf, goal, width in cases:
         seen = []
         solve = lp.feasible
@@ -332,13 +387,85 @@ def test_search_program_matches_definition(monkeypatch):
         monkeypatch.undo()
         assert len(seen) == 1
         program = seen[0]
-        num_vars, rows, lower = _definition_program(cnf, goal, width)
+        num_vars, rows, lower = _definition_program(*_restricted(cnf, goal), width)
         label = ([str(c) for c in cnf.clauses], str(goal), width)
         assert program.num_vars == num_vars, label
         assert program.rows == rows, label
         assert program.lower == lower, label
         assert program_size(cnf, goal, width) == (
             len(program.rows) + len(program.lower), program.num_vars)
+
+
+@st.composite
+def _instances_with_spare_variables(draw):
+    """A CNF over ``x_1 .. x_n`` with up to two variables that only one
+    clause uses, in one sign, and up to two that none uses, all renumbered
+    by a drawn permutation; a width; and a goal that is empty, a
+    hypothesis or drawn over every declared variable."""
+    n, pure, unused = draw(st.integers(1, 3)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    width = draw(st.integers(1, 3))
+    literal = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = draw(st.lists(st.lists(literal, max_size=width), max_size=6))
+    for v in range(n + 1, n + pure + 1):
+        clauses.append(draw(st.lists(literal, max_size=width - 1)) + [draw(st.sampled_from((v, -v)))])
+    total = n + pure + unused
+    name = [0, *draw(st.permutations(range(1, total + 1)))]
+    cnf = CnfFormula.of(total, [
+        Clause.from_signed(name[l] if l > 0 else -name[-l] for l in c) for c in clauses])
+    hyps = [c for c in cnf.clauses if not c.is_tautological]
+    kind = draw(st.sampled_from(("empty", "hypothesis", "drawn")))
+    if kind == "hypothesis" and hyps:
+        goal = draw(st.sampled_from(hyps))
+    elif kind == "drawn":
+        vs = draw(st.lists(st.integers(1, total), min_size=1, max_size=width, unique=True))
+        goal = Clause.from_signed(draw(st.sampled_from((v, -v))) for v in vs)
+    else:
+        goal = Clause()
+    return cnf, goal, width
+
+
+@settings(max_examples=60, deadline=None)
+@given(_instances_with_spare_variables())
+def test_restricted_search_answers_like_the_unrestricted_program(instance):
+    # The restriction drops pure and unused variables before the LP: the
+    # answer must still be the full program's, and a proof found from the
+    # kept hypotheses must be witnessed against all of them.
+    cnf, goal, width = instance
+    found = circular_search(cnf, goal, width)
+    num_vars, rows, lower = _definition_program(cnf, goal, width)
+    point, _ = lp.solve(lp.LinearProgram(num_vars, rows, lower))
+    identity = goal in cnf.clauses and width > 0
+    assert (found is not None) == (point is not None or identity)
+    if found is not None:
+        graph, _ = found
+        graph, flow = find_witness(dataclasses.replace(graph, hypotheses=frozenset(cnf.clauses)))
+        assert flow is not None and graph.goal_clause() == goal
+
+
+def test_search_matches_lattice_flow_program_with_unused_variables():
+    # Each CNF uses some of its declared variables, chosen at random, so the
+    # ones it leaves unused sit below, between and above the used ones.
+    rng = random.Random(8)
+    for _ in range(60):
+        declared = rng.randint(2, 5)
+        used = rng.sample(range(1, declared + 1), rng.randint(1, min(3, declared - 1)))
+        width = rng.randint(1, 3)
+        clauses = [
+            Clause.from_signed(rng.choice((1, -1)) * rng.choice(used)
+                               for _ in range(rng.randint(0, width)))
+            for _ in range(rng.randint(0, 6))
+        ]
+        cnf = CnfFormula.of(declared, clauses)
+        hyps = [c for c in clauses if not c.is_tautological]
+        pick = rng.random()
+        if pick < 0.2 and hyps:
+            goal = rng.choice(hyps)
+        elif pick < 0.5:
+            goal = Clause()
+        else:
+            vs = rng.sample(range(1, declared + 1), rng.randint(1, min(declared, width)))
+            goal = Clause.from_signed(rng.choice((1, -1)) * v for v in vs)
+        _assert_search_matches_lattice(cnf, goal, width)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
