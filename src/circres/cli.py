@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import formats, generators, search as search_mod, sheraliadams as sa
 from .core import Clause
-from .flowcheck import ValidationError, find_witness
+from .flowcheck import ValidationError, find_witness, starved_vertex
 from .proofgraph import balance_numerators, export_dot
 
 EXIT_OK = 0
@@ -118,6 +118,12 @@ def cmd_check(args) -> int:
         print("WITNESSED" if flow is not None else "NOT-WITNESSED")
     if flow is None:
         print(f"  no flow assignment witnesses goal clause {graph.goal_clause()}")
+        starved = starved_vertex(graph)
+        if starved == graph.goal_id:
+            print(f"  goal vertex {starved} is derived by no inference")
+        elif starved is not None:
+            print(f"  vertex {starved} ({graph.formula_vertices[starved]}) is used as a "
+                  "premise, derived by no inference, and not a hypothesis")
     else:
         bal, den = balance_numerators(graph, flow)
         print(f"goal balance {Fraction(bal[graph.goal_id], den)}")

@@ -3,9 +3,14 @@
 A flow assignment gives every inference vertex a positive weight.  It
 witnesses a proof when every formula vertex of strictly negative balance is
 labelled by a hypothesis clause and the goal vertex has strictly positive
-balance.  Witness search is an exact linear feasibility question; once a
-witness exists the proof is sound, and this module also produces the two
-artifacts that make soundness auditable:
+balance.  Witness search is an exact linear feasibility question.  It is
+tried first at the unit flow, weight 1 everywhere: every formula derived at
+least as often as it is used as a premise.  When that witnesses, it is the
+solver's own answer, so no program is built.  A negative answer can often
+be read off a starved vertex, which rules out every positive flow: a goal
+that no inference derives, or a premise that no inference derives and no
+hypothesis labels.  Once a witness exists the proof is sound, and this
+module also produces the two artifacts that make soundness auditable:
 
 * a falsified-source trace: given an assignment falsifying a sink, walk the
   graph (decreasing total flow) to a falsified hypothesis vertex;
@@ -76,6 +81,24 @@ def _witness_program(graph: ProofGraph) -> tuple[lp.LinearProgram, list[int]]:
     return program, order
 
 
+def starved_vertex(graph: ProofGraph) -> Optional[int]:
+    """A formula vertex whose balance fails for every positive flow, or
+    ``None``: the least vertex other than the goal that some inference uses
+    as a premise, none derives, and no hypothesis labels (it starves every
+    choice of goal), else ``graph.goal_id`` when no inference derives it."""
+    derived: set[int] = set()
+    used: set[int] = set()
+    for w in graph.inference_vertices.values():
+        derived.update(w.out_neighbors)
+        used.update(w.in_neighbors)
+    used -= derived
+    used.discard(graph.goal_id)
+    starved = [u for u in used if graph.formula_vertices[u] not in graph.hypotheses]
+    if starved:
+        return min(starved)
+    return None if graph.goal_id in derived else graph.goal_id
+
+
 def _goal_candidates(graph: ProofGraph) -> Iterator[ProofGraph]:
     """``graph`` itself, then ``graph`` with its goal moved to each other
     vertex that carries the goal clause, in id order."""
@@ -97,8 +120,11 @@ def find_witness(graph: ProofGraph, flow: Optional[dict[int, Fraction]] = None
     in id order, and the first one witnessed is the goal returned.  A
     supplied ``flow`` that :func:`verify_flow` accepts at some candidate is
     returned as the witness itself (the same dict), with no solver call.
-    Otherwise, as when no flow is supplied, each candidate's flow program is
-    solved by exact linear feasibility.
+    Otherwise, as when no flow is supplied, each candidate in turn is
+    witnessed by the unit flow if :func:`verify_flow` accepts it, with no
+    solver call (it is the solver's point too: the walk from the lower
+    bounds takes no pivot), or else its flow program is solved by exact
+    linear feasibility.
     """
     problems = validate_rules(graph)
     if problems:
@@ -107,7 +133,10 @@ def find_witness(graph: ProofGraph, flow: Optional[dict[int, Fraction]] = None
         for candidate in _goal_candidates(graph):
             if verify_flow(candidate, flow):
                 return candidate, flow
+    unit = dict.fromkeys(sorted(graph.inference_vertices), Fraction(1))
     for candidate in _goal_candidates(graph):
+        if verify_flow(candidate, unit):
+            return candidate, unit
         program, order = _witness_program(candidate)
         point = lp.feasible(program)
         if point is not None:
@@ -119,7 +148,7 @@ def verify_flow(graph: ProofGraph, flow: dict[int, Fraction]) -> bool:
     """Arithmetic re-check, no solver: positive total flow, hypothesis-only
     sources, strictly positive balance at ``graph.goal_id``."""
     bal, _ = balance_numerators(graph, flow)
-    if not all(f > 0 for f in flow.values()):
+    if not all(f.numerator > 0 for f in flow.values()):
         return False
     for fid, clause in graph.formula_vertices.items():
         if bal[fid] < 0 and clause not in graph.hypotheses:

@@ -40,7 +40,37 @@ def test_check_unsound_cycle(tmp_path, capsys):
     cnf = tmp_path / "empty.cnf"
     cnf.write_text("p cnf 1 0\n")
     assert run(["check", proof, cnf]) == 1
-    assert "NOT-WITNESSED" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "NOT-WITNESSED" in out
+    assert "derived by no inference" not in out  # every vertex of the cycle is derived
+
+
+def test_check_names_a_starved_vertex(tmp_path, php_files, capsys):
+    cnf, proof = php_files
+    formula = parse_dimacs(cnf.read_text())
+    pigeon = formula.clauses[0]
+    dropped = tmp_path / "dropped.cnf"
+    dropped.write_text(serialize_dimacs(CnfFormula.of(formula.num_variables, formula.clauses[1:])))
+    graph, _ = parse_cres(proof.read_text())
+    fid = next(f for f, c in graph.formula_vertices.items() if c == pigeon)
+    assert run(["check", proof, dropped]) == 1
+    assert capsys.readouterr().out == (
+        "supplied flows rejected: they do not witness the proof; "
+        "solving the flow program instead\n"
+        "NOT-WITNESSED\n"
+        "  no flow assignment witnesses goal clause _|_\n"
+        f"  vertex {fid} (x1 | x2) is used as a premise, derived by no inference, "
+        "and not a hypothesis\n"
+    )
+
+    lone = tmp_path / "lone.cres"
+    lone.write_text("p cres 1 0\nf 0 0\ng 0\n")
+    assert run(["check", lone, cnf]) == 1
+    assert capsys.readouterr().out == (
+        "NOT-WITNESSED\n"
+        "  no flow assignment witnesses goal clause _|_\n"
+        "  goal vertex 0 is derived by no inference\n"
+    )
 
 
 def test_check_recomputes_missing_flows(tmp_path, php_files):

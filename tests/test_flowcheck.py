@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import math
@@ -6,16 +7,20 @@ from fractions import Fraction
 
 import pytest
 
+from circres import lp
 from circres.core import Clause, CnfFormula, all_assignments, evaluate, implies_oracle
 from circres.flowcheck import (
     DualCertificate,
     NotWitnessError,
     PreconditionError,
     ValidationError,
+    _goal_candidates,
+    _witness_program,
     certificate_combination,
     dual_certificate,
     find_witness,
     integralize,
+    starved_vertex,
     trace_falsified_source,
     verify_dual_certificate,
     verify_flow,
@@ -204,6 +209,81 @@ def test_find_witness_agrees_with_verify():
         _, flow = find_witness(graph)
         assert flow is not None
         assert verify_flow(graph, flow)
+
+
+def _solver_only_witness(graph):
+    """find_witness without the unit flow: every candidate's flow program
+    goes to the solver, in the same order."""
+    for candidate in _goal_candidates(graph):
+        program, order = _witness_program(candidate)
+        point, _ = lp.solve(program)
+        if point is not None:
+            return candidate, dict(zip(order, point))
+    return graph, None
+
+
+def _items(answer):
+    graph, flow = answer
+    return graph, None if flow is None else list(flow.items())
+
+
+def test_find_witness_answers_like_the_solver_alone(monkeypatch):
+    # Random proofs with random hypothesis subsets, about a third of them
+    # with the goal on a random vertex.  Each case is tallied by how it was
+    # decided: a witness with or without a solver call, or none, with or
+    # without a starved vertex.
+    calls = []
+    feasible = lp.feasible
+    monkeypatch.setattr(lp, "feasible", lambda program: calls.append(1) or feasible(program))
+    rng = random.Random(33)
+    decided = collections.Counter()
+    for case in range(1000):
+        graph, _ = random_circular_proof(rng.randrange(1 << 20), rng.randint(4, 6),
+                                         rng.randint(1, 14))
+        hypotheses = frozenset(c for c in graph.formula_vertices.values() if rng.random() < 0.5)
+        graph = dataclasses.replace(graph, hypotheses=hypotheses)
+        if rng.random() < 0.3:
+            graph = dataclasses.replace(graph, goal_id=rng.choice(sorted(graph.formula_vertices)))
+        calls.clear()
+        got = find_witness(graph)
+        assert _items(got) == _items(_solver_only_witness(graph)), case
+        if got[1] is not None:
+            decided["solver" if calls else "unit flow"] += 1
+        else:
+            decided["starved" if starved_vertex(graph) is not None else "no witness"] += 1
+    assert min(decided.values()) >= 50 and len(decided) == 4, decided
+
+
+def test_pigeonhole_refutations_are_witnessed_by_the_unit_flow(monkeypatch):
+    monkeypatch.setattr("circres.lp.feasible", None)  # the solver must not run
+    for n in range(2, 11):
+        graph, _ = php_refutation(complete_bipartite(n + 1, n))
+        assert find_witness(graph) == (graph, dict.fromkeys(graph.inference_vertices, 1))
+    # Without its first pigeon clause the refutation has a starved vertex.
+    monkeypatch.undo()
+    for n in range(2, 11):
+        g = complete_bipartite(n + 1, n)
+        graph, _ = php_refutation(g)
+        pigeon = gen_php(g).clauses[0]
+        dropped = dataclasses.replace(graph, hypotheses=graph.hypotheses - {pigeon})
+        assert find_witness(dropped) == (dropped, None)
+        assert dropped.formula_vertices[starved_vertex(dropped)] == pigeon
+
+
+def test_starved_vertex_examples():
+    assert starved_vertex(unsound_cycle_example()) is None
+    graph, _ = single_cut()
+    assert starved_vertex(graph) is None
+    # Without its hypotheses the cut uses two underived premises: the least
+    # id is named.
+    bare = dataclasses.replace(graph, hypotheses=frozenset())
+    assert starved_vertex(bare) == min(bare.inference_vertices[0].in_neighbors)
+    # A goal no inference derives, even one labelled by a hypothesis.
+    for premise in graph.inference_vertices[0].in_neighbors:
+        assert starved_vertex(dataclasses.replace(graph, goal_id=premise)) == premise
+    # A starved premise other than the goal is named before an underived goal.
+    first, second = sorted(bare.inference_vertices[0].in_neighbors)
+    assert starved_vertex(dataclasses.replace(bare, goal_id=first)) == second
 
 
 def test_soundness_fuzz_against_oracle():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from circres import lp as lp_module
 from circres.core import Clause, CnfFormula
-from circres.flowcheck import find_witness, integralize
+from circres.flowcheck import _witness_program, find_witness, integralize
 from circres.generators import (
     complete_bipartite,
     gen_php,
@@ -371,12 +371,15 @@ def _restricted_search_case(seed):
 
 
 def _witness_case(dropped):
+    # The flow program of the pigeonhole refutation, built directly:
+    # find_witness decides the complete one at the unit flow without it.
     g = complete_bipartite(7, 6)
     cnf = gen_php(g)
     graph, _ = php_refutation(g)
     graph = dataclasses.replace(
         graph, hypotheses=frozenset(cnf.clauses[1:] if dropped else cnf.clauses))
-    return lambda: find_witness(graph)
+    program, _ = _witness_program(graph)
+    return lambda: lp_module.feasible(program)
 
 
 def _random_witness_case(seed):
