@@ -1,9 +1,9 @@
 """Certification of circular proofs through flow assignments.
 
 A flow assignment gives every inference vertex a positive weight.  It
-witnesses a proof when every formula vertex of strictly negative balance is
-labelled by a hypothesis clause and the goal vertex has strictly positive
-balance.  Witness search is an exact linear feasibility question.  It is
+witnesses a proof when every source (a formula vertex of negative balance)
+is labelled by a hypothesis clause and the goal vertex is a sink (of
+positive balance).  Witness search is an exact linear feasibility question.  It is
 tried first at the unit flow, weight 1 everywhere: every formula derived at
 least as often as it is used as a premise.  When that witnesses, it is the
 solver's own answer, so no program is built.  A negative answer can often
@@ -14,8 +14,9 @@ module also produces the two artifacts that make soundness auditable:
 
 * a falsified-source trace: given an assignment falsifying a sink, walk the
   graph (decreasing total flow) to a falsified hypothesis vertex;
-* a dual certificate: multipliers that collapse the semantic inequalities of
-  the rules into the contradiction ``0 >= 1``.
+* a dual certificate: nonzero multipliers that collapse the semantic
+  inequalities of the rules into the contradiction ``0 >= 1``, which
+  ``sheraliadams.circular_to_sa`` writes as a polynomial identity.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .proofgraph import (
     RuleViolation,
     balance_numerators,
     balances,
+    sources_and_sinks,
     validate_rules,
 )
 
@@ -145,15 +147,11 @@ def find_witness(graph: ProofGraph, flow: Optional[dict[int, Fraction]] = None
 
 
 def verify_flow(graph: ProofGraph, flow: dict[int, Fraction]) -> bool:
-    """Arithmetic re-check, no solver: positive total flow, hypothesis-only
-    sources, strictly positive balance at ``graph.goal_id``."""
-    bal, _ = balance_numerators(graph, flow)
-    if not all(f.numerator > 0 for f in flow.values()):
-        return False
-    for fid, clause in graph.formula_vertices.items():
-        if bal[fid] < 0 and clause not in graph.hypotheses:
-            return False
-    return bal[graph.goal_id] > 0
+    """Arithmetic re-check, no solver: every flow positive, ``graph.goal_id``
+    a sink, and every source labelled by a hypothesis."""
+    sources, sinks = sources_and_sinks(graph, flow)
+    return (all(f.numerator > 0 for f in flow.values()) and graph.goal_id in sinks
+            and all(graph.formula_vertices[u] in graph.hypotheses for u in sources))
 
 
 def integralize(graph: ProofGraph, flow: dict[int, Fraction]) -> dict[int, Fraction]:
@@ -232,12 +230,14 @@ def trace_falsified_source(graph: ProofGraph, integral_flow: dict[int, Fraction]
 
 @dataclass(frozen=True)
 class DualCertificate:
-    """Multipliers for the semantic inequality system of a checked proof.
+    """Nonzero multipliers for the semantic inequality system of a checked
+    proof; a missing key reads as 0.
 
-    ``formula_multipliers`` weight one inequality per formula vertex (``-Z``
-    at the graph's goal, ``1 - Z`` elsewhere), and may be negative only on
-    a vertex labelled by a hypothesis; ``rule_multipliers`` weight the
-    validity inequality of each inference vertex.
+    ``formula_multipliers`` weight one inequality per formula vertex of
+    nonzero balance (``-Z`` at the graph's goal, ``1 - Z`` elsewhere), and
+    may be negative only on a vertex labelled by a hypothesis;
+    ``rule_multipliers`` weight the validity inequality of each inference
+    vertex.
     """
 
     formula_multipliers: dict[int, Fraction]
@@ -246,14 +246,16 @@ class DualCertificate:
 
 def dual_certificate(graph: ProofGraph, flow: dict[int, Fraction]) -> DualCertificate:
     """Multipliers ``balance(u)/balance(goal)`` and ``flow(w)/balance(goal)``,
-    negative exactly at the sources; :func:`verify_dual_certificate` checks
-    the combination."""
+    read off one sweep of integer balance numerators: negative exactly at
+    the sources, and omitted where the balance is 0.
+    :func:`verify_dual_certificate` checks the combination."""
     if not verify_flow(graph, flow):
         raise NotWitnessError("flow assignment does not witness the proof")
-    bal = balances(graph, flow)
-    bs = bal[graph.goal_id]
-    return DualCertificate({u: b / bs for u, b in bal.items()},
-                           {iid: flow[iid] / bs for iid in graph.inference_vertices})
+    bal, den = balance_numerators(graph, flow)
+    goal_num = bal[graph.goal_id]
+    scale = Fraction(den, goal_num)
+    return DualCertificate({u: Fraction(b, goal_num) for u, b in bal.items() if b},
+                           {iid: flow[iid] * scale for iid in graph.inference_vertices})
 
 
 def certificate_combination(graph: ProofGraph,

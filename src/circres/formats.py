@@ -216,11 +216,9 @@ _NAME_KINDS = {v: k for k, v in _KIND_NAMES.items()}
 def parse_cres(text: str) -> tuple[ProofGraph, Optional[dict[int, Fraction]]]:
     formulas: dict[int, Clause] = {}
     inferences: dict[int, InferenceVertex] = {}
-    hyp_marks: list[tuple[int, int]] = []
+    hyp_ids: list[int] = []
     goal_id: Optional[int] = None
-    goal_line = 0
     flows: dict[int, Fraction] = {}
-    flow_line: dict[int, int] = {}
     rules: dict[tuple[str, str], Rule] = {}
     bits: dict[str, int] = {}
     header_line, num_formulas, num_inferences, lines = _header(text, "cres", "<#f> <#i>")
@@ -266,13 +264,13 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[dict[int, Fraction]]]:
         elif tag == "h":
             if len(tokens) != 2:
                 raise ParseError(no, "hypothesis mark must be 'h <fid>'")
-            hyp_marks.append((_int(tokens[1], no), no))
+            hyp_ids.append(_int(tokens[1], no))
         elif tag == "g":
             if len(tokens) != 2:
                 raise ParseError(no, "goal mark must be 'g <fid>'")
             if goal_id is not None:
                 raise ParseError(no, "duplicate goal mark")
-            goal_id, goal_line = _int(tokens[1], no), no
+            goal_id = _int(tokens[1], no)
         elif tag == "w":
             if len(tokens) != 3:
                 raise ParseError(no, "flow line must be 'w <iid> <flow>'")
@@ -283,7 +281,6 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[dict[int, Fraction]]]:
             if f <= 0:
                 raise ParseError(no, f"flow must be positive, got {f}")
             flows[iid] = f
-            flow_line[iid] = no
         else:
             raise ParseError(no, f"unknown line tag {tag!r}")
 
@@ -296,33 +293,35 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[dict[int, Fraction]]]:
     if goal_id is None:
         raise ParseError(header_line, "missing goal mark")
     if goal_id not in formulas:
-        raise ParseError(goal_line, f"goal mark names no formula vertex {goal_id}")
-    hypotheses = frozenset(formulas[fid] for fid, _ in hyp_marks if fid in formulas)
+        raise ParseError(_line_of(text, "g", goal_id),
+                         f"goal mark names no formula vertex {goal_id}")
+    hypotheses = frozenset(formulas[fid] for fid in hyp_ids if fid in formulas)
     try:
         graph = ProofGraph(formulas, inferences, hypotheses, goal_id)
     except ValueError as exc:
-        raise ParseError(_rejected_line(text, formulas, inferences), str(exc)) from None
-    for fid, no in hyp_marks:
+        # With the goal checked, ProofGraph rejects an unknown formula id.
+        bad = next(iid for iid, w in inferences.items()
+                   if not formulas.keys() >= {*w.in_neighbors, *w.out_neighbors})
+        raise ParseError(_line_of(text, "i", bad), str(exc)) from None
+    for fid in hyp_ids:
         if fid not in formulas:
-            raise ParseError(no, f"hypothesis mark references unknown formula id {fid}")
+            raise ParseError(_line_of(text, "h", fid),
+                             f"hypothesis mark references unknown formula id {fid}")
     if flows:
-        for iid, no in flow_line.items():
+        for iid in flows:
             if iid not in inferences:
-                raise ParseError(no, f"flow line names no inference vertex {iid}")
+                raise ParseError(_line_of(text, "w", iid),
+                                 f"flow line names no inference vertex {iid}")
         missing = [iid for iid in inferences if iid not in flows]
         if missing:
             raise ParseError(header_line, f"flow lines missing inference ids {missing}")
     return graph, flows or None
 
 
-def _rejected_line(text: str, formulas: dict[int, Clause],
-                   inferences: dict[int, InferenceVertex]) -> int:
-    """The ``i`` line of the first inference naming an unknown formula id,
-    which is what ``ProofGraph`` rejects once the goal mark is checked;
-    sought only on this error path."""
-    bad = next(iid for iid, w in inferences.items()
-               if not formulas.keys() >= {*w.in_neighbors, *w.out_neighbors})
-    return next(no for no, tokens in _lines(text) if tokens[0] == "i" and int(tokens[1]) == bad)
+def _line_of(text: str, tag: str, ident: int) -> int:
+    """The number of the first ``tag`` line whose id is ``ident``; the text
+    is read again only on the error path that names the line."""
+    return next(no for no, tokens in _lines(text) if tokens[0] == tag and int(tokens[1]) == ident)
 
 
 def serialize_cres(

@@ -55,14 +55,13 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import Clause, literal_key, mask_literals, positive_mask
-from .flowcheck import NotWitnessError, verify_flow
+from .flowcheck import dual_certificate, verify_flow
 from .proofgraph import (
     AXIOM,
     CUT,
     SPLIT,
     ProofGraph,
     ProofGraphBuilder,
-    balance_numerators,
 )
 
 
@@ -415,15 +414,15 @@ def _rule_terms(w, coef: Fraction, mono: dict[int, Monomial]) -> list[SATerm]:
 
 
 def circular_to_sa(graph: ProofGraph, flow: dict[int, Fraction]) -> SAProof:
-    """Rewrite a flow-checked circular proof as a polynomial identity.
+    """Write the :func:`dual_certificate` of a flow-checked circular proof
+    with each of its inequalities as a polynomial.
 
-    Every inference vertex contributes its rule polynomial weighted by
-    ``flow/goal_balance``; every non-goal formula vertex with nonzero balance
-    contributes ``|balance|/goal_balance`` times its clause encoding (as a
-    hypothesis reference for sources, as a monomial otherwise).  The result
-    passes :func:`check_sa` with degree equal to the proof width.
+    Each rule multiplier ``flow/goal_balance`` weights its rule polynomial,
+    and each formula multiplier ``balance/goal_balance`` off the goal
+    weights, by its absolute value, its clause encoding: a hypothesis
+    reference at a source, a monomial at a sink.  The result passes
+    :func:`check_sa` with degree equal to the proof width.
     """
-    goal_id = graph.goal_id
     goal = graph.goal_clause()
     if goal.is_tautological:
         raise TautologicalClauseError(f"tautological goal {goal}")
@@ -433,8 +432,7 @@ def circular_to_sa(graph: ProofGraph, flow: dict[int, Fraction]) -> SAProof:
     for h in hyp_clauses:
         if h.is_tautological:
             raise TautologicalClauseError(f"tautological hypothesis {h}")
-    if not verify_flow(graph, flow):
-        raise NotWitnessError("flow assignment does not witness the proof")
+    cert = dual_certificate(graph, flow)
     hyp_index = {h: i + 1 for i, h in enumerate(hyp_clauses)}
     mono = {fid: falsified_monomial(c) for fid, c in graph.formula_vertices.items()}
     # The largest variable of a clause is read off the top bit of its mask.
@@ -450,21 +448,14 @@ def circular_to_sa(graph: ProofGraph, flow: dict[int, Fraction]) -> SAProof:
                 f"non-elementary tautological clause {c} cannot be translated"
             )
 
-    # Over integer balance numerators: weight ``flow * den / goal_num``.
-    bal, den = balance_numerators(graph, flow)
-    goal_num = bal[goal_id]
-    scale = Fraction(den, goal_num)
     terms: list[SATerm] = []
     for iid, w in graph.inference_vertices.items():
-        terms += _rule_terms(w, flow[iid] * scale, mono)
-    for fid, c in graph.formula_vertices.items():
-        a = bal[fid]
-        if fid == goal_id or not a:
-            continue
-        if a < 0:
-            terms.append(SATerm(Fraction(-a, goal_num), MONOMIAL_ONE, hyp(hyp_index[c])))
-        else:
-            terms.append(SATerm(Fraction(a, goal_num), mono[fid], _ONE_REF))
+        terms += _rule_terms(w, cert.rule_multipliers[iid], mono)
+    for fid, m in cert.formula_multipliers.items():
+        if m < 0:
+            terms.append(SATerm(-m, MONOMIAL_ONE, hyp(hyp_index[graph.formula_vertices[fid]])))
+        elif fid != graph.goal_id:
+            terms.append(SATerm(m, mono[fid], _ONE_REF))
     return SAProof(num_vars, tuple(hyp_clauses), goal, tuple(terms))
 
 

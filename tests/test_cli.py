@@ -763,6 +763,14 @@ EMITTED_SHA256 = {
         "d0b74798c42ed5d4f94c2f893d258ab1ac4591881f062440b227f0634e2db14a",
     "random_0.cres":
         "0aa2967578812174e863bacca840eb240bc8d07e6e6ab739f7b3aaa08ab29b54",
+    # translate c2s on random_2.cres, read with its w lines, and on a flowless
+    # random_circular_proof(4, 5, 7), whose unit flow is no witness, so its
+    # flow program is solved; recorded before circular_to_sa read its weights
+    # from the dual certificate.  Both carry a coefficient other than 1.
+    "random_2.sap":
+        "dcf5e0a8d1e1a1515703f42547601a2460a04ecd3162c673ff19c8f0f4c5b4f3",
+    "witness_4.sap":
+        "56812e9fb7b85848a83971cd1fee2dbda335e7ef74dfd796b7281c7cafa6bdb4",
 }
 
 # One term of each shape translate s2c reads: hypotheses weakened or not,
@@ -821,6 +829,12 @@ def test_emitted_files_are_byte_stable(tmp_path, monkeypatch):
     assert run(["translate", "s2c", "shapes.sap"]) == 0
     assert run(["gen-random", "--seed", 2]) == 0
     assert run(["gen-random", "--seed", 0, "--vars", 2, "--budget", 2]) == 0
+    assert run(["translate", "c2s", "random_2.cres"]) == 0
+    (tmp_path / "witness_4.cres").write_text(serialize_cres(random_circular_proof(4, 5, 7)[0]))
+    assert run(["translate", "c2s", "witness_4.cres"]) == 0
+    for name in ("random_2.sap", "witness_4.sap"):
+        proof = parse_sap((tmp_path / name).read_text())
+        assert any(term.coefficient != 1 for term in proof.terms)
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in EMITTED_SHA256}
     assert digests == EMITTED_SHA256

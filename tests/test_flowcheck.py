@@ -203,6 +203,56 @@ def test_verify_flow_examples():
         verify_flow(graph, {})
 
 
+def _witnesses(graph, flow):
+    """The definition of a witness, written from ``balances``: every flow
+    positive, the goal a sink, and every source labelled by a hypothesis."""
+    bal = balances(graph, flow)
+    return (all(f > 0 for f in flow.values()) and bal[graph.goal_id] > 0
+            and all(graph.formula_vertices[u] in graph.hypotheses
+                    for u, b in bal.items() if b < 0))
+
+
+def _answer(check, graph, flow):
+    try:
+        return check(graph, flow)
+    except IncompleteFlowError:
+        return "incomplete"
+
+
+def test_verify_flow_is_its_definition():
+    # Random proofs with random hypothesis subsets and goal moves, under
+    # flows with zero, negative and fractional entries, extra keys and
+    # missing ones.
+    rng = random.Random(34)
+    answers = collections.Counter()
+    for case in range(600):
+        graph, flow = random_circular_proof(rng.randrange(1 << 20), rng.randint(4, 6),
+                                            rng.randint(1, 12))
+        if rng.random() < 0.5:
+            hypotheses = frozenset(c for c in graph.formula_vertices.values()
+                                   if rng.random() < 0.7)
+            graph = dataclasses.replace(graph, hypotheses=hypotheses)
+        if rng.random() < 0.3:
+            graph = dataclasses.replace(graph, goal_id=rng.choice(sorted(graph.formula_vertices)))
+        flow = dict(flow)
+        for iid in list(flow):
+            r = rng.random()
+            if r < 0.05:
+                flow[iid] = Fraction(0)
+            elif r < 0.1:
+                flow[iid] = Fraction(-rng.randint(1, 3), rng.randint(1, 3))
+            elif r < 0.3:
+                flow[iid] = Fraction(rng.randint(1, 6), rng.randint(1, 4))
+            elif r < 0.32:
+                del flow[iid]
+        if rng.random() < 0.2:
+            flow[max(graph.inference_vertices) + 1] = Fraction(rng.randint(-1, 2))
+        got = _answer(verify_flow, graph, flow)
+        assert got == _answer(_witnesses, graph, flow), case
+        answers[got] += 1
+    assert min(answers.values()) >= 50 and len(answers) == 3, answers
+
+
 def test_find_witness_agrees_with_verify():
     for seed in range(40):
         graph, _ = random_circular_proof(seed, 6, 9)
@@ -465,6 +515,12 @@ def test_dual_certificate_php_and_random():
     cases += [random_circular_proof(seed, 6, 9) for seed in range(60)]
     for graph, flow in cases:
         cert = dual_certificate(graph, flow)
+        bal = balances(graph, flow)
+        bs = bal[graph.goal_id]
+        assert cert.formula_multipliers == {u: b / bs for u, b in bal.items() if b}
+        assert cert.rule_multipliers == {iid: f / bs for iid, f in flow.items()}
+        assert 0 not in cert.formula_multipliers.values()
+        assert 0 not in cert.rule_multipliers.values()
         negative = {u for u, b in cert.formula_multipliers.items() if b < 0}
         assert negative == sources_and_sinks(graph, flow)[0]
         assert {graph.formula_vertices[u] for u in negative} <= graph.hypotheses

@@ -29,11 +29,9 @@ ROOT = Path(__file__).resolve().parent.parent
 ALLOWED = {
     "integralize": "soundness artifact: integral flows for a checked proof",
     "trace_falsified_source": "soundness artifact: the falsified-source tracer",
-    "dual_certificate": "soundness artifact: the dual certificate of a witness",
     "verify_dual_certificate": "soundness artifact: checks a dual certificate",
     "gadget_target": "reference code: the target each gadget family expands to",
     "implies_oracle": "reference code: exhaustive implication oracle",
-    "sources_and_sinks": "test helper on flows; deleting it moves code into tests",
 }
 
 
