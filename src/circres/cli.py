@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 import time
@@ -280,7 +281,12 @@ def cmd_gen_random(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: the tests and
+    perfbench call :func:`main` in process, and a build (six parsers and
+    their actions) costs about 1 ms.  Reuse is safe: ``parse_args`` makes a
+    fresh namespace, no default is mutable, and :meth:`_Parser.error` raises."""
     parser = _Parser(
         prog="circres",
         description="circular resolution proofs: check, generate, translate, search",

@@ -57,7 +57,9 @@ Implementation notes, none of which change the results:
   divides exactly.  The exact rechecks stay in integers too: a point passes
   when ``sum(c * X_j) >= rhs * den`` for every row, ``X`` its numerators,
   and a certificate's cancellation and positive right-hand side are summed
-  over ``den`` as well.  Rationals only appear in the returned values.
+  over ``den`` as well.  Rationals only appear in the returned values:
+  one ``Fraction`` per nonzero entry, and every zero entry is the one
+  shared ``Fraction(0)``.
 * A :class:`Constraint` is a named tuple.
 """
 
@@ -68,6 +70,8 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional
+
+_ZERO = Fraction(0)  # every zero entry of a returned point or certificate
 
 
 class Constraint(NamedTuple):
@@ -352,7 +356,7 @@ class _Tableau:
         value += sum(m * lb[j] for m, j in zip(mu, bounded))
         if value <= 0:
             raise AssertionError("certificate does not witness infeasibility")
-        return [Fraction(v, self.den) for v in lam + mu]
+        return [Fraction(v, self.den) if v else _ZERO for v in lam + mu]
 
 
 def solve(lp: LinearProgram) -> tuple[Optional[list[Fraction]], Optional[list[Fraction]]]:
@@ -374,14 +378,16 @@ def solve(lp: LinearProgram) -> tuple[Optional[list[Fraction]], Optional[list[Fr
             raise AssertionError("candidate point fails exact recheck")
     if any(x[j] < bound * den for j, bound in lp.lower.items()):
         raise AssertionError("candidate point fails exact recheck of a bound")
-    return [Fraction(v, den) for v in x], None
+    return [Fraction(v, den) if v else _ZERO for v in x], None
 
 
 def feasible(lp: LinearProgram) -> Optional[list[Fraction]]:
     """The point of :func:`solve`, or ``None`` when the program is infeasible.
 
-    Kept for perfbench, which times the LP as the calls to this function
-    and counts a ``None`` as an infeasible call; ``flowcheck`` and
-    ``search`` call it so that their solves stay in that span.
+    An infeasible program's certificate is still built and checked by
+    :func:`solve`, then dropped.  Kept for perfbench, which times the LP as
+    the calls to this function and counts a ``None`` as an infeasible call;
+    ``flowcheck`` and ``search`` call it so that their solves stay in that
+    span.
     """
     return solve(lp)[0]

@@ -1,15 +1,17 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from circres import cli, sheraliadams as sa
 from circres.cli import main
 from circres.core import MAX_VARIABLE, Clause, CnfFormula
+from circres.flowcheck import find_witness
 from circres.formats import parse_cres, parse_dimacs, parse_sap, serialize_cres, serialize_dimacs
 from circres.generators import (complete_bipartite, gen_php, near_cubic_bipartite,
                                 php_refutation, random_circular_proof,
                                 unsound_cycle_example)
-from circres.proofgraph import ProofGraph
+from circres.proofgraph import ProofGraph, balance_numerators
 
 
 def run(argv):
@@ -506,6 +508,34 @@ def test_search_guard(tmp_path):
     assert run(["search", cnf, "--width", 1, "--guard-rows", 1]) == 3
 
 
+def test_the_shared_parser_keeps_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    # main reuses one parser per process; each call must read only its own
+    # arguments, whatever the call before it set, failed or tripped.
+    monkeypatch.chdir(tmp_path)
+    assert cli._build_parser() is cli._build_parser()
+    (tmp_path / "chain.cnf").write_text("p cnf 4 5\n1 2 0\n-2 3 0\n-3 4 0\n-1 4 0\n-4 0\n")
+    assert run(["search", "x.cnf", "--width", "\u0662"]) == 2
+    assert capsys.readouterr().err == (
+        "error: argument --width: number '\u0662' is not ASCII digits\n")
+
+    assert run(["search", "chain.cnf", "--width", 3, "--goal", "1 0", "-o", "goal.cres"]) == 0
+    assert parse_cres((tmp_path / "goal.cres").read_text())[0].goal_clause() == Clause.from_signed([1])
+    assert run(["search", "chain.cnf", "--width", 3, "-o", "empty.cres"]) == 0
+    assert parse_cres((tmp_path / "empty.cres").read_text())[0].goal_clause() == Clause()
+    assert capsys.readouterr().out.count("wrote ") == 2
+
+    assert run(["gen-php", "--complete", 2, "--no-emit-flows"]) == 0
+    assert not any(line.startswith("w ") for line in (tmp_path / "php_3_2.cres").open())
+    assert run(["gen-php", "--complete", 2]) == 0
+    assert any(line.startswith("w ") for line in (tmp_path / "php_3_2.cres").open())
+
+    assert run(["search", "chain.cnf", "--width", 3, "--guard-rows", 1]) == 3
+    assert capsys.readouterr().err.startswith("guard: ")
+    assert run(["search", "chain.cnf", "--width", 3]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "wrote chain.cres" in captured.out
+
+
 def test_search_width_below_input_prints_nothing(tmp_path, capsys):
     cnf = tmp_path / "php.cnf"
     assert run(["gen-php", "--complete", 3, "--cnf-out", cnf,
@@ -771,6 +801,12 @@ EMITTED_SHA256 = {
         "dcf5e0a8d1e1a1515703f42547601a2460a04ecd3162c673ff19c8f0f4c5b4f3",
     "witness_4.sap":
         "56812e9fb7b85848a83971cd1fee2dbda335e7ef74dfd796b7281c7cafa6bdb4",
+    # translate c2s on witness_4's witness with every flow times 3/2, so the
+    # flows are fractional and the goal balance is 3/2: every multiplier is
+    # divided by a goal balance other than 1.  Recorded before the LP made a
+    # Fraction only for a nonzero entry.
+    "witness_4_scaled.sap":
+        "dd87c9eb58ce24e5e8a72dc10f8c0191add1e58bad0ef92134bb2687727e1f9b",
 }
 
 # One term of each shape translate s2c reads: hypotheses weakened or not,
@@ -832,6 +868,16 @@ def test_emitted_files_are_byte_stable(tmp_path, monkeypatch):
     assert run(["translate", "c2s", "random_2.cres"]) == 0
     (tmp_path / "witness_4.cres").write_text(serialize_cres(random_circular_proof(4, 5, 7)[0]))
     assert run(["translate", "c2s", "witness_4.cres"]) == 0
+    graph, flow = find_witness(random_circular_proof(4, 5, 7)[0])
+    scaled = {iid: w * Fraction(3, 2) for iid, w in flow.items()}
+    bal, den = balance_numerators(graph, scaled)
+    assert Fraction(bal[graph.goal_id], den) == Fraction(3, 2)
+    assert any(w.denominator > 1 for w in scaled.values())
+    (tmp_path / "witness_4_scaled.cres").write_text(serialize_cres(graph, scaled))
+    assert run(["translate", "c2s", "witness_4_scaled.cres"]) == 0
+    # The same polynomial proof as the unscaled witness's, under its own comment.
+    assert ((tmp_path / "witness_4_scaled.sap").read_text().split("\n", 1)[1]
+            == (tmp_path / "witness_4.sap").read_text().split("\n", 1)[1])
     for name in ("random_2.sap", "witness_4.sap"):
         proof = parse_sap((tmp_path / name).read_text())
         assert any(term.coefficient != 1 for term in proof.terms)

@@ -457,6 +457,34 @@ def test_restricted_search_programs_answer_with_a_checked_certificate(monkeypatc
     _check_certificate(program, cert, seed)
 
 
+class _CertificateBuilt(Exception):
+    pass
+
+
+def test_every_none_answer_checks_its_certificate(monkeypatch):
+    # feasible drops the certificate, yet every None it returns, and every
+    # none answer of the search and the checker, comes from a certificate
+    # that _Tableau.certificate built and checked.
+    def built(tab, r):
+        raise _CertificateBuilt
+
+    monkeypatch.setattr(lp_module._Tableau, "certificate", built)
+    program = LinearProgram(1)
+    geq(program, {0: 1}, 1)
+    geq(program, {0: -1}, 0)
+    with pytest.raises(_CertificateBuilt):
+        feasible(program)
+    with pytest.raises(_CertificateBuilt):
+        circular_search(_near_cubic(0, True), Clause(), 3)
+    # check-sat: the complete pigeonhole refutation against its CNF less the
+    # first pigeon clause.
+    g = complete_bipartite(7, 6)
+    graph, _ = php_refutation(g)
+    graph = dataclasses.replace(graph, hypotheses=frozenset(gen_php(g).clauses[1:]))
+    with pytest.raises(_CertificateBuilt):
+        find_witness(graph)
+
+
 def _walks(monkeypatch, programs):
     """The ``(row, entering column)`` pair of every pivot, per program, and
     the answers of :func:`solve`."""
@@ -585,8 +613,11 @@ def _wide_programs(draw):
 
 def _matches_dense_reference(lp):
     walk, x, cert, kinds = _dense_walk(lp)
-    # One solve answers with the dense point or certificate, in len(walk) pivots.
-    assert _walks(pytest.MonkeyPatch(), [lp]) == ([walk], [(x, cert)])
+    # One solve answers with the dense point or certificate, in len(walk)
+    # pivots, and each of its entries, a zero too, is a Fraction.
+    walks, answers = _walks(pytest.MonkeyPatch(), [lp])
+    assert (walks, answers) == ([walk], [(x, cert)])
+    assert all(type(v) is Fraction for v in answers[0][0] or answers[0][1])
     return kinds
 
 

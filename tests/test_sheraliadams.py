@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from circres.core import Clause, CnfFormula, implies_oracle, literal_key
-from circres.flowcheck import verify_flow
+from circres.flowcheck import find_witness, verify_flow
 from circres.formats import parse_sap, serialize_cres, serialize_sap
 from circres.generators import complete_bipartite, php_refutation, random_circular_proof
 from circres.proofgraph import SPLIT, ProofGraphBuilder, balances, validate_rules
@@ -344,6 +344,21 @@ def test_translate_php():
         assert check_sa(proof)
         assert sa_degree(proof) == graph.width
         assert sa_monomial_size(proof) <= 3 * graph.length
+
+
+def test_translation_does_not_depend_on_the_scale_of_the_witness():
+    # Every multiplier is divided by the goal balance, so a witness times a
+    # positive rational gives the same polynomial proof, byte for byte.
+    rng = random.Random(35)
+    witnesses = [random_circular_proof(seed, 6, 9) for seed in range(30)]
+    witnesses = [w for w in witnesses if not w[0].goal_clause().is_tautological]
+    witnesses.append(php_refutation(complete_bipartite(4, 3)))
+    witnesses.append(find_witness(random_circular_proof(4, 5, 7)[0]))  # an LP point
+    for graph, flow in witnesses:
+        factor = Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+        scaled = {iid: w * factor for iid, w in flow.items()}
+        assert (serialize_sap(circular_to_sa(graph, scaled))
+                == serialize_sap(circular_to_sa(graph, flow))), factor
 
 
 def test_translate_suppressed_split_negative_branch():
