@@ -8,10 +8,12 @@ and the goal clause is produced on net.  This demo builds both kinds of
 graph and runs the exact-arithmetic certifier on them.
 """
 
+from fractions import Fraction
+
 from circres import (
     Clause,
     ProofGraphBuilder,
-    balances,
+    balance_numerators,
     export_dot,
     find_witness,
     unsound_cycle_example,
@@ -20,7 +22,7 @@ from circres import (
 
 
 def show(graph, flow=None):
-    bal = balances(graph, flow) if flow else None
+    bal, den = balance_numerators(graph, flow) if flow else (None, 1)
     for fid, clause in graph.formula_vertices.items():
         marks = []
         if clause in graph.hypotheses:
@@ -31,7 +33,7 @@ def show(graph, flow=None):
         if marks:
             line += f"  ({', '.join(marks)})"
         if bal is not None:
-            line += f"  balance {bal[fid]}"
+            line += f"  balance {Fraction(bal[fid], den)}"
         print(line)
 
 

@@ -9,9 +9,11 @@ every edge literal balance out and leaves the empty clause with balance
 pigeons - holes = 1.
 """
 
+from fractions import Fraction
+
 from circres import (
     Clause,
-    balances,
+    balance_numerators,
     complete_bipartite,
     gen_php,
     php_refutation,
@@ -26,8 +28,9 @@ for n in range(2, 11):
     cnf = gen_php(g)
     graph, flow = php_refutation(g)
     assert verify_flow(graph, flow)
-    bal = balances(graph, flow)[graph.goal_id]
-    print(f"{n:>6} {len(cnf.clauses):>8} {graph.length:>7} {graph.width:>6} {str(bal):>13}")
+    bal, den = balance_numerators(graph, flow)
+    goal_balance = Fraction(bal[graph.goal_id], den)
+    print(f"{n:>6} {len(cnf.clauses):>8} {graph.length:>7} {graph.width:>6} {str(goal_balance):>13}")
 
 print()
 print("Sparse instances keep the width at the graph degree:")

@@ -31,9 +31,8 @@ from .proofgraph import (
     ProofGraph,
     ProofGraphBuilder,
     Rule,
-    balances,
+    balance_numerators,
     export_dot,
-    sources_and_sinks,
     validate_rules,
 )
 from .search import circular_search, daglike_width_saturate

@@ -115,7 +115,7 @@ def cmd_check(args) -> int:
     else:
         if file_flow is not None:
             print("supplied flows rejected: they do not witness the proof; "
-                  "solving the flow program instead")
+                  "looking for a witness instead")
         print("WITNESSED" if flow is not None else "NOT-WITNESSED")
     if flow is None:
         print(f"  no flow assignment witnesses goal clause {graph.goal_clause()}")

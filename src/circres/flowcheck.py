@@ -3,10 +3,12 @@
 A flow assignment gives every inference vertex a positive weight.  It
 witnesses a proof when every source (a formula vertex of negative balance)
 is labelled by a hypothesis clause and the goal vertex is a sink (of
-positive balance).  Witness search is an exact linear feasibility question.  It is
-tried first at the unit flow, weight 1 everywhere: every formula derived at
-least as often as it is used as a premise.  When that witnesses, it is the
-solver's own answer, so no program is built.  A negative answer can often
+positive balance); :func:`verify_flow` and :func:`dual_certificate` read
+this off one sweep of :func:`~circres.proofgraph.balance_numerators`.
+Witness search is an exact linear feasibility question.  It is tried first
+at the unit flow, weight 1 everywhere: every formula derived at least as
+often as it is used as a premise.  When that witnesses, it is the solver's
+own answer, so no program is built.  A negative answer can often
 be read off a starved vertex, which rules out every positive flow: a goal
 that no inference derives, or a premise that no inference derives and no
 hypothesis labels.  Once a witness exists the proof is sound, and this
@@ -29,14 +31,7 @@ from typing import Iterator, Mapping, Optional
 
 from . import lp
 from .core import evaluate
-from .proofgraph import (
-    ProofGraph,
-    RuleViolation,
-    balance_numerators,
-    balances,
-    sources_and_sinks,
-    validate_rules,
-)
+from .proofgraph import ProofGraph, RuleViolation, balance_numerators, validate_rules
 
 
 class ValidationError(ValueError):
@@ -146,12 +141,18 @@ def find_witness(graph: ProofGraph, flow: Optional[dict[int, Fraction]] = None
     return graph, None
 
 
+def _witnessed(graph: ProofGraph, flow: dict[int, Fraction], bal: dict[int, int]) -> bool:
+    """:func:`verify_flow`, read on the balance numerators ``bal`` of ``flow``."""
+    formulas, hypotheses = graph.formula_vertices, graph.hypotheses
+    return (all(f.numerator > 0 for f in flow.values()) and bal[graph.goal_id] > 0
+            and all(b >= 0 or formulas[u] in hypotheses for u, b in bal.items()))
+
+
 def verify_flow(graph: ProofGraph, flow: dict[int, Fraction]) -> bool:
-    """Arithmetic re-check, no solver: every flow positive, ``graph.goal_id``
-    a sink, and every source labelled by a hypothesis."""
-    sources, sinks = sources_and_sinks(graph, flow)
-    return (all(f.numerator > 0 for f in flow.values()) and graph.goal_id in sinks
-            and all(graph.formula_vertices[u] in graph.hypotheses for u in sources))
+    """Arithmetic re-check on one balance sweep, no solver: every flow
+    positive, ``graph.goal_id`` a sink, and every source labelled by a
+    hypothesis."""
+    return _witnessed(graph, flow, balance_numerators(graph, flow)[0])
 
 
 def integralize(graph: ProofGraph, flow: dict[int, Fraction]) -> dict[int, Fraction]:
@@ -178,7 +179,7 @@ def trace_falsified_source(graph: ProofGraph, integral_flow: dict[int, Fraction]
     Returns that vertex's id and the number of reductions made, which is at
     most the total flow.
     """
-    bal = balances(graph, integral_flow)
+    bal, _ = balance_numerators(graph, integral_flow)  # den is 1 past the check below
     if not all(f > 0 and f.denominator == 1 for f in integral_flow.values()):
         raise PreconditionError("tracer requires positive integral flows")
     if evaluate(graph.formula_vertices[sink_id], alpha):
@@ -246,12 +247,12 @@ class DualCertificate:
 
 def dual_certificate(graph: ProofGraph, flow: dict[int, Fraction]) -> DualCertificate:
     """Multipliers ``balance(u)/balance(goal)`` and ``flow(w)/balance(goal)``,
-    read off one sweep of integer balance numerators: negative exactly at
-    the sources, and omitted where the balance is 0.
-    :func:`verify_dual_certificate` checks the combination."""
-    if not verify_flow(graph, flow):
-        raise NotWitnessError("flow assignment does not witness the proof")
+    read off the same sweep of integer balance numerators that checks the
+    witness: negative exactly at the sources, and omitted where the balance
+    is 0.  :func:`verify_dual_certificate` checks the combination."""
     bal, den = balance_numerators(graph, flow)
+    if not _witnessed(graph, flow, bal):
+        raise NotWitnessError("flow assignment does not witness the proof")
     goal_num = bal[graph.goal_id]
     scale = Fraction(den, goal_num)
     return DualCertificate({u: Fraction(b, goal_num) for u, b in bal.items() if b},

@@ -1,6 +1,8 @@
 """Circular pre-proof graphs: rules axiom / symmetric cut / split, plus local
-rule validation, the balances of a flow, and DOT export.  A flow is a plain
-``dict`` from each inference-vertex id to a positive ``Fraction``.
+rule validation, DOT export, and :func:`balance_numerators`, the one reader of
+a flow's balances, whose signs mark the sources (negative) and sinks
+(positive).  A flow is a plain ``dict`` from each inference-vertex id to a
+positive ``Fraction``.
 
 A proof graph is a directed bipartite graph between formula vertices (each
 holding a clause) and inference vertices (each holding a rule), kept as two
@@ -200,21 +202,6 @@ def balance_numerators(graph: ProofGraph,
         for u in w.in_neighbors:
             acc[u] -= a
     return acc, den
-
-
-def balances(graph: ProofGraph, flow: dict[int, Fraction]) -> dict[int, Fraction]:
-    """Inflow minus outflow of every formula vertex (see :func:`balance_numerators`)."""
-    acc, den = balance_numerators(graph, flow)
-    return {u: Fraction(a, den) for u, a in acc.items()}
-
-
-def sources_and_sinks(graph: ProofGraph,
-                      flow: dict[int, Fraction]) -> tuple[frozenset[int], frozenset[int]]:
-    """Partition formula vertices by balance sign; zero-balance vertices in neither."""
-    bal, _ = balance_numerators(graph, flow)
-    sources = frozenset(u for u, b in bal.items() if b < 0)
-    sinks = frozenset(u for u, b in bal.items() if b > 0)
-    return sources, sinks
 
 
 def _dot_quote(text: str) -> str:

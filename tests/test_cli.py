@@ -58,7 +58,7 @@ def test_check_names_a_starved_vertex(tmp_path, php_files, capsys):
     assert run(["check", proof, dropped]) == 1
     assert capsys.readouterr().out == (
         "supplied flows rejected: they do not witness the proof; "
-        "solving the flow program instead\n"
+        "looking for a witness instead\n"
         "NOT-WITNESSED\n"
         "  no flow assignment witnesses goal clause _|_\n"
         f"  vertex {fid} (x1 | x2) is used as a premise, derived by no inference, "

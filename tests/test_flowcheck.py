@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from circres import lp
+from circres import cli, flowcheck, lp, proofgraph
 from circres.core import Clause, CnfFormula, all_assignments, evaluate, implies_oracle
 from circres.flowcheck import (
     DualCertificate,
@@ -39,10 +39,11 @@ from circres.proofgraph import (
     ProofGraph,
     Rule,
     SPLIT,
-    balances,
-    sources_and_sinks,
+    balance_numerators,
     validate_rules,
 )
+from circres.sheraliadams import circular_to_sa
+from test_proofgraph import _fraction_balances
 
 
 def clause(*ints):
@@ -90,7 +91,8 @@ def test_acyclic_cut_witnessed():
     witnessed, flow = find_witness(graph)
     assert flow is not None
     assert verify_flow(graph, flow)
-    assert balances(witnessed, flow)[graph.goal_id] >= 1
+    bal, den = balance_numerators(witnessed, flow)
+    assert bal[graph.goal_id] >= den
 
 
 def test_php_construction_witnessed_by_program():
@@ -175,7 +177,7 @@ def test_find_witness_moves_the_goal_to_the_witnessed_copy():
         witnessed, found = find_witness(dup, supplied)
         assert witnessed.goal_id == graph.goal_id
         assert verify_flow(witnessed, found)
-        assert balances(witnessed, found)[witnessed.goal_id] == 1
+        assert _fraction_balances(witnessed, found)[witnessed.goal_id] == 1
 
 
 def test_find_witness_solves_past_rejected_flows():
@@ -204,12 +206,26 @@ def test_verify_flow_examples():
 
 
 def _witnesses(graph, flow):
-    """The definition of a witness, written from ``balances``: every flow
-    positive, the goal a sink, and every source labelled by a hypothesis."""
-    bal = balances(graph, flow)
+    """The definition of a witness, on balances summed as fractions: every
+    flow positive, the goal a sink, and every source labelled by a
+    hypothesis."""
+    if not graph.inference_vertices.keys() <= flow.keys():
+        raise IncompleteFlowError
+    bal = _fraction_balances(graph, flow)
     return (all(f > 0 for f in flow.values()) and bal[graph.goal_id] > 0
             and all(graph.formula_vertices[u] in graph.hypotheses
                     for u, b in bal.items() if b < 0))
+
+
+def _certificate(graph, flow):
+    """The dual certificate by its definition: ``balance/balance(goal)``
+    where the balance is nonzero, and ``flow/balance(goal)``."""
+    if not _witnesses(graph, flow):
+        raise NotWitnessError
+    bal = _fraction_balances(graph, flow)
+    goal = bal[graph.goal_id]
+    return DualCertificate({u: b / goal for u, b in bal.items() if b},
+                           {iid: flow[iid] / goal for iid in graph.inference_vertices})
 
 
 def _answer(check, graph, flow):
@@ -217,12 +233,14 @@ def _answer(check, graph, flow):
         return check(graph, flow)
     except IncompleteFlowError:
         return "incomplete"
+    except NotWitnessError:
+        return "not a witness"
 
 
 def test_verify_flow_is_its_definition():
     # Random proofs with random hypothesis subsets and goal moves, under
     # flows with zero, negative and fractional entries, extra keys and
-    # missing ones.
+    # missing ones; dual_certificate is checked on the same cases.
     rng = random.Random(34)
     answers = collections.Counter()
     for case in range(600):
@@ -249,8 +267,27 @@ def test_verify_flow_is_its_definition():
             flow[max(graph.inference_vertices) + 1] = Fraction(rng.randint(-1, 2))
         got = _answer(verify_flow, graph, flow)
         assert got == _answer(_witnesses, graph, flow), case
+        assert _answer(dual_certificate, graph, flow) == _answer(_certificate, graph, flow), case
         answers[got] += 1
     assert min(answers.values()) >= 50 and len(answers) == 3, answers
+
+
+def test_one_balance_sweep_per_question(monkeypatch):
+    # One counting wrapper behind every binding of balance_numerators.
+    calls = []
+    sweep = proofgraph.balance_numerators
+
+    def counting(graph, flow):
+        calls.append(1)
+        return sweep(graph, flow)
+
+    for module in (proofgraph, flowcheck, cli):
+        monkeypatch.setattr(module, "balance_numerators", counting)
+    graph, flow = php_refutation(complete_bipartite(4, 3))
+    for question in (verify_flow, dual_certificate, circular_to_sa):
+        calls.clear()
+        question(graph, flow)
+        assert len(calls) == 1, question.__name__
 
 
 def test_find_witness_agrees_with_verify():
@@ -390,6 +427,11 @@ def test_integralize_clears_denominators():
     assert out == {0: Fraction(3), 1: Fraction(2)}
 
 
+def _signs(graph, flow):
+    """The sign of every balance: -1 at a source, 1 at a sink, 0 elsewhere."""
+    return {u: (b > 0) - (b < 0) for u, b in _fraction_balances(graph, flow).items()}
+
+
 def test_integralize_preserves_source_sink_sets():
     rng = random.Random(7)
     for seed in range(60):
@@ -400,7 +442,7 @@ def test_integralize_preserves_source_sink_sets():
             noisy = flow
         out = integralize(graph, noisy)
         assert all(f.denominator == 1 and f > 0 for f in out.values())
-        assert sources_and_sinks(graph, noisy) == sources_and_sinks(graph, out)
+        assert _signs(graph, noisy) == _signs(graph, out)
 
 
 def test_integralize_unchanged_when_integral():
@@ -515,14 +557,14 @@ def test_dual_certificate_php_and_random():
     cases += [random_circular_proof(seed, 6, 9) for seed in range(60)]
     for graph, flow in cases:
         cert = dual_certificate(graph, flow)
-        bal = balances(graph, flow)
+        bal = _fraction_balances(graph, flow)
         bs = bal[graph.goal_id]
         assert cert.formula_multipliers == {u: b / bs for u, b in bal.items() if b}
         assert cert.rule_multipliers == {iid: f / bs for iid, f in flow.items()}
         assert 0 not in cert.formula_multipliers.values()
         assert 0 not in cert.rule_multipliers.values()
         negative = {u for u, b in cert.formula_multipliers.items() if b < 0}
-        assert negative == sources_and_sinks(graph, flow)[0]
+        assert negative == {u for u, b in bal.items() if b < 0}
         assert {graph.formula_vertices[u] for u in negative} <= graph.hypotheses
         assert verify_dual_certificate(graph, cert)
 

@@ -20,7 +20,7 @@ from circres.generators import (
     random_circular_proof,
     unsound_cycle_example,
 )
-from circres.proofgraph import balances, validate_rules
+from circres.proofgraph import balance_numerators, validate_rules
 
 
 def clause(*ints):
@@ -69,7 +69,8 @@ def test_php_refutation_small():
     graph, flow = php_refutation(g)
     assert validate_rules(graph) == []
     assert verify_flow(graph, flow)
-    assert balances(graph, flow)[graph.goal_id] == 1
+    bal, den = balance_numerators(graph, flow)
+    assert bal[graph.goal_id] == den
 
 
 def test_php_refutation_balance_and_sources():
@@ -79,8 +80,8 @@ def test_php_refutation_balance_and_sources():
         graph, flow = php_refutation(g)
         assert validate_rules(graph) == []
         assert verify_flow(graph, flow)
-        bal = balances(graph, flow)
-        assert bal[graph.goal_id] == 1  # pigeons minus holes
+        bal, den = balance_numerators(graph, flow)
+        assert bal[graph.goal_id] == den  # pigeons minus holes
         php_clauses = set(cnf.clauses)
         for fid, c in graph.formula_vertices.items():
             if bal[fid] < 0:
