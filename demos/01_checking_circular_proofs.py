@@ -19,6 +19,7 @@ from circres import (
     unsound_cycle_example,
     verify_flow,
 )
+from circres.proofgraph import CUT
 
 
 def show(graph, flow=None):
@@ -38,13 +39,14 @@ def show(graph, flow=None):
 
 
 print("A sound derivation of (x2) from (x2 | x1) and (x2 | ~x1):")
-# The builder takes each clause as its mask.
+# The builder takes each clause as its mask and each rule over vertex ids.
+left_mask, right_mask = Clause.from_ints(2, 1).mask, Clause.from_ints(2, -1).mask
 b = ProofGraphBuilder()
-left = b.vertex(Clause.from_ints(2, 1).mask)
-right = b.vertex(Clause.from_ints(2, -1).mask)
-b.mark_hypothesis(left)
-b.mark_hypothesis(right)
-goal = b.cut(left, right, Clause.from_ints(2).mask, principal=1)
+left = b.vertex(left_mask)
+right = b.vertex(right_mask)
+b.mark_hypotheses({left_mask, right_mask})
+goal = b.vertex(Clause.from_ints(2).mask)
+b.inference(CUT, 1, (left, right), (goal,))
 b.set_goal(goal)
 graph, flow = b.build()
 show(graph, flow)

@@ -11,7 +11,8 @@ hole, every inference carrying flow 1:
 
 Identifying equal clause labels across pieces makes every ``~edge`` vertex
 balance to zero, leaves the pigeon and hole clauses as the only sources, and
-gives the empty clause balance ``|U| - |V| > 0``.
+gives the empty clause balance ``|U| - |V| > 0``.  Every generator holds its
+clauses as masks and builds with ``vertex`` and ``inference`` alone.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Optional, Sequence
 
 from .core import MAX_VARIABLE, Clause, CnfFormula, literal_key
 from .proofgraph import (
+    AXIOM,
     CUT,
     SPLIT,
     ProofGraph,
@@ -232,7 +234,8 @@ def unsound_cycle_example() -> ProofGraph:
     assignment witnesses the refutation.
     """
     b = ProofGraphBuilder()
-    taut = b.axiom(1)
+    taut = b.vertex(3 << 2)  # x1 | ~x1
+    b.inference(AXIOM, 1, (), (taut,))
     x, nx = b.vertex(1 << 2), b.vertex(2 << 2)  # x1 and ~x1
     b.inference(CUT, 1, (x, taut), (x,))
     b.inference(CUT, 1, (taut, nx), (nx,))
@@ -267,16 +270,15 @@ def _demand_flows(graph: ProofGraph) -> dict[int, Fraction]:
 MAX_STALLED_DRAWS = 10_000
 
 
-def _free_variable(rng: random.Random, clause: Clause, num_vars: int) -> Optional[int]:
-    """A uniform draw among the variables ``1..num_vars`` that ``clause``, not
-    tautological, lacks, or None if it has them all.  The k-th such variable
-    is found from the clause's own bits, one per variable, in increasing
-    order, by the one draw that ``rng.choice`` over the list of them would
-    make."""
-    free = num_vars - clause.width
+def _free_variable(rng: random.Random, mask: int, num_vars: int) -> Optional[int]:
+    """A uniform draw among the variables ``1..num_vars`` that clause ``mask``,
+    not tautological, lacks, or None if it has them all: the k-th of them,
+    found by stepping past the mask's bits in increasing order, for the one
+    draw that ``rng.choice`` over the list of them would make."""
+    free = num_vars - mask.bit_count()
     if not free:
         return None
-    x, mask = rng.randrange(free) + 1, clause.mask
+    x = rng.randrange(free) + 1
     while mask:
         bit = mask & -mask
         if bit.bit_length() - 1 >> 1 <= x:
@@ -291,12 +293,15 @@ def random_circular_proof(
     size_budget: int,
     max_width: int = 4,
 ) -> tuple[ProofGraph, dict[int, Fraction]]:
-    """Deterministic random witnessed proof with ``size_budget`` inferences.
+    """Deterministic random witnessed proof with ``size_budget - 2`` to
+    ``size_budget + 1`` inferences.
 
-    Built dag-like (every consequent vertex is created by its rule), flows
-    assigned newest-first to keep all derived balances nonnegative and the
-    goal balance at least 1, then optionally rewired with a balance-neutral
-    split/cut cycle.  Always passes rule validation and the flow check.
+    Built dag-like (every consequent vertex is created by its rule) up to
+    ``size_budget`` inferences, or 2 fewer when a balance-neutral split/cut
+    cycle is due, which adds 2 unless it merges or finds no clause to pump;
+    padding a goal that is a hypothesis adds 1.  Flows are assigned
+    newest-first to keep all derived balances nonnegative and the goal
+    balance at least 1.  Always passes rule validation and the flow check.
     Inferences of equal shape merge, so once every reachable inference exists
     no draw adds one; ``ValueError`` is raised after :data:`MAX_STALLED_DRAWS`
     such draws in a row.
@@ -313,7 +318,9 @@ def random_circular_proof(
     if size_budget == 1:
         if max_width < 2:
             raise ValueError(f"size budget 1 is one axiom, of width 2 > max width {max_width}")
-        out = b.axiom(rng.randint(1, num_vars))
+        x = rng.randint(1, num_vars)
+        out = b.vertex(3 << 2 * x)
+        b.inference(AXIOM, x, (), (out,))
         b.set_goal(out)
         graph, _ = b.build()
         return graph, _demand_flows(graph)
@@ -321,22 +328,20 @@ def random_circular_proof(
     # Hypotheses: a few short proper clauses.
     hyp_width = max(1, min(max_width - 1, 2))
     n_hyp = rng.randint(1, 3)
-    pool: list[int] = []
-    hyp_masks: set[int] = set()
+    pool: list[int] = []  # the mask of every vertex the draws make, in order
     for _ in range(n_hyp):
         k = rng.randint(1, hyp_width)
         vs = rng.sample(range(1, num_vars + 1), min(k, num_vars))
         mask = sum(1 << literal_key(v if rng.random() < 0.5 else -v) for v in vs)
-        fid = b.vertex(mask)
-        b.mark_hypothesis(fid)
-        hyp_masks.add(mask)
-        if fid not in pool:
-            pool.append(fid)
+        if mask not in pool:
+            b.vertex(mask)
+            pool.append(mask)
+    hyp_masks = frozenset(pool)
+    b.mark_hypotheses(hyp_masks)
 
     derived: list[int] = []
     want_pump = size_budget >= 4 and rng.random() < 0.5
     budget = size_budget - (2 if want_pump else 0)
-    clause_of = b.clause_at
 
     stalled, seen = 0, -1
     while b.num_inferences < budget:
@@ -349,80 +354,74 @@ def random_circular_proof(
         seen = b.num_inferences
         roll = rng.random()
         if roll < 0.15 and max_width >= 2:
-            out = b.axiom(rng.randint(1, num_vars))
+            x = rng.randint(1, num_vars)
+            out = 3 << 2 * x
+            b.inference(AXIOM, x, (), (b.vertex(out),))
             if out not in pool:
                 pool.append(out)
                 derived.append(out)
             continue
         if roll < 0.60:
-            fid = rng.choice(pool)
-            c = clause_of(fid)
+            c = rng.choice(pool)
             # Weakening a tautology would create non-elementary tautological
             # clauses, which the polynomial translation cannot encode.
-            if c.width >= max_width or c.is_tautological:
+            if c.bit_count() >= max_width or Clause(c).is_tautological:
                 continue
             x = _free_variable(rng, c, num_vars)
             if x is None:
                 continue
-            both = rng.random() < 0.6
-            keep_pos = both or rng.random() < 0.5
-            outs = b.split(
-                fid, x,
-                keep_positive=both or keep_pos,
-                keep_negative=both or not keep_pos,
-            )
+            pos, neg = c | 1 << 2 * x, c | 2 << 2 * x
+            if rng.random() < 0.6:
+                outs = (pos, neg)
+            else:
+                outs = (pos,) if rng.random() < 0.5 else (neg,)
+            b.inference(SPLIT, x, (b.vertex(c),), tuple(b.vertex(out) for out in outs))
             for out in outs:
                 if out not in pool:
                     pool.append(out)
                 derived.append(out)
             continue
         # Cut: look for a resolvable pair already in the pool.
-        fid = rng.choice(pool)
-        c = clause_of(fid)
-        if not c.mask:
+        c = rng.choice(pool)
+        if not c:
             continue
-        rest = c.mask
-        for _ in range(rng.choice(range(c.width))):  # drop the k lowest literals
+        rest = c
+        for _ in range(rng.choice(range(c.bit_count()))):  # drop the k lowest literals
             rest &= rest - 1
         bit = rest & -rest  # the k-th literal in canonical order
         x, negative = divmod(bit.bit_length() - 1, 2)
-        side = c.mask ^ bit
-        pid = b.lookup(side | (bit >> 1 if negative else bit << 1))
-        if pid is None or pid not in pool:
+        side = c ^ bit
+        other = side | (bit >> 1 if negative else bit << 1)
+        if other not in pool:
             continue
-        pos_id, neg_id = (pid, fid) if negative else (fid, pid)
-        out = b.cut(pos_id, neg_id, side, x)
-        if out not in pool:
-            pool.append(out)
-        derived.append(out)
+        pos, neg = (other, c) if negative else (c, other)
+        b.inference(CUT, x, (b.vertex(pos), b.vertex(neg)), (b.vertex(side),))
+        if side not in pool:
+            pool.append(side)
+        derived.append(side)
 
     # A useful goal is derived, proper, and not itself a hypothesis clause
     # (hypothesis vertices absorb demand instead of accumulating balance).
-    goal_candidates = [
-        fid
-        for fid in dict.fromkeys(derived)
-        if not clause_of(fid).is_tautological and clause_of(fid).mask not in hyp_masks
-    ]
-    if goal_candidates:
-        b.set_goal(goal_candidates[-1])
+    goal = next((m for m in reversed(dict.fromkeys(derived))
+                 if not Clause(m).is_tautological and m not in hyp_masks), None)
+    if goal is not None:
+        b.set_goal(b.vertex(goal))
     else:
         # Force one derivation: the identity proof of the first hypothesis.
-        b.pad_identity(clause_of(pool[0]).mask)
+        b.pad_identity(pool[0])
 
     if want_pump:
         pumpable = [
-            fid for fid in pool
-            if not clause_of(fid).is_tautological
-            and clause_of(fid).width < min(max_width, num_vars)
+            m for m in pool
+            if not Clause(m).is_tautological and m.bit_count() < min(max_width, num_vars)
         ]
         if pumpable:
-            fid = rng.choice(pumpable)
-            c = clause_of(fid)
-            x = next(v for v in range(1, num_vars + 1) if not c.mask >> 2 * v & 3)
+            c = rng.choice(pumpable)
+            x = next(v for v in range(1, num_vars + 1) if not c >> 2 * v & 3)
             p = Fraction(rng.randint(1, 3))
-            pos, neg = b.vertex(c.mask | 1 << 2 * x), b.vertex(c.mask | 2 << 2 * x)
-            b.inference(SPLIT, x, (fid,), (pos, neg), flow=p)
-            b.inference(CUT, x, (pos, neg), (fid,), flow=p)
+            src, pos, neg = b.vertex(c), b.vertex(c | 1 << 2 * x), b.vertex(c | 2 << 2 * x)
+            b.inference(SPLIT, x, (src,), (pos, neg), flow=p)
+            b.inference(CUT, x, (pos, neg), (src,), flow=p)
 
     graph, _ = b.build()
     # Demand propagation assigns the pump pair equal flows on its own, so the

@@ -239,14 +239,8 @@ def export_dot(graph: ProofGraph, flow: Optional[dict[int, Fraction]] = None) ->
 
 
 class ProofGraphBuilder:
-    """Incremental construction of a proof graph and its flows.
-
-    Every clause it takes is a mask (see :mod:`circres.core`), and its one
-    memo maps each mask to the first vertex that carries it: ``vertex(mask)``
-    reuses that vertex unless ``fresh=True``.  A ``Clause`` is made only when
-    a vertex is stored.  Inference vertices of identical shape are merged and
-    their flows summed, which keeps patched constructions compact.
-    """
+    """Incremental construction of a proof graph and its flows, from clause
+    masks (see :mod:`circres.core`); ids are in creation order."""
 
     def __init__(self) -> None:
         self._formulas: list[Clause] = []
@@ -258,6 +252,8 @@ class ProofGraphBuilder:
         self._goal: Optional[int] = None
 
     def vertex(self, mask: int, fresh: bool = False) -> int:
+        """The id of the first vertex stored for ``mask`` (one memo), or of a
+        new one, with its ``Clause``, when there is none or ``fresh=True``."""
         if not fresh and mask in self._by_mask:
             return self._by_mask[mask]
         fid = len(self._formulas)
@@ -273,6 +269,9 @@ class ProofGraphBuilder:
         outs: Sequence[int],
         flow: Fraction | int = 1,
     ) -> int:
+        """The id of the rule from vertices ``ins`` to ``outs``, merged with an
+        earlier one of identical shape (rule, sorted ids) by summing flows.
+        A repeated consequent stays, for :func:`validate_rules` to report."""
         shape = (kind, principal, tuple(sorted(ins)), tuple(sorted(outs)))
         if shape in self._by_shape:
             iid = self._by_shape[shape]
@@ -283,39 +282,6 @@ class ProofGraphBuilder:
         self._by_shape[shape] = iid
         self._flows[iid] = flow if type(flow) is Fraction else Fraction(flow)
         return iid
-
-    def axiom(self, variable: int, flow: Fraction | int = 1) -> int:
-        out = self.vertex(3 << 2 * variable)
-        self.inference(AXIOM, variable, (), (out,), flow)
-        return out
-
-    def split(
-        self,
-        source_id: int,
-        principal: int,
-        keep_positive: bool = True,
-        keep_negative: bool = True,
-        flow: Fraction | int = 1,
-    ) -> tuple[int, ...]:
-        side, pos = self._formulas[source_id].mask, 1 << 2 * principal
-        outs: list[int] = []
-        if keep_positive:
-            outs.append(self.vertex(side | pos))
-        if keep_negative:
-            outs.append(self.vertex(side | pos << 1))
-        if len(outs) == 2 and outs[0] == outs[1]:
-            outs = outs[:1]
-        self.inference(SPLIT, principal, (source_id,), tuple(outs), flow)
-        return tuple(outs)
-
-    def cut(self, pos_id: int, neg_id: int, side_mask: int, principal: int,
-            flow: Fraction | int = 1) -> int:
-        out = self.vertex(side_mask)
-        self.inference(CUT, principal, (pos_id, neg_id), (out,), flow)
-        return out
-
-    def mark_hypothesis(self, fid: int) -> None:
-        self._hypotheses.add(self._formulas[fid])
 
     def mark_hypotheses(self, masks: Container[int]) -> None:
         """Make a hypothesis of each vertex clause whose mask is in ``masks``."""
@@ -345,12 +311,6 @@ class ProofGraphBuilder:
             self.inference(SPLIT, 1, (source,), (pos, neg), flow)
             self.inference(CUT, 1, (pos, neg), (fresh,), flow)
         self.set_goal(fresh)
-
-    def lookup(self, mask: int) -> Optional[int]:
-        return self._by_mask.get(mask)
-
-    def clause_at(self, fid: int) -> Clause:
-        return self._formulas[fid]
 
     @property
     def num_inferences(self) -> int:

@@ -38,12 +38,13 @@ from circres.proofgraph import (
     ProofGraphBuilder,
     ProofGraph,
     Rule,
+    CUT,
     SPLIT,
     balance_numerators,
     validate_rules,
 )
 from circres.sheraliadams import circular_to_sa
-from test_proofgraph import _fraction_balances
+from test_proofgraph import _fraction_balances, single_cut
 
 
 def clause(*ints):
@@ -58,25 +59,14 @@ def uniform(graph):
     return dict.fromkeys(graph.inference_vertices, Fraction(1))
 
 
-def single_cut():
-    b = ProofGraphBuilder()
-    x = b.vertex(mask(1))
-    nx = b.vertex(mask(-1))
-    b.mark_hypothesis(x)
-    b.mark_hypothesis(nx)
-    e = b.cut(x, nx, 0, 1)
-    b.set_goal(e)
-    return b.build()
-
-
 def weakening_proof():
     # (x2) from {(x2 | x1), (x2 | ~x1)} by one cut.
     b = ProofGraphBuilder()
     a = b.vertex(mask(2, 1))
     c = b.vertex(mask(2, -1))
-    b.mark_hypothesis(a)
-    b.mark_hypothesis(c)
-    out = b.cut(a, c, mask(2), 1)
+    b.mark_hypotheses({mask(2, 1), mask(2, -1)})
+    out = b.vertex(mask(2))
+    b.inference(CUT, 1, (a, c), (out,))
     b.set_goal(out)
     return b.build()
 
@@ -418,9 +408,11 @@ def test_contrapositive_unimplied_goal_never_witnessed():
 def test_integralize_clears_denominators():
     b = ProofGraphBuilder()
     src = b.vertex(mask(1))
-    b.mark_hypothesis(src)
-    (mid,) = b.split(src, 2, keep_negative=False, flow=Fraction(1, 2))
-    (top,) = b.split(mid, 3, keep_negative=False, flow=Fraction(1, 3))
+    b.mark_hypotheses({mask(1)})
+    mid = b.vertex(mask(1, 2))
+    b.inference(SPLIT, 2, (src,), (mid,), flow=Fraction(1, 2))
+    top = b.vertex(mask(1, 2, 3))
+    b.inference(SPLIT, 3, (mid,), (top,), flow=Fraction(1, 3))
     b.set_goal(top)
     graph, flow = b.build()
     out = integralize(graph, flow)

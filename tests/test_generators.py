@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import random
 import time
@@ -193,9 +194,9 @@ def test_random_proof_does_not_scale_with_the_variable_count():
     assert verify_flow(graph, flow)
 
 
-def _listed_draw(rng, clause, num_vars):
+def _listed_draw(rng, mask, num_vars):
     """The split's draw as ``rng.choice`` over the listed free variables."""
-    candidates = [v for v in range(1, num_vars + 1) if not clause.mask >> 2 * v & 3]
+    candidates = [v for v in range(1, num_vars + 1) if not mask >> 2 * v & 3]
     return rng.choice(candidates) if candidates else None
 
 
@@ -212,6 +213,32 @@ def test_random_proof_draws_as_the_listed_draw(monkeypatch, num_vars, budget, ma
     drawn = [_outcome(seed, num_vars, budget, max_width) for seed in range(60)]
     monkeypatch.setattr(generators, "_free_variable", _listed_draw)
     assert [_outcome(seed, num_vars, budget, max_width) for seed in range(60)] == drawn
+
+
+# One digest of the generator's output over a grid of seeds and shapes
+# (seed, vars, budget, max width), each proof serialized with its flows or
+# replaced by its error text, then the unsound cycle; recorded before the
+# generator moved from vertex ids to clause masks.
+GRID_SHAPES = [(6, 12, 4), (3, 8, 4), (4, 20, 3), (8, 30, 5), (2, 5, 2), (5, 1, 4), (1, 4, 3)]
+GRID_SHA256 = "4f1fb920b5c51df98fc03a374acea5246c676d903bcfe409e08898b826ac7659"
+
+
+def test_random_proof_grid_is_pinned():
+    outputs = []
+    for seed in range(30):
+        for num_vars, budget, max_width in GRID_SHAPES:
+            try:
+                graph, flow = random_circular_proof(seed, num_vars, budget, max_width)
+            except ValueError as exc:
+                outputs.append(str(exc))
+                continue
+            # The loop stops at the budget, less 2 when a pump pair is due;
+            # the identity padding adds one inference and the pump pair up
+            # to two.
+            assert budget - 2 <= len(graph.inference_vertices) <= budget + 1
+            outputs.append(serialize_cres(graph, flow, []))
+    outputs.append(serialize_cres(unsound_cycle_example()))
+    assert hashlib.sha256("\n".join(outputs).encode()).hexdigest() == GRID_SHA256
 
 
 def test_random_proofs_always_check():

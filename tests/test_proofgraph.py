@@ -38,9 +38,9 @@ def single_cut():
     b = ProofGraphBuilder()
     x = b.vertex(mask(1))
     nx = b.vertex(mask(-1))
-    b.mark_hypothesis(x)
-    b.mark_hypothesis(nx)
-    e = b.cut(x, nx, 0, 1)
+    b.mark_hypotheses({mask(1), mask(-1)})
+    e = b.vertex(0)
+    b.inference(CUT, 1, (x, nx), (e,))
     b.set_goal(e)
     return b.build()
 
@@ -49,7 +49,8 @@ def test_valid_cut_template():
     b = ProofGraphBuilder()
     a = b.vertex(mask(1, 2))
     c = b.vertex(mask(1, -2))
-    out = b.cut(a, c, mask(1), 2)
+    out = b.vertex(mask(1))
+    b.inference(CUT, 2, (a, c), (out,))
     b.set_goal(out)
     graph, _ = b.build()
     assert validate_rules(graph) == []
@@ -78,15 +79,23 @@ def test_collapsing_split_is_valid():
     assert validate_rules(graph) == []
 
 
-def test_builder_split_of_a_tautology_on_its_variable_keeps_one_consequent():
-    # Both x1 | ~x1 | x1 and x1 | ~x1 | ~x1 are the antecedent itself.
+def test_builder_split_of_a_tautology_on_its_variable_with_one_consequent():
+    # Both x1 | ~x1 | x1 and x1 | ~x1 | ~x1 are the antecedent itself, so
+    # the split has one consequent, the antecedent.
     b = ProofGraphBuilder()
-    taut = b.axiom(1)
-    assert b.split(taut, 1) == (taut,)
+    taut = b.vertex(mask(1, -1))
+    b.inference(AXIOM, 1, (), (taut,))
+    b.inference(SPLIT, 1, (taut,), (taut,))
     b.set_goal(taut)
     graph, _ = b.build()
     assert graph.inference_vertices[1].out_neighbors == (taut,)
     assert validate_rules(graph) == []
+    # The builder keeps a repeated consequent as given, for the rule check.
+    b.inference(SPLIT, 1, (taut,), (taut, taut))
+    graph, _ = b.build()
+    assert graph.inference_vertices[2].out_neighbors == (taut, taut)
+    assert [str(v) for v in validate_rules(graph)] == [
+        "inference 2: split consequents must be distinct"]
 
 
 def test_builder_requires_a_goal():
@@ -136,7 +145,8 @@ def test_validation_order_invariant():
 
 def test_balance_examples():
     b = ProofGraphBuilder()
-    out = b.axiom(1)
+    out = b.vertex(mask(1, -1))
+    b.inference(AXIOM, 1, (), (out,))
     b.set_goal(out)
     graph, flow = b.build()
     assert balance_numerators(graph, flow) == ({out: 1}, 1)
@@ -162,9 +172,11 @@ def test_unsound_cycle_balances_always_negative():
 def test_pass_through_balance_zero():
     b = ProofGraphBuilder()
     src = b.vertex(mask(1))
-    b.mark_hypothesis(src)
-    (mid,) = b.split(src, 2, keep_negative=False, flow=3)
-    (top,) = b.split(mid, 3, keep_negative=False, flow=3)
+    b.mark_hypotheses({mask(1)})
+    mid = b.vertex(mask(1, 2))
+    b.inference(SPLIT, 2, (src,), (mid,), flow=3)
+    top = b.vertex(mask(1, 2, 3))
+    b.inference(SPLIT, 3, (mid,), (top,), flow=3)
     b.set_goal(top)
     graph, flow = b.build()
     assert balance_numerators(graph, flow)[0][mid] == 0

@@ -13,7 +13,14 @@ from circres.core import Clause, CnfFormula, implies_oracle, literal_key
 from circres.flowcheck import find_witness, verify_flow
 from circres.formats import parse_sap, serialize_cres, serialize_sap
 from circres.generators import complete_bipartite, php_refutation, random_circular_proof
-from circres.proofgraph import SPLIT, ProofGraphBuilder, balance_numerators, validate_rules
+from circres.proofgraph import (
+    AXIOM,
+    CUT,
+    SPLIT,
+    ProofGraphBuilder,
+    balance_numerators,
+    validate_rules,
+)
 from circres.sheraliadams import (
     BASIC,
     HYPOTHESIS,
@@ -306,9 +313,10 @@ def _single_cut_builder():
     b = ProofGraphBuilder()
     x = b.vertex(mask(1))
     nx = b.vertex(mask(-1))
-    b.mark_hypothesis(x)
-    b.mark_hypothesis(nx)
-    b.set_goal(b.cut(x, nx, 0, 1))
+    b.mark_hypotheses({mask(1), mask(-1)})
+    goal = b.vertex(0)
+    b.inference(CUT, 1, (x, nx), (goal,))
+    b.set_goal(goal)
     return b
 
 
@@ -367,10 +375,10 @@ def test_translate_suppressed_split_negative_branch():
     # principal.
     b = ProofGraphBuilder()
     hyp_v = b.vertex(mask(2))
-    b.mark_hypothesis(hyp_v)
-    (neg_out,) = b.split(hyp_v, 1, keep_positive=False)
+    neg_out = b.vertex(mask(2, -1))
+    b.inference(SPLIT, 1, (hyp_v,), (neg_out,))
     pos_v = b.vertex(mask(2, 1))
-    b.mark_hypothesis(pos_v)
+    b.mark_hypotheses({mask(2), mask(2, 1)})
     goal = b.vertex(mask(2), fresh=True)
     b.inference("cut", 1, (pos_v, neg_out), (goal,))
     b.set_goal(goal)
@@ -387,9 +395,10 @@ def test_translate_collapsed_cut_through_tautology():
     # unit: antecedents {(x1 | ~x1), (~x1)}, consequent (~x1).  The side
     # clause contains the principal variable, the collapsed shape.
     b = ProofGraphBuilder()
-    taut = b.axiom(1)
+    taut = b.vertex(mask(1, -1))
+    b.inference(AXIOM, 1, (), (taut,))
     unit = b.vertex(mask(-1))
-    b.mark_hypothesis(unit)
+    b.mark_hypotheses({mask(-1)})
     fresh = b.vertex(mask(-1), fresh=True)
     b.inference("cut", 1, (taut, unit), (fresh,))
     b.set_goal(fresh)
@@ -405,7 +414,8 @@ def test_translate_collapsed_cut_through_tautology():
 
 def test_translate_rejects_tautological_goal():
     b = ProofGraphBuilder()
-    out = b.axiom(1)
+    out = b.vertex(mask(1, -1))
+    b.inference(AXIOM, 1, (), (out,))
     b.set_goal(out)
     graph, flow = b.build()
     with pytest.raises(TautologicalClauseError):
@@ -414,7 +424,8 @@ def test_translate_rejects_tautological_goal():
 
 def test_translate_rejects_tautological_hypothesis():
     b = _single_cut_builder()
-    b.mark_hypothesis(b.vertex(mask(3, -3)))
+    b.vertex(mask(3, -3))
+    b.mark_hypotheses({mask(3, -3)})
     graph, flow = b.build()
     assert verify_flow(graph, flow)
     with pytest.raises(TautologicalClauseError, match="^tautological hypothesis x3 \\| ~x3$"):
@@ -424,7 +435,10 @@ def test_translate_rejects_tautological_hypothesis():
 def test_translate_rejects_non_elementary_tautology():
     # The axiom x3 | ~x3 split on x4 leaves the sink x3 | ~x3 | x4.
     b = _single_cut_builder()
-    (sink,) = b.split(b.axiom(3), 4, keep_negative=False)
+    taut = b.vertex(mask(3, -3))
+    b.inference(AXIOM, 3, (), (taut,))
+    sink = b.vertex(mask(3, -3, 4))
+    b.inference(SPLIT, 4, (taut,), (sink,))
     graph, flow = b.build()
     bal, den = balance_numerators(graph, flow)
     assert verify_flow(graph, flow) and bal[sink] == den
@@ -671,15 +685,16 @@ def _collapsed_split(keep_unit, keep_tautology):
     both.  A kept copy of (x1) feeds the cut; a kept tautology is a sink."""
     b = ProofGraphBuilder()
     unit, neg = b.vertex(mask(1)), b.vertex(mask(-1))
-    b.mark_hypothesis(unit)
-    b.mark_hypothesis(neg)
+    b.mark_hypotheses({mask(1), mask(-1)})
     outs = []
     if keep_unit:
         outs.append(b.vertex(mask(1), fresh=True))
     if keep_tautology:
         outs.append(b.vertex(mask(1, -1)))
     b.inference(SPLIT, 1, (unit,), tuple(outs))
-    b.set_goal(b.cut(outs[0] if keep_unit else unit, neg, 0, 1))
+    goal = b.vertex(0)
+    b.inference(CUT, 1, (outs[0] if keep_unit else unit, neg), (goal,))
+    b.set_goal(goal)
     return b.build()
 
 

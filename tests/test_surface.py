@@ -127,6 +127,14 @@ def test_the_walk_sees_functions_and_methods():
     assert "of" in attributes and "C.of" not in attributes  # D.of is another class's
 
 
+def test_the_proof_builder_has_one_way_to_add_each_part():
+    # The walk above matches methods by attribute name, so a builder method
+    # named like one of another type (``str.split``) would count as used.
+    public = {name for name in vars(circres.ProofGraphBuilder) if not name.startswith("_")}
+    assert public == {"vertex", "inference", "mark_hypotheses", "set_goal", "pad_identity",
+                      "num_inferences", "build"}
+
+
 def _cli_options() -> dict[str, list[tuple[str, ...]]]:
     """The option strings of each option of each subcommand, ``--help`` aside."""
     parser = cli._build_parser()
