@@ -418,10 +418,10 @@ def random_circular_proof(
         if pumpable:
             c = rng.choice(pumpable)
             x = next(v for v in range(1, num_vars + 1) if not c >> 2 * v & 3)
-            p = Fraction(rng.randint(1, 3))
+            rng.randint(1, 3)  # a flow no longer used, drawn to keep the seeded stream
             src, pos, neg = b.vertex(c), b.vertex(c | 1 << 2 * x), b.vertex(c | 2 << 2 * x)
-            b.inference(SPLIT, x, (src,), (pos, neg), flow=p)
-            b.inference(CUT, x, (pos, neg), (src,), flow=p)
+            b.inference(SPLIT, x, (src,), (pos, neg))
+            b.inference(CUT, x, (pos, neg), (src,))
 
     graph, _ = b.build()
     # Demand propagation assigns the pump pair equal flows on its own, so the

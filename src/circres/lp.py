@@ -22,6 +22,8 @@ Implementation notes, none of which change the results:
 * Rows are integers from :meth:`LinearProgram.add_geq` on: it stores an
   integer row as given and multiplies a rational row once by the lcm of its
   denominators, so ``lp.rows`` and any certificate refer to the scaled rows.
+  A caller that has its rows in that form already passes them, and the
+  bounds, to the constructor, which checks their variable indices once.
 * A variable with a declared lower bound ``x_j >= l`` (from
   :meth:`LinearProgram.add_lower`) is substituted as ``x_j = l + x'_j`` with
   ``x'_j >= 0``; every row of ``lp.rows`` is a tableau row, a one-entry row
@@ -36,19 +38,24 @@ Implementation notes, none of which change the results:
   integer row operation to ``M`` alone, so nothing fills in.  Each entry the
   walk reads is the full tableau's integer, so the walk, ``den``, the point
   and the certificate are the full tableau's.
-* The leaving row's structural entries ``s = M[r] . A`` are summed as big
-  integers, 64 variables to a block.  The first time row ``t`` of
-  ``lp.rows`` is read it is packed into a ``{block: int}`` map, entry ``a``
-  of ``x_j`` as ``a << bits * (j % 64)``, and kept for the walk; block ``b``
-  of ``s`` is ``sum(M[r][t] * packed[t][b])``, one step per block of each
-  row rather than one per nonzero.  Lanes start at 8 bits.  When
-  ``sum(|M[r][t]| * max|A_t|)``, a bound on every ``|s[j]|``, reaches
-  ``2^(bits-2)``, ``bits`` doubles and the packed rows are dropped, so each
-  lane holds its entry exactly.  Adding ``2^(bits-1) - 1`` and ``2^(bits-1)``
-  to every lane sets a lane's top bit when its entry is positive and when it
-  is nonnegative, so a few masks mark the eligible lanes, and the lowest set
-  bit of the first nonzero mask, blocks read in ascending order, is the
-  least eligible column.
+* The leaving row's structural entries ``s = M[r] . A`` are summed as one
+  big integer with a lane of ``bits`` bits per variable.  The first time row
+  ``t`` of ``lp.rows`` is read it is packed into one integer, entry ``a`` of
+  ``x_j`` as ``a << bits * j``, and kept for the walk; ``s`` is
+  ``sum(M[r][t] * packed[t])``, one multiply-add per entry of ``M[r]``.
+  Lanes start at 8 bits.  When ``sum(|M[r][t]| * max|A_t|)``, a bound on
+  every ``|s[j]|``, reaches ``2^(bits-2)``, ``bits`` doubles and the packed
+  rows are dropped, so each lane holds its entry exactly; rows packed at a
+  width that stays are kept.  Adding ``2^(bits-1) - 1`` and ``2^(bits-1)``
+  to every lane sets a lane's top bit when its entry is positive and when
+  it is nonnegative (read only for a free variable's - column, so not at
+  all when every variable is bounded), so a few whole-integer masks mark
+  the eligible lanes, and their lowest set bit is the least eligible
+  column.
+* The violated rows are kept in a set and in a heap of ``(basis index,
+  row)`` pairs, one pushed whenever a row becomes violated; ``run`` drops a
+  stale pair when it reaches the top, so the leaving row is the
+  least-index violated row without a scan of the set.
 * The entering column visits only the rows that share a row index with it:
   ``where[t]`` is the set of rows ``i`` with ``M[i][t] != 0``, built at the
   first structural pivot and kept in step by both row operations.
@@ -65,11 +72,12 @@ Implementation notes, none of which change the results:
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 _ZERO = Fraction(0)  # every zero entry of a returned point or certificate
 
@@ -85,18 +93,26 @@ class Constraint(NamedTuple):
 class LinearProgram:
     """A ``>=`` system over ``num_vars`` rational variables; ``lower`` maps
     each variable with a declared lower bound to that integer, and every
-    other variable is free."""
+    other variable is free.  Rows given at construction are taken as
+    :meth:`add_geq` stores them: integer coefficients in increasing variable
+    order, none zero.  Their variable indices, and those of ``lower``, are
+    checked as :meth:`add_geq` and :meth:`add_lower` check them."""
 
     num_vars: int
     rows: list[Constraint] = field(default_factory=list)
     lower: dict[int, int] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        for row in self.rows:
+            self._check_row(row.coeffs)
+        for j in self.lower:
+            self._check(j)
+
     def add_geq(self, coeffs: Mapping[int, Fraction | int], rhs: Fraction | int = 0) -> None:
         """Append ``sum(coeffs[j] * x_j) >= rhs``, scaled to integers by the
         lcm of its denominators (an integer row is stored as given)."""
         items = sorted([(j, c) for j, c in coeffs.items() if c])
-        if items and not (0 <= items[0][0] and items[-1][0] < self.num_vars):
-            self._check(next(j for j, _ in items if not 0 <= j < self.num_vars))
+        self._check_row(items)
         if type(rhs) is not int or not all([type(c) is int for _, c in items]):
             scale = math.lcm(rhs.denominator, *(c.denominator for _, c in items))
             items = [(j, int(c * scale)) for j, c in items]
@@ -108,6 +124,11 @@ class LinearProgram:
         on ``x_j`` again replaces it."""
         self._check(j)
         self.lower[j] = operator.index(bound)
+
+    def _check_row(self, items: Sequence[tuple[int, Fraction | int]]) -> None:
+        """Reject the least out-of-range index of ``items``, sorted ``(j, c)`` pairs."""
+        if items and not (0 <= items[0][0] and items[-1][0] < self.num_vars):
+            self._check(next(j for j, _ in items if not 0 <= j < self.num_vars))
 
     def _check(self, j: int) -> None:
         if not 0 <= j < self.num_vars:
@@ -122,9 +143,10 @@ class _Tableau:
     the rows violated at the origin are exactly those with positive shifted
     right-hand side.  ``rows[i]`` maps each row ``t`` of ``lp.rows`` to the
     nonzero ``M[i][t]`` of ``M = den * B^-1``, where ``den`` is the positive
-    common denominator of the working state.  ``packed`` holds the rows of
-    ``lp.rows`` read so far as ``{block: int}`` maps at lanes of ``bits``
-    bits, and ``height`` each one's largest ``|coefficient|``.
+    common denominator of the working state.  ``packed[t]`` is row ``t`` of
+    ``lp.rows`` as one integer with a lane of ``bits`` bits per variable, or
+    None until it is read at that width, and ``height[t]`` its largest
+    ``|coefficient|``.
     """
 
     def __init__(self, lp: LinearProgram) -> None:
@@ -139,10 +161,13 @@ class _Tableau:
         self.basis = list(range(self.n_struct, self.n_struct + len(lp.rows)))
         self.rows = [{i: 1} for i in range(len(lp.rows))]
         self.negative = {i for i, v in enumerate(self.xb) if v < 0}
+        # A (basis index, row) pair for every violated row, and stale pairs.
+        self.heap = [(self.basis[i], i) for i in self.negative]
+        heapq.heapify(self.heap)
         self.col_var: list[tuple[int, int]] = []  # with first, cols and where, see _first
         self.bits, self.limit = 8, 0  # limit 0: the lane masks are made at first use
-        self.packed: dict[int, dict[int, int]] = {}
-        self.height: dict[int, int] = {}
+        self.packed: list[Optional[int]] = [None] * len(lp.rows)
+        self.height = [0] * len(lp.rows)
 
     # -- pivoting -------------------------------------------------------------
 
@@ -153,9 +178,14 @@ class _Tableau:
         column index with a negative entry there.  The least-index rule makes
         the walk finite.
         """
-        basis = self.basis
-        while self.negative:
-            r = min(self.negative, key=basis.__getitem__)
+        basis, negative, heap = self.basis, self.negative, self.heap
+        while negative:
+            k, r = heap[0]
+            if r not in negative or basis[r] != k:
+                # Stale: the row was repaired (every pivot repairs its row),
+                # and may be violated again under another basis index.
+                heapq.heappop(heap)
+                continue
             # Every structural column comes before every surplus one.
             c = self._structural(r)
             if c is not None:
@@ -171,58 +201,56 @@ class _Tableau:
         """Least structural column with a negative entry in row ``r``, or None.
 
         Row r's entries are -s[j] in x_j's + column and s[j] in its - column,
-        for s = M[r] . A; lane k of block b holds s[64 b + k] (see the module
+        for s = M[r] . A; lane j of the packed sum holds s[j] (see the module
         docstring).
         """
         packed, height = self.packed, self.height
-        acc: dict[int, int] = {}
-        get, bound = acc.get, 0
+        s = bound = 0
         for t, m in self.rows[r].items():
-            blocks = packed.get(t) or self._pack(t)
+            p = packed[t]
+            if p is None:
+                p = self._pack(t)
+            s += m * p
             bound += abs(m) * height[t]
-            for b, p in blocks.items():
-                acc[b] = get(b, 0) + m * p
         if bound >= self.limit:
             self._widen(bound)
             return self._structural(r)
-        tops, below, free = self.tops, self.below, self.free
-        for b in sorted(acc):
-            s = acc[b]
-            # A lane's top bit: s > 0 in s + 2^(bits-1) - 1, s >= 0 in s + 2^(bits-1).
-            positive = (s + below) & tops
-            eligible = positive | (free.get(b, 0) & ~(s + tops))
-            if eligible:
-                low = eligible & -eligible
-                j = 64 * b + low.bit_length() // self.bits - 1
-                return self._first(j) + (not positive & low)  # - column if s[j] < 0
-        return None
+        # A lane's top bit: s > 0 in s + 2^(bits-1) - 1, s >= 0 in s + 2^(bits-1).
+        positive = eligible = (s + self.below) & self.tops
+        if self.free:
+            eligible |= self.free & ~(s + self.tops)
+        if not eligible:
+            return None
+        low = eligible & -eligible
+        j = low.bit_length() // self.bits - 1
+        return self._first(j) + (not positive & low)  # - column if s[j] < 0
 
-    def _pack(self, t: int) -> dict[int, int]:
-        blocks: dict[int, int] = {}
-        bits, height = self.bits, 0
+    def _pack(self, t: int) -> int:
+        bits, packed, height = self.bits, 0, 0
         for j, a in self.lp.rows[t].coeffs:
-            b, k = divmod(j, 64)
-            blocks[b] = blocks.get(b, 0) + (a << bits * k)
-            height = max(height, abs(a))
-        self.packed[t], self.height[t] = blocks, height
-        return blocks
+            packed += a << bits * j
+            if abs(a) > height:
+                height = abs(a)
+        self.packed[t], self.height[t] = packed, height
+        return packed
 
     def _widen(self, bound: int) -> None:
-        """Double the lane width until ``bound < 2^(bits-2)``, and drop the
-        packed rows, which were packed at the old width."""
+        """Double the lane width until ``bound < 2^(bits-2)``, drop the packed
+        rows if it changed, and make the lane masks at the new width."""
         bits = self.bits
         while bound >> bits - 2:
             bits *= 2
+        if bits != self.bits:
+            self.packed = [None] * len(self.packed)
         self.bits, self.limit = bits, 1 << bits - 2
-        self.packed.clear()
-        ones = sum(1 << bits * k for k in range(64))
-        self.tops = ones << bits - 1
-        self.below = self.tops - ones
-        self.free: dict[int, int] = {}
-        for j in range(self.lp.num_vars):
-            if j not in self.lb:
-                b, k = divmod(j, 64)
-                self.free[b] = self.free.get(b, 0) | 1 << bits * k + bits - 1
+        # Lanes are whole bytes (bits is 8 times a power of 2), little-endian.
+        k, n = bits // 8, self.lp.num_vars
+        lanes = bytearray((bytes(k - 1) + b"\x80") * n)
+        self.tops = int.from_bytes(lanes, "little")
+        self.below = self.tops - int.from_bytes((b"\x01" + bytes(k - 1)) * n, "little")
+        for j in self.lb:
+            lanes[k * j + k - 1] = 0
+        self.free = int.from_bytes(lanes, "little")
 
     def _first(self, j: int) -> int:
         """Column of ``x_j``'s + part; the maps are built at the first use,
@@ -309,10 +337,11 @@ class _Tableau:
         self._note(r)
 
     def _note(self, i: int) -> None:
-        if self.xb[i] < 0:
-            self.negative.add(i)
-        else:
+        if self.xb[i] >= 0:
             self.negative.discard(i)
+        elif i not in self.negative:
+            self.negative.add(i)
+            heapq.heappush(self.heap, (self.basis[i], i))
 
     # -- results ---------------------------------------------------------------
 

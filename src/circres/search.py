@@ -219,23 +219,23 @@ def circular_search(
     clauses = _clause_masks(n, width)
 
     # b_D is a variable when D has a positive literal; the balance of each
-    # all-negative clause is a linear form in them (the module docstring).
+    # all-negative clause is a linear form in them (the module docstring),
+    # a list of (j, +-1) that is sorted as built, since j only grows.
     variables = [d for d in clauses if d & positive]
-    balance: dict[int, dict[int, int]] = {d: {} for d in clauses if not d & positive}
+    balance: dict[int, list[tuple[int, int]]] = {d: [] for d in clauses if not d & positive}
     for j, d in enumerate(variables):
         s = pos = d & positive
         while s:
-            balance[(d ^ pos) | (s << 1)][j] = 1 if s.bit_count() & 1 else -1
+            balance[(d ^ pos) | (s << 1)].append((j, 1 if s.bit_count() & 1 else -1))
             s = (s - 1) & pos
-        balance[d ^ pos][j] = -1
+        balance[d ^ pos].append((j, -1))
 
-    program = lp.LinearProgram(len(variables))
-    for j, d in enumerate(variables):
-        if d not in free:
-            program.add_lower(j, int(d == target))
-    for d, form in balance.items():
-        if d not in free:
-            program.add_geq(form, int(d == target))
+    program = lp.LinearProgram(
+        len(variables),
+        [lp.Constraint(tuple(form), int(d == target))
+         for d, form in balance.items() if d not in free],
+        {j: int(d == target) for j, d in enumerate(variables) if d not in free},
+    )
     point = lp.feasible(program)
     if point is None:
         # Width 0 admits no rule, not even the identity proof's split.
@@ -257,7 +257,7 @@ def circular_search(
     den = math.lcm(*(v.denominator for v in point))
     num = [v.numerator * (den // v.denominator) for v in point]
     residual = dict(zip(variables, num))
-    residual |= {d: sum([c * num[j] for j, c in form.items()]) for d, form in balance.items()}
+    residual |= {d: sum([c * num[j] for j, c in form]) for d, form in balance.items()}
     up = [0, *kept]
     b = ProofGraphBuilder()
     b.set_goal(b.vertex(goal.mask))

@@ -288,6 +288,60 @@ def test_find_witness_agrees_with_verify():
         assert verify_flow(graph, flow)
 
 
+def _with_collapsed_rules(graph, rng):
+    """``graph`` with one to three collapsed rules on nonempty vertices: a
+    cut of ``C`` and ``x | ~x`` onto ``C`` itself, or a split of ``C`` onto
+    ``C`` itself and ``x | ~x``, for a variable ``x`` of ``C``.  ``C`` is
+    premise and consequent of one inference, so its +1 and -1 cancel."""
+    formulas, inferences = dict(graph.formula_vertices), dict(graph.inference_vertices)
+    for _ in range(rng.randint(1, 3)):
+        fid = rng.choice([f for f, c in formulas.items() if c.width])
+        x = rng.choice(sorted(formulas[fid].variables()))
+        taut = len(formulas)
+        formulas[taut] = Clause.from_ints(x, -x)
+        if rng.random() < 0.5:
+            rule = InferenceVertex(Rule(CUT, x), (fid, taut), (fid,))
+        else:
+            rule = InferenceVertex(Rule(SPLIT, x), (fid,), (fid, taut))
+        inferences[len(inferences)] = rule
+    return dataclasses.replace(graph, formula_vertices=formulas, inference_vertices=inferences)
+
+
+def _reference_witness_program(graph):
+    """The flow program from its definition: column ``k`` is the balance of
+    every formula vertex under a flow of 1 on the ``k``-th inference and 0
+    elsewhere, and each row goes through ``add_geq``."""
+    order = sorted(graph.inference_vertices)
+    columns = [balance_numerators(graph, {i: Fraction(i == k) for i in order})[0]
+               for k in order]
+    program = lp.LinearProgram(len(order))
+    constrained = [graph.goal_id] + [
+        fid for fid, c in graph.formula_vertices.items()
+        if fid != graph.goal_id and c not in graph.hypotheses]
+    for fid in constrained:
+        program.add_geq({k: col[fid] for k, col in enumerate(columns)}, int(fid == graph.goal_id))
+    for k in range(len(order)):
+        program.add_lower(k, 1)
+    return program, order
+
+
+def test_witness_program_matches_definition():
+    rng = random.Random(11)
+    cancelled = 0
+    for seed in range(60):
+        graph, _ = random_circular_proof(seed, 5, rng.randint(2, 12))
+        graph = _with_collapsed_rules(graph, rng)
+        program, order = _witness_program(graph)
+        reference, ref_order = _reference_witness_program(graph)
+        assert (program.rows, program.lower, order) == (reference.rows, reference.lower, ref_order)
+        # Collapsed rules on vertices with a row, where +1 and -1 leave no entry.
+        rowed = {fid for fid, c in graph.formula_vertices.items()
+                 if fid == graph.goal_id or c not in graph.hypotheses}
+        cancelled += sum(bool(set(w.in_neighbors) & set(w.out_neighbors) & rowed)
+                         for w in graph.inference_vertices.values())
+    assert cancelled >= 60
+
+
 def _solver_only_witness(graph):
     """find_witness without the unit flow: every candidate's flow program
     goes to the solver, in the same order."""

@@ -135,6 +135,20 @@ def test_add_geq_rejects_an_index_out_of_range(coeffs, bad):
     assert lp.rows[0].coeffs == ((2, 1),)
 
 
+@pytest.mark.parametrize("row, bound, bad", [
+    (((-1, 1), (0, 1)), 0, -1),
+    (((0, 1), (4, 1), (5, 2)), 1, 4),
+    ((), 3, 3),
+], ids=["row-low", "row-high", "bound"])
+def test_program_built_in_one_call_rejects_an_index_out_of_range(row, bound, bad):
+    rows = [lp_module.Constraint(((0, 1),), 0), lp_module.Constraint(row, 0)]
+    with pytest.raises(IndexError) as info:
+        LinearProgram(3, rows, {bound: 0})
+    assert str(info.value) == f"variable index {bad} out of range 0..2"
+    program = LinearProgram(3, rows[:1], {2: 1})  # in range: stored as given
+    assert program.rows == rows[:1] and program.lower == {2: 1}
+
+
 def _satisfies(rows, x) -> bool:
     return all(
         sum((c * x[j] for j, c in coeffs.items()), Fraction(0)) >= rhs
@@ -390,8 +404,8 @@ def _random_witness_case(seed):
 
 def _wide_case(seed):
     """40 rows of 20 entries up to 10^6 over 150 variables, 60 of them
-    bounded: its leaving rows span all three 64-variable blocks, and its
-    lanes widen from 32 to 512 bits as ``den`` grows over its 136 pivots."""
+    bounded: its packed leaving rows span 150 lanes, and the lanes widen
+    from 32 to 512 bits as ``den`` grows over its 136 pivots."""
     rng = random.Random(seed)
     program = LinearProgram(150)
     for _ in range(40):
@@ -594,9 +608,9 @@ def _programs(draw):
 
 @st.composite
 def _wide_programs(draw):
-    """Programs over up to 150 variables, so that rows cross the 64-variable
-    blocks of the packed leaving row, with integer coefficients up to 10^6,
-    which widen its lanes, and free and bounded variables."""
+    """Programs over up to 150 variables, so that the packed leaving row
+    spans up to 150 lanes, with integer coefficients up to 10^6, which widen
+    its lanes, and free and bounded variables."""
     n = draw(st.integers(1, 150))
     # Magnitudes of every bit length, so that some entry nears its lane's limit.
     big = st.integers(0, 20).flatmap(lambda e: st.integers(-min(2 ** e, 10 ** 6),
@@ -642,6 +656,29 @@ def test_packed_rows_walk_like_the_dense_tableau(lp):
     _matches_dense_reference(lp)
 
 
+def test_leaving_row_is_the_least_index_violated_row(monkeypatch):
+    # Dense programs repair a row and violate it again under another basis
+    # index, which leaves a stale pair for a violated row in the heap; every
+    # leaving row is still the violated row of least basis index.
+    structural = lp_module._Tableau._structural
+
+    def checked(tab, r):
+        assert r == min(tab.negative, key=tab.basis.__getitem__)
+        return structural(tab, r)
+
+    monkeypatch.setattr(lp_module._Tableau, "_structural", checked)
+    rng = random.Random(3)
+    for _ in range(40):
+        n = rng.randint(5, 40)
+        program = LinearProgram(n)
+        for _ in range(rng.randint(5, 40)):
+            coeffs = {j: rng.randint(-3, 3) for j in rng.sample(range(n), rng.randint(1, n))}
+            program.add_geq(coeffs, rng.randint(-3, 3))
+        for j in rng.sample(range(n), rng.randint(0, n)):
+            program.add_lower(j, rng.randint(-2, 2))
+        solve(program)
+
+
 def _doublings(lp):
     """How often the lanes double after the walk's first leaving row."""
     tab = lp_module._Tableau(lp)
@@ -655,6 +692,26 @@ def _doublings(lp):
     tab._structural = recording
     tab.run()
     return (widths[-1] // widths[0]).bit_length() - 1 if widths else 0
+
+
+@pytest.mark.parametrize("case", ["search-n3-seed0", "search-n3-seed0-dropped", "wide-seed0"])
+def test_each_row_is_packed_once_per_lane_width(monkeypatch, case):
+    # Lanes start at 8 bits, which the search programs keep: a row packed
+    # before the first widening check is kept when the width stays, and a
+    # widening packs each row read after it once more.
+    packs = []
+    pack = lp_module._Tableau._pack
+
+    def recording(tab, t):
+        packs.append((t, tab.bits))
+        return pack(tab, t)
+
+    monkeypatch.setattr(lp_module._Tableau, "_pack", recording)
+    make, args = _PINNED[case]
+    make(*args)()
+    assert packs and len(set(packs)) == len(packs)
+    widths = sorted({bits for _, bits in packs})
+    assert widths == ([8] if case.startswith("search") else [8, 32, 64, 128, 256, 512])
 
 
 def test_drawn_walks_widen_the_packed_lanes_at_least_twice():
