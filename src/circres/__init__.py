@@ -25,7 +25,7 @@ from .generators import (
     random_circular_proof,
     unsound_cycle_example,
 )
-from .lp import LinearProgram, feasible, solve
+from .lp import Constraint, LinearProgram, feasible, solve
 from .proofgraph import (
     InferenceVertex,
     ProofGraph,

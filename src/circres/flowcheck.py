@@ -54,28 +54,31 @@ def _witness_program(graph: ProofGraph) -> tuple[lp.LinearProgram, list[int]]:
     """Feasibility program for flows witnessing a proof at ``graph.goal_id``.
 
     Rows: goal balance >= 1; balance >= 0 for every non-hypothesis,
-    non-goal formula vertex.  Declared bounds: each flow variable >= 1.
-    Returns the program and the inference-vertex ids in variable order.
+    non-goal formula vertex, in formula order.  Declared bounds: each flow
+    variable >= 1.  Returns the program and the inference-vertex ids in
+    variable order.
     """
     order = sorted(graph.inference_vertices)
-    var_of = {iid: k for k, iid in enumerate(order)}
-    program = lp.LinearProgram(len(order))
-
-    rowmap: dict[int, dict[int, int]] = {fid: {} for fid in graph.formula_vertices}
-    for iid, w in graph.inference_vertices.items():
-        k = var_of[iid]
+    # Column k is inference order[k]'s +1 per consequent and -1 per premise;
+    # appended in increasing k, each vertex's row is sorted as built.
+    rowmap: dict[int, list[tuple[int, int]]] = {fid: [] for fid in graph.formula_vertices}
+    for k, iid in enumerate(order):
+        w = graph.inference_vertices[iid]
+        column: dict[int, int] = {}
         for u in w.out_neighbors:
-            rowmap[u][k] = rowmap[u].get(k, 0) + 1
+            column[u] = column.get(u, 0) + 1
         for u in w.in_neighbors:
-            rowmap[u][k] = rowmap[u].get(k, 0) - 1
+            column[u] = column.get(u, 0) - 1
+        for u, c in column.items():
+            if c:
+                rowmap[u].append((k, c))
 
-    program.add_geq(rowmap[graph.goal_id], 1)
-    for fid, clause in graph.formula_vertices.items():
-        if fid != graph.goal_id and clause not in graph.hypotheses:
-            program.add_geq(rowmap[fid], 0)
-    for k in range(len(order)):
-        program.add_lower(k, 1)
-    return program, order
+    goal = graph.goal_id
+    rows = [lp.Constraint(tuple(rowmap[goal]), 1)]
+    rows += [lp.Constraint(tuple(rowmap[fid]), 0)
+             for fid, clause in graph.formula_vertices.items()
+             if fid != goal and clause not in graph.hypotheses]
+    return lp.LinearProgram(len(order), rows, dict.fromkeys(range(len(order)), 1)), order
 
 
 def starved_vertex(graph: ProofGraph) -> Optional[int]:

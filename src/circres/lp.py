@@ -19,16 +19,17 @@ witnesses dramatically faster than objective-driven phase-1 pivoting.
 
 Implementation notes, none of which change the results:
 
-* Rows are integers from :meth:`LinearProgram.add_geq` on: it stores an
-  integer row as given and multiplies a rational row once by the lcm of its
-  denominators, so ``lp.rows`` and any certificate refer to the scaled rows.
-  A caller that has its rows in that form already passes them, and the
-  bounds, to the constructor, which checks their variable indices once.
-* A variable with a declared lower bound ``x_j >= l`` (from
-  :meth:`LinearProgram.add_lower`) is substituted as ``x_j = l + x'_j`` with
-  ``x'_j >= 0``; every row of ``lp.rows`` is a tableau row, a one-entry row
-  included.  Undeclared variables are free and are split into differences
-  of nonnegatives.
+* A program is built whole: ``LinearProgram(num_vars, rows, lower)``
+  takes every row as a :class:`Constraint` with integer coefficients in
+  increasing variable order, none zero, and an integer right-hand side, so
+  ``lp.rows`` is the tableau's ``A`` and ``b`` and a certificate refers to
+  those rows.  The constructor checks, once, every variable index and that
+  every right-hand side and bound is an integer; a rational program is
+  scaled to integers by its caller.
+* A variable with a declared lower bound ``x_j >= l`` (``lower[j] = l``)
+  is substituted as ``x_j = l + x'_j`` with ``x'_j >= 0``; every row of
+  ``lp.rows`` is a tableau row, a one-entry row included.  Undeclared
+  variables are free and are split into differences of nonnegatives.
 * The tableau keeps only its surplus block.  It starts as ``[-A | I]`` and
   pivots are row operations, so it is ``M [-A | I]`` with ``M = den * B^-1``
   for the basis ``B``; each row of ``M`` is a ``{row index: int}`` dict,
@@ -73,11 +74,10 @@ Implementation notes, none of which change the results:
 from __future__ import annotations
 
 import heapq
-import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 _ZERO = Fraction(0)  # every zero entry of a returned point or certificate
 
@@ -89,50 +89,34 @@ class Constraint(NamedTuple):
     rhs: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearProgram:
-    """A ``>=`` system over ``num_vars`` rational variables; ``lower`` maps
-    each variable with a declared lower bound to that integer, and every
-    other variable is free.  Rows given at construction are taken as
-    :meth:`add_geq` stores them: integer coefficients in increasing variable
-    order, none zero.  Their variable indices, and those of ``lower``, are
-    checked as :meth:`add_geq` and :meth:`add_lower` check them."""
+    """A ``>=`` system over ``num_vars`` rational variables, built whole.
+
+    Each row of ``rows`` lists its integer coefficients in increasing
+    variable order, none zero; ``lower`` maps each variable with a declared
+    lower bound to that integer, and every other variable is free.  The
+    coefficients are taken as given.  The variable indices are checked, and
+    a right-hand side or bound that is not an integer (a ``Fraction`` among
+    them) is a ``TypeError``."""
 
     num_vars: int
     rows: list[Constraint] = field(default_factory=list)
     lower: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        n = self.num_vars
         for row in self.rows:
-            self._check_row(row.coeffs)
-        for j in self.lower:
-            self._check(j)
-
-    def add_geq(self, coeffs: Mapping[int, Fraction | int], rhs: Fraction | int = 0) -> None:
-        """Append ``sum(coeffs[j] * x_j) >= rhs``, scaled to integers by the
-        lcm of its denominators (an integer row is stored as given)."""
-        items = sorted([(j, c) for j, c in coeffs.items() if c])
-        self._check_row(items)
-        if type(rhs) is not int or not all([type(c) is int for _, c in items]):
-            scale = math.lcm(rhs.denominator, *(c.denominator for _, c in items))
-            items = [(j, int(c * scale)) for j, c in items]
-            rhs = int(rhs * scale)
-        self.rows.append(Constraint(tuple(items), rhs))
-
-    def add_lower(self, j: int, bound: int) -> None:
-        """Declare ``x_j >= bound`` for an integer ``bound``; declaring a bound
-        on ``x_j`` again replaces it."""
-        self._check(j)
-        self.lower[j] = operator.index(bound)
-
-    def _check_row(self, items: Sequence[tuple[int, Fraction | int]]) -> None:
-        """Reject the least out-of-range index of ``items``, sorted ``(j, c)`` pairs."""
-        if items and not (0 <= items[0][0] and items[-1][0] < self.num_vars):
-            self._check(next(j for j, _ in items if not 0 <= j < self.num_vars))
-
-    def _check(self, j: int) -> None:
-        if not 0 <= j < self.num_vars:
-            raise IndexError(f"variable index {j} out of range 0..{self.num_vars - 1}")
+            operator.index(row.rhs)
+        for bound in self.lower.values():
+            operator.index(bound)
+        # A row's indices are sorted, so its ends tell whether one is out of range.
+        bad = [j for row in self.rows
+               if row.coeffs and not (0 <= row.coeffs[0][0] and row.coeffs[-1][0] < n)
+               for j, _ in row.coeffs if not 0 <= j < n]
+        bad += [j for j in self.lower if not 0 <= j < n]
+        if bad:
+            raise IndexError(f"variable index {bad[0]} out of range 0..{n - 1}")
 
 
 class _Tableau:

@@ -4,8 +4,8 @@ by a test.
 The literal text of each ``raise ParseError(...)`` in ``formats.py``, and
 of every raise but an ``AssertionError`` in ``cli.py`` (its ``UsageError``
 and its options' ``argparse.ArgumentTypeError``), ``core.py``,
-``proofgraph.py`` and ``flowcheck.py`` appears in some test file; an
-f-string stands for its longest constant part.
+``proofgraph.py``, ``flowcheck.py``, ``lp.py`` and ``search.py`` appears in
+some test file; an f-string stands for its longest constant part.
 A message that no test names is an error path that no test runs.
 """
 
@@ -23,7 +23,8 @@ TESTS = Path(__file__).resolve().parent
 # The raised exception of each module, ``None`` for any but ``AssertionError``,
 # and the position of its message argument.
 RAISES = {"formats.py": ("ParseError", 1), "cli.py": (None, 0),
-          "core.py": (None, 0), "proofgraph.py": (None, 0), "flowcheck.py": (None, 0)}
+          "core.py": (None, 0), "proofgraph.py": (None, 0), "flowcheck.py": (None, 0),
+          "lp.py": (None, 0), "search.py": (None, 0)}
 
 
 def _text(node: ast.expr) -> str | None:

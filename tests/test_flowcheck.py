@@ -310,19 +310,17 @@ def _with_collapsed_rules(graph, rng):
 def _reference_witness_program(graph):
     """The flow program from its definition: column ``k`` is the balance of
     every formula vertex under a flow of 1 on the ``k``-th inference and 0
-    elsewhere, and each row goes through ``add_geq``."""
+    elsewhere, and a row holds its vertex's nonzero entries in column order."""
     order = sorted(graph.inference_vertices)
     columns = [balance_numerators(graph, {i: Fraction(i == k) for i in order})[0]
                for k in order]
-    program = lp.LinearProgram(len(order))
     constrained = [graph.goal_id] + [
         fid for fid, c in graph.formula_vertices.items()
         if fid != graph.goal_id and c not in graph.hypotheses]
-    for fid in constrained:
-        program.add_geq({k: col[fid] for k, col in enumerate(columns)}, int(fid == graph.goal_id))
-    for k in range(len(order)):
-        program.add_lower(k, 1)
-    return program, order
+    rows = [lp.Constraint(tuple((k, col[fid]) for k, col in enumerate(columns) if col[fid]),
+                          int(fid == graph.goal_id))
+            for fid in constrained]
+    return lp.LinearProgram(len(order), rows, {k: 1 for k in range(len(order))}), order
 
 
 def test_witness_program_matches_definition():

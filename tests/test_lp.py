@@ -19,7 +19,7 @@ from circres.generators import (
     php_refutation,
     random_circular_proof,
 )
-from circres.lp import LinearProgram, feasible, solve
+from circres.lp import Constraint, LinearProgram, feasible, solve
 from circres.search import circular_search
 from test_search import _definition_program
 
@@ -47,23 +47,27 @@ def _pivot_cap():
     patch.undo()
 
 
-def geq(lp, coeffs, rhs=0):
-    lp.add_geq(coeffs, rhs)
+def _program(n, drawn=(), lower=None):
+    """The program over ``n`` variables of ``drawn``, ``(coeffs, rhs)`` pairs
+    of ints or ``Fraction``s, and the integer bounds ``lower``: each row's
+    zero entries dropped, the rest in variable order, and the row scaled to
+    integers by the lcm of its denominators."""
+    rows = []
+    for coeffs, rhs in drawn:
+        items = sorted([(j, c) for j, c in coeffs.items() if c])
+        scale = math.lcm(rhs.denominator, *(c.denominator for _, c in items))
+        rows.append(Constraint(tuple((j, int(c * scale)) for j, c in items), int(rhs * scale)))
+    return LinearProgram(n, rows, dict(lower or {}))
 
 
 def test_interval_feasible():
-    lp = LinearProgram(1)
-    geq(lp, {0: 1}, 1)
-    geq(lp, {0: -1}, -2)
-    x, cert = solve(lp)
+    x, cert = solve(_program(1, [({0: 1}, 1), ({0: -1}, -2)]))
     assert x is not None and Fraction(1) <= x[0] <= Fraction(2)
     assert cert is None
 
 
 def test_contradictory_bounds():
-    lp = LinearProgram(1)
-    geq(lp, {0: 1}, 1)
-    geq(lp, {0: -1}, 0)
+    lp = _program(1, [({0: 1}, 1), ({0: -1}, 0)])
     assert solve(lp) == (None, [Fraction(1), Fraction(1)])
 
 
@@ -72,67 +76,18 @@ def test_empty_program_is_feasible():
 
 
 def test_zero_row_infeasible():
-    lp = LinearProgram(1)
-    geq(lp, {}, 1)
-    assert solve(lp) == (None, [Fraction(1)])
+    assert solve(_program(1, [({}, 1)])) == (None, [Fraction(1)])
 
 
 def test_declared_bound_joins_the_certificate_after_the_rows():
-    lp = LinearProgram(2)
-    lp.add_lower(1, 1)
-    geq(lp, {0: 1}, 1)  # a one-entry row stays a row
-    geq(lp, {1: -1}, 0)
+    rows = [({0: 1}, 1), ({1: -1}, 0)]  # a one-entry row stays a row
+    lp = _program(2, rows, {1: 1})
     assert lp.lower == {1: 1} and len(lp.rows) == 2
     assert solve(lp) == (None, [Fraction(0), Fraction(1), Fraction(1)])
-    lp.add_lower(1, -3)  # a second declaration replaces the first
-    x = feasible(lp)
+    x = feasible(_program(2, rows, {1: -3}))
     assert x is not None and x[0] >= 1 and -3 <= x[1] <= 0
     with pytest.raises(TypeError):
-        lp.add_lower(0, Fraction(1, 2))
-
-
-def test_add_geq_scales_a_rational_row_to_integers():
-    lp = LinearProgram(2)
-    geq(lp, {0: Fraction(1, 2), 1: Fraction(2, 3)}, Fraction(1, 4))
-    geq(lp, {0: 2, 1: 0}, -1)
-    assert [(r.coeffs, r.rhs) for r in lp.rows] == [(((0, 6), (1, 8)), 3), (((0, 2),), -1)]
-    for row in lp.rows:
-        assert type(row.rhs) is int and all(type(c) is int for _, c in row.coeffs)
-
-
-def test_add_geq_stores_an_integer_row_as_given():
-    lp = LinearProgram(3)
-    geq(lp, {2: 4, 0: -6, 1: 0}, 2)
-    geq(lp, {}, -1)
-    assert [(r.coeffs, r.rhs) for r in lp.rows] == [(((0, -6), (2, 4)), 2), ((), -1)]
-
-
-def test_add_geq_scales_integral_fractions_to_int():
-    lp = LinearProgram(2)
-    geq(lp, {0: Fraction(3), 1: Fraction(-2)}, Fraction(1, 2))
-    geq(lp, {1: Fraction(3)}, Fraction(5))
-    assert [(r.coeffs, r.rhs) for r in lp.rows] == [(((0, 6), (1, -4)), 1), (((1, 3),), 5)]
-    for row in lp.rows:
-        assert type(row.rhs) is int and all(type(c) is int for _, c in row.coeffs)
-
-
-@pytest.mark.parametrize("coeffs, bad", [
-    ({-1: 1, 0: 1}, -1),
-    ({0: 1, 5: 2, 4: 1}, 4),
-    ({0: Fraction(1, 2), 3: Fraction(1, 3)}, 3),
-    ({-2: Fraction(1, 2), -1: 1}, -2),
-], ids=["int-low", "int-high", "rational-high", "rational-low"])
-def test_add_geq_rejects_an_index_out_of_range(coeffs, bad):
-    lp = LinearProgram(3)
-    with pytest.raises(IndexError) as info:
-        lp.add_geq(coeffs, 0)
-    assert str(info.value) == f"variable index {bad} out of range 0..2"
-    with pytest.raises(IndexError) as info:
-        lp.add_lower(bad, 0)
-    assert str(info.value) == f"variable index {bad} out of range 0..2"
-    assert lp.rows == [] and lp.lower == {}
-    lp.add_geq({7: 0, 2: 1}, 1)  # a zero entry names no variable
-    assert lp.rows[0].coeffs == ((2, 1),)
+        LinearProgram(2, lp.rows, {0: Fraction(1, 2)})
 
 
 @pytest.mark.parametrize("row, bound, bad", [
@@ -141,12 +96,27 @@ def test_add_geq_rejects_an_index_out_of_range(coeffs, bad):
     ((), 3, 3),
 ], ids=["row-low", "row-high", "bound"])
 def test_program_built_in_one_call_rejects_an_index_out_of_range(row, bound, bad):
-    rows = [lp_module.Constraint(((0, 1),), 0), lp_module.Constraint(row, 0)]
+    rows = [Constraint(((0, 1),), 0), Constraint(row, 0)]
     with pytest.raises(IndexError) as info:
         LinearProgram(3, rows, {bound: 0})
     assert str(info.value) == f"variable index {bad} out of range 0..2"
     program = LinearProgram(3, rows[:1], {2: 1})  # in range: stored as given
     assert program.rows == rows[:1] and program.lower == {2: 1}
+
+
+@pytest.mark.parametrize("rows, lower", [
+    # 3x >= 1/2, x >= 3/2: the tableau's floor divisions lose the halves.
+    ([Constraint(((0, 3),), Fraction(1, 2)), Constraint(((0, 1),), Fraction(3, 2))], {}),
+    # 2x >= 1, x >= 3 and x >= -1/2.
+    ([Constraint(((0, 2),), 1), Constraint(((0, 1),), 3)], {0: Fraction(-1, 2)}),
+    # An integral Fraction is no int either.
+    ([Constraint(((0, 1),), Fraction(1))], {}),
+], ids=["rhs", "bound", "integral-fraction"])
+def test_a_rational_rhs_or_bound_is_rejected_at_construction(rows, lower):
+    # Once accepted, the first two answered with a point that failed its
+    # exact recheck.
+    with pytest.raises(TypeError):
+        LinearProgram(1, rows, lower)
 
 
 def _satisfies(rows, x) -> bool:
@@ -159,7 +129,6 @@ def _satisfies(rows, x) -> bool:
 def test_exactness_of_returned_points():
     rng = random.Random(9)
     for _ in range(200):
-        lp = LinearProgram(3)
         drawn = []
         for _ in range(rng.randint(1, 5)):
             coeffs = {
@@ -168,7 +137,7 @@ def test_exactness_of_returned_points():
                 if rng.random() < 0.8
             }
             drawn.append((coeffs, Fraction(rng.randint(-5, 5), rng.randint(1, 3))))
-            geq(lp, *drawn[-1])
+        lp = _program(3, drawn)
         x = feasible(lp)
         if x is None:
             continue
@@ -284,11 +253,7 @@ def test_strong_alternative_against_vertex_oracle(draw, seed):
     for trial in range(400):
         n = rng.randint(1, 3)
         drawn, bounds = draw(rng, n)
-        lp = LinearProgram(n)
-        for coeffs, rhs in drawn:
-            geq(lp, coeffs, rhs)
-        for j, bound in bounds.items():
-            lp.add_lower(j, bound)
+        lp = _program(n, drawn, bounds)
         # Each stored row is its drawn row times a positive integer, so a
         # certificate on the stored rows is one on the drawn rows.
         for (coeffs, rhs), row in zip(drawn, lp.rows):
@@ -311,16 +276,16 @@ def test_larger_random_programs_answer_checkably():
     rng = random.Random(29)
     for trial in range(300):
         n, m = rng.randint(1, 8), rng.randint(1, 12)
-        lp = LinearProgram(n)
+        drawn = []
         for _ in range(m):
             if rng.random() < 0.15:
                 coeffs = {rng.randrange(n): Fraction(rng.randint(1, 3), rng.randint(1, 3))}
             else:
                 coeffs = {j: Fraction(rng.randint(-4, 4), rng.randint(1, 4))
                           for j in range(n) if rng.random() < 0.6}
-            geq(lp, coeffs, Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
-        for j in rng.sample(range(n), rng.randint(0, min(3, n))):
-            lp.add_lower(j, rng.randint(-3, 3))
+            drawn.append((coeffs, Fraction(rng.randint(-5, 5), rng.randint(1, 3))))
+        lp = _program(n, drawn, {j: rng.randint(-3, 3)
+                                 for j in rng.sample(range(n), rng.randint(0, min(3, n)))})
         x, cert = solve(lp)
         assert (x is None) != (cert is None), trial
         if x is not None:
@@ -407,12 +372,9 @@ def _wide_case(seed):
     bounded: its packed leaving rows span 150 lanes, and the lanes widen
     from 32 to 512 bits as ``den`` grows over its 136 pivots."""
     rng = random.Random(seed)
-    program = LinearProgram(150)
-    for _ in range(40):
-        coeffs = {j: rng.randint(-10 ** 6, 10 ** 6) for j in rng.sample(range(150), 20)}
-        program.add_geq(coeffs, rng.randint(-10 ** 6, 10 ** 6))
-    for j in rng.sample(range(150), 60):
-        program.add_lower(j, rng.randint(-2, 2))
+    drawn = [({j: rng.randint(-10 ** 6, 10 ** 6) for j in rng.sample(range(150), 20)},
+              rng.randint(-10 ** 6, 10 ** 6)) for _ in range(40)]
+    program = _program(150, drawn, {j: rng.randint(-2, 2) for j in rng.sample(range(150), 60)})
     return lambda: lp_module.feasible(program)
 
 
@@ -483,9 +445,7 @@ def test_every_none_answer_checks_its_certificate(monkeypatch):
         raise _CertificateBuilt
 
     monkeypatch.setattr(lp_module._Tableau, "certificate", built)
-    program = LinearProgram(1)
-    geq(program, {0: 1}, 1)
-    geq(program, {0: -1}, 0)
+    program = _program(1, [({0: 1}, 1), ({0: -1}, 0)])
     with pytest.raises(_CertificateBuilt):
         feasible(program)
     with pytest.raises(_CertificateBuilt):
@@ -597,13 +557,8 @@ def _programs(draw):
     """Small programs with rational rows, zero rows and free and bounded
     variables."""
     n = draw(st.integers(1, 4))
-    lp = LinearProgram(n)
-    for coeffs, rhs in draw(st.lists(st.tuples(st.dictionaries(st.integers(0, n - 1), _Q), _Q),
-                                     max_size=6)):
-        lp.add_geq(coeffs, rhs)
-    for j, bound in draw(st.dictionaries(st.integers(0, n - 1), st.integers(-2, 2))).items():
-        lp.add_lower(j, bound)
-    return lp
+    rows = draw(st.lists(st.tuples(st.dictionaries(st.integers(0, n - 1), _Q), _Q), max_size=6))
+    return _program(n, rows, draw(st.dictionaries(st.integers(0, n - 1), st.integers(-2, 2))))
 
 
 @st.composite
@@ -616,13 +571,8 @@ def _wide_programs(draw):
     big = st.integers(0, 20).flatmap(lambda e: st.integers(-min(2 ** e, 10 ** 6),
                                                            min(2 ** e, 10 ** 6)))
     index = st.integers(0, n - 1)
-    lp = LinearProgram(n)
-    for coeffs, rhs in draw(st.lists(st.tuples(st.dictionaries(index, big, max_size=8), big),
-                                     max_size=6)):
-        lp.add_geq(coeffs, rhs)
-    for j, bound in draw(st.dictionaries(index, st.integers(-2, 2), max_size=8)).items():
-        lp.add_lower(j, bound)
-    return lp
+    rows = draw(st.lists(st.tuples(st.dictionaries(index, big, max_size=8), big), max_size=6))
+    return _program(n, rows, draw(st.dictionaries(index, st.integers(-2, 2), max_size=8)))
 
 
 def _matches_dense_reference(lp):
@@ -670,13 +620,10 @@ def test_leaving_row_is_the_least_index_violated_row(monkeypatch):
     rng = random.Random(3)
     for _ in range(40):
         n = rng.randint(5, 40)
-        program = LinearProgram(n)
-        for _ in range(rng.randint(5, 40)):
-            coeffs = {j: rng.randint(-3, 3) for j in rng.sample(range(n), rng.randint(1, n))}
-            program.add_geq(coeffs, rng.randint(-3, 3))
-        for j in rng.sample(range(n), rng.randint(0, n)):
-            program.add_lower(j, rng.randint(-2, 2))
-        solve(program)
+        drawn = [({j: rng.randint(-3, 3) for j in rng.sample(range(n), rng.randint(1, n))},
+                  rng.randint(-3, 3)) for _ in range(rng.randint(5, 40))]
+        solve(_program(n, drawn, {j: rng.randint(-2, 2)
+                                  for j in rng.sample(range(n), rng.randint(0, n))}))
 
 
 def _doublings(lp):

@@ -98,8 +98,9 @@ def test_width_error_below_inputs():
     cnf = CnfFormula.of(3, [clause(1, 2, 3)])
     with pytest.raises(WidthError):
         circular_search(cnf, Clause(), 2)
-    with pytest.raises(WidthError):
+    with pytest.raises(WidthError) as info:
         daglike_width_saturate(cnf, 2)
+    assert str(info.value) == "width 2 below hypothesis width 3"
 
 
 def test_budget_guard():
@@ -211,13 +212,10 @@ def _lattice_search(hypotheses: CnfFormula, goal: Clause, width: int) -> bool:
         for u in ins:
             rowmap[u][j] = rowmap[u].get(j, 0) - 1
     hyp_clauses = set(hypotheses.clauses)
-    program = lp.LinearProgram(len(rules))
-    program.add_geq(rowmap[vid[goal]], 1)
-    for c, k in vid.items():
-        if c != goal and c not in hyp_clauses:
-            program.add_geq(rowmap[k], 0)
-    for j in range(len(rules)):
-        program.add_lower(j, 0)
+    constrained = {goal: 1} | {c: 0 for c in vid if c != goal and c not in hyp_clauses}
+    rows = [lp.Constraint(tuple(sorted((j, a) for j, a in rowmap[vid[c]].items() if a)), rhs)
+            for c, rhs in constrained.items()]
+    program = lp.LinearProgram(len(rules), rows, {j: 0 for j in range(len(rules))})
     identity = goal in hyp_clauses and width > 0
     return lp.feasible(program) is not None or identity
 

@@ -135,6 +135,12 @@ def test_the_proof_builder_has_one_way_to_add_each_part():
                       "num_inferences", "build"}
 
 
+def test_the_linear_program_has_one_way_to_be_built():
+    # A program is built whole by its constructor and read, never grown.
+    assert [name for name, value in vars(circres.LinearProgram).items()
+            if callable(value) and not name.startswith("_")] == []
+
+
 def _cli_options() -> dict[str, list[tuple[str, ...]]]:
     """The option strings of each option of each subcommand, ``--help`` aside."""
     parser = cli._build_parser()
