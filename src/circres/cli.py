@@ -246,7 +246,8 @@ def cmd_search(args) -> int:
     print(f"search LP: {rows} rows, {cols} clause-balance variables")
     start = time.monotonic()
     try:
-        result = search_mod.circular_search(cnf, goal, args.width, args.guard_rows)
+        result = search_mod.circular_search(cnf, goal, args.width, args.guard_rows,
+                                            report=print)
     except search_mod.SearchBudgetError as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return EXIT_GUARD

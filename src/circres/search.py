@@ -44,6 +44,26 @@ the rank table.  The map keeps variable order, so it keeps canonical
 literal order, and an instance with nothing to drop over ``x_1 .. x_n``
 solves the same program as without the restriction.
 
+Before the program is built, the search tries the acyclic width-``w``
+closure of cut and split over the restricted hypotheses: the loop of
+``daglike_width_saturate`` (below), except that a resolvent ``R`` of ``c``
+and ``d`` on ``x`` is kept only when ``|R| + 1 <= w``, the width at which
+cut and split reach it, by weakening ``c`` to ``R | x`` and ``d`` to
+``R | ~x`` and cutting on ``x``.  The loop stops at the first kept clause
+inside the goal.  Its derivation, weakened to the goal, is an acyclic
+width-``w`` proof, and with use counts as flows an acyclic proof is a
+circular one: each derived clause is consumed as often as it is made, so
+only hypotheses are sources and the goal's balance is 1.  The program is
+complete for width-``w`` circular proofs, so the stage changes no
+found/none answer, only which step gives it; when the closure holds no
+clause inside the goal, the program is built and solved.  A hypothesis
+inside the goal skips the stage, so the identity and weakening proofs keep
+the program's path.  The classical closure of ``daglike_width_saturate``
+cannot take the stage's place: a classical resolvent is a cut of premises
+one literal wider than itself, so a classical width-``w`` refutation need
+not be a width-``w`` circular proof.  On the Tseitin formula of ``K_4`` it
+turns the correct none at width 4 into "found".
+
 ``daglike_width_saturate`` is the classical comparison point: the least fixed
 point of width-bounded resolution and weakening over the hypotheses.  It
 saturates under resolution alone, discarding subsumed clauses, and then
@@ -72,7 +92,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from . import lp
 from .core import Clause, CnfFormula, literal_key, positive_mask
@@ -80,6 +100,10 @@ from .flowcheck import verify_flow
 from .proofgraph import CUT, SPLIT, ProofGraph, ProofGraphBuilder
 
 DEFAULT_ROW_BUDGET = 2_000_000
+
+# Each clause the acyclic closure keeps, mapped to the (c, d, bit) it is the
+# resolvent of, or to None for a hypothesis.
+_Parents = dict[int, Optional[tuple[int, int, int]]]
 
 
 class WidthError(ValueError):
@@ -130,7 +154,7 @@ def _hypothesis_masks(hypotheses: CnfFormula) -> set[int]:
 
 
 def _restriction(hypotheses: CnfFormula, goal: Clause, width: int) -> tuple[list[int], set[int], int]:
-    """The instance the search LP is built on: the variables kept by the
+    """The instance the search works on: the variables kept by the
     restriction (see the module docstring) in increasing order, then the
     kept hypotheses and the goal as masks over their ranks, variable
     ``kept[i - 1]`` becoming ``x_i``.  Raises :class:`WidthError`, on
@@ -197,17 +221,21 @@ def circular_search(
     goal: Clause,
     width: int,
     row_budget: int = DEFAULT_ROW_BUDGET,
+    report: Optional[Callable[[str], None]] = None,
 ) -> Optional[tuple[ProofGraph, dict[int, Fraction]]]:
-    """Search for a width-bounded circular proof of ``goal`` by linear feasibility.
+    """Search for a width-bounded circular proof of ``goal``.
 
-    Solves the degree-``width`` Sherali-Adams program over clause balances
-    (see the module docstring) with one exact LP call.  Returns a proof made
-    of the cuts and splits that realize the balances found, with their flows,
-    or ``None`` when no width-``width`` circular proof exists (by soundness,
-    in particular, when the goal does not follow).  Raises
-    :class:`SearchBudgetError` if the program's rows plus variables would
-    exceed ``row_budget`` and :class:`WidthError` if ``width`` cannot even
-    accommodate the inputs.
+    Works on the restricted instance (see the module docstring) in steps:
+    the acyclic width-``width`` closure first, then, when that holds no
+    clause inside the goal, the degree-``width`` Sherali-Adams program over
+    clause balances, so at most one exact LP call.  Returns a proof, the
+    closure's derivation or the cuts and splits that realize the balances
+    found, with its flows, or ``None`` when no width-``width`` circular proof
+    exists (by soundness, in particular, when the goal does not follow).
+    ``report``, when given, receives one line saying what the closure did.
+    Raises :class:`SearchBudgetError`, before either step, if the program's
+    rows plus variables would exceed ``row_budget``, and :class:`WidthError`
+    if ``width`` cannot even accommodate the inputs.
     """
     kept, hyps, target = _restriction(hypotheses, goal, width)
     n = len(kept)
@@ -215,9 +243,149 @@ def circular_search(
     rows, cols = _size(n, width, free)
     if rows + cols > row_budget:
         raise SearchBudgetError(rows, cols, row_budget)
+    up = [0, *kept]
+    b = ProofGraphBuilder()
+    b.set_goal(b.vertex(goal.mask))
+    found = None
+    if any(not h & ~target for h in hyps):
+        # The identity and weakening proofs stay with the program.
+        note = "skipped, a hypothesis lies inside the goal"
+    else:
+        parents, found = _acyclic_closure(n, hyps, target, width)
+        if found is None:
+            note = f"no proof ({len(parents)} kept clauses)"
+        else:
+            note = f"proof found from {len(parents)} kept clauses, no LP solved"
+            _emit_derivation(b, parents, found, target, up)
+    if report is not None:
+        report(f"acyclic closure: {note}")
+    if found is None:
+        variables, balance, program = _program(n, width, target, free)
+        point = lp.feasible(program)
+        if point is None:
+            # Width 0 admits no rule, not even the identity proof's split.
+            if target not in hyps or not width:
+                return None
+            b = ProofGraphBuilder()
+            b.pad_identity(goal.mask)
+            b.mark_hypotheses({goal.mask})
+            return b.build()
+        _realize(b, point, variables, balance, up)
+    b.mark_hypotheses(_hypothesis_masks(hypotheses))
+    graph, flow = b.build()
+    if not verify_flow(graph, flow):
+        raise AssertionError("search solution fails its own flow check")
+    return graph, flow
+
+
+def _acyclic_closure(n: int, hyps: set[int], target: int,
+                     width: int) -> tuple[_Parents, Optional[int]]:
+    """The resolution core of the acyclic width-``width`` closure of cut and
+    split over ``hyps``, masks over ``x_1 .. x_n`` none of which lies inside
+    ``target``.  It is the loop of :func:`daglike_width_saturate`, shortest
+    clauses first with forward and lazy backward subsumption, except that a
+    resolvent ``R`` is kept only when ``|R| + 1 <= width``, the width of the
+    weakened premises ``R | x`` and ``R | ~x`` its cut needs, and that the
+    loop stops at the first kept clause inside ``target``.
+
+    Returns every kept clause, in the order kept, mapped to ``(c, d, bit)``
+    when it is the resolvent of ``c`` and ``d`` on bit ``bit`` of ``c`` and
+    to ``None`` when it is a hypothesis, and the clause the loop stopped at,
+    or ``None``."""
+    positive = positive_mask(n)
+    parents: _Parents = dict.fromkeys(hyps)
+    queues: list[list[int]] = [[] for _ in range(width + 1)]
+    active: dict[int, list[int]] = {}
+
+    def has_kept_subset(c: int, proper: bool) -> bool:
+        # Every nonempty submask of c, c itself first unless proper.
+        sub = (c - 1) & c if proper else c
+        while sub:
+            if sub in parents:
+                return True
+            sub = (sub - 1) & c
+        return False
+
+    for h in hyps:
+        queues[h.bit_count()].append(h)
+    while any(queues):
+        c = next(q for q in queues if q).pop()
+        if has_kept_subset(c, True):
+            continue
+        rest = c
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            comp = bit << 1 if bit & positive else bit >> 1
+            side = c ^ bit
+            for d in active.get(comp, ()):
+                resolvent = side | (d ^ comp)
+                if resolvent.bit_count() >= width or resolvent & (resolvent >> 1) & positive:
+                    continue
+                if has_kept_subset(resolvent, False):
+                    continue
+                parents[resolvent] = (c, d, bit)
+                if not resolvent & ~target:
+                    return parents, resolvent
+                queues[resolvent.bit_count()].append(resolvent)
+            active.setdefault(bit, []).append(c)
+    return parents, None
+
+
+def _emit_derivation(b: ProofGraphBuilder, parents: _Parents, found: int, target: int,
+                     up: list[int]) -> None:
+    """Add to ``b`` the acyclic derivation of ``found`` that ``parents``
+    records (see :func:`_acyclic_closure`) and the weakening of ``found`` to
+    ``target``, each clause mapped back through the rank table ``up``.  The
+    resolvent ``R`` of ``c`` and ``d`` on ``x`` is a cut of ``R | x`` and
+    ``R | ~x``, each reached from its premise by splits that add one literal
+    at a time.  Flows are use counts, pushed down from the goal in reverse
+    derivation order, so every derived clause is consumed as often as it is
+    made and only hypotheses are sources."""
+    uses = {found: 1}
+    for r in reversed(parents):
+        if r in uses and parents[r] is not None:
+            c, d, _ = parents[r]
+            uses[c] = uses.get(c, 0) + uses[r]
+            uses[d] = uses.get(d, 0) + uses[r]
+    for r, step in parents.items():
+        if r not in uses or step is None:
+            continue
+        c, d, bit = step
+        index = bit.bit_length() - 1
+        if index & 1:  # c holds ~x, d holds x
+            c, d = d, c
+        x = up[index >> 1]
+        pos, neg = 1 << 2 * x, 2 << 2 * x
+        side = _renamed(r, up)
+        _weaken(b, _renamed(c, up), side | pos, uses[r])
+        _weaken(b, _renamed(d, up), side | neg, uses[r])
+        b.inference(CUT, x, (b.vertex(side | pos), b.vertex(side | neg)),
+                    (b.vertex(side),), uses[r])
+    _weaken(b, _renamed(found, up), _renamed(target, up), 1)
+
+
+def _weaken(b: ProofGraphBuilder, mask: int, to: int, flow: int) -> None:
+    """Single-consequent splits of value ``flow`` from ``mask`` up to its
+    superset ``to``, adding the missing literals in canonical order."""
+    rest = to & ~mask
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        b.inference(SPLIT, bit.bit_length() - 1 >> 1, (b.vertex(mask),),
+                    (b.vertex(mask | bit),), flow)
+        mask |= bit
+
+
+def _program(n: int, width: int, target: int,
+             free: set[int]) -> tuple[list[int], dict[int, list[tuple[int, int]]], lp.LinearProgram]:
+    """The search LP over ``x_1 .. x_n`` (the module docstring): the clauses
+    whose balances are its variables, the balance of each all-negative
+    clause as a form in them, and the program, in which the balances of the
+    clauses in ``free`` are unconstrained and that of ``target`` is at
+    least 1."""
     positive = positive_mask(n)
     clauses = _clause_masks(n, width)
-
     # b_D is a variable when D has a positive literal; the balance of each
     # all-negative clause is a linear form in them (the module docstring),
     # a list of (j, +-1) that is sorted as built, since j only grows.
@@ -236,31 +404,26 @@ def circular_search(
          for d, form in balance.items() if d not in free],
         {j: int(d == target) for j, d in enumerate(variables) if d not in free},
     )
-    point = lp.feasible(program)
-    if point is None:
-        # Width 0 admits no rule, not even the identity proof's split.
-        if target not in hyps or not width:
-            return None
-        b = ProofGraphBuilder()
-        b.pad_identity(goal.mask)
-        b.mark_hypotheses({goal.mask})
-        return b.build()
+    return variables, balance, program
 
-    # Realize the balances: for D = side | x, x its top positive bit, a cut
-    # on (side, x) of value -t (a split of value t when t > 0) settles the
-    # residual t of D and moves t onto side and -t onto side | ~x, both with
-    # one positive literal fewer.  Monomials are independent, so nothing may
-    # be left on all-negative clauses.  Residuals are integers over the
-    # point's common denominator: b_D's own numerator, or the form's value.
-    # Each clause is mapped back from ranks to the input's variables as it
-    # joins the proof.
+
+def _realize(b: ProofGraphBuilder, point: list[Fraction], variables: list[int],
+             balance: dict[int, list[tuple[int, int]]], up: list[int]) -> None:
+    """Add to ``b`` the cuts and splits that realize the balances ``point``
+    of :func:`_program`, each clause mapped back through the rank table
+    ``up``.
+
+    For D = side | x, x its top positive bit, a cut on (side, x) of value
+    -t (a split of value t when t > 0) settles the residual t of D and moves
+    t onto side and -t onto side | ~x, both with one positive literal fewer.
+    Monomials are independent, so nothing may be left on all-negative
+    clauses.  Residuals are integers over the point's common denominator:
+    b_D's own numerator, or the form's value."""
+    positive = positive_mask(len(up) - 1)
     den = math.lcm(*(v.denominator for v in point))
     num = [v.numerator * (den // v.denominator) for v in point]
     residual = dict(zip(variables, num))
     residual |= {d: sum([c * num[j] for j, c in form]) for d, form in balance.items()}
-    up = [0, *kept]
-    b = ProofGraphBuilder()
-    b.set_goal(b.vertex(goal.mask))
     for d in sorted(variables, key=lambda d: -(d & positive).bit_count()):
         t = residual.pop(d)
         if not t:
@@ -277,11 +440,6 @@ def circular_search(
             b.inference(SPLIT, x, (b.vertex(side),), (b.vertex(d), b.vertex(neg)), value)
     if any(residual.values()):
         raise AssertionError("clause balances leave a residual on an all-negative clause")
-    b.mark_hypotheses(_hypothesis_masks(hypotheses))
-    graph, flow = b.build()
-    if not verify_flow(graph, flow):
-        raise AssertionError("search solution fails its own flow check")
-    return graph, flow
 
 
 def daglike_width_saturate(hypotheses: CnfFormula, width: int) -> set[Clause]:

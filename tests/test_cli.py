@@ -482,6 +482,19 @@ def test_search_finds_unit_contradiction(tmp_path, capsys):
     assert run(["check", out_path, cnf]) == 0
 
 
+@pytest.mark.parametrize("text, goal, code, line", [
+    ("p cnf 1 2\n1 0\n-1 0\n", "0", 0, "proof found from 3 kept clauses, no LP solved"),
+    ("p cnf 2 2\n1 2 0\n-1 2 0\n", "-2 0", 1, "no proof (3 kept clauses)"),
+    ("p cnf 2 1\n1 0\n", "1 2 0", 0, "skipped, a hypothesis lies inside the goal"),
+], ids=["found", "none", "skipped"])
+def test_search_says_what_the_acyclic_closure_did(tmp_path, capsys, text, goal, code, line):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(text)
+    assert run(["search", cnf, "--width", 2, "--goal", goal]) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("search LP: ") and lines[1] == f"acyclic closure: {line}"
+
+
 def test_search_negative_result(tmp_path):
     cnf = tmp_path / "sat.cnf"
     cnf.write_text("p cnf 2 1\n1 2 0\n")
@@ -766,22 +779,23 @@ EMITTED_SHA256 = {
         "619e180483c4fc36edf1f59ea6d0a4b9b455ee3cfc75db2ddcc7c0ef676aea22",
     "nc3.cnf":
         "89223e81b0d4060b1fd6b530d5f8af91aa818dd7925aa89d36dae36b69727d54",
-    "nc3.cres":
-        "dfb4e7f9888c4c15227fef610202d6ab831000699b18885503d67d0d6ab4649f",
     # gen-php --graph on near_cubic_bipartite(5, 1), which has three
     # degree-2 pigeons; recorded before the refutation pieces were rewritten.
     "nc5.cnf":
         "8b71ca9131b19b466e7aa9fb52e95afe48f88e383b7e27ef28afba15b05ee13d",
     "nc5.cres":
         "d4c48d0613d7f9b611fedd4b9b1c927409d41a091b4b0a799c94bcd27b90140c",
-    # search --width 3 on near_cubic_bipartite(3, 1) and (3, 2), and a search
-    # for a nonempty goal; recorded before the search LP was built on masks.
+    # search --width 3 on near_cubic_bipartite(3, 0), (3, 1) and (3, 2), and a
+    # search for a nonempty goal; recorded when the search began answering
+    # from the acyclic closure, whose derivations these are.
+    "nc3.cres":
+        "cabd83b46d08c5e61a699e9e6d4432d359963d9ed33b94f2e4070ff969537e63",
     "nc3_1.cres":
-        "ca1938ea0265c55b000e7047ed4b81999a16a0385c6aabcba5ce6912a4ca8195",
+        "5c952eb09ae1255e26e4521d64c336e0ea4cfad8c14ca69f75185f15d678d40d",
     "nc3_2.cres":
-        "380b854bc08d910c69224fe5ce4b98c3db24aea90034f39c6942799d4be7c590",
+        "6154cc575aa14a24677627bd91438439c0174ca8c733714b2bb519459eda8e71",
     "chain.cres":
-        "f707ada2472dd09965ce7d2a0e7d2481c28755c7fa466e3c12c775fde412541a",
+        "08c27d21c37ab960cbac5cb7c970857a1686805e6c898f7288ae1505cdb3e479",
     # translate s2c on SHAPES_SAP; recorded before sa_to_circular read each
     # term's rule from its original kind.
     "shapes.cres":
@@ -857,6 +871,8 @@ def test_emitted_files_are_byte_stable(tmp_path, monkeypatch):
         assert run(["search", cnf.name, "--width", 3]) == 0
     (tmp_path / "chain.cnf").write_text("p cnf 4 4\n1 2 0\n-2 3 0\n-3 4 0\n-1 4 0\n")
     assert run(["search", "chain.cnf", "--width", 3, "--goal", "4 0"]) == 0
+    for name in ("nc3", "nc3_1", "nc3_2", "chain"):
+        assert run(["check", f"{name}.cres", f"{name}.cnf"]) == 0
     g = near_cubic_bipartite(5, 1)
     (tmp_path / "nc5.txt").write_text(
         f"{g.left_size} {g.right_size}\n" + "".join(f"{u} {v}\n" for u, v in sorted(g.edges)))

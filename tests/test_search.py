@@ -18,6 +18,7 @@ from circres.proofgraph import AXIOM, CUT, SPLIT, validate_rules
 from circres.search import (
     SearchBudgetError,
     WidthError,
+    _acyclic_closure,
     circular_search,
     daglike_width_saturate,
     lattice_size,
@@ -337,7 +338,7 @@ def _padded_cnf(rng: random.Random, n: int, width: int, count: int) -> CnfFormul
 
 
 def test_search_program_matches_definition(monkeypatch):
-    from circres.search import program_size
+    from circres.search import _program, _restriction, program_size
 
     rng = random.Random(15)
     cases = [
@@ -377,21 +378,31 @@ def test_search_program_matches_definition(monkeypatch):
         goal = Clause() if rng.random() < 0.5 else Clause.from_signed(
             rng.choice((1, -1)) * v for v in rng.sample(range(1, n + 3), rng.randint(1, width)))
         cases.append((cnf, goal, width))
+    answered = 0
     for cnf, goal, width in cases:
-        seen = []
-        solve = lp.feasible
-        monkeypatch.setattr(lp, "feasible", lambda p: seen.append(p) or solve(p))
-        circular_search(cnf, goal, width)
-        monkeypatch.undo()
-        assert len(seen) == 1
-        program = seen[0]
-        num_vars, rows, lower = _definition_program(*_restricted(cnf, goal), width)
+        kept, hyps, target = _restriction(cnf, goal, width)
+        *_, program = _program(len(kept), width, target, hyps - {target})
+        restricted, renamed = _restricted(cnf, goal)
+        num_vars, rows, lower = _definition_program(restricted, renamed, width)
         label = ([str(c) for c in cnf.clauses], str(goal), width)
         assert program.num_vars == num_vars, label
         assert program.rows == rows, label
         assert program.lower == lower, label
         assert program_size(cnf, goal, width) == (
             len(program.rows) + len(program.lower), program.num_vars)
+        # The closure answers when no hypothesis lies inside the goal and the
+        # goal has an acyclic width-w derivation; otherwise the search solves
+        # exactly this program.
+        stage = (not any(c.signed() <= renamed.signed() for c in restricted.clauses)
+                 and renamed.signed() in _cut_split_closure(restricted, width))
+        seen = []
+        solve = lp.feasible
+        monkeypatch.setattr(lp, "feasible", lambda p: seen.append(p) or solve(p))
+        circular_search(cnf, goal, width)
+        monkeypatch.undo()
+        assert seen == ([] if stage else [program]), label
+        answered += stage
+    assert 0 < answered < len(cases) // 2
 
 
 @st.composite
@@ -475,6 +486,107 @@ def test_search_matches_lattice_flow_program_on_near_cubic(seed):
     )
     for f in (cnf, dropped):
         _assert_search_matches_lattice(f, Clause(), 3)
+
+
+# ---------------------------------------------------------------------------
+# the acyclic closure stage
+
+def _cut_split_closure(hypotheses: CnfFormula, width: int) -> set[frozenset[int]]:
+    """Reference: every non-tautological clause of width at most ``width``
+    with an acyclic width-``width`` derivation in cut and split, as a set of
+    signed literals, found by applying both rules until nothing new appears:
+    a split takes ``C`` to ``C | x`` and ``C | ~x`` when ``|C| < width``, a
+    cut takes ``C | x`` and ``C | ~x`` to ``C``."""
+    n = hypotheses.num_variables
+    closure = {c.signed() for c in hypotheses.clauses if not c.is_tautological}
+    queue = list(closure)
+    while queue:
+        c = queue.pop()
+        made = [c - {lit} for lit in c if (c - {lit}) | {-lit} in closure]
+        if len(c) < width:
+            made += [c | {lit} for v in range(1, n + 1) if v not in c and -v not in c
+                     for lit in (v, -v)]
+        for d in made:
+            if d not in closure:
+                closure.add(d)
+                queue.append(d)
+    return closure
+
+
+def _upward(clauses, n: int, width: int) -> set[frozenset[int]]:
+    """Every non-tautological clause of width at most ``width`` over
+    ``x_1 .. x_n`` that contains one of ``clauses``."""
+    out = set(clauses)
+    queue = list(out)
+    while queue:
+        c = queue.pop()
+        if len(c) < width:
+            for v in range(1, n + 1):
+                for d in (c | {v}, c | {-v}):
+                    if v not in c and -v not in c and d not in out:
+                        out.add(d)
+                        queue.append(d)
+    return out
+
+
+def test_acyclic_closure_matches_the_cut_split_fixpoint_on_random_cnfs():
+    # The target is the empty clause, so the loop runs to the end unless it
+    # derives the empty clause; then only the answer and the soundness of
+    # each kept clause can be compared.
+    rng = random.Random(40)
+    tested = refuted = 0
+    for _ in range(240):
+        n = rng.randint(1, 5)
+        cnf = _random_cnf(rng, n, rng.randint(1, 4), rng.randint(0, 10))
+        hyps = {c.mask for c in cnf.clauses if not c.is_tautological}
+        if 0 in hyps:
+            continue
+        tested += 1
+        for width in range(max([1] + [c.width for c in cnf.clauses]), 5):
+            parents, found = _acyclic_closure(n, hyps, 0, width)
+            reference = _cut_split_closure(cnf, width)
+            kept = {Clause(m).signed() for m in parents}
+            label = ([str(c) for c in cnf.clauses], width)
+            if found is None:
+                assert _upward(kept, n, width) == reference, label
+            else:
+                refuted += 1
+                assert found == 0 and frozenset() in reference and kept <= reference, label
+    assert tested >= 200 and refuted > 0
+
+
+def test_acyclic_closure_answers_near_cubic_without_the_lp(monkeypatch):
+    calls = []
+    solve = lp.feasible
+    monkeypatch.setattr(lp, "feasible", lambda p: calls.append(p) or solve(p))
+    for n, seed in [(3, s) for s in range(60)] + [(5, 2)]:
+        cnf = gen_php(near_cubic_bipartite(n, seed))
+        lines = []
+        graph, _ = circular_search(cnf, Clause(), 3, report=lines.append)
+        assert calls == [], (n, seed)
+        assert len(lines) == 1 and lines[0].startswith("acyclic closure: proof found from ")
+        assert graph.width <= 3 and validate_rules(graph) == []
+        witnessed, flow = find_witness(graph)
+        assert flow is not None and witnessed.goal_clause() == Clause()
+        calls.clear()
+
+
+def test_dropped_pigeon_variants_solve_one_program(monkeypatch):
+    # near_cubic_bipartite(3, seed) has 4 pigeons, whose clauses come first;
+    # dropping any one of them leaves a satisfiable CNF.
+    calls = []
+    solve = lp.feasible
+    monkeypatch.setattr(lp, "feasible", lambda p: calls.append(p) or solve(p))
+    for seed in range(6):
+        cnf = gen_php(near_cubic_bipartite(3, seed))
+        for p in range(4):
+            dropped = CnfFormula.of(cnf.num_variables, cnf.clauses[:p] + cnf.clauses[p + 1:])
+            assert not implies_oracle(dropped, Clause())
+            lines = []
+            assert circular_search(dropped, Clause(), 3, report=lines.append) is None
+            assert len(calls) == 1 and len(lines) == 1, (seed, p)
+            assert lines[0].startswith("acyclic closure: no proof (")
+            calls.clear()
 
 
 # ---------------------------------------------------------------------------
