@@ -242,8 +242,6 @@ def cmd_search(args) -> int:
         raise UsageError(f"--guard-rows must be nonnegative, got {args.guard_rows}")
     cnf = formats.parse_dimacs(_read(args.cnf))
     goal = _parse_goal(args.goal)
-    rows, cols = search_mod.program_size(cnf, goal, args.width)
-    print(f"search LP: {rows} rows, {cols} clause-balance variables")
     start = time.monotonic()
     try:
         result = search_mod.circular_search(cnf, goal, args.width, args.guard_rows,

@@ -44,35 +44,38 @@ the rank table.  The map keeps variable order, so it keeps canonical
 literal order, and an instance with nothing to drop over ``x_1 .. x_n``
 solves the same program as without the restriction.
 
-Before the program is built, the search tries the acyclic width-``w``
-closure of cut and split over the restricted hypotheses: the loop of
-``daglike_width_saturate`` (below), except that a resolvent ``R`` of ``c``
-and ``d`` on ``x`` is kept only when ``|R| + 1 <= w``, the width at which
-cut and split reach it, by weakening ``c`` to ``R | x`` and ``d`` to
-``R | ~x`` and cutting on ``x``.  The loop stops at the first kept clause
-inside the goal.  Its derivation, weakened to the goal, is an acyclic
-width-``w`` proof, and with use counts as flows an acyclic proof is a
-circular one: each derived clause is consumed as often as it is made, so
-only hypotheses are sources and the goal's balance is 1.  The program is
-complete for width-``w`` circular proofs, so the stage changes no
-found/none answer, only which step gives it; when the closure holds no
-clause inside the goal, the program is built and solved.  A hypothesis
-inside the goal skips the stage, so the identity and weakening proofs keep
-the program's path.  The classical closure of ``daglike_width_saturate``
-cannot take the stage's place: a classical resolvent is a cut of premises
-one literal wider than itself, so a classical width-``w`` refutation need
-not be a width-``w`` circular proof.  On the Tseitin formula of ``K_4`` it
-turns the correct none at width 4 into "found".
+Both procedures rest on one given-clause loop, the acyclic width-``w``
+closure of cut and split: resolution over the hypotheses, shortest clauses
+first, with forward and lazy backward subsumption, in which a resolvent
+``R`` of ``c`` and ``d`` on ``x`` is kept only when ``|R| + 1 <= w``, the
+width at which cut and split reach it, by weakening ``c`` to ``R | x`` and
+``d`` to ``R | ~x`` and cutting on ``x``.  The loop records each kept
+clause's parents and stops at the first kept resolvent inside a target.
 
-``daglike_width_saturate`` is the classical comparison point: the least fixed
-point of width-bounded resolution and weakening over the hypotheses.  It
-saturates under resolution alone, discarding subsumed clauses, and then
-rebuilds the closure as every weakening of width at most ``w`` of what
-remains; weakening can always be postponed past resolution without raising
-width, so the result is the same set.  A formula has a dag-like width-``w`` refutation
-exactly when the saturation contains the empty clause, which makes the pair
-of procedures a practical probe for instances where circular width beats
-dag-like width.
+Before the program is built, the search runs the loop at width ``w`` over
+the restricted hypotheses, with the goal as the target.  The derivation of
+the clause it stops at, weakened to the goal, is an acyclic width-``w``
+proof, and with use counts as flows an acyclic proof is a circular one:
+each derived clause is consumed as often as it is made, so only hypotheses
+are sources and the goal's balance is 1.  The program is complete for
+width-``w`` circular proofs, so the stage changes no found/none answer,
+only which step gives it; when the closure holds no clause inside the
+goal, the program is built and solved.  A hypothesis inside the goal skips
+the stage, so the identity and weakening proofs keep the program's path.
+
+``daglike_width_saturate`` is the classical comparison point: the least
+fixed point of width-bounded resolution and weakening over the hypotheses.
+A classical resolvent is a cut of premises one literal wider than itself,
+so its resolution core is the loop at width ``w + 1`` with the empty
+clause as the target; the closure is then rebuilt as every weakening of
+width at most ``w`` of that core, since weakening can always be postponed
+past resolution without raising width.  A formula has a dag-like width-``w``
+refutation exactly when the closure contains the empty clause, which makes
+the pair of procedures a practical probe for instances where circular
+width beats dag-like width.  For the same reason the classical closure
+cannot stand in for the search's stage: a classical width-``w`` refutation
+need not be a width-``w`` circular proof.  On the Tseitin formula of
+``K_4`` it would turn the correct none at width 4 into "found".
 
 Both procedures work on the ``core.Clause`` mask: literal ``l`` sets bit
 ``literal_key(l)``, so bit ``2v`` is ``x_v``, bit ``2v + 1`` is ``~x_v``, and
@@ -80,7 +83,7 @@ the bits read from low to high are the literals in canonical order.  In the
 search, ``F_D`` is the sum of ``(-1)^|S| x^(N | S)`` over the submasks ``S``
 of the positive part ``P`` (the even bits) of ``D``, ``N`` its negative
 part, so the variable ``b_D`` enters the row of ``N | (S << 1)`` with sign
-``-(-1)^|S|``.  In the saturation, a literal bit's complement is its
+``-(-1)^|S|``.  In the loop, a literal bit's complement is its
 neighbour; the resolvent of ``c`` and ``d`` on bit ``b`` of ``c`` is
 ``(c ^ b) | (d ^ comp(b))``; ``r`` is tautological when ``r & (r >> 1)``
 has a positive-literal bit set; its width is ``r.bit_count()``; subsumption
@@ -197,25 +200,6 @@ def _renamed(mask: int, table) -> int:
     return out
 
 
-def program_size(hypotheses: CnfFormula, goal: Clause, width: int) -> tuple[int, int]:
-    """Constraints and clause-balance variables of the LP that
-    :func:`circular_search` solves, on the restricted instance (see the
-    module docstring): a constraint per clause of width at most ``width``
-    whose balance is constrained (every one but the hypotheses other than
-    the goal), which is a row for an all-negative clause and a declared
-    bound otherwise, and a variable per clause with a positive literal.
-    Their sum is what the search budget bounds.  Raises :class:`WidthError`
-    if there is no such LP: ``width`` is below the inputs' width or the goal
-    is tautological."""
-    kept, hyps, target = _restriction(hypotheses, goal, width)
-    return _size(len(kept), width, hyps - {target})
-
-
-def _size(n: int, width: int, free: set[int]) -> tuple[int, int]:
-    clauses = sum(math.comb(n, k) * 2 ** k for k in range(width + 1))
-    return clauses - len(free), clauses - sum(math.comb(n, k) for k in range(width + 1))
-
-
 def circular_search(
     hypotheses: CnfFormula,
     goal: Clause,
@@ -232,15 +216,23 @@ def circular_search(
     closure's derivation or the cuts and splits that realize the balances
     found, with its flows, or ``None`` when no width-``width`` circular proof
     exists (by soundness, in particular, when the goal does not follow).
-    ``report``, when given, receives one line saying what the closure did.
-    Raises :class:`SearchBudgetError`, before either step, if the program's
-    rows plus variables would exceed ``row_budget``, and :class:`WidthError`
-    if ``width`` cannot even accommodate the inputs.
+    ``report``, when given, receives two lines: the program's constraints
+    and clause-balance variables, whose sum ``row_budget`` bounds, even when
+    the search goes on to raise :class:`SearchBudgetError`, then what the
+    closure did.  Raises :class:`SearchBudgetError`, before either step, if
+    that sum would exceed ``row_budget``, and :class:`WidthError` if
+    ``width`` cannot even accommodate the inputs.
     """
     kept, hyps, target = _restriction(hypotheses, goal, width)
     n = len(kept)
     free = hyps - {target}
-    rows, cols = _size(n, width, free)
+    # A constraint per clause of width at most ``width`` but the free
+    # hypotheses (a row when the clause is all-negative, a declared bound
+    # otherwise), and a variable per clause with a positive literal.
+    clauses = sum(math.comb(n, k) * 2 ** k for k in range(width + 1))
+    rows, cols = clauses - len(free), clauses - sum(math.comb(n, k) for k in range(width + 1))
+    if report is not None:
+        report(f"search LP: {rows} rows, {cols} clause-balance variables")
     if rows + cols > row_budget:
         raise SearchBudgetError(rows, cols, row_budget)
     up = [0, *kept]
@@ -281,12 +273,13 @@ def circular_search(
 def _acyclic_closure(n: int, hyps: set[int], target: int,
                      width: int) -> tuple[_Parents, Optional[int]]:
     """The resolution core of the acyclic width-``width`` closure of cut and
-    split over ``hyps``, masks over ``x_1 .. x_n`` none of which lies inside
-    ``target``.  It is the loop of :func:`daglike_width_saturate`, shortest
-    clauses first with forward and lazy backward subsumption, except that a
-    resolvent ``R`` is kept only when ``|R| + 1 <= width``, the width of the
-    weakened premises ``R | x`` and ``R | ~x`` its cut needs, and that the
-    loop stops at the first kept clause inside ``target``.
+    split over ``hyps``, masks over ``x_1 .. x_n``: the given-clause loop of
+    the module docstring, shortest clauses first with forward and lazy
+    backward subsumption, keeping a resolvent ``R`` only when
+    ``|R| + 1 <= width``, the width of the weakened premises ``R | x`` and
+    ``R | ~x`` its cut needs, and stopping at the first kept resolvent
+    inside ``target``.  Hypotheses are kept whether or not they lie inside
+    ``target``; an empty one is inert.
 
     Returns every kept clause, in the order kept, mapped to ``(c, d, bit)``
     when it is the resolvent of ``c`` and ``d`` on bit ``bit`` of ``c`` and
@@ -328,6 +321,8 @@ def _acyclic_closure(n: int, hyps: set[int], target: int,
                 if not resolvent & ~target:
                     return parents, resolvent
                 queues[resolvent.bit_count()].append(resolvent)
+            # Safe before c's later bits are resolved: c holds no complement
+            # of its own bits, so it never meets itself in active.
             active.setdefault(bit, []).append(c)
     return parents, None
 
@@ -452,69 +447,30 @@ def daglike_width_saturate(hypotheses: CnfFormula, width: int) -> set[Clause]:
     Weakening is eliminated from the fixed-point computation: a resolvent of
     weakenings ``C' >= C`` and ``D' >= D`` either contains ``C`` or ``D`` or
     contains ``res(C, D)``, so the closure is the upward closure, within
-    width ``width``, of a resolution-only core.  That core is saturated with
-    forward subsumption (a resolvent with a kept nonempty subset is
-    dropped) and lazy backward subsumption (a queued clause is dropped when
-    popped if a proper nonempty subset is kept by then), shortest clauses
-    first.  The closure is then rebuilt by adding one literal at a time to
-    the nonempty core clauses.  If resolution derives the empty clause at
-    width 2 or more, every non-tautological clause of width at most
-    ``width`` follows (each is a weakening of a unit ``x`` or ``~x``, or a
-    resolvent of a weakening of each), and that set is returned at once.
-    An empty hypothesis stays inert: it neither subsumes nor is weakened.
+    width ``width``, of a resolution-only core.  That core is the
+    :func:`_acyclic_closure` at ``width + 1`` with the empty target: the
+    resolvent ``R`` of ``c | x`` and ``d | ~x`` is the cut of ``R | x`` and
+    ``R | ~x``, so the loop's bound ``|R| + 1 <= width + 1`` is the
+    classical ``|R| <= width``.  The closure is then rebuilt by adding one
+    literal at a time to the nonempty core clauses.  If resolution derives
+    the empty clause at width 2 or more, every non-tautological clause of
+    width at most ``width`` follows (each is a weakening of a unit ``x`` or
+    ``~x``, or a resolvent of a weakening of each), and that set is
+    returned.  At width 1 the loop stops at the empty clause too, and loses
+    nothing: the clauses are units, whose only resolvent is the empty
+    clause, so the core is the hypotheses and the empty clause.  An empty
+    hypothesis stays inert: it neither resolves, subsumes nor is weakened.
     """
     needed = max((c.width for c in hypotheses.clauses), default=0)
     if width < needed:
         raise WidthError(f"width {width} below hypothesis width {needed}")
     n = hypotheses.num_variables
-    positive = positive_mask(n)
+    parents, found = _acyclic_closure(n, _hypothesis_masks(hypotheses), 0, width + 1)
+    if found is not None and width >= 2:
+        return set(map(Clause, _clause_masks(n, width)))
 
-    kept: set[int] = set()
-    queues: list[list[int]] = [[] for _ in range(width + 1)]
-    active: dict[int, list[int]] = {}
-
-    def has_kept_subset(c: int, proper: bool) -> bool:
-        # Every nonempty submask of c, c itself first unless proper.
-        sub = (c - 1) & c if proper else c
-        while sub:
-            if sub in kept:
-                return True
-            sub = (sub - 1) & c
-        return False
-
-    def keep(c: int) -> None:
-        kept.add(c)
-        if c:
-            queues[c.bit_count()].append(c)
-
-    for c in hypotheses.clauses:
-        if not c.is_tautological:
-            keep(c.mask)
-
-    while any(queues):
-        c = next(q for q in queues if q).pop()
-        if has_kept_subset(c, True):
-            continue
-        rest = c
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            comp = bit << 1 if bit & positive else bit >> 1
-            side = c ^ bit
-            for d in active.get(comp, ()):
-                resolvent = side | (d ^ comp)
-                if resolvent.bit_count() > width or resolvent & (resolvent >> 1) & positive:
-                    continue
-                if not resolvent and width >= 2:
-                    return set(map(Clause, _clause_masks(n, width)))
-                if not has_kept_subset(resolvent, False):
-                    keep(resolvent)
-            # Safe before c's later bits are resolved: c holds no complement
-            # of its own bits, so it never meets itself in active.
-            active.setdefault(bit, []).append(c)
-
-    closure = set(kept)
-    frontier = [c for c in kept if 0 < c.bit_count() < width]
+    closure = set(parents)
+    frontier = [c for c in parents if 0 < c.bit_count() < width]
     phases = [(3 << literal_key(v), 1 << literal_key(v), 1 << literal_key(-v))
               for v in range(1, n + 1)]
     while frontier:

@@ -1,5 +1,5 @@
 """Every demo script runs to completion against the library in ``src``, and
-the deterministic ones print the same bytes."""
+the pinned ones print the same bytes."""
 
 import hashlib
 import os
@@ -11,7 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-# sha256 of each deterministic demo's stdout; demo 04 prints timings.
+# sha256 of each demo's stdout.
 STDOUT_SHA256 = {
     "01_checking_circular_proofs":
         "0d89ee11aedd078ccfb1fe96823a190fa5ea98a7a79aa0471305898aa7407abb",
@@ -19,6 +19,8 @@ STDOUT_SHA256 = {
         "759a8f3c77bd366656e7363675544b3fa7e5a014069d1c158c1bc379ad31df18",
     "03_polynomial_translations":
         "48a947476b9ad88a9bc7f4dfa2740156025400a6c9d1c334f189cce5e947b0e6",
+    "04_bounded_width_search":
+        "c6217082014fbd0c924b7b80cd63d77fdf8990970c1ee6627d609926eada0917",
 }
 
 

@@ -338,7 +338,7 @@ def _padded_cnf(rng: random.Random, n: int, width: int, count: int) -> CnfFormul
 
 
 def test_search_program_matches_definition(monkeypatch):
-    from circres.search import _program, _restriction, program_size
+    from circres.search import _program, _restriction
 
     rng = random.Random(15)
     cases = [
@@ -388,18 +388,18 @@ def test_search_program_matches_definition(monkeypatch):
         assert program.num_vars == num_vars, label
         assert program.rows == rows, label
         assert program.lower == lower, label
-        assert program_size(cnf, goal, width) == (
-            len(program.rows) + len(program.lower), program.num_vars)
         # The closure answers when no hypothesis lies inside the goal and the
         # goal has an acyclic width-w derivation; otherwise the search solves
         # exactly this program.
         stage = (not any(c.signed() <= renamed.signed() for c in restricted.clauses)
                  and renamed.signed() in _cut_split_closure(restricted, width))
-        seen = []
+        seen, lines = [], []
         solve = lp.feasible
         monkeypatch.setattr(lp, "feasible", lambda p: seen.append(p) or solve(p))
-        circular_search(cnf, goal, width)
+        circular_search(cnf, goal, width, report=lines.append)
         monkeypatch.undo()
+        assert lines[0] == (f"search LP: {len(program.rows) + len(program.lower)} rows, "
+                            f"{program.num_vars} clause-balance variables"), label
         assert seen == ([] if stage else [program]), label
         answered += stage
     assert 0 < answered < len(cases) // 2
@@ -564,7 +564,8 @@ def test_acyclic_closure_answers_near_cubic_without_the_lp(monkeypatch):
         lines = []
         graph, _ = circular_search(cnf, Clause(), 3, report=lines.append)
         assert calls == [], (n, seed)
-        assert len(lines) == 1 and lines[0].startswith("acyclic closure: proof found from ")
+        assert len(lines) == 2 and lines[0].startswith("search LP: ")
+        assert lines[1].startswith("acyclic closure: proof found from ")
         assert graph.width <= 3 and validate_rules(graph) == []
         witnessed, flow = find_witness(graph)
         assert flow is not None and witnessed.goal_clause() == Clause()
@@ -584,9 +585,28 @@ def test_dropped_pigeon_variants_solve_one_program(monkeypatch):
             assert not implies_oracle(dropped, Clause())
             lines = []
             assert circular_search(dropped, Clause(), 3, report=lines.append) is None
-            assert len(calls) == 1 and len(lines) == 1, (seed, p)
-            assert lines[0].startswith("acyclic closure: no proof (")
+            assert len(calls) == 1 and len(lines) == 2, (seed, p)
+            assert lines[0].startswith("search LP: ")
+            assert lines[1].startswith("acyclic closure: no proof (")
             calls.clear()
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_classical_width_three_gives_width_four_acyclic_proofs(monkeypatch, n):
+    # Criterion 7's instances: classical width 3 refutes them, so the
+    # acyclic closure at width 4 does, as a classical resolvent is a cut of
+    # premises one literal wider, and the search answers without the LP.
+    cnf = gen_php(near_cubic_bipartite(n, 0))
+    assert Clause() in daglike_width_saturate(cnf, 3)
+    calls = []
+    solve = lp.feasible
+    monkeypatch.setattr(lp, "feasible", lambda p: calls.append(p) or solve(p))
+    lines = []
+    graph, _ = circular_search(cnf, Clause(), 4, report=lines.append)
+    assert calls == [] and lines[1].startswith("acyclic closure: proof found from ")
+    assert graph.width <= 4 and validate_rules(graph) == []
+    witnessed, flow = find_witness(graph)
+    assert flow is not None and witnessed.goal_clause() == Clause()
 
 
 # ---------------------------------------------------------------------------
@@ -694,6 +714,11 @@ def test_saturate_matches_weakening_closure_on_random_cnfs():
         CnfFormula.of(2, [Clause(), clause(1, 2), clause(-1)]),
         CnfFormula.of(3, [clause(1, -1), clause(2, 3), clause(-2, -3)]),
         unit_contradiction(),
+        # At width 1 the loop stops at the empty clause; in this clause
+        # order x2 and ~x3 are still queued then.
+        CnfFormula.of(3, [clause(1), clause(-3), clause(2), clause(-1)]),
+        # An empty hypothesis next to a refutable pair.
+        CnfFormula.of(2, [Clause(), clause(1), clause(-1)]),
     ]
     for _ in range(300):
         n = rng.randint(1, 5)
