@@ -59,9 +59,25 @@ proof, and with use counts as flows an acyclic proof is a circular one:
 each derived clause is consumed as often as it is made, so only hypotheses
 are sources and the goal's balance is 1.  The program is complete for
 width-``w`` circular proofs, so the stage changes no found/none answer,
-only which step gives it; when the closure holds no clause inside the
-goal, the program is built and solved.  A hypothesis inside the goal skips
-the stage, so the identity and weakening proofs keep the program's path.
+only which step gives it.  A hypothesis inside the goal skips the stage,
+so the identity and weakening proofs keep the program's path.
+
+When the closure holds no clause inside the goal, it presolves the
+program: the balances of its kept resolvents are left free, as the
+hypotheses' are, so an all-negative one loses its row and any other its
+declared bound.  None of them lies inside the goal, or the loop would
+have stopped there, so the goal keeps its bound.  This changes no answer:
+
+* Extended to original: a point of the presolved program is realized as
+  cuts and splits in which a kept resolvent ``C`` may be a source, of some
+  amount ``a_C``.  Its acyclic derivation, with use counts scaled by
+  ``a_C`` and pushed down to the hypotheses, is spliced in: that makes
+  ``C`` exactly ``a_C`` more than it consumes and leaves only hypotheses
+  as sources, at width at most ``w``.  The result is a width-``w`` circular
+  proof from the original hypotheses.
+* Original to extended: the presolved program is the original one less
+  some constraints, a relaxation, so every point of the original is one
+  of it.
 
 ``daglike_width_saturate`` is the classical comparison point: the least
 fixed point of width-bounded resolution and weakening over the hypotheses.
@@ -73,9 +89,11 @@ past resolution without raising width.  A formula has a dag-like width-``w``
 refutation exactly when the closure contains the empty clause, which makes
 the pair of procedures a practical probe for instances where circular
 width beats dag-like width.  For the same reason the classical closure
-cannot stand in for the search's stage: a classical width-``w`` refutation
-need not be a width-``w`` circular proof.  On the Tseitin formula of
-``K_4`` it would turn the correct none at width 4 into "found".
+cannot stand in for the search's stage or its presolve: a classical
+width-``w`` resolvent need not have a width-``w`` circular proof, so the
+first half of the argument above fails for it.  On the Tseitin formula of
+``K_4``, freeing the classical width-4 closure in the program turns the
+correct none at width 4 into "found".
 
 Both procedures work on the ``core.Clause`` mask: literal ``l`` sets bit
 ``literal_key(l)``, so bit ``2v`` is ``x_v``, bit ``2v + 1`` is ``~x_v``, and
@@ -212,16 +230,20 @@ def circular_search(
     Works on the restricted instance (see the module docstring) in steps:
     the acyclic width-``width`` closure first, then, when that holds no
     clause inside the goal, the degree-``width`` Sherali-Adams program over
-    clause balances, so at most one exact LP call.  Returns a proof, the
+    clause balances, presolved by leaving the balances of the closure's kept
+    resolvents free, so at most one exact LP call.  Returns a proof, the
     closure's derivation or the cuts and splits that realize the balances
-    found, with its flows, or ``None`` when no width-``width`` circular proof
+    found with the derivations of the kept resolvents they draw on spliced
+    in, with its flows, or ``None`` when no width-``width`` circular proof
     exists (by soundness, in particular, when the goal does not follow).
-    ``report``, when given, receives two lines: the program's constraints
-    and clause-balance variables, whose sum ``row_budget`` bounds, even when
-    the search goes on to raise :class:`SearchBudgetError`, then what the
-    closure did.  Raises :class:`SearchBudgetError`, before either step, if
-    that sum would exceed ``row_budget``, and :class:`WidthError` if
-    ``width`` cannot even accommodate the inputs.
+    ``report``, when given, receives two lines: the constraints and
+    clause-balance variables of the program without the presolve, whose sum
+    ``row_budget`` bounds, even when the search goes on to raise
+    :class:`SearchBudgetError`, then what the closure did, with the number
+    of kept resolvents freed when it found no proof.  Raises
+    :class:`SearchBudgetError`, before either step, if that sum would exceed
+    ``row_budget``, and :class:`WidthError` if ``width`` cannot even
+    accommodate the inputs.
     """
     kept, hyps, target = _restriction(hypotheses, goal, width)
     n = len(kept)
@@ -238,6 +260,7 @@ def circular_search(
     up = [0, *kept]
     b = ProofGraphBuilder()
     b.set_goal(b.vertex(goal.mask))
+    parents: _Parents = {}
     found = None
     if any(not h & ~target for h in hyps):
         # The identity and weakening proofs stay with the program.
@@ -245,14 +268,20 @@ def circular_search(
     else:
         parents, found = _acyclic_closure(n, hyps, target, width)
         if found is None:
-            note = f"no proof ({len(parents)} kept clauses)"
+            note = (f"no proof ({len(parents)} kept clauses, "
+                    f"{len(parents) - len(hyps)} freed in the LP)")
         else:
             note = f"proof found from {len(parents)} kept clauses, no LP solved"
-            _emit_derivation(b, parents, found, target, up)
+            _emit_derivation(b, parents, {found: 1}, up)
+            _weaken(b, _renamed(found, up), goal.mask, 1)
     if report is not None:
         report(f"acyclic closure: {note}")
     if found is None:
-        variables, balance, program = _program(n, width, target, free)
+        # The kept resolvents' balances are as free as the hypotheses' (see
+        # the module docstring); the derivations of those left as sources
+        # are spliced in.
+        derived = parents.keys() - hyps
+        variables, balance, program = _program(n, width, target, free | derived)
         point = lp.feasible(program)
         if point is None:
             # Width 0 admits no rule, not even the identity proof's split.
@@ -262,7 +291,7 @@ def circular_search(
             b.pad_identity(goal.mask)
             b.mark_hypotheses({goal.mask})
             return b.build()
-        _realize(b, point, variables, balance, up)
+        _emit_derivation(b, parents, _realize(b, point, variables, balance, up, derived), up)
     b.mark_hypotheses(_hypothesis_masks(hypotheses))
     graph, flow = b.build()
     if not verify_flow(graph, flow):
@@ -327,17 +356,17 @@ def _acyclic_closure(n: int, hyps: set[int], target: int,
     return parents, None
 
 
-def _emit_derivation(b: ProofGraphBuilder, parents: _Parents, found: int, target: int,
+def _emit_derivation(b: ProofGraphBuilder, parents: _Parents, owed: dict[int, Fraction | int],
                      up: list[int]) -> None:
-    """Add to ``b`` the acyclic derivation of ``found`` that ``parents``
-    records (see :func:`_acyclic_closure`) and the weakening of ``found`` to
-    ``target``, each clause mapped back through the rank table ``up``.  The
+    """Add to ``b`` the acyclic derivations that ``parents`` records (see
+    :func:`_acyclic_closure`) of the clauses ``owed`` maps to the amount each
+    must supply, each clause mapped back through the rank table ``up``.  The
     resolvent ``R`` of ``c`` and ``d`` on ``x`` is a cut of ``R | x`` and
     ``R | ~x``, each reached from its premise by splits that add one literal
-    at a time.  Flows are use counts, pushed down from the goal in reverse
-    derivation order, so every derived clause is consumed as often as it is
-    made and only hypotheses are sources."""
-    uses = {found: 1}
+    at a time.  Flows are use counts, pushed down from the owed amounts in
+    reverse derivation order, so every derived clause is made as often as
+    it is consumed plus what it owes, and only hypotheses are sources."""
+    uses = dict(owed)
     for r in reversed(parents):
         if r in uses and parents[r] is not None:
             c, d, _ = parents[r]
@@ -357,10 +386,9 @@ def _emit_derivation(b: ProofGraphBuilder, parents: _Parents, found: int, target
         _weaken(b, _renamed(d, up), side | neg, uses[r])
         b.inference(CUT, x, (b.vertex(side | pos), b.vertex(side | neg)),
                     (b.vertex(side),), uses[r])
-    _weaken(b, _renamed(found, up), _renamed(target, up), 1)
 
 
-def _weaken(b: ProofGraphBuilder, mask: int, to: int, flow: int) -> None:
+def _weaken(b: ProofGraphBuilder, mask: int, to: int, flow: Fraction | int) -> None:
     """Single-consequent splits of value ``flow`` from ``mask`` up to its
     superset ``to``, adding the missing literals in canonical order."""
     rest = to & ~mask
@@ -403,10 +431,12 @@ def _program(n: int, width: int, target: int,
 
 
 def _realize(b: ProofGraphBuilder, point: list[Fraction], variables: list[int],
-             balance: dict[int, list[tuple[int, int]]], up: list[int]) -> None:
+             balance: dict[int, list[tuple[int, int]]], up: list[int],
+             derived: set[int]) -> dict[int, Fraction]:
     """Add to ``b`` the cuts and splits that realize the balances ``point``
     of :func:`_program`, each clause mapped back through the rank table
-    ``up``.
+    ``up``, and return what each clause of ``derived`` left as a source
+    owes: minus its balance, where that is negative.
 
     For D = side | x, x its top positive bit, a cut on (side, x) of value
     -t (a split of value t when t > 0) settles the residual t of D and moves
@@ -419,6 +449,7 @@ def _realize(b: ProofGraphBuilder, point: list[Fraction], variables: list[int],
     num = [v.numerator * (den // v.denominator) for v in point]
     residual = dict(zip(variables, num))
     residual |= {d: sum([c * num[j] for j, c in form]) for d, form in balance.items()}
+    owed = {d: Fraction(-residual[d], den) for d in derived if residual[d] < 0}
     for d in sorted(variables, key=lambda d: -(d & positive).bit_count()):
         t = residual.pop(d)
         if not t:
@@ -435,6 +466,7 @@ def _realize(b: ProofGraphBuilder, point: list[Fraction], variables: list[int],
             b.inference(SPLIT, x, (b.vertex(side),), (b.vertex(d), b.vertex(neg)), value)
     if any(residual.values()):
         raise AssertionError("clause balances leave a residual on an all-negative clause")
+    return owed
 
 
 def daglike_width_saturate(hypotheses: CnfFormula, width: int) -> set[Clause]:

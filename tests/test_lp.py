@@ -20,7 +20,8 @@ from circres.generators import (
     random_circular_proof,
 )
 from circres.lp import Constraint, LinearProgram, feasible, solve
-from circres.search import circular_search
+from circres.search import _program as _search_program
+from circres.search import _restriction, circular_search
 from test_search import _definition_program
 
 
@@ -345,6 +346,16 @@ def _search_case(seed, dropped):
 
 
 def _restricted_search_case(seed):
+    # The width-3 search program over the restricted dropped variant, with
+    # only the hypotheses free.
+    kept, hyps, target = _restriction(_near_cubic(seed, True), Clause(), 3)
+    *_, program = _search_program(len(kept), 3, target, hyps - {target})
+    return lambda: lp_module.feasible(program)
+
+
+def _presolved_search_case(seed):
+    # What the search solves on the dropped variant: the restricted program
+    # with the acyclic closure's kept resolvents free as well.
     cnf = _near_cubic(seed, True)
     return lambda: circular_search(cnf, Clause(), 3)
 
@@ -384,6 +395,7 @@ _PINNED = {
         for seed in range(3) for dropped in (False, True)
     },
     **{f"search-n3-seed{seed}-restricted": (_restricted_search_case, (seed,)) for seed in range(3)},
+    **{f"search-n3-seed{seed}-presolved": (_presolved_search_case, (seed,)) for seed in range(3)},
     "witness-php7x6": (_witness_case, (False,)),
     "witness-php7x6-dropped": (_witness_case, (True,)),
     "witness-random-seed4": (_random_witness_case, (4,)),
@@ -407,6 +419,12 @@ _DIGESTS = {
     "search-n3-seed0-restricted": "d5c34dc5837b35eb41ca6b56a68a4dee542b1f4582da88f827168a278b53e6fc",
     "search-n3-seed1-restricted": "8ec78647e8b5b71ff98815c1438f05a03c24d263b3fac6e79ed656826e90ea0a",
     "search-n3-seed2-restricted": "d5c34dc5837b35eb41ca6b56a68a4dee542b1f4582da88f827168a278b53e6fc",
+    # The same with the acyclic closure's 14 kept resolvents free: 54 rows
+    # and 303 declared bounds in place of 59 and 312.  Recorded when the
+    # search began presolving with the closure.
+    "search-n3-seed0-presolved": "acfc40eae6b4447c20f3d873736e781dd2074b3067d789c5531066f6524b6549",
+    "search-n3-seed1-presolved": "3ee505a04df8ad4b688fe8dd3169f653ff154b1be141552f53153e243c20d65d",
+    "search-n3-seed2-presolved": "acfc40eae6b4447c20f3d873736e781dd2074b3067d789c5531066f6524b6549",
     "witness-php7x6": "34bebbf60e49c2435693a996bf2fbce990cd7f519c4fe6ccf140c064eaa902db",
     "witness-php7x6-dropped": "533203e8a0ad6232fce042307982c5bce075c87baa124197a4cf3a5d72c8111d",
     "witness-random-seed4": "040ba9a8815c18891b9fda4ed8e08f7324ea2a0ded80190fbcb91c609beae05a",
@@ -425,9 +443,12 @@ def test_answers_are_stable(monkeypatch, case):
     assert digest == _DIGESTS[case]
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_restricted_search_programs_answer_with_a_checked_certificate(monkeypatch, seed):
-    (program,) = _programs_solved(monkeypatch, _restricted_search_case(seed))
+@pytest.mark.parametrize("make, seed", [
+    *((_restricted_search_case, seed) for seed in range(3)),
+    *((_presolved_search_case, seed) for seed in range(3)),
+], ids=[*map(str, range(3)), *(f"{seed}-presolved" for seed in range(3))])
+def test_restricted_search_programs_answer_with_a_checked_certificate(monkeypatch, make, seed):
+    (program,) = _programs_solved(monkeypatch, make(seed))
     point, cert = solve(program)
     assert point is None
     _check_certificate(program, cert, seed)
@@ -490,6 +511,9 @@ _WALK_DIGESTS = {
     "search-n3-seed0-restricted": "e8cf0a2f24b1b800c09e6e23920dd73f68a0ec42d7e173e7f11ac465d3c48178",
     "search-n3-seed1-restricted": "781eac25e6a243f13792c408b244915082c136edf7def45f4d4a6bb520f808c4",
     "search-n3-seed2-restricted": "e8cf0a2f24b1b800c09e6e23920dd73f68a0ec42d7e173e7f11ac465d3c48178",
+    "search-n3-seed0-presolved": "0892427ab87548f20c20b2cd48009e67171b309cc8724439e9fd50230f8cce7a",
+    "search-n3-seed1-presolved": "5e2593d82e64df6a72c6f3b98118b5ca002c670841434d489970ba1f8eb33ff5",
+    "search-n3-seed2-presolved": "0892427ab87548f20c20b2cd48009e67171b309cc8724439e9fd50230f8cce7a",
     # The pigeonhole flow programs take no pivot: each is feasible at its
     # lower bounds or stuck at once.  The random proofs' programs pivot twice,
     # on the same (row, column) pairs.

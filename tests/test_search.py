@@ -261,12 +261,13 @@ def test_search_matches_lattice_flow_program_on_random_cnfs():
         _assert_search_matches_lattice(cnf, goal, width)
 
 
-def _definition_program(hypotheses: CnfFormula, goal: Clause, width: int):
+def _definition_program(hypotheses: CnfFormula, goal: Clause, width: int, free=frozenset()):
     """The search LP as the module docstring defines it, built over frozensets
     of signed literals: ``(num_vars, rows, lower)`` with a variable per proper
     clause of width at most ``width`` that has a positive literal, a declared
     bound per such clause whose balance is constrained, and a row per
-    constrained all-negative clause balance in canonical clause order."""
+    constrained all-negative clause balance in canonical clause order.  The
+    balances of the hypotheses and of the clauses in ``free`` are free."""
     import itertools
 
     n = max(hypotheses.num_variables, max(goal.variables(), default=0))
@@ -289,7 +290,7 @@ def _definition_program(hypotheses: CnfFormula, goal: Clause, width: int):
         for k in range(len(pos) + 1):
             for s in itertools.combinations(pos, k):
                 balance[neg.union(-x for x in s)][j] = 1 if k % 2 else -1
-    hyps = {c.signed() for c in hypotheses.clauses if not c.is_tautological}
+    hyps = {c.signed() for c in hypotheses.clauses if not c.is_tautological} | set(free)
     target = goal.signed()
     constrained = {d: 1 if d == target else 0 for d in clauses if d == target or d not in hyps}
     rows = [
@@ -378,7 +379,7 @@ def test_search_program_matches_definition(monkeypatch):
         goal = Clause() if rng.random() < 0.5 else Clause.from_signed(
             rng.choice((1, -1)) * v for v in rng.sample(range(1, n + 3), rng.randint(1, width)))
         cases.append((cnf, goal, width))
-    answered = 0
+    answered = presolved = 0
     for cnf, goal, width in cases:
         kept, hyps, target = _restriction(cnf, goal, width)
         *_, program = _program(len(kept), width, target, hyps - {target})
@@ -388,11 +389,15 @@ def test_search_program_matches_definition(monkeypatch):
         assert program.num_vars == num_vars, label
         assert program.rows == rows, label
         assert program.lower == lower, label
-        # The closure answers when no hypothesis lies inside the goal and the
-        # goal has an acyclic width-w derivation; otherwise the search solves
-        # exactly this program.
-        stage = (not any(c.signed() <= renamed.signed() for c in restricted.clauses)
-                 and renamed.signed() in _cut_split_closure(restricted, width))
+        # When a hypothesis lies inside the goal, the search solves exactly
+        # this program.  Otherwise the closure answers when the goal has an
+        # acyclic width-w derivation, and when it has none the search solves
+        # this program less the constraints of some clauses F with such a
+        # derivation that are neither hypotheses nor the goal, as many as
+        # the closure line says it freed.
+        skipped = any(c.signed() <= renamed.signed() for c in restricted.clauses)
+        closure = _cut_split_closure(restricted, width)
+        stage = not skipped and renamed.signed() in closure
         seen, lines = [], []
         solve = lp.feasible
         monkeypatch.setattr(lp, "feasible", lambda p: seen.append(p) or solve(p))
@@ -400,9 +405,26 @@ def test_search_program_matches_definition(monkeypatch):
         monkeypatch.undo()
         assert lines[0] == (f"search LP: {len(program.rows) + len(program.lower)} rows, "
                             f"{program.num_vars} clause-balance variables"), label
-        assert seen == ([] if stage else [program]), label
+        if stage or skipped:
+            assert seen == ([] if stage else [program]), label
+        else:
+            (solved,) = seen
+            allowed = closure - {c.signed() for c in restricted.clauses} - {renamed.signed()}
+            # A constraint is a clause's: the program keeps every row and
+            # bound of the one with all of ``allowed`` free, in order.
+            _, least_rows, least_lower = _definition_program(restricted, renamed, width, allowed)
+            kept_rows = iter(rows)
+            assert solved.num_vars == num_vars, label
+            assert all(row in kept_rows for row in solved.rows), label
+            assert set(least_rows) <= set(solved.rows), label
+            assert least_lower.items() <= solved.lower.items() <= lower.items(), label
+            dropped = len(rows) + len(lower) - len(solved.rows) - len(solved.lower)
+            assert lines[1].endswith(f", {dropped} freed in the LP)"), label
+            presolved += dropped > 0
         answered += stage
     assert 0 < answered < len(cases) // 2
+    # Most random instances restrict to nothing; the dropped pigeon does not.
+    assert presolved
 
 
 @st.composite
@@ -589,6 +611,95 @@ def test_dropped_pigeon_variants_solve_one_program(monkeypatch):
             assert lines[0].startswith("search LP: ")
             assert lines[1].startswith("acyclic closure: no proof (")
             calls.clear()
+
+
+def _assert_presolve_keeps_the_answer(cnf: CnfFormula, goal: Clause, width: int) -> str:
+    # Freeing the closure's kept resolvents relaxes the program, and each
+    # has an acyclic width-w proof, so the answer is the unpresolved
+    # program's (or the identity proof's); a proof found from the relaxed
+    # program owes those derivations, and once they are spliced in it is
+    # witnessed against the input alone.  Returns the closure line.
+    from circres.search import _program, _restriction
+
+    kept, hyps, target = _restriction(cnf, goal, width)
+    *_, program = _program(len(kept), width, target, hyps - {target})
+    expected = lp.feasible(program) is not None or (target in hyps and width > 0)
+    lines = []
+    found = circular_search(cnf, goal, width, report=lines.append)
+    label = ([str(c) for c in cnf.clauses], str(goal), width)
+    assert (found is not None) == expected, label
+    if found is not None:
+        graph, _ = found
+        graph, flow = find_witness(dataclasses.replace(graph, hypotheses=frozenset(cnf.clauses)))
+        assert flow is not None and graph.goal_clause() == goal, label
+    return lines[1]
+
+
+@pytest.fixture
+def owed(monkeypatch):
+    """What ``_realize`` leaves each freed clause to owe, per LP-found proof."""
+    from circres import search
+
+    seen = []
+    realize = search._realize
+
+    def recording(*args):
+        seen.append(realize(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(search, "_realize", recording)
+    return seen
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_presolve_changes_no_near_cubic_answer(owed, n):
+    # Each instance as is and less its first (a pigeon clause) or its last
+    # clause (a hole clause).
+    owing = {}
+    for seed in range(3):
+        cnf = gen_php(near_cubic_bipartite(n, seed))
+        for dropped in (None, 0, len(cnf.clauses) - 1):
+            owed.clear()
+            _assert_presolve_keeps_the_answer(CnfFormula.of(cnf.num_variables, [
+                c for i, c in enumerate(cnf.clauses) if i != dropped]), Clause(), 3)
+            if dropped is None and owed:
+                (owing[seed],) = map(len, owed)
+    # At n = 3 the closure refutes every complete instance.  At n = 4 the
+    # presolved program does, and each proof splices 7 to 9 derivations in;
+    # at n = 5 it refutes seeds 0 and 1, and the closure seed 2.
+    assert owing == {3: {}, 4: {0: 8, 1: 7, 2: 9}, 5: {0: 10, 1: 5}}[n]
+
+
+def test_presolve_changes_no_random_answer():
+    # CNFs drawn as in the lattice cross-check, with every kind of goal, then
+    # random 2- and 3-CNFs over distinct variables at width 3, which the
+    # closure mostly leaves to the presolved LP.
+    rng = random.Random(42)
+    cases = []
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        width = rng.randint(1, 3)
+        cnf = _random_cnf(rng, n, width, rng.randint(0, 10))
+        hyps = [c for c in cnf.clauses if not c.is_tautological]
+        pick = rng.random()
+        if pick < 0.2 and hyps:
+            goal = rng.choice(hyps)
+        elif pick < 0.6:
+            goal = Clause()
+        else:
+            vs = rng.sample(range(1, n + 1), rng.randint(1, min(n, width)))
+            goal = Clause.from_signed(rng.choice((1, -1)) * v for v in vs)
+        cases.append((cnf, goal, width))
+    for _ in range(60):
+        n = rng.randint(4, 6)
+        cases.append((CnfFormula.of(n, [
+            Clause.from_signed(rng.choice((1, -1)) * v
+                               for v in rng.sample(range(1, n + 1), rng.randint(2, 3)))
+            for _ in range(rng.randint(2 * n, 4 * n))]), Clause(), 3))
+    notes = [_assert_presolve_keeps_the_answer(*case) for case in cases]
+    presolved = [note for note in notes if note.startswith("acyclic closure: no proof (")
+                 and not note.endswith(" 0 freed in the LP)")]
+    assert len(presolved) > len(cases) // 5
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
