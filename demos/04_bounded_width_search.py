@@ -8,11 +8,13 @@ solves one small exact LP: a balance per clause of width at most w, one row
 per monomial of degree at most w tying the balances into a polynomial
 identity, the goal's balance at least 1 and every other non-hypothesis
 balance nonnegative.  The clauses the closure derived are presolved into
-that LP: their balances are left free, like a hypothesis's, since each has
-its own width-w proof.  A feasible point is turned back into cuts and splits
-on the width-w clause lattice, and each derived clause it draws on gets its
-derivation spliced in; infeasibility is definitive for that width.  Either
-way the proof is rechecked as a circular proof.
+that LP with every weakening of them or of a hypothesis: their balances are
+left free, like a hypothesis's, since each has its own width-w proof, and
+the LP is built from the rows left constrained and the balances that enter
+them.  A feasible point is turned back into cuts and splits on the width-w
+clause lattice, and each freed clause it draws on gets its derivation
+spliced in; infeasibility is definitive for that width.  Either way the
+proof is rechecked as a circular proof.
 """
 
 from circres import (

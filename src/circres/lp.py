@@ -44,10 +44,12 @@ Implementation notes, none of which change the results:
   ``t`` of ``lp.rows`` is read it is packed into one integer, entry ``a`` of
   ``x_j`` as ``a << bits * j``, and kept for the walk; ``s`` is
   ``sum(M[r][t] * packed[t])``, one multiply-add per entry of ``M[r]``.
-  Lanes start at 8 bits.  When ``sum(|M[r][t]| * max|A_t|)``, a bound on
-  every ``|s[j]|``, reaches ``2^(bits-2)``, ``bits`` doubles and the packed
-  rows are dropped, so each lane holds its entry exactly; rows packed at a
-  width that stays are kept.  Adding ``2^(bits-1) - 1`` and ``2^(bits-1)``
+  Lanes start at 8 bits.  Before any row is packed for the sum, the bound
+  ``sum(|M[r][t]| * max|A_t|)`` on every ``|s[j]|`` is read off the rows'
+  heights; when it reaches ``2^(bits-2)``, ``bits`` doubles and the packed
+  rows are dropped, so each lane holds its entry exactly and each row is
+  packed once per width it is summed at; rows packed at a width that stays
+  are kept.  Adding ``2^(bits-1) - 1`` and ``2^(bits-1)``
   to every lane sets a lane's top bit when its entry is positive and when
   it is nonnegative (read only for a free variable's - column, so not at
   all when every variable is bounded), so a few whole-integer masks mark
@@ -130,7 +132,7 @@ class _Tableau:
     common denominator of the working state.  ``packed[t]`` is row ``t`` of
     ``lp.rows`` as one integer with a lane of ``bits`` bits per variable, or
     None until it is read at that width, and ``height[t]`` its largest
-    ``|coefficient|``.
+    ``|coefficient|``, or None until it is first read.
     """
 
     def __init__(self, lp: LinearProgram) -> None:
@@ -151,7 +153,7 @@ class _Tableau:
         self.col_var: list[tuple[int, int]] = []  # with first, cols and where, see _first
         self.bits, self.limit = 8, 0  # limit 0: the lane masks are made at first use
         self.packed: list[Optional[int]] = [None] * len(lp.rows)
-        self.height = [0] * len(lp.rows)
+        self.height: list[Optional[int]] = [None] * len(lp.rows)
 
     # -- pivoting -------------------------------------------------------------
 
@@ -188,17 +190,21 @@ class _Tableau:
         for s = M[r] . A; lane j of the packed sum holds s[j] (see the module
         docstring).
         """
-        packed, height = self.packed, self.height
-        s = bound = 0
-        for t, m in self.rows[r].items():
+        height, row = self.height, self.rows[r].items()
+        bound = 0
+        for t, m in row:
+            h = height[t]
+            if h is None:
+                h = height[t] = max([abs(a) for _, a in self.lp.rows[t].coeffs], default=0)
+            bound += abs(m) * h
+        if bound >= self.limit:
+            self._widen(bound)
+        packed, s = self.packed, 0
+        for t, m in row:
             p = packed[t]
             if p is None:
                 p = self._pack(t)
             s += m * p
-            bound += abs(m) * height[t]
-        if bound >= self.limit:
-            self._widen(bound)
-            return self._structural(r)
         # A lane's top bit: s > 0 in s + 2^(bits-1) - 1, s >= 0 in s + 2^(bits-1).
         positive = eligible = (s + self.below) & self.tops
         if self.free:
@@ -210,12 +216,10 @@ class _Tableau:
         return self._first(j) + (not positive & low)  # - column if s[j] < 0
 
     def _pack(self, t: int) -> int:
-        bits, packed, height = self.bits, 0, 0
+        bits, packed = self.bits, 0
         for j, a in self.lp.rows[t].coeffs:
             packed += a << bits * j
-            if abs(a) > height:
-                height = abs(a)
-        self.packed[t], self.height[t] = packed, height
+        self.packed[t] = packed
         return packed
 
     def _widen(self, bound: int) -> None:

@@ -63,21 +63,41 @@ only which step gives it.  A hypothesis inside the goal skips the stage,
 so the identity and weakening proofs keep the program's path.
 
 When the closure holds no clause inside the goal, it presolves the
-program: the balances of its kept resolvents are left free, as the
+program: the balance of every clause of width at most ``w`` that contains
+a kept clause, a hypothesis or a kept resolvent, is left free, as the
 hypotheses' are, so an all-negative one loses its row and any other its
-declared bound.  None of them lies inside the goal, or the loop would
-have stopped there, so the goal keeps its bound.  This changes no answer:
+declared bound.  Each such clause ``W`` has an acyclic width-``w``
+derivation: that of a kept clause ``K`` inside it, then single-consequent
+splits that add the literals of ``W`` missing from ``K``.  No kept clause
+lies inside the goal, or the loop would have stopped there, so the goal
+keeps its bound.  This changes no answer:
 
 * Extended to original: a point of the presolved program is realized as
-  cuts and splits in which a kept resolvent ``C`` may be a source, of some
-  amount ``a_C``.  Its acyclic derivation, with use counts scaled by
-  ``a_C`` and pushed down to the hypotheses, is spliced in: that makes
-  ``C`` exactly ``a_C`` more than it consumes and leaves only hypotheses
-  as sources, at width at most ``w``.  The result is a width-``w`` circular
-  proof from the original hypotheses.
+  cuts and splits in which a freed clause ``W`` may be a source, of some
+  amount ``a_W``.  When ``W`` is not kept, splits of value ``a_W`` from a
+  kept clause ``K`` inside it up to ``W`` are spliced in, and ``a_W``
+  moves onto ``K``.  Then the acyclic derivation of each kept resolvent
+  ``C`` that owes some ``a_C``, with use counts scaled by ``a_C`` and
+  pushed down to the hypotheses, is spliced in: that makes ``C`` exactly
+  ``a_C`` more than it consumes and leaves only hypotheses as sources, at
+  width at most ``w``.  The result is a width-``w`` circular proof from
+  the original hypotheses.
 * Original to extended: the presolved program is the original one less
   some constraints, a relaxation, so every point of the original is one
   of it.
+
+The clauses left constrained contain no kept clause, so every clause
+inside one is constrained too, and the program is built from them alone: a
+row per constrained all-negative clause, and a variable per clause with a
+positive literal that enters one of those rows, bounded below when the
+clause is constrained.  A clause with a positive literal enters the row of
+its own negative part, so every constrained one is a variable, and the
+clauses left out are free and enter no row: fixing their balances at 0
+changes no answer.  When a hypothesis lies inside the goal the closure is
+skipped, and the program is presolved the same way with the other
+hypotheses as the kept clauses: the goal keeps its bound though a kept
+clause lies inside it, and each freed clause is a weakening of a
+hypothesis.
 
 ``daglike_width_saturate`` is the classical comparison point: the least
 fixed point of width-bounded resolution and weakening over the hypotheses.
@@ -112,6 +132,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -231,16 +252,17 @@ def circular_search(
     the acyclic width-``width`` closure first, then, when that holds no
     clause inside the goal, the degree-``width`` Sherali-Adams program over
     clause balances, presolved by leaving the balances of the closure's kept
-    resolvents free, so at most one exact LP call.  Returns a proof, the
-    closure's derivation or the cuts and splits that realize the balances
-    found with the derivations of the kept resolvents they draw on spliced
-    in, with its flows, or ``None`` when no width-``width`` circular proof
-    exists (by soundness, in particular, when the goal does not follow).
-    ``report``, when given, receives two lines: the constraints and
-    clause-balance variables of the program without the presolve, whose sum
-    ``row_budget`` bounds, even when the search goes on to raise
-    :class:`SearchBudgetError`, then what the closure did, with the number
-    of kept resolvents freed when it found no proof.  Raises
+    clauses and of every clause that contains one free, so at most one
+    exact LP call.  Returns a proof, the closure's derivation or the cuts
+    and splits that realize the balances found with the derivations of the
+    freed clauses they draw on spliced in, with its flows, or ``None`` when
+    no width-``width`` circular proof exists (by soundness, in particular,
+    when the goal does not follow).  ``report``, when given, receives two
+    lines: the constraints and clause-balance variables of the program
+    without the presolve, whose sum ``row_budget`` bounds, even when the
+    search goes on to raise :class:`SearchBudgetError`, then what the
+    closure did, with the constraints and variables of the presolved
+    program when it found no proof.  Raises
     :class:`SearchBudgetError`, before either step, if that sum would exceed
     ``row_budget``, and :class:`WidthError` if ``width`` cannot even
     accommodate the inputs.
@@ -260,28 +282,28 @@ def circular_search(
     up = [0, *kept]
     b = ProofGraphBuilder()
     b.set_goal(b.vertex(goal.mask))
-    parents: _Parents = {}
-    found = None
-    if any(not h & ~target for h in hyps):
-        # The identity and weakening proofs stay with the program.
-        note = "skipped, a hypothesis lies inside the goal"
+    skipped = any(not h & ~target for h in hyps)
+    if skipped:
+        # The identity and weakening proofs stay with the program, in which
+        # the other hypotheses stand for the closure's kept clauses.
+        parents: _Parents = dict.fromkeys(free)
+        found = None
     else:
         parents, found = _acyclic_closure(n, hyps, target, width)
-        if found is None:
-            note = (f"no proof ({len(parents)} kept clauses, "
-                    f"{len(parents) - len(hyps)} freed in the LP)")
-        else:
-            note = f"proof found from {len(parents)} kept clauses, no LP solved"
-            _emit_derivation(b, parents, {found: 1}, up)
-            _weaken(b, _renamed(found, up), goal.mask, 1)
+    if found is not None:
+        note = f"proof found from {len(parents)} kept clauses, no LP solved"
+        _emit_derivation(b, parents, {target: 1}, up)
+    else:
+        # Every kept clause and every weakening of one is as free as the
+        # hypotheses (see the module docstring).
+        variables, program = _program(n, width, target, parents)
+        note = ("skipped, a hypothesis lies inside the goal" if skipped else
+                f"no proof ({len(parents)} kept clauses; presolved LP: "
+                f"{len(program.rows) + len(program.lower)} rows, "
+                f"{program.num_vars} clause-balance variables)")
     if report is not None:
         report(f"acyclic closure: {note}")
     if found is None:
-        # The kept resolvents' balances are as free as the hypotheses' (see
-        # the module docstring); the derivations of those left as sources
-        # are spliced in.
-        derived = parents.keys() - hyps
-        variables, balance, program = _program(n, width, target, free | derived)
         point = lp.feasible(program)
         if point is None:
             # Width 0 admits no rule, not even the identity proof's split.
@@ -291,7 +313,7 @@ def circular_search(
             b.pad_identity(goal.mask)
             b.mark_hypotheses({goal.mask})
             return b.build()
-        _emit_derivation(b, parents, _realize(b, point, variables, balance, up, derived), up)
+        _emit_derivation(b, parents, _realize(b, point, variables, up), up)
     b.mark_hypotheses(_hypothesis_masks(hypotheses))
     graph, flow = b.build()
     if not verify_flow(graph, flow):
@@ -358,15 +380,27 @@ def _acyclic_closure(n: int, hyps: set[int], target: int,
 
 def _emit_derivation(b: ProofGraphBuilder, parents: _Parents, owed: dict[int, Fraction | int],
                      up: list[int]) -> None:
-    """Add to ``b`` the acyclic derivations that ``parents`` records (see
-    :func:`_acyclic_closure`) of the clauses ``owed`` maps to the amount each
-    must supply, each clause mapped back through the rank table ``up``.  The
-    resolvent ``R`` of ``c`` and ``d`` on ``x`` is a cut of ``R | x`` and
-    ``R | ~x``, each reached from its premise by splits that add one literal
-    at a time.  Flows are use counts, pushed down from the owed amounts in
-    reverse derivation order, so every derived clause is made as often as
-    it is consumed plus what it owes, and only hypotheses are sources."""
-    uses = dict(owed)
+    """Add to ``b`` what supplies each clause that ``owed`` maps to an
+    amount, each clause mapped back through the rank table ``up``: a
+    hypothesis is a source, a clause that ``parents`` records (see
+    :func:`_acyclic_closure`) gets its acyclic derivation, and any other
+    clause single-consequent splits from the first recorded clause among its
+    submasks, itself first, which then owes the amount.  The resolvent
+    ``R`` of ``c`` and ``d`` on ``x`` is a cut of ``R | x`` and ``R | ~x``,
+    each reached from its premise by splits that add one literal at a time.
+    Flows are use counts, pushed down from the owed amounts in reverse
+    derivation order, so every derived clause is made as often as it is
+    consumed plus what it owes, and only hypotheses are sources; the
+    weakenings come last."""
+    uses: dict[int, Fraction | int] = {}
+    weakenings = []
+    for w, amount in owed.items():
+        k = _kept_subset(w, parents)
+        if k is None:
+            raise AssertionError("a constrained clause balance is negative")
+        uses[k] = uses.get(k, 0) + amount
+        if k != w:
+            weakenings.append((k, w, amount))
     for r in reversed(parents):
         if r in uses and parents[r] is not None:
             c, d, _ = parents[r]
@@ -386,6 +420,19 @@ def _emit_derivation(b: ProofGraphBuilder, parents: _Parents, owed: dict[int, Fr
         _weaken(b, _renamed(d, up), side | neg, uses[r])
         b.inference(CUT, x, (b.vertex(side | pos), b.vertex(side | neg)),
                     (b.vertex(side),), uses[r])
+    for k, w, amount in weakenings:
+        _weaken(b, _renamed(k, up), _renamed(w, up), amount)
+
+
+def _kept_subset(c: int, kept) -> Optional[int]:
+    """The first submask of ``c`` in ``kept``, ``c`` itself first and the
+    empty clause last, or ``None``."""
+    sub = c
+    while sub not in kept:
+        if not sub:
+            return None
+        sub = (sub - 1) & c
+    return sub
 
 
 def _weaken(b: ProofGraphBuilder, mask: int, to: int, flow: Fraction | int) -> None:
@@ -400,72 +447,127 @@ def _weaken(b: ProofGraphBuilder, mask: int, to: int, flow: Fraction | int) -> N
         mask |= bit
 
 
-def _program(n: int, width: int, target: int,
-             free: set[int]) -> tuple[list[int], dict[int, list[tuple[int, int]]], lp.LinearProgram]:
-    """The search LP over ``x_1 .. x_n`` (the module docstring): the clauses
-    whose balances are its variables, the balance of each all-negative
-    clause as a form in them, and the program, in which the balances of the
-    clauses in ``free`` are unconstrained and that of ``target`` is at
-    least 1."""
+def _program(n: int, width: int, target: int, kept) -> tuple[list[int], lp.LinearProgram]:
+    """The search LP over ``x_1 .. x_n`` (the module docstring) presolved by
+    ``kept``: the balance of every clause but ``target`` that contains a
+    clause of ``kept`` is free, and that of ``target`` is at least 1.  Its
+    rows are the constrained all-negative clauses, in decreasing mask
+    order, and its variables the clauses with a positive literal that enter
+    one of those rows, and ``target`` when it has a positive literal, in
+    increasing mask order; a variable is bounded below when its clause is
+    constrained.  Every other balance is left out, which fixes it at 0.
+    The two orders are a choice: of the four that sort by mask, this one
+    took the fewest pivots on the near-cubic pigeonhole variants.  Returns
+    the variables' clauses and the program."""
     positive = positive_mask(n)
-    clauses = _clause_masks(n, width)
-    # b_D is a variable when D has a positive literal; the balance of each
-    # all-negative clause is a linear form in them (the module docstring),
-    # a list of (j, +-1) that is sorted as built, since j only grows.
-    variables = [d for d in clauses if d & positive]
-    balance: dict[int, list[tuple[int, int]]] = {d: [] for d in clauses if not d & positive}
-    for j, d in enumerate(variables):
-        s = pos = d & positive
-        while s:
-            balance[(d ^ pos) | (s << 1)].append((j, 1 if s.bit_count() & 1 else -1))
-            s = (s - 1) & pos
-        balance[d ^ pos].append((j, -1))
+    known: set[int] = set()  # the clauses found constrained so far
 
+    def constrained(d: int) -> bool:
+        # A clause but the goal is constrained when it is not kept and every
+        # clause one literal shorter is.  Each of those must be decided
+        # first: rows go by width and variables by increasing mask, and a
+        # constrained clause is a row or enters the row of its negative part.
+        if d != target:
+            if d in kept:
+                return False
+            rest = d
+            while rest:
+                low = rest & -rest
+                if d ^ low not in known:
+                    return False
+                rest ^= low
+        known.add(d)
+        return True
+
+    # The constrained all-negative clauses, one literal longer at a time,
+    # and the goal when a kept clause lies inside it.
+    level = [0] if constrained(0) else []
+    rows = [*level]
+    for _ in range(width):
+        level = [r | b for r in level for b in (2 << 2 * v for v in range(1, n + 1))
+                 if b > r and constrained(r | b)]
+        rows += level
+    if not target & positive and target not in known:
+        rows.append(target)
+    rows.sort(reverse=True)
+    # small[k]: the positive clauses of width at most k, the empty one first.
+    small = [[0]]
+    for k in range(1, width + 1):
+        small.append(small[-1] + [sum(c) for c in itertools.combinations(
+            [1 << 2 * v for v in range(1, n + 1)], k)])
+    # The row of N | (S << 1) holds -(-1)^|S| b_D for every D = N | P with
+    # S inside P (the module docstring).  So row r holds each clause made
+    # from r by making the literals of some S among its variables positive
+    # and adding positive literals E of other variables.
+    touching: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+    if target & positive:
+        touching[target] = []
+    for i, r in enumerate(rows):
+        vs = r >> 1
+        extras = [e for e in small[width - r.bit_count()] if not e & vs]
+        s = vs
+        while True:
+            base, entry = r ^ s << 1 | s, (i, 1 if s.bit_count() & 1 else -1)
+            for e in extras if s else extras[1:]:
+                touching[base | e].append(entry)
+            if not s:
+                break
+            s = (s - 1) & vs
+    variables = sorted(touching)
+    forms: list[list[tuple[int, int]]] = [[] for _ in rows]
+    lower = {}
+    for j, d in enumerate(variables):
+        for i, c in touching[d]:
+            forms[i].append((j, c))
+        if constrained(d):
+            lower[j] = int(d == target)
     program = lp.LinearProgram(
         len(variables),
-        [lp.Constraint(tuple(form), int(d == target))
-         for d, form in balance.items() if d not in free],
-        {j: int(d == target) for j, d in enumerate(variables) if d not in free},
+        [lp.Constraint(tuple(form), int(r == target)) for r, form in zip(rows, forms)],
+        lower,
     )
-    return variables, balance, program
+    return variables, program
 
 
 def _realize(b: ProofGraphBuilder, point: list[Fraction], variables: list[int],
-             balance: dict[int, list[tuple[int, int]]], up: list[int],
-             derived: set[int]) -> dict[int, Fraction]:
+             up: list[int]) -> dict[int, Fraction]:
     """Add to ``b`` the cuts and splits that realize the balances ``point``
     of :func:`_program`, each clause mapped back through the rank table
-    ``up``, and return what each clause of ``derived`` left as a source
-    owes: minus its balance, where that is negative.
+    ``up``, and return what each clause left as a source owes: minus its
+    balance, where that is negative.
 
     For D = side | x, x its top positive bit, a cut on (side, x) of value
     -t (a split of value t when t > 0) settles the residual t of D and moves
     t onto side and -t onto side | ~x, both with one positive literal fewer.
-    Monomials are independent, so nothing may be left on all-negative
-    clauses.  Residuals are integers over the point's common denominator:
-    b_D's own numerator, or the form's value."""
+    Clauses are settled level by level, from the most positive literals
+    down, starting from the point's support; what the walk leaves on an
+    all-negative clause is minus that clause's balance.  Residuals are
+    integers over the point's common denominator."""
     positive = positive_mask(len(up) - 1)
     den = math.lcm(*(v.denominator for v in point))
-    num = [v.numerator * (den // v.denominator) for v in point]
-    residual = dict(zip(variables, num))
-    residual |= {d: sum([c * num[j] for j, c in form]) for d, form in balance.items()}
-    owed = {d: Fraction(-residual[d], den) for d in derived if residual[d] < 0}
-    for d in sorted(variables, key=lambda d: -(d & positive).bit_count()):
-        t = residual.pop(d)
-        if not t:
-            continue
-        top = 1 << (d & positive).bit_length() - 1
-        residual[d ^ top] += t
-        residual[d ^ top | (top << 1)] -= t
-        x, value = up[top.bit_length() >> 1], Fraction(abs(t), den)
-        d, top = _renamed(d, up), 1 << 2 * x
-        side, neg = d ^ top, d ^ top | (top << 1)
-        if t < 0:
-            b.inference(CUT, x, (b.vertex(d), b.vertex(neg)), (b.vertex(side),), value)
-        else:
-            b.inference(SPLIT, x, (b.vertex(side),), (b.vertex(d), b.vertex(neg)), value)
-    if any(residual.values()):
-        raise AssertionError("clause balances leave a residual on an all-negative clause")
+    levels: defaultdict[int, dict[int, int]] = defaultdict(dict)  # by positive literals
+    owed = {}
+    for d, v in zip(variables, point):
+        if v:
+            levels[(d & positive).bit_count()][d] = v.numerator * (den // v.denominator)
+            if v < 0:
+                owed[d] = -v
+    for k in range(max(levels, default=0), 0, -1):
+        below = levels[k - 1]
+        for d, t in levels[k].items():
+            if not t:
+                continue
+            top = 1 << (d & positive).bit_length() - 1
+            below[d ^ top] = below.get(d ^ top, 0) + t
+            below[d ^ top | top << 1] = below.get(d ^ top | top << 1, 0) - t
+            x, value = up[top.bit_length() >> 1], Fraction(abs(t), den)
+            d, top = _renamed(d, up), 1 << 2 * x
+            side, neg = d ^ top, d ^ top | (top << 1)
+            if t < 0:
+                b.inference(CUT, x, (b.vertex(d), b.vertex(neg)), (b.vertex(side),), value)
+            else:
+                b.inference(SPLIT, x, (b.vertex(side),), (b.vertex(d), b.vertex(neg)), value)
+    owed |= {d: Fraction(t, den) for d, t in levels[0].items() if t > 0}
     return owed
 
 

@@ -20,7 +20,7 @@ STDOUT_SHA256 = {
     "03_polynomial_translations":
         "48a947476b9ad88a9bc7f4dfa2740156025400a6c9d1c334f189cce5e947b0e6",
     "04_bounded_width_search":
-        "c1cec903048e069f2fa92a606a4e316d46bd7910fcd2508b12289bd1c0b90687",
+        "ddbbf0ad469905725f596cb0acefd815d601ffbd6549246344d4103544a8b924",
 }
 
 

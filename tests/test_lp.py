@@ -20,9 +20,8 @@ from circres.generators import (
     random_circular_proof,
 )
 from circres.lp import Constraint, LinearProgram, feasible, solve
-from circres.search import _program as _search_program
-from circres.search import _restriction, circular_search
-from test_search import _definition_program
+from circres.search import circular_search
+from test_search import _definition_program, _restricted
 
 
 _PIVOT_CAP = 2000  # the longest walk of these tests takes 136 pivots (wide-seed0)
@@ -347,15 +346,16 @@ def _search_case(seed, dropped):
 
 def _restricted_search_case(seed):
     # The width-3 search program over the restricted dropped variant, with
-    # only the hypotheses free.
-    kept, hyps, target = _restriction(_near_cubic(seed, True), Clause(), 3)
-    *_, program = _search_program(len(kept), 3, target, hyps - {target})
+    # only the hypotheses free, as defined.
+    cnf, goal = _restricted(_near_cubic(seed, True), Clause())
+    program = LinearProgram(*_definition_program(cnf, goal, 3))
     return lambda: lp_module.feasible(program)
 
 
 def _presolved_search_case(seed):
     # What the search solves on the dropped variant: the restricted program
-    # with the acyclic closure's kept resolvents free as well.
+    # with the acyclic closure's kept clauses and their weakenings free as
+    # well.
     cnf = _near_cubic(seed, True)
     return lambda: circular_search(cnf, Clause(), 3)
 
@@ -419,12 +419,13 @@ _DIGESTS = {
     "search-n3-seed0-restricted": "d5c34dc5837b35eb41ca6b56a68a4dee542b1f4582da88f827168a278b53e6fc",
     "search-n3-seed1-restricted": "8ec78647e8b5b71ff98815c1438f05a03c24d263b3fac6e79ed656826e90ea0a",
     "search-n3-seed2-restricted": "d5c34dc5837b35eb41ca6b56a68a4dee542b1f4582da88f827168a278b53e6fc",
-    # The same with the acyclic closure's 14 kept resolvents free: 54 rows
-    # and 303 declared bounds in place of 59 and 312.  Recorded when the
-    # search began presolving with the closure.
-    "search-n3-seed0-presolved": "acfc40eae6b4447c20f3d873736e781dd2074b3067d789c5531066f6524b6549",
-    "search-n3-seed1-presolved": "3ee505a04df8ad4b688fe8dd3169f653ff154b1be141552f53153e243c20d65d",
-    "search-n3-seed2-presolved": "acfc40eae6b4447c20f3d873736e781dd2074b3067d789c5531066f6524b6549",
+    # The same with the acyclic closure's kept clauses and all their
+    # weakenings free, less the variables that enter no row left: 24 rows
+    # and 193 declared bounds over 265 variables, in place of 59 and 312
+    # over 315.  Recorded when the search began freeing the weakenings.
+    "search-n3-seed0-presolved": "b01cccd970cef1e14aea5654121130aa35fb9b59c4f89e301936ad5229f3a69d",
+    "search-n3-seed1-presolved": "e8c78186f10522d01917e9d228fb1441a35800dbdbbf3cb4fd434e327a06aade",
+    "search-n3-seed2-presolved": "b01cccd970cef1e14aea5654121130aa35fb9b59c4f89e301936ad5229f3a69d",
     "witness-php7x6": "34bebbf60e49c2435693a996bf2fbce990cd7f519c4fe6ccf140c064eaa902db",
     "witness-php7x6-dropped": "533203e8a0ad6232fce042307982c5bce075c87baa124197a4cf3a5d72c8111d",
     "witness-random-seed4": "040ba9a8815c18891b9fda4ed8e08f7324ea2a0ded80190fbcb91c609beae05a",
@@ -511,9 +512,9 @@ _WALK_DIGESTS = {
     "search-n3-seed0-restricted": "e8cf0a2f24b1b800c09e6e23920dd73f68a0ec42d7e173e7f11ac465d3c48178",
     "search-n3-seed1-restricted": "781eac25e6a243f13792c408b244915082c136edf7def45f4d4a6bb520f808c4",
     "search-n3-seed2-restricted": "e8cf0a2f24b1b800c09e6e23920dd73f68a0ec42d7e173e7f11ac465d3c48178",
-    "search-n3-seed0-presolved": "0892427ab87548f20c20b2cd48009e67171b309cc8724439e9fd50230f8cce7a",
-    "search-n3-seed1-presolved": "5e2593d82e64df6a72c6f3b98118b5ca002c670841434d489970ba1f8eb33ff5",
-    "search-n3-seed2-presolved": "0892427ab87548f20c20b2cd48009e67171b309cc8724439e9fd50230f8cce7a",
+    "search-n3-seed0-presolved": "206247cf99372cfbbf649a461a32b68b4b2a6ffe82357c534c530653619d3aee",
+    "search-n3-seed1-presolved": "c678a76c746fe5689031289dd546076b6ccc826963d767049adae3ad0d45d18f",
+    "search-n3-seed2-presolved": "206247cf99372cfbbf649a461a32b68b4b2a6ffe82357c534c530653619d3aee",
     # The pigeonhole flow programs take no pivot: each is feasible at its
     # lower bounds or stuck at once.  The random proofs' programs pivot twice,
     # on the same (row, column) pairs.
@@ -667,9 +668,11 @@ def _doublings(lp):
 
 @pytest.mark.parametrize("case", ["search-n3-seed0", "search-n3-seed0-dropped", "wide-seed0"])
 def test_each_row_is_packed_once_per_lane_width(monkeypatch, case):
-    # Lanes start at 8 bits, which the search programs keep: a row packed
-    # before the first widening check is kept when the width stays, and a
-    # widening packs each row read after it once more.
+    # Lanes start at 8 bits, which the search programs keep.  The bound on
+    # the leaving row's sum is read off the row heights before any row is
+    # packed, so wide-seed0, whose first leaving row already needs 32-bit
+    # lanes, packs nothing at 8 bits, and a widening packs each row read
+    # after it once more.
     packs = []
     pack = lp_module._Tableau._pack
 
@@ -682,7 +685,7 @@ def test_each_row_is_packed_once_per_lane_width(monkeypatch, case):
     make(*args)()
     assert packs and len(set(packs)) == len(packs)
     widths = sorted({bits for _, bits in packs})
-    assert widths == ([8] if case.startswith("search") else [8, 32, 64, 128, 256, 512])
+    assert widths == ([8] if case.startswith("search") else [32, 64, 128, 256, 512])
 
 
 def test_drawn_walks_widen_the_packed_lanes_at_least_twice():

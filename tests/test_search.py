@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -268,6 +269,12 @@ def _definition_program(hypotheses: CnfFormula, goal: Clause, width: int, free=f
     bound per such clause whose balance is constrained, and a row per
     constrained all-negative clause balance in canonical clause order.  The
     balances of the hypotheses and of the clauses in ``free`` are free."""
+    return _definition(hypotheses, goal, width, free)[2:]
+
+
+def _definition(hypotheses: CnfFormula, goal: Clause, width: int, free=frozenset()):
+    """:func:`_definition_program`'s program after the clauses of its
+    variables and the clauses of its rows, in order."""
     import itertools
 
     n = max(hypotheses.num_variables, max(goal.variables(), default=0))
@@ -299,7 +306,34 @@ def _definition_program(hypotheses: CnfFormula, goal: Clause, width: int, free=f
         if d not in variables
     ]
     lower = {j: constrained[d] for j, d in enumerate(variables) if d in constrained}
-    return len(variables), rows, lower
+    return variables, [d for d in constrained if d not in variables], len(variables), rows, lower
+
+
+def _presolved_program(hypotheses: CnfFormula, goal: Clause, width: int, kept):
+    """The search LP presolved by ``kept``, from the definition: the program
+    of :func:`_definition_program` with every clause but the goal that
+    contains a clause of ``kept`` free, less the variables that enter no
+    row and are not the goal's, with its rows in decreasing and its
+    variables in increasing clause-mask order."""
+    import itertools
+
+    n = max(hypotheses.num_variables, max(goal.variables(), default=0))
+    target = goal.signed()
+    free = {
+        d for k in range(width + 1)
+        for vs in itertools.combinations(range(1, n + 1), k)
+        for d in (frozenset(v * s for v, s in zip(vs, signs))
+                  for signs in itertools.product((1, -1), repeat=k))
+        if d != target and any(c <= d for c in kept)
+    }
+    variables, row_clauses, _, rows, lower = _definition(hypotheses, goal, width, free)
+    mask = {d: Clause.from_signed(d).mask for d in (*variables, *row_clauses)}
+    used = {j for row in rows for j, _ in row.coeffs}
+    used |= {j for j, d in enumerate(variables) if d == target}
+    index = {j: i for i, j in enumerate(sorted(used, key=lambda j: mask[variables[j]]))}
+    rows = [lp.Constraint(tuple(sorted((index[j], c) for j, c in row.coeffs)), row.rhs)
+            for _, row in sorted(zip(row_clauses, rows), key=lambda p: -mask[p[0]])]
+    return len(index), rows, {index[j]: bound for j, bound in lower.items() if j in index}
 
 
 def _restricted(hypotheses: CnfFormula, goal: Clause) -> tuple[CnfFormula, Clause]:
@@ -382,19 +416,18 @@ def test_search_program_matches_definition(monkeypatch):
     answered = presolved = 0
     for cnf, goal, width in cases:
         kept, hyps, target = _restriction(cnf, goal, width)
-        *_, program = _program(len(kept), width, target, hyps - {target})
+        _, program = _program(len(kept), width, target, hyps - {target})
         restricted, renamed = _restricted(cnf, goal)
-        num_vars, rows, lower = _definition_program(restricted, renamed, width)
+        others = {c.signed() for c in restricted.clauses} - {renamed.signed()}
         label = ([str(c) for c in cnf.clauses], str(goal), width)
-        assert program.num_vars == num_vars, label
-        assert program.rows == rows, label
-        assert program.lower == lower, label
+        assert program == lp.LinearProgram(
+            *_presolved_program(restricted, renamed, width, others)), label
+        num_vars, rows, lower = _definition_program(restricted, renamed, width)
         # When a hypothesis lies inside the goal, the search solves exactly
         # this program.  Otherwise the closure answers when the goal has an
         # acyclic width-w derivation, and when it has none the search solves
-        # this program less the constraints of some clauses F with such a
-        # derivation that are neither hypotheses nor the goal, as many as
-        # the closure line says it freed.
+        # the program with every clause but the goal that has such a
+        # derivation free: they are the weakenings of the kept clauses.
         skipped = any(c.signed() <= renamed.signed() for c in restricted.clauses)
         closure = _cut_split_closure(restricted, width)
         stage = not skipped and renamed.signed() in closure
@@ -403,24 +436,18 @@ def test_search_program_matches_definition(monkeypatch):
         monkeypatch.setattr(lp, "feasible", lambda p: seen.append(p) or solve(p))
         circular_search(cnf, goal, width, report=lines.append)
         monkeypatch.undo()
-        assert lines[0] == (f"search LP: {len(program.rows) + len(program.lower)} rows, "
-                            f"{program.num_vars} clause-balance variables"), label
+        assert lines[0] == (f"search LP: {len(rows) + len(lower)} rows, "
+                            f"{num_vars} clause-balance variables"), label
         if stage or skipped:
             assert seen == ([] if stage else [program]), label
         else:
             (solved,) = seen
-            allowed = closure - {c.signed() for c in restricted.clauses} - {renamed.signed()}
-            # A constraint is a clause's: the program keeps every row and
-            # bound of the one with all of ``allowed`` free, in order.
-            _, least_rows, least_lower = _definition_program(restricted, renamed, width, allowed)
-            kept_rows = iter(rows)
-            assert solved.num_vars == num_vars, label
-            assert all(row in kept_rows for row in solved.rows), label
-            assert set(least_rows) <= set(solved.rows), label
-            assert least_lower.items() <= solved.lower.items() <= lower.items(), label
-            dropped = len(rows) + len(lower) - len(solved.rows) - len(solved.lower)
-            assert lines[1].endswith(f", {dropped} freed in the LP)"), label
-            presolved += dropped > 0
+            assert solved == lp.LinearProgram(*_presolved_program(
+                restricted, renamed, width, closure - {renamed.signed()})), label
+            size = len(solved.rows) + len(solved.lower)
+            assert lines[1].endswith(
+                f"; presolved LP: {size} rows, {solved.num_vars} clause-balance variables)"), label
+            presolved += size + solved.num_vars < len(rows) + len(lower) + num_vars
         answered += stage
     assert 0 < answered < len(cases) // 2
     # Most random instances restrict to nothing; the dropped pigeon does not.
@@ -613,17 +640,17 @@ def test_dropped_pigeon_variants_solve_one_program(monkeypatch):
             calls.clear()
 
 
-def _assert_presolve_keeps_the_answer(cnf: CnfFormula, goal: Clause, width: int) -> str:
-    # Freeing the closure's kept resolvents relaxes the program, and each
-    # has an acyclic width-w proof, so the answer is the unpresolved
-    # program's (or the identity proof's); a proof found from the relaxed
-    # program owes those derivations, and once they are spliced in it is
-    # witnessed against the input alone.  Returns the closure line.
-    from circres.search import _program, _restriction
-
-    kept, hyps, target = _restriction(cnf, goal, width)
-    *_, program = _program(len(kept), width, target, hyps - {target})
-    expected = lp.feasible(program) is not None or (target in hyps and width > 0)
+def _assert_presolve_keeps_the_answer(cnf: CnfFormula, goal: Clause, width: int) -> list[str]:
+    # Freeing the closure's kept clauses and their weakenings relaxes the
+    # program, and each has an acyclic width-w proof, so the answer is the
+    # unpresolved program's (or the identity proof's); a proof found from
+    # the relaxed program owes those derivations, and once they are spliced
+    # in it is witnessed against the input alone.  Returns the two lines
+    # the search reports.
+    restricted, renamed = _restricted(cnf, goal)
+    program = lp.LinearProgram(*_definition_program(restricted, renamed, width))
+    identity = renamed in restricted.clauses and width > 0
+    expected = lp.feasible(program) is not None or identity
     lines = []
     found = circular_search(cnf, goal, width, report=lines.append)
     label = ([str(c) for c in cnf.clauses], str(goal), width)
@@ -632,12 +659,13 @@ def _assert_presolve_keeps_the_answer(cnf: CnfFormula, goal: Clause, width: int)
         graph, _ = found
         graph, flow = find_witness(dataclasses.replace(graph, hypotheses=frozenset(cnf.clauses)))
         assert flow is not None and graph.goal_clause() == goal, label
-    return lines[1]
+    return lines
 
 
 @pytest.fixture
 def owed(monkeypatch):
-    """What ``_realize`` leaves each freed clause to owe, per LP-found proof."""
+    """What ``_realize`` leaves each clause it makes a source to owe, per
+    LP-found proof."""
     from circres import search
 
     seen = []
@@ -663,11 +691,38 @@ def test_presolve_changes_no_near_cubic_answer(owed, n):
             _assert_presolve_keeps_the_answer(CnfFormula.of(cnf.num_variables, [
                 c for i, c in enumerate(cnf.clauses) if i != dropped]), Clause(), 3)
             if dropped is None and owed:
-                (owing[seed],) = map(len, owed)
+                owing[seed] = _owed_kinds(cnf, owed)
     # At n = 3 the closure refutes every complete instance.  At n = 4 the
-    # presolved program does, and each proof splices 7 to 9 derivations in;
-    # at n = 5 it refutes seeds 0 and 1, and the closure seed 2.
-    assert owing == {3: {}, 4: {0: 8, 1: 7, 2: 9}, 5: {0: 10, 1: 5}}[n]
+    # presolved program does, and each proof splices in the derivations of
+    # 3 to 6 kept resolvents and weakens a kept clause to 3 or 4 others; at
+    # n = 5 it refutes seeds 0 and 1, and the closure seed 2.
+    assert owing == {3: {}, 4: {0: (5, 4), 1: (3, 4), 2: (6, 3)},
+                     5: {0: (4, 4), 1: (3, 8)}}[n]
+
+
+def _owed_kinds(cnf: CnfFormula, owed) -> tuple[int, int]:
+    """How many of the clauses the one LP-found proof recorded in ``owed``
+    left as sources are kept resolvents of the closure, and how many are
+    weakenings of a kept clause; the others are hypotheses."""
+    from circres.search import _acyclic_closure, _restriction
+
+    (sources,) = owed
+    kept, hyps, target = _restriction(cnf, Clause(), 3)
+    parents, _ = _acyclic_closure(len(kept), hyps, target, 3)
+    return (sum(c in parents.keys() - hyps for c in sources),
+            sum(c not in parents for c in sources))
+
+
+def test_a_point_that_draws_on_a_weakening_gets_it_spliced_in(owed):
+    # The presolved LP frees every weakening of a kept clause, so a point may
+    # make one a source; the search must supply it by splits from the kept
+    # clause inside it, or its own flow check fails.
+    cnf = gen_php(near_cubic_bipartite(4, 0))
+    graph, _ = circular_search(cnf, Clause(), 3)
+    assert _owed_kinds(cnf, owed)[1] > 0
+    graph, flow = find_witness(graph)
+    assert flow is not None and graph.goal_clause() == Clause()
+    assert graph.hypotheses <= set(cnf.clauses)
 
 
 def test_presolve_changes_no_random_answer():
@@ -696,10 +751,14 @@ def test_presolve_changes_no_random_answer():
             Clause.from_signed(rng.choice((1, -1)) * v
                                for v in rng.sample(range(1, n + 1), rng.randint(2, 3)))
             for _ in range(rng.randint(2 * n, 4 * n))]), Clause(), 3))
-    notes = [_assert_presolve_keeps_the_answer(*case) for case in cases]
-    presolved = [note for note in notes if note.startswith("acyclic closure: no proof (")
-                 and not note.endswith(" 0 freed in the LP)")]
-    assert len(presolved) > len(cases) // 5
+    presolved = 0
+    for case in cases:
+        size, note = _assert_presolve_keeps_the_answer(*case)
+        if note.startswith("acyclic closure: no proof ("):
+            rows, cols = map(int, re.findall(r"\d+", size))
+            _, least_rows, least_cols = map(int, re.findall(r"\d+", note))
+            presolved += least_rows + least_cols < rows + cols
+    assert presolved > len(cases) // 5
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
