@@ -327,3 +327,15 @@ class ProofGraphBuilder:
             self._goal,
         )
         return graph, dict(self._flows)
+
+
+def weaken(b: ProofGraphBuilder, mask: int, to: int, flow: Fraction | int) -> None:
+    """Add to ``b`` single-consequent splits of value ``flow`` from ``mask``
+    up to its superset ``to``, one per missing literal, in canonical order."""
+    rest = to & ~mask
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        b.inference(SPLIT, bit.bit_length() - 1 >> 1, (b.vertex(mask),),
+                    (b.vertex(mask | bit),), flow)
+        mask |= bit

@@ -16,10 +16,15 @@ On a clause with a positive literal the condition is a declared lower bound
 on its own variable; on ``N_m`` it is a row, the balance of ``N_m`` read off
 the monomial ``x^m`` (degree at most ``w``).  A feasible point is turned
 back into cuts and splits, clause by clause, and rechecked exactly as a
-circular proof.  The program has one vertex per clause, so it cannot tell a
-hypothesis copy of the goal from the goal itself: when the goal is a
-hypothesis and the program is infeasible, the identity proof (a split from
-the hypothesis copy onto a fresh goal copy) is the answer.
+circular proof.
+
+A hypothesis ``H`` inside the goal ``G`` is a proof by itself, so the
+search answers with it and builds no program: single-consequent splits
+from ``H`` up to ``G``, of width ``|G|``, or, when ``H`` is ``G``, the
+identity proof, a split from the hypothesis copy onto a fresh goal copy (a
+vertex has one clause, so the goal needs its own).  Width 0 admits no rule,
+not even that split.  Everything below assumes no hypothesis lies inside
+the goal.
 
 The program is built on a restriction of the instance.  Let ``y`` be a
 variable outside the goal that occurs in the hypotheses in at most one
@@ -59,8 +64,7 @@ proof, and with use counts as flows an acyclic proof is a circular one:
 each derived clause is consumed as often as it is made, so only hypotheses
 are sources and the goal's balance is 1.  The program is complete for
 width-``w`` circular proofs, so the stage changes no found/none answer,
-only which step gives it.  A hypothesis inside the goal skips the stage,
-so the identity and weakening proofs keep the program's path.
+only which step gives it.
 
 When the closure holds no clause inside the goal, it presolves the
 program: the balance of every clause of width at most ``w`` that contains
@@ -69,8 +73,9 @@ hypotheses' are, so an all-negative one loses its row and any other its
 declared bound.  Each such clause ``W`` has an acyclic width-``w``
 derivation: that of a kept clause ``K`` inside it, then single-consequent
 splits that add the literals of ``W`` missing from ``K``.  No kept clause
-lies inside the goal, or the loop would have stopped there, so the goal
-keeps its bound.  This changes no answer:
+lies inside the goal: no hypothesis does, and the loop would have stopped
+at a resolvent that did.  So the goal keeps its bound.  This changes no
+answer:
 
 * Extended to original: a point of the presolved program is realized as
   cuts and splits in which a freed clause ``W`` may be a source, of some
@@ -93,11 +98,7 @@ positive literal that enters one of those rows, bounded below when the
 clause is constrained.  A clause with a positive literal enters the row of
 its own negative part, so every constrained one is a variable, and the
 clauses left out are free and enter no row: fixing their balances at 0
-changes no answer.  When a hypothesis lies inside the goal the closure is
-skipped, and the program is presolved the same way with the other
-hypotheses as the kept clauses: the goal keeps its bound though a kept
-clause lies inside it, and each freed clause is a weakening of a
-hypothesis.
+changes no answer.
 
 ``daglike_width_saturate`` is the classical comparison point: the least
 fixed point of width-bounded resolution and weakening over the hypotheses.
@@ -139,7 +140,7 @@ from typing import Callable, Optional
 from . import lp
 from .core import Clause, CnfFormula, literal_key, positive_mask
 from .flowcheck import verify_flow
-from .proofgraph import CUT, SPLIT, ProofGraph, ProofGraphBuilder
+from .proofgraph import CUT, SPLIT, ProofGraph, ProofGraphBuilder, weaken
 
 DEFAULT_ROW_BUDGET = 2_000_000
 
@@ -249,32 +250,35 @@ def circular_search(
     """Search for a width-bounded circular proof of ``goal``.
 
     Works on the restricted instance (see the module docstring) in steps:
-    the acyclic width-``width`` closure first, then, when that holds no
-    clause inside the goal, the degree-``width`` Sherali-Adams program over
-    clause balances, presolved by leaving the balances of the closure's kept
+    a hypothesis inside the goal is answered outright, by the identity
+    proof or by splits from the hypothesis up to the goal; otherwise the
+    acyclic width-``width`` closure runs, then, when that holds no clause
+    inside the goal, the degree-``width`` Sherali-Adams program over clause
+    balances, presolved by leaving the balances of the closure's kept
     clauses and of every clause that contains one free, so at most one
-    exact LP call.  Returns a proof, the closure's derivation or the cuts
-    and splits that realize the balances found with the derivations of the
-    freed clauses they draw on spliced in, with its flows, or ``None`` when
-    no width-``width`` circular proof exists (by soundness, in particular,
-    when the goal does not follow).  ``report``, when given, receives two
-    lines: the constraints and clause-balance variables of the program
-    without the presolve, whose sum ``row_budget`` bounds, even when the
-    search goes on to raise :class:`SearchBudgetError`, then what the
-    closure did, with the constraints and variables of the presolved
-    program when it found no proof.  Raises
+    exact LP call.  Returns a proof, the weakened hypothesis, the closure's
+    derivation or the cuts and splits that realize the balances found with
+    the derivations of the freed clauses they draw on spliced in, with its
+    flows, or ``None`` when no width-``width`` circular proof exists (by
+    soundness, in particular, when the goal does not follow).  ``report``,
+    when given, receives two lines: the constraints and clause-balance
+    variables of the program without the presolve, whose sum
+    ``row_budget`` bounds, even when the search goes on to raise
+    :class:`SearchBudgetError`, then what the closure did, or that a
+    hypothesis inside the goal skipped it, with the constraints and
+    variables of the presolved program when it found no proof.  Raises
     :class:`SearchBudgetError`, before either step, if that sum would exceed
     ``row_budget``, and :class:`WidthError` if ``width`` cannot even
     accommodate the inputs.
     """
     kept, hyps, target = _restriction(hypotheses, goal, width)
     n = len(kept)
-    free = hyps - {target}
-    # A constraint per clause of width at most ``width`` but the free
-    # hypotheses (a row when the clause is all-negative, a declared bound
-    # otherwise), and a variable per clause with a positive literal.
+    # A constraint per clause of width at most ``width`` but the hypotheses
+    # other than the goal (a row when the clause is all-negative, a declared
+    # bound otherwise), and a variable per clause with a positive literal.
     clauses = sum(math.comb(n, k) * 2 ** k for k in range(width + 1))
-    rows, cols = clauses - len(free), clauses - sum(math.comb(n, k) for k in range(width + 1))
+    rows = clauses - len(hyps - {target})
+    cols = clauses - sum(math.comb(n, k) for k in range(width + 1))
     if report is not None:
         report(f"search LP: {rows} rows, {cols} clause-balance variables")
     if rows + cols > row_budget:
@@ -282,23 +286,19 @@ def circular_search(
     up = [0, *kept]
     b = ProofGraphBuilder()
     b.set_goal(b.vertex(goal.mask))
-    skipped = any(not h & ~target for h in hyps)
-    if skipped:
-        # The identity and weakening proofs stay with the program, in which
-        # the other hypotheses stand for the closure's kept clauses.
-        parents: _Parents = dict.fromkeys(free)
-        found = None
+    parents: _Parents = dict.fromkeys(hyps)
+    found = _kept_subset(target, parents)
+    if found is not None:
+        # A hypothesis inside the goal is the proof (see the module docstring).
+        note = "skipped, a hypothesis lies inside the goal; no LP solved"
     else:
         parents, found = _acyclic_closure(n, hyps, target, width)
-    if found is not None:
         note = f"proof found from {len(parents)} kept clauses, no LP solved"
-        _emit_derivation(b, parents, {target: 1}, up)
-    else:
+    if found is None:
         # Every kept clause and every weakening of one is as free as the
         # hypotheses (see the module docstring).
         variables, program = _program(n, width, target, parents)
-        note = ("skipped, a hypothesis lies inside the goal" if skipped else
-                f"no proof ({len(parents)} kept clauses; presolved LP: "
+        note = (f"no proof ({len(parents)} kept clauses; presolved LP: "
                 f"{len(program.rows) + len(program.lower)} rows, "
                 f"{program.num_vars} clause-balance variables)")
     if report is not None:
@@ -306,14 +306,15 @@ def circular_search(
     if found is None:
         point = lp.feasible(program)
         if point is None:
-            # Width 0 admits no rule, not even the identity proof's split.
-            if target not in hyps or not width:
-                return None
-            b = ProofGraphBuilder()
-            b.pad_identity(goal.mask)
-            b.mark_hypotheses({goal.mask})
-            return b.build()
+            return None
         _emit_derivation(b, parents, _realize(b, point, variables, up), up)
+    elif target in hyps:
+        # Width 0 admits no rule, not even the identity proof's split.
+        if not width:
+            return None
+        b.pad_identity(goal.mask)
+    else:
+        _emit_derivation(b, parents, {target: 1}, up)
     b.mark_hypotheses(_hypothesis_masks(hypotheses))
     graph, flow = b.build()
     if not verify_flow(graph, flow):
@@ -416,12 +417,12 @@ def _emit_derivation(b: ProofGraphBuilder, parents: _Parents, owed: dict[int, Fr
         x = up[index >> 1]
         pos, neg = 1 << 2 * x, 2 << 2 * x
         side = _renamed(r, up)
-        _weaken(b, _renamed(c, up), side | pos, uses[r])
-        _weaken(b, _renamed(d, up), side | neg, uses[r])
+        weaken(b, _renamed(c, up), side | pos, uses[r])
+        weaken(b, _renamed(d, up), side | neg, uses[r])
         b.inference(CUT, x, (b.vertex(side | pos), b.vertex(side | neg)),
                     (b.vertex(side),), uses[r])
     for k, w, amount in weakenings:
-        _weaken(b, _renamed(k, up), _renamed(w, up), amount)
+        weaken(b, _renamed(k, up), _renamed(w, up), amount)
 
 
 def _kept_subset(c: int, kept) -> Optional[int]:
@@ -435,60 +436,43 @@ def _kept_subset(c: int, kept) -> Optional[int]:
     return sub
 
 
-def _weaken(b: ProofGraphBuilder, mask: int, to: int, flow: Fraction | int) -> None:
-    """Single-consequent splits of value ``flow`` from ``mask`` up to its
-    superset ``to``, adding the missing literals in canonical order."""
-    rest = to & ~mask
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        b.inference(SPLIT, bit.bit_length() - 1 >> 1, (b.vertex(mask),),
-                    (b.vertex(mask | bit),), flow)
-        mask |= bit
-
-
 def _program(n: int, width: int, target: int, kept) -> tuple[list[int], lp.LinearProgram]:
     """The search LP over ``x_1 .. x_n`` (the module docstring) presolved by
-    ``kept``: the balance of every clause but ``target`` that contains a
-    clause of ``kept`` is free, and that of ``target`` is at least 1.  Its
+    ``kept``, no clause of which may lie inside ``target``: the balance of
+    every clause that contains a clause of ``kept`` is free, and that of
+    ``target``, constrained like every clause inside it, is at least 1.  Its
     rows are the constrained all-negative clauses, in decreasing mask
     order, and its variables the clauses with a positive literal that enter
-    one of those rows, and ``target`` when it has a positive literal, in
-    increasing mask order; a variable is bounded below when its clause is
-    constrained.  Every other balance is left out, which fixes it at 0.
-    The two orders are a choice: of the four that sort by mask, this one
-    took the fewest pivots on the near-cubic pigeonhole variants.  Returns
-    the variables' clauses and the program."""
-    positive = positive_mask(n)
+    one of those rows, in increasing mask order; a variable is bounded
+    below when its clause is constrained.  Every other balance is left out,
+    which fixes it at 0.  The two orders are a choice: of the four that
+    sort by mask, this one took the fewest pivots on the near-cubic
+    pigeonhole variants.  Returns the variables' clauses and the program."""
     known: set[int] = set()  # the clauses found constrained so far
 
     def constrained(d: int) -> bool:
-        # A clause but the goal is constrained when it is not kept and every
-        # clause one literal shorter is.  Each of those must be decided
-        # first: rows go by width and variables by increasing mask, and a
-        # constrained clause is a row or enters the row of its negative part.
-        if d != target:
-            if d in kept:
+        # A clause is constrained when it is not kept and every clause one
+        # literal shorter is.  Each of those must be decided first: rows go
+        # by width and variables by increasing mask, and a constrained
+        # clause is a row or enters the row of its negative part.
+        if d in kept:
+            return False
+        rest = d
+        while rest:
+            low = rest & -rest
+            if d ^ low not in known:
                 return False
-            rest = d
-            while rest:
-                low = rest & -rest
-                if d ^ low not in known:
-                    return False
-                rest ^= low
+            rest ^= low
         known.add(d)
         return True
 
-    # The constrained all-negative clauses, one literal longer at a time,
-    # and the goal when a kept clause lies inside it.
+    # The constrained all-negative clauses, one literal longer at a time.
     level = [0] if constrained(0) else []
     rows = [*level]
     for _ in range(width):
         level = [r | b for r in level for b in (2 << 2 * v for v in range(1, n + 1))
                  if b > r and constrained(r | b)]
         rows += level
-    if not target & positive and target not in known:
-        rows.append(target)
     rows.sort(reverse=True)
     # small[k]: the positive clauses of width at most k, the empty one first.
     small = [[0]]
@@ -500,8 +484,6 @@ def _program(n: int, width: int, target: int, kept) -> tuple[list[int], lp.Linea
     # from r by making the literals of some S among its variables positive
     # and adding positive literals E of other variables.
     touching: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
-    if target & positive:
-        touching[target] = []
     for i, r in enumerate(rows):
         vs = r >> 1
         extras = [e for e in small[width - r.bit_count()] if not e & vs]

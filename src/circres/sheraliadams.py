@@ -62,6 +62,7 @@ from .proofgraph import (
     SPLIT,
     ProofGraph,
     ProofGraphBuilder,
+    weaken,
 )
 
 
@@ -489,15 +490,6 @@ def sa_to_circular(proof: SAProof) -> tuple[ProofGraph, dict[int, Fraction]]:
     goal_vertex = b.vertex(proof.goal.mask)
     hyp_masks = [h.mask for h in proof.hypotheses]
 
-    def weaken_chain(start: int, extension: int, flow: Fraction) -> None:
-        # One split per literal of ``extension``, in canonical order.
-        while extension:
-            bit = extension & -extension
-            extension ^= bit
-            b.inference(SPLIT, bit.bit_length() - 1 >> 1, (b.vertex(start),),
-                        (b.vertex(start | bit),), flow)
-            start |= bit
-
     identity_budget = Fraction(0)
     for t in proof.terms:
         a, (kind, i) = t.coefficient, t.ref
@@ -508,10 +500,10 @@ def sa_to_circular(proof: SAProof) -> tuple[ProofGraph, dict[int, Fraction]]:
             b.vertex(h)
             if not c & ~h and proof.hypotheses[i - 1] == proof.goal:
                 identity_budget += a
-            weaken_chain(h, c & ~h, a)
+            weaken(b, h, h | c, a)
         elif kind == ONE_MINUS_X_XBAR and c & twin:  # -F(C | x | ~x): axiom, splits
             b.inference(AXIOM, i, (), (b.vertex(twin),), a)
-            weaken_chain(twin, c & ~twin, a)
+            weaken(b, twin, twin | c, a)
         elif kind == ONE_MINUS_X_XBAR:  # F(C) - F(C | x) - F(C | ~x): a split
             src = b.vertex(c)
             pos, neg = b.vertex(c | 1 << 2 * i), b.vertex(c | 2 << 2 * i)

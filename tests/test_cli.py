@@ -485,8 +485,9 @@ def test_search_finds_unit_contradiction(tmp_path, capsys):
 @pytest.mark.parametrize("text, goal, code, line", [
     ("p cnf 1 2\n1 0\n-1 0\n", "0", 0, "proof found from 3 kept clauses, no LP solved"),
     ("p cnf 2 2\n1 2 0\n-1 2 0\n", "-2 0", 1, "no proof (3 kept clauses; presolved LP: 6 rows, 5 clause-balance variables)"),
-    ("p cnf 2 1\n1 0\n", "1 2 0", 0, "skipped, a hypothesis lies inside the goal"),
-], ids=["found", "none", "skipped"])
+    ("p cnf 2 1\n1 0\n", "1 2 0", 0, "skipped, a hypothesis lies inside the goal; no LP solved"),
+    ("p cnf 1 1\n1 0\n", "1 0", 0, "skipped, a hypothesis lies inside the goal; no LP solved"),
+], ids=["found", "none", "skipped", "identity"])
 def test_search_says_what_the_acyclic_closure_did(tmp_path, capsys, text, goal, code, line):
     cnf = tmp_path / "f.cnf"
     cnf.write_text(text)

@@ -73,14 +73,34 @@ def test_width_zero_finds_nothing():
     (CnfFormula.of(0, [Clause()]), Clause()),
 ], ids=["unit", "binary", "empty", "empty-no-variables"])
 def test_goal_that_is_a_hypothesis_gets_the_identity_proof(cnf, goal):
-    # The program has one vertex per clause, so it is infeasible here; the
-    # answer is a split from the hypothesis copy onto a fresh goal copy.
+    # A proof vertex has one clause, so the goal needs a vertex of its own:
+    # the answer is a split from the hypothesis copy onto a fresh goal copy.
     width = max(goal.width, 1)
     graph, flow = circular_search(cnf, goal, width)
     assert validate_rules(graph) == [] and verify_flow(graph, flow)
     assert graph.goal_clause() == goal and graph.width == width
     assert graph.hypotheses == {goal}
     assert _lattice_search(cnf, goal, width)
+
+
+@pytest.mark.parametrize("cnf, goal, inside", [
+    (CnfFormula.of(3, [clause(1), clause(-1, 2), clause(-2, 3)]), clause(1, 3), clause(1)),
+    (CnfFormula.of(2, [Clause()]), clause(1, -2), Clause()),
+    (CnfFormula.of(2, [clause(1), clause(-1, 2), clause(2)]), clause(2), clause(2)),
+], ids=["strictly-inside", "empty-hypothesis", "derived-hypothesis"])
+def test_a_hypothesis_inside_the_goal_is_the_proof(monkeypatch, cnf, goal, inside):
+    # Splits from the hypothesis up to the goal, one per missing literal, or
+    # the identity proof's one split when the goal is the hypothesis, even
+    # when the other hypotheses derive it too.
+    monkeypatch.setattr(lp, "feasible", lambda program: pytest.fail("an LP was solved"))
+    lines = []
+    graph, _ = circular_search(cnf, goal, 2, report=lines.append)
+    assert lines[1] == "acyclic closure: skipped, a hypothesis lies inside the goal; no LP solved"
+    assert [w.rule.kind for w in graph.inference_vertices.values()] == (
+        [SPLIT] * (goal.width - inside.width or 1))
+    assert graph.formula_vertices[graph.inference_vertices[0].in_neighbors[0]] == inside
+    graph, flow = find_witness(dataclasses.replace(graph, hypotheses=frozenset(cnf.clauses)))
+    assert flow is not None and graph.goal_clause() == goal
 
 
 def test_goal_may_name_variables_beyond_the_hypotheses():
@@ -415,20 +435,21 @@ def test_search_program_matches_definition(monkeypatch):
         cases.append((cnf, goal, width))
     answered = presolved = 0
     for cnf, goal, width in cases:
-        kept, hyps, target = _restriction(cnf, goal, width)
-        _, program = _program(len(kept), width, target, hyps - {target})
         restricted, renamed = _restricted(cnf, goal)
-        others = {c.signed() for c in restricted.clauses} - {renamed.signed()}
         label = ([str(c) for c in cnf.clauses], str(goal), width)
-        assert program == lp.LinearProgram(
-            *_presolved_program(restricted, renamed, width, others)), label
-        num_vars, rows, lower = _definition_program(restricted, renamed, width)
-        # When a hypothesis lies inside the goal, the search solves exactly
-        # this program.  Otherwise the closure answers when the goal has an
-        # acyclic width-w derivation, and when it has none the search solves
-        # the program with every clause but the goal that has such a
-        # derivation free: they are the weakenings of the kept clauses.
+        # A hypothesis inside the goal is the proof, and no LP is solved.
+        # Otherwise the program presolved by the hypotheses is the
+        # definition's, and the closure answers when the goal has an
+        # acyclic width-w derivation; when it has none the search solves
+        # the program with every clause that has such a derivation free:
+        # they are the weakenings of the kept clauses.
         skipped = any(c.signed() <= renamed.signed() for c in restricted.clauses)
+        if not skipped:
+            kept, hyps, target = _restriction(cnf, goal, width)
+            _, program = _program(len(kept), width, target, hyps)
+            assert program == lp.LinearProgram(*_presolved_program(
+                restricted, renamed, width, {c.signed() for c in restricted.clauses})), label
+        num_vars, rows, lower = _definition_program(restricted, renamed, width)
         closure = _cut_split_closure(restricted, width)
         stage = not skipped and renamed.signed() in closure
         seen, lines = [], []
@@ -439,7 +460,7 @@ def test_search_program_matches_definition(monkeypatch):
         assert lines[0] == (f"search LP: {len(rows) + len(lower)} rows, "
                             f"{num_vars} clause-balance variables"), label
         if stage or skipped:
-            assert seen == ([] if stage else [program]), label
+            assert seen == [], label
         else:
             (solved,) = seen
             assert solved == lp.LinearProgram(*_presolved_program(
@@ -645,20 +666,26 @@ def _assert_presolve_keeps_the_answer(cnf: CnfFormula, goal: Clause, width: int)
     # program, and each has an acyclic width-w proof, so the answer is the
     # unpresolved program's (or the identity proof's); a proof found from
     # the relaxed program owes those derivations, and once they are spliced
-    # in it is witnessed against the input alone.  Returns the two lines
-    # the search reports.
-    restricted, renamed = _restricted(cnf, goal)
-    program = lp.LinearProgram(*_definition_program(restricted, renamed, width))
-    identity = renamed in restricted.clauses and width > 0
-    expected = lp.feasible(program) is not None or identity
+    # in it, its own flow and a witness found afresh both check against the
+    # input alone.  Each answer is certified exactly: a proof found by its
+    # width and those checks, and a none by a countermodel of the goal,
+    # which by soundness leaves the unpresolved program infeasible.  Only a
+    # none whose goal follows is compared with the unpresolved program and
+    # the identity rule.  Returns the two lines the search reports.
     lines = []
     found = circular_search(cnf, goal, width, report=lines.append)
     label = ([str(c) for c in cnf.clauses], str(goal), width)
-    assert (found is not None) == expected, label
     if found is not None:
-        graph, _ = found
-        graph, flow = find_witness(dataclasses.replace(graph, hypotheses=frozenset(cnf.clauses)))
+        graph, flow = found
+        graph = dataclasses.replace(graph, hypotheses=frozenset(cnf.clauses))
+        assert graph.width <= width and verify_flow(graph, flow), label
+        graph, flow = find_witness(graph)
         assert flow is not None and graph.goal_clause() == goal, label
+    elif implies_oracle(cnf, goal):
+        restricted, renamed = _restricted(cnf, goal)
+        program = lp.LinearProgram(*_definition_program(restricted, renamed, width))
+        assert lp.feasible(program) is None, label
+        assert renamed not in restricted.clauses or width == 0, label
     return lines
 
 
