@@ -91,14 +91,18 @@ answer:
   some constraints, a relaxation, so every point of the original is one
   of it.
 
-The clauses left constrained contain no kept clause, so every clause
-inside one is constrained too, and the program is built from them alone: a
-row per constrained all-negative clause, and a variable per clause with a
-positive literal that enters one of those rows, bounded below when the
-clause is constrained.  A clause with a positive literal enters the row of
-its own negative part, so every constrained one is a variable, and the
-clauses left out are free and enter no row: fixing their balances at 0
-changes no answer.
+The clauses left constrained are those that contain no kept clause, so
+every clause inside a constrained one is constrained too, and the program
+is built from them alone: a row per constrained all-negative clause, and a
+variable per clause with a positive literal that enters one of those rows,
+bounded below when the clause is constrained.  A clause ``N | P``, ``N``
+its negative and ``P`` its positive part, enters the rows of
+``N | (S << 1)`` for the ``S`` inside ``P`` (below), each of which contains
+``N``, the row of ``N`` itself among them.  So it enters a constrained row
+exactly when ``N`` is constrained: the variables are the clauses with a
+positive literal whose negative part is constrained, every constrained one
+among them, and the clauses left out are free and enter no row: fixing
+their balances at 0 changes no answer.
 
 ``daglike_width_saturate`` is the classical comparison point: the least
 fixed point of width-bounded resolution and weakening over the hypotheses.
@@ -171,7 +175,12 @@ def lattice_size(num_vars: int, width: int) -> tuple[int, int]:
     lattice that search proofs live in: every clause of width at most
     ``width`` and every elementary tautology; an axiom per variable, every
     cut and split whose clauses fit, and a split from each unit clause onto
-    itself and its tautology."""
+    itself and its tautology.
+
+    Nothing in the package calls it.  Kept only for perfbench, whose
+    ``search.lattice_formulas`` and ``search.lattice_inferences`` counters
+    call it with the CNF header's ``num_variables``, not with the size of
+    the program the search solves; deleting it breaks the benchmark."""
     formulas = n_infs = 0
     for k in range(min(width, num_vars) + 1):
         formulas += math.comb(num_vars, k) * 2 ** k
@@ -427,7 +436,9 @@ def _emit_derivation(b: ProofGraphBuilder, parents: _Parents, owed: dict[int, Fr
 
 def _kept_subset(c: int, kept) -> Optional[int]:
     """The first submask of ``c`` in ``kept``, ``c`` itself first and the
-    empty clause last, or ``None``."""
+    empty clause last, or ``None``: the one "contains a kept clause" test of
+    :func:`circular_search`, :func:`_emit_derivation` and :func:`_program`.
+    (The closure's own loop skips the empty clause, which is inert there.)"""
     sub = c
     while sub not in kept:
         if not sub:
@@ -443,65 +454,39 @@ def _program(n: int, width: int, target: int, kept) -> tuple[list[int], lp.Linea
     ``target``, constrained like every clause inside it, is at least 1.  Its
     rows are the constrained all-negative clauses, in decreasing mask
     order, and its variables the clauses with a positive literal that enter
-    one of those rows, in increasing mask order; a variable is bounded
+    one of those rows, in increasing mask order: exactly the clauses whose
+    negative part is constrained, since every row a clause enters contains
+    its negative part, whose own row it enters.  A variable is bounded
     below when its clause is constrained.  Every other balance is left out,
     which fixes it at 0.  The two orders are a choice: of the four that
     sort by mask, this one took the fewest pivots on the near-cubic
     pigeonhole variants.  Returns the variables' clauses and the program."""
-    known: set[int] = set()  # the clauses found constrained so far
-
-    def constrained(d: int) -> bool:
-        # A clause is constrained when it is not kept and every clause one
-        # literal shorter is.  Each of those must be decided first: rows go
-        # by width and variables by increasing mask, and a constrained
-        # clause is a row or enters the row of its negative part.
-        if d in kept:
-            return False
-        rest = d
-        while rest:
-            low = rest & -rest
-            if d ^ low not in known:
-                return False
-            rest ^= low
-        known.add(d)
-        return True
-
-    # The constrained all-negative clauses, one literal longer at a time.
-    level = [0] if constrained(0) else []
-    rows = [*level]
-    for _ in range(width):
-        level = [r | b for r in level for b in (2 << 2 * v for v in range(1, n + 1))
-                 if b > r and constrained(r | b)]
-        rows += level
-    rows.sort(reverse=True)
     # small[k]: the positive clauses of width at most k, the empty one first.
     small = [[0]]
     for k in range(1, width + 1):
         small.append(small[-1] + [sum(c) for c in itertools.combinations(
             [1 << 2 * v for v in range(1, n + 1)], k)])
+    rows = sorted((p << 1 for p in small[width] if _kept_subset(p << 1, kept) is None),
+                  reverse=True)
+    index = {r: i for i, r in enumerate(rows)}
+    variables = sorted(r | p for r in rows for p in small[width - r.bit_count()][1:]
+                       if not p & r >> 1)
     # The row of N | (S << 1) holds -(-1)^|S| b_D for every D = N | P with
-    # S inside P (the module docstring).  So row r holds each clause made
-    # from r by making the literals of some S among its variables positive
-    # and adding positive literals E of other variables.
-    touching: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
-    for i, r in enumerate(rows):
-        vs = r >> 1
-        extras = [e for e in small[width - r.bit_count()] if not e & vs]
-        s = vs
-        while True:
-            base, entry = r ^ s << 1 | s, (i, 1 if s.bit_count() & 1 else -1)
-            for e in extras if s else extras[1:]:
-                touching[base | e].append(entry)
-            if not s:
-                break
-            s = (s - 1) & vs
-    variables = sorted(touching)
+    # S inside P (the module docstring); j grows, so each row stays sorted.
+    positive = positive_mask(n)
     forms: list[list[tuple[int, int]]] = [[] for _ in rows]
     lower = {}
     for j, d in enumerate(variables):
-        for i, c in touching[d]:
-            forms[i].append((j, c))
-        if constrained(d):
+        p = d & positive
+        s = p
+        while True:
+            i = index.get(d ^ p | s << 1)
+            if i is not None:
+                forms[i].append((j, 1 if s.bit_count() & 1 else -1))
+            if not s:
+                break
+            s = (s - 1) & p
+        if _kept_subset(d, kept) is None:
             lower[j] = int(d == target)
     program = lp.LinearProgram(
         len(variables),

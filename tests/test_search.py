@@ -410,6 +410,10 @@ def test_search_program_matches_definition(monkeypatch):
         # A pure literal in the goal's variable stays.
         (CnfFormula.of(3, [clause(1, 3), clause(-1, 3), clause(2)]), clause(3), 2),
         (CnfFormula.of(9, gen_php(near_cubic_bipartite(3, 0)).clauses[1:]), Clause(), 3),
+        # Satisfiable near-cubic n=4: rows of every width and, at width 4,
+        # columns of up to four literals.
+        (CnfFormula.of(12, gen_php(near_cubic_bipartite(4, 0)).clauses[1:]), Clause(), 3),
+        (CnfFormula.of(12, gen_php(near_cubic_bipartite(4, 1)).clauses[1:]), Clause(), 4),
     ]
     for _ in range(100):
         n = rng.randint(1, 5)
