@@ -14,6 +14,14 @@ not found), 2 input or usage error, 3 resource guard tripped, 4 internal
 error (an exception the program does not expect, reported in one line),
 141 (128 + SIGPIPE) standard output closed early by its reader, as in
 ``circres check ... | head -1``; nothing is printed for it.
+
+:func:`main` runs a command with the cyclic garbage collector off and then
+restores the caller's setting.  A command's proof graphs, flows and
+polynomial terms are many small objects that form no reference cycle, so a
+collector pass over them frees nothing; the tests check that every command
+leaves no cyclic garbage.  On its own, this moved perfbench's
+``php_pipeline`` by -0.4% to +6.1% in ops per second (6 paired runs on a
+2-CPU machine, median +2.5%).
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import gc
 import os
 import sys
 import time
@@ -337,6 +346,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    enabled = gc.isenabled()
+    gc.disable()  # see the module docstring
     try:
         args = _build_parser().parse_args(argv)
         code = args.func(args)
@@ -357,6 +368,9 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -258,8 +258,9 @@ def dual_certificate(graph: ProofGraph, flow: dict[int, Fraction]) -> DualCertif
         raise NotWitnessError("flow assignment does not witness the proof")
     goal_num = bal[graph.goal_id]
     scale = Fraction(den, goal_num)
-    return DualCertificate({u: Fraction(b, goal_num) for u, b in bal.items() if b},
-                           {iid: flow[iid] * scale for iid in graph.inference_vertices})
+    rules = ({iid: flow[iid] for iid in graph.inference_vertices} if scale == 1 else
+             {iid: flow[iid] * scale for iid in graph.inference_vertices})
+    return DualCertificate({u: Fraction(b, goal_num) for u, b in bal.items() if b}, rules)
 
 
 def certificate_combination(graph: ProofGraph,

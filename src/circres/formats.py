@@ -75,11 +75,13 @@ def _non_ascii_number(line: str) -> Optional[str]:
 
 def _lines(text: str):
     header = False
+    # A line can hold a number that is not ASCII digits only if the text does.
+    scan = "_" in text or not text.isascii()
     for no, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if not tokens or tokens[0][0] == "c":
             continue
-        bad = _non_ascii_number(raw)
+        bad = scan and _non_ascii_number(raw)
         if bad:
             raise ParseError(no, f"number {bad!r} is not ASCII digits")
         if tokens[0] == "p":
@@ -247,7 +249,10 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[dict[int, Fraction]]]:
                     rule = rules[tokens[2], tokens[3]] = Rule(_NAME_KINDS[tokens[2]], var)
                 except ValueError as exc:
                     raise ParseError(no, str(exc)) from None
-            refs = [_int(t, no) for t in tokens[4:]]
+            try:
+                refs = list(map(int, tokens[4:]))
+            except ValueError:  # name the first token that is not an integer
+                refs = [_int(t, no) for t in tokens[4:]]
             if rule.kind == AXIOM:
                 if len(refs) != 1:
                     raise ParseError(no, "ax takes one consequent id")

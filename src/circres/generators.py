@@ -304,7 +304,9 @@ def random_circular_proof(
     balance at least 1.  Always passes rule validation and the flow check.
     Inferences of equal shape merge, so once every reachable inference exists
     no draw adds one; ``ValueError`` is raised after :data:`MAX_STALLED_DRAWS`
-    such draws in a row.
+    such draws in a row.  It is raised at once for a ``max_width`` below 1,
+    since every hypothesis has a literal, or below 2 for a budget of 1, which
+    is one axiom.
     """
     if size_budget < 1:
         raise ValueError("size budget must be at least 1")
@@ -324,6 +326,8 @@ def random_circular_proof(
         b.set_goal(out)
         graph, _ = b.build()
         return graph, _demand_flows(graph)
+    if max_width < 1:
+        raise ValueError(f"max width {max_width} is below 1, the width of a unit hypothesis")
 
     # Hypotheses: a few short proper clauses.
     hyp_width = max(1, min(max_width - 1, 2))

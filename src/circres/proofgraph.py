@@ -247,6 +247,7 @@ class ProofGraphBuilder:
         self._by_mask: dict[int, int] = {}
         self._inferences: list[InferenceVertex] = []
         self._by_shape: dict[tuple, int] = {}
+        self._rules: dict[tuple[str, int], Rule] = {}  # one checked Rule per rule
         self._flows: dict[int, Fraction] = {}
         self._hypotheses: set[Clause] = set()
         self._goal: Optional[int] = None
@@ -277,8 +278,11 @@ class ProofGraphBuilder:
             iid = self._by_shape[shape]
             self._flows[iid] += flow
             return iid
+        rule = self._rules.get((kind, principal))
+        if rule is None:
+            rule = self._rules[kind, principal] = Rule(kind, principal)
         iid = len(self._inferences)
-        self._inferences.append(InferenceVertex(Rule(kind, principal), tuple(ins), tuple(outs)))
+        self._inferences.append(InferenceVertex(rule, tuple(ins), tuple(outs)))
         self._by_shape[shape] = iid
         self._flows[iid] = flow if type(flow) is Fraction else Fraction(flow)
         return iid

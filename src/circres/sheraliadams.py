@@ -108,6 +108,8 @@ class Monomial(NamedTuple):
 
     @property
     def degree(self) -> int:
+        if not self.powers:  # the common case: no exponent above 1
+            return self.mask.bit_count()
         return self.mask.bit_count() + sum(e - 1 for _, e in self.powers)
 
     @property
@@ -123,9 +125,9 @@ class Monomial(NamedTuple):
 
 def _product(mask: int, powers: tuple[tuple[int, int], ...], other_mask: int,
              other_powers: tuple[tuple[int, int], ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """The ``(mask, powers)`` of the product of two monomials given as such."""
-    if not (mask & other_mask or powers or other_powers):
-        return mask | other_mask, ()
+    """The ``(mask, powers)`` of the product of two monomials given as such;
+    :func:`proof_sum` ORs the masks itself when they share no token and
+    neither has an exponent."""
     # A token of both masks has exponent 2 before the powers add theirs.
     acc = dict.fromkeys(mask_literals(mask & other_mask), 2)
     for tok, e in (*powers, *other_powers):
@@ -263,15 +265,19 @@ def proof_sum(proof: SAProof) -> dict[Monomial, Fraction]:
     coefficients); only the surviving sums become fractions.  Products are
     summed under their ``(mask, powers)`` pairs and become monomials only
     when their sum is nonzero."""
-    refs = proof._reference_polynomials
+    rows = {ref: [(m.mask, m.powers, k.numerator) for m, k in p.items()]
+            for ref, p in proof._reference_polynomials.items()}
     den = math.lcm(*(t.coefficient.denominator for t in proof.terms))
     acc: dict[tuple[int, tuple[tuple[int, int], ...]], int] = {}
     for t in proof.terms:
         a = t.coefficient.numerator * (den // t.coefficient.denominator)
-        q = t.monomial
-        for m, k in refs[t.ref].items():
-            key = _product(m.mask, m.powers, q.mask, q.powers)
-            acc[key] = acc.get(key, 0) + a * k.numerator
+        q_mask, q_powers = t.monomial
+        for mask, powers, k in rows[t.ref]:
+            if mask & q_mask or powers or q_powers:
+                key = _product(mask, powers, q_mask, q_powers)
+            else:  # disjoint tokens, no exponents: the product is an OR
+                key = mask | q_mask, ()
+            acc[key] = acc.get(key, 0) + a * k
     return {Monomial(*key): Fraction(c, den) for key, c in acc.items() if c}
 
 

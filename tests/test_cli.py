@@ -311,6 +311,8 @@ INPUT_ERRORS = {
                                    "size budget 1 is one axiom, of width 2 > max width 0"),
     "random-axiom-above-width-1": (["gen-random", "--budget", "1", "--max-width", "1"], None,
                                    "size budget 1 is one axiom, of width 2 > max width 1"),
+    "random-width-0": (["gen-random", "--max-width", "0"], None,
+                       "max width 0 is below 1, the width of a unit hypothesis"),
 }
 
 
@@ -683,9 +685,8 @@ def test_gen_random_emits_checkable_proof(tmp_path):
 
 @pytest.mark.parametrize("flags", [
     ["--seed", "31", "--vars", "3", "--budget", "8"],
-    ["--max-width", "0"],
     ["--vars", "1", "--max-width", "2", "--budget", "30"],
-], ids=["seed31", "width0", "one-var"])
+], ids=["seed31", "one-var"])
 def test_gen_random_unreachable_budget_exits(tmp_path, flags):
     # In a subprocess with a timeout, so that a generator loop that never ends
     # fails this test instead of hanging the suite.

@@ -273,6 +273,12 @@ def test_sap_header_and_term_errors():
     (parse_cres, "p cres 1 1\nf 0 0\ni 0 ax\ng 0\n", "line 3: truncated inference line"),
     (parse_cres, "p cres 1 1\nf 0 0\ni 0 split 1 0\ng 0\n",
      "line 3: split takes one antecedent id and one or two consequent ids"),
+    (parse_cres, "p cres 1 1\nf 0 0\ni 0 cut 1 0 x 0\ng 0\n",
+     "line 3: expected integer, got 'x'"),
+    (parse_cres, "p cres 1 1\nf 0 0\ni 0 split 1 0 0 1.5 y\ng 0\n",
+     "line 3: expected integer, got '1.5'"),
+    (parse_cres, "p cres 1 1\nf 0 0\ni 0 ax 1 ++1\ng 0\n",
+     "line 3: expected integer, got '++1'"),
     (parse_cres, "p cres 1 0\nf 0 0\nh 0 0\ng 0\n", "line 3: hypothesis mark must be 'h <fid>'"),
     (parse_cres, "p cres 1 0\nf 0 0\ng\n", "line 3: goal mark must be 'g <fid>'"),
     (parse_cres, "p cres 1 0\nf 0 0\ng 0\ng 0\n", "line 4: duplicate goal mark"),
@@ -291,7 +297,8 @@ def test_sap_header_and_term_errors():
     (parse_sap, "p sap 1 0\ng 0\nt 1 ; B xxsq\n", "line 3: 'B xxsq' needs an index"),
 ], ids=["dimacs-header-form", "dimacs-count", "dimacs-no-0", "dimacs-inner-0",
         "dimacs-literal", "dimacs-clause-count", "cres-vertex-count", "cres-f-alone", "cres-truncated",
-        "cres-split-arity", "cres-h-arity", "cres-g-arity", "cres-second-goal",
+        "cres-split-arity", "cres-cut-id", "cres-split-first-bad-id", "cres-ax-id",
+        "cres-h-arity", "cres-g-arity", "cres-second-goal",
         "cres-goal-unknown", "cres-tag", "cres-w-arity", "cres-w-rational",
         "cres-w-zero-denominator", "cres-w-missing", "sap-second-goal", "sap-tag",
         "sap-no-separator", "sap-no-reference", "sap-basic-without-index"])
