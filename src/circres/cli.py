@@ -110,13 +110,14 @@ def _write_proof(path: str, graph, flow, comment: str) -> None:
 def cmd_check(args) -> int:
     graph, file_flow = formats.parse_cres(_read(args.proof))
     cnf = formats.parse_dimacs(_read(args.cnf))
-    graph = dataclasses.replace(graph, hypotheses=frozenset(cnf.clauses))
+    goal_id = graph.goal_id
     if args.goal is not None:
         goal_clause = _parse_goal(args.goal)
         candidates = [fid for fid, c in graph.formula_vertices.items() if c == goal_clause]
         if not candidates:
             raise UsageError(f"no formula vertex carries the goal clause {goal_clause}")
-        graph = dataclasses.replace(graph, goal_id=min(candidates))
+        goal_id = min(candidates)
+    graph = dataclasses.replace(graph, hypotheses=frozenset(cnf.clauses), goal_id=goal_id)
 
     graph, flow = find_witness(graph, file_flow)
     if file_flow is not None and flow is file_flow:

@@ -104,9 +104,9 @@ def _goal_candidates(graph: ProofGraph) -> Iterator[ProofGraph]:
     vertex that carries the goal clause, in id order."""
     yield graph
     goal_clause = graph.goal_clause()
-    for fid, clause in sorted(graph.formula_vertices.items()):
-        if clause == goal_clause and fid != graph.goal_id:
-            yield dataclasses.replace(graph, goal_id=fid)
+    for fid in sorted([fid for fid, clause in graph.formula_vertices.items()
+                       if clause == goal_clause and fid != graph.goal_id]):
+        yield dataclasses.replace(graph, goal_id=fid)
 
 
 def find_witness(graph: ProofGraph, flow: Optional[dict[int, Fraction]] = None

@@ -52,7 +52,7 @@ from typing import Optional
 
 from .core import (MAX_VARIABLE, Clause, CnfFormula, MalformedLiteralError, literal_key,
                    mask_literals)
-from .proofgraph import AXIOM, CUT, SPLIT, InferenceVertex, ProofGraph, Rule
+from .proofgraph import AXIOM, CUT, SPLIT, InferenceVertex, ProofGraph, Rule, StructureError
 from .sheraliadams import BASIC, HYPOTHESIS, ONE, Monomial, RefPoly, SAProof, SATerm
 
 
@@ -303,11 +303,9 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[dict[int, Fraction]]]:
     hypotheses = frozenset(formulas[fid] for fid in hyp_ids if fid in formulas)
     try:
         graph = ProofGraph(formulas, inferences, hypotheses, goal_id)
-    except ValueError as exc:
-        # With the goal checked, ProofGraph rejects an unknown formula id.
-        bad = next(iid for iid, w in inferences.items()
-                   if not formulas.keys() >= {*w.in_neighbors, *w.out_neighbors})
-        raise ParseError(_line_of(text, "i", bad), str(exc)) from None
+    except StructureError as exc:
+        # With the goal checked, ProofGraph names an inference vertex.
+        raise ParseError(_line_of(text, "i", exc.vertex_id), str(exc)) from None
     for fid in hyp_ids:
         if fid not in formulas:
             raise ParseError(_line_of(text, "h", fid),

@@ -112,13 +112,11 @@ class LinearProgram:
             operator.index(row.rhs)
         for bound in self.lower.values():
             operator.index(bound)
-        # A row's indices are sorted, so its ends tell whether one is out of range.
-        bad = [j for row in self.rows
-               if row.coeffs and not (0 <= row.coeffs[0][0] and row.coeffs[-1][0] < n)
-               for j, _ in row.coeffs if not 0 <= j < n]
-        bad += [j for j in self.lower if not 0 <= j < n]
-        if bad:
-            raise IndexError(f"variable index {bad[0]} out of range 0..{n - 1}")
+        indices = [j for row in self.rows for j, _ in row.coeffs]
+        indices.extend(self.lower)
+        if indices and not (0 <= min(indices) and max(indices) < n):
+            bad = next(j for j in indices if not 0 <= j < n)
+            raise IndexError(f"variable index {bad} out of range 0..{n - 1}")
 
 
 class _Tableau:

@@ -43,7 +43,12 @@ SPLIT = "split"
 
 
 class StructureError(ValueError):
-    """A vertex referenced a neighbor id that does not exist."""
+    """A vertex referenced a neighbor id that does not exist: ``vertex_id``
+    is the inference vertex, or the goal id that names no formula vertex."""
+
+    def __init__(self, message: str, vertex_id: int) -> None:
+        super().__init__(message)
+        self.vertex_id = vertex_id
 
 
 class IncompleteFlowError(KeyError):
@@ -103,9 +108,9 @@ class ProofGraph:
         for iid, w in self.inference_vertices.items():
             for u in (*w.in_neighbors, *w.out_neighbors):
                 if u not in fv:
-                    raise StructureError(f"inference {iid} references unknown formula id {u}")
+                    raise StructureError(f"inference {iid} references unknown formula id {u}", iid)
         if self.goal_id not in fv:
-            raise StructureError(f"goal id {self.goal_id} is not a formula vertex")
+            raise StructureError(f"goal id {self.goal_id} is not a formula vertex", self.goal_id)
 
     def goal_clause(self) -> Clause:
         return self.formula_vertices[self.goal_id]

@@ -18,13 +18,14 @@ the monomial ``x^m`` (degree at most ``w``).  A feasible point is turned
 back into cuts and splits, clause by clause, and rechecked exactly as a
 circular proof.
 
-A hypothesis ``H`` inside the goal ``G`` is a proof by itself, so the
-search answers with it and builds no program: single-consequent splits
-from ``H`` up to ``G``, of width ``|G|``, or, when ``H`` is ``G``, the
-identity proof, a split from the hypothesis copy onto a fresh goal copy (a
-vertex has one clause, so the goal needs its own).  Width 0 admits no rule,
-not even that split.  Everything below assumes no hypothesis lies inside
-the goal.
+A hypothesis ``H`` inside the goal ``G`` is a proof by itself:
+single-consequent splits from ``H`` up to ``G``, of width ``|G|``, or, when
+``H`` is ``G``, the identity proof, a split from the hypothesis copy onto a
+fresh goal copy (a vertex has one clause, so the goal needs its own).
+Width 0 admits no rule, not even that split.  The search answers with it
+and builds no program: the loop below returns it before it resolves
+anything.  Past that first step, everything below assumes no hypothesis
+lies inside the goal.
 
 The program is built on a restriction of the instance.  Let ``y`` be a
 variable outside the goal that occurs in the hypotheses in at most one
@@ -55,7 +56,8 @@ first, with forward and lazy backward subsumption, in which a resolvent
 ``R`` of ``c`` and ``d`` on ``x`` is kept only when ``|R| + 1 <= w``, the
 width at which cut and split reach it, by weakening ``c`` to ``R | x`` and
 ``d`` to ``R | ~x`` and cutting on ``x``.  The loop records each kept
-clause's parents and stops at the first kept resolvent inside a target.
+clause's parents and stops at the first kept clause inside a target, a
+hypothesis before any resolvent.
 
 Before the program is built, the search runs the loop at width ``w`` over
 the restricted hypotheses, with the goal as the target.  The derivation of
@@ -259,9 +261,9 @@ def circular_search(
     """Search for a width-bounded circular proof of ``goal``.
 
     Works on the restricted instance (see the module docstring) in steps:
-    a hypothesis inside the goal is answered outright, by the identity
-    proof or by splits from the hypothesis up to the goal; otherwise the
-    acyclic width-``width`` closure runs, then, when that holds no clause
+    the acyclic width-``width`` closure, whose first step answers a
+    hypothesis inside the goal by the identity proof or by splits from the
+    hypothesis up to the goal, then, when the closure holds no clause
     inside the goal, the degree-``width`` Sherali-Adams program over clause
     balances, presolved by leaving the balances of the closure's kept
     clauses and of every clause that contains one free, so at most one
@@ -273,8 +275,8 @@ def circular_search(
     when given, receives two lines: the constraints and clause-balance
     variables of the program without the presolve, whose sum
     ``row_budget`` bounds, even when the search goes on to raise
-    :class:`SearchBudgetError`, then what the closure did, or that a
-    hypothesis inside the goal skipped it, with the constraints and
+    :class:`SearchBudgetError`, then what the closure did, or that it
+    stopped at a hypothesis inside the goal, with the constraints and
     variables of the presolved program when it found no proof.  Raises
     :class:`SearchBudgetError`, before either step, if that sum would exceed
     ``row_budget``, and :class:`WidthError` if ``width`` cannot even
@@ -295,14 +297,7 @@ def circular_search(
     up = [0, *kept]
     b = ProofGraphBuilder()
     b.set_goal(b.vertex(goal.mask))
-    parents: _Parents = dict.fromkeys(hyps)
-    found = _kept_subset(target, parents)
-    if found is not None:
-        # A hypothesis inside the goal is the proof (see the module docstring).
-        note = "skipped, a hypothesis lies inside the goal; no LP solved"
-    else:
-        parents, found = _acyclic_closure(n, hyps, target, width)
-        note = f"proof found from {len(parents)} kept clauses, no LP solved"
+    parents, found = _acyclic_closure(n, hyps, target, width)
     if found is None:
         # Every kept clause and every weakening of one is as free as the
         # hypotheses (see the module docstring).
@@ -310,6 +305,11 @@ def circular_search(
         note = (f"no proof ({len(parents)} kept clauses; presolved LP: "
                 f"{len(program.rows) + len(program.lower)} rows, "
                 f"{program.num_vars} clause-balance variables)")
+    elif found in hyps:
+        # A hypothesis inside the goal is the proof (see the module docstring).
+        note = "skipped, a hypothesis lies inside the goal; no LP solved"
+    else:
+        note = f"proof found from {len(parents)} kept clauses, no LP solved"
     if report is not None:
         report(f"acyclic closure: {note}")
     if found is None:
@@ -338,9 +338,9 @@ def _acyclic_closure(n: int, hyps: set[int], target: int,
     the module docstring, shortest clauses first with forward and lazy
     backward subsumption, keeping a resolvent ``R`` only when
     ``|R| + 1 <= width``, the width of the weakened premises ``R | x`` and
-    ``R | ~x`` its cut needs, and stopping at the first kept resolvent
-    inside ``target``.  Hypotheses are kept whether or not they lie inside
-    ``target``; an empty one is inert.
+    ``R | ~x`` its cut needs, and stopping at the first kept clause inside
+    ``target``: the first hypothesis inside it, in :func:`_kept_subset`'s
+    order, before any resolution, so an empty hypothesis stops it at once.
 
     Returns every kept clause, in the order kept, mapped to ``(c, d, bit)``
     when it is the resolvent of ``c`` and ``d`` on bit ``bit`` of ``c`` and
@@ -348,23 +348,16 @@ def _acyclic_closure(n: int, hyps: set[int], target: int,
     or ``None``."""
     positive = positive_mask(n)
     parents: _Parents = dict.fromkeys(hyps)
+    found = _kept_subset(target, parents, target)
+    if found is not None:
+        return parents, found
     queues: list[list[int]] = [[] for _ in range(width + 1)]
     active: dict[int, list[int]] = {}
-
-    def has_kept_subset(c: int, proper: bool) -> bool:
-        # Every nonempty submask of c, c itself first unless proper.
-        sub = (c - 1) & c if proper else c
-        while sub:
-            if sub in parents:
-                return True
-            sub = (sub - 1) & c
-        return False
-
     for h in hyps:
         queues[h.bit_count()].append(h)
     while any(queues):
         c = next(q for q in queues if q).pop()
-        if has_kept_subset(c, True):
+        if _kept_subset(c, parents, (c - 1) & c) is not None:
             continue
         rest = c
         while rest:
@@ -376,7 +369,7 @@ def _acyclic_closure(n: int, hyps: set[int], target: int,
                 resolvent = side | (d ^ comp)
                 if resolvent.bit_count() >= width or resolvent & (resolvent >> 1) & positive:
                     continue
-                if has_kept_subset(resolvent, False):
+                if _kept_subset(resolvent, parents, resolvent) is not None:
                     continue
                 parents[resolvent] = (c, d, bit)
                 if not resolvent & ~target:
@@ -405,7 +398,7 @@ def _emit_derivation(b: ProofGraphBuilder, parents: _Parents, owed: dict[int, Fr
     uses: dict[int, Fraction | int] = {}
     weakenings = []
     for w, amount in owed.items():
-        k = _kept_subset(w, parents)
+        k = _kept_subset(w, parents, w)
         if k is None:
             raise AssertionError("a constrained clause balance is negative")
         uses[k] = uses.get(k, 0) + amount
@@ -434,12 +427,12 @@ def _emit_derivation(b: ProofGraphBuilder, parents: _Parents, owed: dict[int, Fr
         weaken(b, _renamed(k, up), _renamed(w, up), amount)
 
 
-def _kept_subset(c: int, kept) -> Optional[int]:
-    """The first submask of ``c`` in ``kept``, ``c`` itself first and the
-    empty clause last, or ``None``: the one "contains a kept clause" test of
-    :func:`circular_search`, :func:`_emit_derivation` and :func:`_program`.
-    (The closure's own loop skips the empty clause, which is inert there.)"""
-    sub = c
+def _kept_subset(c: int, kept, sub: int) -> Optional[int]:
+    """The first submask of ``c`` in ``kept`` from its submask ``sub`` down,
+    the empty clause last, or ``None``: the one "contains a kept clause" test
+    of :func:`_acyclic_closure`, :func:`_emit_derivation` and
+    :func:`_program`.  Starting at ``c`` itself asks whether ``c`` contains a
+    kept clause, at ``(c - 1) & c`` whether it properly contains one."""
     while sub not in kept:
         if not sub:
             return None
@@ -466,7 +459,7 @@ def _program(n: int, width: int, target: int, kept) -> tuple[list[int], lp.Linea
     for k in range(1, width + 1):
         small.append(small[-1] + [sum(c) for c in itertools.combinations(
             [1 << 2 * v for v in range(1, n + 1)], k)])
-    rows = sorted((p << 1 for p in small[width] if _kept_subset(p << 1, kept) is None),
+    rows = sorted((p << 1 for p in small[width] if _kept_subset(p << 1, kept, p << 1) is None),
                   reverse=True)
     index = {r: i for i, r in enumerate(rows)}
     variables = sorted(r | p for r in rows for p in small[width - r.bit_count()][1:]
@@ -486,7 +479,7 @@ def _program(n: int, width: int, target: int, kept) -> tuple[list[int], lp.Linea
             if not s:
                 break
             s = (s - 1) & p
-        if _kept_subset(d, kept) is None:
+        if _kept_subset(d, kept, d) is None:
             lower[j] = int(d == target)
     program = lp.LinearProgram(
         len(variables),
@@ -560,17 +553,20 @@ def daglike_width_saturate(hypotheses: CnfFormula, width: int) -> set[Clause]:
     returned.  At width 1 the loop stops at the empty clause too, and loses
     nothing: the clauses are units, whose only resolvent is the empty
     clause, so the core is the hypotheses and the empty clause.  An empty
-    hypothesis stays inert: it neither resolves, subsumes nor is weakened.
+    hypothesis, which would stop the loop's first step, is left out of the
+    loop and added back to the closure, inert: it neither resolves,
+    subsumes nor is weakened.
     """
     needed = max((c.width for c in hypotheses.clauses), default=0)
     if width < needed:
         raise WidthError(f"width {width} below hypothesis width {needed}")
     n = hypotheses.num_variables
-    parents, found = _acyclic_closure(n, _hypothesis_masks(hypotheses), 0, width + 1)
+    hyps = _hypothesis_masks(hypotheses)
+    parents, found = _acyclic_closure(n, hyps - {0}, 0, width + 1)
     if found is not None and width >= 2:
         return set(map(Clause, _clause_masks(n, width)))
 
-    closure = set(parents)
+    closure = hyps | parents.keys()  # the empty hypothesis back in
     frontier = [c for c in parents if 0 < c.bit_count() < width]
     phases = [(3 << literal_key(v), 1 << literal_key(v), 1 << literal_key(-v))
               for v in range(1, n + 1)]

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from circres import cli, sheraliadams as sa
+from circres import cli, search as search_mod, sheraliadams as sa
 from circres.cli import main
 from circres.core import MAX_VARIABLE, Clause, CnfFormula
 from circres.flowcheck import find_witness
@@ -541,9 +541,9 @@ def test_the_shared_parser_keeps_no_state_between_calls(tmp_path, monkeypatch, c
     assert capsys.readouterr().out.count("wrote ") == 2
 
     assert run(["gen-php", "--complete", 2, "--no-emit-flows"]) == 0
-    assert not any(line.startswith("w ") for line in (tmp_path / "php_3_2.cres").open())
+    assert "\nw " not in (tmp_path / "php_3_2.cres").read_text()
     assert run(["gen-php", "--complete", 2]) == 0
-    assert any(line.startswith("w ") for line in (tmp_path / "php_3_2.cres").open())
+    assert "\nw " in (tmp_path / "php_3_2.cres").read_text()
 
     assert run(["search", "chain.cnf", "--width", 3, "--guard-rows", 1]) == 3
     assert capsys.readouterr().err.startswith("guard: ")
@@ -617,6 +617,21 @@ def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     assert run(["search", cnf, "--width", 1]) == 4
     err = capsys.readouterr().err
     assert err == "internal error: AssertionError: search solution fails its own flow check\n"
+
+
+@pytest.mark.parametrize("module, check, argv, message", [
+    (sa, "check_sa", ["translate", "c2s", "php.cres"],
+     "translated polynomial proof fails its checker"),
+    (search_mod, "verify_flow", ["search", "php.cnf", "--width", 3],
+     "search solution fails its own flow check"),
+], ids=["translate", "search"])
+def test_a_failed_self_check_exits_4_with_one_line(php_files, monkeypatch, capsys,
+                                                    module, check, argv, message):
+    monkeypatch.chdir(php_files[0].parent)
+    monkeypatch.setattr(module, check, lambda *args: False)
+    capsys.readouterr()
+    assert run(argv) == 4
+    assert capsys.readouterr().err == f"internal error: AssertionError: {message}\n"
 
 
 def test_closed_stdout_exits_quietly(tmp_path, php_files, monkeypatch, capsys):

@@ -106,6 +106,8 @@ def test_cres_bad_flow_line_names_its_line(extra, message):
 @pytest.mark.parametrize("text, line_no, message", [
     ("p cres 1 1\nf 0 0\ni 0 ax 1 7\nh 9\ng 0\n", 3,
      "inference 0 references unknown formula id 7"),
+    ("p cres 2 2\nf 0 0\nf 1 1 -1 0\ni 0 ax 1 1\ni 1 ax 1 7\ng 0\n", 5,
+     "inference 1 references unknown formula id 7"),
     ("p cres 1 0\nf 0 0\nh 9\ng 0\n", 3,
      "hypothesis mark references unknown formula id 9"),
     ("p cres 1 0\nf 0 0\nc two marks\nh 0\nh 9\nh 9\ng 0\n", 5,
@@ -115,7 +117,7 @@ def test_cres_bad_flow_line_names_its_line(extra, message):
      "duplicate inference-vertex id"),
     # The repeated line is reported before the header's count of the file.
     ("p cres 1 0\nf 0 0\nf 0 0\ng 0\n", 3, "duplicate formula-vertex id"),
-], ids=["inference-ref", "hypothesis-mark", "repeated-hypothesis-mark", "formula-id",
+], ids=["inference-ref", "second-inference-ref", "hypothesis-mark", "repeated-hypothesis-mark", "formula-id",
         "inference-id", "formula-id-before-header-count"])
 def test_cres_structure_error_names_its_line(text, line_no, message):
     with pytest.raises(ParseError) as err:

@@ -93,8 +93,10 @@ def test_declared_bound_joins_the_certificate_after_the_rows():
 @pytest.mark.parametrize("row, bound, bad", [
     (((-1, 1), (0, 1)), 0, -1),
     (((0, 1), (4, 1), (5, 2)), 1, 4),
+    # Out of order: the row's ends are in range, the middle is not.
+    (((0, 1), (99, 1), (1, 1)), 1, 99),
     ((), 3, 3),
-], ids=["row-low", "row-high", "bound"])
+], ids=["row-low", "row-high", "row-unsorted", "bound"])
 def test_program_built_in_one_call_rejects_an_index_out_of_range(row, bound, bad):
     rows = [Constraint(((0, 1),), 0), Constraint(row, 0)]
     with pytest.raises(IndexError) as info:
@@ -117,6 +119,47 @@ def test_a_rational_rhs_or_bound_is_rejected_at_construction(rows, lower):
     # exact recheck.
     with pytest.raises(TypeError):
         LinearProgram(1, rows, lower)
+
+
+def _stuck_at_row_0(tab):
+    return 0
+
+
+def _negated_row_0(tab):
+    tab.rows[0] = {0: -1}
+    return 0
+
+
+def _point_of_zeros(tab):
+    return [0] * tab.lp.num_vars
+
+
+@pytest.mark.parametrize("method, walk, program, message", [
+    # run returns a row whose multiplier is negative, so not stuck.
+    ("run", _negated_row_0, LinearProgram(1, [Constraint(((0, 1),), 1)], {0: 0}),
+     "negative multiplier on a stuck row"),
+    # x >= 1 with x free: row 0 has an eligible column.
+    ("run", _stuck_at_row_0, LinearProgram(1, [Constraint(((0, 1),), 1)]),
+     "free variable does not cancel in certificate"),
+    # x >= 1 with x >= 0: row 0 leaves x a positive residual.
+    ("run", _stuck_at_row_0, LinearProgram(1, [Constraint(((0, 1),), 1)], {0: 0}),
+     "shifted variable has positive residual"),
+    # -x >= 0 with x >= 0: row 0 and the bound sum to 0 >= 0.
+    ("run", _stuck_at_row_0, LinearProgram(1, [Constraint(((0, -1),), 0)], {0: 0}),
+     "certificate does not witness infeasibility"),
+    ("point", _point_of_zeros, LinearProgram(1, [Constraint(((0, 1),), 1)]),
+     "candidate point fails exact recheck"),
+    ("point", _point_of_zeros, LinearProgram(1, [], {0: 1}),
+     "candidate point fails exact recheck of a bound"),
+], ids=["negative-multiplier", "free-residual", "bounded-residual", "no-witness",
+        "row", "bound"])
+def test_a_corrupted_walk_fails_its_exact_recheck(monkeypatch, method, walk, program, message):
+    # Every answer of solve is rechecked exactly; each case corrupts one
+    # step of the walk and checks that the matching recheck raises.
+    monkeypatch.setattr(lp_module._Tableau, method, walk)
+    with pytest.raises(AssertionError) as info:
+        solve(program)
+    assert str(info.value) == message
 
 
 def _satisfies(rows, x) -> bool:

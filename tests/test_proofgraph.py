@@ -121,13 +121,14 @@ def test_axiom_template():
 
 
 def test_dangling_reference_rejected():
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError) as info:
         ProofGraph(
             {0: clause(1)},
             {0: InferenceVertex(Rule(SPLIT, 2), (0,), (7,))},
             frozenset(),
             0,
         )
+    assert info.value.vertex_id == 0
 
 
 def test_validation_order_invariant():
