@@ -127,6 +127,14 @@ class Clause(NamedTuple):
         return " | ".join(map(_literal_str, self.literals))
 
 
+def clause_set(masks: Iterable[int]) -> set[Clause]:
+    """The set of the clauses of ``masks``, made without a Python-level
+    ``Clause.__new__`` frame per mask: ``Clause`` has no validation to skip,
+    since ``Clause(m)`` only stores ``m``, so ``tuple.__new__`` on ``(m,)``
+    makes the same value, equal and hash-equal to ``Clause(m)``, in C."""
+    return set(map(tuple.__new__, itertools.repeat(Clause), zip(masks)))
+
+
 @dataclass(frozen=True)
 class CnfFormula:
     """A conjunction of clauses over variables ``1..num_variables``."""

@@ -55,9 +55,13 @@ closure of cut and split: resolution over the hypotheses, shortest clauses
 first, with forward and lazy backward subsumption, in which a resolvent
 ``R`` of ``c`` and ``d`` on ``x`` is kept only when ``|R| + 1 <= w``, the
 width at which cut and split reach it, by weakening ``c`` to ``R | x`` and
-``d`` to ``R | ~x`` and cutting on ``x``.  The loop records each kept
-clause's parents and stops at the first kept clause inside a target, a
-hypothesis before any resolvent.
+``d`` to ``R | ~x`` and cutting on ``x``.  Each active clause is indexed
+under each of its literals by its side, the clause less that literal, so a
+resolvent is the union of two sides.  Clauses wait in one queue per width,
+popped last in first out at a cursor on the shortest nonempty width, which
+a shorter resolvent lowers.  The loop records each kept clause's parents
+and stops at the first kept clause inside a target, a hypothesis before
+any resolvent.
 
 Before the program is built, the search runs the loop at width ``w`` over
 the restricted hypotheses, with the goal as the target.  The derivation of
@@ -130,9 +134,10 @@ of the positive part ``P`` (the even bits) of ``D``, ``N`` its negative
 part, so the variable ``b_D`` enters the row of ``N | (S << 1)`` with sign
 ``-(-1)^|S|``.  In the loop, a literal bit's complement is its
 neighbour; the resolvent of ``c`` and ``d`` on bit ``b`` of ``c`` is
-``(c ^ b) | (d ^ comp(b))``; ``r`` is tautological when ``r & (r >> 1)``
-has a positive-literal bit set; its width is ``r.bit_count()``; subsumption
-looks up submasks in a set of ints; and a weakening ORs in one bit.
+``(c ^ b) | (d ^ comp(b))``, the sides indexed under ``b`` and ``comp(b)``;
+``r`` is tautological when ``r & (r >> 1)`` has a positive-literal bit set;
+its width is ``r.bit_count()``; subsumption looks up submasks in the dict
+of kept clauses; and a weakening ORs in one bit.
 """
 
 from __future__ import annotations
@@ -144,7 +149,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import lp
-from .core import Clause, CnfFormula, literal_key, positive_mask
+from .core import Clause, CnfFormula, clause_set, literal_key, positive_mask
 from .flowcheck import verify_flow
 from .proofgraph import CUT, SPLIT, ProofGraph, ProofGraphBuilder, weaken
 
@@ -335,7 +340,8 @@ def _acyclic_closure(n: int, hyps: set[int], target: int,
                      width: int) -> tuple[_Parents, Optional[int]]:
     """The resolution core of the acyclic width-``width`` closure of cut and
     split over ``hyps``, masks over ``x_1 .. x_n``: the given-clause loop of
-    the module docstring, shortest clauses first with forward and lazy
+    the module docstring, shortest clauses first, last in first out within
+    a width, each active clause indexed by its sides, with forward and lazy
     backward subsumption, keeping a resolvent ``R`` only when
     ``|R| + 1 <= width``, the width of the weakened premises ``R | x`` and
     ``R | ~x`` its cut needs, and stopping at the first kept clause inside
@@ -352,11 +358,17 @@ def _acyclic_closure(n: int, hyps: set[int], target: int,
     if found is not None:
         return parents, found
     queues: list[list[int]] = [[] for _ in range(width + 1)]
-    active: dict[int, list[int]] = {}
     for h in hyps:
         queues[h.bit_count()].append(h)
-    while any(queues):
-        c = next(q for q in queues if q).pop()
+    # sides[bit]: the active clauses holding literal bit ``bit``, less it.
+    sides: dict[int, list[int]] = {}
+    k = 0
+    while True:
+        while k <= width and not queues[k]:
+            k += 1
+        if k > width:
+            return parents, None
+        c = queues[k].pop()
         if _kept_subset(c, parents, (c - 1) & c) is not None:
             continue
         rest = c
@@ -365,20 +377,22 @@ def _acyclic_closure(n: int, hyps: set[int], target: int,
             rest ^= bit
             comp = bit << 1 if bit & positive else bit >> 1
             side = c ^ bit
-            for d in active.get(comp, ()):
-                resolvent = side | (d ^ comp)
-                if resolvent.bit_count() >= width or resolvent & (resolvent >> 1) & positive:
+            for other in sides.get(comp, ()):
+                resolvent = side | other
+                r = resolvent.bit_count()
+                if r >= width or resolvent & (resolvent >> 1) & positive:
                     continue
-                if _kept_subset(resolvent, parents, resolvent) is not None:
+                if resolvent in parents or _kept_subset(resolvent, parents, resolvent) is not None:
                     continue
-                parents[resolvent] = (c, d, bit)
+                parents[resolvent] = (c, other | comp, bit)
                 if not resolvent & ~target:
                     return parents, resolvent
-                queues[resolvent.bit_count()].append(resolvent)
+                queues[r].append(resolvent)
+                if r < k:
+                    k = r
             # Safe before c's later bits are resolved: c holds no complement
-            # of its own bits, so it never meets itself in active.
-            active.setdefault(bit, []).append(c)
-    return parents, None
+            # of its own bits, so it never meets itself in sides.
+            sides.setdefault(bit, []).append(side)
 
 
 def _emit_derivation(b: ProofGraphBuilder, parents: _Parents, owed: dict[int, Fraction | int],
@@ -546,7 +560,8 @@ def daglike_width_saturate(hypotheses: CnfFormula, width: int) -> set[Clause]:
     resolvent ``R`` of ``c | x`` and ``d | ~x`` is the cut of ``R | x`` and
     ``R | ~x``, so the loop's bound ``|R| + 1 <= width + 1`` is the
     classical ``|R| <= width``.  The closure is then rebuilt by adding one
-    literal at a time to the nonempty core clauses.  If resolution derives
+    literal at a time to the nonempty core clauses, and returned as
+    :func:`core.clause_set` makes it.  If resolution derives
     the empty clause at width 2 or more, every non-tautological clause of
     width at most ``width`` follows (each is a weakening of a unit ``x`` or
     ``~x``, or a resolvent of a weakening of each), and that set is
@@ -564,7 +579,7 @@ def daglike_width_saturate(hypotheses: CnfFormula, width: int) -> set[Clause]:
     hyps = _hypothesis_masks(hypotheses)
     parents, found = _acyclic_closure(n, hyps - {0}, 0, width + 1)
     if found is not None and width >= 2:
-        return set(map(Clause, _clause_masks(n, width)))
+        return clause_set(_clause_masks(n, width))
 
     closure = hyps | parents.keys()  # the empty hypothesis back in
     frontier = [c for c in parents if 0 < c.bit_count() < width]
@@ -581,4 +596,4 @@ def daglike_width_saturate(hypotheses: CnfFormula, width: int) -> set[Clause]:
                     if weakened.bit_count() < width:
                         frontier.append(weakened)
 
-    return set(map(Clause, closure))
+    return clause_set(closure)

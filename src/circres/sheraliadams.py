@@ -263,22 +263,26 @@ def proof_sum(proof: SAProof) -> dict[Monomial, Fraction]:
     """``sum a_j * q_j * poly(P_j)`` in one pass, as integer numerators over
     the common denominator of the ``a_j`` (reference polynomials have integer
     coefficients); only the surviving sums become fractions.  Products are
-    summed under their ``(mask, powers)`` pairs and become monomials only
-    when their sum is nonzero."""
+    summed under their plain mask when they have no exponent, the common
+    case, and under their ``(mask, powers)`` pair otherwise, and become
+    monomials only when their sum is nonzero."""
     rows = {ref: [(m.mask, m.powers, k.numerator) for m, k in p.items()]
             for ref, p in proof._reference_polynomials.items()}
     den = math.lcm(*(t.coefficient.denominator for t in proof.terms))
-    acc: dict[tuple[int, tuple[tuple[int, int], ...]], int] = {}
+    acc: dict[int | tuple[int, tuple[tuple[int, int], ...]], int] = {}
     for t in proof.terms:
         a = t.coefficient.numerator * (den // t.coefficient.denominator)
         q_mask, q_powers = t.monomial
         for mask, powers, k in rows[t.ref]:
             if mask & q_mask or powers or q_powers:
+                # Never exponent-free: a shared token or a factor's power
+                # leaves an exponent of 2 or more.
                 key = _product(mask, powers, q_mask, q_powers)
             else:  # disjoint tokens, no exponents: the product is an OR
-                key = mask | q_mask, ()
+                key = mask | q_mask
             acc[key] = acc.get(key, 0) + a * k
-    return {Monomial(*key): Fraction(c, den) for key, c in acc.items() if c}
+    return {Monomial(key) if type(key) is int else Monomial(*key): Fraction(c, den)
+            for key, c in acc.items() if c}
 
 
 def check_sa(proof: SAProof) -> bool:

@@ -13,6 +13,7 @@ from circres.core import (
     MalformedLiteralError,
     TooLargeError,
     all_assignments,
+    clause_set,
     evaluate,
     implies_oracle,
     literal_key,
@@ -21,6 +22,20 @@ from circres.core import (
 
 def clause(*ints):
     return Clause.from_ints(*ints)
+
+
+def test_clause_set_makes_the_values_clause_makes():
+    masks = [0, clause(3).mask, clause(2, -2).mask, clause(-1000, 7).mask]
+    made = clause_set(masks)
+    assert all(type(c) is Clause for c in made)
+    assert made == {Clause(m) for m in masks} and len(made) == 4
+    by_mask = {c.mask: c for c in made}
+    for m in masks:
+        assert by_mask[m] == Clause(m) and hash(by_mask[m]) == hash(Clause(m))
+    assert by_mask[clause(2, -2).mask].is_tautological
+    assert str(by_mask[clause(-1000, 7).mask]) == "x7 | ~x1000"
+    # It may skip Clause.__new__ only because there is nothing to check.
+    assert "Clause.__new__" in clause_set.__doc__ and "no validation" in clause_set.__doc__
 
 
 def test_literal_rejects_bad_variable():

@@ -825,6 +825,14 @@ def test_saturate_satisfiable_never_empty():
     assert clause(2) in out  # the resolvent appears
 
 
+def test_saturate_returns_clauses():
+    cnf = gen_php(near_cubic_bipartite(4, 0))
+    refuted = daglike_width_saturate(cnf, 3)
+    unrefuted = daglike_width_saturate(CnfFormula.of(cnf.num_variables, cnf.clauses[1:]), 3)
+    assert Clause() in refuted and Clause() not in unrefuted
+    assert all(type(c) is Clause for c in refuted | unrefuted)
+
+
 def test_saturate_contains_weakenings():
     cnf = CnfFormula.of(2, [clause(1)])
     out = daglike_width_saturate(cnf, 2)
@@ -989,3 +997,53 @@ def test_width_three_closure_at_15_1():
     }
     assert {d: len(c) for d, c in closures.items()} == {None: 6981, 0: 6873, 5: 6927}
     assert closures[None] == _weakening_closure(cnf, 3)
+
+
+def _loop_ladder():
+    # The loop digests' cases: near-cubic n=3..6, seeds 0-3, as is and less
+    # clause 0, restricted as circular_search restricts them, at widths 3 and
+    # 4 with the empty target; (15, 1) at width 4, the loop that
+    # daglike_width_saturate(cnf, 3) runs; and 200 seeded random CNFs at each
+    # width from their input width to 4, each with a random target.  Yields
+    # the CNF, then the (n, hyps, target, width) closures run on it.
+    from circres.search import _restriction
+
+    for n in range(3, 7):
+        for seed in range(4):
+            cnf = gen_php(near_cubic_bipartite(n, seed))
+            for f in (cnf, CnfFormula.of(cnf.num_variables, cnf.clauses[1:])):
+                runs = []
+                for width in (3, 4):
+                    kept, hyps, target = _restriction(f, Clause(), width)
+                    runs.append((len(kept), hyps, target, width))
+                yield f, runs
+    cnf = gen_php(near_cubic_bipartite(15, 1))
+    yield cnf, [(cnf.num_variables, {c.mask for c in cnf.clauses}, 0, 4)]
+    rng = random.Random(48)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        cnf = _random_cnf(rng, n, rng.randint(1, 3), rng.randint(0, 12))
+        hyps = {c.mask for c in cnf.clauses if not c.is_tautological}
+        runs = []
+        for width in range(max((c.width for c in cnf.clauses), default=0), 5):
+            drawn = rng.sample(range(1, n + 1), rng.randint(0, min(n, width)))
+            target = Clause.from_signed(rng.choice((1, -1)) * v for v in drawn)
+            runs.append((n, hyps, target.mask, width))
+        yield cnf, runs
+
+
+def test_acyclic_closure_and_saturation_match_their_pins():
+    # The given-clause loop's whole output, every kept clause with its
+    # parents in the order kept and the clause it stopped at, and the
+    # dag-like closures at width 3, so a faster loop keeps its order too.
+    # The searched proofs' pins read ``parents`` only through four proofs.
+    import hashlib
+
+    loop, closure = hashlib.sha256(), hashlib.sha256()
+    for cnf, runs in _loop_ladder():
+        for n, hyps, target, width in runs:
+            parents, found = _acyclic_closure(n, hyps, target, width)
+            loop.update(repr((list(parents.items()), found)).encode())
+        closure.update(repr(sorted(c.mask for c in daglike_width_saturate(cnf, 3))).encode())
+    assert loop.hexdigest() == "218b5f87a56f55d289c5d07758b7a4dfa2a5966483eb7aefdce70f1307503938"
+    assert closure.hexdigest() == "d7263528a375051536d97a8f91e23a63bc7b1b2aabf4bd882fb50b6b97f48775"
