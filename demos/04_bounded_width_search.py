@@ -25,24 +25,28 @@ from circres import (
     gen_php,
     verify_flow,
 )
+from circres.cli import search_lines
 from circres.generators import near_cubic_bipartite
 
 print("Unit contradiction at width 1:")
 cnf = CnfFormula.of(1, [Clause.from_ints(1), Clause.from_ints(-1)])
-graph, flow = circular_search(cnf, Clause(), width=1)
+graph, flow = circular_search(cnf, Clause(), width=1).proof
 print(f"  found length-{graph.length} refutation, verified: "
       f"{verify_flow(graph, flow)}")
 
 print()
 print("A satisfiable formula is never refuted, at any width:")
 sat = CnfFormula.of(2, [Clause.from_ints(1, 2)])
-print(f"  width 2 -> {circular_search(sat, Clause(), 2)}")
+print(f"  width 2 -> {circular_search(sat, Clause(), 2).proof}")
 
 print()
 print("Sparse pigeonhole contradiction, width 3:")
 g = near_cubic_bipartite(4, seed=0)
 php = gen_php(g)
-graph, flow = circular_search(php, Clause(), width=3, report=lambda line: print(f"  {line}"))
+answer = circular_search(php, Clause(), width=3)
+for line in search_lines(answer):
+    print(f"  {line}")
+graph, flow = answer.proof
 print(
     f"  found width-{graph.width} refutation of length {graph.length}, "
     f"verified: {verify_flow(graph, flow)}"

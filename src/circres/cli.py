@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end, the only module that prints: the library returns
+values, and :func:`search_lines` words ``search``'s answer.
 
 Subcommands wire the library into a batch pipeline over the text formats of
 :mod:`circres.formats`:
@@ -247,6 +248,22 @@ def cmd_translate(args) -> int:
 # ---------------------------------------------------------------------------
 # search
 
+def _lp_line(name: str, rows: int, cols: int) -> str:
+    return f"{name} LP: {rows} rows, {cols} clause-balance variables"
+
+
+def search_lines(answer: search_mod.SearchAnswer) -> list[str]:
+    """What ``search`` prints of a search's answer: the size of the program
+    without the presolve, which ``--guard-rows`` bounds, then the closure's outcome."""
+    if answer.stage == "lp":
+        note = f"no proof ({answer.kept} kept clauses; {_lp_line('presolved', *answer.presolved)})"
+    elif answer.stage == "hypothesis":
+        note = "skipped, a hypothesis lies inside the goal; no LP solved"
+    else:
+        note = f"proof found from {answer.kept} kept clauses, no LP solved"
+    return [_lp_line("search", *answer.lattice), f"acyclic closure: {note}"]
+
+
 def cmd_search(args) -> int:
     if args.guard_rows < 0:
         raise UsageError(f"--guard-rows must be nonnegative, got {args.guard_rows}")
@@ -254,17 +271,16 @@ def cmd_search(args) -> int:
     goal = _parse_goal(args.goal)
     start = time.monotonic()
     try:
-        result = search_mod.circular_search(cnf, goal, args.width, args.guard_rows,
-                                            report=print)
+        answer = search_mod.circular_search(cnf, goal, args.width, args.guard_rows)
     except search_mod.SearchBudgetError as exc:
+        print(_lp_line("search", exc.rows, exc.cols))
         print(f"guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    elapsed = time.monotonic() - start
-    print(f"solve time {elapsed:.2f}s")
-    if result is None:
+    print(*search_lines(answer), f"solve time {time.monotonic() - start:.2f}s", sep="\n")
+    if answer.proof is None:
         print(f"no width-{args.width} circular proof exists")
         return EXIT_NEGATIVE
-    graph, flow = result
+    graph, flow = answer.proof
     out = args.out or str(Path(args.cnf).with_suffix(".cres"))
     _write_proof(out, graph, flow, f"width-{args.width} proof found for {Path(args.cnf).name}")
     if args.dot:

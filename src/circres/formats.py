@@ -455,9 +455,7 @@ def parse_sap(text: str) -> SAProof:
 def _mono_tokens(m: Monomial, table: dict[int, str]) -> str:
     if not m.powers:
         return " ".join(_literal_tokens(m.mask, table))
-    exponent = dict(m.powers)
-    return " ".join(f"{tok}^{exponent[tok]}" if tok in exponent else str(tok)
-                    for tok in mask_literals(m.mask))
+    return " ".join(f"{tok}^{e}" if e > 1 else str(tok) for tok, e in m.factors)
 
 
 def serialize_sap(proof: SAProof, comments: list[str] | None = None) -> str:

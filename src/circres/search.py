@@ -146,7 +146,7 @@ import itertools
 import math
 from collections import defaultdict
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import NamedTuple, Optional
 
 from . import lp
 from .core import Clause, CnfFormula, clause_set, literal_key, positive_mask
@@ -256,13 +256,25 @@ def _renamed(mask: int, table) -> int:
     return out
 
 
+class SearchAnswer(NamedTuple):
+    """What :func:`circular_search` did: the proof and flow or ``None``, the
+    unpresolved program's constraints and clause-balance variables, the step
+    that answered (``"hypothesis"``, ``"closure"`` or ``"lp"``), the number
+    of kept clauses, and the presolved LP's size when one was solved."""
+
+    proof: Optional[tuple[ProofGraph, dict[int, Fraction]]]
+    lattice: tuple[int, int]
+    stage: str
+    kept: int
+    presolved: Optional[tuple[int, int]]
+
+
 def circular_search(
     hypotheses: CnfFormula,
     goal: Clause,
     width: int,
     row_budget: int = DEFAULT_ROW_BUDGET,
-    report: Optional[Callable[[str], None]] = None,
-) -> Optional[tuple[ProofGraph, dict[int, Fraction]]]:
+) -> SearchAnswer:
     """Search for a width-bounded circular proof of ``goal``.
 
     Works on the restricted instance (see the module docstring) in steps:
@@ -272,20 +284,14 @@ def circular_search(
     inside the goal, the degree-``width`` Sherali-Adams program over clause
     balances, presolved by leaving the balances of the closure's kept
     clauses and of every clause that contains one free, so at most one
-    exact LP call.  Returns a proof, the weakened hypothesis, the closure's
-    derivation or the cuts and splits that realize the balances found with
-    the derivations of the freed clauses they draw on spliced in, with its
-    flows, or ``None`` when no width-``width`` circular proof exists (by
-    soundness, in particular, when the goal does not follow).  ``report``,
-    when given, receives two lines: the constraints and clause-balance
-    variables of the program without the presolve, whose sum
-    ``row_budget`` bounds, even when the search goes on to raise
-    :class:`SearchBudgetError`, then what the closure did, or that it
-    stopped at a hypothesis inside the goal, with the constraints and
-    variables of the presolved program when it found no proof.  Raises
-    :class:`SearchBudgetError`, before either step, if that sum would exceed
-    ``row_budget``, and :class:`WidthError` if ``width`` cannot even
-    accommodate the inputs.
+    exact LP call.  The answer's proof is the weakened hypothesis, the
+    closure's derivation or the cuts and splits that realize the balances
+    found with the derivations of the freed clauses they draw on spliced
+    in, with its flows, or ``None`` when no width-``width`` circular proof
+    exists (by soundness, in particular, when the goal does not follow).
+    Raises :class:`SearchBudgetError`, before either step, if the sum of
+    ``lattice`` would exceed ``row_budget``, and :class:`WidthError` if
+    ``width`` cannot even accommodate the inputs.
     """
     kept, hyps, target = _restriction(hypotheses, goal, width)
     n = len(kept)
@@ -295,45 +301,37 @@ def circular_search(
     clauses = sum(math.comb(n, k) * 2 ** k for k in range(width + 1))
     rows = clauses - len(hyps - {target})
     cols = clauses - sum(math.comb(n, k) for k in range(width + 1))
-    if report is not None:
-        report(f"search LP: {rows} rows, {cols} clause-balance variables")
     if rows + cols > row_budget:
         raise SearchBudgetError(rows, cols, row_budget)
     up = [0, *kept]
     b = ProofGraphBuilder()
     b.set_goal(b.vertex(goal.mask))
     parents, found = _acyclic_closure(n, hyps, target, width)
+    answer = SearchAnswer(None, (rows, cols), "lp", len(parents), None)
     if found is None:
         # Every kept clause and every weakening of one is as free as the
         # hypotheses (see the module docstring).
         variables, program = _program(n, width, target, parents)
-        note = (f"no proof ({len(parents)} kept clauses; presolved LP: "
-                f"{len(program.rows) + len(program.lower)} rows, "
-                f"{program.num_vars} clause-balance variables)")
-    elif found in hyps:
-        # A hypothesis inside the goal is the proof (see the module docstring).
-        note = "skipped, a hypothesis lies inside the goal; no LP solved"
-    else:
-        note = f"proof found from {len(parents)} kept clauses, no LP solved"
-    if report is not None:
-        report(f"acyclic closure: {note}")
-    if found is None:
+        answer = answer._replace(presolved=(len(program.rows) + len(program.lower), program.num_vars))
         point = lp.feasible(program)
         if point is None:
-            return None
+            return answer
         _emit_derivation(b, parents, _realize(b, point, variables, up), up)
     elif target in hyps:
-        # Width 0 admits no rule, not even the identity proof's split.
+        # The identity proof; width 0 admits no rule, not even its split.
+        answer = answer._replace(stage="hypothesis")
         if not width:
-            return None
+            return answer
         b.pad_identity(goal.mask)
     else:
+        # Splits from a hypothesis inside the goal, or the closure's derivation.
+        answer = answer._replace(stage="hypothesis" if found in hyps else "closure")
         _emit_derivation(b, parents, {target: 1}, up)
     b.mark_hypotheses(_hypothesis_masks(hypotheses))
     graph, flow = b.build()
     if not verify_flow(graph, flow):
         raise AssertionError("search solution fails its own flow check")
-    return graph, flow
+    return answer._replace(proof=(graph, flow))
 
 
 def _acyclic_closure(n: int, hyps: set[int], target: int,

@@ -222,7 +222,7 @@ def test_criterion_07_width_separation():
     circular_ok = {}
     for n in (4, 5):
         g = near_cubic_bipartite(n, 0)
-        res = circular_search(gen_php(g), Clause(), 3)
+        res = circular_search(gen_php(g), Clause(), 3).proof
         circular_ok[n] = res is not None and verify_flow(res[0], res[1])
     elapsed = time.monotonic() - start
     assert all(circular_ok.values()), circular_ok

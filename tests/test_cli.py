@@ -508,7 +508,11 @@ def test_search_width_zero(tmp_path, capsys):
     cnf = tmp_path / "empty.cnf"
     cnf.write_text("p cnf 1 1\n0\n")
     assert run(["search", cnf, "--width", 0]) == 1
-    assert "no width-0 circular proof exists" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "search LP: 1 rows, 0 clause-balance variables"
+    assert lines[1] == "acyclic closure: skipped, a hypothesis lies inside the goal; no LP solved"
+    assert lines[2].startswith("solve time ") and lines[2].endswith("s")
+    assert lines[3:] == ["no width-0 circular proof exists"]
 
 
 def test_search_width_usage_error(tmp_path, capsys):
@@ -518,10 +522,13 @@ def test_search_width_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: width 2 below input width 3\n"
 
 
-def test_search_guard(tmp_path):
+def test_search_guard(tmp_path, capsys):
     cnf = tmp_path / "unit.cnf"
     cnf.write_text("p cnf 1 2\n1 0\n-1 0\n")
     assert run(["search", cnf, "--width", 1, "--guard-rows", 1]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "search LP: 1 rows, 1 clause-balance variables\n"
+    assert captured.err.startswith("guard: ") and captured.err.count("\n") == 1
 
 
 def test_the_shared_parser_keeps_no_state_between_calls(tmp_path, monkeypatch, capsys):

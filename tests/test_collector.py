@@ -4,7 +4,9 @@ the cyclic garbage collector off and restores the caller's setting.
 That is safe because a command makes no reference cycle, so a collector
 pass over its objects frees nothing.  The tests below check both halves,
 and that no library module can change the collector under an in-process
-caller: only ``cli.py`` imports ``gc``.
+caller: only ``cli.py`` imports ``gc``.  Likewise only ``cli.py`` writes to
+the standard streams: a library function returns what it did as a value,
+and the command line words it.
 """
 
 import ast
@@ -46,6 +48,39 @@ def test_only_the_cli_imports_gc(module):
 def test_the_gc_check_sees_each_form_of_import():
     source = "import gc\nimport os, gc as g\nfrom gc import disable\nfrom . import gc\nimport gcx\n"
     assert _gc_imports(ast.parse(source)) == [1, 2, 3]
+
+
+def _stream_uses(tree: ast.AST) -> list[int]:
+    """The lines that name ``print``, ``sys.stdout`` or ``sys.stderr``, or
+    import either stream from ``sys``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            hit = node.id == "print"
+        elif isinstance(node, ast.Attribute):
+            hit = (node.attr in ("stdout", "stderr") and isinstance(node.value, ast.Name)
+                   and node.value.id == "sys")
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.module == "sys" and any(
+                alias.name in ("stdout", "stderr") for alias in node.names)
+        else:
+            continue
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_the_cli_writes_to_the_standard_streams(module):
+    path = Path(circres.__file__).parent / f"{module}.py"
+    found = _stream_uses(ast.parse(path.read_text(encoding="utf-8")))
+    assert bool(found) == (module == "cli"), found
+
+
+def test_the_stream_check_sees_each_form_of_use():
+    source = ("print('x')\nf(report=print)\nsys.stdout.write('x')\n"
+              "sys.stderr.flush()\nfrom sys import stderr\nprinted = out.stdout\n")
+    assert _stream_uses(ast.parse(source)) == [1, 2, 3, 4, 5]
 
 
 @pytest.fixture()

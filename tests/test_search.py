@@ -1,6 +1,5 @@
 import dataclasses
 import random
-import re
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +16,7 @@ from circres.generators import (
 )
 from circres.proofgraph import AXIOM, CUT, SPLIT, validate_rules
 from circres.search import (
+    SearchAnswer,
     SearchBudgetError,
     WidthError,
     _acyclic_closure,
@@ -35,7 +35,7 @@ def unit_contradiction():
 
 
 def test_unit_contradiction_width_one():
-    res = circular_search(unit_contradiction(), Clause(), 1)
+    res = circular_search(unit_contradiction(), Clause(), 1).proof
     assert res is not None
     graph, flow = res
     assert validate_rules(graph) == []
@@ -45,14 +45,14 @@ def test_unit_contradiction_width_one():
 
 def test_satisfiable_formula_never_refuted():
     cnf = CnfFormula.of(2, [clause(1, 2)])
-    assert circular_search(cnf, Clause(), 2) is None
-    assert circular_search(cnf, Clause(), 2 + 1) is None
+    assert circular_search(cnf, Clause(), 2).proof is None
+    assert circular_search(cnf, Clause(), 2 + 1).proof is None
 
 
 def test_goal_derivation_non_refutation():
     # (x2) follows from {(x2|x1), (x2|~x1)}
     cnf = CnfFormula.of(2, [clause(2, 1), clause(2, -1)])
-    res = circular_search(cnf, clause(2), 2)
+    res = circular_search(cnf, clause(2), 2).proof
     assert res is not None
     graph, flow = res
     assert verify_flow(graph, flow)
@@ -62,8 +62,9 @@ def test_goal_derivation_non_refutation():
 def test_width_zero_finds_nothing():
     # Width 0 admits no rule at all, so not even a hypothesis goal gets a
     # positive balance.
-    assert circular_search(CnfFormula.of(1, [Clause()]), Clause(), 0) is None
-    assert circular_search(CnfFormula.of(2, []), Clause(), 0) is None
+    answer = circular_search(CnfFormula.of(1, [Clause()]), Clause(), 0)
+    assert answer.proof is None and answer.stage == "hypothesis"
+    assert circular_search(CnfFormula.of(2, []), Clause(), 0).proof is None
 
 
 @pytest.mark.parametrize("cnf, goal", [
@@ -76,7 +77,7 @@ def test_goal_that_is_a_hypothesis_gets_the_identity_proof(cnf, goal):
     # A proof vertex has one clause, so the goal needs a vertex of its own:
     # the answer is a split from the hypothesis copy onto a fresh goal copy.
     width = max(goal.width, 1)
-    graph, flow = circular_search(cnf, goal, width)
+    graph, flow = circular_search(cnf, goal, width).proof
     assert validate_rules(graph) == [] and verify_flow(graph, flow)
     assert graph.goal_clause() == goal and graph.width == width
     assert graph.hypotheses == {goal}
@@ -93,9 +94,9 @@ def test_a_hypothesis_inside_the_goal_is_the_proof(monkeypatch, cnf, goal, insid
     # the identity proof's one split when the goal is the hypothesis, even
     # when the other hypotheses derive it too.
     monkeypatch.setattr(lp, "feasible", lambda program: pytest.fail("an LP was solved"))
-    lines = []
-    graph, _ = circular_search(cnf, goal, 2, report=lines.append)
-    assert lines[1] == "acyclic closure: skipped, a hypothesis lies inside the goal; no LP solved"
+    answer = circular_search(cnf, goal, 2)
+    assert answer.stage == "hypothesis" and answer.presolved is None
+    graph, _ = answer.proof
     assert [w.rule.kind for w in graph.inference_vertices.values()] == (
         [SPLIT] * (goal.width - inside.width or 1))
     assert graph.formula_vertices[graph.inference_vertices[0].in_neighbors[0]] == inside
@@ -104,7 +105,7 @@ def test_a_hypothesis_inside_the_goal_is_the_proof(monkeypatch, cnf, goal, insid
 
 
 def test_goal_may_name_variables_beyond_the_hypotheses():
-    res = circular_search(CnfFormula.of(1, [clause(1)]), clause(1, 2), 2)
+    res = circular_search(CnfFormula.of(1, [clause(1)]), clause(1, 2), 2).proof
     assert res is not None
     graph, flow = res
     assert graph.goal_clause() == clause(1, 2)
@@ -113,7 +114,7 @@ def test_goal_may_name_variables_beyond_the_hypotheses():
 
 def test_unimplied_goal_not_found():
     cnf = CnfFormula.of(2, [clause(1, 2)])
-    assert circular_search(cnf, clause(1), 2) is None
+    assert circular_search(cnf, clause(1), 2).proof is None
 
 
 def test_width_error_below_inputs():
@@ -130,6 +131,7 @@ def test_budget_guard():
     with pytest.raises(SearchBudgetError) as err:
         circular_search(cnf, Clause(), 3, row_budget=10)
     assert err.value.rows > 0 and err.value.cols > 0
+    assert (err.value.rows, err.value.cols) == circular_search(cnf, Clause(), 3).lattice
 
 
 def test_lattice_size_matches_enumeration():
@@ -150,7 +152,7 @@ def test_lattice_size_matches_enumeration():
 def test_php_search_finds_width_three_sparse():
     g = near_cubic_bipartite(4, 0)
     cnf = gen_php(g)
-    res = circular_search(cnf, Clause(), 3)
+    res = circular_search(cnf, Clause(), 3).proof
     assert res is not None
     graph, flow = res
     assert verify_flow(graph, flow)
@@ -160,7 +162,7 @@ def test_php_search_finds_width_three_sparse():
 
 def test_php_complete_width_three():
     cnf = gen_php(complete_bipartite(3, 2))
-    res = circular_search(cnf, Clause(), 3)
+    res = circular_search(cnf, Clause(), 3).proof
     assert res is not None
     assert res[0].width <= 3
 
@@ -168,7 +170,7 @@ def test_php_complete_width_three():
 def test_monotone_in_width():
     cnf = unit_contradiction()
     for w in (1, 2, 3):
-        assert circular_search(cnf, Clause(), w) is not None
+        assert circular_search(cnf, Clause(), w).proof is not None
 
 
 def test_search_agrees_with_oracle_on_refutability():
@@ -185,7 +187,7 @@ def test_search_agrees_with_oracle_on_refutability():
             clauses.append(Clause.from_signed(v if rng.random() < 0.5 else -v for v in vs))
         cnf = CnfFormula.of(n, clauses)
         unsat = implies_oracle(cnf, Clause())
-        found = circular_search(cnf, Clause(), 3) is not None
+        found = circular_search(cnf, Clause(), 3).proof is not None
         if found:
             assert unsat
         if not unsat:
@@ -243,7 +245,7 @@ def _lattice_search(hypotheses: CnfFormula, goal: Clause, width: int) -> bool:
 
 
 def _assert_search_matches_lattice(cnf: CnfFormula, goal: Clause, width: int) -> None:
-    found = circular_search(cnf, goal, width)
+    found = circular_search(cnf, goal, width).proof
     assert (found is not None) == _lattice_search(cnf, goal, width), (
         [str(c) for c in cnf.clauses], str(goal), width)
     if found is not None:
@@ -456,22 +458,21 @@ def test_search_program_matches_definition(monkeypatch):
         num_vars, rows, lower = _definition_program(restricted, renamed, width)
         closure = _cut_split_closure(restricted, width)
         stage = not skipped and renamed.signed() in closure
-        seen, lines = [], []
+        seen = []
         solve = lp.feasible
         monkeypatch.setattr(lp, "feasible", lambda p: seen.append(p) or solve(p))
-        circular_search(cnf, goal, width, report=lines.append)
+        answer = circular_search(cnf, goal, width)
         monkeypatch.undo()
-        assert lines[0] == (f"search LP: {len(rows) + len(lower)} rows, "
-                            f"{num_vars} clause-balance variables"), label
+        assert answer.lattice == (len(rows) + len(lower), num_vars), label
+        assert answer.stage == ("hypothesis" if skipped else "closure" if stage else "lp"), label
         if stage or skipped:
-            assert seen == [], label
+            assert seen == [] and answer.presolved is None, label
         else:
             (solved,) = seen
             assert solved == lp.LinearProgram(*_presolved_program(
                 restricted, renamed, width, closure - {renamed.signed()})), label
             size = len(solved.rows) + len(solved.lower)
-            assert lines[1].endswith(
-                f"; presolved LP: {size} rows, {solved.num_vars} clause-balance variables)"), label
+            assert answer.presolved == (size, solved.num_vars), label
             presolved += size + solved.num_vars < len(rows) + len(lower) + num_vars
         answered += stage
     assert 0 < answered < len(cases) // 2
@@ -514,7 +515,7 @@ def test_restricted_search_answers_like_the_unrestricted_program(instance):
     # answer must still be the full program's, and a proof found from the
     # kept hypotheses must be witnessed against all of them.
     cnf, goal, width = instance
-    found = circular_search(cnf, goal, width)
+    found = circular_search(cnf, goal, width).proof
     num_vars, rows, lower = _definition_program(cnf, goal, width)
     point, _ = lp.solve(lp.LinearProgram(num_vars, rows, lower))
     identity = goal in cnf.clauses and width > 0
@@ -635,11 +636,10 @@ def test_acyclic_closure_answers_near_cubic_without_the_lp(monkeypatch):
     monkeypatch.setattr(lp, "feasible", lambda p: calls.append(p) or solve(p))
     for n, seed in [(3, s) for s in range(60)] + [(5, 2)]:
         cnf = gen_php(near_cubic_bipartite(n, seed))
-        lines = []
-        graph, _ = circular_search(cnf, Clause(), 3, report=lines.append)
+        answer = circular_search(cnf, Clause(), 3)
         assert calls == [], (n, seed)
-        assert len(lines) == 2 and lines[0].startswith("search LP: ")
-        assert lines[1].startswith("acyclic closure: proof found from ")
+        assert answer.stage == "closure" and answer.presolved is None
+        graph, _ = answer.proof
         assert graph.width <= 3 and validate_rules(graph) == []
         witnessed, flow = find_witness(graph)
         assert flow is not None and witnessed.goal_clause() == Clause()
@@ -657,15 +657,13 @@ def test_dropped_pigeon_variants_solve_one_program(monkeypatch):
         for p in range(4):
             dropped = CnfFormula.of(cnf.num_variables, cnf.clauses[:p] + cnf.clauses[p + 1:])
             assert not implies_oracle(dropped, Clause())
-            lines = []
-            assert circular_search(dropped, Clause(), 3, report=lines.append) is None
-            assert len(calls) == 1 and len(lines) == 2, (seed, p)
-            assert lines[0].startswith("search LP: ")
-            assert lines[1].startswith("acyclic closure: no proof (")
+            answer = circular_search(dropped, Clause(), 3)
+            assert answer.proof is None and len(calls) == 1, (seed, p)
+            assert answer.stage == "lp" and answer.presolved is not None
             calls.clear()
 
 
-def _assert_presolve_keeps_the_answer(cnf: CnfFormula, goal: Clause, width: int) -> list[str]:
+def _assert_presolve_keeps_the_answer(cnf: CnfFormula, goal: Clause, width: int) -> SearchAnswer:
     # Freeing the closure's kept clauses and their weakenings relaxes the
     # program, and each has an acyclic width-w proof, so the answer is the
     # unpresolved program's (or the identity proof's); a proof found from
@@ -675,9 +673,9 @@ def _assert_presolve_keeps_the_answer(cnf: CnfFormula, goal: Clause, width: int)
     # width and those checks, and a none by a countermodel of the goal,
     # which by soundness leaves the unpresolved program infeasible.  Only a
     # none whose goal follows is compared with the unpresolved program and
-    # the identity rule.  Returns the two lines the search reports.
-    lines = []
-    found = circular_search(cnf, goal, width, report=lines.append)
+    # the identity rule.  Returns the search's answer.
+    answer = circular_search(cnf, goal, width)
+    found = answer.proof
     label = ([str(c) for c in cnf.clauses], str(goal), width)
     if found is not None:
         graph, flow = found
@@ -690,7 +688,7 @@ def _assert_presolve_keeps_the_answer(cnf: CnfFormula, goal: Clause, width: int)
         program = lp.LinearProgram(*_definition_program(restricted, renamed, width))
         assert lp.feasible(program) is None, label
         assert renamed not in restricted.clauses or width == 0, label
-    return lines
+    return answer
 
 
 @pytest.fixture
@@ -749,7 +747,7 @@ def test_a_point_that_draws_on_a_weakening_gets_it_spliced_in(owed):
     # make one a source; the search must supply it by splits from the kept
     # clause inside it, or its own flow check fails.
     cnf = gen_php(near_cubic_bipartite(4, 0))
-    graph, _ = circular_search(cnf, Clause(), 3)
+    graph, _ = circular_search(cnf, Clause(), 3).proof
     assert _owed_kinds(cnf, owed)[1] > 0
     graph, flow = find_witness(graph)
     assert flow is not None and graph.goal_clause() == Clause()
@@ -784,11 +782,9 @@ def test_presolve_changes_no_random_answer():
             for _ in range(rng.randint(2 * n, 4 * n))]), Clause(), 3))
     presolved = 0
     for case in cases:
-        size, note = _assert_presolve_keeps_the_answer(*case)
-        if note.startswith("acyclic closure: no proof ("):
-            rows, cols = map(int, re.findall(r"\d+", size))
-            _, least_rows, least_cols = map(int, re.findall(r"\d+", note))
-            presolved += least_rows + least_cols < rows + cols
+        answer = _assert_presolve_keeps_the_answer(*case)
+        if answer.stage == "lp":
+            presolved += sum(answer.presolved) < sum(answer.lattice)
     assert presolved > len(cases) // 5
 
 
@@ -802,9 +798,9 @@ def test_classical_width_three_gives_width_four_acyclic_proofs(monkeypatch, n):
     calls = []
     solve = lp.feasible
     monkeypatch.setattr(lp, "feasible", lambda p: calls.append(p) or solve(p))
-    lines = []
-    graph, _ = circular_search(cnf, Clause(), 4, report=lines.append)
-    assert calls == [] and lines[1].startswith("acyclic closure: proof found from ")
+    answer = circular_search(cnf, Clause(), 4)
+    assert calls == [] and answer.stage == "closure"
+    graph, _ = answer.proof
     assert graph.width <= 4 and validate_rules(graph) == []
     witnessed, flow = find_witness(graph)
     assert flow is not None and witnessed.goal_clause() == Clause()
@@ -857,7 +853,7 @@ def test_daglike_goal_implies_circular_success_for_refutations():
     for cnf in cases:
         w = max(3, max(c.width for c in cnf.clauses))
         if Clause() in daglike_width_saturate(cnf, w):
-            assert circular_search(cnf, Clause(), w) is not None
+            assert circular_search(cnf, Clause(), w).proof is not None
 
 
 def _weakening_closure(hypotheses: CnfFormula, width: int) -> set[Clause]:
