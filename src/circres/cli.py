@@ -40,7 +40,7 @@ from pathlib import Path
 from . import formats, generators, search as search_mod, sheraliadams as sa
 from .core import Clause
 from .flowcheck import ValidationError, find_witness, starved_vertex
-from .proofgraph import balance_numerators, export_dot
+from .proofgraph import export_dot
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -137,9 +137,13 @@ def cmd_check(args) -> int:
             print(f"  vertex {starved} ({graph.formula_vertices[starved]}) is used as a "
                   "premise, derived by no inference, and not a hypothesis")
     else:
-        bal, den = balance_numerators(graph, flow)
-        print(f"goal balance {Fraction(bal[graph.goal_id], den)}")
-        print("".join(f"w {iid} {flow[iid]}\n" for iid in sorted(graph.inference_vertices)), end="")
+        # Only the inferences at the goal add to its balance: no second sweep.
+        goal = graph.goal_id
+        balance = sum((flow[iid] * (w.out_neighbors.count(goal) - w.in_neighbors.count(goal))
+                       for iid, w in graph.inference_vertices.items()
+                       if goal in w.out_neighbors or goal in w.in_neighbors), Fraction(0))
+        print(f"goal balance {balance}")
+        print(*formats.flow_lines(flow, sorted(graph.inference_vertices)), sep="\n")
     if args.dot:
         _write(args.dot, export_dot(graph, flow))
     return EXIT_OK if flow is not None else EXIT_NEGATIVE

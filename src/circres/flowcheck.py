@@ -260,7 +260,9 @@ def dual_certificate(graph: ProofGraph, flow: dict[int, Fraction]) -> DualCertif
     scale = Fraction(den, goal_num)
     rules = ({iid: flow[iid] for iid in graph.inference_vertices} if scale == 1 else
              {iid: flow[iid] * scale for iid in graph.inference_vertices})
-    return DualCertificate({u: Fraction(b, goal_num) for u, b in bal.items() if b}, rules)
+    # Balances repeat: each distinct one is divided once.
+    ratio = {b: Fraction(b, goal_num) for b in set(bal.values()) if b}
+    return DualCertificate({u: ratio[b] for u, b in bal.items() if b}, rules)
 
 
 def certificate_combination(graph: ProofGraph,

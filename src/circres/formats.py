@@ -8,9 +8,9 @@ comment, so every line is checked as it is read, a repeated ``.cres`` vertex
 id included, and an error names the line that holds it; the counts the
 header declares are compared with the file at its end.  A ``.sap`` monomial
 is built straight from its tokens and normalized only when a token repeats
-or has an exponent; each distinct rule, reference, coefficient, literal and
-monomial token of a file is checked and built once, a variable before its
-bit exists.  No variable exceeds ``core.MAX_VARIABLE``, nor a header's
+or has an exponent; each distinct rule, reference, coefficient, flow, literal
+and monomial token of a file is checked and built once, a variable before
+its bit exists.  No variable exceeds ``core.MAX_VARIABLE``, nor a header's
 variable count.
 
 DIMACS CNF::
@@ -154,13 +154,14 @@ def _clause_tokens(tokens: list[str], no: int, bits: dict[str, int],
         raise ParseError(no, "clause line must end with 0")
     mask = 0
     for tok in tokens[:-1]:
-        if tok not in bits:
+        bit = bits.get(tok)
+        if bit is None:
             lit = _literal(tok, no)
             if abs(lit) > num_vars:
                 beyond([_literal(t, no) for t in tokens[:-1]], no)
-            bits[tok] = 1 << literal_key(lit)
-        mask |= bits[tok]
-    return Clause(mask)
+            bit = bits[tok] = 1 << literal_key(lit)
+        mask |= bit
+    return tuple.__new__(Clause, (mask,))
 
 
 def _literal_tokens(mask: int, table: dict[int, str]) -> list[str]:
@@ -221,6 +222,7 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[dict[int, Fraction]]]:
     hyp_ids: list[int] = []
     goal_id: Optional[int] = None
     flows: dict[int, Fraction] = {}
+    values: dict[str, Fraction] = {}  # one Fraction per distinct flow token
     rules: dict[tuple[str, str], Rule] = {}
     bits: dict[str, int] = {}
     header_line, num_formulas, num_inferences, lines = _header(text, "cres", "<#f> <#i>")
@@ -233,6 +235,16 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[dict[int, Fraction]]]:
             fid = _int(tokens[1], no)
             if fid in formulas:
                 raise ParseError(no, "duplicate formula-vertex id")
+            if len(tokens) > 2 and tokens[-1] == "0":
+                mask = 0
+                for tok in tokens[2:-1]:  # the common line: literals met before
+                    bit = bits.get(tok)
+                    if bit is None:
+                        break
+                    mask |= bit
+                else:
+                    formulas[fid] = tuple.__new__(Clause, (mask,))
+                    continue
             formulas[fid] = _clause_tokens(tokens[2:], no, bits)
         elif tag == "i":
             if len(tokens) < 4:
@@ -265,7 +277,7 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[dict[int, Fraction]]]:
                 if len(refs) not in (2, 3):
                     raise ParseError(no, "split takes one antecedent id and one or two consequent ids")
                 ins, outs = (refs[0],), tuple(refs[1:])
-            inferences[iid] = InferenceVertex(rule, ins, outs)
+            inferences[iid] = tuple.__new__(InferenceVertex, (rule, ins, outs))
         elif tag == "h":
             if len(tokens) != 2:
                 raise ParseError(no, "hypothesis mark must be 'h <fid>'")
@@ -282,9 +294,11 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[dict[int, Fraction]]]:
             iid = _int(tokens[1], no)
             if iid in flows:
                 raise ParseError(no, f"duplicate flow line for inference vertex {iid}")
-            f = _rational(tokens[2], no)
-            if f <= 0:
-                raise ParseError(no, f"flow must be positive, got {f}")
+            f = values.get(tokens[2])
+            if f is None:
+                f = values[tokens[2]] = _rational(tokens[2], no)
+                if f <= 0:
+                    raise ParseError(no, f"flow must be positive, got {f}")
             flows[iid] = f
         else:
             raise ParseError(no, f"unknown line tag {tag!r}")
@@ -339,16 +353,29 @@ def serialize_cres(
     for fid, clause in formulas:
         out.append(" ".join(["f", str(fid), *_literal_tokens(clause.mask, table), "0"]))
     for iid, w in sorted(graph.inference_vertices.items()):
-        refs = " ".join(str(u) for u in (*w.in_neighbors, *w.out_neighbors))
+        refs = " ".join(map(str, (*w.in_neighbors, *w.out_neighbors)))
         out.append(f"i {iid} {_KIND_NAMES[w.rule.kind]} {w.rule.principal} {refs}")
     for fid, clause in formulas:
         if clause in graph.hypotheses:
             out.append(f"h {fid}")
     out.append(f"g {graph.goal_id}")
     if flow is not None:
-        for iid in sorted(graph.inference_vertices):
-            out.append(f"w {iid} {flow[iid]}")
+        out += flow_lines(flow, sorted(graph.inference_vertices))
     return "\n".join(out) + "\n"
+
+
+def flow_lines(flow: dict[int, Fraction], iids: list[int]) -> list[str]:
+    """The ``w <iid> <flow>`` line of each of ``iids``."""
+    text = _texts(list(flow.values()))
+    return [f"w {iid} {text[id(flow[iid])]}" for iid in iids]
+
+
+def _texts(values: list[Fraction]) -> dict[int, str]:
+    """The ``str`` of each distinct object of ``values``, keyed by its ``id``:
+    a proof's flows and coefficients share few objects, and each is
+    formatted once.  The ids are valid while the caller holds the values."""
+    distinct = dict(zip(map(id, values), values))
+    return {key: str(v) for key, v in distinct.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +407,10 @@ def parse_sap(text: str) -> SAProof:
                 raise ParseError(no, "duplicate goal line")
             goal = _clause_tokens(tokens[1:], no, literal_bits, num_vars, beyond)
         elif tag == "t":
-            if ";" not in tokens:
-                raise ParseError(no, "term line needs a ';' before its reference")
-            sep = tokens.index(";")
+            try:
+                sep = tokens.index(";")
+            except ValueError:
+                raise ParseError(no, "term line needs a ';' before its reference") from None
             if sep < 2:
                 raise ParseError(no, "term line must be 't <coef> <mono> ; <ref>'")
             coef = coefs.get(tokens[1])
@@ -392,7 +420,8 @@ def parse_sap(text: str) -> SAProof:
                     raise ParseError(no, f"term coefficient must be positive, got {coef}")
             mask = degree = 0
             for tok in tokens[2:sep]:
-                if tok not in bits:
+                entry = bits.get(tok)
+                if entry is None:
                     body, caret, exp = tok.partition("^")
                     try:
                         t, e = int(body), int(exp) if caret else 1
@@ -401,10 +430,9 @@ def parse_sap(text: str) -> SAProof:
                     if t == 0 or e < 1:
                         raise ParseError(no, f"bad monomial token {tok!r}")
                     in_range(abs(t), no)  # first: a mask is as wide as its largest variable
-                    bits[tok] = 1 << literal_key(t), t, e
-                bit, _, e = bits[tok]
-                mask |= bit
-                degree += e
+                    entry = bits[tok] = 1 << literal_key(t), t, e
+                mask |= entry[0]
+                degree += entry[2]
             ref_tokens = tuple(tokens[sep + 1:])
             ref = refs.get(ref_tokens)
             if ref is None:
@@ -437,9 +465,9 @@ def parse_sap(text: str) -> SAProof:
                 except ValueError as exc:
                     raise ParseError(no, str(exc)) from None
             # Only a repeated token or an exponent leaves fewer bits than the degree.
-            mono = Monomial(mask) if mask.bit_count() == degree else Monomial.of(
-                bits[tok][1:] for tok in tokens[2:sep])
-            terms.append(SATerm(coef, mono, ref))
+            mono = tuple.__new__(Monomial, (mask, ())) if mask.bit_count() == degree else (
+                Monomial.of(bits[tok][1:] for tok in tokens[2:sep]))
+            terms.append(tuple.__new__(SATerm, (coef, mono, ref)))
         else:
             raise ParseError(no, f"unknown line tag {tag!r}")
     if goal is None:
@@ -465,14 +493,12 @@ def serialize_sap(proof: SAProof, comments: list[str] | None = None) -> str:
     for h in proof.hypotheses:
         out.append(" ".join(["h", *_literal_tokens(h.mask, table), "0"]))
     out.append(" ".join(["g", *_literal_tokens(proof.goal.mask, table), "0"]))
-    for t in proof.terms:
-        if t.ref.kind == HYPOTHESIS:
-            ref = f"H {t.ref.index}"
-        elif t.ref.kind == ONE:
-            ref = "B one"
-        else:
-            ref = f"B {t.ref.kind} {t.ref.index}"
-        mono = _mono_tokens(t.monomial, table)
-        middle = f" {mono}" if mono else ""
-        out.append(f"t {t.coefficient}{middle} ; {ref}")
+    # Each distinct coefficient object and reference is formatted once.
+    coefs = _texts([t.coefficient for t in proof.terms])
+    refs = {r: f"H {r.index}" if r.kind == HYPOTHESIS else "B one" if r.kind == ONE
+            else f"B {r.kind} {r.index}" for r in {t.ref for t in proof.terms}}
+    for c, m, r in proof.terms:
+        mono = _mono_tokens(m, table)
+        out.append(f"t {coefs[id(c)]} {mono} ; {refs[r]}" if mono else
+                   f"t {coefs[id(c)]} ; {refs[r]}")
     return "\n".join(out) + "\n"

@@ -24,7 +24,8 @@ matching happens after normalization, so idempotent collapses like
 
 Rules and inference vertices are named tuples (see :mod:`circres.core`);
 ``Rule`` checks its fields in ``__new__``, and ``_make`` and ``_replace`` go
-through it.
+through it.  ``InferenceVertex`` checks nothing, so the builder and the
+reader make it with ``tuple.__new__``, with no Python frame.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .core import MAX_VARIABLE, Clause
 AXIOM = "axiom"
 CUT = "cut"
 SPLIT = "split"
+_ONE = Fraction(1)
 
 
 class StructureError(ValueError):
@@ -125,7 +127,7 @@ class ProofGraph:
     @cached_property
     def width(self) -> int:
         """Largest number of literals in any clause label."""
-        return max((c.width for c in self.formula_vertices.values()), default=0)
+        return max((c.mask.bit_count() for c in self.formula_vertices.values()), default=0)
 
 
 def rule_violations(graph: ProofGraph, iid: int) -> list[RuleViolation]:
@@ -183,11 +185,37 @@ def rule_violations(graph: ProofGraph, iid: int) -> list[RuleViolation]:
 
 
 def validate_rules(graph: ProofGraph) -> list[RuleViolation]:
-    """All local rule-template violations; empty iff every vertex matches its rule."""
+    """All local rule-template violations; empty iff every vertex matches its
+    rule.  Each vertex is matched on masks in one loop, and only one that
+    fails is read again by :func:`rule_violations`, which words every message."""
+    fv = graph.formula_vertices
     out: list[RuleViolation] = []
-    for iid in graph.inference_vertices:
-        out.extend(rule_violations(graph, iid))
+    for iid, ((kind, x), ins, outs) in graph.inference_vertices.items():
+        p, n = 1 << 2 * x, 2 << 2 * x
+        if kind == CUT and len(ins) == 2 and len(outs) == 1:
+            side = fv[outs[0]].mask
+            if {fv[ins[0]].mask, fv[ins[1]].mask} == {side | p, side | n}:
+                continue
+        elif kind == SPLIT and len(ins) == 1 and 0 < len(outs) < 3:
+            side = fv[ins[0]].mask
+            first, last = fv[outs[0]].mask, fv[outs[-1]].mask
+            if (first in (side | p, side | n) and last in (side | p, side | n)
+                    and (len(outs) == 1 or first != last)):
+                continue
+        elif kind == AXIOM and not ins and len(outs) == 1 and fv[outs[0]].mask == p | n:
+            continue
+        out += rule_violations(graph, iid)
     return out
+
+
+def common_numerators(values: list[Fraction]) -> tuple[dict[int, int], int]:
+    """Each distinct object of ``values``, keyed by its ``id``, as an integer
+    numerator over ``den``, the lcm of their denominators.  A proof's flows
+    and coefficients share few objects, so each is scaled once; the ids are
+    valid while the caller holds the values."""
+    distinct = dict(zip(map(id, values), values))
+    den = math.lcm(*(f.denominator for f in distinct.values()))
+    return {key: f.numerator * (den // f.denominator) for key, f in distinct.items()}, den
 
 
 def balance_numerators(graph: ProofGraph,
@@ -195,13 +223,13 @@ def balance_numerators(graph: ProofGraph,
     """Inflow minus outflow of every formula vertex, summed in one sweep as
     integer numerators over ``den > 0``, the lcm of the flows' denominators."""
     try:
-        flows = [(w, flow[iid]) for iid, w in graph.inference_vertices.items()]
+        flows = [flow[iid] for iid in graph.inference_vertices]
     except KeyError as missing:
         raise IncompleteFlowError(f"no flow for inference vertex {missing.args[0]}") from None
-    den = math.lcm(*(f.denominator for _, f in flows))
+    scaled, den = common_numerators(flows)
     acc = dict.fromkeys(graph.formula_vertices, 0)
-    for w, f in flows:
-        a = f.numerator * (den // f.denominator)
+    for w, f in zip(graph.inference_vertices.values(), flows):
+        a = scaled[id(f)]
         for u in w.out_neighbors:
             acc[u] += a
         for u in w.in_neighbors:
@@ -251,7 +279,7 @@ class ProofGraphBuilder:
         self._formulas: list[Clause] = []
         self._by_mask: dict[int, int] = {}
         self._inferences: list[InferenceVertex] = []
-        self._by_shape: dict[tuple, int] = {}
+        self._by_shape: dict[tuple, int] = {}  # (rule, len(ins), sorted ins, sorted outs)
         self._rules: dict[tuple[str, int], Rule] = {}  # one checked Rule per rule
         self._flows: dict[int, Fraction] = {}
         self._hypotheses: set[Clause] = set()
@@ -260,11 +288,11 @@ class ProofGraphBuilder:
     def vertex(self, mask: int, fresh: bool = False) -> int:
         """The id of the first vertex stored for ``mask`` (one memo), or of a
         new one, with its ``Clause``, when there is none or ``fresh=True``."""
-        if not fresh and mask in self._by_mask:
-            return self._by_mask[mask]
-        fid = len(self._formulas)
-        self._formulas.append(Clause(mask))
-        self._by_mask.setdefault(mask, fid)
+        fid = self._by_mask.get(mask)
+        if fid is None or fresh:
+            fid = len(self._formulas)
+            self._formulas.append(tuple.__new__(Clause, (mask,)))  # Clause does no check
+            self._by_mask.setdefault(mask, fid)
         return fid
 
     def inference(
@@ -278,18 +306,19 @@ class ProofGraphBuilder:
         """The id of the rule from vertices ``ins`` to ``outs``, merged with an
         earlier one of identical shape (rule, sorted ids) by summing flows.
         A repeated consequent stays, for :func:`validate_rules` to report."""
-        shape = (kind, principal, tuple(sorted(ins)), tuple(sorted(outs)))
-        if shape in self._by_shape:
-            iid = self._by_shape[shape]
+        shape = (kind, principal, len(ins), *sorted(ins), *sorted(outs))
+        iid = self._by_shape.get(shape)
+        if iid is not None:
             self._flows[iid] += flow
             return iid
         rule = self._rules.get((kind, principal))
         if rule is None:
             rule = self._rules[kind, principal] = Rule(kind, principal)
         iid = len(self._inferences)
-        self._inferences.append(InferenceVertex(rule, tuple(ins), tuple(outs)))
+        self._inferences.append(tuple.__new__(InferenceVertex, (rule, tuple(ins), tuple(outs))))
         self._by_shape[shape] = iid
-        self._flows[iid] = flow if type(flow) is Fraction else Fraction(flow)
+        self._flows[iid] = (flow if type(flow) is Fraction else _ONE if flow == 1
+                            else Fraction(flow))
         return iid
 
     def mark_hypotheses(self, masks: Container[int]) -> None:

@@ -43,18 +43,19 @@ variables from 1, but a proof over ``x_{10^8}`` (``core.MAX_VARIABLE``)
 handles 25 MB masks.
 Monomials, references and terms are named tuples (see :mod:`circres.core`);
 ``RefPoly`` checks its fields in ``__new__``, and ``_make`` and
-``_replace`` go through it.
+``_replace`` go through it.  ``Monomial`` and ``SATerm`` check nothing, so
+the per-term loops make them with ``tuple.__new__``, with no Python frame.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .core import Clause, literal_key, mask_literals, positive_mask
+from .core import MAX_VARIABLE, Clause, literal_key, mask_literals, positive_mask
 from .flowcheck import dual_certificate, verify_flow
 from .proofgraph import (
     AXIOM,
@@ -62,6 +63,7 @@ from .proofgraph import (
     SPLIT,
     ProofGraph,
     ProofGraphBuilder,
+    common_numerators,
     weaken,
 )
 
@@ -141,12 +143,14 @@ def _powers(exponents: dict[int, int]) -> tuple[tuple[int, int], ...]:
 
 
 MONOMIAL_ONE = Monomial()
+_MINUS_ONE = Fraction(-1)
 
 
-def _twin_swap(mask: int) -> int:
-    """``mask`` with each variable's two bits exchanged: clause <-> monomial."""
-    x = positive_mask(mask.bit_length() >> 1)
-    return (mask & x) << 1 | (mask >> 1) & x
+def _twin_swap(mask: int, positive: int) -> int:
+    """``mask`` with each variable's two bits exchanged: clause <-> monomial.
+    ``positive`` is a :func:`~circres.core.positive_mask` that covers the
+    variables of ``mask``; a translation computes one per proof."""
+    return (mask & positive) << 1 | (mask >> 1) & positive
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +164,7 @@ def falsified_monomial(c: Clause) -> Monomial:
     Defined for tautological clauses as well, where the product contains
     both twins of a variable.
     """
-    return Monomial(_twin_swap(c.mask))
+    return Monomial(_twin_swap(c.mask, positive_mask(c.mask.bit_length() >> 1)))
 
 
 def encode_clause(c: Clause) -> dict[Monomial, Fraction]:
@@ -172,7 +176,7 @@ def encode_clause(c: Clause) -> dict[Monomial, Fraction]:
     """
     if c.is_tautological:
         raise TautologicalClauseError(f"cannot encode tautological clause {c}")
-    return {falsified_monomial(c): Fraction(-1)}
+    return {falsified_monomial(c): _MINUS_ONE}
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +224,11 @@ def hyp(i: int) -> RefPoly:
 
 _ONE_REF = RefPoly(ONE)
 
+#: Each basic kind's rows as ``(coefficient, monomial at index 1)``: index
+#: ``i`` moves the monomial's bits up by ``2i - 2`` and its tokens to ``±i``.
+_BASIC_AT_1 = {kind: tuple((Fraction(k), Monomial.of(((1, e), (-1, eb)))) for k, e, eb in rows)
+               for kind, rows in BASIC.items()}
+
 
 def ref_polynomial(ref: RefPoly, hypotheses: Sequence[Clause]) -> dict[Monomial, Fraction]:
     i = ref.index
@@ -227,7 +236,10 @@ def ref_polynomial(ref: RefPoly, hypotheses: Sequence[Clause]) -> dict[Monomial,
         if not 1 <= i <= len(hypotheses):
             raise MalformedProofError(f"hypothesis index {i} out of range")
         return encode_clause(hypotheses[i - 1])
-    return {Monomial.of(((i, e), (-i, eb))): Fraction(k) for k, e, eb in BASIC[ref.kind]}
+    if i > MAX_VARIABLE:
+        Clause.from_signed((i,))  # raises, before the index's bit exists
+    return {tuple.__new__(Monomial, (m.mask << 2 * i >> 2, tuple((t * i, e) for t, e in m.powers)
+                                     if m.powers else ())): k for k, m in _BASIC_AT_1[ref.kind]}
 
 
 class SATerm(NamedTuple):
@@ -245,7 +257,7 @@ class SAProof:
     goal: Clause
     terms: tuple[SATerm, ...]
 
-    @cached_property
+    @functools.cached_property
     def _reference_polynomials(self) -> dict[RefPoly, dict[Monomial, Fraction]]:
         """``poly(P)`` for each distinct reference ``P`` of the proof (a proof
         names few), built once per proof.  A coefficient ``<= 0`` is rejected
@@ -268,12 +280,11 @@ def proof_sum(proof: SAProof) -> dict[Monomial, Fraction]:
     monomials only when their sum is nonzero."""
     rows = {ref: [(m.mask, m.powers, k.numerator) for m, k in p.items()]
             for ref, p in proof._reference_polynomials.items()}
-    den = math.lcm(*(t.coefficient.denominator for t in proof.terms))
+    scaled, den = common_numerators([t.coefficient for t in proof.terms])
     acc: dict[int | tuple[int, tuple[tuple[int, int], ...]], int] = {}
-    for t in proof.terms:
-        a = t.coefficient.numerator * (den // t.coefficient.denominator)
-        q_mask, q_powers = t.monomial
-        for mask, powers, k in rows[t.ref]:
+    for c, (q_mask, q_powers), ref in proof.terms:
+        a = scaled[id(c)]
+        for mask, powers, k in rows[ref]:
             if mask & q_mask or powers or q_powers:
                 # Never exponent-free: a shared token or a factor's power
                 # leaves an exponent of 2 or more.
@@ -319,8 +330,9 @@ def sa_monomial_size(proof: SAProof) -> int:
 # ---------------------------------------------------------------------------
 # the four basic gadget families
 
-def clause_gadget(kind: int, side: Monomial, principal: int,
-                  weight: Fraction = Fraction(1)) -> list[SATerm]:
+def clause_gadget(kind: int, side: Monomial, principal: int, weight: Fraction = Fraction(1),
+                  positive: int = 0, ref: Callable[[str, int], RefPoly] = RefPoly
+                  ) -> list[SATerm]:
     """Term lists proving the four basic clause inequalities from nothing,
     each term with coefficient ``weight``.
 
@@ -333,25 +345,30 @@ def clause_gadget(kind: int, side: Monomial, principal: int,
     4. ``-enc(C) >= 0``                -> ``1 * m``
 
     Kinds 1-3 require the principal not to occur in the side clause; the side
-    clause must not be tautological.
+    clause must not be tautological.  A translation passes ``positive``, a
+    :func:`~circres.core.positive_mask` that covers the side's variables, and
+    ``ref``, a memo of :class:`RefPoly`, so that it computes the mask once and
+    makes each reference once.
     """
-    if side.mask & side.mask >> 1 & positive_mask(side.mask.bit_length() >> 1):
+    positive = positive or positive_mask(side.mask.bit_length() >> 1)
+    if side.mask & side.mask >> 1 & positive:
         raise TautologicalClauseError(
-            f"tautological side clause {Clause(_twin_swap(side.mask))}")
+            f"tautological side clause {Clause(_twin_swap(side.mask, positive))}")
     if kind in (1, 2, 3) and side.mask >> 2 * principal & 3:
         raise ValueError(f"principal x{principal} occurs in side clause "
-                         f"{Clause(_twin_swap(side.mask))}")
+                         f"{Clause(_twin_swap(side.mask, positive))}")
     if kind == 1:
         return [
-            SATerm(weight, Monomial(1 << 2 * principal), RefPoly(ONE_MINUS_X_XBAR, principal)),
-            SATerm(weight, MONOMIAL_ONE, RefPoly(XSQ_MINUS_X, principal)),
+            tuple.__new__(SATerm, (weight, Monomial(1 << 2 * principal),
+                                   ref(ONE_MINUS_X_XBAR, principal))),
+            tuple.__new__(SATerm, (weight, MONOMIAL_ONE, ref(XSQ_MINUS_X, principal))),
         ]
     if kind == 2:
-        return [SATerm(weight, side, RefPoly(X_XBAR_MINUS_ONE, principal))]
+        return [tuple.__new__(SATerm, (weight, side, ref(X_XBAR_MINUS_ONE, principal)))]
     if kind == 3:
-        return [SATerm(weight, side, RefPoly(ONE_MINUS_X_XBAR, principal))]
+        return [tuple.__new__(SATerm, (weight, side, ref(ONE_MINUS_X_XBAR, principal)))]
     if kind == 4:
-        return [SATerm(weight, side, _ONE_REF)]
+        return [tuple.__new__(SATerm, (weight, side, _ONE_REF))]
     raise ValueError(f"gadget kind must be 1..4, got {kind}")
 
 
@@ -379,21 +396,23 @@ def gadget_target(kind: int, side_clause: Clause, principal: int) -> dict[Monomi
 # ---------------------------------------------------------------------------
 # circular proof -> polynomial proof
 
-def _rule_terms(w, coef: Fraction, mono: dict[int, Monomial]) -> list[SATerm]:
+def _rule_terms(w, coef: Fraction, mono: dict[int, Monomial], positive: int,
+                ref: Callable[[str, int], RefPoly]) -> list[SATerm]:
     """Proof terms expanding to the rule polynomial of inference vertex ``w``:
     consequent encodings minus antecedent encodings, weighted by ``coef``.
-    ``mono`` maps each formula vertex to its falsified-point monomial.  Only
-    a collapsed rule, whose principal occurs in its side clause, is not
-    built from :func:`clause_gadget` families.
+    ``mono`` maps each formula vertex to its falsified-point monomial, and
+    ``positive`` and ``ref`` are the proof's, for :func:`clause_gadget`.
+    Only a collapsed rule, whose principal occurs in its side clause, is not
+    built from its families.
     """
     x = w.rule.principal
     twin = 3 << 2 * x
     if w.rule.kind == AXIOM:
-        return clause_gadget(1, MONOMIAL_ONE, x, coef)
+        return clause_gadget(1, MONOMIAL_ONE, x, coef, positive, ref)
     if w.rule.kind == CUT:
         side = mono[w.out_neighbors[0]]
         if not side.mask & twin:
-            return clause_gadget(2, side, x, coef)
+            return clause_gadget(2, side, x, coef, positive, ref)
         # Collapsed cut: one antecedent equals the consequent, the other is
         # the elementary tautology; the rule polynomial is +x*xb times the
         # side remainder.
@@ -401,27 +420,28 @@ def _rule_terms(w, coef: Fraction, mono: dict[int, Monomial]) -> list[SATerm]:
         return [SATerm(coef, other, _ONE_REF)]
     # Split.
     side = mono[w.in_neighbors[0]]
-    outs = [mono[u] for u in w.out_neighbors]
     if not side.mask & twin:
-        terms = clause_gadget(3, side, x, coef)
-        if len(outs) == 1:
+        terms = clause_gadget(3, side, x, coef, positive, ref)
+        if len(w.out_neighbors) == 1:
             # Suppressed consequent: add back its encoding, whose bit of x
             # is the one the kept consequent lacks.
-            terms += clause_gadget(4, Monomial(side.mask | twin & ~outs[0].mask), x, coef)
+            kept = mono[w.out_neighbors[0]].mask
+            terms += clause_gadget(4, Monomial(side.mask | twin & ~kept), x, coef, positive, ref)
         return terms
     # Collapsed split on a variable of the side clause.
+    outs = [mono[u] for u in w.out_neighbors]
     if len(outs) == 1 and outs[0] == side:
         return []  # rule polynomial is identically zero
     if len(outs) == 1:
         # Kept only the tautological side: side must be the unit clause of x.
         tok = x if side.mask >> 2 * x & 1 else -x
         return [
-            SATerm(coef, side, RefPoly(ONE_MINUS_X_XBAR, x)),
+            SATerm(coef, side, ref(ONE_MINUS_X_XBAR, x)),
             SATerm(coef, Monomial(side.mask, ((tok, 2),)), _ONE_REF),
         ]
     # Both consequents present: one collapsed to side, other the elementary
     # tautology (side must be a unit clause on x).
-    return clause_gadget(1, MONOMIAL_ONE, x, coef)
+    return clause_gadget(1, MONOMIAL_ONE, x, coef, positive, ref)
 
 
 def circular_to_sa(graph: ProofGraph, flow: dict[int, Fraction]) -> SAProof:
@@ -432,7 +452,9 @@ def circular_to_sa(graph: ProofGraph, flow: dict[int, Fraction]) -> SAProof:
     and each formula multiplier ``balance/goal_balance`` off the goal
     weights, by its absolute value, its clause encoding: a hypothesis
     reference at a source, a monomial at a sink.  The result passes
-    :func:`check_sa` with degree equal to the proof width.
+    :func:`check_sa` with degree equal to the proof width.  The variables'
+    :func:`~circres.core.positive_mask` is computed once, and each reference
+    is made once.
     """
     goal = graph.goal_clause()
     if goal.is_tautological:
@@ -444,13 +466,14 @@ def circular_to_sa(graph: ProofGraph, flow: dict[int, Fraction]) -> SAProof:
         if h.is_tautological:
             raise TautologicalClauseError(f"tautological hypothesis {h}")
     cert = dual_certificate(graph, flow)
-    hyp_index = {h: i + 1 for i, h in enumerate(hyp_clauses)}
-    mono = {fid: falsified_monomial(c) for fid, c in graph.formula_vertices.items()}
+    hyp_refs = {h: hyp(i) for i, h in enumerate(hyp_clauses, 1)}
     # The largest variable of a clause is read off the top bit of its mask.
-    top = max(m.mask.bit_length() for m in mono.values())
+    top = max(c.mask.bit_length() for c in graph.formula_vertices.values())
     num_vars = max([top - 1 >> 1, 0,
                     *(w.rule.principal for w in graph.inference_vertices.values())])
     positive = positive_mask(num_vars)
+    mono = {fid: tuple.__new__(Monomial, (_twin_swap(c.mask, positive), ()))
+            for fid, c in graph.formula_vertices.items()}
     for fid, c in graph.formula_vertices.items():
         # The elementary tautologies are the tautologies of width 2.
         m = mono[fid].mask
@@ -460,13 +483,15 @@ def circular_to_sa(graph: ProofGraph, flow: dict[int, Fraction]) -> SAProof:
             )
 
     terms: list[SATerm] = []
+    ref = functools.cache(RefPoly)  # one checked reference per kind and index
     for iid, w in graph.inference_vertices.items():
-        terms += _rule_terms(w, cert.rule_multipliers[iid], mono)
+        terms += _rule_terms(w, cert.rule_multipliers[iid], mono, positive, ref)
     for fid, m in cert.formula_multipliers.items():
         if m < 0:
-            terms.append(SATerm(-m, MONOMIAL_ONE, hyp(hyp_index[graph.formula_vertices[fid]])))
+            terms.append(tuple.__new__(SATerm, (-m, MONOMIAL_ONE,
+                                                hyp_refs[graph.formula_vertices[fid]])))
         elif fid != graph.goal_id:
-            terms.append(SATerm(m, mono[fid], _ONE_REF))
+            terms.append(tuple.__new__(SATerm, (m, mono[fid], _ONE_REF)))
     return SAProof(num_vars, tuple(hyp_clauses), goal, tuple(terms))
 
 
@@ -499,11 +524,13 @@ def sa_to_circular(proof: SAProof) -> tuple[ProofGraph, dict[int, Fraction]]:
     b = ProofGraphBuilder()
     goal_vertex = b.vertex(proof.goal.mask)
     hyp_masks = [h.mask for h in proof.hypotheses]
+    # The largest monomial has the largest mask, which covers every term's variables.
+    top = max(map(itemgetter(1), proof.terms), default=MONOMIAL_ONE).mask
+    positive = positive_mask(top.bit_length() >> 1)
 
     identity_budget = Fraction(0)
-    for t in proof.terms:
-        a, (kind, i) = t.coefficient, t.ref
-        c = _twin_swap(t.monomial.mask)  # the term's clause
+    for a, q, (kind, i) in proof.terms:
+        c = _twin_swap(q.mask, positive)  # the term's clause
         twin = 3 << 2 * i  # for a basic kind, both literals of its variable
         if kind == HYPOTHESIS:  # -F(H | C): slack at H, splits from H to H | C
             h = hyp_masks[i - 1]

@@ -468,6 +468,47 @@ def test_reference_polynomials_built_once(tmp_path, monkeypatch, direction):
     assert set(calls) == refs
 
 
+@pytest.mark.parametrize("direction", ["c2s", "s2c"])
+def test_translation_work_is_fixed_per_proof(tmp_path, monkeypatch, direction):
+    # The variables' positive mask is computed once per proof, not once per
+    # term: past the proof's own, only each hypothesis' encoding computes
+    # one, so the surplus is the same at n=4 and n=6 while the terms grow.
+    # c2s makes at most one RefPoly per distinct reference.
+    from circres import core
+
+    surplus = {}
+    for n in (4, 6):
+        cnf, proof, sap = (tmp_path / f"php{n}{ext}" for ext in (".cnf", ".cres", ".sap"))
+        assert run(["gen-php", "--complete", n, "--cnf-out", cnf, "--proof-out", proof]) == 0
+        if direction == "s2c":
+            assert run(["translate", "c2s", proof, "-o", sap]) == 0
+        masks, refs = [], []
+        positive_mask, new_ref = core.positive_mask, sa.RefPoly.__new__
+
+        def counting_mask(num_vars):
+            masks.append(num_vars)
+            return positive_mask(num_vars)
+
+        def counting_ref(cls, *args):
+            refs.append(args)
+            return new_ref(cls, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(core, "positive_mask", counting_mask)
+            m.setattr(sa, "positive_mask", counting_mask)
+            m.setattr(sa.RefPoly, "__new__", counting_ref)
+            if direction == "c2s":
+                assert run(["translate", "c2s", proof, "-o", sap]) == 0
+            else:
+                assert run(["translate", "s2c", sap, "-o", tmp_path / f"back{n}.cres"]) == 0
+        written = parse_sap(sap.read_text())
+        surplus[n] = len(masks) - len(written.hypotheses)
+        assert 0 < surplus[n] <= 2 and len(masks) < len(written.terms)
+        if direction == "c2s":
+            assert len(refs) <= len({t.ref for t in written.terms})
+    assert surplus[4] == surplus[6]
+
+
 def test_translate_rejects_unwitnessed(tmp_path):
     proof = tmp_path / "cycle.cres"
     proof.write_text(serialize_cres(unsound_cycle_example()))

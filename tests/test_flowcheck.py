@@ -43,6 +43,7 @@ from circres.proofgraph import (
     balance_numerators,
     validate_rules,
 )
+from circres.formats import serialize_cres, serialize_dimacs
 from circres.sheraliadams import circular_to_sa
 from test_proofgraph import _fraction_balances, single_cut
 
@@ -262,7 +263,7 @@ def test_verify_flow_is_its_definition():
     assert min(answers.values()) >= 50 and len(answers) == 3, answers
 
 
-def test_one_balance_sweep_per_question(monkeypatch):
+def test_one_balance_sweep_per_question(monkeypatch, tmp_path, capsys):
     # One counting wrapper behind every binding of balance_numerators.
     calls = []
     sweep = proofgraph.balance_numerators
@@ -271,13 +272,23 @@ def test_one_balance_sweep_per_question(monkeypatch):
         calls.append(1)
         return sweep(graph, flow)
 
-    for module in (proofgraph, flowcheck, cli):
+    for module in (proofgraph, flowcheck):
         monkeypatch.setattr(module, "balance_numerators", counting)
     graph, flow = php_refutation(complete_bipartite(4, 3))
     for question in (verify_flow, dual_certificate, circular_to_sa):
         calls.clear()
         question(graph, flow)
         assert len(calls) == 1, question.__name__
+    # check reads its goal-balance line off the goal's own inferences, so
+    # the witness check is its one sweep, with or without supplied flows.
+    assert not hasattr(cli, "balance_numerators")
+    proof, cnf = tmp_path / "p.cres", tmp_path / "p.cnf"
+    cnf.write_text(serialize_dimacs(gen_php(complete_bipartite(4, 3))))
+    for flows in (flow, None):
+        proof.write_text(serialize_cres(graph, flows))
+        calls.clear()
+        assert cli.main(["check", str(proof), str(cnf)]) == 0
+        assert len(calls) == 1 and "goal balance 1\n" in capsys.readouterr().out
 
 
 def test_find_witness_agrees_with_verify():

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from circres.core import Clause
 from circres.flowcheck import verify_flow
 from circres.formats import serialize_cres
-from circres.generators import random_circular_proof, unsound_cycle_example
+from circres.generators import (complete_bipartite, php_refutation, random_circular_proof,
+                                unsound_cycle_example)
 from circres.proofgraph import (
     AXIOM,
     CUT,
@@ -22,6 +23,7 @@ from circres.proofgraph import (
     StructureError,
     balance_numerators,
     export_dot,
+    rule_violations,
     validate_rules,
 )
 
@@ -217,6 +219,51 @@ def _fraction_balances(graph, flows):
         for u in w.in_neighbors:
             acc[u] -= flows[iid]
     return acc
+
+
+@settings(max_examples=300, deadline=None)
+@given(php=st.booleans(), seed=st.integers(0, 10_000), data=st.data())
+def test_validate_rules_is_the_sum_of_rule_violations(php, seed, data):
+    # validate_rules matches each template on masks and words a failure
+    # through rule_violations: one id or one principal changed in a proof
+    # must read the same as asking rule_violations of every vertex.
+    if php:
+        graph, _ = php_refutation(complete_bipartite(seed % 3 + 2, seed % 3 + 1))
+    else:
+        graph, _ = random_circular_proof(seed, 4, data.draw(st.integers(1, 12)))
+    iid = data.draw(st.sampled_from(sorted(graph.inference_vertices)))
+    rule, ins, outs = graph.inference_vertices[iid]
+    fids = sorted(graph.formula_vertices)
+    if data.draw(st.booleans()):
+        rule = Rule(rule.kind, data.draw(st.integers(1, rule.principal + 2)))
+    else:  # another vertex in one place, often one of this rule's own
+        ids = list(ins + outs)
+        k = data.draw(st.integers(0, len(ids) - 1))
+        ids[k] = data.draw(st.sampled_from(ids) | st.sampled_from(fids))
+        ins, outs = tuple(ids[:len(ins)]), tuple(ids[len(ins):])
+    mutated = ProofGraph(graph.formula_vertices,
+                         {**graph.inference_vertices, iid: InferenceVertex(rule, ins, outs)},
+                         graph.hypotheses, graph.goal_id)
+    assert validate_rules(mutated) == [
+        v for w in mutated.inference_vertices for v in rule_violations(mutated, w)]
+
+
+def test_builder_merges_a_rule_given_its_ids_in_either_order():
+    b = ProofGraphBuilder()
+    a, c, out = b.vertex(mask(1, 2)), b.vertex(mask(1, -2)), b.vertex(mask(1))
+    first = b.inference(CUT, 2, (a, c), (out,), Fraction(1, 3))
+    assert b.inference(CUT, 2, (c, a), (out,), 2) == first
+    split = b.inference(SPLIT, 2, (a,), (out, c))
+    assert b.inference(SPLIT, 2, (a,), (c, out), Fraction(1, 2)) == split
+    # The same ids, split otherwise between antecedents and consequents,
+    # make another rule.
+    other = b.inference(SPLIT, 2, (a, c), (out,))
+    b.set_goal(out)
+    graph, flow = b.build()
+    assert b.num_inferences == 3 and other not in (first, split)
+    assert graph.inference_vertices[first] == InferenceVertex(Rule(CUT, 2), (a, c), (out,))
+    assert graph.inference_vertices[split].out_neighbors == (out, c)
+    assert flow == {first: Fraction(7, 3), split: Fraction(3, 2), other: 1}
 
 
 @settings(max_examples=80, deadline=None)
