@@ -130,81 +130,49 @@ class ProofGraph:
         return max((c.mask.bit_count() for c in self.formula_vertices.values()), default=0)
 
 
-def rule_violations(graph: ProofGraph, iid: int) -> list[RuleViolation]:
-    """Check inference vertex ``iid`` against its rule template, on clause
-    masks: ``side | p`` is ``side | x`` and ``side | n`` is ``side | ~x``."""
-    out: list[RuleViolation] = []
-    w = graph.inference_vertices[iid]
-    kind = w.rule.kind
-    x = w.rule.principal
-    p, n = 1 << 2 * x, 2 << 2 * x
-    ins = [graph.formula_vertices[u] for u in w.in_neighbors]
-    outs = [graph.formula_vertices[u] for u in w.out_neighbors]
-    if kind == AXIOM:
-        if ins:
-            out.append(RuleViolation(iid, "axiom must have no antecedents"))
-        if len(outs) != 1:
-            out.append(RuleViolation(iid, "axiom must have exactly one consequent"))
-        elif outs[0].mask != p | n:
-            out.append(RuleViolation(iid, f"axiom consequent must be x{x} | ~x{x}, got {outs[0]}"))
-    elif kind == CUT:
-        if len(outs) != 1:
-            out.append(RuleViolation(iid, "cut must have exactly one consequent"))
-        elif len(ins) != 2:
-            out.append(RuleViolation(iid, "cut must have exactly two antecedents"))
-        else:
-            side = outs[0]
-            if {ins[0].mask, ins[1].mask} != {side.mask | p, side.mask | n}:
-                out.append(
-                    RuleViolation(
-                        iid,
-                        f"cut antecedents must be {{{Clause(side.mask | p)}}} and "
-                        f"{{{Clause(side.mask | n)}}} sharing side clause {side}, "
-                        f"got {ins[0]} and {ins[1]}",
-                    )
-                )
-    elif kind == SPLIT:
-        if len(ins) != 1:
-            out.append(RuleViolation(iid, "split must have exactly one antecedent"))
-        elif not 1 <= len(outs) <= 2:
-            out.append(RuleViolation(iid, "split must have one or two consequents"))
-        else:
-            side = ins[0].mask
-            if len(outs) == 2 and outs[0] == outs[1]:
-                out.append(RuleViolation(iid, "split consequents must be distinct"))
-            for c in outs:
-                if c.mask != side | p and c.mask != side | n:
-                    out.append(
-                        RuleViolation(
-                            iid,
-                            f"split consequent {c} is neither {Clause(side | p)} "
-                            f"nor {Clause(side | n)}",
-                        )
-                    )
-    return out
-
-
 def validate_rules(graph: ProofGraph) -> list[RuleViolation]:
-    """All local rule-template violations; empty iff every vertex matches its
-    rule.  Each vertex is matched on masks in one loop, and only one that
-    fails is read again by :func:`rule_violations`, which words every message."""
+    """All local rule-template violations, vertex by vertex; empty iff every
+    vertex matches its rule.  Each template is matched once, on clause masks
+    (``side | p`` is ``side | x`` and ``side | n`` is ``side | ~x``), and a
+    message is worded only on the branch that fails."""
     fv = graph.formula_vertices
     out: list[RuleViolation] = []
     for iid, ((kind, x), ins, outs) in graph.inference_vertices.items():
         p, n = 1 << 2 * x, 2 << 2 * x
-        if kind == CUT and len(ins) == 2 and len(outs) == 1:
-            side = fv[outs[0]].mask
-            if {fv[ins[0]].mask, fv[ins[1]].mask} == {side | p, side | n}:
-                continue
-        elif kind == SPLIT and len(ins) == 1 and 0 < len(outs) < 3:
-            side = fv[ins[0]].mask
-            first, last = fv[outs[0]].mask, fv[outs[-1]].mask
-            if (first in (side | p, side | n) and last in (side | p, side | n)
-                    and (len(outs) == 1 or first != last)):
-                continue
-        elif kind == AXIOM and not ins and len(outs) == 1 and fv[outs[0]].mask == p | n:
-            continue
-        out += rule_violations(graph, iid)
+        if kind == CUT:
+            if len(outs) != 1:
+                out.append(RuleViolation(iid, "cut must have exactly one consequent"))
+            elif len(ins) != 2:
+                out.append(RuleViolation(iid, "cut must have exactly two antecedents"))
+            else:
+                side, a, b = fv[outs[0]], fv[ins[0]], fv[ins[1]]
+                if {a.mask, b.mask} != {side.mask | p, side.mask | n}:
+                    out.append(RuleViolation(
+                        iid, f"cut antecedents must be {{{Clause(side.mask | p)}}} and "
+                             f"{{{Clause(side.mask | n)}}} sharing side clause {side}, "
+                             f"got {a} and {b}"))
+        elif kind == SPLIT:
+            if len(ins) != 1:
+                out.append(RuleViolation(iid, "split must have exactly one antecedent"))
+            elif not 0 < len(outs) < 3:
+                out.append(RuleViolation(iid, "split must have one or two consequents"))
+            else:
+                side = fv[ins[0]].mask
+                if len(outs) == 2 and fv[outs[0]] == fv[outs[1]]:
+                    out.append(RuleViolation(iid, "split consequents must be distinct"))
+                for u in outs:
+                    if fv[u].mask != side | p and fv[u].mask != side | n:
+                        out.append(RuleViolation(
+                            iid, f"split consequent {fv[u]} is neither {Clause(side | p)} "
+                                 f"nor {Clause(side | n)}"))
+        elif kind == AXIOM:
+            if ins:
+                out.append(RuleViolation(iid, "axiom must have no antecedents"))
+            if len(outs) != 1:
+                out.append(RuleViolation(iid, "axiom must have exactly one consequent"))
+            elif fv[outs[0]].mask != p | n:
+                out.append(RuleViolation(
+                    iid, f"axiom consequent must be x{x} | ~x{x}, got {fv[outs[0]]}"))
     return out
 
 

@@ -331,8 +331,7 @@ def sa_monomial_size(proof: SAProof) -> int:
 # the four basic gadget families
 
 def clause_gadget(kind: int, side: Monomial, principal: int, weight: Fraction = Fraction(1),
-                  positive: int = 0, ref: Callable[[str, int], RefPoly] = RefPoly
-                  ) -> list[SATerm]:
+                  ref: Callable[[str, int], RefPoly] = RefPoly) -> list[SATerm]:
     """Term lists proving the four basic clause inequalities from nothing,
     each term with coefficient ``weight``.
 
@@ -345,18 +344,21 @@ def clause_gadget(kind: int, side: Monomial, principal: int, weight: Fraction = 
     4. ``-enc(C) >= 0``                -> ``1 * m``
 
     Kinds 1-3 require the principal not to occur in the side clause; the side
-    clause must not be tautological.  A translation passes ``positive``, a
-    :func:`~circres.core.positive_mask` that covers the side's variables, and
-    ``ref``, a memo of :class:`RefPoly`, so that it computes the mask once and
+    clause must not be tautological, which is read off the side's own bits.
+    A translation passes ``ref``, a memo of :class:`RefPoly`, so that it
     makes each reference once.
     """
-    positive = positive or positive_mask(side.mask.bit_length() >> 1)
-    if side.mask & side.mask >> 1 & positive:
-        raise TautologicalClauseError(
-            f"tautological side clause {Clause(_twin_swap(side.mask, positive))}")
-    if kind in (1, 2, 3) and side.mask >> 2 * principal & 3:
-        raise ValueError(f"principal x{principal} occurs in side clause "
-                         f"{Clause(_twin_swap(side.mask, positive))}")
+    # Bit b of ``both`` marks tokens b and b + 1 of the side: the twins X_v
+    # and Xb_v when b = 2v is even.  Most sides have no such bit at all.
+    both, tautological = side.mask & side.mask >> 1, 0
+    while both and not tautological:
+        tautological = (both & -both).bit_length() & 1  # the lowest b is even
+        both &= both - 1
+    if tautological or kind in (1, 2, 3) and side.mask >> 2 * principal & 3:
+        c = Clause(_twin_swap(side.mask, positive_mask(side.mask.bit_length() >> 1)))
+        if tautological:
+            raise TautologicalClauseError(f"tautological side clause {c}")
+        raise ValueError(f"principal x{principal} occurs in side clause {c}")
     if kind == 1:
         return [
             tuple.__new__(SATerm, (weight, Monomial(1 << 2 * principal),
@@ -396,23 +398,23 @@ def gadget_target(kind: int, side_clause: Clause, principal: int) -> dict[Monomi
 # ---------------------------------------------------------------------------
 # circular proof -> polynomial proof
 
-def _rule_terms(w, coef: Fraction, mono: dict[int, Monomial], positive: int,
+def _rule_terms(w, coef: Fraction, mono: dict[int, Monomial],
                 ref: Callable[[str, int], RefPoly]) -> list[SATerm]:
     """Proof terms expanding to the rule polynomial of inference vertex ``w``:
     consequent encodings minus antecedent encodings, weighted by ``coef``.
     ``mono`` maps each formula vertex to its falsified-point monomial, and
-    ``positive`` and ``ref`` are the proof's, for :func:`clause_gadget`.
+    ``ref`` is the proof's, for :func:`clause_gadget`.
     Only a collapsed rule, whose principal occurs in its side clause, is not
     built from its families.
     """
     x = w.rule.principal
     twin = 3 << 2 * x
     if w.rule.kind == AXIOM:
-        return clause_gadget(1, MONOMIAL_ONE, x, coef, positive, ref)
+        return clause_gadget(1, MONOMIAL_ONE, x, coef, ref)
     if w.rule.kind == CUT:
         side = mono[w.out_neighbors[0]]
         if not side.mask & twin:
-            return clause_gadget(2, side, x, coef, positive, ref)
+            return clause_gadget(2, side, x, coef, ref)
         # Collapsed cut: one antecedent equals the consequent, the other is
         # the elementary tautology; the rule polynomial is +x*xb times the
         # side remainder.
@@ -421,12 +423,12 @@ def _rule_terms(w, coef: Fraction, mono: dict[int, Monomial], positive: int,
     # Split.
     side = mono[w.in_neighbors[0]]
     if not side.mask & twin:
-        terms = clause_gadget(3, side, x, coef, positive, ref)
+        terms = clause_gadget(3, side, x, coef, ref)
         if len(w.out_neighbors) == 1:
             # Suppressed consequent: add back its encoding, whose bit of x
             # is the one the kept consequent lacks.
             kept = mono[w.out_neighbors[0]].mask
-            terms += clause_gadget(4, Monomial(side.mask | twin & ~kept), x, coef, positive, ref)
+            terms += clause_gadget(4, Monomial(side.mask | twin & ~kept), x, coef, ref)
         return terms
     # Collapsed split on a variable of the side clause.
     outs = [mono[u] for u in w.out_neighbors]
@@ -441,7 +443,7 @@ def _rule_terms(w, coef: Fraction, mono: dict[int, Monomial], positive: int,
         ]
     # Both consequents present: one collapsed to side, other the elementary
     # tautology (side must be a unit clause on x).
-    return clause_gadget(1, MONOMIAL_ONE, x, coef, positive, ref)
+    return clause_gadget(1, MONOMIAL_ONE, x, coef, ref)
 
 
 def circular_to_sa(graph: ProofGraph, flow: dict[int, Fraction]) -> SAProof:
@@ -485,7 +487,7 @@ def circular_to_sa(graph: ProofGraph, flow: dict[int, Fraction]) -> SAProof:
     terms: list[SATerm] = []
     ref = functools.cache(RefPoly)  # one checked reference per kind and index
     for iid, w in graph.inference_vertices.items():
-        terms += _rule_terms(w, cert.rule_multipliers[iid], mono, positive, ref)
+        terms += _rule_terms(w, cert.rule_multipliers[iid], mono, ref)
     for fid, m in cert.formula_multipliers.items():
         if m < 0:
             terms.append(tuple.__new__(SATerm, (-m, MONOMIAL_ONE,

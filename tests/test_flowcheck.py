@@ -45,7 +45,7 @@ from circres.proofgraph import (
 )
 from circres.formats import serialize_cres, serialize_dimacs
 from circres.sheraliadams import circular_to_sa
-from test_proofgraph import _fraction_balances, single_cut
+from test_proofgraph import _fraction_balances, rewired, single_cut
 
 
 def clause(*ints):
@@ -112,27 +112,7 @@ def _mutated(seed):
     """A random proof with some inference vertices rewired: a principal
     redrawn, or an antecedent or consequent id replaced, added or dropped."""
     graph, _ = random_circular_proof(seed, 5, 10)
-    rng = random.Random(seed)
-    fids = list(graph.formula_vertices)
-    rewired = {}
-    for iid, w in graph.inference_vertices.items():
-        x, ins, outs = w.rule.principal, list(w.in_neighbors), list(w.out_neighbors)
-        r = rng.random()
-        if r < 0.2:
-            x = rng.randint(1, 5)
-        elif r < 0.35 and ins:
-            ins[rng.randrange(len(ins))] = rng.choice(fids)
-        elif r < 0.5:
-            outs[rng.randrange(len(outs))] = rng.choice(fids)
-        elif r < 0.6:
-            ins.append(rng.choice(fids))
-        elif r < 0.7:
-            outs.append(rng.choice(fids))
-        elif r < 0.75:
-            outs.pop()
-        rewired[iid] = InferenceVertex(Rule(w.rule.kind, x), tuple(ins), tuple(outs))
-    return ProofGraph(graph.formula_vertices, rewired, graph.hypotheses,
-                      graph.goal_id)
+    return rewired(graph, random.Random(seed), 5)
 
 
 # sha256 of the joined messages of test_rule_messages_are_stable, recorded

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from circres.core import Clause, CnfFormula, implies_oracle, literal_key
+from circres.core import (MAX_VARIABLE, Clause, CnfFormula, MalformedLiteralError, implies_oracle,
+                          literal_key)
 from circres.flowcheck import find_witness, verify_flow
 from circres.formats import parse_sap, serialize_cres, serialize_sap
 from circres.generators import complete_bipartite, php_refutation, random_circular_proof
@@ -213,6 +214,15 @@ def test_basic_table_gives_the_reference_polynomials():
     for kind, poly in HAND_WRITTEN_BASIC.items():
         ref = RefPoly(kind, 0 if kind == ONE else 2)
         assert ref_polynomial(ref, ()) == poly, kind
+
+
+def test_basic_reference_above_the_largest_variable_rejected():
+    # RefPoly takes any positive index; ref_polynomial refuses one above
+    # MAX_VARIABLE before it shifts a monomial to that index's bits.
+    for kind in BASIC.keys() - {ONE}:
+        with pytest.raises(MalformedLiteralError,
+                           match=f"^variable x{MAX_VARIABLE + 1} exceeds the largest"):
+            ref_polynomial(RefPoly(kind, MAX_VARIABLE + 1), ())
 
 
 def test_refpoly_validates_kind_and_index():
