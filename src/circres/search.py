@@ -149,7 +149,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from . import lp
-from .core import Clause, CnfFormula, clause_set, literal_key, positive_mask
+from .core import Clause, CnfFormula, clause_set, positive_mask
 from .flowcheck import verify_flow
 from .proofgraph import CUT, SPLIT, ProofGraph, ProofGraphBuilder, weaken
 
@@ -557,18 +557,19 @@ def daglike_width_saturate(hypotheses: CnfFormula, width: int) -> set[Clause]:
     :func:`_acyclic_closure` at ``width + 1`` with the empty target: the
     resolvent ``R`` of ``c | x`` and ``d | ~x`` is the cut of ``R | x`` and
     ``R | ~x``, so the loop's bound ``|R| + 1 <= width + 1`` is the
-    classical ``|R| <= width``.  The closure is then rebuilt by adding one
-    literal at a time to the nonempty core clauses, and returned as
-    :func:`core.clause_set` makes it.  If resolution derives
-    the empty clause at width 2 or more, every non-tautological clause of
-    width at most ``width`` follows (each is a weakening of a unit ``x`` or
-    ``~x``, or a resolvent of a weakening of each), and that set is
-    returned.  At width 1 the loop stops at the empty clause too, and loses
-    nothing: the clauses are units, whose only resolvent is the empty
-    clause, so the core is the hypotheses and the empty clause.  An empty
-    hypothesis, which would stop the loop's first step, is left out of the
-    loop and added back to the closure, inert: it neither resolves,
-    subsumes nor is weakened.
+    classical ``|R| <= width``.  Each nonempty core clause below the width
+    is then weakened by every literal its variables leave free, and so is
+    each new weakening still below it; :func:`core.clause_set` makes and
+    deduplicates the hypotheses, core and weakenings in one call.  If
+    resolution derives the empty clause at width 2 or more, every
+    non-tautological clause of width at most ``width`` follows (each is a
+    weakening of a unit ``x`` or ``~x``, or a resolvent of a weakening of
+    each), and that set is returned.  At width 1 the loop stops at the empty
+    clause too, and loses nothing: the clauses are units, whose only
+    resolvent is the empty clause, so the core is the hypotheses and the
+    empty clause.  An empty hypothesis, which would stop the loop's first
+    step, is left out of the loop and added back to the closure, inert: it
+    neither resolves, subsumes nor is weakened.
     """
     needed = max((c.width for c in hypotheses.clauses), default=0)
     if width < needed:
@@ -579,19 +580,18 @@ def daglike_width_saturate(hypotheses: CnfFormula, width: int) -> set[Clause]:
     if found is not None and width >= 2:
         return clause_set(_clause_masks(n, width))
 
-    closure = hyps | parents.keys()  # the empty hypothesis back in
-    frontier = [c for c in parents if 0 < c.bit_count() < width]
-    phases = [(3 << literal_key(v), 1 << literal_key(v), 1 << literal_key(-v))
-              for v in range(1, n + 1)]
-    while frontier:
-        c = frontier.pop()
-        for both, pos, neg in phases:
-            if c & both:
-                continue
-            for weakened in (c | pos, c | neg):
-                if weakened not in closure:
-                    closure.add(weakened)
-                    if weakened.bit_count() < width:
-                        frontier.append(weakened)
-
-    return clause_set(closure)
+    masks = [*hyps & {0}, *parents]  # the empty hypothesis back in
+    positive = positive_mask(n)
+    literals = [1 << b for b in range(2, 2 * n + 2)]
+    short = [c for c in parents if 0 < c.bit_count() < width]
+    seen = set(short)
+    while short:
+        c = short.pop()
+        used = ((c | c >> 1) & positive) * 3  # both literal bits of c's variables
+        weakened = [c | b for b in literals if not b & used]
+        masks += weakened
+        if c.bit_count() + 1 < width:
+            fresh = [w for w in weakened if w not in seen]
+            seen.update(fresh)
+            short += fresh
+    return clause_set(masks)

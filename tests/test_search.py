@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -957,6 +958,85 @@ def test_saturate_matches_weakening_closure_past_64_bits():
         for width in range(max(c.width for c in cnf.clauses), 3):
             assert daglike_width_saturate(cnf, width) == _weakening_closure(cnf, width), (
                 [str(c) for c in cnf.clauses], width)
+
+
+def test_width_three_saturation_past_64_bits():
+    # At width 3 the weakenings of a unit gain a second literal, so their
+    # rebuild reaches a second level; variables 24..36 put it on both sides
+    # of bit 64.  The reference is cheaper than _weakening_closure here: the
+    # closure is every non-tautological clause of width at most 3 that
+    # contains a clause of the resolution core, a hypothesis among them.
+    rng = random.Random(36)
+    cases = [
+        # x33 and ~x30 | x36 are resolvents, x33 a unit core clause.
+        CnfFormula.of(36, [clause(24, 33), clause(-24, 33), clause(-33, -30, 36)]),
+        *(CnfFormula.of(36, [
+            Clause.from_signed(rng.choice((1, -1)) * rng.randint(24, 36)
+                               for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(4, 6))
+        ]) for _ in range(2)),
+    ]
+    for cnf in cases:
+        hyps = {c.mask for c in cnf.clauses if not c.is_tautological}
+        core, _ = _acyclic_closure(cnf.num_variables, hyps, 0, 4)
+        units = [1 << b for b in range(2, 2 * cnf.num_variables + 2)]
+        positive = sum(units[::2])
+        expected = set()
+        for k in range(4):
+            for bits in itertools.combinations(units, k):
+                mask = sum(bits)
+                if mask & mask >> 1 & positive:  # both x_v and ~x_v
+                    continue
+                sub = mask
+                while sub not in core and sub:
+                    sub = (sub - 1) & mask
+                if sub in core:
+                    expected.add(Clause(mask))
+        assert daglike_width_saturate(cnf, 3) == expected, [str(c) for c in cnf.clauses]
+
+
+def test_saturation_ignores_hypothesis_order_repeats_and_tautologies():
+    # The closure is a fixed point of the hypotheses as a set: shuffling
+    # them, repeating one or adding a tautology leaves it as it is, though
+    # the loop's order of kept clauses moves with the hypotheses' order.
+    rng = random.Random(52)
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        cnf = _random_cnf(rng, n, rng.randint(1, 4), rng.randint(1, 10))
+        v = rng.randint(1, n)
+        shuffled = rng.sample(cnf.clauses, len(cnf.clauses))
+        repeated = [*cnf.clauses, rng.choice(cnf.clauses)]
+        tautology = [*shuffled, clause(v, -v)]
+        needed = max(c.width for c in cnf.clauses)
+        for width in range(needed, 5):
+            closure = daglike_width_saturate(cnf, width)
+            # The tautology's width is 2, below which the saturation rejects it.
+            for clauses in (shuffled, repeated, tautology)[:2 + (width >= 2)]:
+                assert daglike_width_saturate(CnfFormula.of(n, clauses), width) == closure, (
+                    [str(c) for c in clauses], width)
+
+
+def test_saturation_makes_its_set_in_one_clause_set_call(monkeypatch):
+    # The returned set is the one that a single core.clause_set call made,
+    # on the refuted branch too, so no second hashed pass over the closure
+    # builds it again.
+    from circres import search
+
+    made = []
+    clause_set = search.clause_set
+
+    def counting(masks):
+        made.append(clause_set(masks))
+        return made[-1]
+
+    monkeypatch.setattr(search, "clause_set", counting)
+    small = gen_php(near_cubic_bipartite(4, 1))
+    cases = [(small, True), (CnfFormula.of(small.num_variables, small.clauses[1:]), False),
+             (gen_php(near_cubic_bipartite(15, 1)), False)]
+    for cnf, refuted in cases:
+        made.clear()
+        closure = daglike_width_saturate(cnf, 3)
+        assert len(made) == 1 and made[0] is closure and (Clause() in closure) == refuted
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
