@@ -35,8 +35,9 @@ Implementation notes, none of which change the results:
   for the basis ``B``; each row of ``M`` is a ``{row index: int}`` dict,
   kept beside the basic values, the basis and ``den``.  A pivot recomputes
   from ``lp.rows`` the leaving row's structural entries, to pick its column,
-  and the entering column, to find the rows to update, then applies the
-  integer row operation to ``M`` alone, so nothing fills in.  Each entry the
+  and the entering column, to find the rows to update, then applies one
+  integer row operation to ``M`` alone, so nothing fills in.  It changes the
+  entering column's rows, and every row when ``den`` changes.  Each entry the
   walk reads is the full tableau's integer, so the walk, ``den``, the point
   and the certificate are the full tableau's.
 * The leaving row's structural entries ``s = M[r] . A`` are summed as one
@@ -61,7 +62,7 @@ Implementation notes, none of which change the results:
   least-index violated row without a scan of the set.
 * The entering column visits only the rows that share a row index with it:
   ``where[t]`` is the set of rows ``i`` with ``M[i][t] != 0``, built at the
-  first structural pivot and kept in step by both row operations.
+  first structural pivot and kept in step by the row operation.
 * All arithmetic is integer-preserving: tableau and basic values are
   integers over one common positive denominator ``den``, and every pivot
   divides exactly.  The exact rechecks stay in integers too: a point passes
@@ -276,48 +277,32 @@ class _Tableau:
             # Re-sign row r so the pivot element is positive.
             rows[r] = rowr = {t: -m for t, m in rowr.items()}
             piv, xb[r] = -piv, -xb[r]
-        xbr = xb[r]
-
-        if piv == den:
-            unit = den == 1
-            items = list(rowr.items())
-            for i, v in col.items():
-                row = rows[i]
-                for t, mrt in items:
-                    d = mrt * v if unit else (mrt * v) // den
-                    # d != 0: a fill is nonzero, and a zero cancels a stored entry.
-                    if t not in row:
-                        row[t] = -d
-                        where[t].add(i)
-                    elif new := row[t] - d:
-                        row[t] = new
-                    else:
-                        del row[t]
-                        where[t].discard(i)
-                if xbr:
-                    xb[i] -= v * xbr if unit else (v * xbr) // den
-                    self._note(i)
-        else:
-            for i, row in enumerate(rows):
-                if i == r:
-                    continue
-                if v := col.get(i, 0):
-                    scaled = {t: piv * a for t, a in row.items()}
-                    for t, mrt in rowr.items():
-                        if t in scaled:
-                            scaled[t] -= mrt * v
-                        else:
-                            scaled[t] = -mrt * v
-                            where[t].add(i)
-                    rows[i] = row = {t: a // den for t, a in scaled.items() if a}
-                    if len(row) < len(scaled):
-                        for t in rowr:
-                            if t not in row:
-                                where[t].discard(i)
+        xbr, items = xb[r], list(rowr.items())
+        # M'[i] = (piv * M[i] - col[i] * M[r]) // den, exact as M' is integral.
+        for i, v in col.items():
+            row = rows[i]
+            if piv != den:
+                for t, a in row.items():
+                    if t not in rowr:
+                        row[t] = piv * a // den
+            for t, mrt in items:
+                # A fill is nonzero, and a zero cancels a stored entry.
+                if t not in row:
+                    row[t] = -mrt * v // den
+                    where[t].add(i)
+                elif new := (piv * row[t] - mrt * v) // den:
+                    row[t] = new
                 else:
+                    del row[t]
+                    where[t].discard(i)
+            xb[i] = (piv * xb[i] - v * xbr) // den
+            self._note(i)
+        if piv != den:
+            # The rows the column misses are scaled; each xb keeps its sign.
+            for i, row in enumerate(rows):
+                if i != r and i not in col:
                     rows[i] = {t: piv * a // den for t, a in row.items()}
-                xb[i] = (piv * xb[i] - v * xbr) // den
-                self._note(i)
+                    xb[i] = piv * xb[i] // den
             self.den = piv
         self.basis[r] = c
         self._note(r)

@@ -674,6 +674,68 @@ def test_packed_rows_walk_like_the_dense_tableau(lp):
     _matches_dense_reference(lp)
 
 
+def _checked_walk(lp):
+    """Walk ``lp``'s tableau and check each pivot: one that keeps ``den``
+    leaves every row with a zero in its entering column as it was, the same
+    dict with the same entries and ``xb``, and after every pivot ``where[t]``
+    is the set of rows with an entry at ``t``.  Returns how many pivots kept
+    ``den`` and how many changed it."""
+    tab = lp_module._Tableau(lp)
+    pivot, coeffs, kinds = tab._pivot, [dict(row.coeffs) for row in lp.rows], [0, 0]
+
+    def entry(row, c):
+        if c >= tab.n_struct:
+            return row.get(c - tab.n_struct, 0)
+        j, part = tab.col_var[c]
+        return -part * sum(m * coeffs[t].get(j, 0) for t, m in row.items())
+
+    def checked(r, c):
+        den = tab.den
+        missed = [(i, row, dict(row), tab.xb[i])
+                  for i, row in enumerate(tab.rows) if not entry(row, c)]
+        pivot(r, c)
+        kinds[tab.den != den] += 1
+        if tab.den == den:
+            assert all(tab.rows[i] is row and row == before and tab.xb[i] == x
+                       for i, row, before, x in missed)
+        assert tab.where == [{i for i, row in enumerate(tab.rows) if t in row}
+                             for t in range(len(lp.rows))]
+
+    tab._pivot = checked
+    tab.run()
+    return kinds
+
+
+@pytest.mark.parametrize("case", ["search-n3-seed0", "wide-seed0", "drawn"])
+def test_a_pivot_that_keeps_den_touches_only_its_entering_column(monkeypatch, case):
+    # A walk reads only the rows it pivots on, so the walk pins alone would
+    # not see a pivot that rebuilt every row.
+    if case == "drawn":
+        programs = [find(_programs(), lambda lp: all(_checked_walk(lp)),
+                         settings=settings(max_examples=2000, database=None, derandomize=True,
+                                           phases=[Phase.generate]))]
+    else:
+        make, args = _PINNED[case]
+        programs = _programs_solved(monkeypatch, make(*args))
+    kinds = [sum(k) for k in zip(*map(_checked_walk, programs))]
+    assert all(kinds)
+
+
+@pytest.mark.parametrize("case", ["witness-php7x6", "witness-php7x6-dropped"])
+def test_a_walk_without_pivots_builds_no_column_maps(monkeypatch, case):
+    # The first is feasible at its lower bounds and the second stuck at once,
+    # like php_pipeline's check-sat program: neither needs the column maps.
+    make, args = _PINNED[case]
+    (program,) = _programs_solved(monkeypatch, make(*args))
+
+    def first(tab, j):
+        pytest.fail("a walk without pivots built the column maps")
+
+    monkeypatch.setattr(lp_module._Tableau, "_first", first)
+    point, _ = solve(program)
+    assert (point is None) == case.endswith("dropped")
+
+
 def test_leaving_row_is_the_least_index_violated_row(monkeypatch):
     # Dense programs repair a row and violate it again under another basis
     # index, which leaves a stale pair for a violated row in the heap; every
