@@ -118,7 +118,7 @@ class Clause(NamedTuple):
                 raise MalformedLiteralError(
                     f"variable x{abs(lit)} exceeds the largest variable index {MAX_VARIABLE}"
                     if type(lit) is int and lit else f"not a literal: {lit!r}")
-            mask |= 1 << (2 * lit if lit > 0 else 1 - 2 * lit)
+            mask |= 1 << literal_key(lit)
         return Clause(mask)
 
     def __str__(self) -> str:

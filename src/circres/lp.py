@@ -56,10 +56,11 @@ Implementation notes, none of which change the results:
   all when every variable is bounded), so a few whole-integer masks mark
   the eligible lanes, and their lowest set bit is the least eligible
   column.
-* The violated rows are kept in a set and in a heap of ``(basis index,
-  row)`` pairs, one pushed whenever a row becomes violated; ``run`` drops a
-  stale pair when it reaches the top, so the leaving row is the
-  least-index violated row without a scan of the set.
+* A row is violated exactly when its ``xb`` is negative, and the violated
+  rows are found through a heap of ``(basis index, row)`` pairs, one pushed
+  whenever a row becomes violated; ``run`` drops a pair whose row has
+  ``xb >= 0`` or another basis index when it reaches the top, so the
+  leaving row is the least-index violated row without a scan of ``xb``.
 * The entering column visits only the rows that share a row index with it:
   ``where[t]`` is the set of rows ``i`` with ``M[i][t] != 0``, built at the
   first structural pivot and kept in step by the row operation.
@@ -145,9 +146,8 @@ class _Tableau:
                    for row in lp.rows]
         self.basis = list(range(self.n_struct, self.n_struct + len(lp.rows)))
         self.rows = [{i: 1} for i in range(len(lp.rows))]
-        self.negative = {i for i, v in enumerate(self.xb) if v < 0}
         # A (basis index, row) pair for every violated row, and stale pairs.
-        self.heap = [(self.basis[i], i) for i in self.negative]
+        self.heap = [(self.basis[i], i) for i, v in enumerate(self.xb) if v < 0]
         heapq.heapify(self.heap)
         self.col_var: list[tuple[int, int]] = []  # with first, cols and where, see _first
         self.bits, self.limit = 8, 0  # limit 0: the lane masks are made at first use
@@ -163,10 +163,10 @@ class _Tableau:
         column index with a negative entry there.  The least-index rule makes
         the walk finite.
         """
-        basis, negative, heap = self.basis, self.negative, self.heap
-        while negative:
+        basis, xb, heap = self.basis, self.xb, self.heap
+        while heap:
             k, r = heap[0]
-            if r not in negative or basis[r] != k:
+            if xb[r] >= 0 or basis[r] != k:
                 # Stale: the row was repaired (every pivot repairs its row),
                 # and may be violated again under another basis index.
                 heapq.heappop(heap)
@@ -272,11 +272,10 @@ class _Tableau:
                 for i in where[t]:
                     col[i] = get(i, 0) + a * rows[i][t]
             col = {i: v for i, v in col.items() if v}
-        rowr, piv = rows[r], col.pop(r)
-        if piv < 0:
-            # Re-sign row r so the pivot element is positive.
-            rows[r] = rowr = {t: -m for t, m in rowr.items()}
-            piv, xb[r] = -piv, -xb[r]
+        # Row r's entry is negative, which is why c entered; re-sign row r so
+        # the pivot element is positive, which also repairs the row.
+        rows[r] = rowr = {t: -m for t, m in rows[r].items()}
+        piv, xb[r] = -col.pop(r), -xb[r]
         xbr, items = xb[r], list(rowr.items())
         # M'[i] = (piv * M[i] - col[i] * M[r]) // den, exact as M' is integral.
         for i, v in col.items():
@@ -295,8 +294,9 @@ class _Tableau:
                 else:
                     del row[t]
                     where[t].discard(i)
-            xb[i] = (piv * xb[i] - v * xbr) // den
-            self._note(i)
+            x, xb[i] = xb[i], (piv * xb[i] - v * xbr) // den
+            if xb[i] < 0 <= x:
+                heapq.heappush(self.heap, (self.basis[i], i))
         if piv != den:
             # The rows the column misses are scaled; each xb keeps its sign.
             for i, row in enumerate(rows):
@@ -305,14 +305,6 @@ class _Tableau:
                     xb[i] = piv * xb[i] // den
             self.den = piv
         self.basis[r] = c
-        self._note(r)
-
-    def _note(self, i: int) -> None:
-        if self.xb[i] >= 0:
-            self.negative.discard(i)
-        elif i not in self.negative:
-            self.negative.add(i)
-            heapq.heappush(self.heap, (self.basis[i], i))
 
     # -- results ---------------------------------------------------------------
 

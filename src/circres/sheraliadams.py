@@ -53,7 +53,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import MAX_VARIABLE, Clause, literal_key, mask_literals, positive_mask
 from .flowcheck import dual_certificate, verify_flow
@@ -223,6 +223,7 @@ def hyp(i: int) -> RefPoly:
 
 
 _ONE_REF = RefPoly(ONE)
+_ref = functools.cache(RefPoly)  # one checked reference per kind and index
 
 #: Each basic kind's rows as ``(coefficient, monomial at index 1)``: index
 #: ``i`` moves the monomial's bits up by ``2i - 2`` and its tokens to ``±i``.
@@ -330,8 +331,8 @@ def sa_monomial_size(proof: SAProof) -> int:
 # ---------------------------------------------------------------------------
 # the four basic gadget families
 
-def clause_gadget(kind: int, side: Monomial, principal: int, weight: Fraction = Fraction(1),
-                  ref: Callable[[str, int], RefPoly] = RefPoly) -> list[SATerm]:
+def clause_gadget(kind: int, side: Monomial, principal: int,
+                  weight: Fraction = Fraction(1)) -> list[SATerm]:
     """Term lists proving the four basic clause inequalities from nothing,
     each term with coefficient ``weight``.
 
@@ -345,8 +346,6 @@ def clause_gadget(kind: int, side: Monomial, principal: int, weight: Fraction = 
 
     Kinds 1-3 require the principal not to occur in the side clause; the side
     clause must not be tautological, which is read off the side's own bits.
-    A translation passes ``ref``, a memo of :class:`RefPoly`, so that it
-    makes each reference once.
     """
     # Bit b of ``both`` marks tokens b and b + 1 of the side: the twins X_v
     # and Xb_v when b = 2v is even.  Most sides have no such bit at all.
@@ -362,13 +361,13 @@ def clause_gadget(kind: int, side: Monomial, principal: int, weight: Fraction = 
     if kind == 1:
         return [
             tuple.__new__(SATerm, (weight, Monomial(1 << 2 * principal),
-                                   ref(ONE_MINUS_X_XBAR, principal))),
-            tuple.__new__(SATerm, (weight, MONOMIAL_ONE, ref(XSQ_MINUS_X, principal))),
+                                   _ref(ONE_MINUS_X_XBAR, principal))),
+            tuple.__new__(SATerm, (weight, MONOMIAL_ONE, _ref(XSQ_MINUS_X, principal))),
         ]
     if kind == 2:
-        return [tuple.__new__(SATerm, (weight, side, ref(X_XBAR_MINUS_ONE, principal)))]
+        return [tuple.__new__(SATerm, (weight, side, _ref(X_XBAR_MINUS_ONE, principal)))]
     if kind == 3:
-        return [tuple.__new__(SATerm, (weight, side, ref(ONE_MINUS_X_XBAR, principal)))]
+        return [tuple.__new__(SATerm, (weight, side, _ref(ONE_MINUS_X_XBAR, principal)))]
     if kind == 4:
         return [tuple.__new__(SATerm, (weight, side, _ONE_REF))]
     raise ValueError(f"gadget kind must be 1..4, got {kind}")
@@ -398,23 +397,21 @@ def gadget_target(kind: int, side_clause: Clause, principal: int) -> dict[Monomi
 # ---------------------------------------------------------------------------
 # circular proof -> polynomial proof
 
-def _rule_terms(w, coef: Fraction, mono: dict[int, Monomial],
-                ref: Callable[[str, int], RefPoly]) -> list[SATerm]:
+def _rule_terms(w, coef: Fraction, mono: dict[int, Monomial]) -> list[SATerm]:
     """Proof terms expanding to the rule polynomial of inference vertex ``w``:
     consequent encodings minus antecedent encodings, weighted by ``coef``.
-    ``mono`` maps each formula vertex to its falsified-point monomial, and
-    ``ref`` is the proof's, for :func:`clause_gadget`.
+    ``mono`` maps each formula vertex to its falsified-point monomial.
     Only a collapsed rule, whose principal occurs in its side clause, is not
     built from its families.
     """
     x = w.rule.principal
     twin = 3 << 2 * x
     if w.rule.kind == AXIOM:
-        return clause_gadget(1, MONOMIAL_ONE, x, coef, ref)
+        return clause_gadget(1, MONOMIAL_ONE, x, coef)
     if w.rule.kind == CUT:
         side = mono[w.out_neighbors[0]]
         if not side.mask & twin:
-            return clause_gadget(2, side, x, coef, ref)
+            return clause_gadget(2, side, x, coef)
         # Collapsed cut: one antecedent equals the consequent, the other is
         # the elementary tautology; the rule polynomial is +x*xb times the
         # side remainder.
@@ -423,12 +420,12 @@ def _rule_terms(w, coef: Fraction, mono: dict[int, Monomial],
     # Split.
     side = mono[w.in_neighbors[0]]
     if not side.mask & twin:
-        terms = clause_gadget(3, side, x, coef, ref)
+        terms = clause_gadget(3, side, x, coef)
         if len(w.out_neighbors) == 1:
             # Suppressed consequent: add back its encoding, whose bit of x
             # is the one the kept consequent lacks.
             kept = mono[w.out_neighbors[0]].mask
-            terms += clause_gadget(4, Monomial(side.mask | twin & ~kept), x, coef, ref)
+            terms += clause_gadget(4, Monomial(side.mask | twin & ~kept), x, coef)
         return terms
     # Collapsed split on a variable of the side clause.
     outs = [mono[u] for u in w.out_neighbors]
@@ -438,12 +435,12 @@ def _rule_terms(w, coef: Fraction, mono: dict[int, Monomial],
         # Kept only the tautological side: side must be the unit clause of x.
         tok = x if side.mask >> 2 * x & 1 else -x
         return [
-            SATerm(coef, side, ref(ONE_MINUS_X_XBAR, x)),
+            SATerm(coef, side, _ref(ONE_MINUS_X_XBAR, x)),
             SATerm(coef, Monomial(side.mask, ((tok, 2),)), _ONE_REF),
         ]
     # Both consequents present: one collapsed to side, other the elementary
     # tautology (side must be a unit clause on x).
-    return clause_gadget(1, MONOMIAL_ONE, x, coef, ref)
+    return clause_gadget(1, MONOMIAL_ONE, x, coef)
 
 
 def circular_to_sa(graph: ProofGraph, flow: dict[int, Fraction]) -> SAProof:
@@ -485,9 +482,8 @@ def circular_to_sa(graph: ProofGraph, flow: dict[int, Fraction]) -> SAProof:
             )
 
     terms: list[SATerm] = []
-    ref = functools.cache(RefPoly)  # one checked reference per kind and index
     for iid, w in graph.inference_vertices.items():
-        terms += _rule_terms(w, cert.rule_multipliers[iid], mono, ref)
+        terms += _rule_terms(w, cert.rule_multipliers[iid], mono)
     for fid, m in cert.formula_multipliers.items():
         if m < 0:
             terms.append(tuple.__new__(SATerm, (-m, MONOMIAL_ONE,

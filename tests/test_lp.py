@@ -675,11 +675,13 @@ def test_packed_rows_walk_like_the_dense_tableau(lp):
 
 
 def _checked_walk(lp):
-    """Walk ``lp``'s tableau and check each pivot: one that keeps ``den``
-    leaves every row with a zero in its entering column as it was, the same
-    dict with the same entries and ``xb``, and after every pivot ``where[t]``
-    is the set of rows with an entry at ``t``.  Returns how many pivots kept
-    ``den`` and how many changed it."""
+    """Walk ``lp``'s tableau and check each pivot: the leaving row's entry
+    in the entering column is negative; a pivot that keeps ``den`` leaves
+    every row with a zero in its entering column as it was, the same dict
+    with the same entries and ``xb``; and after every pivot ``where[t]`` is
+    the set of rows with an entry at ``t`` and every row with ``xb < 0`` has
+    its ``(basis index, row)`` pair in the heap.  Returns how many pivots
+    kept ``den`` and how many changed it."""
     tab = lp_module._Tableau(lp)
     pivot, coeffs, kinds = tab._pivot, [dict(row.coeffs) for row in lp.rows], [0, 0]
 
@@ -691,6 +693,7 @@ def _checked_walk(lp):
 
     def checked(r, c):
         den = tab.den
+        assert entry(tab.rows[r], c) < 0
         missed = [(i, row, dict(row), tab.xb[i])
                   for i, row in enumerate(tab.rows) if not entry(row, c)]
         pivot(r, c)
@@ -700,6 +703,7 @@ def _checked_walk(lp):
                        for i, row, before, x in missed)
         assert tab.where == [{i for i, row in enumerate(tab.rows) if t in row}
                              for t in range(len(lp.rows))]
+        assert all((tab.basis[i], i) in tab.heap for i, x in enumerate(tab.xb) if x < 0)
 
     tab._pivot = checked
     tab.run()
@@ -743,7 +747,8 @@ def test_leaving_row_is_the_least_index_violated_row(monkeypatch):
     structural = lp_module._Tableau._structural
 
     def checked(tab, r):
-        assert r == min(tab.negative, key=tab.basis.__getitem__)
+        violated = [i for i, x in enumerate(tab.xb) if x < 0]
+        assert r == min(violated, key=tab.basis.__getitem__)
         return structural(tab, r)
 
     monkeypatch.setattr(lp_module._Tableau, "_structural", checked)
