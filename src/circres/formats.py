@@ -6,12 +6,13 @@ digits after an optional sign: no ``_`` digit groups or non-ASCII digits,
 which ``int`` would read.  The ``p`` header is the first line that is not a
 comment, so every line is checked as it is read, a repeated ``.cres`` vertex
 id included, and an error names the line that holds it; the counts the
-header declares are compared with the file at its end.  A ``.sap`` monomial
-is built straight from its tokens and normalized only when a token repeats
-or has an exponent; each distinct rule, reference, coefficient, flow, literal
-and monomial token of a file is checked and built once, a variable before
-its bit exists.  No variable exceeds ``core.MAX_VARIABLE``, nor a header's
-variable count.
+header declares are compared with the file at its end.  Every clause line,
+a ``.cnf`` line, a ``.cres`` ``f`` line and a ``.sap`` ``h`` or ``g`` line,
+is read by ``_clause_tokens``.  A ``.sap`` monomial is built straight from
+its tokens and normalized only when a token repeats or has an exponent; each
+distinct rule, reference, coefficient, flow, literal and monomial token of a
+file is checked and built once, a variable before its bit exists.  No
+variable exceeds ``core.MAX_VARIABLE``, nor a header's variable count.
 
 DIMACS CNF::
 
@@ -235,16 +236,6 @@ def parse_cres(text: str) -> tuple[ProofGraph, Optional[dict[int, Fraction]]]:
             fid = _int(tokens[1], no)
             if fid in formulas:
                 raise ParseError(no, "duplicate formula-vertex id")
-            if len(tokens) > 2 and tokens[-1] == "0":
-                mask = 0
-                for tok in tokens[2:-1]:  # the common line: literals met before
-                    bit = bits.get(tok)
-                    if bit is None:
-                        break
-                    mask |= bit
-                else:
-                    formulas[fid] = tuple.__new__(Clause, (mask,))
-                    continue
             formulas[fid] = _clause_tokens(tokens[2:], no, bits)
         elif tag == "i":
             if len(tokens) < 4:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Container, NamedTuple, Optional, Sequence
 
 from .core import MAX_VARIABLE, Clause
@@ -71,6 +71,9 @@ class Rule(NamedTuple("Rule", [("kind", str), ("principal", int)])):
         if principal > MAX_VARIABLE:
             raise ValueError(f"principal variable must be <= {MAX_VARIABLE}, got {principal}")
         return tuple.__new__(cls, (kind, principal))
+
+
+_rule = cache(Rule)  # one checked Rule per kind and principal
 
 
 class InferenceVertex(NamedTuple):
@@ -248,7 +251,6 @@ class ProofGraphBuilder:
         self._by_mask: dict[int, int] = {}
         self._inferences: list[InferenceVertex] = []
         self._by_shape: dict[tuple, int] = {}  # (rule, len(ins), sorted ins, sorted outs)
-        self._rules: dict[tuple[str, int], Rule] = {}  # one checked Rule per rule
         self._flows: dict[int, Fraction] = {}
         self._hypotheses: set[Clause] = set()
         self._goal: Optional[int] = None
@@ -279,11 +281,9 @@ class ProofGraphBuilder:
         if iid is not None:
             self._flows[iid] += flow
             return iid
-        rule = self._rules.get((kind, principal))
-        if rule is None:
-            rule = self._rules[kind, principal] = Rule(kind, principal)
         iid = len(self._inferences)
-        self._inferences.append(tuple.__new__(InferenceVertex, (rule, tuple(ins), tuple(outs))))
+        self._inferences.append(
+            tuple.__new__(InferenceVertex, (_rule(kind, principal), tuple(ins), tuple(outs))))
         self._by_shape[shape] = iid
         self._flows[iid] = (flow if type(flow) is Fraction else _ONE if flow == 1
                             else Fraction(flow))

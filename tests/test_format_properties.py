@@ -146,11 +146,14 @@ LITERALS = st.integers(-VARS, VARS).filter(bool)
 LITERAL_LISTS = st.lists(LITERALS, max_size=10) | st.lists(LITERALS, max_size=10).map(
     lambda lits: sorted(set(lits), key=literal_key))
 
+# Each reader reads the line twice: on the first line each token is new to
+# the file, on the second each comes from the file's table of token bits.
 READERS = {
-    "cnf": lambda line: parse_dimacs(f"p cnf {VARS} 1\n{line}\n").clauses[0],
-    "cres": lambda line: parse_cres(f"p cres 1 0\nf 0 {line}\ng 0\n")[0]
-    .formula_vertices[0],
-    "sap": lambda line: parse_sap(f"p sap {VARS} 0\ng {line}\n").goal,
+    "cnf": lambda line: parse_dimacs(f"p cnf {VARS} 2\n{line}\n{line}\n").clauses,
+    "cres": lambda line: tuple(parse_cres(f"p cres 2 0\nf 0 {line}\nf 1 {line}\ng 1\n")[0]
+                               .formula_vertices.values()),
+    "sap": lambda line: (p := parse_sap(f"p sap {VARS} 1\nh {line}\ng {line}\n")).hypotheses
+    + (p.goal,),
 }
 
 
@@ -158,9 +161,9 @@ READERS = {
 @_BOUNDED
 @given(lits=LITERAL_LISTS)
 def test_literal_lists_read_as_from_signed_gives_them(kind, lits):
-    clause = READERS[kind](" ".join(map(str, [*lits, 0])))
-    assert clause == Clause.from_signed(lits)
-    assert all(type(lit) is int for lit in clause.literals)
+    first, second = READERS[kind](" ".join(map(str, [*lits, 0])))
+    assert first == second == Clause.from_signed(lits)
+    assert all(type(lit) is int for lit in second.literals)
 
 
 @_BOUNDED

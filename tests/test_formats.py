@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from circres import formats
 from circres.core import Clause, CnfFormula
 from circres.formats import (
     ParseError,
@@ -123,6 +124,23 @@ def test_cres_structure_error_names_its_line(text, line_no, message):
     with pytest.raises(ParseError) as err:
         parse_cres(text)
     assert str(err.value) == f"line {line_no}: {message}"
+
+
+def test_every_cres_clause_line_is_read_by_clause_tokens(monkeypatch):
+    g = complete_bipartite(5, 4)
+    text = serialize_cres(*php_refutation(g))
+    original = formats._clause_tokens
+    calls = []
+
+    def counting(tokens, no, bits, *rest):
+        calls.append(no)
+        return original(tokens, no, bits, *rest)
+
+    monkeypatch.setattr(formats, "_clause_tokens", counting)
+    graph, _ = parse_cres(text)
+    f_lines = [no for no, line in enumerate(text.splitlines(), start=1) if line.startswith("f ")]
+    assert calls == f_lines
+    assert len(graph.formula_vertices) == len(f_lines)
 
 
 def test_cres_header_mismatch():
@@ -272,6 +290,8 @@ def test_sap_header_and_term_errors():
      "line 1: header declares 2 formula and 0 inference vertices but file has 1 and 0"),
     (parse_cres, "p cres 1 0\nf\ng 0\n",
      "line 2: clause label line must be 'f <id> <lit> ... 0'"),
+    (parse_cres, "p cres 2 0\nf 0 1 -1 0\nf 1 -1 1\ng 0\n",
+     "line 3: clause line must end with 0"),
     (parse_cres, "p cres 1 1\nf 0 0\ni 0 ax\ng 0\n", "line 3: truncated inference line"),
     (parse_cres, "p cres 1 1\nf 0 0\ni 0 split 1 0\ng 0\n",
      "line 3: split takes one antecedent id and one or two consequent ids"),
@@ -298,7 +318,8 @@ def test_sap_header_and_term_errors():
     (parse_sap, "p sap 1 0\ng 0\nt 1 1 ;\n", "line 3: missing reference polynomial"),
     (parse_sap, "p sap 1 0\ng 0\nt 1 ; B xxsq\n", "line 3: 'B xxsq' needs an index"),
 ], ids=["dimacs-header-form", "dimacs-count", "dimacs-no-0", "dimacs-inner-0",
-        "dimacs-literal", "dimacs-clause-count", "cres-vertex-count", "cres-f-alone", "cres-truncated",
+        "dimacs-literal", "dimacs-clause-count", "cres-vertex-count", "cres-f-alone",
+        "cres-f-known-literals-no-0", "cres-truncated",
         "cres-split-arity", "cres-cut-id", "cres-split-first-bad-id", "cres-ax-id",
         "cres-h-arity", "cres-g-arity", "cres-second-goal",
         "cres-goal-unknown", "cres-tag", "cres-w-arity", "cres-w-rational",
