@@ -69,7 +69,8 @@ def _integer(token: str) -> int:
     try:
         return int(token)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {token!r}") from None
+        raise argparse.ArgumentTypeError(
+            formats._past_limit(token) or f"invalid integer {token!r}") from None
 
 
 def _parse_goal(spec: str) -> Clause:

@@ -48,6 +48,7 @@ Serialization is canonical: parse(serialize(x)) reproduces x exactly.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Optional
 
@@ -111,11 +112,24 @@ def _header(text: str, kind: str, counts: str):
     return no, first, second, lines
 
 
+def _past_limit(number: str) -> Optional[str]:
+    """What is wrong with ``number`` when it is ASCII digits after an
+    optional sign that ``int`` refuses only for their count, past
+    ``sys.get_int_max_str_digits()``; else ``None``.  Read on the error path
+    only, so a long number's error is one short line."""
+    digits = number[1:] if number[:1] in ("+", "-") else number
+    limit = sys.get_int_max_str_digits()
+    if 0 < limit < len(digits) and digits.isascii() and digits.isdecimal():
+        return (f"number of {len(digits)} digits exceeds the int conversion limit "
+                f"sys.get_int_max_str_digits() = {limit}")
+    return None
+
+
 def _int(token: str, no: int) -> int:
     try:
         return int(token)
     except ValueError:
-        raise ParseError(no, f"expected integer, got {token!r}") from None
+        raise ParseError(no, _past_limit(token) or f"expected integer, got {token!r}") from None
 
 
 def _rational(token: str, no: int) -> Fraction:
@@ -123,7 +137,8 @@ def _rational(token: str, no: int) -> Fraction:
     try:
         n, d = int(num), int(den) if slash else 1
     except ValueError:
-        raise ParseError(no, f"bad rational {token!r}") from None
+        raise ParseError(no, _past_limit(num) or _past_limit(den)
+                         or f"bad rational {token!r}") from None
     if d == 0:
         raise ParseError(no, f"zero denominator in {token!r}")
     return Fraction(n, d)
@@ -133,7 +148,7 @@ def _literal(token: str, no: int) -> int:
     try:
         lit = int(token)
     except ValueError:
-        raise ParseError(no, "clause literals must be integers") from None
+        raise ParseError(no, _past_limit(token) or "clause literals must be integers") from None
     if not lit:
         raise ParseError(no, "literal 0 may only terminate the clause")
     return lit
@@ -417,7 +432,8 @@ def parse_sap(text: str) -> SAProof:
                     try:
                         t, e = int(body), int(exp) if caret else 1
                     except ValueError:
-                        raise ParseError(no, f"bad monomial token {tok!r}") from None
+                        raise ParseError(no, _past_limit(body) or _past_limit(exp)
+                                         or f"bad monomial token {tok!r}") from None
                     if t == 0 or e < 1:
                         raise ParseError(no, f"bad monomial token {tok!r}")
                     in_range(abs(t), no)  # first: a mask is as wide as its largest variable

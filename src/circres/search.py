@@ -57,11 +57,19 @@ first, with forward and lazy backward subsumption, in which a resolvent
 width at which cut and split reach it, by weakening ``c`` to ``R | x`` and
 ``d`` to ``R | ~x`` and cutting on ``x``.  Each active clause is indexed
 under each of its literals by its side, the clause less that literal, so a
-resolvent is the union of two sides.  Clauses wait in one queue per width,
-popped last in first out at a cursor on the shortest nonempty width, which
-a shorter resolvent lowers.  The loop records each kept clause's parents
-and stops at the first kept clause inside a target, a hypothesis before
-any resolvent.
+resolvent is the union of two sides.  Beside each literal's sides the index
+keeps the narrow ones, of at most one literal, in order, and the union of
+the wide ones.  A popped clause of width ``k`` with ``k + 1 >= w`` has
+sides of ``k - 1 >= w - 2`` literals, and with a disjoint wide side one
+makes a resolvent of width at least ``w``, which the loop does not keep:
+when its side misses the union, only the narrow sides are scanned.  Clauses
+wait in one queue per width, popped last in first out at a cursor on the
+shortest nonempty width, which a shorter resolvent lowers.  A resolvent
+passed forward subsumption when it was queued, so only a narrower clause
+kept since can lie properly inside it: the backward walk runs on a
+hypothesis, or on a resolvent queued before a narrower clause was kept.
+The loop records each kept clause's parents and stops at the first kept
+clause inside a target, a hypothesis before any resolvent.
 
 Before the program is built, the search runs the loop at width ``w`` over
 the restricted hypotheses, with the goal as the target.  The derivation of
@@ -200,11 +208,16 @@ def lattice_size(num_vars: int, width: int) -> tuple[int, int]:
 
 
 def _clause_masks(num_vars: int, width: int) -> list[int]:
-    """All non-tautological clauses of width at most ``width`` as masks, canonically ordered."""
-    masks = []
-    for k in range(width + 1):
-        for vs in itertools.combinations(range(1, num_vars + 1), k):
-            masks += map(sum, itertools.product(*[(1 << 2 * v, 2 << 2 * v) for v in vs]))
+    """All non-tautological clauses of width at most ``width`` as masks, by
+    width: each clause of width ``k + 1`` is one of width ``k`` and a
+    literal of a variable above its own."""
+    # bits[b] is the literal at bit b; a clause whose top variable is x_v
+    # takes the literals from bits[2v + 2], the empty clause from bits[2].
+    bits = [1 << b for b in range(2 * num_vars + 2)]
+    masks, level = [0], [0]
+    for _ in range(width):
+        level = [c | b for c in level for b in bits[c.bit_length() + 1 & ~1 or 2:]]
+        masks += level
     return masks
 
 
@@ -346,6 +359,11 @@ def _acyclic_closure(n: int, hyps: set[int], target: int,
     ``target``: the first hypothesis inside it, in :func:`_kept_subset`'s
     order, before any resolution, so an empty hypothesis stops it at once.
 
+    A literal's wide sides are skipped when none can make a resolvent that
+    fits, and the backward walk runs only on a hypothesis or on a resolvent
+    queued before a narrower clause was kept; neither skip changes what is
+    kept or its order.
+
     Returns every kept clause, in the order kept, mapped to ``(c, d, bit)``
     when it is the resolvent of ``c`` and ``d`` on bit ``bit`` of ``c`` and
     to ``None`` when it is a hypothesis, and the clause the loop stopped at,
@@ -355,42 +373,70 @@ def _acyclic_closure(n: int, hyps: set[int], target: int,
     found = _kept_subset(target, parents, target)
     if found is not None:
         return parents, found
-    queues: list[list[int]] = [[] for _ in range(width + 1)]
+    # queues[k]: the clauses of width k waiting, each with narrower[k] as it
+    # was when the clause was queued, or -1 for a hypothesis.
+    queues: list[list[tuple[int, int]]] = [[] for _ in range(width + 1)]
     for h in hyps:
-        queues[h.bit_count()].append(h)
-    # sides[bit]: the active clauses holding literal bit ``bit``, less it.
-    sides: dict[int, list[int]] = {}
+        queues[h.bit_count()].append((h, -1))
+    # narrower[k]: the resolvents of width below k kept so far.  A resolvent
+    # is narrower than ``width``, so narrower[width] stays 0 and is compared
+    # only with a hypothesis's -1.
+    narrower = [0] * (width + 1)
+    # sides[bit]: the sides of the active clauses holding literal bit
+    # ``bit``, the clause less it, in order; the narrow ones, of at most one
+    # literal, in order; and the union of the wide ones.
+    sides: dict[int, list] = {}
     k = 0
     while True:
         while k <= width and not queues[k]:
             k += 1
         if k > width:
             return parents, None
-        c = queues[k].pop()
-        if _kept_subset(c, parents, (c - 1) & c) is not None:
+        c, stamp = queues[k].pop()
+        # The forward test saw every clause kept before c was queued, and only
+        # a narrower one kept since can lie properly inside c.
+        if stamp != narrower[k] and _kept_subset(c, parents, (c - 1) & c) is not None:
             continue
+        # A side of c has k - 1 literals, so with a disjoint wide side it makes
+        # a resolvent of width at least k + 1, too wide when this holds.
+        tight = k + 1 >= width
         rest = c
         while rest:
             bit = rest & -rest
             rest ^= bit
             comp = bit << 1 if bit & positive else bit >> 1
             side = c ^ bit
-            for other in sides.get(comp, ()):
-                resolvent = side | other
-                r = resolvent.bit_count()
-                if r >= width or resolvent & (resolvent >> 1) & positive:
-                    continue
-                if resolvent in parents or _kept_subset(resolvent, parents, resolvent) is not None:
-                    continue
-                parents[resolvent] = (c, other | comp, bit)
-                if not resolvent & ~target:
-                    return parents, resolvent
-                queues[r].append(resolvent)
-                if r < k:
-                    k = r
+            entry = sides.get(comp)
+            if entry is not None:
+                every, narrow, wide = entry
+                for other in narrow if tight and not side & wide else every:
+                    resolvent = side | other
+                    r = resolvent.bit_count()
+                    if r >= width or resolvent & (resolvent >> 1) & positive:
+                        continue
+                    # Forward subsumption: the walk starts below the resolvent,
+                    # which ``in parents`` has asked about.
+                    if resolvent in parents or _kept_subset(
+                            resolvent, parents, (resolvent - 1) & resolvent) is not None:
+                        continue
+                    parents[resolvent] = (c, other | comp, bit)
+                    if not resolvent & ~target:
+                        return parents, resolvent
+                    queues[r].append((resolvent, narrower[r]))
+                    for j in range(r + 1, width):
+                        narrower[j] += 1
+                    if r < k:
+                        k = r
             # Safe before c's later bits are resolved: c holds no complement
             # of its own bits, so it never meets itself in sides.
-            sides.setdefault(bit, []).append(side)
+            entry = sides.get(bit)
+            if entry is None:
+                entry = sides[bit] = [[], [], 0]
+            entry[0].append(side)
+            if side & (side - 1):
+                entry[2] |= side
+            else:
+                entry[1].append(side)
 
 
 def _emit_derivation(b: ProofGraphBuilder, parents: _Parents, owed: dict[int, Fraction | int],

@@ -243,6 +243,15 @@ INPUT_ERRORS = {
                                 "argument --complete: number '1_2' is not ASCII digits"),
     "search-width-not-integer": (["search", "u.cnf", "--width", "two"], None,
                                  "argument --width: invalid integer 'two'"),
+    # ASCII digits past int's conversion limit: the error names the limit
+    # and the digit count, not the whole number.
+    "search-width-past-limit": (["search", "u.cnf", "--width", "9" * 5000], None,
+                                "argument --width: number of 5000 digits exceeds the int "
+                                "conversion limit sys.get_int_max_str_digits() = "),
+    "cnf-literal-past-limit": (["search", "n.cnf", "--width", "2"],
+                               ("n.cnf", f"p cnf 1 1\n{'9' * 5000} 0\n"),
+                               "line 2: number of 5000 digits exceeds the int conversion limit "
+                               "sys.get_int_max_str_digits() = "),
     "php-no-instance": (["gen-php"], None, "one of the arguments --complete --graph is required"),
     "check-unreadable": (["check", "absent.cres", "u.cnf"], None, "cannot read absent.cres: "),
     "check-goal-on-no-vertex": (["check", "p.cres", "u.cnf", "--goal", "1 2 0"],

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,13 @@ from circres.sheraliadams import (
 
 def clause(*ints):
     return Clause.from_ints(*ints)
+
+
+# ASCII digits past int's conversion limit: the grammar accepts the number,
+# and its error names the limit and the digit count, not the whole token.
+LONG = "7" * (sys.get_int_max_str_digits() + 1)
+PAST_LIMIT = (f"number of {len(LONG)} digits exceeds the int conversion limit "
+              f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}")
 
 
 def test_dimacs_round_trip():
@@ -317,6 +325,11 @@ def test_sap_header_and_term_errors():
      "line 3: term line needs a ';' before its reference"),
     (parse_sap, "p sap 1 0\ng 0\nt 1 1 ;\n", "line 3: missing reference polynomial"),
     (parse_sap, "p sap 1 0\ng 0\nt 1 ; B xxsq\n", "line 3: 'B xxsq' needs an index"),
+    (parse_dimacs, f"p cnf 1 1\n-{LONG} 0\n", f"line 2: {PAST_LIMIT}"),
+    (parse_cres, f"p cres 1 0\nf 0 0\ng 0\nw 0 1/{LONG}\n", f"line 4: {PAST_LIMIT}"),
+    (parse_cres, f"p cres {LONG} 0\n", f"line 1: {PAST_LIMIT}"),
+    (parse_sap, f"p sap 1 0\ng 0\nt {LONG} ; B one\n", f"line 3: {PAST_LIMIT}"),
+    (parse_sap, f"p sap 1 0\ng 0\nt 1 1^{LONG} ; B one\n", f"line 3: {PAST_LIMIT}"),
 ], ids=["dimacs-header-form", "dimacs-count", "dimacs-no-0", "dimacs-inner-0",
         "dimacs-literal", "dimacs-clause-count", "cres-vertex-count", "cres-f-alone",
         "cres-f-known-literals-no-0", "cres-truncated",
@@ -324,7 +337,9 @@ def test_sap_header_and_term_errors():
         "cres-h-arity", "cres-g-arity", "cres-second-goal",
         "cres-goal-unknown", "cres-tag", "cres-w-arity", "cres-w-rational",
         "cres-w-zero-denominator", "cres-w-missing", "sap-second-goal", "sap-tag",
-        "sap-no-separator", "sap-no-reference", "sap-basic-without-index"])
+        "sap-no-separator", "sap-no-reference", "sap-basic-without-index",
+        "dimacs-literal-past-limit", "cres-w-past-limit", "cres-count-past-limit",
+        "sap-coefficient-past-limit", "sap-monomial-past-limit"])
 def test_parse_error_names_its_line_and_text(parse, text, message):
     with pytest.raises(ParseError) as err:
         parse(text)

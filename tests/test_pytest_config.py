@@ -1,5 +1,6 @@
 """The suite's warning filters turn every warning into an error, yet a
-failing test is still reported as a failure.
+failing test is still reported as a failure, and the suite imports the
+package from ``src`` without ``PYTHONPATH``.
 
 When a ``@given`` test fails, hypothesis's pytest plugin imports ``libcst``,
 which raises ``mypy_extensions``' ``DeprecationWarning``; under the bare
@@ -8,11 +9,13 @@ which raises ``mypy_extensions``' ``DeprecationWarning``; under the bare
 in a subprocess, outside the repository.
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
 
 PROBE = '''
 import warnings
@@ -48,3 +51,13 @@ def test_failing_tests_are_listed_not_an_internal_error(tmp_path):
     for name in ("test_drawn", "test_plain", "test_own_warning"):
         assert f"::{name} - " in out, out
     assert "3 failed" in out, out
+
+
+def test_plain_pytest_finds_the_package_without_pythonpath():
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "--collect-only", "-q",
+         "tests/test_core.py"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

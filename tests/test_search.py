@@ -195,6 +195,23 @@ def test_search_agrees_with_oracle_on_refutability():
             assert not found
 
 
+def test_clause_masks_are_every_clause_up_to_the_width_once():
+    import math
+    from circres.search import _clause_masks
+
+    for n in range(7):
+        for w in range(7):
+            masks = _clause_masks(n, w)
+            expected = {
+                Clause.from_signed(s * v for s, v in zip(signs, vs)).mask
+                for k in range(min(n, w) + 1)
+                for vs in itertools.combinations(range(1, n + 1), k)
+                for signs in itertools.product((1, -1), repeat=k)
+            }
+            assert set(masks) == expected, (n, w)
+            assert len(masks) == sum(math.comb(n, k) * 2 ** k for k in range(w + 1)), (n, w)
+
+
 def _lattice_search(hypotheses: CnfFormula, goal: Clause, width: int) -> bool:
     """Reference: whether the flow program over the width-``width`` clause
     lattice is feasible.  The lattice has a vertex per clause of width at
@@ -1123,3 +1140,110 @@ def test_acyclic_closure_and_saturation_match_their_pins():
         closure.update(repr(sorted(c.mask for c in daglike_width_saturate(cnf, 3))).encode())
     assert loop.hexdigest() == "218b5f87a56f55d289c5d07758b7a4dfa2a5966483eb7aefdce70f1307503938"
     assert closure.hexdigest() == "d7263528a375051536d97a8f91e23a63bc7b1b2aabf4bd882fb50b6b97f48775"
+
+
+def _reference_closure(n, hyps, target, width, seen):
+    # The loop as it was before it skipped wide sides and backward walks:
+    # every side of the complement is scanned and every popped clause walked.
+    # ``seen`` counts the scans whose side misses every wide side there, and
+    # the popped resolvents that a narrower kept clause lies inside.
+    from circres.core import positive_mask
+    from circres.search import _kept_subset
+
+    positive = positive_mask(n)
+    parents = dict.fromkeys(hyps)
+    found = _kept_subset(target, parents, target)
+    if found is not None:
+        return parents, found
+    queues = [[] for _ in range(width + 1)]
+    for h in hyps:
+        queues[h.bit_count()].append(h)
+    sides = {}
+    k = 0
+    while True:
+        while k <= width and not queues[k]:
+            k += 1
+        if k > width:
+            return parents, None
+        c = queues[k].pop()
+        if _kept_subset(c, parents, (c - 1) & c) is not None:
+            seen["subsumed"] += parents[c] is not None
+            continue
+        rest = c
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            comp = bit << 1 if bit & positive else bit >> 1
+            side = c ^ bit
+            wide = 0
+            for other in sides.get(comp, ()):
+                if other & (other - 1):
+                    wide |= other
+            seen["skippable"] += k + 1 >= width and wide and not side & wide
+            for other in sides.get(comp, ()):
+                resolvent = side | other
+                r = resolvent.bit_count()
+                if r >= width or resolvent & (resolvent >> 1) & positive:
+                    continue
+                if resolvent in parents or _kept_subset(resolvent, parents, resolvent) is not None:
+                    continue
+                parents[resolvent] = (c, other | comp, bit)
+                if not resolvent & ~target:
+                    return parents, resolvent
+                queues[r].append(resolvent)
+                if r < k:
+                    k = r
+            sides.setdefault(bit, []).append(side)
+
+
+def test_acyclic_closure_matches_the_unskipped_loop_at_widths_five_and_six():
+    # At widths 5 and 6 a side can hold three literals, so the bound that
+    # lets the loop skip wide sides reaches past the pinned widths.  The
+    # kept clauses, their parents, their order and the stopping clause must
+    # be those of the loop that scans and walks everything.
+    from circres.search import _restriction
+
+    cases = []
+    for n in (3, 4):
+        for seed in range(4):
+            cnf = gen_php(near_cubic_bipartite(n, seed))
+            for f in (cnf, CnfFormula.of(cnf.num_variables, cnf.clauses[1:])):
+                kept, hyps, target = _restriction(f, Clause(), 5)
+                cases.append((len(kept), hyps, target, 5))
+    rng = random.Random(57)
+    for _ in range(1500):
+        n = rng.randint(1, 6)
+        cnf = _random_cnf(rng, n, 5, rng.randint(0, 12))
+        hyps = {c.mask for c in cnf.clauses if not c.is_tautological}
+        for width in (5, 6):
+            drawn = rng.sample(range(1, n + 1), rng.randint(0, min(n, width)))
+            target = Clause.from_signed(rng.choice((1, -1)) * v for v in drawn)
+            cases.append((n, hyps, target.mask, width))
+    seen = {"skippable": 0, "subsumed": 0}
+    for n, hyps, target, width in cases:
+        parents, found = _acyclic_closure(n, hyps, target, width)
+        reference, reference_found = _reference_closure(n, hyps, target, width, seen)
+        assert list(parents.items()) == list(reference.items()), (n, hyps, target, width)
+        assert found == reference_found, (n, hyps, target, width)
+    assert seen["skippable"] > 0 and seen["subsumed"] > 0, seen
+
+
+def test_acyclic_closure_walks_back_only_where_a_walk_can_succeed(monkeypatch):
+    # At (15, 1) and width 4 no clause is kept inside a queued resolvent, so
+    # the backward walks, the calls on a clause already kept, are the
+    # hypotheses' alone: 61 of the 927 kept clauses.
+    from circres import search
+
+    walks = []
+    kept_subset = search._kept_subset
+
+    def counting(c, kept, sub):
+        walks.append(c in kept)
+        return kept_subset(c, kept, sub)
+
+    monkeypatch.setattr(search, "_kept_subset", counting)
+    cnf = gen_php(near_cubic_bipartite(15, 1))
+    hyps = {c.mask for c in cnf.clauses}
+    parents, found = _acyclic_closure(cnf.num_variables, hyps, 0, 4)
+    assert found is None and len(parents) == 927
+    assert sum(walks) == len(hyps) == 61
