@@ -85,7 +85,8 @@ def _parse_goal(spec: str) -> Clause:
     try:
         return Clause.from_signed(int(t) for t in tokens[:-1])
     except ValueError as exc:
-        raise UsageError(f"bad goal spec: {exc}") from None
+        past = next(filter(None, map(formats._past_limit, tokens)), exc)
+        raise UsageError(f"bad goal spec: {past}") from None
 
 
 def _read(path: str) -> str:
@@ -169,7 +170,8 @@ def _parse_bipartite_file(path: str) -> generators.BipartiteGraph:
         try:
             a, b = int(parts[0]), int(parts[1])
         except ValueError:
-            raise UsageError(f"{path}:{no}: expected two integers per line") from None
+            bad = next(filter(None, map(formats._past_limit, parts)), "expected two integers per line")
+            raise UsageError(f"{path}:{no}: {bad}") from None
         if sizes is None:
             sizes = (a, b)
         else:

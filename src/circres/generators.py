@@ -83,20 +83,25 @@ def edge_variables(g: BipartiteGraph) -> dict[tuple[int, int], int]:
     return {edge: i + 1 for i, edge in enumerate(sorted(g.edges))}
 
 
+def _edge_lists(g: BipartiteGraph) -> tuple[list[list[int]], list[list[int]]]:
+    """The edge variables of each pigeon and of each hole, in order; raises
+    :class:`IsolatedVertexError` for a pigeon with no edge."""
+    var = edge_variables(g)
+    pigeons = [[var[(u, v)] for v in g.left_neighbors(u)] for u in range(1, g.left_size + 1)]
+    if [] in pigeons:
+        raise IsolatedVertexError(f"pigeon {pigeons.index([]) + 1} has no incident edge")
+    return pigeons, [[var[(u, v)] for u in g.right_neighbors(v)]
+                     for v in range(1, g.right_size + 1)]
+
+
 def gen_php(g: BipartiteGraph) -> CnfFormula:
     """The pigeonhole contradiction of ``g``: every pigeon somewhere, no hole
     doubly used.  One variable per edge."""
-    var = edge_variables(g)
-    clauses: list[Clause] = []
-    for u in range(1, g.left_size + 1):
-        nbrs = g.left_neighbors(u)
-        if not nbrs:
-            raise IsolatedVertexError(f"pigeon {u} has no incident edge")
-        clauses.append(Clause.from_signed(var[(u, v)] for v in nbrs))
-    for v in range(1, g.right_size + 1):
-        ys = [var[(u, v)] for u in g.right_neighbors(v)]
+    pigeons, holes = _edge_lists(g)
+    clauses = [Clause.from_signed(xs) for xs in pigeons]
+    for ys in holes:
         clauses.extend(Clause.from_ints(-y, -z) for y, z in itertools.combinations(ys, 2))
-    return CnfFormula.of(len(var), clauses)
+    return CnfFormula.of(len(g.edges), clauses)
 
 
 # ---------------------------------------------------------------------------
@@ -178,18 +183,11 @@ def php_refutation(g: BipartiteGraph) -> tuple[ProofGraph, dict[int, Fraction]]:
     """
     if g.left_size <= g.right_size:
         raise ValueError("pigeonhole refutations need more pigeons than holes")
-    var = edge_variables(g)
+    pigeons, holes = _edge_lists(g)
     b = ProofGraphBuilder()
-    hypotheses: set[int] = set()
-    for u in range(1, g.left_size + 1):
-        xs = [var[(u, v)] for v in g.left_neighbors(u)]
-        if not xs:
-            raise IsolatedVertexError(f"pigeon {u} has no incident edge")
-        hypotheses.add(_add_pigeon_piece(b, xs))
-    for v in range(1, g.right_size + 1):
-        ys = [var[(u, v)] for u in g.right_neighbors(v)]
-        if ys:
-            hypotheses.update(_add_hole_piece(b, ys))
+    hypotheses = {_add_pigeon_piece(b, xs) for xs in pigeons}
+    for ys in holes:
+        hypotheses.update(_add_hole_piece(b, ys))
     b.mark_hypotheses(hypotheses)
     b.set_goal(b.vertex(0))
     return b.build()
@@ -422,7 +420,6 @@ def random_circular_proof(
         if pumpable:
             c = rng.choice(pumpable)
             x = next(v for v in range(1, num_vars + 1) if not c >> 2 * v & 3)
-            rng.randint(1, 3)  # a flow no longer used, drawn to keep the seeded stream
             src, pos, neg = b.vertex(c), b.vertex(c | 1 << 2 * x), b.vertex(c | 2 << 2 * x)
             b.inference(SPLIT, x, (src,), (pos, neg))
             b.inference(CUT, x, (pos, neg), (src,))

@@ -559,15 +559,14 @@ def _realize(b: ProofGraphBuilder, point: list[Fraction], variables: list[int],
     t onto side and -t onto side | ~x, both with one positive literal fewer.
     Clauses are settled level by level, from the most positive literals
     down, starting from the point's support; what the walk leaves on an
-    all-negative clause is minus that clause's balance.  Residuals are
-    integers over the point's common denominator."""
+    all-negative clause is minus that clause's balance.  Residuals, values
+    and amounts owed are sums of the point's ``Fraction`` balances."""
     positive = positive_mask(len(up) - 1)
-    den = math.lcm(*(v.denominator for v in point))
-    levels: defaultdict[int, dict[int, int]] = defaultdict(dict)  # by positive literals
+    levels: defaultdict[int, dict[int, Fraction]] = defaultdict(dict)  # by positive literals
     owed = {}
     for d, v in zip(variables, point):
         if v:
-            levels[(d & positive).bit_count()][d] = v.numerator * (den // v.denominator)
+            levels[(d & positive).bit_count()][d] = v
             if v < 0:
                 owed[d] = -v
     for k in range(max(levels, default=0), 0, -1):
@@ -578,14 +577,14 @@ def _realize(b: ProofGraphBuilder, point: list[Fraction], variables: list[int],
             top = 1 << (d & positive).bit_length() - 1
             below[d ^ top] = below.get(d ^ top, 0) + t
             below[d ^ top | top << 1] = below.get(d ^ top | top << 1, 0) - t
-            x, value = up[top.bit_length() >> 1], Fraction(abs(t), den)
+            x = up[top.bit_length() >> 1]
             d, top = _renamed(d, up), 1 << 2 * x
             side, neg = d ^ top, d ^ top | (top << 1)
             if t < 0:
-                b.inference(CUT, x, (b.vertex(d), b.vertex(neg)), (b.vertex(side),), value)
+                b.inference(CUT, x, (b.vertex(d), b.vertex(neg)), (b.vertex(side),), -t)
             else:
-                b.inference(SPLIT, x, (b.vertex(side),), (b.vertex(d), b.vertex(neg)), value)
-    owed |= {d: Fraction(t, den) for d, t in levels[0].items() if t > 0}
+                b.inference(SPLIT, x, (b.vertex(side),), (b.vertex(d), b.vertex(neg)), t)
+    owed |= {d: t for d, t in levels[0].items() if t > 0}
     return owed
 
 

@@ -96,6 +96,9 @@ class Monomial(NamedTuple):
 
     @staticmethod
     def of(powers: Iterable[tuple[int, int]]) -> "Monomial":
+        """The monomial of the ``(token, exponent)`` pairs ``powers``, in any
+        order.  Pairs of one token multiply, their exponents adding, so the
+        product of ``m`` and ``q`` is ``Monomial.of((*m.factors, *q.factors))``."""
         acc: dict[int, int] = {}
         for tok, e in powers:
             if e < 0:
@@ -105,8 +108,8 @@ class Monomial(NamedTuple):
             if tok == 0:
                 raise ValueError("token 0 is not a twin variable")
             acc[tok] = acc.get(tok, 0) + e
-        return Monomial(Clause.from_signed(acc).mask,
-                        _powers({t: e for t, e in acc.items() if e > 1}))
+        high = sorted((f for f in acc.items() if f[1] > 1), key=lambda f: literal_key(f[0]))
+        return Monomial(Clause.from_signed(acc).mask, tuple(high))
 
     @property
     def degree(self) -> int:
@@ -123,23 +126,6 @@ class Monomial(NamedTuple):
     def __str__(self) -> str:
         return "*".join((f"X{tok}" if tok > 0 else f"Xb{-tok}") + (f"^{e}" if e > 1 else "")
                         for tok, e in self.factors) or "1"
-
-
-def _product(mask: int, powers: tuple[tuple[int, int], ...], other_mask: int,
-             other_powers: tuple[tuple[int, int], ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """The ``(mask, powers)`` of the product of two monomials given as such;
-    :func:`proof_sum` ORs the masks itself when they share no token and
-    neither has an exponent."""
-    # A token of both masks has exponent 2 before the powers add theirs.
-    acc = dict.fromkeys(mask_literals(mask & other_mask), 2)
-    for tok, e in (*powers, *other_powers):
-        acc[tok] = acc.get(tok, 1) + e - 1
-    return mask | other_mask, _powers(acc)
-
-
-def _powers(exponents: dict[int, int]) -> tuple[tuple[int, int], ...]:
-    """A monomial's side record of ``exponents``, in canonical token order."""
-    return tuple(sorted(exponents.items(), key=lambda f: literal_key(f[0])))
 
 
 MONOMIAL_ONE = Monomial()
@@ -275,25 +261,27 @@ class SAProof:
 def proof_sum(proof: SAProof) -> dict[Monomial, Fraction]:
     """``sum a_j * q_j * poly(P_j)`` in one pass, as integer numerators over
     the common denominator of the ``a_j`` (reference polynomials have integer
-    coefficients); only the surviving sums become fractions.  Products are
-    summed under their plain mask when they have no exponent, the common
-    case, and under their ``(mask, powers)`` pair otherwise, and become
-    monomials only when their sum is nonzero."""
+    coefficients); only the surviving sums become fractions.  A product of
+    monomials that share no token and carry no exponent, the common case, is
+    the OR of their masks, summed under that plain mask, which becomes a
+    monomial only when its sum is nonzero; any other product is
+    :meth:`Monomial.of` their factors, summed under that monomial."""
     rows = {ref: [(m.mask, m.powers, k.numerator) for m, k in p.items()]
             for ref, p in proof._reference_polynomials.items()}
     scaled, den = common_numerators([t.coefficient for t in proof.terms])
-    acc: dict[int | tuple[int, tuple[tuple[int, int], ...]], int] = {}
+    acc: dict[int | Monomial, int] = {}
     for c, (q_mask, q_powers), ref in proof.terms:
         a = scaled[id(c)]
         for mask, powers, k in rows[ref]:
             if mask & q_mask or powers or q_powers:
                 # Never exponent-free: a shared token or a factor's power
-                # leaves an exponent of 2 or more.
-                key = _product(mask, powers, q_mask, q_powers)
+                # leaves an exponent of 2 or more, so no OR's mask is its key.
+                key = Monomial.of((*Monomial(mask, powers).factors,
+                                   *Monomial(q_mask, q_powers).factors))
             else:  # disjoint tokens, no exponents: the product is an OR
                 key = mask | q_mask
             acc[key] = acc.get(key, 0) + a * k
-    return {Monomial(key) if type(key) is int else Monomial(*key): Fraction(c, den)
+    return {Monomial(key) if type(key) is int else key: Fraction(c, den)
             for key, c in acc.items() if c}
 
 

@@ -21,7 +21,6 @@ CODEC_MODULES = ("core", "formats")
 DECODERS = ("mask_literals", "clause_mask")
 ALLOWED = {
     ("sheraliadams", "factors"): "a monomial's (token, exponent) pairs, for printing",
-    ("sheraliadams", "_product"): "the tokens two monomials share, whose exponents add",
 }
 
 

@@ -252,6 +252,12 @@ INPUT_ERRORS = {
                                ("n.cnf", f"p cnf 1 1\n{'9' * 5000} 0\n"),
                                "line 2: number of 5000 digits exceeds the int conversion limit "
                                "sys.get_int_max_str_digits() = "),
+    "search-goal-past-limit": (["search", "u.cnf", "--width", "1", "--goal", f"{'9' * 5000} 0"],
+                               None, "bad goal spec: number of 5000 digits exceeds the int "
+                               "conversion limit sys.get_int_max_str_digits() = "),
+    "graph-past-limit": (["gen-php", "--graph", "g.txt"], ("g.txt", f"3 2\n1 -{'9' * 5000}\n"),
+                         "g.txt:2: number of 5000 digits exceeds the int conversion limit "
+                         "sys.get_int_max_str_digits() = "),
     "php-no-instance": (["gen-php"], None, "one of the arguments --complete --graph is required"),
     "check-unreadable": (["check", "absent.cres", "u.cnf"], None, "cannot read absent.cres: "),
     "check-goal-on-no-vertex": (["check", "p.cres", "u.cnf", "--goal", "1 2 0"],
@@ -306,6 +312,9 @@ INPUT_ERRORS = {
                           "g.txt:1: expected two integers per line"),
     "graph-arabic-indic-digit": (["gen-php", "--graph", "g.txt"], ("g.txt", "3 2\n2 \u0661\n"),
                                  "g.txt:2: number '\u0661' is not ASCII digits"),
+    "graph-isolated-pigeon": (["gen-php", "--graph", "g.txt"],
+                              ("g.txt", "3 2\n1 1\n1 2\n3 1\n3 2\n"),
+                              "pigeon 2 has no incident edge"),
     "graph-empty": (["gen-php", "--graph", "g.txt"], ("g.txt", "# nothing\n"),
                     "g.txt: empty graph file"),
     "graph-negative-sizes": (["gen-php", "--graph", "g.txt"], ("g.txt", "-1 -2\n"),
@@ -870,6 +879,18 @@ EMITTED_SHA256 = {
         "6154cc575aa14a24677627bd91438439c0174ca8c733714b2bb519459eda8e71",
     "chain.cres":
         "08c27d21c37ab960cbac5cb7c970857a1686805e6c898f7288ae1505cdb3e479",
+    # search --width 3 on near_cubic_bipartite(4, 0), (4, 1), (4, 2) and (5, 0),
+    # which the acyclic closure leaves to the LP: the derivations realize an
+    # LP point.  Recorded before the realization settled its residuals as
+    # fractions in place of numerators over a common denominator.
+    "nc4_0.cres":
+        "3a781749b7bda0478c1947d4d78781c2bed0197858cc5d3e865270e9c7d2043c",
+    "nc4_1.cres":
+        "35ec3da9034fed12fda479afc0e622e7ec475b4912ead5b590a4e5f76b9a0f5f",
+    "nc4_2.cres":
+        "4995361647575ee8199502e7288030f81c6d4358d56bb65b60a40a5c85302faa",
+    "nc5_0.cres":
+        "9ae2463d31df11c49f1097c5124bb9749e56d413be8fa9a5d0f6c9e7b90275e1",
     # translate s2c on SHAPES_SAP; recorded before sa_to_circular read each
     # term's rule from its original kind.
     "shapes.cres":
@@ -928,7 +949,7 @@ def test_s2c_states_the_width_bound_it_meets(tmp_path, capsys):
     assert "width 3 <= degree 4: True" in capsys.readouterr().out
 
 
-def test_emitted_files_are_byte_stable(tmp_path, monkeypatch):
+def test_emitted_files_are_byte_stable(tmp_path, monkeypatch, capsys):
     import hashlib
 
     from circres.generators import near_cubic_bipartite
@@ -945,7 +966,13 @@ def test_emitted_files_are_byte_stable(tmp_path, monkeypatch):
         assert run(["search", cnf.name, "--width", 3]) == 0
     (tmp_path / "chain.cnf").write_text("p cnf 4 4\n1 2 0\n-2 3 0\n-3 4 0\n-1 4 0\n")
     assert run(["search", "chain.cnf", "--width", 3, "--goal", "4 0"]) == 0
-    for name in ("nc3", "nc3_1", "nc3_2", "chain"):
+    capsys.readouterr()
+    for n, seed in ((4, 0), (4, 1), (4, 2), (5, 0)):
+        cnf = tmp_path / f"nc{n}_{seed}.cnf"
+        cnf.write_text(serialize_dimacs(gen_php(near_cubic_bipartite(n, seed))))
+        assert run(["search", cnf.name, "--width", 3]) == 0
+        assert "acyclic closure: no proof" in capsys.readouterr().out
+    for name in ("nc3", "nc3_1", "nc3_2", "chain", "nc4_0", "nc4_1", "nc4_2", "nc5_0"):
         assert run(["check", f"{name}.cres", f"{name}.cnf"]) == 0
     g = near_cubic_bipartite(5, 1)
     (tmp_path / "nc5.txt").write_text(

@@ -137,6 +137,14 @@ def test_near_cubic_bipartite_shape():
         near_cubic_bipartite(2, 0)
 
 
+def test_near_cubic_bipartite_gives_up_on_an_unshuffled_pairing(monkeypatch):
+    # Unshuffled, the first two stubs of pigeon 1 both meet a stub of hole 1
+    # on every draw, so no pairing is simple.
+    monkeypatch.setattr(random.Random, "shuffle", lambda self, x: None)
+    with pytest.raises(RuntimeError, match="no simple pairing found for n=4, seed=3"):
+        near_cubic_bipartite(4, 3)
+
+
 def test_adjacency_matches_edge_scan():
     graphs = (complete_bipartite(4, 3), near_cubic_bipartite(7, 2), BipartiteGraph(3, 4, frozenset()))
     for g in graphs:
